@@ -21,6 +21,7 @@ points were feasible so silent over-constraining is visible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import product
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -81,6 +82,21 @@ class SearchResult:
         return self.feasible / self.evaluated if self.evaluated else 0.0
 
 
+def _score(
+    objective: Callable[[Configuration], float],
+    constraints: Tuple[Callable[[Configuration], bool], ...],
+    configuration: Configuration,
+) -> Optional[float]:
+    """A point's objective, or ``None`` if a constraint rejects it.
+
+    Module-level, so the process executor can pickle it together with
+    picklable (module-level) objectives and constraints.
+    """
+    if not all(constraint(configuration) for constraint in constraints):
+        return None
+    return objective(configuration)
+
+
 def grid_search(
     space: SearchSpace,
     objective: Callable[[Configuration], float],
@@ -101,14 +117,12 @@ def grid_search(
     """
     from ..engine.parallel import parallel_map
 
-    def evaluate(configuration: Configuration) -> Optional[float]:
-        if not all(constraint(configuration) for constraint in constraints):
-            return None
-        return objective(configuration)
-
     points = space.points()
     scores = parallel_map(
-        evaluate, points, executor=executor, max_workers=max_workers
+        partial(_score, objective, tuple(constraints)),
+        points,
+        executor=executor,
+        max_workers=max_workers,
     )
 
     best: Configuration = {}

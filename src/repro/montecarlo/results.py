@@ -11,12 +11,19 @@ artifacts the uncertainty literature reports:
   the samples beyond it. For "bigger is worse" metrics (TTM, cost) the
   tail is the *upper* one; for "bigger is better" metrics (CAS) the
   *lower* one.
+
+All three come from one kernel, :func:`summarize_block`, which reduces
+a (rows x samples) block of one metric at once; a row is one study
+cell's samples (one design, or one scenario x design). The single-array
+entry points (:meth:`MetricSummary.from_samples`,
+:meth:`ExceedanceCurve.from_samples`, :func:`conditional_value_at_risk`)
+are one-row calls into it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -73,43 +80,14 @@ class MetricSummary:
         values); ``tail="lower"`` mirrors both to the ``1 - tail_level``
         quantile (risk = small values, e.g. agility collapsing).
         """
-        values = np.asarray(samples, dtype=float).ravel()
-        if values.size == 0:
-            raise InvalidParameterError(f"metric {name!r}: no samples")
-        if not np.all(np.isfinite(values)):
-            guard_trip("metric_summary")
-            raise InvalidParameterError(
-                f"metric {name!r}: samples contain non-finite values"
-            )
-        if tail not in TAILS:
-            raise InvalidParameterError(
-                f"tail must be one of {TAILS}, got {tail!r}"
-            )
-        if not 0.5 < tail_level < 1.0:
-            raise InvalidParameterError(
-                f"tail level must be in (0.5, 1), got {tail_level}"
-            )
-        if tail == "upper":
-            var = float(np.percentile(values, 100.0 * tail_level))
-            tail_values = values[values >= var]
-        else:
-            var = float(np.percentile(values, 100.0 * (1.0 - tail_level)))
-            tail_values = values[values <= var]
-        return cls(
-            name=name,
-            n_samples=int(values.size),
-            mean=float(np.mean(values)),
-            std=float(np.std(values)),
-            minimum=float(np.min(values)),
-            maximum=float(np.max(values)),
-            percentiles={
-                float(p): float(np.percentile(values, p)) for p in percentiles
-            },
+        summary, _ = summarize_block(
+            name,
+            _one_row(samples),
             tail=tail,
             tail_level=tail_level,
-            var=var,
-            cvar=float(np.mean(tail_values)),
-        )
+            percentiles=percentiles,
+        )[0]
+        return summary
 
     @property
     def median(self) -> float:
@@ -153,21 +131,10 @@ class ExceedanceCurve:
         cls, name: str, samples: np.ndarray, n_points: int = 33
     ) -> "ExceedanceCurve":
         """Evaluate the survival function on an even threshold grid."""
-        values = np.sort(np.asarray(samples, dtype=float).ravel())
-        if values.size == 0:
-            raise InvalidParameterError(f"metric {name!r}: no samples")
-        if n_points < 2:
-            raise InvalidParameterError(
-                f"need >= 2 grid points, got {n_points}"
-            )
-        grid = np.linspace(values[0], values[-1], n_points)
-        # P(X > t) = (count of samples strictly above t) / n.
-        above = values.size - np.searchsorted(values, grid, side="right")
-        return cls(
-            name=name,
-            thresholds=tuple(float(t) for t in grid),
-            probabilities=tuple(float(c) / values.size for c in above),
-        )
+        _, curve = summarize_block(
+            name, _one_row(samples), curve_points=n_points
+        )[0]
+        return curve
 
     def probability_above(self, threshold: float) -> float:
         """Linear interpolation of ``P(X > threshold)`` on the grid."""
@@ -232,6 +199,132 @@ class StudyResult:
         return format_table(headers, rows)
 
 
+def _one_row(samples: np.ndarray) -> np.ndarray:
+    """Any sample array as a one-row (1 x samples) block."""
+    return np.asarray(samples, dtype=float).reshape(1, -1)
+
+
+def summarize_block(
+    name: str,
+    block: np.ndarray,
+    tail: str = "upper",
+    tail_level: float = DEFAULT_TAIL_LEVEL,
+    percentiles: Sequence[float] = PERCENTILES,
+    curve_points: int = 33,
+) -> List[Tuple[MetricSummary, ExceedanceCurve]]:
+    """Summarize each row of a (rows x samples) block of one metric.
+
+    Returns one ``(summary, curve)`` pair per row, as
+    :meth:`MetricSummary.from_samples` and
+    :meth:`ExceedanceCurve.from_samples` define them. The block is
+    sorted once along its rows and one ``np.percentile`` call covers
+    every row's VaR level and band; moments are row-axis reductions.
+    Per row remain the CVaR mean, over the tail samples in sample order,
+    and the exceedance grid with its ``searchsorted``.
+
+    A row's result depends on that row alone, so a coalesced study's
+    cells equal the solo study's. Hence the per-row grid: ``np.linspace``
+    over many rows switches every row's formula when any row is constant.
+    """
+    # Reductions along axis 1 equal the 1-D ones only on C-ordered rows.
+    values = np.ascontiguousarray(block, dtype=float)
+    if values.ndim != 2:
+        raise InvalidParameterError(
+            f"metric {name!r}: expected a (rows x samples) block, got "
+            f"shape {values.shape}"
+        )
+    n_samples = values.shape[1]
+    if n_samples == 0:
+        raise InvalidParameterError(f"metric {name!r}: no samples")
+    if not np.isfinite(values).all():
+        guard_trip("metric_summary")
+        raise InvalidParameterError(
+            f"metric {name!r}: samples contain non-finite values"
+        )
+    if tail not in TAILS:
+        raise InvalidParameterError(
+            f"tail must be one of {TAILS}, got {tail!r}"
+        )
+    if not 0.5 < tail_level < 1.0:
+        raise InvalidParameterError(
+            f"tail level must be in (0.5, 1), got {tail_level}"
+        )
+    if curve_points < 2:
+        raise InvalidParameterError(
+            f"need >= 2 grid points, got {curve_points}"
+        )
+    upper = tail == "upper"
+    var_level = 100.0 * tail_level if upper else 100.0 * (1.0 - tail_level)
+    band = [float(p) for p in percentiles]
+    ordered = np.sort(values, axis=1)
+    quantiles = np.percentile(ordered, [var_level] + band, axis=1).T.tolist()
+    means = values.mean(axis=1).tolist()
+    stds = values.std(axis=1).tolist()
+    minima = values.min(axis=1).tolist()
+    maxima = values.max(axis=1).tolist()
+    out: List[Tuple[MetricSummary, ExceedanceCurve]] = []
+    for r, (var, *levels) in enumerate(quantiles):
+        row, sorted_row = values[r], ordered[r]
+        # In sample order: a mean over the sorted suffix differs in the
+        # last bits.
+        tail_values = row[row >= var] if upper else row[row <= var]
+        grid = np.linspace(sorted_row[0], sorted_row[-1], curve_points)
+        # P(X > t) = (count of samples strictly above t) / n.
+        above = n_samples - np.searchsorted(sorted_row, grid, side="right")
+        summary = MetricSummary(
+            name=name,
+            n_samples=n_samples,
+            mean=means[r],
+            std=stds[r],
+            minimum=minima[r],
+            maximum=maxima[r],
+            percentiles=dict(zip(band, levels)),
+            tail=tail,
+            tail_level=tail_level,
+            var=var,
+            cvar=float(np.mean(tail_values)),
+        )
+        curve = ExceedanceCurve(
+            name=name,
+            thresholds=grid.tolist(),
+            probabilities=(above / n_samples).tolist(),
+        )
+        out.append((summary, curve))
+    return out
+
+
+#: One study cell's ``metric -> summary`` and ``metric -> curve`` maps.
+CellSummaries = Tuple[Dict[str, MetricSummary], Dict[str, ExceedanceCurve]]
+
+
+def summarize_cells(
+    blocks: Mapping[str, np.ndarray],
+    tails: Mapping[str, str],
+    tail_level: float = DEFAULT_TAIL_LEVEL,
+    curve_points: int = 33,
+) -> List[CellSummaries]:
+    """Per-row summaries and curves of several metrics' blocks.
+
+    ``blocks`` maps each metric to its (rows x samples) block, all with
+    the same rows; entry ``r`` of the result holds row ``r``'s maps.
+    """
+    cells: List[CellSummaries] = []
+    for name, block in blocks.items():
+        rows = summarize_block(
+            name,
+            block,
+            tail=tails.get(name, "upper"),
+            tail_level=tail_level,
+            curve_points=curve_points,
+        )
+        if not cells:
+            cells = [({}, {}) for _ in rows]
+        for (summaries, curves), (summary, curve) in zip(cells, rows):
+            summaries[name] = summary
+            curves[name] = curve
+    return cells
+
+
 def summarize_metrics(
     samples: Mapping[str, np.ndarray],
     tails: Mapping[str, str],
@@ -246,6 +339,24 @@ def summarize_metrics(
     }
 
 
+def conditional_value_at_risk(
+    samples: np.ndarray,
+    level: float = DEFAULT_TAIL_LEVEL,
+    tail: str = "upper",
+) -> float:
+    """Mean of the worst ``1 - level`` tail of a sample.
+
+    ``tail="upper"`` averages the samples at or above the ``level``
+    quantile (risk = large values, e.g. TTM weeks); ``tail="lower"``
+    averages those at or below the ``1 - level`` quantile (risk = small
+    values, e.g. agility collapsing). The CVaR of
+    :meth:`MetricSummary.from_samples`.
+    """
+    return MetricSummary.from_samples(
+        "samples", samples, tail=tail, tail_level=level
+    ).cvar
+
+
 __all__ = [
     "DEFAULT_TAIL_LEVEL",
     "ExceedanceCurve",
@@ -253,5 +364,8 @@ __all__ = [
     "PERCENTILES",
     "StudyResult",
     "TAILS",
+    "conditional_value_at_risk",
+    "summarize_block",
+    "summarize_cells",
     "summarize_metrics",
 ]

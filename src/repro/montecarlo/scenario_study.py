@@ -12,10 +12,12 @@ designs — never sampling noise.
 Parallelism chunks over the *scenario* axis (the outermost, largest
 grain of the cube): each work item evaluates a contiguous
 :meth:`~repro.engine.scenario.ScenarioSet.subset` against the shared
-base draw. Chunks are pure functions of their inputs, so results are
-bit-for-bit identical across the serial, thread, and process executors
-and across chunk sizes. On the process path the compiled portfolio
-rides along as a shared-memory
+base draw and summarizes its own (scenario x design) cells, so no
+work item returns samples and the full cube is never held at once.
+Chunks are pure functions of their inputs, and a cell's summary depends
+on that cell alone, so results are bit-for-bit identical across the
+serial, thread, and process executors and across chunk sizes. On the
+process path the compiled portfolio rides along as a shared-memory
 :class:`~repro.engine.shm.PortfolioShare`, so workers attach tensors
 instead of recompiling designs per chunk.
 """
@@ -44,47 +46,16 @@ from ..obs.trace import span
 from ..ttm.model import TTMModel
 from .results import (
     DEFAULT_TAIL_LEVEL,
-    TAILS,
-    ExceedanceCurve,
-    MetricSummary,
+    CellSummaries,
     StudyResult,
+    conditional_value_at_risk,
+    summarize_cells,
 )
 from .spec import SamplingSpec
 from .study import METRIC_TAILS, chunk_sizes
 
 #: Scenarios evaluated per parallel work item (outermost-axis grain).
 DEFAULT_CHUNK_SCENARIOS = 8
-
-
-def conditional_value_at_risk(
-    samples: np.ndarray,
-    level: float = DEFAULT_TAIL_LEVEL,
-    tail: str = "upper",
-) -> float:
-    """Mean of the worst ``1 - level`` tail of a sample.
-
-    ``tail="upper"`` averages the samples at or above the ``level``
-    quantile (risk = large values, e.g. TTM weeks); ``tail="lower"``
-    averages those at or below the ``1 - level`` quantile (risk = small
-    values, e.g. agility collapsing). Matches the CVaR reported by
-    :class:`~repro.montecarlo.results.MetricSummary` exactly.
-    """
-    values = np.asarray(samples, dtype=float).ravel()
-    if values.size == 0:
-        raise InvalidParameterError("CVaR needs at least one sample")
-    if tail not in TAILS:
-        raise InvalidParameterError(
-            f"tail must be one of {TAILS}, got {tail!r}"
-        )
-    if not 0.5 < level < 1.0:
-        raise InvalidParameterError(
-            f"tail level must be in (0.5, 1), got {level}"
-        )
-    if tail == "upper":
-        var = float(np.percentile(values, 100.0 * level))
-        return float(np.mean(values[values >= var]))
-    var = float(np.percentile(values, 100.0 * (1.0 - level)))
-    return float(np.mean(values[values <= var]))
 
 
 @dataclass(frozen=True)
@@ -104,17 +75,19 @@ class _ScenarioChunkTask:
     queue_weeks: Optional[np.ndarray]
     d0_scale: Optional[np.ndarray]
     wafer_rate_scale: Optional[np.ndarray]
+    tail_level: float
+    curve_points: int
     shared: Optional[PortfolioShare] = None
 
 
-def _evaluate_scenario_chunk(
-    task: _ScenarioChunkTask,
-) -> Dict[str, np.ndarray]:
-    """Evaluate one scenario subset (module-level for pickling).
+def _evaluate_scenario_chunk(task: _ScenarioChunkTask) -> List[CellSummaries]:
+    """Evaluate and summarize one scenario subset (module-level for
+    pickling).
 
-    Returns ``metric -> (chunk_scenarios, n_designs, n_samples)``
-    cubes. Because the fused kernel processes scenarios independently,
-    stacking chunk outputs reproduces the unchunked cube bit-for-bit.
+    Returns one entry per (scenario, design) cell, scenario-major.
+    Because the fused kernel processes scenarios independently and each
+    cell is summarized on its own, the chunk's cells equal the same
+    cells of an unchunked study bit-for-bit.
     """
     invariants = (
         task.shared.materialize() if task.shared is not None else None
@@ -146,7 +119,14 @@ def _evaluate_scenario_chunk(
             chips = base if dm == 1.0 else base * dm
             per_chip[k] = cube.cost.total_usd[k] / chips
         metrics["cost_per_chip_usd"] = per_chip
-    return metrics
+    # One row per (scenario, design) cell, scenario-major.
+    n_cells = task.scenario_set.n_scenarios * metrics["ttm_weeks"].shape[1]
+    return summarize_cells(
+        {name: cube.reshape(n_cells, -1) for name, cube in metrics.items()},
+        METRIC_TAILS,
+        tail_level=task.tail_level,
+        curve_points=task.curve_points,
+    )
 
 
 @dataclass(frozen=True)
@@ -349,12 +329,14 @@ def run_scenario_study(
                     queue_weeks=draws.queue_weeks,
                     d0_scale=draws.d0_scale,
                     wafer_rate_scale=draws.wafer_rate_scale,
+                    tail_level=tail_level,
+                    curve_points=curve_points,
                     shared=shared,
                 )
             )
             start += size
         try:
-            chunks: List[Dict[str, np.ndarray]] = parallel_map(
+            chunks: List[List[CellSummaries]] = parallel_map(
                 _evaluate_scenario_chunk,
                 tasks,
                 executor=executor,
@@ -363,34 +345,12 @@ def run_scenario_study(
         finally:
             if shared is not None:
                 SHARED_STORE.release(shared.handle)
-        cube: Dict[str, np.ndarray] = {
-            name: np.concatenate([chunk[name] for chunk in chunks], axis=0)
-            for name in chunks[0]
-        }
-        design_names = tuple(design.name for design in design_tuple)
+        cells = (cell for chunk in chunks for cell in chunk)
         results: Dict[str, Dict[str, StudyResult]] = {}
-        for k, scenario in enumerate(scenario_set.names):
+        for scenario in scenario_set.names:
             per_design: Dict[str, StudyResult] = {}
-            for i, design in enumerate(design_tuple):
-                samples = {
-                    name: values[k, i].ravel()
-                    for name, values in cube.items()
-                }
-                summaries = {
-                    name: MetricSummary.from_samples(
-                        name,
-                        values,
-                        tail=METRIC_TAILS.get(name, "upper"),
-                        tail_level=tail_level,
-                    )
-                    for name, values in samples.items()
-                }
-                curves = {
-                    name: ExceedanceCurve.from_samples(
-                        name, values, n_points=curve_points
-                    )
-                    for name, values in samples.items()
-                }
+            for design in design_tuple:
+                summaries, curves = next(cells)
                 per_design[design.name] = StudyResult(
                     design=design.name,
                     processes=design.processes,
@@ -407,7 +367,7 @@ def run_scenario_study(
         )
         return ScenarioStudyResult(
             scenarios=scenario_set.names,
-            designs=design_names,
+            designs=tuple(design.name for design in design_tuple),
             n_samples=n_samples,
             seed=seed,
             tail_level=tail_level,

@@ -37,12 +37,7 @@ from ..errors import InvalidParameterError
 from ..multiprocess.split import ProductionSplit
 from ..ttm.model import TTMModel
 from .disruption import DisruptionModel
-from .results import (
-    DEFAULT_TAIL_LEVEL,
-    ExceedanceCurve,
-    MetricSummary,
-    StudyResult,
-)
+from .results import DEFAULT_TAIL_LEVEL, StudyResult, summarize_cells
 from .spec import SamplingSpec
 from .study import DEFAULT_CHUNK_SAMPLES, METRIC_TAILS, chunk_sizes
 
@@ -183,23 +178,13 @@ def run_plan_study(
     finally:
         if shared is not None:
             SHARED_STORE.release(shared.handle)
-    samples: Dict[str, np.ndarray] = {
-        name: np.concatenate([chunk[name] for chunk in chunks])
+    blocks: Dict[str, np.ndarray] = {
+        name: np.concatenate([chunk[name] for chunk in chunks])[None, :]
         for name in chunks[0]
     }
-    summaries = {
-        name: MetricSummary.from_samples(
-            name,
-            values,
-            tail=METRIC_TAILS.get(name, "upper"),
-            tail_level=tail_level,
-        )
-        for name, values in samples.items()
-    }
-    curves = {
-        name: ExceedanceCurve.from_samples(name, values, n_points=curve_points)
-        for name, values in samples.items()
-    }
+    [(summaries, curves)] = summarize_cells(
+        blocks, METRIC_TAILS, tail_level=tail_level, curve_points=curve_points
+    )
     return StudyResult(
         design=plan_label(plan),
         processes=_plan_processes(plan),

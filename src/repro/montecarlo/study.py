@@ -38,12 +38,7 @@ from ..errors import InvalidParameterError
 from ..obs.trace import span
 from ..ttm.model import TTMModel
 from .disruption import DisruptionModel
-from .results import (
-    DEFAULT_TAIL_LEVEL,
-    ExceedanceCurve,
-    MetricSummary,
-    StudyResult,
-)
+from .results import DEFAULT_TAIL_LEVEL, StudyResult, summarize_cells
 from .spec import SamplingSpec
 
 #: Samples evaluated per parallel work item.
@@ -128,47 +123,45 @@ def _check_capacity_source(
         )
 
 
-def _summarize_samples(
-    design: ChipDesign,
+def _summarize_designs(
+    designs: Sequence[ChipDesign],
     n_samples: int,
     seed: int,
-    samples: Dict[str, np.ndarray],
+    blocks: Dict[str, np.ndarray],
     window: Optional[MarketWindow],
     reference_weeks: Optional[float],
     tail_level: float,
     curve_points: int,
-) -> StudyResult:
-    """Reduce one design's metric samples to a :class:`StudyResult`."""
+) -> Dict[str, StudyResult]:
+    """Reduce per-design metric blocks to one :class:`StudyResult` each.
+
+    ``blocks`` maps each metric to a (designs x samples) block; row ``i``
+    is design ``i``'s sample.
+    """
     if window is not None:
+        ttm = blocks["ttm_weeks"]
         reference = (
-            float(np.median(samples["ttm_weeks"]))
+            np.array([[np.median(row)] for row in ttm])
             if reference_weeks is None
             else float(reference_weeks)
         )
-        samples["revenue_loss_fraction"] = triangle_loss_fractions(
-            samples["ttm_weeks"] - reference, window.window_weeks
+        blocks["revenue_loss_fraction"] = triangle_loss_fractions(
+            ttm - reference, window.window_weeks
         )
-    summaries = {
-        name: MetricSummary.from_samples(
-            name,
-            values,
-            tail=METRIC_TAILS.get(name, "upper"),
-            tail_level=tail_level,
-        )
-        for name, values in samples.items()
-    }
-    curves = {
-        name: ExceedanceCurve.from_samples(name, values, n_points=curve_points)
-        for name, values in samples.items()
-    }
-    return StudyResult(
-        design=design.name,
-        processes=design.processes,
-        n_samples=n_samples,
-        seed=seed,
-        summaries=summaries,
-        curves=curves,
+    cells = summarize_cells(
+        blocks, METRIC_TAILS, tail_level=tail_level, curve_points=curve_points
     )
+    return {
+        design.name: StudyResult(
+            design=design.name,
+            processes=design.processes,
+            n_samples=n_samples,
+            seed=seed,
+            summaries=summaries,
+            curves=curves,
+        )
+        for design, (summaries, curves) in zip(designs, cells)
+    }
 
 
 def run_study(
@@ -237,20 +230,20 @@ def run_study(
             max_workers=max_workers,
             seed=seed,
         )
-        samples: Dict[str, np.ndarray] = {
-            name: np.concatenate([chunk[name] for chunk in chunks])
+        blocks: Dict[str, np.ndarray] = {
+            name: np.concatenate([chunk[name] for chunk in chunks])[None, :]
             for name in chunks[0]
         }
-        return _summarize_samples(
-            design,
+        return _summarize_designs(
+            (design,),
             n_samples,
             seed,
-            samples,
+            blocks,
             window,
             reference_weeks,
             tail_level,
             curve_points,
-        )
+        )[design.name]
 
 
 @dataclass(frozen=True)
@@ -443,25 +436,20 @@ def compare_designs(
                 SHARED_STORE.release(shared_ttm.handle)
             if shared_cost is not None:
                 SHARED_STORE.release(shared_cost.handle)
-        results: Dict[str, StudyResult] = {}
-        for i, design in enumerate(design_tuple):
-            samples = {
-                name: np.concatenate(
-                    [np.asarray(chunk[name][i], dtype=float).ravel() for chunk in chunks]
-                )
-                for name in chunks[0]
-            }
-            results[design.name] = _summarize_samples(
-                design,
-                n_samples,
-                seed,
-                samples,
-                window,
-                reference_weeks,
-                tail_level,
-                curve_points,
-            )
-        return results
+        blocks: Dict[str, np.ndarray] = {
+            name: np.concatenate([chunk[name] for chunk in chunks], axis=1)
+            for name in chunks[0]
+        }
+        return _summarize_designs(
+            design_tuple,
+            n_samples,
+            seed,
+            blocks,
+            window,
+            reference_weeks,
+            tail_level,
+            curve_points,
+        )
 
 
 __all__ = [

@@ -43,6 +43,7 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import signal
 import threading
 import time
 from dataclasses import dataclass
@@ -695,41 +696,54 @@ class EvalServer:
         ``ready`` is called with ``(host, port)`` once the socket is
         bound — the CLI uses it to announce the ephemeral port.
         """
+        _serve_until_stopped(self, stop_event, ready)
 
-        async def _main() -> None:
-            await self.start()
-            if ready is not None:
-                ready(self.host, self.port)
-            loop = asyncio.get_running_loop()
-            stopper: asyncio.Future = loop.create_future()
 
-            def _request_stop() -> None:
-                if not stopper.done():
-                    stopper.set_result(None)
+def _serve_until_stopped(
+    service: Any,
+    stop_event: Optional[threading.Event],
+    ready: Optional[Any],
+) -> None:
+    """Run ``service`` (``start``/``stop``, ``host``/``port``) on a new
+    event loop until SIGINT/SIGTERM or ``stop_event``, then drain it.
 
-            import signal
+    The signal handlers go in before ``start``, so a signal that lands
+    once ``ready`` has announced the service (or while it boots) still
+    drains it instead of killing the process.
+    """
 
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                try:
-                    loop.add_signal_handler(signum, _request_stop)
-                except (NotImplementedError, RuntimeError):
-                    pass
-            waiter = None
-            if stop_event is not None:
-                waiter = loop.run_in_executor(None, stop_event.wait)
-                waiter.add_done_callback(lambda _: _request_stop())
+    async def _main() -> None:
+        loop = asyncio.get_running_loop()
+        stopper: asyncio.Future = loop.create_future()
+
+        def _request_stop() -> None:
+            if not stopper.done():
+                stopper.set_result(None)
+
+        for signum in (signal.SIGINT, signal.SIGTERM):
             try:
-                await stopper
-            finally:
-                await self.stop()
-                if waiter is not None and stop_event is not None:
-                    stop_event.set()
-                    await waiter
-
+                loop.add_signal_handler(signum, _request_stop)
+            except (NotImplementedError, RuntimeError):
+                pass
+        await service.start()
+        if ready is not None:
+            ready(service.host, service.port)
+        waiter = None
+        if stop_event is not None:
+            waiter = loop.run_in_executor(None, stop_event.wait)
+            waiter.add_done_callback(lambda _: _request_stop())
         try:
-            asyncio.run(_main())
-        except KeyboardInterrupt:
-            pass
+            await stopper
+        finally:
+            await service.stop()
+            if waiter is not None and stop_event is not None:
+                stop_event.set()
+                await waiter
+
+    try:
+        asyncio.run(_main())
+    except KeyboardInterrupt:
+        pass
 
 
 def _outcome(status: int) -> str:

@@ -91,7 +91,13 @@ from .protocol import (
     error_body,
     normalize_stress_selector,
 )
-from .server import _TRACE_SPAN_LIMIT, ServerConfig, _outcome, _parse_head
+from .server import (
+    _TRACE_SPAN_LIMIT,
+    ServerConfig,
+    _outcome,
+    _parse_head,
+    _serve_until_stopped,
+)
 
 #: How often the supervisor checks worker liveness (seconds).
 _MONITOR_INTERVAL_S = 0.2
@@ -1228,39 +1234,7 @@ class ShardSupervisor:
         ready: Optional[Any] = None,
     ) -> None:
         """Serve until SIGINT/SIGTERM (or ``stop_event``), then drain."""
-
-        async def _main() -> None:
-            await self.start()
-            if ready is not None:
-                ready(self.host, self.port)
-            loop = asyncio.get_running_loop()
-            stopper: asyncio.Future = loop.create_future()
-
-            def _request_stop() -> None:
-                if not stopper.done():
-                    stopper.set_result(None)
-
-            for signum in (signal.SIGINT, signal.SIGTERM):
-                try:
-                    loop.add_signal_handler(signum, _request_stop)
-                except (NotImplementedError, RuntimeError):
-                    pass
-            waiter = None
-            if stop_event is not None:
-                waiter = loop.run_in_executor(None, stop_event.wait)
-                waiter.add_done_callback(lambda _: _request_stop())
-            try:
-                await stopper
-            finally:
-                await self.stop()
-                if waiter is not None and stop_event is not None:
-                    stop_event.set()
-                    await waiter
-
-        try:
-            asyncio.run(_main())
-        except KeyboardInterrupt:
-            pass
+        _serve_until_stopped(self, stop_event, ready)
 
 
 async def _none() -> None:

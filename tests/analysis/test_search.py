@@ -6,6 +6,11 @@ from repro.analysis.search import SearchSpace, grid_search
 from repro.errors import InvalidParameterError
 
 
+def peak_at_x0_y2(cfg):
+    """Module-level (so picklable) objective with its maximum at (0, 2)."""
+    return -(cfg["x"] ** 2) - (cfg["y"] - 2) ** 2
+
+
 class TestSearchSpace:
     def test_size_and_points(self):
         space = SearchSpace({"a": (1, 2, 3), "b": ("x", "y")})
@@ -65,10 +70,12 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("executor", ("thread", "process"))
     def test_parallel_executors_match_serial(self, executor):
-        objective = lambda cfg: -(cfg["x"] ** 2) - (cfg["y"] - 2) ** 2
-        serial = grid_search(self.SPACE, objective=objective)
+        serial = grid_search(self.SPACE, objective=peak_at_x0_y2)
         parallel = grid_search(
-            self.SPACE, objective=objective, executor=executor, max_workers=2
+            self.SPACE,
+            objective=peak_at_x0_y2,
+            executor=executor,
+            max_workers=2,
         )
         assert parallel.best == serial.best
         assert parallel.best_score == serial.best_score

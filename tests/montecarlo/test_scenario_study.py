@@ -51,9 +51,13 @@ def study_fingerprint(study):
             cell = study.cell(scenario, design)
             for name in sorted(cell.summaries):
                 summary = cell.summaries[name]
-                out.extend([summary.mean, summary.median, summary.var,
+                out.extend([summary.mean, summary.std, summary.minimum,
+                            summary.maximum, summary.median, summary.var,
                             summary.cvar])
                 out.extend(summary.percentiles.values())
+                curve = cell.curves[name]
+                out.extend(curve.thresholds)
+                out.extend(curve.probabilities)
     return np.asarray(out)
 
 
