@@ -45,34 +45,13 @@ Usage::
 
     PYTHONPATH=src python scripts/bench_engine.py [output.json]
     PYTHONPATH=src python scripts/bench_engine.py --check      # CI gate
-    PYTHONPATH=src python scripts/bench_engine.py --profile 25
-    PYTHONPATH=src python scripts/bench_engine.py --backend compiled \\
-        BENCH_engine.compiled.json
-
-``--backend`` selects the engine backend (``numpy``, ``compiled``, or
-``compiled:float32``) for the batched hot paths before any measurement;
-the scalar baselines are backend-independent. The active backend label
-is recorded in the report's ``config`` block.
-
-``--compare-backends`` A/Bs the NumPy and compiled backends on the
-tentpole hot paths (``fig14_split_sweep``, ``portfolio_mc``, and the
-``scenario_cube``) in the same process: float64 results must be
-bit-identical, and with Numba installed the compiled backend must clear
-``COMPILED_SPEEDUP_FLOOR`` (5x) on the per-call paths. The
-``scenario_cube`` leg gates equality only — its NumPy baseline already
-amortizes the pow/supply work across scenarios, so the compiled margin
-is structurally thinner there and the ratio is reported, not enforced.
-Without Numba the kernels run as plain Python loops, so only the
-equality half gates and the timing half is reported, not enforced.
-Cross-machine wall times are too noisy to gate on; this same-process
-ratio is how CI's numba leg proves the compiled-backend speedup.
 
 ``--check`` re-measures every workload and compares its speedup against
 the recorded baseline in the output JSON with a generous slack factor
 (default 3x), failing only on order-of-magnitude regressions; the
-baseline file is left untouched. ``--profile`` additionally runs each
-workload's batched hot path under cProfile and prints the top-N entries
-so future hot-path hunts don't start from scratch.
+baseline file is left untouched. For hot-path profiles, use the
+sampling profiler behind ``ttm-cas serve --profile-hz``
+(:mod:`repro.obs.profile`).
 
 Both modes also run the **observability overhead guard**: the per-call
 cost of the default (no-tracer) ``repro.obs`` hook is measured in a
@@ -88,11 +67,8 @@ noisy ~10 ms workloads cannot.
 from __future__ import annotations
 
 import argparse
-import cProfile
-import io
 import json
 import os
-import pstats
 import sys
 import time
 
@@ -110,13 +86,6 @@ from repro.design.library.ariane import ariane_manycore
 from repro.design.library.raven import raven_multicore
 from repro.engine.batch import batch_ttm, cas_over_capacity
 from repro.engine.batch_split import batch_split
-from repro.engine.compiled import (
-    backend_label,
-    numba_available,
-    parse_backend_spec,
-    set_backend,
-    use_backend,
-)
 from repro.engine.invariants import clear_invariant_cache
 from repro.engine.portfolio import portfolio_cas, portfolio_cost, portfolio_ttm
 from repro.engine.scenario import apply_scenario, scenario_evaluate
@@ -194,10 +163,6 @@ OVERHEAD_PROBE_ITERATIONS = 200_000
 
 #: Workload timing repeats for the overhead guard denominator.
 OVERHEAD_REPEATS = 5
-
-#: Compiled-over-NumPy speedup the tentpole hot paths must clear when
-#: Numba is installed (``--compare-backends``).
-COMPILED_SPEEDUP_FLOOR = 5.0
 
 
 def best_of(repeats: int, call) -> float:
@@ -1042,116 +1007,6 @@ def bench_obs_overhead(model: TTMModel) -> dict:
     return out
 
 
-def compare_backends(model: TTMModel) -> bool:
-    """Same-process NumPy-vs-compiled A/B on the tentpole hot paths.
-
-    Gates two things: float64 bit-equality (always) and the
-    :data:`COMPILED_SPEEDUP_FLOOR` wall-time ratio (only when Numba is
-    installed — without it the compiled kernels are plain Python loops
-    and the ratio is informational).
-    """
-    designs, capacity, queue_weeks, demand = portfolio_workload()
-    cost_model = CostModel.nominal()
-    processes = [
-        node.name for node in model.foundry.technology.production_nodes()
-    ]
-    pairs = [
-        (primary, secondary)
-        for i, secondary in enumerate(processes)
-        for primary in processes[i:]
-    ]
-    split_grid = tuple(s / 100.0 for s in range(1, 101))
-    (
-        scen_designs,
-        scen_demand,
-        scen_capacity,
-        scen_queue,
-        scen_d0,
-        scen_wafer_rate,
-    ) = scenario_portfolio_workload(n_designs=12, n_samples=256)
-    scenario_set = graded_stress_scenarios((0.5, 1.0), (1.0,))
-    hot_paths = {
-        "fig14_split_sweep": lambda: batch_split(
-            raven_multicore,
-            pairs,
-            model,
-            cost_model,
-            1e9,
-            split_grid=split_grid,
-        ),
-        "portfolio_mc": lambda: portfolio_ttm(
-            model, designs, demand, capacity=capacity, queue_weeks=queue_weeks
-        ),
-        "scenario_cube": lambda: scenario_evaluate(
-            model,
-            cost_model,
-            scen_designs,
-            scen_demand,
-            scenario_set,
-            capacity=scen_capacity,
-            queue_weeks=scen_queue,
-            d0_scale=scen_d0,
-            wafer_rate_scale=scen_wafer_rate,
-        ),
-    }
-    comparable = {
-        "fig14_split_sweep": lambda r: (
-            r.ttm_weeks,
-            r.cost_usd,
-            r.cas,
-            r.line_weeks_primary,
-        ),
-        "portfolio_mc": lambda r: (
-            r.total_weeks,
-            r.fabrication_weeks,
-            r.packaging_weeks,
-        ),
-        "scenario_cube": lambda r: (
-            r.ttm.total_weeks,
-            r.ttm.fabrication_weeks,
-            r.cas.cas,
-            r.cost.total_usd,
-        ),
-    }
-    # The scenario cube's NumPy path already shares the pow/supply work
-    # across scenarios, so the compiled kernels have structurally less
-    # redundancy to remove there: the leg gates bit-equality only and
-    # its ratio is informational.
-    timing_gated = {"fig14_split_sweep", "portfolio_mc"}
-    gate_timing = numba_available()
-    ok = True
-    for name, call in hot_paths.items():
-        with use_backend("numpy"):
-            reference = call()
-            numpy_time = best_of(REPEATS, call)
-        with use_backend("compiled"):
-            call()  # warm-up: pays any JIT compile outside the timing
-            compiled = call()
-            compiled_time = best_of(REPEATS, call)
-        equal = all(
-            np.array_equal(lhs, rhs, equal_nan=True)
-            for lhs, rhs in zip(
-                comparable[name](reference), comparable[name](compiled)
-            )
-        )
-        ratio = numpy_time / compiled_time
-        gated = gate_timing and name in timing_gated
-        met = equal and (not gated or ratio >= COMPILED_SPEEDUP_FLOOR)
-        ok = ok and met
-        if gated:
-            floor = f"floor {COMPILED_SPEEDUP_FLOOR:.0f}x"
-        elif gate_timing:
-            floor = "floor waived: equality-only leg"
-        else:
-            floor = "floor waived: no numba, pure-Python kernels"
-        print(
-            f"compiled vs numpy {name}: {ratio:.1f}x ({floor}), "
-            f"float64 {'bit-equal' if equal else 'MISMATCH'} "
-            f"[{'ok' if met else 'FAILED'}]"
-        )
-    return ok
-
-
 def check_overhead(report: dict) -> bool:
     """Gate: default instrumentation must cost <= 2% on the hot paths."""
     ok = True
@@ -1197,7 +1052,6 @@ def measure(model: TTMModel) -> dict:
             "scenario_designs": SCENARIO_DESIGNS,
             "scenario_samples": SCENARIO_SAMPLES,
             "scenario_seed": SCENARIO_SEED,
-            "backend": backend_label(),
         },
     }
 
@@ -1249,58 +1103,6 @@ def check_against_baseline(report: dict, baseline: dict, slack: float) -> bool:
     return ok
 
 
-def profile_workloads(model: TTMModel, top_n: int) -> None:
-    """cProfile the batched hot path of every workload, print top-N."""
-    designs, capacity, queue_weeks, demand = portfolio_workload()
-    factors = ttm_factors(
-        PROCESS, A11_TOTAL_TRANSISTORS, A11_UNIQUE_TRANSISTORS
-    )
-    batch_fn = ttm_factor_batch_function(PROCESS, N_CHIPS)
-    a11_design = a11(PROCESS)
-    fractions = capacity_fractions(0.05, 1.0, 20)
-    grid = np.asarray(chip_quantities()).reshape(-1, 1)
-    cost_model = CostModel.nominal()
-    processes = [
-        node.name for node in model.foundry.technology.production_nodes()
-    ]
-    pairs = [
-        (primary, secondary)
-        for i, secondary in enumerate(processes)
-        for primary in processes[i:]
-    ]
-    split_grid = tuple(s / 100.0 for s in range(1, 101))
-    hot_paths = {
-        "sobol_1024_evals": lambda: sobol_indices(
-            batch_fn, factors, base_samples=BASE_SAMPLES, vectorized=True
-        ),
-        "cas_sweep_20x6": lambda: cas_over_capacity(
-            model, a11_design, grid, fractions
-        ),
-        "fig14_split_sweep": lambda: batch_split(
-            raven_multicore,
-            pairs,
-            model,
-            cost_model,
-            1e9,
-            split_grid=split_grid,
-        ),
-        "portfolio_mc": lambda: portfolio_ttm(
-            model, designs, demand, capacity=capacity, queue_weeks=queue_weeks
-        ),
-    }
-    for name, call in hot_paths.items():
-        call()  # warm caches so the profile shows the steady state
-        profiler = cProfile.Profile()
-        profiler.enable()
-        call()
-        profiler.disable()
-        stream = io.StringIO()
-        stats = pstats.Stats(profiler, stream=stream)
-        stats.sort_stats("cumulative").print_stats(top_n)
-        print(f"--- profile: {name} (top {top_n} by cumulative) ---")
-        print(stream.getvalue())
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description=(
@@ -1331,43 +1133,9 @@ def main(argv=None) -> int:
             f"(default: {CHECK_SLACK:g}x)"
         ),
     )
-    parser.add_argument(
-        "--profile",
-        type=int,
-        nargs="?",
-        const=20,
-        default=None,
-        metavar="N",
-        help="cProfile each workload's batched hot path, print top N",
-    )
-    parser.add_argument(
-        "--backend",
-        default="",
-        metavar="SPEC",
-        help=(
-            "engine backend for the batched paths: numpy, compiled, or "
-            "compiled:float32 (default: the active backend)"
-        ),
-    )
-    parser.add_argument(
-        "--compare-backends",
-        action="store_true",
-        help=(
-            "A/B the NumPy and compiled backends on the tentpole hot "
-            "paths (bit-equality always gates; the 5x floor gates only "
-            "with numba installed) instead of the full measurement"
-        ),
-    )
     options = parser.parse_args(argv)
 
-    if options.backend:
-        set_backend(*parse_backend_spec(options.backend))
     model = TTMModel.nominal()
-    if options.compare_backends:
-        return 0 if compare_backends(model) else 1
-    if options.profile is not None:
-        profile_workloads(model, options.profile)
-
     report = measure(model)
     if options.check:
         try:

@@ -11,11 +11,9 @@ Usage::
 
 The ``run``, ``report``, and ``mc`` commands accept ``--trace FILE``
 (Chrome-trace span dump, loadable in ``chrome://tracing``),
-``--metrics FILE`` (Prometheus text exposition), ``--manifest-dir DIR``
-(one provenance manifest per run), and ``--backend SPEC`` (engine
-backend selection: ``numpy``, ``compiled``, or ``compiled:float32``);
-``obs`` summarizes any of the three artifacts, including the backend
-and shared-memory availability recorded in each manifest.
+``--metrics FILE`` (Prometheus text exposition), and ``--manifest-dir
+DIR`` (one provenance manifest per run); ``obs`` summarizes any of the
+three artifacts.
 
 (Equivalently: ``python -m repro.cli ...``.)
 """
@@ -58,7 +56,6 @@ def _run_one_experiment(session: ObsSession, experiment) -> object:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    _apply_engine_arguments(args)
     keys = (
         list(registry.experiment_keys()) if args.experiment == "all"
         else [args.experiment]
@@ -94,7 +91,6 @@ def _cmd_lint(_: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    _apply_engine_arguments(args)
     lines = [
         "# ttm-cas evaluation report",
         "",
@@ -125,7 +121,6 @@ MC_DESIGNS = ("a11", "zen2", "zen2-monolithic")
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
-    _apply_engine_arguments(args)
     from .analysis.export import to_jsonable
     from .cost.model import CostModel
     from .design.library import a11, zen2, zen2_monolithic
@@ -517,7 +512,6 @@ def _cmd_nodes(_: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    _apply_engine_arguments(args)
     from .serve.server import EvalServer, ServerConfig
 
     workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
@@ -562,7 +556,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 host=args.host,
                 port=args.port,
                 server=config,
-                backend=getattr(args, "backend", ""),
                 # Sharded: the supervisor collects every worker's spans
                 # at drain and writes the one merged Chrome trace.
                 trace_out=args.trace,
@@ -571,35 +564,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         supervisor.run_forever(stop_event=stop_event, ready=_announce)
     print("server drained and stopped", flush=True)
     return 0
-
-
-#: Backend specs accepted by ``--backend`` (see repro.engine.compiled).
-BACKEND_CHOICES = ("numpy", "compiled", "compiled:float32")
-
-
-def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared engine flags (run / report / mc)."""
-    group = parser.add_argument_group("engine")
-    group.add_argument(
-        "--backend",
-        choices=BACKEND_CHOICES,
-        default="",
-        metavar="SPEC",
-        help=(
-            "evaluation backend: 'numpy' (default), 'compiled' "
-            "(fused kernels, Numba-jitted when installed), or "
-            "'compiled:float32' (reduced precision; see README). "
-            "Overrides the REPRO_ENGINE_BACKEND environment variable."
-        ),
-    )
-
-
-def _apply_engine_arguments(args: argparse.Namespace) -> None:
-    backend = getattr(args, "backend", "")
-    if backend:
-        from .engine.compiled import parse_backend_spec, set_backend
-
-        set_backend(*parse_backend_spec(backend))
 
 
 def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
@@ -648,7 +612,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the raw result as JSON instead of a table",
     )
-    _add_engine_arguments(run_parser)
     _add_obs_arguments(run_parser)
     run_parser.set_defaults(handler=_cmd_run)
     sub.add_parser("nodes", help="print the technology database").set_defaults(
@@ -660,7 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument(
         "-o", "--output", default="", help="file to write (default: stdout)"
     )
-    _add_engine_arguments(report_parser)
     _add_obs_arguments(report_parser)
     report_parser.set_defaults(handler=_cmd_report)
     sub.add_parser(
@@ -724,7 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the raw result as JSON instead of a table",
     )
-    _add_engine_arguments(mc_parser)
     _add_obs_arguments(mc_parser)
     mc_parser.set_defaults(handler=_cmd_mc)
     serve_parser = sub.add_parser(
@@ -828,7 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
             "FILE.workerN per worker)"
         ),
     )
-    _add_engine_arguments(serve_parser)
     serve_parser.set_defaults(handler=_cmd_serve)
     obs_parser = sub.add_parser(
         "obs",

@@ -18,14 +18,7 @@ invariants on every scalar call. This package makes the hot paths cheap:
 * :mod:`repro.engine.sobol_adapter` -- one-shot Saltelli-matrix
   objectives for ``sobol_indices(..., vectorized=True)``;
 * :mod:`repro.engine.parallel` -- ``parallel_map`` with serial / thread /
-  process executors and a safe serial fallback;
-* :mod:`repro.engine.compiled` -- the optional ``engine="compiled"``
-  backend: single-pass fused kernels (Numba-jitted when the optional
-  dependency is present) behind a registry (``get_backend`` /
-  ``set_backend`` / ``REPRO_ENGINE_BACKEND``), bit-for-bit equal to the
-  NumPy path in float64;
-* :mod:`repro.engine.shm` -- zero-copy shared-memory publication of
-  compiled invariants to process-pool workers.
+  process executors and a safe serial fallback.
 
 Batched results match the scalar model to floating-point round-off; the
 equivalence suite (``tests/engine``) pins them to <= 1e-9 relative error
@@ -49,15 +42,6 @@ from .batch_split import (
     refine_split_exact,
     refine_split_grid,
 )
-from .compiled import (
-    Backend,
-    backend_info,
-    backend_label,
-    get_backend,
-    numba_available,
-    set_backend,
-    use_backend,
-)
 from .invariants import (
     DesignInvariants,
     cached_invariants,
@@ -67,15 +51,6 @@ from .invariants import (
     invariant_cache_info,
 )
 from .parallel import EXECUTORS, parallel_map
-from .shm import (
-    SHARED_STORE,
-    InvariantsShare,
-    PortfolioShare,
-    SharedInvariantStore,
-    share_design_invariants,
-    share_portfolio,
-    shm_enabled,
-)
 from .portfolio import (
     PortfolioCASResult,
     PortfolioCostResult,
@@ -112,32 +87,25 @@ from .scenario import (
 from .sobol_adapter import rowwise_batch_function, ttm_factor_batch_function
 
 __all__ = [
-    "Backend",
     "BatchCASResult",
     "BatchTTMResult",
     "DesignInvariants",
     "EXECUTORS",
-    "InvariantsShare",
     "POINT_METRICS",
     "PointRequest",
     "PortfolioCASResult",
     "PortfolioCostResult",
     "PortfolioInvariants",
-    "PortfolioShare",
     "PortfolioTTMResult",
-    "SHARED_STORE",
     "Scenario",
     "ScenarioCASResult",
     "ScenarioCostResult",
     "ScenarioCubeResult",
     "ScenarioSet",
     "ScenarioTTMResult",
-    "SharedInvariantStore",
     "SplitGridResult",
     "SplitSampleResult",
     "apply_scenario",
-    "backend_info",
-    "backend_label",
     "batch_cas",
     "batch_split",
     "batch_split_samples",
@@ -150,9 +118,7 @@ __all__ = [
     "compute_invariants",
     "design_invariants",
     "fused_point_eval",
-    "get_backend",
     "invariant_cache_info",
-    "numba_available",
     "parallel_map",
     "point_signature",
     "portfolio_cas",
@@ -168,10 +134,5 @@ __all__ = [
     "scenario_cost",
     "scenario_evaluate",
     "scenario_ttm",
-    "set_backend",
-    "share_design_invariants",
-    "share_portfolio",
-    "shm_enabled",
     "ttm_factor_batch_function",
-    "use_backend",
 ]

@@ -41,7 +41,6 @@ from ..design.chip import ChipDesign
 from ..errors import InvalidParameterError
 from ..obs.instrument import observed_kernel
 from ..ttm.model import DEFAULT_ENGINEERS, TTMModel
-from .compiled import get_backend
 from .invariants import DesignInvariants, design_invariants
 
 ArrayLike = Union[float, Sequence[float], np.ndarray]
@@ -245,9 +244,8 @@ def batch_ttm(
         Optional multiplier on every node's *maximum* wafer rate (Table 2
         uncertainty); the queue quote's wafer backlog scales with it.
     invariants:
-        Pre-compiled invariants for ``design`` (e.g. a shared-memory
-        attach in a worker process); ``None`` resolves them through the
-        shared LRU.
+        Pre-computed invariants for ``design``; ``None`` resolves them
+        through the shared LRU.
     """
     if invariants is None:
         invariants = design_invariants(
@@ -267,11 +265,6 @@ def batch_ttm(
         d0_scale=d0_scale,
         wafer_rate_scale=wafer_rate_scale,
     )
-    if get_backend().name == "compiled":
-        from .compiled.adapters import ttm_from_supply
-
-        return ttm_from_supply(model, design, invariants, quantities, supply)
-
     ready_by_node: Dict[str, np.ndarray] = {}
     node_totals = []
     readies = []
@@ -422,13 +415,6 @@ def batch_cas(
         d0_scale=d0_scale,
         wafer_rate_scale=wafer_rate_scale,
     )
-    if get_backend().name == "compiled":
-        from .compiled.adapters import cas_from_supply
-
-        return cas_from_supply(
-            model, design, invariants, quantities, supply, relative_step
-        )
-
     base_rates = list(supply.rates)
     sensitivities: Dict[str, np.ndarray] = {}
     total = None
@@ -539,12 +525,6 @@ def batch_cost(
         scale: np.ndarray = np.asarray(1.0, dtype=float)
     else:
         scale = _as_positive_array(d0_scale, "defect density scale")
-    if get_backend().name == "compiled":
-        from .compiled.adapters import cost_from_parts
-
-        return cost_from_parts(
-            cost_model, design, invariants, quantities, scale
-        )
     wafers_per_chip = invariants.wafers_per_chip_at(scale)
 
     nre = design_nre(

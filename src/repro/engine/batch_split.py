@@ -52,7 +52,6 @@ from .batch import (
     batch_cost,
     batch_ttm,
 )
-from .invariants import DesignInvariants
 
 #: Default split grid: 1% .. 100% of chips on the primary node. Kept in
 #: sync with ``repro.multiprocess.optimizer.DEFAULT_SPLIT_GRID`` (which
@@ -724,7 +723,6 @@ def batch_split_samples(
     wafer_rate_scale: Optional[ArrayLike] = None,
     relative_step: float = DEFAULT_RELATIVE_STEP,
     with_cas: bool = True,
-    line_invariants: Optional[Mapping[str, DesignInvariants]] = None,
 ) -> SplitSampleResult:
     """Push one production split through sampled supply factors.
 
@@ -740,13 +738,6 @@ def batch_split_samples(
     totals are centrally differenced, mirroring
     :func:`~repro.multiprocess.split.split_cas` under each draw's
     market conditions.
-
-    ``line_invariants`` optionally maps allocation nodes to
-    pre-compiled :class:`~repro.engine.invariants.DesignInvariants`
-    (e.g. a shared-memory attach in a worker process); they feed the
-    TTM/CAS line evaluations and must match ``model``'s compilation
-    settings. Cost still derives its own (cached) invariants — its
-    fingerprint ignores the schedule knobs.
     """
     if not 0.0 < relative_step < 1.0:
         raise InvalidParameterError(
@@ -775,11 +766,6 @@ def batch_split_samples(
                     designs[node],
                     quantities * fraction,
                     capacity=dict(capacity_map),
-                    invariants=(
-                        None
-                        if line_invariants is None
-                        else line_invariants.get(node)
-                    ),
                     **sampled,
                 ).total_weeks,
                 dtype=float,

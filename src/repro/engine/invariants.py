@@ -429,36 +429,6 @@ def design_invariants(
     )
 
 
-def seed_design_invariants(
-    design: ChipDesign,
-    technology: TechnologyDatabase,
-    invariants: DesignInvariants,
-    engineers: int,
-    alpha: float = DEFAULT_ALPHA,
-    edge_corrected: bool = False,
-    block_parallel: bool = False,
-) -> DesignInvariants:
-    """Insert externally computed invariants under this process's key.
-
-    The sharded server's parent computes invariants once and publishes
-    the tensors through ``repro.engine.shm``; each worker then interns
-    its *own* design/technology objects and seeds the identity-keyed LRU
-    with the attached zero-copy views instead of recomputing. Returns
-    the cached entry — the given ``invariants`` on a cold key, or the
-    already-cached value if the key was somehow warm first (the cache
-    never replaces live entries, so results stay identity-stable).
-    """
-    key = (
-        _IdKey(technology),
-        _IdKey(design),
-        engineers,
-        alpha,
-        edge_corrected,
-        block_parallel,
-    )
-    return cached_invariants(key, lambda: invariants)
-
-
 __all__ = [
     "CACHE_MAX_ENTRIES",
     "DesignInvariants",
@@ -468,5 +438,4 @@ __all__ = [
     "compute_invariants",
     "design_invariants",
     "invariant_cache_info",
-    "seed_design_invariants",
 ]

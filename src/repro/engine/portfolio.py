@@ -49,7 +49,6 @@ from ..technology.database import TechnologyDatabase
 from ..technology.yield_model import DEFAULT_ALPHA
 from ..ttm.model import DEFAULT_ENGINEERS, TTMModel
 from .batch import _WAFERS_PER_NORMALIZED_UNIT, _as_positive_array
-from .compiled import get_backend
 from .invariants import (
     DesignInvariants,
     DieYieldProfile,
@@ -654,9 +653,8 @@ def portfolio_ttm(
     guarantee — and must be scalars or 1-D; ``n_chips`` may additionally
     be a ``(n_designs, n_samples)`` matrix.
 
-    ``invariants`` accepts a pre-compiled portfolio (e.g. a
-    shared-memory attach in a worker process); when given, ``designs``
-    is unused and may be ``None``.
+    ``invariants`` accepts a pre-compiled portfolio; when given,
+    ``designs`` is unused and may be ``None``.
     """
     if invariants is None:
         invariants = compile_portfolio(
@@ -678,12 +676,6 @@ def portfolio_ttm(
         d0_scale=d0_scale,
         wafer_rate_scale=wafer_rate_scale,
     )
-    if get_backend().name == "compiled":
-        from .compiled.adapters import portfolio_ttm_from_supply
-
-        return portfolio_ttm_from_supply(
-            model, invariants, quantities_design, supply
-        )
     tapeout_weeks, fabrication_weeks, packaging_weeks, total_weeks = (
         _total_weeks_at_rates(
             invariants,
@@ -779,13 +771,6 @@ def portfolio_cas(
         d0_scale=d0_scale,
         wafer_rate_scale=wafer_rate_scale,
     )
-    if get_backend().name == "compiled":
-        from .compiled.adapters import portfolio_cas_from_supply
-
-        return portfolio_cas_from_supply(
-            model, invariants, quantities_design, supply, relative_step
-        )
-
     base_rates = np.ascontiguousarray(supply.rates)
     sensitivities = []
     total = None
@@ -906,12 +891,6 @@ def portfolio_cost(
         scale: np.ndarray = np.asarray(1.0, dtype=float)
     else:
         scale = _sample_array(d0_scale, "defect density scale")
-    if get_backend().name == "compiled":
-        from .compiled.adapters import portfolio_cost_from_parts
-
-        return portfolio_cost_from_parts(
-            cost_model, invariants, quantities_node, quantities_design, scale
-        )
     return _portfolio_cost_from_tensors(
         cost_model,
         invariants,

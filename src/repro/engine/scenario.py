@@ -55,7 +55,6 @@ from ..errors import InvalidParameterError
 from ..obs.instrument import observed_kernel
 from ..ttm.model import DEFAULT_ENGINEERS, TTMModel
 from .batch import _WAFERS_PER_NORMALIZED_UNIT
-from .compiled import get_backend
 from .portfolio import (
     DEFAULT_RELATIVE_STEP,
     PortfolioInvariants,
@@ -65,7 +64,6 @@ from .portfolio import (
     _sample_array,
     _SupplyScratch,
     compile_portfolio,
-    portfolio_cost,
 )
 
 ArrayLike = Union[float, Sequence[float], np.ndarray]
@@ -550,7 +548,7 @@ def _evaluate_cube(
     """(tapeout (K, D), fabrication + total (K, D, S), cas or None).
 
     When ``pw_out`` / ``wafers_out`` / ``yields_out`` are given, the
-    NumPy path fills them with each (demand multiplier, D0 multiplier)
+    kernel fills them with each (demand multiplier, D0 multiplier)
     group's ``quantities x wafers`` product and each D0 multiplier's
     wafers-per-chip and profile-yields tensors so
     :func:`scenario_cost` can reuse them (its wafer and testing terms
@@ -561,22 +559,6 @@ def _evaluate_cube(
         raise InvalidParameterError(
             f"relative step must be in (0, 1), got {relative_step}"
         )
-    if get_backend().name == "compiled":
-        from .compiled.adapters import scenario_eval_from_parts
-
-        return scenario_eval_from_parts(
-            model,
-            invariants,
-            scenario_set,
-            n_chips,
-            capacity,
-            queue_weeks,
-            d0_scale,
-            wafer_rate_scale,
-            relative_step,
-            with_cas,
-        )
-
     n_designs, max_nodes = invariants.node_mask.shape
     n_samples = _cube_samples(
         n_chips, capacity, queue_weeks, d0_scale, wafer_rate_scale
@@ -1021,10 +1003,9 @@ def scenario_cost(
     total_out = np.empty((k_total, n_designs, n_samples))
     nre: Optional[np.ndarray] = None
     cache: Dict[Tuple[float, float], np.ndarray] = {}
-    compiled = get_backend().name == "compiled"
-    # On the NumPy path the pow-heavy D0 tensors (wafer/yield) depend
-    # only on the D0 multiplier, so they are computed once per unique
-    # multiplier and shared across every (demand, D0) combination —
+    # The pow-heavy D0 tensors (wafer/yield) depend only on the D0
+    # multiplier, so they are computed once per unique multiplier and
+    # shared across every (demand, D0) combination —
     # same tensors, same downstream arithmetic, identical bits. The
     # quantities and the per-profile dies numerator depend only on the
     # demand multiplier and are shared the same way along the other
@@ -1047,71 +1028,53 @@ def scenario_cost(
                 scale = g
             else:
                 scale = np.asarray(d0_scale, dtype=float) * g
-            if compiled:
-                result = portfolio_cost(
-                    cost_model,
-                    designs,
-                    chips,
-                    d0_scale=scale,
-                    engineers=engineers,
-                    invariants=invariants,
+            pair = g_tensors.get(g)
+            if pair is None:
+                if scale is None:
+                    scale_array: np.ndarray = np.asarray(1.0, dtype=float)
+                else:
+                    scale_array = _sample_array(scale, "defect density scale")
+                yields = _yields.get(g) if _yields is not None else None
+                if yields is None:
+                    yields = invariants.profile_yields(scale_array)
+                wafers = _wafers.get(g) if _wafers is not None else None
+                if wafers is None:
+                    wafers = invariants.wafers_per_chip_at(
+                        scale_array, yields=yields
+                    )
+                pair = (wafers, yields)
+                g_tensors[g] = pair
+            trio = dm_tensors.get(dm)
+            if trio is None:
+                quantities_node, quantities_design = (
+                    _portfolio_quantities(chips, n_designs)
                 )
-            else:
-                pair = g_tensors.get(g)
-                if pair is None:
-                    if scale is None:
-                        scale_array: np.ndarray = np.asarray(
-                            1.0, dtype=float
-                        )
-                    else:
-                        scale_array = _sample_array(
-                            scale, "defect density scale"
-                        )
-                    yields = (
-                        _yields.get(g) if _yields is not None else None
-                    )
-                    if yields is None:
-                        yields = invariants.profile_yields(scale_array)
-                    wafers = (
-                        _wafers.get(g) if _wafers is not None else None
-                    )
-                    if wafers is None:
-                        wafers = invariants.wafers_per_chip_at(
-                            scale_array, yields=yields
-                        )
-                    pair = (wafers, yields)
-                    g_tensors[g] = pair
-                trio = dm_tensors.get(dm)
-                if trio is None:
-                    quantities_node, quantities_design = (
-                        _portfolio_quantities(chips, n_designs)
-                    )
-                    profile_quantities = (
-                        quantities_design[invariants.profile_design]
-                        if quantities_design.ndim == 2
-                        else quantities_design
-                    )
-                    trio = (
-                        quantities_node,
-                        quantities_design,
-                        profile_quantities
-                        * invariants.profile_count[:, None],
-                    )
-                    dm_tensors[dm] = trio
-                result = _portfolio_cost_from_tensors(
-                    cost_model,
-                    invariants,
-                    trio[0],
-                    trio[1],
-                    pair[0],
-                    pair[1],
-                    production_load=(
-                        _production_load.get((dm, g))
-                        if _production_load is not None
-                        else None
-                    ),
-                    dies_numerator=trio[2],
+                profile_quantities = (
+                    quantities_design[invariants.profile_design]
+                    if quantities_design.ndim == 2
+                    else quantities_design
                 )
+                trio = (
+                    quantities_node,
+                    quantities_design,
+                    profile_quantities
+                    * invariants.profile_count[:, None],
+                )
+                dm_tensors[dm] = trio
+            result = _portfolio_cost_from_tensors(
+                cost_model,
+                invariants,
+                trio[0],
+                trio[1],
+                pair[0],
+                pair[1],
+                production_load=(
+                    _production_load.get((dm, g))
+                    if _production_load is not None
+                    else None
+                ),
+                dies_numerator=trio[2],
+            )
             if nre is None:
                 nre = result.nre_usd
             hit = np.broadcast_to(

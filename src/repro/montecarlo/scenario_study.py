@@ -16,10 +16,7 @@ base draw and summarizes its own (scenario x design) cells, so no
 work item returns samples and the full cube is never held at once.
 Chunks are pure functions of their inputs, and a cell's summary depends
 on that cell alone, so results are bit-for-bit identical across the
-serial, thread, and process executors and across chunk sizes. On the
-process path the compiled portfolio rides along as a shared-memory
-:class:`~repro.engine.shm.PortfolioShare`, so workers attach tensors
-instead of recompiling designs per chunk.
+serial, thread, and process executors and across chunk sizes.
 """
 
 from __future__ import annotations
@@ -33,14 +30,12 @@ from ..analysis.tables import format_table
 from ..cost.model import CostModel
 from ..design.chip import ChipDesign
 from ..engine.parallel import parallel_map
-from ..engine.portfolio import compile_portfolio
 from ..engine.scenario import (
     Scenario,
     ScenarioSet,
     compile_scenarios,
     scenario_evaluate,
 )
-from ..engine.shm import SHARED_STORE, PortfolioShare, share_portfolio
 from ..errors import InvalidParameterError
 from ..obs.trace import span
 from ..ttm.model import TTMModel
@@ -60,15 +55,11 @@ DEFAULT_CHUNK_SCENARIOS = 8
 
 @dataclass(frozen=True)
 class _ScenarioChunkTask:
-    """Picklable work item: one scenario subset against the shared draw.
-
-    On the process path the compiled portfolio rides along as a
-    shared-memory handle and ``designs`` is ``None``.
-    """
+    """Picklable work item: one scenario subset against the shared draw."""
 
     model: TTMModel
     cost_model: Optional[CostModel]
-    designs: Optional[Tuple[ChipDesign, ...]]
+    designs: Tuple[ChipDesign, ...]
     scenario_set: ScenarioSet
     n_chips: np.ndarray
     capacity: Optional[np.ndarray]
@@ -77,7 +68,6 @@ class _ScenarioChunkTask:
     wafer_rate_scale: Optional[np.ndarray]
     tail_level: float
     curve_points: int
-    shared: Optional[PortfolioShare] = None
 
 
 def _evaluate_scenario_chunk(task: _ScenarioChunkTask) -> List[CellSummaries]:
@@ -89,9 +79,6 @@ def _evaluate_scenario_chunk(task: _ScenarioChunkTask) -> List[CellSummaries]:
     cell is summarized on its own, the chunk's cells equal the same
     cells of an unchunked study bit-for-bit.
     """
-    invariants = (
-        task.shared.materialize() if task.shared is not None else None
-    )
     cube = scenario_evaluate(
         task.model,
         task.cost_model,
@@ -102,7 +89,6 @@ def _evaluate_scenario_chunk(task: _ScenarioChunkTask) -> List[CellSummaries]:
         queue_weeks=task.queue_weeks,
         d0_scale=task.d0_scale,
         wafer_rate_scale=task.wafer_rate_scale,
-        invariants=invariants,
     )
     metrics = {
         "ttm_weeks": np.asarray(cube.ttm.total_weeks, dtype=float),
@@ -301,17 +287,6 @@ def run_scenario_study(
         executor=executor,
     ):
         sizes = chunk_sizes(scenario_set.n_scenarios, chunk_scenarios)
-        shared = None
-        if executor == "process":
-            invariants = compile_portfolio(
-                design_tuple,
-                model.foundry.technology,
-                engineers=model.engineers,
-                alpha=model.alpha,
-                edge_corrected=model.edge_corrected,
-                block_parallel=model.block_parallel,
-            )
-            shared = share_portfolio(invariants)
         capacity = draws.capacity
         tasks = []
         start = 0
@@ -320,7 +295,7 @@ def run_scenario_study(
                 _ScenarioChunkTask(
                     model=model,
                     cost_model=cost_model,
-                    designs=None if shared is not None else design_tuple,
+                    designs=design_tuple,
                     scenario_set=scenario_set.subset(
                         range(start, start + size)
                     ),
@@ -331,20 +306,15 @@ def run_scenario_study(
                     wafer_rate_scale=draws.wafer_rate_scale,
                     tail_level=tail_level,
                     curve_points=curve_points,
-                    shared=shared,
                 )
             )
             start += size
-        try:
-            chunks: List[List[CellSummaries]] = parallel_map(
-                _evaluate_scenario_chunk,
-                tasks,
-                executor=executor,
-                max_workers=max_workers,
-            )
-        finally:
-            if shared is not None:
-                SHARED_STORE.release(shared.handle)
+        chunks: List[List[CellSummaries]] = parallel_map(
+            _evaluate_scenario_chunk,
+            tasks,
+            executor=executor,
+            max_workers=max_workers,
+        )
         cells = (cell for chunk in chunks for cell in chunk)
         results: Dict[str, Dict[str, StudyResult]] = {}
         for scenario in scenario_set.names:

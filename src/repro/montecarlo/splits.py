@@ -20,19 +20,13 @@ identical across the serial, thread, and process executors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..cost.model import CostModel
 from ..engine.batch_split import batch_split_samples
-from ..engine.invariants import design_invariants
 from ..engine.parallel import parallel_map
-from ..engine.shm import (
-    SHARED_STORE,
-    InvariantsShare,
-    share_design_invariants,
-)
 from ..errors import InvalidParameterError
 from ..multiprocess.split import ProductionSplit
 from ..ttm.model import TTMModel
@@ -44,12 +38,7 @@ from .study import DEFAULT_CHUNK_SAMPLES, METRIC_TAILS, chunk_sizes
 
 @dataclass(frozen=True)
 class _PlanChunkTask:
-    """Picklable per-chunk work item (shipped to process workers).
-
-    On the process path the per-node line invariants ride along as a
-    shared-memory :class:`~repro.engine.shm.InvariantsShare`, so workers
-    attach the published tensors instead of re-deriving them per chunk.
-    """
+    """Picklable per-chunk work item (shipped to process workers)."""
 
     model: TTMModel
     cost_model: Optional[CostModel]
@@ -57,16 +46,12 @@ class _PlanChunkTask:
     spec: SamplingSpec
     disruptions: Optional[DisruptionModel]
     n_samples: int
-    shared: Optional[InvariantsShare] = None
 
 
 def _evaluate_plan_chunk(
     task: _PlanChunkTask, rng: np.random.Generator
 ) -> Dict[str, np.ndarray]:
     """Draw and batch-evaluate one chunk (module-level for pickling)."""
-    line_invariants = (
-        task.shared.materialize() if task.shared is not None else None
-    )
     draws = task.spec.sample(task.n_samples, rng)
     quantities = draws.n_chips
     kwargs = draws.kernel_kwargs()
@@ -81,7 +66,6 @@ def _evaluate_plan_chunk(
         task.model,
         quantities,
         cost_model=task.cost_model,
-        line_invariants=line_invariants,
         **kwargs,  # type: ignore[arg-type]
     )
     metrics = {
@@ -138,23 +122,6 @@ def run_plan_study(
             "pick one"
         )
     sizes = chunk_sizes(n_samples, chunk_samples)
-    shared = None
-    if executor == "process":
-        # Publish each line's compiled invariants once; chunks carry a
-        # tiny handle instead of re-deriving tensors in every worker.
-        shared = share_design_invariants(
-            {
-                node: design_invariants(
-                    plan.design_factory(node),
-                    model.foundry.technology,
-                    model.engineers,
-                    alpha=model.alpha,
-                    edge_corrected=model.edge_corrected,
-                    block_parallel=model.block_parallel,
-                )
-                for node in plan.allocations
-            }
-        )
     tasks = [
         _PlanChunkTask(
             model=model,
@@ -163,21 +130,16 @@ def run_plan_study(
             spec=spec,
             disruptions=disruptions,
             n_samples=size,
-            shared=shared,
         )
         for size in sizes
     ]
-    try:
-        chunks: List[Dict[str, np.ndarray]] = parallel_map(
-            _evaluate_plan_chunk,
-            tasks,
-            executor=executor,
-            max_workers=max_workers,
-            seed=seed,
-        )
-    finally:
-        if shared is not None:
-            SHARED_STORE.release(shared.handle)
+    chunks: List[Dict[str, np.ndarray]] = parallel_map(
+        _evaluate_plan_chunk,
+        tasks,
+        executor=executor,
+        max_workers=max_workers,
+        seed=seed,
+    )
     blocks: Dict[str, np.ndarray] = {
         name: np.concatenate([chunk[name] for chunk in chunks])[None, :]
         for name in chunks[0]

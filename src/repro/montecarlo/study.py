@@ -27,13 +27,7 @@ from ..design.chip import ChipDesign
 from ..economics.market_window import MarketWindow, triangle_loss_fractions
 from ..engine.batch import batch_cas, batch_cost, batch_ttm
 from ..engine.parallel import parallel_map
-from ..engine.portfolio import (
-    compile_portfolio,
-    portfolio_cas,
-    portfolio_cost,
-    portfolio_ttm,
-)
-from ..engine.shm import SHARED_STORE, PortfolioShare, share_portfolio
+from ..engine.portfolio import portfolio_cas, portfolio_cost, portfolio_ttm
 from ..errors import InvalidParameterError
 from ..obs.trace import span
 from ..ttm.model import TTMModel
@@ -248,22 +242,14 @@ def run_study(
 
 @dataclass(frozen=True)
 class _PortfolioChunkTask:
-    """Picklable per-chunk work item covering the whole design tuple.
-
-    On the process path the compiled portfolio rides along as a
-    shared-memory :class:`~repro.engine.shm.PortfolioShare` and
-    ``designs`` is ``None`` — workers attach the published tensors
-    instead of unpickling design objects and recompiling per chunk.
-    """
+    """Picklable per-chunk work item covering the whole design tuple."""
 
     model: TTMModel
     cost_model: Optional[CostModel]
-    designs: Optional[Tuple[ChipDesign, ...]]
+    designs: Tuple[ChipDesign, ...]
     spec: SamplingSpec
     disruptions: Optional[DisruptionModel]
     n_samples: int
-    shared_ttm: Optional[PortfolioShare] = None
-    shared_cost: Optional[PortfolioShare] = None
 
 
 def _evaluate_portfolio_chunk(
@@ -275,14 +261,6 @@ def _evaluate_portfolio_chunk(
     spawn, same consumption order), so metric row ``i`` is bit-for-bit
     the per-design study of design ``i``.
     """
-    invariants = invariants_cost = None
-    if task.shared_ttm is not None:
-        invariants = task.shared_ttm.materialize()
-        invariants_cost = (
-            task.shared_cost.materialize()
-            if task.shared_cost is not None
-            else invariants
-        )
     draws = task.spec.sample(task.n_samples, rng)
     quantities = draws.n_chips
     kwargs = draws.kernel_kwargs()
@@ -292,12 +270,8 @@ def _evaluate_portfolio_chunk(
             kwargs["capacity"] = dict(disruption.capacity)
         if disruption.demand_scale is not None:
             quantities = quantities * disruption.demand_scale
-    ttm = portfolio_ttm(
-        task.model, task.designs, quantities, invariants=invariants, **kwargs
-    )
-    cas = portfolio_cas(
-        task.model, task.designs, quantities, invariants=invariants, **kwargs
-    )
+    ttm = portfolio_ttm(task.model, task.designs, quantities, **kwargs)
+    cas = portfolio_cas(task.model, task.designs, quantities, **kwargs)
     metrics = {
         "ttm_weeks": np.asarray(ttm.total_weeks, dtype=float),
         "cas": np.asarray(cas.cas, dtype=float),
@@ -309,7 +283,6 @@ def _evaluate_portfolio_chunk(
             quantities,
             d0_scale=kwargs.get("d0_scale"),
             engineers=task.model.engineers,
-            invariants=invariants_cost,
         )
         metrics["cost_per_chip_usd"] = np.asarray(
             cost.usd_per_chip, dtype=float
@@ -387,55 +360,24 @@ def compare_designs(
         executor=executor,
     ):
         sizes = chunk_sizes(n_samples, chunk_samples)
-        shared_ttm = shared_cost = None
-        if executor == "process":
-            # Publish the compiled portfolio once; chunks carry a tiny
-            # handle instead of the design tuple + SoA tensors.
-            inv_ttm = compile_portfolio(
-                design_tuple,
-                model.foundry.technology,
-                engineers=model.engineers,
-                alpha=model.alpha,
-                edge_corrected=model.edge_corrected,
-                block_parallel=model.block_parallel,
-            )
-            shared_ttm = share_portfolio(inv_ttm)
-            if cost_model is not None:
-                inv_cost = compile_portfolio(
-                    design_tuple,
-                    cost_model.technology,
-                    engineers=model.engineers,
-                    alpha=cost_model.alpha,
-                    edge_corrected=cost_model.edge_corrected,
-                )
-                if inv_cost is not inv_ttm:
-                    shared_cost = share_portfolio(inv_cost)
         tasks = [
             _PortfolioChunkTask(
                 model=model,
                 cost_model=cost_model,
-                designs=None if shared_ttm is not None else design_tuple,
+                designs=design_tuple,
                 spec=spec,
                 disruptions=disruptions,
                 n_samples=size,
-                shared_ttm=shared_ttm,
-                shared_cost=shared_cost,
             )
             for size in sizes
         ]
-        try:
-            chunks: List[Dict[str, np.ndarray]] = parallel_map(
-                _evaluate_portfolio_chunk,
-                tasks,
-                executor=executor,
-                max_workers=max_workers,
-                seed=seed,
-            )
-        finally:
-            if shared_ttm is not None:
-                SHARED_STORE.release(shared_ttm.handle)
-            if shared_cost is not None:
-                SHARED_STORE.release(shared_cost.handle)
+        chunks: List[Dict[str, np.ndarray]] = parallel_map(
+            _evaluate_portfolio_chunk,
+            tasks,
+            executor=executor,
+            max_workers=max_workers,
+            seed=seed,
+        )
         blocks: Dict[str, np.ndarray] = {
             name: np.concatenate([chunk[name] for chunk in chunks], axis=1)
             for name in chunks[0]

@@ -5,13 +5,8 @@ the standard instrument set on the process-wide registry (so a metrics
 dump always shows the full set, fired or not) and exposes:
 
 * :func:`observed_kernel` — a decorator counting kernel invocations and
-  element throughput (labelled by the active engine backend), and
-  spanning the call when a tracer is installed;
-* :func:`set_backend_label_provider` — how :mod:`repro.engine.compiled`
-  tells this module which backend label to stamp on kernel metrics,
-  without the hot wrapper importing any engine module;
-* :func:`record_shm` — shared-memory publish/attach/fallback counters
-  for the zero-copy process workers;
+  element throughput (labelled by kernel), and spanning the call when a
+  tracer is installed;
 * :func:`record_fallback` — the ``parallel_map`` degradation counter;
 * :func:`guard_trip` — non-finite guard trips (Sobol, metric summaries);
 * :func:`cache_counters` — the invariant-LRU hit/miss/eviction counters
@@ -95,16 +90,6 @@ GUARD_TRIPS = _registry.counter(
     "NaN/inf guard rejections, labelled by guard site",
 )
 
-SHM_SEGMENTS = _registry.counter(
-    "engine_shm_segments_total",
-    "Shared-memory tensor events, labelled by event "
-    "(publish/attach/fallback)",
-)
-SHM_BYTES = _registry.counter(
-    "engine_shm_bytes_total",
-    "Bytes published into shared-memory tensor segments",
-)
-
 
 #: The ``serve_*`` family: the repro.serve request/batcher instruments.
 #: Pre-registered like everything else so ``/metrics`` always exposes
@@ -180,27 +165,6 @@ SERVE_SLO_OK = _registry.gauge(
 )
 
 
-def _default_backend_label() -> str:
-    return "numpy"
-
-
-#: Callable returning the active engine-backend label for kernel
-#: metrics. Overridden by repro.engine.compiled at import; the default
-#: keeps this module importable (and correct) without the engine.
-_BACKEND_LABEL_PROVIDER: Callable[[], str] = _default_backend_label
-
-
-def set_backend_label_provider(provider: Callable[[], str]) -> None:
-    """Install the callable that names the active engine backend."""
-    global _BACKEND_LABEL_PROVIDER
-    _BACKEND_LABEL_PROVIDER = provider
-
-
-def backend_label() -> str:
-    """The active engine-backend label (request logs tag records with it)."""
-    return _BACKEND_LABEL_PROVIDER()
-
-
 def cache_counters() -> Tuple[Counter, Counter, Counter, Gauge]:
     """The (hits, misses, evictions, entries) cache instruments."""
     return CACHE_HITS, CACHE_MISSES, CACHE_EVICTIONS, CACHE_ENTRIES
@@ -210,21 +174,8 @@ def record_kernel(kernel: str, elements: int) -> None:
     """Count one kernel invocation producing ``elements`` result cells."""
     if not _ENABLED:
         return
-    backend = _BACKEND_LABEL_PROVIDER()
-    KERNEL_INVOCATIONS.inc(backend=backend, kernel=kernel)
-    KERNEL_ELEMENTS.inc(float(elements), backend=backend, kernel=kernel)
-
-
-def record_shm(event: str, nbytes: int = 0) -> None:
-    """Count one shared-memory event (``publish``/``attach``/``fallback``).
-
-    ``nbytes`` (publish only) feeds the published-bytes counter.
-    """
-    if not _ENABLED:
-        return
-    SHM_SEGMENTS.inc(event=event)
-    if nbytes:
-        SHM_BYTES.inc(float(nbytes))
+    KERNEL_INVOCATIONS.inc(kernel=kernel)
+    KERNEL_ELEMENTS.inc(float(elements), kernel=kernel)
 
 
 def record_fallback(requested: str, chosen: str) -> None:
@@ -329,13 +280,10 @@ def observed_kernel(kernel: str, elements: Callable[[Any], int]):
     """
 
     def decorate(function: F) -> F:
-        # Label keys are cached per backend label (a process sees at
-        # most a couple), so the no-tracer fast path stays a global
-        # check, one provider call, one small-dict lookup, and two dict
-        # updates under one shared lock (the registry's). The key tuple
-        # is pre-sorted to match Counter._label_key's sorted order.
-        name = str(kernel)
-        keys: dict = {}
+        # The label key is precomputed (in Counter._label_key's form),
+        # so the no-tracer fast path stays a global check and two dict
+        # updates under one shared lock (the registry's).
+        key = (("kernel", str(kernel)),)
         lock = KERNEL_INVOCATIONS._lock
         invocations = KERNEL_INVOCATIONS._values
         element_totals = KERNEL_ELEMENTS._values
@@ -344,11 +292,6 @@ def observed_kernel(kernel: str, elements: Callable[[Any], int]):
         def wrapper(*args: Any, **kwargs: Any) -> Any:
             if not _ENABLED:
                 return function(*args, **kwargs)
-            backend = _BACKEND_LABEL_PROVIDER()
-            key = keys.get(backend)
-            if key is None:
-                key = (("backend", backend), ("kernel", name))
-                keys[backend] = key
             tracer = trace._INSTALLED
             if tracer is None:
                 result = function(*args, **kwargs)
@@ -363,7 +306,6 @@ def observed_kernel(kernel: str, elements: Callable[[Any], int]):
                 result = function(*args, **kwargs)
                 count = float(elements(result))
                 active.set("elements", int(count))
-                active.set("backend", backend)
             KERNEL_INVOCATIONS._inc_key(key)
             KERNEL_ELEMENTS._inc_key(key, count)
             return result
@@ -395,9 +337,6 @@ __all__ = [
     "SERVE_SLO_OK",
     "SERVE_WORKERS_ALIVE",
     "SERVE_WORKER_RESPAWNS",
-    "SHM_BYTES",
-    "SHM_SEGMENTS",
-    "backend_label",
     "cache_counters",
     "disabled",
     "enabled",
@@ -410,9 +349,7 @@ __all__ = [
     "record_request",
     "record_respawn",
     "record_route",
-    "record_shm",
     "record_slo",
-    "set_backend_label_provider",
     "set_queue_depth",
     "set_workers_alive",
 ]

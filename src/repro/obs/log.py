@@ -3,11 +3,11 @@
 Zero-dependency by design: one :class:`RequestLogger` per process
 appends one JSON object per completed request — request id, trace id,
 endpoint, status, the latency breakdown the batcher stamped
-(queue / batch-wait / compute / serialize), batch size, backend, and
-outcome — so router and worker logs from a prefork fleet interleave
-safely in a single shared file (each ``write`` is one line under the
-process's own lock; POSIX appends of one small buffered line do not
-tear in practice and every line is self-describing regardless).
+(queue / batch-wait / compute / serialize), batch size, and outcome —
+so router and worker logs from a prefork fleet interleave safely in a
+single shared file (each ``write`` is one line under the process's own
+lock; POSIX appends of one small buffered line do not tear in practice
+and every line is self-describing regardless).
 
 The logger always keeps an in-memory ring of recent records (the
 ``/debug/obs`` "recent requests" feed); writing to disk is opt-in via
@@ -129,8 +129,6 @@ def format_record(record: Dict[str, Any]) -> str:
             for key in ("queue_ms", "batch_wait_ms", "compute_ms", "serialize_ms")
         ),
     ]
-    if record.get("backend"):
-        parts.append(f"backend={record['backend']}")
     if record.get("outcome") and record["outcome"] != "ok":
         parts.append(f"outcome={record['outcome']}")
     rid = record.get("request_id") or "-"

@@ -52,19 +52,15 @@ def git_revision(cwd: Optional[str] = None) -> Optional[str]:
 
 
 def environment_fingerprint() -> Dict[str, str]:
-    """Library/interpreter versions plus active engine configuration."""
+    """Library and interpreter versions."""
     import numpy
 
     from .. import __version__
-    from ..engine.compiled import backend_label
-    from ..engine.shm import shm_enabled
 
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "repro": __version__,
-        "engine_backend": backend_label(),
-        "engine_shm": "available" if shm_enabled() else "unavailable",
     }
 
 

@@ -13,8 +13,7 @@ that exposes the repro engine to concurrent callers:
   (``/evaluate``, ``/mc``, ``/splits``, ``/metrics``, ``/healthz``),
   backpressure, deadlines, graceful drain;
 * :mod:`repro.serve.shard` — the prefork worker pool: a parent-side
-  sticky router (rendezvous-hashed coalescing groups), zero-copy warm
-  caches published through :mod:`repro.engine.shm`, aggregated
+  sticky router (rendezvous-hashed coalescing groups), aggregated
   ``/metrics`` and ``/healthz``, rolling drain and worker respawn;
 * :mod:`repro.serve.client` — a small blocking client used by tests,
   benchmarks, and the smoke script (opt-in 429 retry with jittered
@@ -42,8 +41,6 @@ from .protocol import (
     BATCHED_ENDPOINTS,
     BadRequestError,
     ServeState,
-    WarmBundle,
-    build_warm_bundle,
     canonical_json,
     parse_request,
 )
@@ -75,9 +72,7 @@ __all__ = [
     "ShardConfig",
     "ShardSupervisor",
     "ShardThread",
-    "WarmBundle",
     "WorkerUnavailableError",
-    "build_warm_bundle",
     "canonical_json",
     "parse_request",
     "rendezvous_worker",

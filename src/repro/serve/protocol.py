@@ -26,8 +26,8 @@ which is what makes "coalesced == solo, byte for byte" testable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import partial
+from types import MappingProxyType
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.export import to_jsonable
@@ -36,23 +36,11 @@ from ..design.chip import ChipDesign
 from ..design.library import a11, raven_multicore, zen2, zen2_monolithic
 from ..design.serialize import design_from_dict
 from ..engine.batch_split import DEFAULT_SPLIT_GRID, batch_split, refine_split_grid
-from ..engine.invariants import (
-    cached_invariants,
-    design_invariants,
-    seed_design_invariants,
-)
-from ..engine.portfolio import compile_portfolio, portfolio_fingerprint
 from ..engine.requests import (
     POINT_METRICS,
     PointRequest,
     fused_point_eval,
     point_signature,
-)
-from ..engine.shm import (
-    InvariantsShare,
-    PortfolioShare,
-    share_design_invariants,
-    share_portfolio,
 )
 from ..errors import ReproError
 from ..market import scenarios
@@ -68,6 +56,27 @@ BATCHED_ENDPOINTS: Tuple[str, ...] = ("evaluate", "mc", "splits", "scenarios")
 
 #: Default nominal demand when a request omits ``n_chips``.
 DEFAULT_N_CHIPS = 1e7
+
+#: Defaults of the /mc and /scenarios study fields. The parsers and the
+#: shard router's ``routing_key`` all read this one mapping, so a batcher
+#: group and its route never disagree about an omitted field.
+STUDY_DEFAULTS: Mapping[str, Any] = MappingProxyType(
+    {
+        "samples": 1024,
+        "seed": 0,
+        "with_cost": True,
+        "correlated": False,
+        "n_chips": DEFAULT_N_CHIPS,
+        "variation": 0.1,
+        "queue_weeks": 2.0,
+        "capacity": 0.9,
+    }
+)
+
+#: The supply-spec knobs of a study, in group-key order.
+SPEC_KNOBS: Tuple[str, ...] = (
+    "n_chips", "variation", "queue_weeks", "capacity",
+)
 
 #: Cap on distinct interned designs held per server.
 DESIGN_CACHE_LIMIT = 512
@@ -180,6 +189,17 @@ def _capacity(body: Mapping[str, Any]) -> Optional[Any]:
     return float(value)
 
 
+def _spec_knobs(body: Mapping[str, Any]) -> Dict[str, Optional[float]]:
+    """A study's supply-spec knobs, omitted ones from STUDY_DEFAULTS."""
+    n_chips = _number(body, "n_chips", STUDY_DEFAULTS["n_chips"])
+    if n_chips <= 0:  # type: ignore[operator]
+        raise BadRequestError(f"'n_chips' must be positive, got {n_chips}")
+    knobs = {"n_chips": n_chips}
+    for name in SPEC_KNOBS[1:]:
+        knobs[name] = _number(body, name, STUDY_DEFAULTS[name])
+    return knobs
+
+
 def _metrics(body: Mapping[str, Any]) -> Tuple[str, ...]:
     value = body.get("metrics")
     if value is None:
@@ -199,93 +219,15 @@ def _metrics(body: Mapping[str, Any]) -> Tuple[str, ...]:
     return tuple(metrics)
 
 
-@dataclass(frozen=True)
-class WarmBundle:
-    """Picklable warm-cache publication for shard workers.
-
-    The supervisor computes the named designs' invariants and their
-    compiled portfolio once, publishes the tensors through
-    ``repro.engine.shm``, and ships this bundle to every worker. A
-    worker interns its *own* design/technology objects (the engine's
-    caches are identity-keyed) and seeds them with the attached
-    zero-copy views, so N workers share one copy of the warm tensors
-    instead of re-deriving N. The model knobs ride along because they
-    are part of the cache keys: seeding under the knobs the tensors were
-    computed with keeps the entries correct even if defaults diverge.
-    """
-
-    labels: Tuple[str, ...]
-    invariants: InvariantsShare
-    portfolio: Optional[PortfolioShare]
-    engineers: int
-    alpha: float
-    edge_corrected: bool
-    block_parallel: bool
-
-    @property
-    def handles(self) -> Tuple[Any, ...]:
-        """Every tensor handle the bundle references (for leasing)."""
-        out: List[Any] = [self.invariants.handle]
-        if self.portfolio is not None:
-            out.append(self.portfolio.handle)
-        return tuple(out)
-
-    @property
-    def source(self) -> str:
-        """``shared`` for zero-copy shm views, ``inline`` for pickled."""
-        return "shared" if self.invariants.handle.is_shared else "inline"
-
-
 class ServeState:
     """Process-wide shared state: database, models, interned designs."""
 
-    def __init__(
-        self,
-        technology: Optional[TechnologyDatabase] = None,
-        warm: Optional[WarmBundle] = None,
-    ) -> None:
+    def __init__(self, technology: Optional[TechnologyDatabase] = None) -> None:
         self.technology = technology or TechnologyDatabase.default()
         self.cost_model = CostModel.nominal(self.technology)
         self._base_model = TTMModel.nominal(self.technology)
         self._models: Dict[str, TTMModel] = {}
         self._designs: Dict[bytes, ChipDesign] = {}
-        #: Where this process's warm caches came from: ``local`` (it
-        #: computes them itself), ``shared`` (zero-copy shm views from
-        #: the shard supervisor), or ``inline`` (the pickling fallback).
-        self.warm_source = "local"
-        if warm is not None:
-            self._seed_warm(warm)
-
-    def _seed_warm(self, warm: WarmBundle) -> None:
-        """Seed the identity-keyed engine caches from a warm bundle."""
-        shared = warm.invariants.materialize()
-        designs: List[ChipDesign] = []
-        for label in warm.labels:
-            design = self.resolve_design(label)
-            designs.append(design)
-            entry = shared.get(label)
-            if entry is not None:
-                seed_design_invariants(
-                    design,
-                    self.technology,
-                    entry,
-                    engineers=warm.engineers,
-                    alpha=warm.alpha,
-                    edge_corrected=warm.edge_corrected,
-                    block_parallel=warm.block_parallel,
-                )
-        if warm.portfolio is not None:
-            tensors = warm.portfolio.materialize()
-            key = portfolio_fingerprint(
-                tuple(designs),
-                self.technology,
-                engineers=warm.engineers,
-                alpha=warm.alpha,
-                edge_corrected=warm.edge_corrected,
-                block_parallel=warm.block_parallel,
-            )
-            cached_invariants(key, lambda: tensors)
-        self.warm_source = warm.source
 
     def model_for(self, scenario: str) -> TTMModel:
         """The memoized TTM model under one named market scenario."""
@@ -407,50 +349,6 @@ class ServeState:
         return str(name), factory
 
 
-def build_warm_bundle(state: Optional[ServeState] = None) -> WarmBundle:
-    """Compute and publish the named designs' warm caches (parent side).
-
-    Uses (or builds) a :class:`ServeState`, derives every named library
-    design's invariants plus the compiled portfolio over all of them,
-    and publishes the tensors through the process-wide shm store. The
-    returned bundle's handles each carry one publish reference; the
-    caller owns their release (the shard supervisor leases them per
-    worker and releases its own reference at shutdown).
-    """
-    state = state or ServeState()
-    model = state._base_model
-    labels = tuple(sorted(_NAMED_DESIGNS))
-    designs = [state.resolve_design(label) for label in labels]
-    invariants = {
-        label: design_invariants(
-            design,
-            state.technology,
-            model.engineers,
-            alpha=model.alpha,
-            edge_corrected=model.edge_corrected,
-            block_parallel=model.block_parallel,
-        )
-        for label, design in zip(labels, designs)
-    }
-    portfolio = compile_portfolio(
-        tuple(designs),
-        state.technology,
-        engineers=model.engineers,
-        alpha=model.alpha,
-        edge_corrected=model.edge_corrected,
-        block_parallel=model.block_parallel,
-    )
-    return WarmBundle(
-        labels=labels,
-        invariants=share_design_invariants(invariants),
-        portfolio=share_portfolio(portfolio),
-        engineers=model.engineers,
-        alpha=model.alpha,
-        edge_corrected=model.edge_corrected,
-        block_parallel=model.block_parallel,
-    )
-
-
 # -- parsing: body -> (group key, payload) ------------------------------------
 
 
@@ -501,20 +399,12 @@ def parse_mc(
     design = state.resolve_design(body["design"])
     scenario = str(body.get("scenario", "nominal"))
     state.model_for(scenario)
-    samples = _integer(body, "samples", 1024)
+    samples = _integer(body, "samples", STUDY_DEFAULTS["samples"])
     if samples <= 0:
         raise BadRequestError(f"'samples' must be positive, got {samples}")
-    seed = _integer(body, "seed", 0)
-    mc_chips = _number(body, "n_chips", DEFAULT_N_CHIPS)
-    if mc_chips <= 0:  # type: ignore[operator]
-        raise BadRequestError(f"'n_chips' must be positive, got {mc_chips}")
-    spec_knobs = {
-        "n_chips": mc_chips,
-        "variation": _number(body, "variation", 0.1),
-        "queue_weeks": _number(body, "queue_weeks", 2.0),
-        "capacity": _number(body, "capacity", 0.9),
-    }
-    with_cost = bool(body.get("with_cost", True))
+    seed = _integer(body, "seed", STUDY_DEFAULTS["seed"])
+    spec_knobs = _spec_knobs(body)
+    with_cost = bool(body.get("with_cost", STUDY_DEFAULTS["with_cost"]))
     key = (
         "mc",
         scenario,
@@ -630,26 +520,18 @@ def parse_scenarios(
         stress_set = stress_scenarios(selector)
     except ReproError as error:
         raise BadRequestError(str(error)) from None
-    samples = _integer(body, "samples", 1024)
+    samples = _integer(body, "samples", STUDY_DEFAULTS["samples"])
     if samples <= 0:
         raise BadRequestError(f"'samples' must be positive, got {samples}")
-    correlated = bool(body.get("correlated", False))
+    correlated = bool(body.get("correlated", STUDY_DEFAULTS["correlated"]))
     if correlated and samples % 2:
         raise BadRequestError(
             "correlated sampling is antithetic and needs an even "
             f"'samples', got {samples}"
         )
-    seed = _integer(body, "seed", 0)
-    mc_chips = _number(body, "n_chips", DEFAULT_N_CHIPS)
-    if mc_chips <= 0:  # type: ignore[operator]
-        raise BadRequestError(f"'n_chips' must be positive, got {mc_chips}")
-    spec_knobs = {
-        "n_chips": mc_chips,
-        "variation": _number(body, "variation", 0.1),
-        "queue_weeks": _number(body, "queue_weeks", 2.0),
-        "capacity": _number(body, "capacity", 0.9),
-    }
-    with_cost = bool(body.get("with_cost", True))
+    seed = _integer(body, "seed", STUDY_DEFAULTS["seed"])
+    spec_knobs = _spec_knobs(body)
+    with_cost = bool(body.get("with_cost", STUDY_DEFAULTS["with_cost"]))
     key = (
         "scenarios",
         scenario,
@@ -938,9 +820,9 @@ __all__ = [
     "BadRequestError",
     "DEFAULT_N_CHIPS",
     "DESIGN_CACHE_LIMIT",
+    "SPEC_KNOBS",
+    "STUDY_DEFAULTS",
     "ServeState",
-    "WarmBundle",
-    "build_warm_bundle",
     "canonical_json",
     "endpoint_of",
     "error_body",

@@ -423,7 +423,6 @@ class EvalServer:
             "status": status,
             "latency_ms": round(elapsed * 1000.0, 3),
             "batch_size": batch_size,
-            "backend": instrument.backend_label(),
             "outcome": _outcome(status),
         }
         if self.config.worker_id is not None:
@@ -493,9 +492,6 @@ class EvalServer:
             if self.config.worker_id is not None:
                 health["worker"] = self.config.worker_id
                 health["pid"] = os.getpid()
-                health["warm_cache"] = getattr(
-                    self.state, "warm_source", "local"
-                )
             return 200, canonical_json(health), {}
         if path == "/metrics":
             if method != "GET":

@@ -15,18 +15,11 @@ while keeping every guarantee PR 7's coalescing service makes:
   and fuse there — which is exactly what preserves the byte-identity
   contract under sharding (a group split across workers would still be
   correct, but would coalesce less).
-* **Zero-copy warm caches** — the parent computes the named designs'
-  invariants and compiled portfolio once, publishes the tensors through
-  :mod:`repro.engine.shm`, and every worker seeds its identity-keyed
-  caches with attached read-only views instead of re-deriving them.
-  The supervisor holds one shm lease per worker *process* and releases
-  it when the process is reaped, so even a ``kill -9`` mid-attach
-  cannot strand a segment.
 * **Aggregated observability** — ``GET /metrics`` fans out to every
   worker and merges the per-worker Prometheus dumps (each tagged
   ``worker="N"``, the router's own registry tagged
   ``worker="router"``); ``GET /healthz`` reports per-worker liveness,
-  pid, restart count, and warm-cache state; ``GET /debug/obs`` is the
+  pid, and restart count; ``GET /debug/obs`` is the
   fleet-wide live ops snapshot and ``GET /debug/trace`` merges every
   worker's recorded spans with the router's own, so one request's
   trace — router admission, worker handling, batch membership, engine
@@ -40,7 +33,7 @@ while keeping every guarantee PR 7's coalescing service makes:
 * **Lifecycle** — dead workers are respawned with exponential backoff;
   SIGTERM/SIGINT triggers a rolling drain: new requests are refused
   with 503 while every accepted request (in any worker) completes, then
-  workers are terminated one at a time and their shm leases released.
+  workers are terminated one at a time.
 
 ``--workers 1`` never enters this module — the CLI runs today's
 single-process server unchanged.
@@ -60,7 +53,6 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..engine.requests import knob_signature
-from ..engine.shm import SHARED_STORE, Lease
 from ..obs import instrument
 from ..obs.distributed import (
     TraceContext,
@@ -83,10 +75,10 @@ from ..obs.trace import (
 from .protocol import (
     BATCHED_ENDPOINTS,
     DEFAULT_N_CHIPS,
+    SPEC_KNOBS,
+    STUDY_DEFAULTS,
     BadRequestError,
     ServeState,
-    WarmBundle,
-    build_warm_bundle,
     canonical_json,
     error_body,
     normalize_stress_selector,
@@ -138,6 +130,25 @@ def _route_number(value: Any, default: float) -> Any:
     return value
 
 
+def _route_study(
+    parsed: Mapping[str, Any], flags: Sequence[str]
+) -> List[Any]:
+    """A study body's sample count, seed, ``flags`` and spec knobs.
+
+    Omitted fields default from :data:`STUDY_DEFAULTS`, exactly as in
+    the /mc and /scenarios parsers.
+    """
+    return [
+        parsed.get("samples", STUDY_DEFAULTS["samples"]),
+        parsed.get("seed", STUDY_DEFAULTS["seed"]),
+        *(bool(parsed.get(flag, STUDY_DEFAULTS[flag])) for flag in flags),
+        *(
+            _route_number(parsed.get(name), STUDY_DEFAULTS[name])
+            for name in SPEC_KNOBS
+        ),
+    ]
+
+
 def _signature_jsonable(signature: Tuple[object, ...]) -> List[Any]:
     """Encode a :func:`knob_signature` canonically (frozenset -> sorted)."""
     kind = signature[0]
@@ -179,17 +190,7 @@ def routing_key(endpoint: str, body: bytes) -> bytes:
         )
     if endpoint == "mc":
         return canonical_json(
-            [
-                "mc",
-                scenario,
-                parsed.get("samples", 1024),
-                parsed.get("seed", 0),
-                bool(parsed.get("with_cost", True)),
-                _route_number(parsed.get("n_chips"), DEFAULT_N_CHIPS),
-                _route_number(parsed.get("variation"), 0.1),
-                _route_number(parsed.get("queue_weeks"), 2.0),
-                _route_number(parsed.get("capacity"), 0.9),
-            ]
+            ["mc", scenario, *_route_study(parsed, ("with_cost",))]
         )
     if endpoint == "scenarios":
         try:
@@ -200,20 +201,9 @@ def routing_key(endpoint: str, body: bytes) -> bytes:
             # Malformed selectors still route *somewhere* deterministic
             # and collect their 400 from the worker.
             selector = ["opaque", repr(parsed.get("scenarios"))]
+        flags = ("with_cost", "correlated")
         return canonical_json(
-            [
-                "scenarios",
-                scenario,
-                selector,
-                parsed.get("samples", 1024),
-                parsed.get("seed", 0),
-                bool(parsed.get("with_cost", True)),
-                bool(parsed.get("correlated", False)),
-                _route_number(parsed.get("n_chips"), DEFAULT_N_CHIPS),
-                _route_number(parsed.get("variation"), 0.1),
-                _route_number(parsed.get("queue_weeks"), 2.0),
-                _route_number(parsed.get("capacity"), 0.9),
-            ]
+            ["scenarios", scenario, selector, *_route_study(parsed, flags)]
         )
     if endpoint == "splits":
         spec = parsed.get("design", "a11")
@@ -273,28 +263,16 @@ def rendezvous_worker(key: bytes, slots: Sequence[int]) -> int:
 # -- worker process ----------------------------------------------------------
 
 
-def _worker_main(
-    worker_id: int,
-    config: ServerConfig,
-    warm: Optional[WarmBundle],
-    backend: str,
-    conn,
-) -> None:
+def _worker_main(worker_id: int, config: ServerConfig, conn) -> None:
     """Entry point of one shard worker process (spawn-safe).
 
     Boots a full :class:`EvalServer` on an ephemeral loopback port,
-    seeds its warm caches from the supervisor's shm publication, reports
-    ``(host, port, pid)`` back through ``conn``, and serves until
+    reports ``(host, port, pid)`` back through ``conn``, and serves until
     SIGTERM/SIGINT *or* until the pipe hits EOF — the parent holds its
     end open for the worker's lifetime, so a killed parent can never
     leave orphaned workers behind.
     """
     from .server import EvalServer
-
-    if backend:
-        from ..engine.compiled import parse_backend_spec, set_backend
-
-        set_backend(*parse_backend_spec(backend))
 
     stop_event = threading.Event()
 
@@ -309,8 +287,7 @@ def _worker_main(
         target=_watch_parent, name="shard-parent-watch", daemon=True
     ).start()
 
-    state = ServeState(warm=warm)
-    server = EvalServer(config=config, state=state)
+    server = EvalServer(config=config, state=ServeState())
 
     def _ready(host: str, port: int) -> None:
         try:
@@ -333,7 +310,6 @@ class _Worker:
     pid: int = 0
     restarts: int = 0
     ready: bool = False
-    leases: Tuple[Lease, ...] = ()
     idle: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = field(
         default_factory=list
     )
@@ -372,8 +348,6 @@ class ShardConfig:
     host: str = "127.0.0.1"
     port: int = 0
     server: ServerConfig = field(default_factory=ServerConfig)
-    backend: str = ""
-    warm: bool = True
     drain_grace_s: float = 10.0
     worker_start_timeout_s: float = 120.0
     respawn_backoff_s: float = 0.5
@@ -388,7 +362,7 @@ class ShardConfig:
 
 
 class ShardSupervisor:
-    """Parent process: sticky router + worker pool + shm publication."""
+    """Parent process: sticky router + worker pool."""
 
     def __init__(self, config: Optional[ShardConfig] = None) -> None:
         self.config = config or ShardConfig()
@@ -396,7 +370,6 @@ class ShardSupervisor:
         self.port = self.config.port
         self._ctx = multiprocessing.get_context("spawn")
         self._workers: List[_Worker] = []
-        self._warm: Optional[WarmBundle] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Dict[asyncio.Task, None] = {}
         self._monitor_task: Optional[asyncio.Task] = None
@@ -426,13 +399,11 @@ class ShardSupervisor:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> None:
-        """Publish warm caches, boot every worker, bind the public port."""
+        """Boot every worker, then bind the public port."""
         if self.config.server.trace and current_tracer() is None:
             self._installed_tracer = Tracer(limit=_TRACE_SPAN_LIMIT)
             install_tracer(self._installed_tracer)
         count = self.config.resolved_workers()
-        if self.config.warm:
-            self._warm = build_warm_bundle(ServeState())
         self._workers = [_Worker(slot=slot) for slot in range(count)]
         for worker in self._workers:
             self._spawn_process(worker)
@@ -450,12 +421,7 @@ class ShardSupervisor:
         self._monitor_task = asyncio.create_task(self._monitor())
 
     def _spawn_process(self, worker: _Worker) -> None:
-        """Start one worker process (leases taken *before* the spawn)."""
-        leases = []
-        if self._warm is not None:
-            leases = [
-                SHARED_STORE.lease(handle) for handle in self._warm.handles
-            ]
+        """Start one worker process."""
         parent_conn, child_conn = self._ctx.Pipe()
         template = self.config.server
         config = replace(
@@ -475,13 +441,7 @@ class ShardSupervisor:
         )
         process = self._ctx.Process(
             target=_worker_main,
-            args=(
-                worker.slot,
-                config,
-                self._warm,
-                self.config.backend,
-                child_conn,
-            ),
+            args=(worker.slot, config, child_conn),
             name=f"shard-worker-{worker.slot}",
             daemon=True,
         )
@@ -490,7 +450,6 @@ class ShardSupervisor:
         worker.process = process
         worker.conn = parent_conn
         worker.ready = False
-        worker.leases = tuple(leases)
 
     async def _wait_ready(self, worker: _Worker) -> None:
         """Block (without blocking the loop) until a worker reports in."""
@@ -527,9 +486,7 @@ class ShardSupervisor:
         Every request already forwarded completes — the router waits for
         its own in-flight count, and each worker's SIGTERM drain waits
         for its admitted batches — then workers are terminated one at a
-        time, each reaped and its shm leases released before the next,
-        and finally the supervisor drops its own warm-tensor references
-        so the segments unlink.
+        time, each reaped before the next.
         """
         # The listener stays open while draining: clients that connect
         # mid-drain get an explicit 503/draining, not a refused socket.
@@ -580,10 +537,6 @@ class ShardSupervisor:
                 task.cancel()
             if pending:
                 await asyncio.wait(pending, timeout=1.0)
-        if self._warm is not None:
-            for handle in self._warm.handles:
-                SHARED_STORE.release(handle)
-            self._warm = None
         if self._server is not None:
             await self._server.wait_closed()
         if self._installed_tracer is not None:
@@ -617,10 +570,7 @@ class ShardSupervisor:
         self._release_worker(worker)
 
     def _release_worker(self, worker: _Worker) -> None:
-        """Reap-side cleanup: shm leases and the handshake pipe."""
-        for lease in worker.leases:
-            lease.release()
-        worker.leases = ()
+        """Reap-side cleanup: close the handshake pipe."""
         if worker.conn is not None:
             try:
                 worker.conn.close()
@@ -661,8 +611,6 @@ class ShardSupervisor:
             await self._close_idle(worker)
             if worker.process is not None:
                 await loop.run_in_executor(None, worker.process.join, 5.0)
-            # The reap releases the dead process's leases uncondition-
-            # ally — this is the path that makes kill -9 leak-free.
             self._release_worker(worker)
             instrument.record_respawn(worker.slot)
             backoff = min(
@@ -1017,7 +965,6 @@ class ShardSupervisor:
                 "status": status,
                 "latency_ms": round(elapsed * 1000.0, 3),
                 "batch_size": batch_size,
-                "backend": "router",
                 "outcome": _outcome(status),
                 "worker": slot,
             }
@@ -1093,7 +1040,7 @@ class ShardSupervisor:
         return merge_prometheus_texts(parts)
 
     async def _aggregate_healthz(self) -> Dict[str, Any]:
-        """Per-worker liveness, identity, and warm-cache state."""
+        """Per-worker liveness and identity."""
         entries: List[Dict[str, Any]] = []
         fetches = await asyncio.gather(
             *(
@@ -1116,7 +1063,6 @@ class ShardSupervisor:
                 except ValueError:
                     reported = {}
                 entry["status"] = reported.get("status", "unknown")
-                entry["warm_cache"] = reported.get("warm_cache", "unknown")
             else:
                 entry["status"] = (
                     "unreachable" if worker.alive() else "dead"

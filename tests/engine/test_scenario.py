@@ -3,7 +3,7 @@
 The contract (DESIGN.md S23): slab ``k`` of every ``scenario_*`` tensor
 equals the corresponding ``portfolio_*`` call over
 ``apply_scenario``-transformed base draws — bit for bit, not just to a
-tolerance, on both backends. These tests pin that equivalence over the
+tolerance. These tests pin that equivalence over the
 stress library and hand-built scenarios (per-node capacity mappings,
 additive queue delays, demand/D0 rescales), the identity-scenario ==
 raw-portfolio shortcut, scenario-permutation equivariance, the
@@ -19,7 +19,6 @@ from repro.design.library.a11 import a11
 from repro.design.library.ariane import ariane_manycore
 from repro.design.library.zen2 import zen2, zen2_monolithic
 from repro.cost.model import CostModel
-from repro.engine.compiled import use_backend
 from repro.engine.portfolio import (
     portfolio_cas,
     portfolio_cost,
@@ -155,39 +154,6 @@ class TestCubeEquivalence:
             (0.25, 0.75), demand_intensities=(0.5,)
         )
         assert_cube_matches_loop(model, designs, scenario_set, base_draws)
-
-    def test_compiled_backend(self, model, designs, base_draws):
-        small = {key: np.asarray(value)[:16]
-                 for key, value in base_draws.items()}
-        scenario_set = compile_scenarios(SCENARIOS)
-        with use_backend("compiled"):
-            assert_cube_matches_loop(model, designs, scenario_set, small)
-
-    def test_backends_bit_equal(self, model, designs, base_draws):
-        small = {key: np.asarray(value)[:16]
-                 for key, value in base_draws.items()}
-        scenario_set = compile_scenarios(SCENARIOS)
-        cost_model = CostModel.nominal()
-
-        def run():
-            return scenario_evaluate(
-                model, cost_model, designs, small["n_chips"], scenario_set,
-                capacity=small["capacity"],
-                queue_weeks=small["queue_weeks"],
-                d0_scale=small["d0_scale"],
-                wafer_rate_scale=small["wafer_rate_scale"],
-            )
-
-        with use_backend("numpy"):
-            reference = run()
-        with use_backend("compiled"):
-            compiled = run()
-        for attr in ("ttm.total_weeks", "ttm.fabrication_weeks",
-                     "cas.cas", "cost.total_usd"):
-            head, tail = attr.split(".")
-            lhs = np.asarray(getattr(getattr(reference, head), tail))
-            rhs = np.asarray(getattr(getattr(compiled, head), tail))
-            assert np.array_equal(lhs, rhs), attr
 
     def test_without_cost_model(self, model, designs, base_draws):
         cube = scenario_evaluate(

@@ -96,6 +96,21 @@ class TestRunPlanStudy:
         assert serial.summaries["ttm_weeks"] == thread.summaries["ttm_weeks"]
         assert serial.summaries["cas"] == thread.summaries["cas"]
 
+    def test_serial_equals_process(self, model, cost_model):
+        # Process workers get the same chunk tasks as the serial path
+        # and derive the line invariants themselves.
+        kwargs = dict(
+            n_samples=2048, seed=31, cost_model=cost_model, chunk_samples=512
+        )
+        serial = run_plan_study(model, _plan(), _spec(), **kwargs)
+        process = run_plan_study(
+            model, _plan(), _spec(), executor="process", max_workers=2,
+            **kwargs,
+        )
+        assert set(serial.summaries) == {"ttm_weeks", "cas", "cost_per_chip_usd"}
+        assert serial.summaries == process.summaries
+        assert serial.curves == process.curves
+
     def test_rejects_doubly_sampled_capacity(self, model):
         from repro.market import scenarios
         from repro.montecarlo import DisruptionModel, EventEnsemble

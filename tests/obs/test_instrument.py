@@ -27,14 +27,8 @@ class TestObservedKernel:
     def test_counts_invocations_and_elements(self):
         assert np.array_equal(produce(3), np.zeros(3))
         produce(5)
-        assert (
-            KERNEL_INVOCATIONS.value(backend="numpy", kernel="test.kernel")
-            == 2.0
-        )
-        assert (
-            KERNEL_ELEMENTS.value(backend="numpy", kernel="test.kernel")
-            == 8.0
-        )
+        assert KERNEL_INVOCATIONS.value(kernel="test.kernel") == 2.0
+        assert KERNEL_ELEMENTS.value(kernel="test.kernel") == 8.0
 
     def test_spans_when_tracer_installed(self):
         tracer = install_tracer(Tracer())
@@ -43,11 +37,7 @@ class TestObservedKernel:
         (record,) = tracer.spans()
         assert record.name == "test.kernel"
         assert record.attributes["elements"] == 4
-        assert record.attributes["backend"] == "numpy"
-        assert (
-            KERNEL_INVOCATIONS.value(backend="numpy", kernel="test.kernel")
-            == 1.0
-        )
+        assert KERNEL_INVOCATIONS.value(kernel="test.kernel") == 1.0
 
     def test_disabled_bypasses_everything(self):
         assert enabled()
@@ -55,25 +45,15 @@ class TestObservedKernel:
             assert not enabled()
             produce(9)
         assert enabled()
-        assert (
-            KERNEL_INVOCATIONS.value(backend="numpy", kernel="test.kernel")
-            == 0.0
-        )
-        assert (
-            KERNEL_ELEMENTS.value(backend="numpy", kernel="test.kernel")
-            == 0.0
-        )
+        assert KERNEL_INVOCATIONS.value(kernel="test.kernel") == 0.0
+        assert KERNEL_ELEMENTS.value(kernel="test.kernel") == 0.0
 
 
 class TestPlainHooks:
     def test_record_kernel(self):
         record_kernel("manual", 100)
-        assert (
-            KERNEL_INVOCATIONS.value(backend="numpy", kernel="manual") == 1.0
-        )
-        assert (
-            KERNEL_ELEMENTS.value(backend="numpy", kernel="manual") == 100.0
-        )
+        assert KERNEL_INVOCATIONS.value(kernel="manual") == 1.0
+        assert KERNEL_ELEMENTS.value(kernel="manual") == 100.0
 
     def test_record_fallback(self):
         record_fallback("process", "serial")
@@ -91,9 +71,7 @@ class TestPlainHooks:
             record_kernel("manual", 1)
             record_fallback("process", "serial")
             guard_trip("sobol")
-        assert (
-            KERNEL_INVOCATIONS.value(backend="numpy", kernel="manual") == 0.0
-        )
+        assert KERNEL_INVOCATIONS.value(kernel="manual") == 0.0
         assert EXECUTOR_FALLBACKS.series() == {}
         assert GUARD_TRIPS.series() == {}
 

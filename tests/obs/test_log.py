@@ -92,7 +92,6 @@ class TestReaders:
                 "status": 200,
                 "latency_ms": 12.345,
                 "batch_size": 4,
-                "backend": "numpy",
                 "outcome": "ok",
                 "request_id": "abc-1",
                 "trace_id": "feed" * 8,

@@ -77,15 +77,7 @@ class TestProvenanceHelpers:
 
     def test_environment_fingerprint_names_the_stack(self):
         fingerprint = environment_fingerprint()
-        assert set(fingerprint) == {
-            "python",
-            "numpy",
-            "repro",
-            "engine_backend",
-            "engine_shm",
-        }
-        assert fingerprint["engine_backend"] == "numpy"
-        assert fingerprint["engine_shm"] in {"available", "unavailable"}
+        assert set(fingerprint) == {"python", "numpy", "repro"}
 
     def test_result_digest_is_deterministic_and_content_sensitive(self):
         first = result_digest({"metric": 1.0})

@@ -175,12 +175,9 @@ def test_cli_wires_serve_subcommand():
             "5",
             "--max-batch",
             "16",
-            "--backend",
-            "compiled",
         ]
     )
     assert args.port == 0
     assert args.batch_window_ms == 5.0
     assert args.max_batch == 16
-    assert args.backend == "compiled"
     assert args.handler.__name__ == "_cmd_serve"
