@@ -15,9 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..analysis.sweep import chip_quantities
 from ..analysis.tables import format_table
+from ..design.chip import ChipDesign
 from ..design.library.ariane import CACHE_SWEEP_KB, ariane_manycore
+from ..engine.portfolio import portfolio_ttm
 from ..perf.ipc import IPCModel
 from ..ttm.model import TTMModel
 from .fig04_cache_scatter import DEFAULT_CAPACITY_SHARE
@@ -79,13 +83,10 @@ class Fig06Result:
 
 
 def _cache_area_fraction(
-    model: TTMModel, process: str, cores: int, icache_kb: int, dcache_kb: int
+    model: TTMModel, process: str, cores: int, with_caches: ChipDesign
 ) -> float:
     """Fraction of die area spent on the swept caches (the color bar)."""
     node = model.foundry.technology[process]
-    with_caches = ariane_manycore(
-        process, cores=cores, icache_kb=icache_kb, dcache_kb=dcache_kb
-    )
     # A hypothetical cache-less design isolates the cache contribution.
     minimal = ariane_manycore(process, cores=cores, icache_kb=0, dcache_kb=0)
     total = with_caches.dies[0].area_on(node)
@@ -107,43 +108,29 @@ def run(
     perf = ipc_model or IPCModel()
     volume_grid = tuple(quantities) if quantities else chip_quantities()
     sweep = tuple(sizes_kb) if sizes_kb else CACHE_SWEEP_KB
+    pairs = [(icache_kb, dcache_kb) for icache_kb in sweep for dcache_kb in sweep]
+    ipc = np.array([perf.ipc(*pair) for pair in pairs])
     cells = {}
     for process in processes:
-        for n_chips in volume_grid:
-            best: Optional[CellOptimum] = None
-            for icache_kb in sweep:
-                for dcache_kb in sweep:
-                    design = ariane_manycore(
-                        process,
-                        cores=cores,
-                        icache_kb=icache_kb,
-                        dcache_kb=dcache_kb,
-                    )
-                    ipc = perf.ipc(icache_kb, dcache_kb)
-                    ttm = ttm_model.total_weeks(design, n_chips)
-                    candidate = CellOptimum(
-                        process=process,
-                        n_chips=n_chips,
-                        icache_kb=icache_kb,
-                        dcache_kb=dcache_kb,
-                        ipc=ipc,
-                        ttm_weeks=ttm,
-                        cache_area_fraction=0.0,
-                    )
-                    if best is None or ipc / ttm > best.ipc / best.ttm_weeks:
-                        best = candidate
-            assert best is not None  # sweep is never empty
-            fraction = _cache_area_fraction(
-                ttm_model, process, cores, best.icache_kb, best.dcache_kb
-            )
+        designs = [
+            ariane_manycore(process, cores=cores, icache_kb=i, dcache_kb=d)
+            for i, d in pairs
+        ]
+        ttm = portfolio_ttm(ttm_model, designs, volume_grid).total_weeks
+        # argmax takes the first maximum: ties go to the earlier pair.
+        winners = np.argmax(ipc[:, None] / ttm, axis=0)
+        for column, (n_chips, best) in enumerate(zip(volume_grid, winners)):
+            icache_kb, dcache_kb = pairs[best]
             cells[(process, n_chips)] = CellOptimum(
-                process=best.process,
-                n_chips=best.n_chips,
-                icache_kb=best.icache_kb,
-                dcache_kb=best.dcache_kb,
-                ipc=best.ipc,
-                ttm_weeks=best.ttm_weeks,
-                cache_area_fraction=fraction,
+                process=process,
+                n_chips=n_chips,
+                icache_kb=icache_kb,
+                dcache_kb=dcache_kb,
+                ipc=float(ipc[best]),
+                ttm_weeks=float(ttm[best, column]),
+                cache_area_fraction=_cache_area_fraction(
+                    ttm_model, process, cores, designs[best]
+                ),
             )
     return Fig06Result(
         processes=tuple(processes), quantities=volume_grid, cells=cells

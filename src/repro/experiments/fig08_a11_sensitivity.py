@@ -17,7 +17,7 @@ from ..analysis.tables import format_table
 from ..design.library.a11 import A11_TOTAL_TRANSISTORS, A11_UNIQUE_TRANSISTORS
 from ..engine.sobol_adapter import ttm_factor_batch_function
 from ..sensitivity.sobol import DEFAULT_BASE_SAMPLES, SobolResult, sobol_indices
-from ..sensitivity.ttm_factors import FACTOR_NAMES, ttm_factor_function, ttm_factors
+from ..sensitivity.ttm_factors import FACTOR_NAMES, ttm_factors
 from ..ttm.model import TTMModel
 from .fig07_a11_ttm_cost import DEFAULT_N_CHIPS, DEFAULT_PROCESSES
 
@@ -58,15 +58,11 @@ def run(
     processes: Sequence[str] = DEFAULT_PROCESSES,
     n_chips: float = DEFAULT_N_CHIPS,
     base_samples: int = DEFAULT_BASE_SAMPLES,
-    vectorized: bool = True,
 ) -> Fig08Result:
     """Regenerate Fig. 8's sensitivity heatmap (N*(k+2) evals per node).
 
-    ``vectorized`` (the default) evaluates each Saltelli matrix in one
-    batched call via
-    :func:`repro.engine.sobol_adapter.ttm_factor_batch_function`; set it
-    to False to take the scalar per-row objective instead. Both paths
-    consume the same sample stream and agree to round-off.
+    Each Saltelli matrix is evaluated in one batched call via
+    :func:`repro.engine.sobol_adapter.ttm_factor_batch_function`.
     """
     ttm_model = model or TTMModel.nominal()
     technology = ttm_model.foundry.technology
@@ -75,12 +71,11 @@ def run(
         factors = ttm_factors(
             process, A11_TOTAL_TRANSISTORS, A11_UNIQUE_TRANSISTORS, technology
         )
-        if vectorized:
-            function = ttm_factor_batch_function(process, n_chips, technology)
-        else:
-            function = ttm_factor_function(process, n_chips, technology)
         results[process] = sobol_indices(
-            function, factors, base_samples=base_samples, vectorized=vectorized
+            ttm_factor_batch_function(process, n_chips, technology),
+            factors,
+            base_samples=base_samples,
+            vectorized=True,
         )
     return Fig08Result(
         n_chips=n_chips, processes=tuple(processes), results=results

@@ -31,6 +31,12 @@ DEFAULT_BASE_SAMPLES = 128
 #: Seed for reproducible experiment outputs.
 DEFAULT_SEED = 20230617  # ISCA '23 opening day
 
+#: A ``{factor: value} -> float`` objective, or a vectorized ``(m, k) -> (m,)`` one.
+Objective = Union[
+    Callable[[Mapping[str, float]], float],
+    Callable[[np.ndarray], np.ndarray],
+]
+
 
 @dataclass(frozen=True)
 class SobolResult:
@@ -67,35 +73,45 @@ class SobolResult:
         )
 
 
-def _check_finite(
-    outputs: np.ndarray,
+def evaluate_samples(
+    function: Objective,
     matrix: np.ndarray,
     names: Tuple[str, ...],
+    vectorized: bool,
+    guard: str,
     label: str,
 ) -> np.ndarray:
-    """Reject NaN/inf model outputs, naming the offending factor row.
+    """Evaluate ``function`` on every row of ``matrix`` (at once if vectorized).
 
-    NaN propagates silently through the Jansen estimators and produces
-    NaN indices that *look* like results; failing fast with the factor
-    values that triggered it makes the bad input debuggable.
+    NaN/inf outputs are rejected, naming the offending factor row, and
+    counted as trips of ``guard``: NaN propagates silently through the
+    estimators and produces indices or bands that *look* like results.
     """
+    if vectorized:
+        outputs = np.asarray(function(matrix), dtype=float)
+        if outputs.shape != (matrix.shape[0],):
+            raise InvalidParameterError(
+                f"vectorized objective must return shape "
+                f"({matrix.shape[0]},), got {outputs.shape}"
+            )
+    else:
+        outputs = np.array(
+            [function(dict(zip(names, row))) for row in matrix], dtype=float
+        )
     finite = np.isfinite(outputs)
     if not np.all(finite):
-        guard_trip("sobol")
+        guard_trip(guard)
         row = int(np.argmin(finite))
         values = dict(zip(names, (float(v) for v in matrix[row])))
         raise InvalidParameterError(
             f"model returned non-finite output {outputs[row]!r} for "
-            f"sample row {row} of matrix {label}: {values}"
+            f"sample row {row} of {label}: {values}"
         )
     return outputs
 
 
 def sobol_indices(
-    function: Union[
-        Callable[[Mapping[str, float]], float],
-        Callable[[np.ndarray], np.ndarray],
-    ],
+    function: Objective,
     factors: Sequence[Factor],
     base_samples: int = DEFAULT_BASE_SAMPLES,
     seed: int = DEFAULT_SEED,
@@ -136,23 +152,8 @@ def sobol_indices(
     matrix_a = sample_matrix(factors, base_samples, generator)
     matrix_b = sample_matrix(factors, base_samples, generator)
 
-    def evaluate(matrix: np.ndarray, label: str) -> np.ndarray:
-        if vectorized:
-            outputs = np.asarray(function(matrix), dtype=float)
-            if outputs.shape != (matrix.shape[0],):
-                raise InvalidParameterError(
-                    f"vectorized objective must return shape "
-                    f"({matrix.shape[0]},), got {outputs.shape}"
-                )
-        else:
-            outputs = np.array(
-                [function(dict(zip(names, row))) for row in matrix],
-                dtype=float,
-            )
-        return _check_finite(outputs, matrix, names, label)
-
-    y_a = evaluate(matrix_a, "A")
-    y_b = evaluate(matrix_b, "B")
+    y_a = evaluate_samples(function, matrix_a, names, vectorized, "sobol", "matrix A")
+    y_b = evaluate_samples(function, matrix_b, names, vectorized, "sobol", "matrix B")
     evaluations = 2 * base_samples
 
     combined = np.concatenate([y_a, y_b])
@@ -164,7 +165,9 @@ def sobol_indices(
     for i, name in enumerate(names):
         matrix_ab = matrix_a.copy()
         matrix_ab[:, i] = matrix_b[:, i]
-        y_ab = evaluate(matrix_ab, f"AB[{name}]")
+        y_ab = evaluate_samples(
+            function, matrix_ab, names, vectorized, "sobol", f"matrix AB[{name}]"
+        )
         evaluations += base_samples
         if variance == 0.0:
             raw_first[name] = 0.0

@@ -10,13 +10,13 @@ samples (the paper's reported point values are averages of 1024 samples).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from ..errors import InvalidParameterError
 from .distributions import Factor, factor_names, sample_matrix
-from .sobol import DEFAULT_SEED
+from .sobol import DEFAULT_SEED, Objective, evaluate_samples
 
 #: Matches the paper's "average of 1024 samples".
 DEFAULT_SAMPLES = 1024
@@ -50,14 +50,18 @@ class UncertaintyResult:
 
 
 def output_uncertainty(
-    function: Callable[[Mapping[str, float]], float],
+    function: Objective,
     factors: Sequence[Factor],
     samples: int = DEFAULT_SAMPLES,
     confidence: float = DEFAULT_CONFIDENCE,
     seed: int = DEFAULT_SEED,
     rng: Optional[np.random.Generator] = None,
+    vectorized: bool = False,
 ) -> UncertaintyResult:
-    """Mean and central confidence interval of ``function`` over factors."""
+    """Mean and central confidence interval of ``function`` over factors.
+
+    ``vectorized`` works as in :func:`~repro.sensitivity.sobol.sobol_indices`.
+    """
     names = factor_names(factors)
     if samples < 2:
         raise InvalidParameterError(f"sample count must be >= 2, got {samples}")
@@ -67,8 +71,8 @@ def output_uncertainty(
         )
     generator = rng if rng is not None else np.random.default_rng(seed)
     matrix = sample_matrix(factors, samples, generator)
-    outputs = np.array(
-        [function(dict(zip(names, row))) for row in matrix], dtype=float
+    outputs = evaluate_samples(
+        function, matrix, names, vectorized, "uncertainty", "the Monte Carlo sample"
     )
     tail = (1.0 - confidence) / 2.0
     lower, upper = np.quantile(outputs, [tail, 1.0 - tail])
@@ -83,12 +87,13 @@ def output_uncertainty(
 
 
 def uncertainty_bands(
-    function: Callable[[Mapping[str, float]], float],
+    function: Objective,
     factors: Sequence[Factor],
     variations: Sequence[float] = (0.10, 0.25),
     samples: int = DEFAULT_SAMPLES,
     confidence: float = DEFAULT_CONFIDENCE,
     seed: int = DEFAULT_SEED,
+    vectorized: bool = False,
 ) -> Mapping[float, UncertaintyResult]:
     """One :class:`UncertaintyResult` per variation level.
 
@@ -103,5 +108,6 @@ def uncertainty_bands(
             samples=samples,
             confidence=confidence,
             seed=seed,
+            vectorized=vectorized,
         )
     return bands

@@ -12,7 +12,12 @@ from repro.engine.sobol_adapter import (
     ttm_factor_batch_function,
 )
 from repro.errors import InvalidParameterError
-from repro.sensitivity.distributions import Factor
+from repro.experiments import fig07_a11_ttm_cost
+from repro.sensitivity.distributions import (
+    DEFAULT_VARIATION,
+    WIDE_VARIATION,
+    Factor,
+)
 from repro.sensitivity.sobol import sobol_indices
 from repro.sensitivity.ttm_factors import (
     FACTOR_NAMES,
@@ -20,21 +25,33 @@ from repro.sensitivity.ttm_factors import (
     ttm_factors,
 )
 
-N_CHIPS = 1e7
+N_CHIPS = fig07_a11_ttm_cost.DEFAULT_N_CHIPS
 
 
-def a11_factors(process: str):
+def a11_factors(process: str, variation: float = DEFAULT_VARIATION):
     return ttm_factors(
-        process, A11_TOTAL_TRANSISTORS, A11_UNIQUE_TRANSISTORS
+        process,
+        A11_TOTAL_TRANSISTORS,
+        A11_UNIQUE_TRANSISTORS,
+        variation=variation,
     )
 
 
+#: Fig. 7's nodes at both band widths; the +-10 % cases keep the bare
+#: node as their id.
+FIG7_BANDS = [
+    pytest.param(process, variation, id=process + suffix)
+    for process in fig07_a11_ttm_cost.DEFAULT_PROCESSES
+    for variation, suffix in ((DEFAULT_VARIATION, ""), (WIDE_VARIATION, "-wide"))
+]
+
+
 class TestAdapterEquivalence:
-    @pytest.mark.parametrize("process", ("250nm", "28nm", "7nm", "5nm"))
-    def test_matches_scalar_objective(self, process):
+    @pytest.mark.parametrize(("process", "variation"), FIG7_BANDS)
+    def test_matches_scalar_objective(self, process, variation):
         scalar = ttm_factor_function(process, N_CHIPS)
         batched = ttm_factor_batch_function(process, N_CHIPS)
-        factors = a11_factors(process)
+        factors = a11_factors(process, variation)
         rng = np.random.default_rng(7)
         lows = np.array([f.low for f in factors])
         highs = np.array([f.high for f in factors])

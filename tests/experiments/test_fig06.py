@@ -57,6 +57,33 @@ class TestFig06:
             )
             assert best_metric >= metric - 1e-12
 
+    def test_matches_the_scalar_search(self, result, model):
+        """Every cell is the scalar model's first strict max of ipc/ttm."""
+        from repro.design.library.ariane import ariane_manycore
+        from repro.perf.ipc import IPCModel
+
+        perf = IPCModel()
+        study_model = model.at_capacity(fig06_cache_matrix.DEFAULT_CAPACITY_SHARE)
+        for process in PROCESSES:
+            for n_chips in QUANTITIES:
+                best = None
+                for icache in SIZES:
+                    for dcache in SIZES:
+                        design = ariane_manycore(
+                            process,
+                            cores=fig06_cache_matrix.DEFAULT_CORES,
+                            icache_kb=icache,
+                            dcache_kb=dcache,
+                        )
+                        ipc = perf.ipc(icache, dcache)
+                        ttm = study_model.total_weeks(design, n_chips)
+                        if best is None or ipc / ttm > best[2] / best[3]:
+                            best = (icache, dcache, ipc, ttm)
+                cell = result.cell(process, n_chips)
+                assert (cell.icache_kb, cell.dcache_kb) == best[:2]
+                assert cell.ipc == best[2]
+                assert cell.ttm_weeks == pytest.approx(best[3], rel=1e-12)
+
     def test_cache_area_fraction_in_unit_interval(self, result):
         for cell in result.cells.values():
             assert 0.0 < cell.cache_area_fraction < 1.0
