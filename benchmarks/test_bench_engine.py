@@ -153,7 +153,7 @@ def test_bench_batch_split_tensor(benchmark, model, cost_model):
 
 
 #: A reduced portfolio_mc workload: 16 designs x 512 shared samples
-#: keeps the per-design oracle (and the scalar smoke loop) affordable.
+#: keeps the scalar oracle (and the scalar smoke loop) affordable.
 def _portfolio_workload(n_designs=16, n_samples=512, seed=20230613):
     designs = [
         ariane_manycore(process, cores=cores)
@@ -179,10 +179,21 @@ def test_bench_portfolio_ttm_tensor(benchmark, model):
         queue_weeks,
     )
     assert result.total_weeks.shape == (len(designs), len(demand))
+    stressed = [
+        model.with_foundry(
+            model.foundry.with_conditions(
+                MarketConditions.nominal()
+                .with_global_capacity(float(capacity[j]))
+                .with_global_queue(float(queue_weeks[j]))
+            )
+        )
+        for j in range(len(demand))
+    ]
     for i, design in enumerate(designs):
-        oracle = batch_ttm(
-            model, design, demand, capacity=capacity, queue_weeks=queue_weeks
-        ).total_weeks
+        oracle = [
+            sample_model.total_weeks(design, float(demand[j]))
+            for j, sample_model in enumerate(stressed)
+        ]
         assert float(np.max(np.abs(result.total_weeks[i] - oracle))) <= 1e-9
 
 

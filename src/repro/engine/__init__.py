@@ -1,29 +1,31 @@
-"""Batched evaluation engine: vectorized TTM/CAS kernels + parallel sweeps.
+"""Batched evaluation engine: one compiled design table, one kernel family.
 
 Every analysis in the reproduction (the Fig. 3/9-13 capacity sweeps, the
-Fig. 8 Sobol heatmap, CAS finite differences, grid search) funnels
-through ``TTMModel.time_to_market``, which re-derives per-(design, node)
-invariants on every scalar call. This package makes the hot paths cheap:
+Fig. 8 Sobol heatmap, CAS finite differences, Monte Carlo studies, grid
+search) asks the paper's Eq. 1-8 model the same questions over many
+points. This package answers them in NumPy:
 
-* :mod:`repro.engine.invariants` -- per-(design, technology) quantities
-  that do not vary across a sweep, computed once and LRU-cached;
-* :mod:`repro.engine.batch` -- vectorized NumPy kernels ``batch_ttm`` and
-  ``batch_cas`` plus the ``*_over_capacity`` sweep conveniences;
+* :mod:`repro.engine.portfolio` -- :func:`compile_portfolio` compiles
+  designs into one cached column table, and ``portfolio_ttm`` /
+  ``portfolio_cas`` / ``portfolio_cost`` evaluate it over
+  ``(designs x samples)`` in one broadcasted pass with common random
+  numbers;
+* :mod:`repro.engine.batch` -- ``batch_ttm`` / ``batch_cas`` /
+  ``batch_cost`` and the ``*_over_capacity`` sweeps: one design's grid
+  run as a 1-design portfolio;
+* :mod:`repro.engine.invariants` -- the shared LRU of compiled tables;
+* :mod:`repro.engine.scenario` -- the (scenarios x designs x samples)
+  stress cube;
 * :mod:`repro.engine.batch_split` -- the Sec. 7 multi-process split
-  engine: the full (pair x split-grid) tensor, coarse -> fine grid
-  refinement, and sampled-supply evaluation of a fixed production split;
-* :mod:`repro.engine.portfolio` -- the design-axis stack: one compiled
-  structure-of-arrays portfolio evaluated over ``(designs x samples)``
-  in a single broadcasted pass with common random numbers;
+  engine;
+* :mod:`repro.engine.requests` -- fused point requests (the serve path);
 * :mod:`repro.engine.sobol_adapter` -- one-shot Saltelli-matrix
   objectives for ``sobol_indices(..., vectorized=True)``;
 * :mod:`repro.engine.parallel` -- ``parallel_map`` with serial / thread /
   process executors and a safe serial fallback.
 
-Batched results match the scalar model to floating-point round-off; the
-equivalence suite (``tests/engine``) pins them to <= 1e-9 relative error
-and ``scripts/bench_engine.py`` tracks the speedups in
-``BENCH_engine.json``.
+The scalar model is the oracle: the equivalence suites (``tests/engine``)
+pin every kernel to it at <= 1e-9 relative error.
 """
 
 from .batch import (
@@ -43,11 +45,8 @@ from .batch_split import (
     refine_split_grid,
 )
 from .invariants import (
-    DesignInvariants,
     cached_invariants,
     clear_invariant_cache,
-    compute_invariants,
-    design_invariants,
     invariant_cache_info,
 )
 from .parallel import EXECUTORS, parallel_map
@@ -89,7 +88,6 @@ from .sobol_adapter import rowwise_batch_function, ttm_factor_batch_function
 __all__ = [
     "BatchCASResult",
     "BatchTTMResult",
-    "DesignInvariants",
     "EXECUTORS",
     "POINT_METRICS",
     "PointRequest",
@@ -115,8 +113,6 @@ __all__ = [
     "clear_invariant_cache",
     "compile_portfolio",
     "compile_scenarios",
-    "compute_invariants",
-    "design_invariants",
     "fused_point_eval",
     "invariant_cache_info",
     "parallel_map",

@@ -4,11 +4,12 @@ The scalar Sec. 7 path (:func:`repro.multiprocess.split.evaluate_split`)
 re-derives each ported design's invariants once per (pair, split) plan:
 a 10-node, 100-point study costs thousands of full scalar model
 evaluations. This module evaluates the whole (pair x split-grid) tensor
-through the cached :mod:`repro.engine.invariants` layer instead:
+through cached compiled design tables instead:
 
 * each node's ported design is built **once** (`design_factory(node)`)
   and its line weeks / line cost over every allocated fraction come from
-  one :func:`~repro.engine.batch.batch_ttm` / ``batch_cost`` call;
+  one :func:`~repro.engine.batch.batch_ttm` / ``batch_cost`` call (a
+  1-design portfolio);
 * the split TTM is the ``max`` over the two production lines (the order
   is filled when the slower line finishes);
 * two-node CAS (Eq. 8) perturbs each node's wafer rate by the same
@@ -45,13 +46,8 @@ from ..errors import InvalidParameterError
 from ..multiprocess.split import DesignFactory, ProductionSplit, SplitEvaluation
 from ..obs.instrument import observed_kernel
 from ..ttm.model import TTMModel
-from .batch import (
-    ArrayLike,
-    CapacityLike,
-    _as_positive_array,
-    batch_cost,
-    batch_ttm,
-)
+from .batch import batch_cost, batch_ttm
+from .portfolio import ArrayLike, CapacityLike, _as_positive_array
 
 #: Default split grid: 1% .. 100% of chips on the primary node. Kept in
 #: sync with ``repro.multiprocess.optimizer.DEFAULT_SPLIT_GRID`` (which
@@ -204,7 +200,8 @@ class _LineEngine:
     fraction vector, which node's rate is perturbed) — never on the
     pair — so they are memoized and shared across all pairs of a study.
     The ported design itself is built once per node, which is what lets
-    :func:`~repro.engine.invariants.design_invariants` cache hit.
+    its compiled 1-design table
+    (:func:`~repro.engine.portfolio.compile_portfolio`) cache hit.
     """
 
     def __init__(

@@ -1,16 +1,20 @@
-"""Design-axis vectorization: one fused pass over (designs x samples).
+"""The compiled design table and the one kernel family that reads it.
 
-The batch kernels in :mod:`repro.engine.batch` vectorize the *sample*
-axis but still run once per design, so every multi-design workload —
-fig03/fig13 pair sweeps, Monte Carlo design comparisons, co-design
-candidate scoring, portfolio assessment — pays a Python loop, a kernel
-dispatch and an invariant lookup per design. This module removes that
-loop: :func:`compile_portfolio` stacks the per-design
-:class:`~repro.engine.invariants.DesignInvariants` scalars into aligned
-structure-of-arrays tensors (padded to the widest design's node count,
-with a ``node_mask``), and :func:`portfolio_ttm` /
-:func:`portfolio_cas` / :func:`portfolio_cost` evaluate the full
-``(n_designs, n_samples)`` tensor in one broadcasted pass.
+:func:`compile_portfolio` turns a tuple of designs into one
+:class:`PortfolioInvariants` table. A single Python pass gathers one row
+per (design, die); NumPy then derives everything the paper's Eqs. 2-7
+need over all rows at once: die area, gross dies per wafer, die yield
+(Eq. 6, a fixed override, or core salvage), wafers per chip (Eq. 5), the
+Eq. 7 testing and assembly terms, per-node tapeout (Eq. 2) and the NRE
+columns. Per-node columns are padded to the widest design's node count
+and masked by ``node_mask``.
+
+:func:`portfolio_ttm` / :func:`portfolio_cas` / :func:`portfolio_cost`
+evaluate the full ``(n_designs, n_samples)`` tensor in one broadcasted
+pass. The single-design ``batch_*`` kernels in :mod:`repro.engine.batch`
+are these kernels run on a 1-design portfolio, and the scalar model
+(``TTMModel``, ``chip_agility_score``, ``CostModel``) is the oracle both
+are tested against.
 
 Common random numbers
 ---------------------
@@ -22,9 +26,9 @@ sample) low-variance. They must therefore be scalars or 1-D sample
 vectors; only ``n_chips`` may carry a per-design leading axis
 ``(n_designs, n_samples)`` (products ship different volumes in the same
 world). Padded node slots hold neutral values (rate 1, zero wafers, zero
-latency) and are masked out of every reduction, so rows of the result
-are bit-comparable to a per-design :func:`~repro.engine.batch.batch_ttm`
-call — the equivalence suite pins each cell to <= 1e-9.
+latency) and are masked out of every reduction, so row ``i`` depends on
+design ``i`` alone: reordering or subsetting the design tuple reorders
+the rows bit for bit.
 
 Compiled portfolios are cached in the shared invariant LRU
 (:func:`~repro.engine.invariants.cached_invariants`) under a fingerprint
@@ -35,8 +39,9 @@ served requests skip recompilation entirely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple, Union
+import math
+from dataclasses import dataclass, field
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,19 +53,16 @@ from ..obs.instrument import observed_kernel
 from ..technology.database import TechnologyDatabase
 from ..technology.yield_model import DEFAULT_ALPHA
 from ..ttm.model import DEFAULT_ENGINEERS, TTMModel
-from .batch import _WAFERS_PER_NORMALIZED_UNIT, _as_positive_array
-from .invariants import (
-    DesignInvariants,
-    DieYieldProfile,
-    _IdKey,
-    cached_invariants,
-    design_invariants,
-)
+from ..units import mm2_to_cm2
+from .invariants import _IdKey, cached_invariants
 
 ArrayLike = Union[float, Sequence[float], np.ndarray]
 
 #: ``capacity`` argument: global scalar/sample-vector or per-node mapping.
 CapacityLike = Union[ArrayLike, Mapping[str, ArrayLike]]
+
+#: Raw wafers/week^2 per normalized CAS unit (mirrors ``repro.agility.cas``).
+_WAFERS_PER_NORMALIZED_UNIT = 1000.0
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
@@ -68,40 +70,64 @@ def _readonly(array: np.ndarray) -> np.ndarray:
     return array
 
 
+def _as_positive_array(
+    values: ArrayLike, what: str, nonnegative: bool = False
+) -> np.ndarray:
+    """``values`` as floats; empty or non-positive input (negative input
+    when ``nonnegative``) raises, naming ``what`` and the first bad value."""
+    array = np.asarray(values, dtype=float)
+    if array.size == 0:
+        raise InvalidParameterError(f"{what} must be non-empty")
+    flat = array.reshape(-1)
+    valid = flat >= 0.0 if nonnegative else flat > 0.0
+    if not np.all(valid):
+        bound = ">= 0" if nonnegative else "positive"
+        raise InvalidParameterError(
+            f"{what} must be {bound}, got {float(flat[~valid][0])}"
+        )
+    return array
+
+
 @dataclass(frozen=True)
 class PortfolioInvariants:
-    """Structure-of-arrays stack of per-design invariants.
+    """The compiled design table: per-design, per-node and per-die columns.
 
-    Per-node tensors have shape ``(n_designs, max_nodes)``, padded past
+    Per-node columns have shape ``(n_designs, max_nodes)``, padded past
     each design's node count with neutral values (``max_rate`` 1.0,
-    everything else 0.0) and masked by ``node_mask``; per-design vectors
-    have shape ``(n_designs,)``. Die-yield profiles are flattened into
-    parallel ``profile_*`` arrays (one row per die type across the whole
-    portfolio) indexed by ``profile_design`` / ``profile_node``, so the
-    D0-dependent terms re-derive for every (design, sample) cell in one
-    vectorized pass; dies with fixed-yield or core-salvage specs keep
-    their :class:`~repro.engine.invariants.DieYieldProfile` for the
-    (rare, small) exact per-profile evaluation.
+    everything else 0.0) and masked by ``node_mask``; ``slot_node``
+    indexes each slot into ``nodes``, the portfolio's distinct node names
+    in first-appearance order (0 in padded slots). Per-design columns
+    have shape ``(n_designs,)``. The ``profile_*`` columns hold one row
+    per die type across the whole portfolio, in each design's die order,
+    indexed by ``profile_design`` / ``profile_node``, so the D0-dependent
+    terms re-derive for every (design, sample) cell in one vectorized
+    pass. ``profile_fixed_yield`` is NaN except on fixed-yield dies
+    (passive interposers); ``profile_salvage_units`` is 0 except on
+    core-salvage dies, whose uncore and per-unit Eq. 6 exponents sit in
+    ``profile_uncore_defects`` / ``profile_unit_defects``.
+
+    The nominal ``wafers_per_chip`` and ``testing_weeks_per_chip``
+    columns are :meth:`wafers_per_chip_at` and
+    :meth:`testing_weeks_per_chip_at` at D0 scale 1, bit for bit.
     """
 
     designs: Tuple[str, ...]
     processes: Tuple[Tuple[str, ...], ...]
+    nodes: Tuple[str, ...]
     node_mask: np.ndarray
+    slot_node: np.ndarray
     tapeout_weeks: np.ndarray
     max_rate: np.ndarray
     fab_latency_weeks: np.ndarray
-    wafers_per_chip: np.ndarray
     wafer_cost_usd: np.ndarray
     tapeout_effort_weeks: np.ndarray
     tapeout_fixed_usd: np.ndarray
     mask_set_usd: np.ndarray
     sequential_tapeout_weeks: np.ndarray
     max_tapeout_weeks: np.ndarray
-    testing_weeks_per_chip: np.ndarray
     assembly_weeks_per_chip: np.ndarray
     design_weeks: np.ndarray
     alpha: float
-    per_design: Tuple[DesignInvariants, ...]
     profile_design: np.ndarray
     profile_node: np.ndarray
     profile_count: np.ndarray
@@ -109,8 +135,21 @@ class PortfolioInvariants:
     profile_area_mm2: np.ndarray
     profile_gross: np.ndarray
     profile_testing_effort: np.ndarray
-    special_profiles: Tuple[Tuple[int, DieYieldProfile], ...]
     profile_mean_defects: np.ndarray
+    profile_fixed_yield: np.ndarray
+    profile_salvage_units: np.ndarray
+    profile_salvage_required: np.ndarray
+    profile_uncore_defects: np.ndarray
+    profile_unit_defects: np.ndarray
+    wafers_per_chip: np.ndarray = field(init=False)
+    testing_weeks_per_chip: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        yields = self.profile_yields(1.0)
+        wafers = self.wafers_per_chip_at(1.0, yields)[:, :, 0]
+        testing = self.testing_weeks_per_chip_at(1.0, yields)[:, 0]
+        object.__setattr__(self, "wafers_per_chip", _readonly(wafers))
+        object.__setattr__(self, "testing_weeks_per_chip", _readonly(testing))
 
     @property
     def n_designs(self) -> int:
@@ -125,18 +164,37 @@ class PortfolioInvariants:
     def profile_yields(self, d0_scale: ArrayLike) -> np.ndarray:
         """Per-die-type sellable yield, shape ``(n_profiles, n_samples)``.
 
-        Plain Eq. 6 dies evaluate in one vectorized power; fixed-yield
-        and salvage dies fall back to their profile's exact
-        ``yield_at`` (a handful of rows at most).
+        Eq. 6 for every row in one vectorized power, then the fixed
+        overrides, then the core-salvage rows (a handful at most), each
+        of which re-evaluates its uncore/unit split.
         """
-        scale = np.asarray(d0_scale, dtype=float)
-        if scale.ndim == 0:
-            scale = scale.reshape(1)
+        scale = np.atleast_1d(np.asarray(d0_scale, dtype=float))
+        alpha = self.alpha
         yields = (
-            1.0 + self.profile_mean_defects[:, None] * scale / self.alpha
-        ) ** (-self.alpha)
-        for row, profile in self.special_profiles:
-            yields[row] = profile.yield_at(scale, self.alpha)
+            1.0 + self.profile_mean_defects[:, None] * scale / alpha
+        ) ** (-alpha)
+        fixed = ~np.isnan(self.profile_fixed_yield)
+        if fixed.any():
+            yields[fixed] = self.profile_fixed_yield[fixed, None]
+        for row in np.flatnonzero(self.profile_salvage_units):
+            n_units = int(self.profile_salvage_units[row])
+            uncore = (
+                1.0 + self.profile_uncore_defects[row] * scale / alpha
+            ) ** (-alpha)
+            unit = (
+                1.0 + self.profile_unit_defects[row] * scale / alpha
+            ) ** (-alpha)
+            # Vectorized twin of ``salvage.binomial_tail`` (that one
+            # validates a scalar p), including its clamp to 1.0.
+            tail = sum(
+                float(math.comb(n_units, k))
+                * unit ** k
+                * (1.0 - unit) ** (n_units - k)
+                for k in range(
+                    int(self.profile_salvage_required[row]), n_units + 1
+                )
+            )
+            yields[row] = uncore * np.minimum(tail, 1.0)
         return yields
 
     def wafers_per_chip_at(
@@ -149,15 +207,12 @@ class PortfolioInvariants:
         Returns ``(n_designs, max_nodes, n_samples)``; padded node slots
         stay 0. Contributions accumulate in global profile order, which
         per (design, node) cell is each design's own die order — the
-        same order as the scalar accumulation, so the result matches
-        ``DesignInvariants.wafers_per_chip_at`` to the last bit.
-        ``yields``, when given, must be ``profile_yields(d0_scale)``
-        (callers evaluating several yield-dependent tensors share one
-        ``pow`` pass; the result is bit-identical either way).
+        order of the scalar ``wafer_demand_by_node`` sum. ``yields``,
+        when given, must be ``profile_yields(d0_scale)`` (callers
+        evaluating several yield-dependent tensors share one ``pow``
+        pass; the result is bit-identical either way).
         """
-        scale = np.asarray(d0_scale, dtype=float)
-        if scale.ndim == 0:
-            scale = scale.reshape(1)
+        scale = np.atleast_1d(np.asarray(d0_scale, dtype=float))
         if yields is None:
             yields = self.profile_yields(scale)
         out = np.zeros((self.n_designs, self.max_nodes, scale.shape[0]))
@@ -177,9 +232,7 @@ class PortfolioInvariants:
         ``yields`` has the same precomputed-``profile_yields`` contract
         as :meth:`wafers_per_chip_at`.
         """
-        scale = np.asarray(d0_scale, dtype=float)
-        if scale.ndim == 0:
-            scale = scale.reshape(1)
+        scale = np.atleast_1d(np.asarray(d0_scale, dtype=float))
         if yields is None:
             yields = self.profile_yields(scale)
         out = np.zeros((self.n_designs, scale.shape[0]))
@@ -193,6 +246,22 @@ class PortfolioInvariants:
         return out
 
 
+#: Per-node parameters the table reads, in :func:`_compile`'s column order.
+_NODE_FIELDS = (
+    "density_transistors_per_mm2",
+    "defect_density_per_cm2",
+    "wafer_diameter_mm",
+    "tapeout_effort",
+    "testing_effort",
+    "packaging_effort",
+    "max_wafer_rate_per_week",
+    "fab_latency_weeks",
+    "wafer_cost_usd",
+    "tapeout_fixed_cost_usd",
+    "mask_set_cost_usd",
+)
+
+
 def _compile(
     designs: Tuple[ChipDesign, ...],
     technology: TechnologyDatabase,
@@ -201,112 +270,149 @@ def _compile(
     edge_corrected: bool,
     block_parallel: bool,
 ) -> PortfolioInvariants:
-    per_design = tuple(
-        design_invariants(
-            design,
-            technology,
-            engineers,
-            alpha=alpha,
-            edge_corrected=edge_corrected,
-            block_parallel=block_parallel,
+    """Gather one row per (design, die), then derive every column in NumPy.
+
+    Each expression mirrors its scalar model function term for term
+    (``Die.area_on``, ``dies_per_wafer[_simple]``, ``Die.yield_on``,
+    ``die_tapeout_calendar_weeks``, ``packaging_breakdown``,
+    ``design_nre``), and raises the same errors: unknown nodes raise
+    :class:`~repro.errors.UnknownNodeError`, out-of-production nodes
+    :class:`~repro.errors.NodeUnavailableError`.
+    """
+    if engineers <= 0:
+        raise InvalidParameterError(
+            f"team size must be positive, got {engineers}"
         )
-        for design in designs
+    nodes: Dict[str, int] = {}
+    processes = []
+    rows = []
+    for d, design in enumerate(designs):
+        slots: Dict[str, int] = {}
+        for die in design.dies:
+            if die.process not in nodes:
+                technology.require_production(die.process)
+                nodes[die.process] = len(nodes)
+            salvage = die.salvage
+            rows.append((
+                d,
+                slots.setdefault(die.process, len(slots)),
+                nodes[die.process],
+                die.count,
+                die.ntt,
+                die.nut,
+                max((block.nut for block in die.blocks), default=0.0)
+                + die.top_level_transistors,
+                math.nan if die.area_mm2 is None else die.area_mm2,
+                die.min_area_mm2,
+                math.nan if die.yield_override is None else die.yield_override,
+                0 if salvage is None else salvage.n_units,
+                0 if salvage is None else salvage.required_units,
+                0.0 if salvage is None else salvage.unit_area_fraction,
+            ))
+        processes.append(tuple(slots))
+    (
+        row_design, row_slot, row_node, count, ntt, nut, parallel_nut,
+        explicit_area, min_area, fixed_yield, salvage_units,
+        salvage_required, unit_fraction,
+    ) = (np.array(column) for column in zip(*rows))
+    (
+        density, d0, diameter, tapeout_effort, testing_effort,
+        packaging_effort, max_rate, fab_latency, wafer_cost, tapeout_fixed,
+        mask_set,
+    ) = np.array(
+        [[getattr(technology[n], f) for f in _NODE_FIELDS] for n in nodes],
+        dtype=float,
+    ).T
+    count = count.astype(float)
+
+    # Geometry and yield inputs per die row (Eqs. 5-6).
+    area = np.maximum(
+        np.where(
+            np.isnan(explicit_area), ntt / density[row_node], explicit_area
+        ),
+        min_area,
     )
-    n_designs = len(designs)
-    max_nodes = max(len(inv.processes) for inv in per_design)
+    row_diameter = diameter[row_node]
+    wafer_area = np.pi * (row_diameter / 2.0) ** 2
+    gross = wafer_area / area
+    if edge_corrected:
+        estimate = gross - np.pi * row_diameter / np.sqrt(2.0 * area)
+        gross = np.where(
+            estimate >= 1.0, estimate, np.where(area <= wafer_area, 1.0, 0.0)
+        )
+    if not np.all(gross > 0.0):
+        bad = int(np.argmin(gross > 0.0))
+        raise InvalidParameterError(
+            f"design {designs[row_design[bad]].name!r}: a {area[bad]:.0f} "
+            "mm^2 die does not fit on its wafer"
+        )
+    row_d0 = d0[row_node]
+    uncore_defects = mm2_to_cm2(area * (1.0 - unit_fraction)) * row_d0
+    unit_defects = (
+        mm2_to_cm2(area * unit_fraction / np.maximum(salvage_units, 1))
+        * row_d0
+    )
 
-    node_mask = np.zeros((n_designs, max_nodes), dtype=bool)
-    tapeout = np.zeros((n_designs, max_nodes))
-    max_rate = np.ones((n_designs, max_nodes))
-    fab_latency = np.zeros((n_designs, max_nodes))
-    wafers = np.zeros((n_designs, max_nodes))
-    wafer_cost = np.zeros((n_designs, max_nodes))
-    effort = np.zeros((n_designs, max_nodes))
-    fixed = np.zeros((n_designs, max_nodes))
-    masks = np.zeros((n_designs, max_nodes))
-    sequential = np.zeros(n_designs)
-    max_tapeout = np.zeros(n_designs)
-    testing = np.zeros(n_designs)
-    assembly = np.zeros(n_designs)
-    design_weeks = np.zeros(n_designs)
+    # Per-node slots: tapeout (Eq. 2, slowest die per node), NRE inputs.
+    shape = (len(designs), max(len(names) for names in processes))
+    node_mask = np.zeros(shape, dtype=bool)
+    node_mask[row_design, row_slot] = True
+    slot_node = np.zeros(shape, dtype=np.intp)
+    slot_node[row_design, row_slot] = row_node
 
-    profile_design: list = []
-    profile_node: list = []
-    profile_count: list = []
-    profile_ntt: list = []
-    profile_area: list = []
-    profile_gross: list = []
-    profile_effort: list = []
-    profile_defects: list = []
-    special: list = []
+    def per_slot(column: np.ndarray, pad: float = 0.0) -> np.ndarray:
+        return _readonly(np.where(node_mask, column[slot_node], pad))
 
-    for d, (design, inv) in enumerate(zip(designs, per_design)):
-        n = len(inv.processes)
-        node_mask[d, :n] = True
-        tapeout[d, :n] = inv.tapeout_weeks
-        max_rate[d, :n] = inv.max_rate
-        fab_latency[d, :n] = inv.fab_latency_weeks
-        wafers[d, :n] = inv.wafers_per_chip
-        sequential[d] = inv.sequential_tapeout_weeks
-        max_tapeout[d] = float(np.max(inv.tapeout_weeks))
-        testing[d] = inv.testing_weeks_per_chip
-        assembly[d] = inv.assembly_weeks_per_chip
-        design_weeks[d] = inv.design_weeks
-        nut_by_process = design.nut_by_process()
-        for p, name in enumerate(inv.processes):
-            node = technology[name]
-            wafer_cost[d, p] = node.wafer_cost_usd
-            effort[d, p] = nut_by_process.get(name, 0.0) * node.tapeout_effort
-            fixed[d, p] = node.tapeout_fixed_cost_usd
-            masks[d, p] = node.mask_set_cost_usd
-        for profile in inv.die_profiles:
-            row = len(profile_design)
-            profile_design.append(d)
-            profile_node.append(profile.process_index)
-            profile_count.append(profile.count)
-            profile_ntt.append(profile.ntt)
-            profile_area.append(profile.area_mm2)
-            profile_gross.append(profile.gross_per_wafer)
-            profile_effort.append(profile.testing_effort)
-            profile_defects.append(profile.mean_defects)
-            if (
-                profile.fixed_yield is not None
-                or profile.salvage_uncore_defects is not None
-            ):
-                special.append((row, profile))
+    tapeout_nut = parallel_nut if block_parallel else nut
+    tapeout = np.zeros(shape)
+    np.maximum.at(
+        tapeout,
+        (row_design, row_slot),
+        tapeout_nut * tapeout_effort[row_node] / float(engineers),
+    )
+    nut_by_slot = np.zeros(shape)
+    np.add.at(nut_by_slot, (row_design, row_slot), nut)
+    effort = nut_by_slot * per_slot(tapeout_effort)
+    assembly = np.zeros(shape[0])
+    np.add.at(
+        assembly, row_design, count * area * packaging_effort[row_node]
+    )
 
     return PortfolioInvariants(
         designs=tuple(design.name for design in designs),
-        processes=tuple(inv.processes for inv in per_design),
+        processes=tuple(processes),
+        nodes=tuple(nodes),
         node_mask=_readonly(node_mask),
+        slot_node=_readonly(slot_node),
         tapeout_weeks=_readonly(tapeout),
-        max_rate=_readonly(max_rate),
-        fab_latency_weeks=_readonly(fab_latency),
-        wafers_per_chip=_readonly(wafers),
-        wafer_cost_usd=_readonly(wafer_cost),
+        max_rate=per_slot(max_rate, 1.0),
+        fab_latency_weeks=per_slot(fab_latency),
+        wafer_cost_usd=per_slot(wafer_cost),
         tapeout_effort_weeks=_readonly(effort),
-        tapeout_fixed_usd=_readonly(fixed),
-        mask_set_usd=_readonly(masks),
-        sequential_tapeout_weeks=_readonly(sequential),
-        max_tapeout_weeks=_readonly(max_tapeout),
-        testing_weeks_per_chip=_readonly(testing),
+        tapeout_fixed_usd=per_slot(tapeout_fixed),
+        mask_set_usd=per_slot(mask_set),
+        sequential_tapeout_weeks=_readonly(
+            effort.sum(axis=1) / float(engineers)
+        ),
+        max_tapeout_weeks=_readonly(tapeout.max(axis=1)),
         assembly_weeks_per_chip=_readonly(assembly),
-        design_weeks=_readonly(design_weeks),
+        design_weeks=_readonly(
+            np.array([design.design_weeks for design in designs], dtype=float)
+        ),
         alpha=alpha,
-        per_design=per_design,
-        profile_design=_readonly(np.asarray(profile_design, dtype=np.intp)),
-        profile_node=_readonly(np.asarray(profile_node, dtype=np.intp)),
-        profile_count=_readonly(np.asarray(profile_count, dtype=float)),
-        profile_ntt=_readonly(np.asarray(profile_ntt, dtype=float)),
-        profile_area_mm2=_readonly(np.asarray(profile_area, dtype=float)),
-        profile_gross=_readonly(np.asarray(profile_gross, dtype=float)),
-        profile_testing_effort=_readonly(
-            np.asarray(profile_effort, dtype=float)
-        ),
-        special_profiles=tuple(special),
-        profile_mean_defects=_readonly(
-            np.asarray(profile_defects, dtype=float)
-        ),
+        profile_design=_readonly(row_design.astype(np.intp)),
+        profile_node=_readonly(row_slot.astype(np.intp)),
+        profile_count=_readonly(count),
+        profile_ntt=_readonly(ntt.astype(float)),
+        profile_area_mm2=_readonly(area),
+        profile_gross=_readonly(gross),
+        profile_testing_effort=_readonly(testing_effort[row_node]),
+        profile_mean_defects=_readonly(mm2_to_cm2(area) * row_d0),
+        profile_fixed_yield=_readonly(fixed_yield.astype(float)),
+        profile_salvage_units=_readonly(salvage_units),
+        profile_salvage_required=_readonly(salvage_required),
+        profile_uncore_defects=_readonly(uncore_defects),
+        profile_unit_defects=_readonly(unit_defects),
     )
 
 
@@ -320,10 +426,10 @@ def portfolio_fingerprint(
 ) -> tuple:
     """The shared-LRU cache key for a compiled portfolio.
 
-    Identity-keyed like the per-design entries (both ``ChipDesign`` and
-    ``TechnologyDatabase`` are immutable by construction), plus the
-    scalar model knobs. Two call sites evaluating the same design tuple
-    under the same database hit one cache entry.
+    Identity-keyed (both ``ChipDesign`` and ``TechnologyDatabase`` are
+    immutable by construction), plus the scalar model knobs. Two call
+    sites evaluating the same design tuple under the same database hit
+    one cache entry.
     """
     return (
         "portfolio",
@@ -345,12 +451,10 @@ def compile_portfolio(
     edge_corrected: bool = False,
     block_parallel: bool = False,
 ) -> PortfolioInvariants:
-    """Stack per-design invariants into one aligned SoA tensor (cached).
+    """Compile the designs into one :class:`PortfolioInvariants` table.
 
-    Compilation itself goes through :func:`design_invariants`, so the
-    per-design entries land in (or come from) the same shared LRU the
-    scalar batch kernels use; the stacked result is cached under its
-    :func:`portfolio_fingerprint`.
+    Cached in the shared LRU under its :func:`portfolio_fingerprint`,
+    weighing one unit per design against the cache's design bound.
     """
     designs = tuple(designs)
     if not designs:
@@ -378,26 +482,34 @@ def compile_portfolio(
     )
 
 
+def _resolve_invariants(
+    model: TTMModel,
+    designs: Optional[Sequence[ChipDesign]],
+    invariants: Optional[PortfolioInvariants] = None,
+) -> PortfolioInvariants:
+    """``invariants``, or ``designs`` compiled under ``model``'s knobs."""
+    if invariants is not None:
+        return invariants
+    return compile_portfolio(
+        designs,
+        model.foundry.technology,
+        engineers=model.engineers,
+        alpha=model.alpha,
+        edge_corrected=model.edge_corrected,
+        block_parallel=model.block_parallel,
+    )
+
+
 def _sample_array(
     values: ArrayLike, what: str, *, nonnegative: bool = False
 ) -> np.ndarray:
     """Validate a supply-side sample input (shared across designs)."""
-    array = np.asarray(values, dtype=float)
-    if array.size == 0:
-        raise InvalidParameterError(f"{what} must be non-empty")
+    array = _as_positive_array(values, what, nonnegative)
     if array.ndim > 1:
         raise InvalidParameterError(
             f"{what} is shared across designs (common random numbers) and "
             f"must be a scalar or 1-D sample vector; got shape {array.shape}"
         )
-    flat = array.reshape(-1)
-    if nonnegative:
-        if not np.all(flat >= 0.0):
-            bad = float(flat[~(flat >= 0.0)][0])
-            raise InvalidParameterError(f"{what} must be >= 0, got {bad}")
-    elif not np.all(flat > 0.0):
-        bad = float(flat[~(flat > 0.0)][0])
-        raise InvalidParameterError(f"{what} must be positive, got {bad}")
     return array
 
 
@@ -469,7 +581,7 @@ def _portfolio_supply(
 ) -> _PortfolioSupply:
     """Resolve the sampled supply parameters into portfolio tensors."""
     conditions = model.foundry.conditions
-    n_designs, max_nodes = invariants.node_mask.shape
+    nodes, mask = invariants.nodes, invariants.node_mask
 
     rate_scale: ArrayLike = 1.0
     if wafer_rate_scale is not None:
@@ -502,50 +614,51 @@ def _portfolio_supply(
     )
     rates_out = scratch.rates if scratch is not None else None
 
+    def per_slot(per_node: np.ndarray, pad: float) -> np.ndarray:
+        return np.where(mask, per_node[invariants.slot_node], pad)
+
     if shared is not None:
         rates = _mul(scaled_max_rate, shared, rates_out)
     else:
-        base = np.ones((n_designs, max_nodes))
-        for d, processes in enumerate(invariants.processes):
-            for p, name in enumerate(processes):
-                if mapping is not None and name in mapping:
-                    continue
-                fraction = conditions.capacity_for(name)
-                if fraction <= 0.0:
-                    raise InvalidParameterError(
-                        f"node {name!r} has zero effective capacity "
-                        f"(fraction {fraction}); time-to-market would be "
-                        "unbounded"
-                    )
-                base[d, p] = fraction
+        base = np.ones(len(nodes))
+        for i, name in enumerate(nodes):
+            if mapping is not None and name in mapping:
+                continue
+            base[i] = conditions.capacity_for(name)
+            if base[i] <= 0.0:
+                raise InvalidParameterError(
+                    f"node {name!r} has zero effective capacity "
+                    f"(fraction {base[i]}); time-to-market would be "
+                    "unbounded"
+                )
         if mapping is None:
-            rates = _mul(scaled_max_rate, base[:, :, None], rates_out)
+            rates = _mul(
+                scaled_max_rate, per_slot(base, 1.0)[:, :, None], rates_out
+            )
         else:
             if scratch is None:
                 tail = np.broadcast_shapes(
                     *(value.shape for value in mapping.values())
                 )
-                fraction_tensor = np.empty(
-                    (n_designs, max_nodes) + (tail if tail else (1,))
-                )
+                fraction_tensor = np.empty(mask.shape + (tail or (1,)))
             else:
                 fraction_tensor = scratch.fraction
-            fraction_tensor[...] = base[:, :, None]
-            for d, processes in enumerate(invariants.processes):
-                for p, name in enumerate(processes):
-                    if name in mapping:
-                        fraction_tensor[d, p, :] = mapping[name]
+            fraction_tensor[...] = per_slot(base, 1.0)[:, :, None]
+            for i, name in enumerate(nodes):
+                if name in mapping:
+                    fraction_tensor[mask & (invariants.slot_node == i)] = (
+                        mapping[name]
+                    )
             rates = _mul(scaled_max_rate, fraction_tensor, rates_out)
 
     backlog_out = scratch.backlog if scratch is not None else None
     if queue_override is not None:
         backlog = _mul(queue_override, scaled_max_rate, backlog_out)
     else:
-        quotes = np.zeros((n_designs, max_nodes))
-        for d, processes in enumerate(invariants.processes):
-            for p, name in enumerate(processes):
-                quotes[d, p] = conditions.queue_weeks_for(name)
-        backlog = _mul(quotes[:, :, None], scaled_max_rate, backlog_out)
+        quotes = np.array([conditions.queue_weeks_for(n) for n in nodes])
+        backlog = _mul(
+            per_slot(quotes, 0.0)[:, :, None], scaled_max_rate, backlog_out
+        )
     backlog = np.broadcast_to(
         backlog, np.broadcast_shapes(backlog.shape, rates.shape)
     )
@@ -576,10 +689,10 @@ def _total_weeks_at_rates(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(tapeout, fabrication, packaging, total) weeks, each ``(D, S)``.
 
-    The arithmetic mirrors ``batch.batch_ttm`` term for term (same
-    association order) so each row reproduces the per-design kernel to
-    the last bit; padded node slots are masked to ``-inf`` before the
-    node-axis max-reductions.
+    Each node's queue drain + production + latency (Eqs. 3-5) and the
+    Eq. 7 packaging term follow ``TTMModel.time_to_market`` term for
+    term; padded node slots are masked to ``-inf`` before the node-axis
+    max-reductions.
     """
     mask = invariants.node_mask[:, :, None]
     queue_drain_weeks = supply.backlog / rates
@@ -618,9 +731,9 @@ def _total_weeks_at_rates(
 class PortfolioTTMResult:
     """TTM phase breakdown over the full (designs x samples) tensor.
 
-    Row ``i`` equals :func:`~repro.engine.batch.batch_ttm` for design
-    ``i`` under the same sampled supply (common random numbers). All
-    arrays share the broadcast shape ``(n_designs, n_samples)``.
+    Row ``i`` is ``TTMModel.time_to_market`` of design ``i`` under each
+    sample's supply (common random numbers). All arrays share the
+    broadcast shape ``(n_designs, n_samples)``.
     """
 
     designs: Tuple[str, ...]
@@ -646,9 +759,14 @@ def portfolio_ttm(
 ) -> PortfolioTTMResult:
     """Vectorized TTM for every design under one shared sample set.
 
-    Semantics per design match :func:`~repro.engine.batch.batch_ttm`
-    (``capacity=None`` keeps current conditions, a scalar/vector is a
-    global fraction, a mapping overrides listed nodes). The sampled
+    ``capacity=None`` keeps the model's current conditions, a
+    scalar/vector is a global fraction applied to every node (as in
+    :meth:`TTMModel.at_capacity`), and a ``{node: fractions}`` mapping
+    overrides only the listed nodes. ``queue_weeks`` replaces every
+    node's quoted lead time; ``d0_scale`` multiplies every node's defect
+    density (die yields, wafer demand and tested-die counts re-derive
+    per sample); ``wafer_rate_scale`` multiplies every node's maximum
+    rate, and the queue quote's wafer backlog scales with it. The sampled
     supply arrays are shared across designs — the common-random-numbers
     guarantee — and must be scalars or 1-D; ``n_chips`` may additionally
     be a ``(n_designs, n_samples)`` matrix.
@@ -656,15 +774,7 @@ def portfolio_ttm(
     ``invariants`` accepts a pre-compiled portfolio; when given,
     ``designs`` is unused and may be ``None``.
     """
-    if invariants is None:
-        invariants = compile_portfolio(
-            designs,
-            model.foundry.technology,
-            engineers=model.engineers,
-            alpha=model.alpha,
-            edge_corrected=model.edge_corrected,
-            block_parallel=model.block_parallel,
-        )
+    invariants = _resolve_invariants(model, designs, invariants)
     quantities_node, quantities_design = _portfolio_quantities(
         n_chips, invariants.n_designs
     )
@@ -742,24 +852,18 @@ def portfolio_cas(
     """Vectorized CAS for every design under one shared sample set.
 
     Each node slot's rate is perturbed by ``relative_step`` in both
-    directions and the central-difference TTM slope accumulated, exactly
-    as in :func:`~repro.engine.batch.batch_cas`; padded slots perturb a
-    neutral rate that is masked out of the TTM reduction, so their slope
-    is exactly zero and the per-design sensitivity sum is unchanged.
+    directions and the central-difference TTM slope accumulated, as
+    :func:`~repro.agility.cas.chip_agility_score` does at each sample's
+    conditions; the queue quote's wafer backlog stays pinned while a
+    rate moves. Padded slots perturb a neutral rate that is masked out
+    of the TTM reduction, so their slope is exactly zero and the
+    per-design sensitivity sum is unchanged.
     """
     if not 0.0 < relative_step < 1.0:
         raise InvalidParameterError(
             f"relative step must be in (0, 1), got {relative_step}"
         )
-    if invariants is None:
-        invariants = compile_portfolio(
-            designs,
-            model.foundry.technology,
-            engineers=model.engineers,
-            alpha=model.alpha,
-            edge_corrected=model.edge_corrected,
-            block_parallel=model.block_parallel,
-        )
+    invariants = _resolve_invariants(model, designs, invariants)
     quantities_node, quantities_design = _portfolio_quantities(
         n_chips, invariants.n_designs
     )
@@ -827,8 +931,8 @@ class PortfolioCostResult:
     """Chip-creation cost breakdown over the (designs x samples) tensor.
 
     NRE terms are per-design ``(n_designs,)`` vectors; recurring terms
-    share the broadcast shape ``(n_designs, n_samples)``. Row ``i``
-    equals :func:`~repro.engine.batch.batch_cost` for design ``i``.
+    share the broadcast shape ``(n_designs, n_samples)``. Row ``i`` is
+    ``CostModel.chip_creation_cost`` of design ``i`` per sample.
     """
 
     designs: Tuple[str, ...]

@@ -43,8 +43,13 @@ from ..design.chip import ChipDesign
 from ..errors import InvalidParameterError
 from ..obs.trace import span
 from ..ttm.model import TTMModel
-from .batch import _WAFERS_PER_NORMALIZED_UNIT
-from .portfolio import compile_portfolio, portfolio_cas, portfolio_cost, portfolio_ttm
+from .portfolio import (
+    _WAFERS_PER_NORMALIZED_UNIT,
+    _resolve_invariants,
+    portfolio_cas,
+    portfolio_cost,
+    portfolio_ttm,
+)
 
 #: Metric families a point request may ask for.
 POINT_METRICS: Tuple[str, ...] = ("ttm", "cas", "cost")
@@ -245,14 +250,7 @@ def _fused_point_eval_body(
 ) -> List[Dict[str, Dict[str, float]]]:
     """The fused pass itself, hoisted to keep the span wrapper flat."""
     plan = _plan(requests)
-    invariants = compile_portfolio(
-        plan.designs,
-        model.foundry.technology,
-        engineers=model.engineers,
-        alpha=model.alpha,
-        edge_corrected=model.edge_corrected,
-        block_parallel=model.block_parallel,
-    )
+    invariants = _resolve_invariants(model, plan.designs)
     supply_kwargs = dict(
         capacity=plan.capacity,
         queue_weeks=plan.queue_weeks,

@@ -54,24 +54,20 @@ from ..design.chip import ChipDesign
 from ..errors import InvalidParameterError
 from ..obs.instrument import observed_kernel
 from ..ttm.model import DEFAULT_ENGINEERS, TTMModel
-from .batch import _WAFERS_PER_NORMALIZED_UNIT
 from .portfolio import (
+    _WAFERS_PER_NORMALIZED_UNIT,
     DEFAULT_RELATIVE_STEP,
+    ArrayLike,
     PortfolioInvariants,
     _portfolio_cost_from_tensors,
     _portfolio_quantities,
     _portfolio_supply,
+    _readonly,
+    _resolve_invariants,
     _sample_array,
     _SupplyScratch,
     compile_portfolio,
 )
-
-ArrayLike = Union[float, Sequence[float], np.ndarray]
-
-
-def _readonly(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
-    return array
 
 
 @dataclass(frozen=True)
@@ -433,23 +429,6 @@ class ScenarioCubeResult:
         return self.ttm.designs
 
 
-def _resolve_invariants(
-    model: TTMModel,
-    designs: Optional[Sequence[ChipDesign]],
-    invariants: Optional[PortfolioInvariants],
-) -> PortfolioInvariants:
-    if invariants is not None:
-        return invariants
-    return compile_portfolio(
-        designs,
-        model.foundry.technology,
-        engineers=model.engineers,
-        alpha=model.alpha,
-        edge_corrected=model.edge_corrected,
-        block_parallel=model.block_parallel,
-    )
-
-
 def _validate_base(
     capacity: Optional[ArrayLike],
     queue_weeks: Optional[ArrayLike],
@@ -565,7 +544,7 @@ def _evaluate_cube(
     )
     k_total = scenario_set.n_scenarios
     pipelined = model.schedule == "pipelined"
-    nodes = _portfolio_nodes(invariants)
+    nodes = invariants.nodes
     conditions = model.foundry.conditions
 
     tapeout_out = np.empty((k_total, n_designs))
@@ -849,27 +828,11 @@ def _evaluate_cube(
         for g_key, (wafers_g, _testing_g, yields_g) in (
             d0_groups._cache.items()
         ):
-            if d0_scale is None and g_key == 1.0:
-                # The identity entry is the stored invariant tensor;
-                # the cost oracle re-derives it through
-                # ``wafers_per_chip_at(1.0)``, which is not pinned to
-                # the stored bits — don't lend it (yields_g is None
-                # there anyway).
-                continue
             if wafers_out is not None:
                 wafers_out[g_key] = wafers_g
             if yields_out is not None and yields_g is not None:
                 yields_out[g_key] = yields_g
     return tapeout_out, fabrication_out, total_out, cas_out
-
-
-def _portfolio_nodes(invariants: PortfolioInvariants) -> Tuple[str, ...]:
-    nodes: Tuple[str, ...] = ()
-    for processes in invariants.processes:
-        for name in processes:
-            if name not in nodes:
-                nodes = nodes + (name,)
-    return nodes
 
 
 def _cube_samples(

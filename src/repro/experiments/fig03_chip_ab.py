@@ -15,9 +15,6 @@ from typing import Mapping, Optional, Sequence, Tuple
 from ..analysis.sweep import capacity_curves, capacity_fractions
 from ..analysis.tables import format_table
 from ..design.library.generic import demo_chip_a, demo_chip_b
-from ..engine.batch import cas_over_capacity, ttm_over_capacity
-from ..engine.parallel import parallel_map
-from ..errors import InvalidParameterError
 from ..ttm.model import TTMModel
 
 #: Final chips produced by both designs (identical, per the figure).
@@ -55,54 +52,21 @@ def run(
     model: Optional[TTMModel] = None,
     n_chips: float = DEFAULT_N_CHIPS,
     fractions: Optional[Sequence[float]] = None,
-    executor: str = "serial",
-    max_workers: Optional[int] = None,
-    engine: str = "portfolio",
 ) -> Fig03Result:
     """Regenerate Fig. 3's two TTM curves and two CAS curves.
 
-    ``engine="portfolio"`` (default) evaluates both designs' curve
-    families in one fused (designs x fractions) pass;
-    ``engine="loop"`` keeps the one-batched-call-per-design path as the
-    equivalence oracle, fanned out through
-    :func:`repro.engine.parallel.parallel_map`.
+    Both designs' curve families come from one fused (designs x
+    fractions) pass over a shared compiled portfolio.
     """
     ttm_model = model or TTMModel.nominal()
     sweep = tuple(fractions) if fractions else capacity_fractions(0.2, 1.0, 17)
     designs = {"Chip A": demo_chip_a(), "Chip B": demo_chip_b()}
-
-    if engine == "portfolio":
-        ttm_matrix, cas_matrix = capacity_curves(
-            ttm_model, tuple(designs.values()), n_chips, sweep
-        )
-        ttm_series = {
-            name: tuple(ttm_matrix[i]) for i, name in enumerate(designs)
-        }
-        cas_series = {
-            name: tuple(cas_matrix[i]) for i, name in enumerate(designs)
-        }
-        return Fig03Result(
-            n_chips=n_chips, fractions=sweep, ttm=ttm_series, cas=cas_series
-        )
-    if engine != "loop":
-        raise InvalidParameterError(
-            f"unknown engine {engine!r}; use 'portfolio' or 'loop'"
-        )
-
-    def curves(design):
-        return (
-            tuple(ttm_over_capacity(ttm_model, design, n_chips, sweep)),
-            tuple(cas_over_capacity(ttm_model, design, n_chips, sweep)),
-        )
-
-    results = parallel_map(
-        curves, designs.values(), executor=executor, max_workers=max_workers
+    ttm_matrix, cas_matrix = capacity_curves(
+        ttm_model, tuple(designs.values()), n_chips, sweep
     )
-    ttm_series = {}
-    cas_series = {}
-    for name, (ttm, cas) in zip(designs, results):
-        ttm_series[name] = ttm
-        cas_series[name] = cas
     return Fig03Result(
-        n_chips=n_chips, fractions=sweep, ttm=ttm_series, cas=cas_series
+        n_chips=n_chips,
+        fractions=sweep,
+        ttm={name: tuple(ttm_matrix[i]) for i, name in enumerate(designs)},
+        cas={name: tuple(cas_matrix[i]) for i, name in enumerate(designs)},
     )

@@ -27,14 +27,11 @@ from ..analysis.tables import format_table
 from ..cost.model import CostModel
 from ..design.chip import ChipDesign
 from ..design.library.zen2 import fig13_variants
-from ..engine.batch import batch_ttm, cas_over_capacity
-from ..engine.parallel import parallel_map
 from ..engine.portfolio import (
     portfolio_cas_over_capacity,
     portfolio_cost,
     portfolio_ttm,
 )
-from ..errors import InvalidParameterError
 from ..market.conditions import MarketConditions
 from ..ttm.model import TTMModel
 
@@ -97,17 +94,11 @@ def run(
     cas_n_chips: float = DEFAULT_CAS_N_CHIPS,
     fractions: Optional[Sequence[float]] = None,
     designs: Optional[Sequence[ChipDesign]] = None,
-    executor: str = "serial",
-    max_workers: Optional[int] = None,
-    engine: str = "portfolio",
 ) -> Fig13Result:
     """Regenerate Fig. 13's three panels.
 
-    ``engine="portfolio"`` (default) evaluates all eight variants per
-    panel in one fused (designs x grid) pass over a shared compiled
-    portfolio; ``engine="loop"`` keeps one batched engine call per
-    variant as the equivalence oracle, fanned out through
-    :func:`repro.engine.parallel.parallel_map`.
+    All eight variants are evaluated per panel in one fused (designs x
+    grid) pass over a shared compiled portfolio.
     """
     ttm_model = model or TTMModel.nominal()
     costs = cost_model or CostModel.nominal()
@@ -115,61 +106,28 @@ def run(
     variants = tuple(designs) if designs else fig13_variants()
     volume_grid = tuple(quantities)
 
-    if engine == "portfolio":
-        ttm_matrix = portfolio_ttm(
-            ttm_model, variants, volume_grid
-        ).total_weeks
-        cost_matrix = portfolio_cost(
-            costs, variants, volume_grid, engineers=ttm_model.engineers
-        ).total_usd
-        cas_matrix = portfolio_cas_over_capacity(
-            ttm_model, variants, cas_n_chips, sweep
-        )
-        return Fig13Result(
-            quantities=volume_grid,
-            fractions=sweep,
-            ttm={
-                design.name: tuple(float(w) for w in ttm_matrix[i])
-                for i, design in enumerate(variants)
-            },
-            cost={
-                design.name: tuple(float(c) for c in cost_matrix[i])
-                for i, design in enumerate(variants)
-            },
-            cas={
-                design.name: tuple(cas_matrix[i])
-                for i, design in enumerate(variants)
-            },
-        )
-    if engine != "loop":
-        raise InvalidParameterError(
-            f"unknown engine {engine!r}; use 'portfolio' or 'loop'"
-        )
-
-    def panels(design: ChipDesign):
-        ttm = batch_ttm(ttm_model, design, volume_grid).total_weeks
-        return (
-            tuple(float(weeks) for weeks in ttm),
-            tuple(costs.total_usd(design, n) for n in volume_grid),
-            tuple(cas_over_capacity(ttm_model, design, cas_n_chips, sweep)),
-        )
-
-    results = parallel_map(
-        panels, variants, executor=executor, max_workers=max_workers
+    ttm_matrix = portfolio_ttm(ttm_model, variants, volume_grid).total_weeks
+    cost_matrix = portfolio_cost(
+        costs, variants, volume_grid, engineers=ttm_model.engineers
+    ).total_usd
+    cas_matrix = portfolio_cas_over_capacity(
+        ttm_model, variants, cas_n_chips, sweep
     )
-    ttm_series = {}
-    cost_series = {}
-    cas_series = {}
-    for design, (ttm, cost, cas) in zip(variants, results):
-        ttm_series[design.name] = ttm
-        cost_series[design.name] = cost
-        cas_series[design.name] = cas
     return Fig13Result(
-        quantities=tuple(quantities),
+        quantities=volume_grid,
         fractions=sweep,
-        ttm=ttm_series,
-        cost=cost_series,
-        cas=cas_series,
+        ttm={
+            design.name: tuple(float(w) for w in ttm_matrix[i])
+            for i, design in enumerate(variants)
+        },
+        cost={
+            design.name: tuple(float(c) for c in cost_matrix[i])
+            for i, design in enumerate(variants)
+        },
+        cas={
+            design.name: tuple(cas_matrix[i])
+            for i, design in enumerate(variants)
+        },
     )
 
 

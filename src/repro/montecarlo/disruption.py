@@ -252,8 +252,8 @@ class DisruptionDraw:
 
     ``capacity`` maps node name to a per-sample capacity-fraction array
     (base fraction x sampled multipliers at the order week) — exactly
-    the mapping form ``batch_ttm``/``batch_cas`` accept; ``demand_scale``
-    multiplies the per-sample order quantity.
+    the mapping form ``portfolio_ttm``/``portfolio_cas`` accept;
+    ``demand_scale`` multiplies the per-sample order quantity.
     """
 
     capacity: Dict[str, np.ndarray] = field(default_factory=dict)

@@ -17,9 +17,9 @@ target                    meaning
 ========================  ====================================================
 
 Draws map straight onto the sampled-parameter keywords of
-:func:`repro.engine.batch.batch_ttm` / ``batch_cas`` / ``batch_cost``, so
-an n-sample study is a handful of array-kernel calls — never a Python
-loop over scalar model evaluations.
+:func:`repro.engine.portfolio.portfolio_ttm` / ``portfolio_cas`` /
+``portfolio_cost``, so an n-sample study is a handful of array-kernel
+calls — never a Python loop over scalar model evaluations.
 """
 
 from __future__ import annotations
@@ -249,7 +249,7 @@ class ParameterSamples:
         return self.column("wafer_rate_scale")
 
     def kernel_kwargs(self) -> Dict[str, object]:
-        """Keyword arguments for ``batch_ttm``/``batch_cas``."""
+        """Keyword arguments for ``portfolio_ttm``/``portfolio_cas``."""
         return {
             "capacity": self.capacity,
             "queue_weeks": self.queue_weeks,

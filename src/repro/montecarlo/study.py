@@ -1,12 +1,14 @@
-"""Monte Carlo study runner: sample, batch-evaluate, summarize.
+"""Monte Carlo study runner: sample, evaluate, summarize.
 
 A study draws ``n_samples`` joint supply-chain realizations from a
 :class:`~repro.montecarlo.spec.SamplingSpec` (optionally composed with a
 :class:`~repro.montecarlo.disruption.DisruptionModel`), pushes the whole
-sample through the vectorized :func:`~repro.engine.batch.batch_ttm` /
-``batch_cas`` / ``batch_cost`` kernels, and reduces the outcome arrays
-to :class:`~repro.montecarlo.results.StudyResult` summaries. No scalar
-``TTMModel`` call happens anywhere on the sampling path.
+sample through the fused :func:`~repro.engine.portfolio.portfolio_ttm` /
+``portfolio_cas`` / ``portfolio_cost`` kernels — every design of a
+comparison on the same draws — and reduces the outcome arrays to
+:class:`~repro.montecarlo.results.StudyResult` summaries. A single-design
+study is a 1-design comparison. No scalar ``TTMModel`` call happens
+anywhere on the sampling path.
 
 Determinism: the sample is split into fixed-size chunks (a pure function
 of ``n_samples``), and each chunk's ``numpy.random.Generator`` is spawned
@@ -25,7 +27,6 @@ import numpy as np
 from ..cost.model import CostModel
 from ..design.chip import ChipDesign
 from ..economics.market_window import MarketWindow, triangle_loss_fractions
-from ..engine.batch import batch_cas, batch_cost, batch_ttm
 from ..engine.parallel import parallel_map
 from ..engine.portfolio import portfolio_cas, portfolio_cost, portfolio_ttm
 from ..errors import InvalidParameterError
@@ -59,50 +60,6 @@ def chunk_sizes(n_samples: int, chunk_samples: int) -> Tuple[int, ...]:
         )
     full, rest = divmod(n_samples, chunk_samples)
     return tuple([chunk_samples] * full + ([rest] if rest else []))
-
-
-@dataclass(frozen=True)
-class _ChunkTask:
-    """Picklable per-chunk work item (shipped to process workers)."""
-
-    model: TTMModel
-    cost_model: Optional[CostModel]
-    design: ChipDesign
-    spec: SamplingSpec
-    disruptions: Optional[DisruptionModel]
-    n_samples: int
-
-
-def _evaluate_chunk(
-    task: _ChunkTask, rng: np.random.Generator
-) -> Dict[str, np.ndarray]:
-    """Draw and batch-evaluate one chunk (module-level for pickling)."""
-    draws = task.spec.sample(task.n_samples, rng)
-    quantities = draws.n_chips
-    kwargs = draws.kernel_kwargs()
-    if task.disruptions is not None:
-        disruption = task.disruptions.sample(task.n_samples, rng)
-        if disruption.capacity:
-            kwargs["capacity"] = dict(disruption.capacity)
-        if disruption.demand_scale is not None:
-            quantities = quantities * disruption.demand_scale
-    ttm = batch_ttm(task.model, task.design, quantities, **kwargs)
-    cas = batch_cas(task.model, task.design, quantities, **kwargs)
-    metrics = {
-        "ttm_weeks": np.asarray(ttm.total_weeks, dtype=float).ravel(),
-        "cas": np.asarray(cas.cas, dtype=float).ravel(),
-    }
-    if task.cost_model is not None:
-        cost = batch_cost(
-            task.cost_model,
-            task.design,
-            quantities,
-            d0_scale=kwargs.get("d0_scale"),
-        )
-        metrics["cost_per_chip_usd"] = np.asarray(
-            cost.usd_per_chip, dtype=float
-        ).ravel()
-    return metrics
 
 
 def _check_capacity_source(
@@ -180,7 +137,8 @@ def run_study(
     ----------
     model / cost_model:
         The scalar models supplying calibration; evaluation itself goes
-        through the batch kernels. Cost metrics are produced only when
+        through the portfolio kernels (a 1-design
+        :func:`compare_designs`). Cost metrics are produced only when
         ``cost_model`` is given.
     spec:
         The joint sampling specification.
@@ -197,47 +155,22 @@ def run_study(
         Sampling is chunked and seeded per chunk index; results are
         identical across executors for a fixed seed.
     """
-    _check_capacity_source(spec, disruptions)
-    with span(
-        "mc.run_study",
-        design=design.name,
-        n_samples=n_samples,
-        seed=seed,
+    return compare_designs(
+        model,
+        (design,),
+        spec,
+        n_samples,
+        seed,
+        cost_model=cost_model,
+        disruptions=disruptions,
+        window=window,
+        reference_weeks=reference_weeks,
         executor=executor,
-    ):
-        sizes = chunk_sizes(n_samples, chunk_samples)
-        tasks = [
-            _ChunkTask(
-                model=model,
-                cost_model=cost_model,
-                design=design,
-                spec=spec,
-                disruptions=disruptions,
-                n_samples=size,
-            )
-            for size in sizes
-        ]
-        chunks: List[Dict[str, np.ndarray]] = parallel_map(
-            _evaluate_chunk,
-            tasks,
-            executor=executor,
-            max_workers=max_workers,
-            seed=seed,
-        )
-        blocks: Dict[str, np.ndarray] = {
-            name: np.concatenate([chunk[name] for chunk in chunks])[None, :]
-            for name in chunks[0]
-        }
-        return _summarize_designs(
-            (design,),
-            n_samples,
-            seed,
-            blocks,
-            window,
-            reference_weeks,
-            tail_level,
-            curve_points,
-        )[design.name]
+        max_workers=max_workers,
+        chunk_samples=chunk_samples,
+        tail_level=tail_level,
+        curve_points=curve_points,
+    )[design.name]
 
 
 @dataclass(frozen=True)
@@ -255,12 +188,7 @@ class _PortfolioChunkTask:
 def _evaluate_portfolio_chunk(
     task: _PortfolioChunkTask, rng: np.random.Generator
 ) -> Dict[str, np.ndarray]:
-    """Draw once and evaluate every design on the shared chunk.
-
-    The chunk's draws are identical to the per-design path's (same rng
-    spawn, same consumption order), so metric row ``i`` is bit-for-bit
-    the per-design study of design ``i``.
-    """
+    """Draw once and evaluate every design on the shared chunk."""
     draws = task.spec.sample(task.n_samples, rng)
     quantities = draws.n_chips
     kwargs = draws.kernel_kwargs()
@@ -305,18 +233,16 @@ def compare_designs(
     chunk_samples: int = DEFAULT_CHUNK_SAMPLES,
     tail_level: float = DEFAULT_TAIL_LEVEL,
     curve_points: int = 33,
-    engine: str = "portfolio",
 ) -> Dict[str, StudyResult]:
     """Run the same study over several designs (shared seed).
 
     Every design sees the *same* supply-chain draws (common random
     numbers), so differences between result distributions are due to
-    the designs, not sampling noise. ``engine="portfolio"`` (default)
-    draws each chunk once and evaluates the whole design tuple through
-    the fused :func:`~repro.engine.portfolio.portfolio_ttm` kernels;
-    ``engine="per-design"`` keeps the original one-study-per-design loop
-    as the equivalence oracle. Both paths consume the chunk generators
-    identically, so results match to floating-point round-off.
+    the designs, not sampling noise. Each chunk is drawn once and the
+    whole design tuple evaluated through the fused
+    :func:`~repro.engine.portfolio.portfolio_ttm` kernels; row ``i``
+    depends on design ``i`` alone, so a design's result is bit for bit
+    its :func:`run_study`.
     """
     design_tuple = tuple(designs)
     seen: Dict[str, None] = {}
@@ -326,31 +252,6 @@ def compare_designs(
                 f"duplicate design name {design.name!r} in comparison"
             )
         seen[design.name] = None
-    if engine == "per-design":
-        return {
-            design.name: run_study(
-                model,
-                design,
-                spec,
-                n_samples,
-                seed,
-                cost_model=cost_model,
-                disruptions=disruptions,
-                window=window,
-                reference_weeks=reference_weeks,
-                executor=executor,
-                max_workers=max_workers,
-                chunk_samples=chunk_samples,
-                tail_level=tail_level,
-                curve_points=curve_points,
-            )
-            for design in design_tuple
-        }
-    if engine != "portfolio":
-        raise InvalidParameterError(
-            f"unknown comparison engine {engine!r}; "
-            "use 'portfolio' or 'per-design'"
-        )
     _check_capacity_source(spec, disruptions)
     with span(
         "mc.compare_designs",

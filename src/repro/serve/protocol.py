@@ -54,19 +54,21 @@ from ..ttm.model import TTMModel
 #: Endpoints served through the coalescing batcher.
 BATCHED_ENDPOINTS: Tuple[str, ...] = ("evaluate", "mc", "splits", "scenarios")
 
-#: Default nominal demand when a request omits ``n_chips``.
-DEFAULT_N_CHIPS = 1e7
-
-#: Defaults of the /mc and /scenarios study fields. The parsers and the
-#: shard router's ``routing_key`` all read this one mapping, so a batcher
-#: group and its route never disagree about an omitted field.
-STUDY_DEFAULTS: Mapping[str, Any] = MappingProxyType(
+#: Defaults of every omittable request field (``design`` is required
+#: except on /splits). The parsers and the shard router's
+#: ``routing_key`` all read this one mapping, so a batcher group and its
+#: route never disagree about an omitted field.
+REQUEST_DEFAULTS: Mapping[str, Any] = MappingProxyType(
     {
+        "scenario": "nominal",
+        "n_chips": 1e7,
+        "design": "a11",
+        "refine": False,
+        "with_cas": True,
         "samples": 1024,
         "seed": 0,
         "with_cost": True,
         "correlated": False,
-        "n_chips": DEFAULT_N_CHIPS,
         "variation": 0.1,
         "queue_weeks": 2.0,
         "capacity": 0.9,
@@ -190,13 +192,13 @@ def _capacity(body: Mapping[str, Any]) -> Optional[Any]:
 
 
 def _spec_knobs(body: Mapping[str, Any]) -> Dict[str, Optional[float]]:
-    """A study's supply-spec knobs, omitted ones from STUDY_DEFAULTS."""
-    n_chips = _number(body, "n_chips", STUDY_DEFAULTS["n_chips"])
+    """A study's supply-spec knobs, omitted ones from REQUEST_DEFAULTS."""
+    n_chips = _number(body, "n_chips", REQUEST_DEFAULTS["n_chips"])
     if n_chips <= 0:  # type: ignore[operator]
         raise BadRequestError(f"'n_chips' must be positive, got {n_chips}")
     knobs = {"n_chips": n_chips}
     for name in SPEC_KNOBS[1:]:
-        knobs[name] = _number(body, name, STUDY_DEFAULTS[name])
+        knobs[name] = _number(body, name, REQUEST_DEFAULTS[name])
     return knobs
 
 
@@ -360,9 +362,9 @@ def parse_evaluate(
     if "design" not in body:
         raise BadRequestError("missing required field 'design'")
     design = state.resolve_design(body["design"])
-    scenario = str(body.get("scenario", "nominal"))
+    scenario = str(body.get("scenario", REQUEST_DEFAULTS["scenario"]))
     state.model_for(scenario)  # validate the scenario before queueing
-    n_chips = _number(body, "n_chips", DEFAULT_N_CHIPS)
+    n_chips = _number(body, "n_chips", REQUEST_DEFAULTS["n_chips"])
     if n_chips <= 0:  # type: ignore[operator]
         raise BadRequestError(f"'n_chips' must be positive, got {n_chips}")
     request = PointRequest(
@@ -397,14 +399,14 @@ def parse_mc(
     if "design" not in body:
         raise BadRequestError("missing required field 'design'")
     design = state.resolve_design(body["design"])
-    scenario = str(body.get("scenario", "nominal"))
+    scenario = str(body.get("scenario", REQUEST_DEFAULTS["scenario"]))
     state.model_for(scenario)
-    samples = _integer(body, "samples", STUDY_DEFAULTS["samples"])
+    samples = _integer(body, "samples", REQUEST_DEFAULTS["samples"])
     if samples <= 0:
         raise BadRequestError(f"'samples' must be positive, got {samples}")
-    seed = _integer(body, "seed", STUDY_DEFAULTS["seed"])
+    seed = _integer(body, "seed", REQUEST_DEFAULTS["seed"])
     spec_knobs = _spec_knobs(body)
-    with_cost = bool(body.get("with_cost", STUDY_DEFAULTS["with_cost"]))
+    with_cost = bool(body.get("with_cost", REQUEST_DEFAULTS["with_cost"]))
     key = (
         "mc",
         scenario,
@@ -448,12 +450,14 @@ def parse_splits(
                 f"each pair must be a [primary, secondary] list, got {item!r}"
             )
         pairs.append((str(item[0]), str(item[1])))
-    label, factory = state.split_factory(body.get("design", "a11"))
-    scenario = str(body.get("scenario", "nominal"))
+    label, factory = state.split_factory(
+        body.get("design", REQUEST_DEFAULTS["design"])
+    )
+    scenario = str(body.get("scenario", REQUEST_DEFAULTS["scenario"]))
     state.model_for(scenario)
-    n_chips = _number(body, "n_chips", DEFAULT_N_CHIPS)
-    refine = bool(body.get("refine", False))
-    with_cas = bool(body.get("with_cas", True))
+    n_chips = _number(body, "n_chips", REQUEST_DEFAULTS["n_chips"])
+    refine = bool(body.get("refine", REQUEST_DEFAULTS["refine"]))
+    with_cas = bool(body.get("with_cas", REQUEST_DEFAULTS["with_cas"]))
     normalized = {
         "pairs": [list(pair) for pair in pairs],
         "design": label,
@@ -513,25 +517,25 @@ def parse_scenarios(
     if "design" not in body:
         raise BadRequestError("missing required field 'design'")
     design = state.resolve_design(body["design"])
-    scenario = str(body.get("scenario", "nominal"))
+    scenario = str(body.get("scenario", REQUEST_DEFAULTS["scenario"]))
     state.model_for(scenario)
     selector = normalize_stress_selector(body.get("scenarios"))
     try:
         stress_set = stress_scenarios(selector)
     except ReproError as error:
         raise BadRequestError(str(error)) from None
-    samples = _integer(body, "samples", STUDY_DEFAULTS["samples"])
+    samples = _integer(body, "samples", REQUEST_DEFAULTS["samples"])
     if samples <= 0:
         raise BadRequestError(f"'samples' must be positive, got {samples}")
-    correlated = bool(body.get("correlated", STUDY_DEFAULTS["correlated"]))
+    correlated = bool(body.get("correlated", REQUEST_DEFAULTS["correlated"]))
     if correlated and samples % 2:
         raise BadRequestError(
             "correlated sampling is antithetic and needs an even "
             f"'samples', got {samples}"
         )
-    seed = _integer(body, "seed", STUDY_DEFAULTS["seed"])
+    seed = _integer(body, "seed", REQUEST_DEFAULTS["seed"])
     spec_knobs = _spec_knobs(body)
-    with_cost = bool(body.get("with_cost", STUDY_DEFAULTS["with_cost"]))
+    with_cost = bool(body.get("with_cost", REQUEST_DEFAULTS["with_cost"]))
     key = (
         "scenarios",
         scenario,
@@ -818,10 +822,9 @@ def endpoint_of(key: Hashable) -> str:
 __all__ = [
     "BATCHED_ENDPOINTS",
     "BadRequestError",
-    "DEFAULT_N_CHIPS",
     "DESIGN_CACHE_LIMIT",
+    "REQUEST_DEFAULTS",
     "SPEC_KNOBS",
-    "STUDY_DEFAULTS",
     "ServeState",
     "canonical_json",
     "endpoint_of",

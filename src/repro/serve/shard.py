@@ -74,9 +74,8 @@ from ..obs.trace import (
 )
 from .protocol import (
     BATCHED_ENDPOINTS,
-    DEFAULT_N_CHIPS,
+    REQUEST_DEFAULTS,
     SPEC_KNOBS,
-    STUDY_DEFAULTS,
     BadRequestError,
     ServeState,
     canonical_json,
@@ -135,15 +134,15 @@ def _route_study(
 ) -> List[Any]:
     """A study body's sample count, seed, ``flags`` and spec knobs.
 
-    Omitted fields default from :data:`STUDY_DEFAULTS`, exactly as in
+    Omitted fields default from :data:`REQUEST_DEFAULTS`, exactly as in
     the /mc and /scenarios parsers.
     """
     return [
-        parsed.get("samples", STUDY_DEFAULTS["samples"]),
-        parsed.get("seed", STUDY_DEFAULTS["seed"]),
-        *(bool(parsed.get(flag, STUDY_DEFAULTS[flag])) for flag in flags),
+        parsed.get("samples", REQUEST_DEFAULTS["samples"]),
+        parsed.get("seed", REQUEST_DEFAULTS["seed"]),
+        *(bool(parsed.get(flag, REQUEST_DEFAULTS[flag])) for flag in flags),
         *(
-            _route_number(parsed.get(name), STUDY_DEFAULTS[name])
+            _route_number(parsed.get(name), REQUEST_DEFAULTS[name])
             for name in SPEC_KNOBS
         ),
     ]
@@ -177,7 +176,7 @@ def routing_key(endpoint: str, body: bytes) -> bytes:
         parsed = None
     if not isinstance(parsed, Mapping):
         return b"opaque:" + endpoint.encode() + b":" + body[:128]
-    scenario = str(parsed.get("scenario", "nominal"))
+    scenario = str(parsed.get("scenario", REQUEST_DEFAULTS["scenario"]))
     if endpoint == "evaluate":
         signature = knob_signature(
             parsed.get("capacity"),
@@ -206,7 +205,7 @@ def routing_key(endpoint: str, body: bytes) -> bytes:
             ["scenarios", scenario, selector, *_route_study(parsed, flags)]
         )
     if endpoint == "splits":
-        spec = parsed.get("design", "a11")
+        spec = parsed.get("design", REQUEST_DEFAULTS["design"])
         if isinstance(spec, str):
             label: Any = spec
         elif isinstance(spec, Mapping):
@@ -231,9 +230,13 @@ def routing_key(endpoint: str, body: bytes) -> bytes:
                 scenario,
                 label,
                 pairs,
-                _route_number(parsed.get("n_chips"), DEFAULT_N_CHIPS),
-                bool(parsed.get("refine", False)),
-                bool(parsed.get("with_cas", True)),
+                _route_number(
+                    parsed.get("n_chips"), REQUEST_DEFAULTS["n_chips"]
+                ),
+                *(
+                    bool(parsed.get(flag, REQUEST_DEFAULTS[flag]))
+                    for flag in ("refine", "with_cas")
+                ),
             ]
         )
     return canonical_json(["other", endpoint, scenario])

@@ -20,11 +20,16 @@ import pytest
 from repro.design.library import a11
 from repro.engine.invariants import (
     clear_invariant_cache,
-    design_invariants,
     invariant_cache_info,
 )
+from repro.engine.portfolio import compile_portfolio
 from repro.technology.database import TechnologyDatabase
 from repro.ttm.model import DEFAULT_ENGINEERS
+
+
+def compile_one(design, db, engineers=DEFAULT_ENGINEERS):
+    """The cached 1-design table (what every ``batch_*`` call reads)."""
+    return compile_portfolio((design,), db, engineers)
 
 
 @pytest.fixture(autouse=True)
@@ -61,30 +66,30 @@ class TestMutationRaises:
 class TestDerivationRecomputes:
     def test_cache_hit_then_override_recomputes(self, db):
         design = a11("7nm")
-        first = design_invariants(design, db, DEFAULT_ENGINEERS)
-        again = design_invariants(design, db, DEFAULT_ENGINEERS)
+        first = compile_one(design, db)
+        again = compile_one(design, db)
         assert again is first  # identity hit
         info = invariant_cache_info()
         assert info["hits"] >= 1
 
     def test_overridden_technology_misses_and_reflects_change(self, db):
         design = a11("7nm")
-        before = design_invariants(design, db, DEFAULT_ENGINEERS)
+        before = compile_one(design, db)
         doubled = db.override(
             {"7nm": {
                 "defect_density_per_cm2": db["7nm"].defect_density_per_cm2 * 2
             }}
         )
-        after = design_invariants(design, doubled, DEFAULT_ENGINEERS)
+        after = compile_one(design, doubled)
         assert after is not before
         # Worse yield -> strictly more wafers per chip.
         assert np.sum(after.wafers_per_chip) > np.sum(before.wafers_per_chip)
         # The original entry is untouched (no stale overwrite either way).
-        assert design_invariants(design, db, DEFAULT_ENGINEERS) is before
+        assert compile_one(design, db) is before
 
     def test_replaced_design_misses_and_reflects_change(self, db):
         design = a11("7nm")
-        before = design_invariants(design, db, DEFAULT_ENGINEERS)
+        before = compile_one(design, db)
         die = design.dies[0]
         bigger_die = dataclasses.replace(
             die, area_mm2=2.0 * die.area_on(db[die.process])
@@ -92,7 +97,7 @@ class TestDerivationRecomputes:
         bigger = dataclasses.replace(
             design, dies=(bigger_die,) + design.dies[1:]
         )
-        after = design_invariants(bigger, db, DEFAULT_ENGINEERS)
+        after = compile_one(bigger, db)
         assert after is not before
         assert np.sum(after.wafers_per_chip) > np.sum(before.wafers_per_chip)
 
@@ -102,21 +107,21 @@ class TestDerivationRecomputes:
         db_a = TechnologyDatabase.default()
         db_b = TechnologyDatabase.default()
         design = a11("7nm")
-        first = design_invariants(design, db_a, DEFAULT_ENGINEERS)
-        second = design_invariants(design, db_b, DEFAULT_ENGINEERS)
+        first = compile_one(design, db_a)
+        second = compile_one(design, db_b)
         assert first is not second
         assert invariant_cache_info()["misses"] >= 2
 
     def test_model_knobs_are_part_of_the_key(self, db):
         design = a11("7nm")
-        default = design_invariants(design, db, DEFAULT_ENGINEERS)
-        more_engineers = design_invariants(design, db, DEFAULT_ENGINEERS * 2)
+        default = compile_one(design, db)
+        more_engineers = compile_one(design, db, DEFAULT_ENGINEERS * 2)
         assert more_engineers is not default
         # Twice the engineers halve the calendar tapeout time (Eq. 2), so
         # the knob must be part of the key or sweeps would serve stale
         # schedules.
-        assert more_engineers.sequential_tapeout_weeks != pytest.approx(
-            default.sequential_tapeout_weeks
+        assert more_engineers.sequential_tapeout_weeks[0] != pytest.approx(
+            default.sequential_tapeout_weeks[0]
         )
 
 
@@ -143,10 +148,8 @@ class TestThreadSafety:
             barrier.wait()  # maximize contention on the cold keys
             for i in range(iterations):
                 design = designs[(worker + i) % len(designs)]
-                invariants = design_invariants(
-                    design, db, DEFAULT_ENGINEERS
-                )
-                assert invariants.processes == design.processes
+                table = compile_one(design, db)
+                assert table.processes == (design.processes,)
 
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             list(pool.map(hammer, range(n_workers)))
@@ -161,8 +164,6 @@ class TestThreadSafety:
     def test_concurrent_portfolio_compiles_share_entries(self, db):
         from concurrent.futures import ThreadPoolExecutor
 
-        from repro.engine.portfolio import compile_portfolio
-
         designs = tuple(a11(node) for node in ("40nm", "28nm", "7nm"))
 
         def compile_once(_):
@@ -172,12 +173,11 @@ class TestThreadSafety:
             compiled = list(pool.map(compile_once, range(12)))
 
         info = invariant_cache_info()
-        # A warm portfolio key is one hit; only cold compiles touch the
-        # per-design entries. Every lookup is still accounted exactly.
-        assert info["hits"] + info["misses"] >= 12
-        assert info["misses"] >= len(designs) + 1
-        # 3 per-design entries + 1 portfolio entry.
-        assert info["entries"] == len(designs) + 1
+        # Every lookup is accounted exactly: one hit or one miss per call.
+        assert info["hits"] + info["misses"] == 12
+        assert info["misses"] >= 1
+        # One entry for the compiled table, however many designs it holds.
+        assert info["entries"] == 1
         reference = compiled[0]
         for other in compiled:
             assert np.array_equal(
@@ -191,27 +191,38 @@ class TestPortfolioEviction:
 
     def test_compiling_past_the_bound_evicts_oldest(self, db, monkeypatch):
         from repro.engine import invariants as invariants_module
-        from repro.engine.portfolio import compile_portfolio
 
-        monkeypatch.setattr(invariants_module, "CACHE_MAX_ENTRIES", 3)
-        oldest = compile_portfolio((a11("65nm"),), db)
-        # Each compile adds 2 entries (design + portfolio); the third
-        # portfolio pushes the bound, evicting the oldest entries.
+        monkeypatch.setattr(invariants_module, "CACHE_MAX_DESIGNS", 2)
+        first = (a11("65nm"),)
+        oldest = compile_portfolio(first, db)
         compile_portfolio((a11("40nm"),), db)
+        assert invariant_cache_info()["evictions"] == 0
+        # A third pinned design pushes past the bound: the oldest goes.
         compile_portfolio((a11("28nm"),), db)
-        assert invariant_cache_info()["entries"] == 3
-        recompiled = compile_portfolio((a11("65nm"),), db)
-        assert recompiled is not oldest  # the entry was really evicted
+        info = invariant_cache_info()
+        assert info["entries"] == 2
+        assert info["evictions"] == 1
+        # The same design tuple now misses and compiles afresh.
+        recompiled = compile_portfolio(first, db)
+        assert recompiled is not oldest
+
+    def test_two_large_portfolios_evict_the_first(self, db):
+        first = tuple(a11("7nm") for _ in range(200))
+        compiled = compile_portfolio(first, db)
+        compile_portfolio(tuple(a11("7nm") for _ in range(200)), db)
+        info = invariant_cache_info()
+        assert info["evictions"] == 1
+        assert info["entries"] == 1
+        assert compile_portfolio(first, db) is not compiled
 
     def test_recompilation_after_eviction_is_bit_identical(
         self, db, monkeypatch
     ):
         from repro.engine import invariants as invariants_module
-        from repro.engine.portfolio import compile_portfolio
 
         designs = tuple(a11(node) for node in ("40nm", "7nm"))
         first = compile_portfolio(designs, db)
-        monkeypatch.setattr(invariants_module, "CACHE_MAX_ENTRIES", 1)
+        monkeypatch.setattr(invariants_module, "CACHE_MAX_DESIGNS", 1)
         compile_portfolio((a11("180nm"),), db)  # evict everything else
         second = compile_portfolio(designs, db)
         assert second is not first
@@ -234,11 +245,9 @@ class TestPortfolioEviction:
         assert second.processes == first.processes
 
     def test_clear_drops_portfolio_entries(self, db):
-        from repro.engine.portfolio import compile_portfolio, portfolio_fingerprint
-
         designs = (a11("28nm"), a11("7nm"))
         compiled = compile_portfolio(designs, db)
-        assert invariant_cache_info()["entries"] == len(designs) + 1
+        assert invariant_cache_info()["entries"] == 1
         clear_invariant_cache()
         assert invariant_cache_info() == {
             "hits": 0,

@@ -1,0 +1,242 @@
+"""The compiled design table against the scalar Eq. 1-8 model.
+
+``compile_portfolio`` derives every per-(design, node) and per-die
+column with NumPy over all rows at once; the scalar model functions are
+the oracle each column is checked against, at 1e-12 relative, on drawn
+portfolios: 1-4 dies over 1-3 production nodes (several dies per node),
+counts 1-4, explicit and minimum areas, passive interposers (fixed
+yield) and core-salvage dies, with block-parallel tapeout and the
+edge-corrected gross-die estimator switched on and off. The D0-scaled
+terms are checked against the same functions on a database whose
+defect densities are scaled through ``TechnologyDatabase.override``.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.cost.nre import ENGINEER_WEEK_COST_USD, design_nre
+from repro.design.block import Block
+from repro.design.chip import ChipDesign
+from repro.design.die import Die
+from repro.design.library.a11 import a11
+from repro.engine.portfolio import compile_portfolio
+from repro.errors import (
+    InvalidParameterError,
+    NodeUnavailableError,
+    UnknownNodeError,
+)
+from repro.market.foundry import Foundry
+from repro.technology.database import TechnologyDatabase
+from repro.technology.salvage import SalvageSpec
+from repro.ttm.fabrication import wafer_demand_by_node
+from repro.ttm.packaging import packaging_breakdown
+from repro.ttm.tapeout import (
+    node_tapeout_calendar_weeks,
+    sequential_tapeout_calendar_weeks,
+)
+
+RTOL = 1e-12
+ALPHA = 3.0
+
+DB = TechnologyDatabase.default()
+PRODUCTION_NODES = tuple(node.name for node in DB.production_nodes())
+
+
+def close(actual, expected):
+    np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=0.0)
+
+
+@st.composite
+def blocks(draw, name):
+    transistors = draw(st.floats(1e6, 1e9))
+    unique = draw(
+        st.none()
+        | st.just(0.0)
+        | st.floats(0.0, 1.0).map(lambda f: f * transistors)
+    )
+    return Block(
+        name=name,
+        transistors=transistors,
+        instances=draw(st.integers(1, 4)),
+        unique_transistors=unique,
+    )
+
+
+@st.composite
+def dies(draw, name, processes):
+    die_blocks = tuple(
+        draw(blocks(f"{name}-b{j}")) for j in range(draw(st.integers(0, 3)))
+    )
+    area = draw(st.none() | st.floats(1.0, 600.0))
+    min_area = draw(st.just(0.0) | st.floats(0.5, 50.0))
+    if not die_blocks and area is None:
+        area = draw(st.floats(50.0, 900.0))  # a passive interposer
+    kind = draw(st.sampled_from(("eq6", "fixed", "salvage")))
+    salvage = None
+    if kind == "salvage":
+        units = draw(st.integers(1, 16))
+        salvage = SalvageSpec(
+            n_units=units,
+            required_units=draw(st.integers(1, units)),
+            unit_area_fraction=draw(st.floats(0.05, 1.0)),
+        )
+    return Die(
+        name=name,
+        process=draw(st.sampled_from(processes)),
+        blocks=die_blocks,
+        count=draw(st.integers(1, 4)),
+        top_level_transistors=draw(st.just(0.0) | st.floats(0.0, 1e8)),
+        area_mm2=area,
+        min_area_mm2=min_area,
+        yield_override=(
+            draw(st.floats(0.5, 1.0)) if kind == "fixed" else None
+        ),
+        salvage=salvage,
+    )
+
+
+@st.composite
+def designs(draw, name):
+    processes = draw(
+        st.lists(
+            st.sampled_from(PRODUCTION_NODES),
+            min_size=1,
+            max_size=3,
+            unique=True,
+        )
+    )
+    return ChipDesign(
+        name=name,
+        dies=tuple(
+            draw(dies(f"{name}-d{i}", processes))
+            for i in range(draw(st.integers(1, 4)))
+        ),
+        design_weeks=draw(st.just(0.0) | st.floats(0.0, 50.0)),
+    )
+
+
+portfolios = st.integers(1, 3).flatmap(
+    lambda n: st.tuples(*(designs(f"design-{i}") for i in range(n)))
+)
+knobs = st.fixed_dictionaries({
+    "engineers": st.sampled_from((50, 100, 250)),
+    "edge_corrected": st.booleans(),
+    "block_parallel": st.booleans(),
+})
+
+
+def scaled(scale):
+    return DB.override({
+        name: {"defect_density_per_cm2": DB[name].defect_density_per_cm2 * scale}
+        for name in PRODUCTION_NODES
+    })
+
+
+def check_yield_terms(table, row, slots, design, technology, knobs, scale):
+    """Wafers per chip (Eq. 5) and testing (Eq. 7) at one D0 scale."""
+    wafers = table.wafers_per_chip_at(scale)[row, :, 0]
+    demand = wafer_demand_by_node(
+        design,
+        Foundry.nominal(technology),
+        n_chips=1,
+        alpha=ALPHA,
+        edge_corrected=knobs["edge_corrected"],
+    )
+    for process, slot in slots.items():
+        close(wafers[slot], demand[process])
+    packaging = packaging_breakdown(design, technology, n_chips=1, alpha=ALPHA)
+    close(
+        table.testing_weeks_per_chip_at(scale)[row, 0],
+        packaging.testing_weeks,
+    )
+    return packaging
+
+
+class TestColumnsMatchTheScalarModel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        portfolio=portfolios,
+        knobs=knobs,
+        d0_scale=st.floats(0.25, 4.0),
+    )
+    def test_every_column(self, portfolio, knobs, d0_scale):
+        table = compile_portfolio(portfolio, DB, alpha=ALPHA, **knobs)
+        engineers = knobs["engineers"]
+        for row, design in enumerate(portfolio):
+            assert table.processes[row] == design.processes
+            slots = {p: s for s, p in enumerate(design.processes)}
+            assert table.node_mask[row].sum() == len(slots)
+
+            tapeout = node_tapeout_calendar_weeks(
+                design, DB, engineers, block_parallel=knobs["block_parallel"]
+            )
+            for process, slot in slots.items():
+                close(table.tapeout_weeks[row, slot], tapeout[process])
+                node = DB[process]
+                assert table.max_rate[row, slot] == node.max_wafer_rate_per_week
+                assert table.fab_latency_weeks[row, slot] == (
+                    node.fab_latency_weeks
+                )
+                assert table.wafer_cost_usd[row, slot] == node.wafer_cost_usd
+            close(table.max_tapeout_weeks[row], max(tapeout.values()))
+            close(
+                table.sequential_tapeout_weeks[row],
+                sequential_tapeout_calendar_weeks(design, DB, engineers),
+            )
+            assert table.design_weeks[row] == design.design_weeks
+
+            packaging = check_yield_terms(
+                table, row, slots, design, DB, knobs, 1.0
+            )
+            close(table.assembly_weeks_per_chip[row], packaging.assembly_weeks)
+            check_yield_terms(
+                table, row, slots, design, scaled(d0_scale), knobs, d0_scale
+            )
+
+            nre = design_nre(design, DB, ENGINEER_WEEK_COST_USD)
+            close(
+                np.sum(table.tapeout_effort_weeks[row] * ENGINEER_WEEK_COST_USD),
+                nre.engineering_usd,
+            )
+            close(np.sum(table.tapeout_fixed_usd[row]), nre.fixed_usd)
+            close(np.sum(table.mask_set_usd[row]), nre.mask_usd)
+
+    @settings(max_examples=30, deadline=None)
+    @given(portfolio=portfolios, knobs=knobs)
+    def test_nominal_columns_are_the_unit_scale_terms(self, portfolio, knobs):
+        table = compile_portfolio(portfolio, DB, alpha=ALPHA, **knobs)
+        assert np.array_equal(
+            table.wafers_per_chip, table.wafers_per_chip_at(1.0)[:, :, 0]
+        )
+        assert np.array_equal(
+            table.testing_weeks_per_chip,
+            table.testing_weeks_per_chip_at(1.0)[:, 0],
+        )
+
+
+class TestErrors:
+    @pytest.mark.parametrize("node", ["3nm", "2nm"])
+    def test_unknown_node(self, node):
+        with pytest.raises(UnknownNodeError):
+            compile_portfolio((a11("7nm"), a11(node)), DB)
+
+    @pytest.mark.parametrize("node", ["20nm", "10nm"])
+    def test_node_out_of_production(self, node):
+        with pytest.raises(NodeUnavailableError):
+            compile_portfolio((a11("7nm"), a11(node)), DB)
+
+    def test_die_larger_than_the_wafer(self):
+        # The edge-corrected estimator gives such a die zero gross dies;
+        # the scalar Eq. 5 refuses it the same way.
+        design = ChipDesign(
+            name="wafer-scale",
+            dies=(Die(name="slab", process="7nm", area_mm2=8e4),),
+        )
+        with pytest.raises(InvalidParameterError):
+            wafer_demand_by_node(
+                design, Foundry.nominal(DB), n_chips=1, edge_corrected=True
+            )
+        with pytest.raises(InvalidParameterError):
+            compile_portfolio((design,), DB, edge_corrected=True)

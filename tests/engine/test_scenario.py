@@ -155,6 +155,16 @@ class TestCubeEquivalence:
         )
         assert_cube_matches_loop(model, designs, scenario_set, base_draws)
 
+    def test_nominal_defect_density(self, model, designs, base_draws):
+        # No D0 draws: the identity D0 group is the table's nominal
+        # columns, which the cost oracle re-derives at scale 1.
+        assert_cube_matches_loop(
+            model,
+            designs,
+            compile_scenarios(SCENARIOS),
+            {**base_draws, "d0_scale": None},
+        )
+
     def test_without_cost_model(self, model, designs, base_draws):
         cube = scenario_evaluate(
             model, None, designs, base_draws["n_chips"],

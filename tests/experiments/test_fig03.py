@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.agility.cas import chip_agility_score
+from repro.design.library.generic import demo_chip_a, demo_chip_b
 from repro.experiments import fig03_chip_ab
 
 
@@ -44,22 +46,21 @@ class TestFig03:
         assert "100" in text
 
 
-class TestEngines:
-    def test_portfolio_matches_loop(self, model):
+class TestScalarOracle:
+    def test_curves_match_the_scalar_model(self, model):
         fractions = (0.25, 0.5, 0.75, 1.0)
-        fused = fig03_chip_ab.run(
-            model, fractions=fractions, engine="portfolio"
-        )
-        oracle = fig03_chip_ab.run(model, fractions=fractions, engine="loop")
-        assert set(fused.ttm) == set(oracle.ttm)
-        for name in oracle.ttm:
-            for got, expected in zip(fused.ttm[name], oracle.ttm[name]):
-                assert got == pytest.approx(expected, rel=1e-9)
-            for got, expected in zip(fused.cas[name], oracle.cas[name]):
-                assert got == pytest.approx(expected, rel=1e-9)
-
-    def test_unknown_engine_rejected(self, model):
-        from repro.errors import InvalidParameterError
-
-        with pytest.raises(InvalidParameterError, match="engine"):
-            fig03_chip_ab.run(model, fractions=(0.5, 1.0), engine="warp")
+        result = fig03_chip_ab.run(model, fractions=fractions)
+        designs = {"Chip A": demo_chip_a(), "Chip B": demo_chip_b()}
+        assert set(result.ttm) == set(designs)
+        for name, design in designs.items():
+            for i, fraction in enumerate(fractions):
+                stressed = model.at_capacity(fraction)
+                assert result.ttm[name][i] == pytest.approx(
+                    stressed.total_weeks(design, result.n_chips), rel=1e-9
+                )
+                assert result.cas[name][i] == pytest.approx(
+                    chip_agility_score(
+                        stressed, design, result.n_chips
+                    ).normalized,
+                    rel=1e-9,
+                )

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.agility.cas import chip_agility_score
 from repro.experiments import fig13_chiplets
-from repro.design.library.zen2 import zen2
+from repro.design.library.zen2 import fig13_variants, zen2
 
 
 @pytest.fixture(scope="module")
@@ -98,26 +99,30 @@ class TestNodeDisruption:
         assert "Zen 2" in result.table()
 
 
-class TestEngines:
-    def test_portfolio_matches_loop(self, model, cost_model):
-        kwargs = dict(
-            quantities=(10e6, 50e6),
-            fractions=(0.3, 0.6, 1.0),
+class TestScalarOracle:
+    def test_panels_match_the_scalar_model(self, model, cost_model):
+        quantities = (10e6, 50e6)
+        fractions = (0.3, 0.6, 1.0)
+        result = fig13_chiplets.run(
+            model, cost_model, quantities=quantities, fractions=fractions
         )
-        fused = fig13_chiplets.run(
-            model, cost_model, engine="portfolio", **kwargs
-        )
-        oracle = fig13_chiplets.run(model, cost_model, engine="loop", **kwargs)
-        assert fused.variants == oracle.variants
-        for name in oracle.variants:
-            for panel in ("ttm", "cost", "cas"):
-                fused_series = getattr(fused, panel)[name]
-                oracle_series = getattr(oracle, panel)[name]
-                for got, expected in zip(fused_series, oracle_series):
-                    assert got == pytest.approx(expected, rel=1e-9)
-
-    def test_unknown_engine_rejected(self, model, cost_model):
-        from repro.errors import InvalidParameterError
-
-        with pytest.raises(InvalidParameterError, match="engine"):
-            fig13_chiplets.run(model, cost_model, engine="warp")
+        variants = fig13_variants()
+        assert result.variants == tuple(design.name for design in variants)
+        for design in variants:
+            name = design.name
+            for i, n_chips in enumerate(quantities):
+                assert result.ttm[name][i] == pytest.approx(
+                    model.total_weeks(design, n_chips), rel=1e-9
+                )
+                assert result.cost[name][i] == pytest.approx(
+                    cost_model.total_usd(design, n_chips), rel=1e-9
+                )
+            for i, fraction in enumerate(fractions):
+                assert result.cas[name][i] == pytest.approx(
+                    chip_agility_score(
+                        model.at_capacity(fraction),
+                        design,
+                        fig13_chiplets.DEFAULT_CAS_N_CHIPS,
+                    ).normalized,
+                    rel=1e-9,
+                )

@@ -228,34 +228,30 @@ class TestStudyOptions:
 
 
 class TestCompareEngines:
-    """The fused portfolio path is bit-for-bit the per-design loop."""
+    """A design's result in a comparison is bit for bit its own study,
+    so no design leaks into another's row."""
 
     @pytest.fixture(scope="class")
-    def per_engine(self, model, cost_model):
+    def studies(self, model, cost_model):
         spec = default_supply_spec(n_chips=5e6)
         designs = (a11("7nm"), zen2(), a11("28nm"))
-        return {
-            engine: compare_designs(
-                model,
-                designs,
-                spec,
-                n_samples=240,
-                seed=9,
-                cost_model=cost_model,
-                chunk_samples=64,
-                engine=engine,
-            )
-            for engine in ("portfolio", "per-design")
+        kwargs = dict(
+            n_samples=240, seed=9, cost_model=cost_model, chunk_samples=64
+        )
+        compared = compare_designs(model, designs, spec, **kwargs)
+        alone = {
+            design.name: run_study(model, design, spec, **kwargs)
+            for design in designs
         }
+        return compared, alone
 
-    def test_summaries_identical(self, per_engine):
-        fused = per_engine["portfolio"]
-        oracle = per_engine["per-design"]
-        assert set(fused) == set(oracle)
-        for name in oracle:
-            assert set(fused[name].summaries) == set(oracle[name].summaries)
-            for metric, expected in oracle[name].summaries.items():
-                got = fused[name][metric]
+    def test_summaries_identical(self, studies):
+        compared, alone = studies
+        assert set(compared) == set(alone)
+        for name in alone:
+            assert set(compared[name].summaries) == set(alone[name].summaries)
+            for metric, expected in alone[name].summaries.items():
+                got = compared[name][metric]
                 assert got.mean == expected.mean
                 assert got.std == expected.std
                 assert got.minimum == expected.minimum
@@ -264,12 +260,11 @@ class TestCompareEngines:
                 assert got.cvar == expected.cvar
                 assert got.percentiles == expected.percentiles
 
-    def test_curves_identical(self, per_engine):
-        fused = per_engine["portfolio"]
-        oracle = per_engine["per-design"]
-        for name in oracle:
-            for metric, expected in oracle[name].curves.items():
-                got = fused[name].curves[metric]
+    def test_curves_identical(self, studies):
+        compared, alone = studies
+        for name in alone:
+            for metric, expected in alone[name].curves.items():
+                got = compared[name].curves[metric]
                 assert got.thresholds == expected.thresholds
                 assert got.probabilities == expected.probabilities
 
@@ -281,33 +276,15 @@ class TestCompareEngines:
 
         spec = supply_spec(n_chips=5e6)
         designs = (a11("7nm"), zen2())
-        results = {
-            engine: compare_designs(
-                model,
-                designs,
-                spec,
-                n_samples=160,
-                seed=21,
-                disruptions=disruption_model(),
-                chunk_samples=48,
-                engine=engine,
-            )
-            for engine in ("portfolio", "per-design")
-        }
-        for name in results["per-design"]:
-            expected = results["per-design"][name]["ttm_weeks"]
-            got = results["portfolio"][name]["ttm_weeks"]
+        kwargs = dict(
+            n_samples=160,
+            seed=21,
+            disruptions=disruption_model(),
+            chunk_samples=48,
+        )
+        compared = compare_designs(model, designs, spec, **kwargs)
+        for design in designs:
+            expected = run_study(model, design, spec, **kwargs)["ttm_weeks"]
+            got = compared[design.name]["ttm_weeks"]
             assert got.mean == expected.mean
             assert got.maximum == expected.maximum
-
-    def test_unknown_engine_rejected(self, model):
-        spec = default_supply_spec(n_chips=5e6)
-        with pytest.raises(InvalidParameterError, match="engine"):
-            compare_designs(
-                model,
-                (a11("7nm"),),
-                spec,
-                n_samples=16,
-                seed=1,
-                engine="warp",
-            )

@@ -58,6 +58,18 @@ MC_DEFAULTS = {
 #: The same for /scenarios, which adds the sampling mode and selector.
 SCENARIOS_DEFAULTS = {**MC_DEFAULTS, "correlated": False, "scenarios": "all"}
 
+#: Every omittable /evaluate field, spelled out at its documented default.
+EVALUATE_DEFAULTS = {"scenario": "nominal", "n_chips": 1e7}
+
+#: The same for /splits, whose design is omittable too.
+SPLITS_DEFAULTS = {
+    "design": "a11",
+    "scenario": "nominal",
+    "n_chips": 1e7,
+    "refine": False,
+    "with_cas": True,
+}
+
 
 def _segments():
     return set(glob.glob("/dev/shm/repro_shm_*"))
@@ -111,13 +123,22 @@ class TestRoutingKey:
 
     @pytest.mark.parametrize(
         "endpoint, defaults",
-        [("mc", MC_DEFAULTS), ("scenarios", SCENARIOS_DEFAULTS)],
+        [
+            ("mc", MC_DEFAULTS),
+            ("scenarios", SCENARIOS_DEFAULTS),
+            ("evaluate", EVALUATE_DEFAULTS),
+            ("splits", SPLITS_DEFAULTS),
+        ],
     )
     def test_spelled_out_defaults_equal_omitted_ones(
         self, endpoint, defaults
     ):
-        """Router and parser agree on every default of a study body."""
-        bare = {"design": "a11"}
+        """Router and parser agree on every default of a request body."""
+        bare = (
+            {"pairs": [["7nm", "28nm"]]}
+            if endpoint == "splits"
+            else {"design": "a11"}
+        )
         spelled = {**bare, **defaults}
         assert routing_key(endpoint, json.dumps(spelled).encode()) == (
             routing_key(endpoint, json.dumps(bare).encode())
