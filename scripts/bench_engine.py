@@ -35,7 +35,7 @@ Workloads (the ISSUEs' acceptance targets):
   Target: >= 5x.
 * ``serve``     -- 96 concurrent HTTP round-trips through the
   ``repro.serve`` evaluation service (16 client threads, mixed
-  designs): coalescing disabled vs the 10 ms coalescing window.
+  designs): coalescing disabled (max batch 1) vs continuous batching.
   Also reports client-observed p50/p95 latency and the coalesce
   ratio; the error metric is the fraction of coalesced responses
   not byte-identical to uncoalesced ones (must be exactly 0).
@@ -137,7 +137,6 @@ SUSTAINED_SEED = 20230807
 #: in-process evaluation server, coalesced vs uncoalesced.
 SERVE_REQUESTS = 96
 SERVE_THREADS = 16
-SERVE_WINDOW_MS = 10.0
 SERVE_REPEATS = 3
 
 #: The serve_scaling workload: burst throughput through the sharded
@@ -147,7 +146,6 @@ SCALING_WORKERS = (1, 2, 4)
 SCALING_REQUESTS = 96
 SCALING_SHARD_REQUESTS = 48
 SCALING_THREADS = 16
-SCALING_WINDOW_MS = 5.0
 SCALING_REPEATS = 3
 
 #: Error ceiling every workload must satisfy (scalar/oracle agreement).
@@ -647,8 +645,8 @@ def bench_serve_roundtrip(model: TTMModel) -> dict:
     """HTTP round-trips through repro.serve, coalesced vs uncoalesced.
 
     Boots two in-process servers: a baseline with coalescing disabled
-    (window 0, max batch 1 — every request is its own engine dispatch)
-    and the coalescing server (10 ms window). The same 96-request
+    (max batch 1 — every request is its own engine dispatch) and the
+    coalescing server (max batch 16). The same 96-request
     mixed-design burst is driven through both with 16 client threads
     over real sockets; the reported speedup is wall time of the burst,
     so it prices the whole service (HTTP parse, batcher, engine,
@@ -692,17 +690,13 @@ def bench_serve_roundtrip(model: TTMModel) -> dict:
             best = min(best, time.perf_counter() - start)
         return best, responses, latencies
 
-    with ServerThread(
-        ServerConfig(port=0, batch_window_ms=0.0, max_batch=1)
-    ) as solo:
+    with ServerThread(ServerConfig(port=0, max_batch=1)) as solo:
         client = ServeClient(solo.host, solo.port)
         drive(client)  # warm the invariant caches and thread pools
         solo_seconds, solo_bodies, _ = timed_burst(client)
 
     with ServerThread(
-        ServerConfig(
-            port=0, batch_window_ms=SERVE_WINDOW_MS, max_batch=SERVE_THREADS
-        )
+        ServerConfig(port=0, max_batch=SERVE_THREADS)
     ) as fused:
         client = ServeClient(fused.host, fused.port)
         drive(client)
@@ -716,7 +710,6 @@ def bench_serve_roundtrip(model: TTMModel) -> dict:
     return {
         "requests": SERVE_REQUESTS,
         "client_threads": SERVE_THREADS,
-        "batch_window_ms": SERVE_WINDOW_MS,
         "scalar_seconds": solo_seconds,  # baseline = coalescing off
         "batched_seconds": fused_seconds,
         "speedup": solo_seconds / fused_seconds,
@@ -781,9 +774,7 @@ def bench_serve_scaling(model: TTMModel) -> dict:
         {"design": "a11", "wafer_rate_scale": 1.0},
         {"design": "raven", "wafer_rate_scale": 1.2},
     ]
-    worker_config = ServerConfig(
-        port=0, batch_window_ms=SCALING_WINDOW_MS, max_batch=SCALING_THREADS
-    )
+    worker_config = ServerConfig(port=0, max_batch=SCALING_THREADS)
 
     def drive(client, stream):
         def call(body):
@@ -876,7 +867,6 @@ def bench_serve_scaling(model: TTMModel) -> dict:
     return {
         "requests": SCALING_REQUESTS,
         "client_threads": SCALING_THREADS,
-        "batch_window_ms": SCALING_WINDOW_MS,
         "mode": mode,
         "cpu_count": cores,
         "throughput_rps": {
@@ -1044,7 +1034,6 @@ def measure(model: TTMModel) -> dict:
             "sustained_requests": SUSTAINED_REQUESTS,
             "serve_requests": SERVE_REQUESTS,
             "serve_threads": SERVE_THREADS,
-            "serve_window_ms": SERVE_WINDOW_MS,
             "scaling_workers": list(SCALING_WORKERS),
             "scaling_requests": SCALING_REQUESTS,
             "scenario_designs": SCENARIO_DESIGNS,

@@ -258,9 +258,7 @@ def main(argv=None) -> int:
         )
     else:
         with ServerThread(
-            ServerConfig(
-                port=0, batch_window_ms=15.0, trace=args.assert_trace
-            )
+            ServerConfig(port=0, trace=args.assert_trace)
         ) as server:
             client = ServeClient(server.host, server.port)
             ok = run_checks(

@@ -519,7 +519,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config = ServerConfig(
             host=args.host,
             port=args.port,
-            batch_window_ms=args.batch_window_ms,
             max_batch=args.max_batch,
             max_queue=args.max_queue,
             batch_threads=args.batch_threads,
@@ -702,16 +701,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="TCP port (0 picks an ephemeral port)",
     )
     serve_parser.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=10.0,
-        help="coalescing window after a group's first arrival (0 disables)",
-    )
-    serve_parser.add_argument(
         "--max-batch",
         type=int,
         default=32,
-        help="group size that flushes immediately",
+        help=(
+            "largest fused batch; a request flushes at once when its "
+            "group is idle and rides the next batch while one of its "
+            "group runs (1 disables coalescing)"
+        ),
     )
     serve_parser.add_argument(
         "--max-queue",

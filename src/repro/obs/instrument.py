@@ -127,8 +127,9 @@ SERVE_BATCH_SIZE = _registry.histogram(
 SERVE_BATCH_FILL = _registry.histogram(
     "serve_batch_fill",
     "Fraction of max_batch each fused batch filled, labelled by "
-    "endpoint (mass near the lowest buckets means the window closes "
-    "before company arrives; mass at 1.0 means max_batch caps fusion)",
+    "endpoint (mass near the lowest buckets means requests arrive "
+    "while their group is idle, so each flushes alone; mass at 1.0 "
+    "means max_batch caps fusion)",
     buckets=(0.0625, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0),
 )
 SERVE_REJECTED = _registry.counter(
@@ -199,10 +200,10 @@ def record_batch(
     """Count one fused batch execution of ``size`` coalesced requests.
 
     When ``max_batch`` is given, also observes the batch *fill ratio*
-    (``size / max_batch``) — the signal for tuning the coalescing
-    window: ratios stuck near ``1/max_batch`` say the window closes
-    too early to collect company, ratios pinned at 1.0 say
-    ``max_batch`` is the binding constraint.
+    (``size / max_batch``): ratios stuck near ``1/max_batch`` say
+    requests reach an idle group and flush alone (light load — no wait
+    to pay), ratios pinned at 1.0 say ``max_batch`` is the binding
+    constraint.
     """
     if not _ENABLED:
         return

@@ -1,11 +1,15 @@
 """The coalescing micro-batcher: fuse concurrent requests into one call.
 
-Requests submitted within a small *window* (or until a *max batch*
-fills) that share a compatibility key are executed as one fused batch in
-a worker thread; each submitter gets its own slice of the batch result.
-The window starts at the *first* arrival of a key's group — a lone
-request therefore waits at most one window, and a burst of N identical
-requests costs one engine dispatch instead of N.
+Requests that share a compatibility key are executed as one fused batch
+in a worker thread; each submitter gets its own slice of the batch
+result. Scheduling is *continuous batching* (Orca, Yu et al., OSDI '22),
+not a timer: when no batch of a key is in flight, its group flushes on
+the next event-loop turn, so a lone request waits for nothing while
+submissions made in the same turn still fuse. Requests that arrive
+while a batch of their key is in flight (flushed, not yet delivered)
+collect into one pending group, flushed the moment that batch is
+delivered — the busier a key, the larger its batches. A group reaching
+``max_batch`` flushes at once, and ``max_batch=1`` turns coalescing off.
 
 Admission control is a bounded count of admitted-but-uncompleted
 requests: past ``max_queue``, :meth:`CoalescingBatcher.submit` raises
@@ -44,7 +48,7 @@ class ServerClosingError(Exception):
 
 
 class _Group:
-    """One key's open batch: payloads, their futures, and the timer.
+    """One key's open batch: payloads and their futures.
 
     ``metas`` is a parallel list of optional per-request observability
     dicts the batcher stamps timing and batch membership into — kept
@@ -52,14 +56,13 @@ class _Group:
     the engine (or the coalescing group key) sees.
     """
 
-    __slots__ = ("key", "payloads", "futures", "metas", "timer")
+    __slots__ = ("key", "payloads", "futures", "metas")
 
     def __init__(self, key: Hashable) -> None:
         self.key = key
         self.payloads: List[Any] = []
         self.futures: List[asyncio.Future] = []
         self.metas: List[Optional[Dict[str, Any]]] = []
-        self.timer: Optional[asyncio.TimerHandle] = None
 
 
 class CoalescingBatcher:
@@ -71,12 +74,9 @@ class CoalescingBatcher:
         Called in a worker thread with ``(key, payloads)``; must return
         one result per payload, in order. Exceptions trigger the
         per-item solo retry described in the module docstring.
-    window_s:
-        Seconds a group waits for company after its first arrival.
-        ``0`` flushes every submission immediately (coalescing off —
-        the bench baseline).
     max_batch:
-        Group size that triggers an immediate flush.
+        Group size that triggers an immediate flush. ``1`` flushes every
+        submission on its own (coalescing off — the bench baseline).
     max_queue:
         Bound on admitted-but-uncompleted requests (admission control).
     workers:
@@ -92,20 +92,16 @@ class CoalescingBatcher:
         self,
         batch_function: BatchFunction,
         *,
-        window_s: float = 0.01,
         max_batch: int = 32,
         max_queue: int = 256,
         workers: int = 1,
         endpoint_of: Callable[[Hashable], str] = lambda key: str(key),
     ) -> None:
-        if window_s < 0:
-            raise ValueError(f"window must be >= 0, got {window_s}")
         if max_batch < 1:
             raise ValueError(f"max batch must be >= 1, got {max_batch}")
         if max_queue < 1:
             raise ValueError(f"max queue must be >= 1, got {max_queue}")
         self._batch_function = batch_function
-        self.window_s = float(window_s)
         self.max_batch = int(max_batch)
         self.max_queue = int(max_queue)
         self._endpoint_of = endpoint_of
@@ -114,6 +110,9 @@ class CoalescingBatcher:
         )
         self._groups: Dict[Hashable, _Group] = {}
         self._in_flight: Dict[ThreadFuture, None] = {}
+        # Batches flushed but not yet delivered, per key: a key's pending
+        # group waits for its count to return to zero.
+        self._running: Dict[Hashable, int] = {}
         self._depth = 0
         self._draining = False
         self._batches = 0
@@ -188,33 +187,39 @@ class CoalescingBatcher:
         if group is None:
             group = _Group(key)
             self._groups[key] = group
-            if self.window_s > 0 and self.max_batch > 1:
-                group.timer = loop.call_later(
-                    self.window_s, self._flush, key
-                )
+            if not self._running.get(key):
+                # Idle key: flush once this loop turn's submissions are in.
+                loop.call_soon(self._flush_if_idle, key)
         if meta is not None:
             meta["t_enqueue"] = time.perf_counter_ns()
         group.payloads.append(payload)
         group.futures.append(future)
         group.metas.append(meta)
-        if len(group.payloads) >= self.max_batch or (
-            self.window_s <= 0 or self.max_batch <= 1
-        ):
+        if len(group.payloads) >= self.max_batch:
             self._flush(key)
         return future
 
     # -- flushing --------------------------------------------------------------
+
+    def _flush_if_idle(self, key: Hashable) -> None:
+        """Flush ``key``'s group unless a batch of that key is running.
+
+        A running batch's :meth:`_deliver` flushes the group instead, so
+        a stale callback (its group already flushed at ``max_batch``)
+        never sends a second batch of the key early.
+        """
+        if not self._running.get(key):
+            self._flush(key)
 
     def _flush(self, key: Hashable) -> None:
         """Move one group from pending to in-flight (event-loop thread)."""
         group = self._groups.pop(key, None)
         if group is None:
             return
-        if group.timer is not None:
-            group.timer.cancel()
         loop = asyncio.get_running_loop()
         size = len(group.payloads)
         endpoint = self._endpoint_of(key)
+        self._running[key] = self._running.get(key, 0) + 1
         self._batches += 1
         self._batched_requests += size
         instrument.record_batch(endpoint, size, max_batch=self.max_batch)
@@ -294,9 +299,18 @@ class CoalescingBatcher:
     def _deliver(
         self, handle: ThreadFuture, group: _Group, size: int
     ) -> None:
-        """Resolve the group's futures from a finished batch (loop thread)."""
+        """Resolve the group's futures from a finished batch (loop thread).
+
+        The last running batch of a key flushes the group that collected
+        behind it.
+        """
         self._in_flight.pop(handle, None)
         self._set_depth(self._depth - size)
+        running = self._running.pop(group.key) - 1
+        if running:
+            self._running[group.key] = running
+        elif group.key in self._groups:
+            self._flush(group.key)
         error = handle.exception()
         for i, future in enumerate(group.futures):
             if future.done():  # submitter gave up (deadline); drop quietly

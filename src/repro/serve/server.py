@@ -114,7 +114,6 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 0
-    batch_window_ms: float = 10.0
     max_batch: int = 32
     max_queue: int = 256
     batch_threads: int = 1
@@ -129,10 +128,6 @@ class ServerConfig:
     profile_out: str = ""
 
     def __post_init__(self) -> None:
-        if self.batch_window_ms < 0:
-            raise ValueError(
-                f"batch window must be >= 0 ms, got {self.batch_window_ms}"
-            )
         if self.deadline_ms < 0:
             raise ValueError(
                 f"deadline must be >= 0 ms (0 disables), got "
@@ -152,6 +147,10 @@ class ServerConfig:
 #: Rolling span window a serve-installed tracer keeps (a long-lived
 #: worker must not grow without bound).
 _TRACE_SPAN_LIMIT = 20_000
+
+#: ``Retry-After`` seconds on a 429: admission frees a slot as soon as
+#: any running batch is delivered, so the shortest whole-second hint.
+_RETRY_AFTER_S = 1
 
 
 class EvalServer:
@@ -195,7 +194,6 @@ class EvalServer:
             ).start()
         self.batcher = CoalescingBatcher(
             lambda key, payloads: execute_batch(self.state, key, payloads),
-            window_s=self.config.batch_window_ms / 1000.0,
             max_batch=self.config.max_batch,
             max_queue=self.config.max_queue,
             workers=self.config.batch_threads,
@@ -299,61 +297,64 @@ class EvalServer:
             return False
         path = path.split("?", 1)[0]
         endpoint = path.lstrip("/") or "root"
-        obs = self._admit(endpoint, headers)
-
-        body = b""
         try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError:
-            self._in_flight.pop(obs["request_id"], None)
+            length = _content_length(headers)
+        except ValueError as error:
             await self._respond(
-                writer,
-                400,
-                error_body("invalid_request", "bad Content-Length header"),
+                writer, 400, error_body("invalid_request", str(error))
             )
             return False
-        if length > self.config.max_body_bytes:
-            await self._respond(
-                writer,
-                413,
-                error_body(
-                    "payload_too_large",
-                    f"body of {length} bytes exceeds the "
-                    f"{self.config.max_body_bytes}-byte limit",
-                ),
-                close=True,
-            )
-            self._finish(endpoint, 413, started, started_ns, 0, obs)
-            return False
-        if length:
-            body = await reader.readexactly(length)
+        obs = self._admit(endpoint, headers)
+        try:
+            if length > self.config.max_body_bytes:
+                await self._respond(
+                    writer,
+                    413,
+                    error_body(
+                        "payload_too_large",
+                        f"body of {length} bytes exceeds the "
+                        f"{self.config.max_body_bytes}-byte limit",
+                    ),
+                    close=True,
+                )
+                self._finish(endpoint, 413, started, started_ns, 0, obs)
+                return False
+            body = b""
+            if length:
+                body = await reader.readexactly(length)
 
-        status, payload, extra = await self._route(
-            method, path, headers, body, obs
-        )
-        extra = dict(extra)
-        extra.setdefault("X-Request-Id", obs["request_id"])
-        ctx: Optional[TraceContext] = obs["ctx"]
-        if ctx is not None:
-            extra.setdefault("X-Trace-Id", ctx.trace_id)
-        keep = (
-            headers.get("connection", "").lower() != "close"
-            and not self._draining
-            and status != 503
-        )
-        if not keep:
-            extra["Connection"] = "close"
-        await self._respond(
-            writer,
-            status,
-            payload,
-            content_type=extra.pop("Content-Type", "application/json"),
-            headers=extra,
-            close=not keep,
-        )
-        batch_size = int(extra.get("X-Batch-Size", 0) or 0)
-        self._finish(endpoint, status, started, started_ns, batch_size, obs)
-        return keep
+            status, payload, extra = await self._route(
+                method, path, headers, body, obs
+            )
+            extra = dict(extra)
+            extra.setdefault("X-Request-Id", obs["request_id"])
+            ctx: Optional[TraceContext] = obs["ctx"]
+            if ctx is not None:
+                extra.setdefault("X-Trace-Id", ctx.trace_id)
+            keep = (
+                headers.get("connection", "").lower() != "close"
+                and not self._draining
+                and status != 503
+            )
+            if not keep:
+                extra["Connection"] = "close"
+            await self._respond(
+                writer,
+                status,
+                payload,
+                content_type=extra.pop("Content-Type", "application/json"),
+                headers=extra,
+                close=not keep,
+            )
+            batch_size = int(extra.get("X-Batch-Size", 0) or 0)
+            self._finish(
+                endpoint, status, started, started_ns, batch_size, obs
+            )
+            return keep
+        finally:
+            # Every exit retires the /debug/obs entry, a client that
+            # hangs up mid-body included.
+            self._in_flight.pop(obs["request_id"], None)
 
     def _admit(self, endpoint: str, headers: Dict[str, str]) -> Dict[str, Any]:
         """Mint/parse per-request observability identity.
@@ -408,7 +409,6 @@ class EvalServer:
         ctx: Optional[TraceContext] = None
         meta: Dict[str, Any] = {}
         if obs is not None:
-            self._in_flight.pop(obs["request_id"], None)
             request_id = obs["request_id"]
             ctx = obs["ctx"]
             trace_id = ctx.trace_id if ctx is not None else ""
@@ -607,11 +607,10 @@ class EvalServer:
                 key, payload, meta=obs["meta"] if obs is not None else None
             )
         except QueueFullError as error:
-            retry_after = max(1, int(self.config.batch_window_ms / 1000.0) + 1)
             return (
                 429,
                 error_body("queue_full", str(error)),
-                {"Retry-After": str(retry_after)},
+                {"Retry-After": str(_RETRY_AFTER_S)},
             )
         except ServerClosingError as error:
             return 503, error_body("draining", str(error)), {}
@@ -787,6 +786,19 @@ def _latency_breakdown(
         "compute_ms": round(compute_ms, 3),
         "serialize_ms": round(serialize_ms, 3),
     }
+
+
+def _content_length(headers: Dict[str, str]) -> int:
+    """The request's body length; ``ValueError`` unless it is all digits.
+
+    ``int`` alone would pass ``-5`` (or ``+5``, ``1_0``) on to
+    ``readexactly``, which raises outside every handler and drops the
+    connection without a reply.
+    """
+    value = headers.get("content-length", "0") or "0"
+    if not (value.isascii() and value.isdigit()):
+        raise ValueError(f"bad Content-Length header {value!r}")
+    return int(value)
 
 
 def _parse_head(head: bytes) -> Tuple[str, str, Dict[str, str]]:

@@ -85,6 +85,7 @@ from .protocol import (
 from .server import (
     _TRACE_SPAN_LIMIT,
     ServerConfig,
+    _content_length,
     _outcome,
     _parse_head,
     _serve_until_stopped,
@@ -778,12 +779,12 @@ class ShardSupervisor:
 
         body = b""
         try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError:
+            length = _content_length(headers)
+        except ValueError as error:
             await _write_response(
                 writer,
                 400,
-                error_body("invalid_request", "bad Content-Length header"),
+                error_body("invalid_request", str(error)),
                 close=True,
             )
             return False

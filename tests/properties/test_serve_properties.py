@@ -11,7 +11,7 @@ byte-identity of canonical JSON, which is equality of the floats):
   inside any partition of any superset batch, yields identical numbers.
 
 Together these mean a tenant can never observe who else was coalesced
-into their window.
+into their batch.
 """
 
 from hypothesis import given, settings

@@ -33,7 +33,7 @@ def traced_shard():
     thread = ShardThread(
         ShardConfig(
             workers=2,
-            server=ServerConfig(batch_window_ms=25.0, trace=True),
+            server=ServerConfig(trace=True),
             respawn_backoff_s=0.05,
             respawn_backoff_cap_s=0.2,
         )
@@ -144,7 +144,7 @@ def test_aggregated_metrics_include_slo_and_quantile_sources(shard_client):
 
 def test_coalesced_bytes_identical_to_solo_with_tracing_on(shard_client):
     body = {"design": "a11", "n_chips": 2e7}
-    with ServerThread(ServerConfig(batch_window_ms=25.0)) as solo_thread:
+    with ServerThread(ServerConfig()) as solo_thread:
         solo = ServeClient(
             solo_thread.host, solo_thread.port, timeout=120.0
         ).post("/evaluate", body)
@@ -167,7 +167,7 @@ def test_drain_writes_one_merged_chrome_trace(tmp_path):
     thread = ShardThread(
         ShardConfig(
             workers=2,
-            server=ServerConfig(batch_window_ms=25.0, trace=True),
+            server=ServerConfig(trace=True),
             trace_out=str(trace_path),
         )
     ).start()

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.design.library import zen2_monolithic
 from repro.engine.batch_split import batch_split
 from repro.serve.protocol import canonical_json
@@ -166,18 +168,11 @@ def test_unavailable_node_is_400_not_500(client):
 def test_cli_wires_serve_subcommand():
     from repro.cli import build_parser
 
-    args = build_parser().parse_args(
-        [
-            "serve",
-            "--port",
-            "0",
-            "--batch-window-ms",
-            "5",
-            "--max-batch",
-            "16",
-        ]
-    )
+    parser = build_parser()
+    args = parser.parse_args(["serve", "--port", "0", "--max-batch", "16"])
     assert args.port == 0
-    assert args.batch_window_ms == 5.0
     assert args.max_batch == 16
     assert args.handler.__name__ == "_cmd_serve"
+    # Batches flush when their group is idle; there is no window knob.
+    with pytest.raises(SystemExit):
+        parser.parse_args(["serve", "--batch-window-ms", "5"])

@@ -1,10 +1,31 @@
-"""Failure paths: bad input, backpressure, deadlines, graceful shutdown."""
+"""Failure paths: bad input, backpressure, deadlines, graceful shutdown.
+
+Backpressure, deadline and drain cases park requests behind real work:
+the ``gate`` fixture (conftest) holds every fused batch in its worker
+thread until the test opens it, so a request is "in flight" or "waiting
+behind a running batch" by construction rather than by a timer.
+"""
 
 from __future__ import annotations
 
 import socket
 import threading
 import time
+
+
+def _wait_for(condition, timeout=10.0):
+    deadline = time.time() + timeout
+    while not condition() and time.time() < deadline:
+        time.sleep(0.01)
+    return condition()
+
+
+def _stop_in_background(server):
+    """Start ``server.stop()`` and return once the batcher is draining."""
+    stopper = threading.Thread(target=server.stop)
+    stopper.start()
+    assert _wait_for(lambda: server.server.batcher.draining)
+    return stopper
 
 
 def test_malformed_json_is_400(client):
@@ -69,19 +90,48 @@ def test_garbage_request_line_is_400(server):
 
 
 def test_bad_content_length_is_400(server):
-    head = (
-        b"POST /evaluate HTTP/1.1\r\nContent-Length: ten\r\n\r\n"
-    )
-    raw = _raw_exchange(server.host, server.port, head)
-    assert b"400" in raw.split(b"\r\n", 1)[0]
+    # Anything but plain digits is refused before the body is read: a
+    # negative length reaching readexactly() would drop the connection
+    # with no reply.
+    for value in (b"ten", b"-5", b"+5", b"1_0"):
+        head = (
+            b"POST /evaluate HTTP/1.1\r\nContent-Length: "
+            + value
+            + b"\r\n\r\n"
+        )
+        raw = _raw_exchange(server.host, server.port, head)
+        assert b"400" in raw.split(b"\r\n", 1)[0], value
+        assert b"invalid_request" in raw, value
 
 
-def test_queue_overflow_is_429_with_retry_after(serve_factory):
-    # A huge window parks admitted requests in a pending group, so the
-    # third request overflows the 2-deep admission queue.
-    server = serve_factory.server(
-        batch_window_ms=30_000.0, max_batch=64, max_queue=2
-    )
+def test_abandoned_requests_leave_no_in_flight_entries(server, client):
+    """A refused length or a client that hangs up mid-body is retired."""
+    for _ in range(3):
+        _raw_exchange(
+            server.host,
+            server.port,
+            b"POST /evaluate HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        )
+        with socket.create_connection(
+            (server.host, server.port), timeout=10.0
+        ) as sock:
+            sock.sendall(
+                b"POST /evaluate HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+                b'{"design":'
+            )
+
+    def stale():
+        in_flight = client.get("/debug/obs").json()["in_flight"]
+        return [e for e in in_flight if e["endpoint"] == "evaluate"]
+
+    assert _wait_for(lambda: not stale(), timeout=5.0), stale()
+
+
+def test_queue_overflow_is_429_with_retry_after(serve_factory, gate):
+    # The first request's batch is held in its worker thread and the
+    # second waits behind it, so the third overflows the 2-deep
+    # admission queue.
+    server = serve_factory.server(max_batch=64, max_queue=2)
     client = serve_factory.client(server)
     results = []
 
@@ -91,44 +141,46 @@ def test_queue_overflow_is_429_with_retry_after(serve_factory):
     threads = [threading.Thread(target=blocked) for _ in range(2)]
     for thread in threads:
         thread.start()
-    deadline = time.time() + 10.0
-    while server.server.batcher.depth < 2 and time.time() < deadline:
-        time.sleep(0.01)
+    assert _wait_for(lambda: server.server.batcher.depth >= 2)
     assert server.server.batcher.depth == 2
+    assert gate.entered.wait(timeout=10.0)
 
     rejected = client.post("/evaluate", {"design": "a11"})
     assert rejected.status == 429
     assert rejected.json()["error"]["code"] == "queue_full"
     assert int(rejected.headers["retry-after"]) >= 1
+    assert rejected.headers["retry-after"] == "1"
 
-    # Graceful stop flushes the parked group: the blocked callers get
-    # real answers, not errors.
-    server.stop()
+    # Graceful stop delivers the held batch and the request parked
+    # behind it: the blocked callers get real answers, not errors.
+    stopper = _stop_in_background(server)
+    gate.opened.set()
+    stopper.join(timeout=30.0)
+    assert not stopper.is_alive()
     for thread in threads:
         thread.join(timeout=30.0)
     assert [r.status for r in results] == [200, 200]
     assert results[0].body == results[1].body
 
 
-def test_deadline_exceeded_is_504(serve_factory):
-    server = serve_factory.server(
-        batch_window_ms=30_000.0, max_batch=64
-    )
+def test_deadline_exceeded_is_504(serve_factory, gate):
+    server = serve_factory.server(max_batch=64)
     client = serve_factory.client(server)
     started = time.time()
     response = client.post(
         "/evaluate", {"design": "a11"}, deadline_ms=100
     )
     elapsed = time.time() - started
+    assert gate.entered.wait(timeout=10.0)  # its batch ran, held
     assert response.status == 504
     assert response.json()["error"]["code"] == "deadline_exceeded"
-    assert elapsed < 10.0  # returned at the deadline, not the window
+    assert elapsed < 10.0  # returned at the deadline, not with the batch
     text = client.get("/metrics").body.decode()
     assert 'serve_rejected_total{reason="deadline"}' in text
 
 
-def test_deadline_of_one_member_does_not_fail_neighbors(serve_factory):
-    server = serve_factory.server(batch_window_ms=300.0, max_batch=64)
+def test_deadline_of_one_member_does_not_fail_neighbors(serve_factory, gate):
+    server = serve_factory.server(max_batch=64)
     client = serve_factory.client(server)
     results = {}
 
@@ -137,16 +189,27 @@ def test_deadline_of_one_member_does_not_fail_neighbors(serve_factory):
             "/evaluate", {"design": "a11"}, deadline_ms=deadline
         )
 
+    # A held batch of the same key parks both members behind it, in
+    # one group.
+    blocker = threading.Thread(target=call, args=("blocker", 60_000))
+    blocker.start()
+    assert gate.entered.wait(timeout=10.0)
     threads = [
         threading.Thread(target=call, args=("patient", 60_000)),
         threading.Thread(target=call, args=("hasty", 50)),
     ]
     for thread in threads:
         thread.start()
-    for thread in threads:
+    assert _wait_for(lambda: server.server.batcher.depth == 3)
+    threads[1].join(timeout=30.0)
+    assert results["hasty"].status == 504
+    gate.opened.set()
+    for thread in (blocker, *threads):
         thread.join(timeout=30.0)
     assert results["hasty"].status == 504
     assert results["patient"].status == 200
+    # The abandoned slot still rode in its neighbor's batch.
+    assert results["patient"].batch_size == 2
 
 
 def test_invalid_deadline_header_is_400(client):
@@ -160,7 +223,7 @@ def test_invalid_deadline_header_is_400(client):
 
 
 def test_draining_batcher_rejects_with_503(serve_factory):
-    server = serve_factory.server(batch_window_ms=5.0)
+    server = serve_factory.server()
     client = serve_factory.client(server)
     assert client.post("/evaluate", {"design": "a11"}).status == 200
     # Flip the batcher's drain flag directly: the listener is still up,
@@ -175,22 +238,29 @@ def test_draining_batcher_rejects_with_503(serve_factory):
         server.server.batcher._draining = False
 
 
-def test_graceful_shutdown_completes_in_flight_work(serve_factory):
-    server = serve_factory.server(batch_window_ms=500.0, max_batch=64)
+def test_graceful_shutdown_completes_in_flight_work(serve_factory, gate):
+    server = serve_factory.server(max_batch=64)
     client = serve_factory.client(server)
     results = []
 
     def call():
         results.append(client.post("/evaluate", {"design": "zen2"}))
 
-    thread = threading.Thread(target=call)
-    thread.start()
-    deadline = time.time() + 10.0
-    while server.server.batcher.depth < 1 and time.time() < deadline:
-        time.sleep(0.01)
-    server.stop()  # drains: the parked request must still complete
-    thread.join(timeout=30.0)
+    # One request's batch is running (held), one waits behind it.
+    threads = [threading.Thread(target=call) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    assert _wait_for(lambda: server.server.batcher.depth == 2)
+    # Drains: the running and the parked request must still complete.
+    stopper = _stop_in_background(server)
+    gate.opened.set()
+    stopper.join(timeout=30.0)
+    assert not stopper.is_alive()
+    for thread in threads:
+        thread.join(timeout=30.0)
+    assert len(results) == 2
     assert results and results[0].status == 200
+    assert results[1].status == 200
 
     # The socket is gone afterwards.
     try:

@@ -22,7 +22,7 @@ CONCURRENCY = 16
 
 
 def test_soak_two_hundred_requests(serve_factory):
-    server = serve_factory.server(batch_window_ms=10.0, max_batch=32)
+    server = serve_factory.server(max_batch=32)
     client = serve_factory.client(server)
 
     bodies = []

@@ -13,17 +13,11 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.obs.distributed import mint_trace_context, stitch_trace
 from repro.obs.log import read_request_log
-
-
-def _burst(client, path, bodies):
-    with ThreadPoolExecutor(max_workers=len(bodies)) as pool:
-        return list(pool.map(lambda body: client.post(path, body), bodies))
 
 
 def _spans_for(client, trace_id, names, attempts=50):
@@ -63,9 +57,7 @@ class TestRequestIds:
 class TestTracedServer:
     @pytest.fixture
     def traced(self, serve_factory):
-        return serve_factory.server(
-            batch_window_ms=25.0, max_batch=32, trace=True
-        )
+        return serve_factory.server(max_batch=32, trace=True)
 
     @pytest.fixture
     def traced_client(self, serve_factory, traced):
@@ -151,12 +143,12 @@ class TestTracedServer:
         assert 'serve_slo_ok{endpoint="evaluate"} 1' in text
 
     def test_coalescing_stays_byte_identical_with_tracing_on(
-        self, traced_client
+        self, traced_client, burst
     ):
         body = {"design": "a11", "n_chips": 2e7}
         solo = traced_client.post("/evaluate", body)
         assert solo.status == 200
-        responses = _burst(traced_client, "/evaluate", [body] * 8)
+        responses = burst(traced_client, "/evaluate", [body] * 8)
         assert all(r.status == 200 for r in responses)
         assert max(r.batch_size for r in responses) > 1
         for response in responses:
@@ -171,9 +163,7 @@ class TestRequestLog:
         self, serve_factory, tmp_path
     ):
         path = tmp_path / "requests.jsonl"
-        thread = serve_factory.server(
-            batch_window_ms=25.0, max_batch=32, log_json=str(path)
-        )
+        thread = serve_factory.server(max_batch=32, log_json=str(path))
         client = serve_factory.client(thread)
         response = client.post("/evaluate", {"design": "a11"})
         assert response.status == 200

@@ -11,12 +11,6 @@ still matches its own solo oracle. And every fused batch feeds the
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-
-
-def _burst(client, path, bodies):
-    with ThreadPoolExecutor(max_workers=len(bodies)) as pool:
-        return list(pool.map(lambda body: client.post(path, body), bodies))
 
 
 def test_scenarios_solo_response_shape(client):
@@ -37,7 +31,7 @@ def test_scenarios_solo_response_shape(client):
     assert "ttm_weeks" in json.dumps(payload["studies"])
 
 
-def test_scenarios_coalesce_across_designs_bit_identically(client):
+def test_scenarios_coalesce_across_designs_bit_identically(client, burst):
     bodies = [
         {
             "design": name,
@@ -52,14 +46,14 @@ def test_scenarios_coalesce_across_designs_bit_identically(client):
     }
     assert all(r.status == 200 for r in solos.values())
 
-    responses = _burst(client, "/scenarios", bodies * 3)
+    responses = burst(client, "/scenarios", bodies * 3)
     assert all(r.status == 200 for r in responses)
     assert max(r.batch_size for r in responses) > 1
     for body, response in zip(bodies * 3, responses):
         assert response.body == solos[body["design"]].body
 
 
-def test_differing_seeds_never_fuse(client):
+def test_differing_seeds_never_fuse(client, burst):
     seeds = (1, 2)
     bodies = [
         {"design": "a11", "scenarios": "baseline", "samples": 64,
@@ -70,7 +64,7 @@ def test_differing_seeds_never_fuse(client):
              for body in bodies}
     assert solos[1].body != solos[2].body  # the seed matters
 
-    responses = _burst(client, "/scenarios", bodies * 3)
+    responses = burst(client, "/scenarios", bodies * 3)
     assert all(r.status == 200 for r in responses)
     for body, response in zip(bodies * 3, responses):
         # Seed is in the group key: a batch never mixes seeds, so each
@@ -80,7 +74,7 @@ def test_differing_seeds_never_fuse(client):
         assert response.batch_size <= 3
 
 
-def test_mc_seed_in_group_key(client):
+def test_mc_seed_in_group_key(client, burst):
     bodies = [
         {"design": "a11", "samples": 128, "seed": seed}
         for seed in (10, 11)
@@ -88,7 +82,7 @@ def test_mc_seed_in_group_key(client):
     solos = {body["seed"]: client.post("/mc", body) for body in bodies}
     assert solos[10].body != solos[11].body
 
-    responses = _burst(client, "/mc", bodies * 3)
+    responses = burst(client, "/mc", bodies * 3)
     assert all(r.status == 200 for r in responses)
     for body, response in zip(bodies * 3, responses):
         assert response.body == solos[body["seed"]].body
@@ -102,9 +96,9 @@ def test_invalid_selector_rejected(client):
     assert response.status == 400
 
 
-def test_batch_fill_histogram_exposed(client):
+def test_batch_fill_histogram_exposed(client, burst):
     body = {"design": "a11", "scenarios": "baseline", "samples": 64}
-    responses = _burst(client, "/scenarios", [body] * 4)
+    responses = burst(client, "/scenarios", [body] * 4)
     assert all(r.status == 200 for r in responses)
 
     metrics = client.get("/metrics")

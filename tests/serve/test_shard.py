@@ -13,9 +13,10 @@ The tentpole contracts pinned here:
   its own connection;
 * ``/metrics`` aggregates per-worker families under ``worker="N"``
   labels with no duplicate series; ``/healthz`` reports the fleet;
-* a SIGKILLed worker is reaped and a replacement spawned; a rolling
-  drain completes every accepted request, refuses new ones with
-  503/draining, and leaves behind no worker process and no
+* a SIGKILLed worker is reaped and a replacement spawned — one killed
+  mid-request costs that request a prompt 503/worker_unavailable; a
+  rolling drain completes every accepted request, refuses new ones
+  with 503/draining, and leaves behind no worker process and no
   shared-memory segment.
 """
 
@@ -25,6 +26,7 @@ import glob
 import json
 import os
 import signal
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -78,6 +80,35 @@ def _segments():
 def _burst(client, path, bodies):
     with ThreadPoolExecutor(max_workers=len(bodies)) as pool:
         return list(pool.map(lambda body: client.post(path, body), bodies))
+
+
+def _slow_studies_by_slot(count):
+    """``count`` slow /scenarios bodies per worker slot of a 2-worker shard.
+
+    Every stress scenario at 4096 samples is ~0.1 s of real engine work
+    per request on a 2-CPU host; distinct seeds give distinct routing
+    keys, so a slot's bodies never coalesce and queue one behind another.
+    """
+    by_slot = {}
+    for seed in range(256):
+        body = {
+            "design": "a11",
+            "scenarios": "all",
+            "samples": 4096,
+            "seed": seed,
+        }
+        key = routing_key("scenarios", json.dumps(body).encode())
+        by_slot.setdefault(rendezvous_worker(key, [0, 1]), []).append(body)
+        if all(len(by_slot.get(slot, ())) >= count for slot in (0, 1)):
+            return {slot: by_slot[slot][:count] for slot in (0, 1)}
+    raise AssertionError(f"seeds never filled both slots: {by_slot}")
+
+
+def _wait_until(condition, timeout):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.002)
+    return condition()
 
 
 # -- routing (pure unit tests) -----------------------------------------------
@@ -212,7 +243,7 @@ def shard():
     thread = ShardThread(
         ShardConfig(
             workers=2,
-            server=ServerConfig(batch_window_ms=25.0),
+            server=ServerConfig(),
             respawn_backoff_s=0.05,
             respawn_backoff_cap_s=0.2,
         )
@@ -235,7 +266,7 @@ def shard_client(shard):
 @pytest.fixture(scope="module")
 def solo_oracle():
     """A single-process server: the byte-identity reference."""
-    with ServerThread(ServerConfig(batch_window_ms=25.0)) as thread:
+    with ServerThread(ServerConfig()) as thread:
         yield ServeClient(thread.host, thread.port, timeout=120.0)
 
 
@@ -306,8 +337,31 @@ def test_worker_labels_differ_from_single_process_healthz(shard_client):
     assert set(health) == {"status", "workers"}
 
 
-# Keep this test last in the module: it restarts a worker and bumps its
-# restart counter, which the fleet assertions above pin at zero.
+def test_malformed_content_length_is_400_at_the_router(shard):
+    # A negative length must never reach readexactly(), which raises
+    # outside every handler and drops the connection with no reply.
+    for value in (b"-5", b"+5", b"ten"):
+        with socket.create_connection(
+            (shard.host, shard.port), timeout=10.0
+        ) as sock:
+            sock.sendall(
+                b"POST /evaluate HTTP/1.1\r\nContent-Length: "
+                + value
+                + b"\r\n\r\n"
+            )
+            raw = b""
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                raw += chunk
+        assert raw.split(b"\r\n", 1)[0].split(b" ")[1:2] == [b"400"], value
+        assert b"invalid_request" in raw, value
+
+
+# Keep this test last among the shared-shard tests: it restarts a worker
+# and bumps its restart counter, which the fleet assertions above pin at
+# zero.
 def test_killed_worker_is_respawned(shard, shard_client):
     victim = shard.supervisor.workers[0]
     old_pid = victim.pid
@@ -328,44 +382,80 @@ def test_killed_worker_is_respawned(shard, shard_client):
     assert response.status == 200
 
 
-# -- rolling drain (own boot: the test stops the server) ---------------------
+# -- own boots: these tests kill a worker or stop the server -----------------
+
+
+def test_worker_killed_mid_request_is_503_and_respawned():
+    thread = ShardThread(
+        ShardConfig(
+            workers=2, respawn_backoff_s=0.05, respawn_backoff_cap_s=0.2
+        )
+    ).start()
+    supervisor = thread.supervisor
+    client = ServeClient(thread.host, thread.port, timeout=60.0)
+    pids = [w.pid for w in supervisor.workers]
+    try:
+        # ~0.3 s of engine work: every stress scenario at 16384 samples.
+        body = {"design": "a11", "scenarios": "all", "samples": 16384}
+        key = routing_key("scenarios", json.dumps(body).encode())
+        victim = supervisor.workers[rendezvous_worker(key, [0, 1])]
+        old_pid = victim.pid
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            started = time.monotonic()
+            future = pool.submit(client.post, "/scenarios", body)
+            assert _wait_until(lambda: supervisor._in_flight == 1, 10.0)
+            time.sleep(0.02)  # the forward hop to the worker is sub-ms
+            assert supervisor._in_flight == 1
+            os.kill(old_pid, signal.SIGKILL)
+            response = future.result(timeout=60.0)
+            elapsed = time.monotonic() - started
+        assert response.status == 503
+        assert response.error_code == "worker_unavailable"
+        assert elapsed < 10.0  # prompt, well within the client timeout
+
+        assert _wait_until(
+            lambda: victim.alive() and victim.pid != old_pid, 60.0
+        ), "the killed worker was not respawned within 60 s"
+        pids.append(victim.pid)
+        retry = client.post("/scenarios", body)
+        assert retry.status == 200
+    finally:
+        thread.stop()
+    # No orphans: the killed worker was reaped, its replacement and the
+    # other worker stopped with the shard.
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 def test_rolling_drain_completes_in_flight_and_rejects_new():
     before = _segments()
-    thread = ShardThread(
-        ShardConfig(
-            workers=2,
-            server=ServerConfig(batch_window_ms=400.0),
-        )
-    ).start()
+    thread = ShardThread(ShardConfig(workers=2)).start()
+    supervisor = thread.supervisor
     client = ServeClient(thread.host, thread.port, timeout=120.0)
     try:
-        # Two groups that land on different workers: knob shapes give
-        # distinct routing keys; with 2 slots and several shapes at
-        # least two keys must split.
-        shapes = [
-            {"design": "a11"},
-            {"design": "a11", "queue_weeks": 2.0},
-            {"design": "a11", "d0_scale": 1.0},
-            {"design": "a11", "wafer_rate_scale": 1.0},
-        ]
-        slots = [0, 1]
-        by_slot = {}
-        for body in shapes:
-            key = routing_key("evaluate", json.dumps(body).encode())
-            by_slot.setdefault(rendezvous_worker(key, slots), body)
-        assert len(by_slot) == 2, by_slot
-        bodies = list(by_slot.values()) * 2
+        # Real work in flight on both workers when the drain begins:
+        # three slow studies per worker, queued one behind another.
+        slow = _slow_studies_by_slot(3)
+        bodies = slow[0] + slow[1]
 
         pool = ThreadPoolExecutor(max_workers=len(bodies))
         futures = [
-            pool.submit(client.post, "/evaluate", body) for body in bodies
+            pool.submit(client.post, "/scenarios", body) for body in bodies
         ]
-        time.sleep(0.1)  # let every request enter its batch window
+        _wait_until(
+            lambda: supervisor._in_flight == len(bodies)
+            or any(future.done() for future in futures),
+            30.0,
+        )
 
         stopper = threading.Thread(target=thread.stop)
         stopper.start()
+        assert _wait_until(lambda: supervisor.draining, 10.0)
+        # Draining refuses new requests before they are counted, so the
+        # count only falls from here: nonzero now means requests were in
+        # flight when the drain began.
+        assert supervisor._in_flight > 0
 
         # While the drain runs, fresh requests get an explicit
         # 503/draining, not a refused connection.
