@@ -88,6 +88,67 @@ def _as_positive_array(
     return array
 
 
+#: Per rank, the rows of that rank's profiles and their target cells.
+_Ranks = Tuple[Tuple[Union[int, slice, np.ndarray], tuple], ...]
+
+
+def _scatter_ranks(
+    target: Tuple[np.ndarray, ...], shape: Tuple[int, ...], n_cells: int
+) -> _Ranks:
+    """Group profiles by rank for :func:`_scatter_in_order`.
+
+    ``target`` indexes each profile's cell in an array of ``shape`` (one
+    index array per axis), and ``n_cells`` counts the distinct cells it
+    hits. A profile's rank is the number of earlier profiles with the
+    same cell, read off a stable sort by cell, so no cell appears twice
+    within a rank; when every profile has a cell of its own, there is
+    one rank and no sort.
+    """
+    n_profiles = target[0].size
+    if n_profiles == n_cells:
+        groups = [np.arange(n_profiles)]
+    else:
+        cell = np.ravel_multi_index(target, shape)
+        order = np.argsort(cell, kind="stable")
+        ordered = cell[order]
+        rank = np.arange(n_profiles) - np.searchsorted(ordered, ordered)
+        groups = [order[rank == r] for r in range(int(rank.max()) + 1)]
+    return tuple(_rank_index(rows, target, n_profiles) for rows in groups)
+
+
+def _rank_index(
+    rows: np.ndarray, target: Tuple[np.ndarray, ...], n_profiles: int
+) -> Tuple[Union[int, slice, np.ndarray], tuple]:
+    """One rank's ``(rows, cells)`` index pair.
+
+    A lone profile is indexed by plain integers, so its add updates a
+    view in place; all profiles are indexed by a slice, so nothing is
+    gathered from the contributions.
+    """
+    if rows.size == 1:
+        row = int(rows[0])
+        return row, tuple(int(axis[row]) for axis in target)
+    if rows.size == n_profiles:
+        return slice(None), target
+    return rows, tuple(axis[rows] for axis in target)
+
+
+def _scatter_in_order(
+    out: np.ndarray, ranks: _Ranks, contribution: np.ndarray
+) -> np.ndarray:
+    """``np.add.at(out, target, contribution)``, bit for bit, fast.
+
+    ``np.add.at`` adds ``contribution[i]`` into its cell for ``i`` in
+    profile order through a slow element-general loop. Here one
+    fancy-index add per rank does the same: cells are unique within a
+    rank, and ranks run in profile order, so every cell receives the
+    same additions on the same operands in the same order.
+    """
+    for rows, cells in ranks:
+        out[cells] += contribution[rows]
+    return out
+
+
 @dataclass(frozen=True)
 class PortfolioInvariants:
     """The compiled design table: per-design, per-node and per-die columns.
@@ -109,6 +170,8 @@ class PortfolioInvariants:
     The nominal ``wafers_per_chip`` and ``testing_weeks_per_chip``
     columns are :meth:`wafers_per_chip_at` and
     :meth:`testing_weeks_per_chip_at` at D0 scale 1, bit for bit.
+    ``slot_ranks`` and ``design_ranks`` split the profiles by their
+    (design, node) slot and by their design for :func:`_scatter_in_order`.
     """
 
     designs: Tuple[str, ...]
@@ -141,10 +204,30 @@ class PortfolioInvariants:
     profile_salvage_required: np.ndarray
     profile_uncore_defects: np.ndarray
     profile_unit_defects: np.ndarray
+    slot_ranks: _Ranks = field(init=False, repr=False)
+    design_ranks: _Ranks = field(init=False, repr=False)
     wafers_per_chip: np.ndarray = field(init=False)
     testing_weeks_per_chip: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
+        # ``node_mask`` marks exactly the slots the profiles fill, and
+        # every design has at least one die.
+        object.__setattr__(
+            self,
+            "slot_ranks",
+            _scatter_ranks(
+                (self.profile_design, self.profile_node),
+                self.node_mask.shape,
+                int(np.count_nonzero(self.node_mask)),
+            ),
+        )
+        object.__setattr__(
+            self,
+            "design_ranks",
+            _scatter_ranks(
+                (self.profile_design,), (self.n_designs,), self.n_designs
+            ),
+        )
         yields = self.profile_yields(1.0)
         wafers = self.wafers_per_chip_at(1.0, yields)[:, :, 0]
         testing = self.testing_weeks_per_chip_at(1.0, yields)[:, 0]
@@ -219,8 +302,7 @@ class PortfolioInvariants:
         contribution = self.profile_count[:, None] / (
             self.profile_gross[:, None] * yields
         )
-        np.add.at(out, (self.profile_design, self.profile_node), contribution)
-        return out
+        return _scatter_in_order(out, self.slot_ranks, contribution)
 
     def testing_weeks_per_chip_at(
         self,
@@ -242,8 +324,7 @@ class PortfolioInvariants:
             * self.profile_ntt[:, None]
             * self.profile_testing_effort[:, None]
         )
-        np.add.at(out, self.profile_design, contribution)
-        return out
+        return _scatter_in_order(out, self.design_ranks, contribution)
 
 
 #: Per-node parameters the table reads, in :func:`_compile`'s column order.
@@ -1005,25 +1086,6 @@ def portfolio_cost(
     )
 
 
-def _scatter_add_rows(
-    out: np.ndarray, index: np.ndarray, contribution: np.ndarray
-) -> None:
-    """``np.add.at(out, index, contribution)`` via in-order row adds.
-
-    ``np.add.at`` applies ``out[index[i]] += contribution[i]`` for ``i``
-    in array order through a slow element-general inner loop; running
-    the very same accumulation as one in-place vectorized row add per
-    profile keeps the operation order and operands — and therefore the
-    bits — identical while being several times faster. Falls back to
-    ``np.add.at`` when rows are not arrays (scalar tail).
-    """
-    if out.ndim >= 2 and np.ndim(contribution) >= 2:
-        for i, d in enumerate(index):
-            out[d] += contribution[i]
-    else:
-        np.add.at(out, index, contribution)
-
-
 def _portfolio_cost_from_tensors(
     cost_model: CostModel,
     invariants: PortfolioInvariants,
@@ -1087,14 +1149,15 @@ def _portfolio_cost_from_tensors(
         yields.shape[1:],
         np.shape(quantities_design)[-1:] if quantities_design.ndim else (),
     )
-    testing_usd = np.zeros((invariants.n_designs,) + tail)
-    _scatter_add_rows(
-        testing_usd, invariants.profile_design, testing_contribution
+    testing_usd = _scatter_in_order(
+        np.zeros((invariants.n_designs,) + tail),
+        invariants.design_ranks,
+        testing_contribution,
     )
     packaging_usd = np.zeros((invariants.n_designs,) + tail)
     packaging_usd += quantities_design * cost_model.package_base_usd
-    _scatter_add_rows(
-        packaging_usd, invariants.profile_design, packaging_contribution
+    _scatter_in_order(
+        packaging_usd, invariants.design_ranks, packaging_contribution
     )
 
     shape = np.broadcast_shapes(

@@ -17,7 +17,8 @@ per scenario):
 
 * **D0 group sharing** — scenarios sharing a defect-density multiplier
   share bit-identical yield/wafer/testing tensors (the expensive
-  ``pow`` + ``np.add.at`` pass), computed once per unique multiplier;
+  ``pow`` pass and the per-die scatter into designs), computed once per
+  unique multiplier;
 * **one supply + baseline** — TTM and CAS share one resolved supply and
   one baseline total-weeks pass per scenario instead of two;
 * **leave-one-out CAS** — perturbing node ``p`` only changes node
@@ -456,7 +457,9 @@ class _D0Groups:
 
     Scenarios sharing a D0 multiplier transform the base draws into
     bit-identical sample arrays, so their derived tensors (the
-    expensive yield ``pow`` + ``np.add.at`` accumulations) are shared.
+    expensive yield ``pow`` and the in-order per-die scatters of
+    :meth:`~repro.engine.portfolio.PortfolioInvariants.wafers_per_chip_at`
+    and ``testing_weeks_per_chip_at``) are shared.
     """
 
     def __init__(

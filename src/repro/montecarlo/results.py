@@ -204,6 +204,60 @@ def _one_row(samples: np.ndarray) -> np.ndarray:
     return np.asarray(samples, dtype=float).reshape(1, -1)
 
 
+def _sorted_quantiles(
+    ordered: np.ndarray, levels: Sequence[float]
+) -> np.ndarray:
+    """``np.percentile(ordered, levels, axis=1).T`` read from sorted rows.
+
+    ``np.percentile`` would copy and partition rows that are already
+    sorted; this takes its ``linear`` method's neighbours by index
+    instead and replays its arithmetic operation for operation: the
+    virtual index ``(n - 1) * q``, both neighbours clamped to the last
+    sample at or past it, ``gamma`` against the clamped index, and
+    ``_lerp``'s ``b - diff * (1 - t)`` branch where ``t >= 0.5``. So
+    the result is ``np.percentile``'s, bit for bit. ``levels`` must lie
+    in [0, 100].
+    """
+    n_samples = ordered.shape[1]
+    virtual = (n_samples - 1) * np.true_divide(levels, 100)
+    previous = np.floor(virtual)
+    following = previous + 1
+    clamped = virtual >= n_samples - 1
+    previous[clamped] = -1
+    following[clamped] = -1
+    previous = previous.astype(np.intp)
+    gamma = virtual - previous
+    low = ordered[:, previous]
+    high = ordered[:, following.astype(np.intp)]
+    diff = high - low
+    result = low + diff * gamma
+    np.subtract(high, diff * (1 - gamma), out=result, where=gamma >= 0.5)
+    return result
+
+
+def _exceedance_grids(
+    first: np.ndarray, last: np.ndarray, points: int
+) -> np.ndarray:
+    """Each row's ``np.linspace(first, last, points)``, in one pass.
+
+    Per row this is ``np.linspace``'s own arithmetic, including its
+    branch for a step that underflows to 0 (``ramp / div * delta``),
+    which is chosen per row: a constant row leaves the other rows'
+    grids alone.
+    """
+    div = points - 1
+    delta = last - first
+    step = delta / div
+    ramp = np.arange(points, dtype=float)
+    grids = ramp * step[:, None]
+    flat = step == 0
+    if flat.any():
+        grids[flat] = ramp / div * delta[flat, None]
+    grids += first[:, None]
+    grids[:, -1] = last
+    return grids
+
+
 def summarize_block(
     name: str,
     block: np.ndarray,
@@ -217,14 +271,17 @@ def summarize_block(
     Returns one ``(summary, curve)`` pair per row, as
     :meth:`MetricSummary.from_samples` and
     :meth:`ExceedanceCurve.from_samples` define them. The block is
-    sorted once along its rows and one ``np.percentile`` call covers
-    every row's VaR level and band; moments are row-axis reductions.
-    Per row remain the CVaR mean, over the tail samples in sample order,
-    and the exceedance grid with its ``searchsorted``.
+    sorted once along its rows; every row's VaR level and band are read
+    from the sorted rows by index, and every row's exceedance grid is
+    built in one ``linspace`` pass, each replaying NumPy's arithmetic
+    (``np.percentile``, ``np.linspace``) bit for bit. Moments are
+    row-axis reductions, and ``std`` reuses the means as ``np.std``
+    would compute them. The tail mask is formed once per block; per row
+    remain the CVaR sum, over the tail samples in sample order as
+    ``np.mean`` takes it, and the exceedance ``searchsorted``.
 
     A row's result depends on that row alone, so a coalesced study's
-    cells equal the solo study's. Hence the per-row grid: ``np.linspace``
-    over many rows switches every row's formula when any row is constant.
+    cells equal the solo study's.
     """
     # Reductions along axis 1 equal the 1-D ones only on C-ordered rows.
     values = np.ascontiguousarray(block, dtype=float)
@@ -253,24 +310,38 @@ def summarize_block(
         raise InvalidParameterError(
             f"need >= 2 grid points, got {curve_points}"
         )
+    band = [float(p) for p in percentiles]
+    for p in band:
+        if not 0.0 <= p <= 100.0:
+            raise InvalidParameterError(
+                f"percentiles must be in [0, 100], got {p}"
+            )
     upper = tail == "upper"
     var_level = 100.0 * tail_level if upper else 100.0 * (1.0 - tail_level)
-    band = [float(p) for p in percentiles]
+    row_means = values.mean(axis=1)
+    # ``np.std``'s own steps, on the means already taken.
+    deviations = values - row_means[:, None]
+    np.square(deviations, out=deviations)
+    stds = np.sqrt(np.add.reduce(deviations, axis=1) / n_samples).tolist()
+    del deviations  # freed before the sort copies the block
     ordered = np.sort(values, axis=1)
-    quantiles = np.percentile(ordered, [var_level] + band, axis=1).T.tolist()
-    means = values.mean(axis=1).tolist()
-    stds = values.std(axis=1).tolist()
+    quantiles = _sorted_quantiles(ordered, [var_level] + band)
+    var_column = quantiles[:, :1]
+    in_tail = values >= var_column if upper else values <= var_column
+    grids = _exceedance_grids(ordered[:, 0], ordered[:, -1], curve_points)
+    thresholds = grids.tolist()
+    means = row_means.tolist()
     minima = values.min(axis=1).tolist()
     maxima = values.max(axis=1).tolist()
     out: List[Tuple[MetricSummary, ExceedanceCurve]] = []
-    for r, (var, *levels) in enumerate(quantiles):
-        row, sorted_row = values[r], ordered[r]
+    for r, (var, *levels) in enumerate(quantiles.tolist()):
         # In sample order: a mean over the sorted suffix differs in the
         # last bits.
-        tail_values = row[row >= var] if upper else row[row <= var]
-        grid = np.linspace(sorted_row[0], sorted_row[-1], curve_points)
+        tail_values = values[r][in_tail[r]]
         # P(X > t) = (count of samples strictly above t) / n.
-        above = n_samples - np.searchsorted(sorted_row, grid, side="right")
+        above = n_samples - np.searchsorted(
+            ordered[r], grids[r], side="right"
+        )
         summary = MetricSummary(
             name=name,
             n_samples=n_samples,
@@ -282,11 +353,11 @@ def summarize_block(
             tail=tail,
             tail_level=tail_level,
             var=var,
-            cvar=float(np.mean(tail_values)),
+            cvar=float(np.add.reduce(tail_values) / tail_values.size),
         )
         curve = ExceedanceCurve(
             name=name,
-            thresholds=grid.tolist(),
+            thresholds=thresholds[r],
             probabilities=(above / n_samples).tolist(),
         )
         out.append((summary, curve))

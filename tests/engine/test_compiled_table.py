@@ -9,6 +9,11 @@ yield) and core-salvage dies, with block-parallel tapeout and the
 edge-corrected gross-die estimator switched on and off. The D0-scaled
 terms are checked against the same functions on a database whose
 defect densities are scaled through ``TechnologyDatabase.override``.
+
+The D0-dependent terms (and the cost kernel's testing and packaging
+terms) accumulate per-die contributions with an in-order scatter that
+must equal ``np.add.at`` bit for bit; the fused cube and its looped
+oracle both call it, so only a direct comparison can pin it.
 """
 
 import numpy as np
@@ -21,7 +26,12 @@ from repro.design.block import Block
 from repro.design.chip import ChipDesign
 from repro.design.die import Die
 from repro.design.library.a11 import a11
-from repro.engine.portfolio import compile_portfolio
+from repro.design.library.zen2 import zen2
+from repro.engine.portfolio import (
+    _scatter_in_order,
+    _scatter_ranks,
+    compile_portfolio,
+)
 from repro.errors import (
     InvalidParameterError,
     NodeUnavailableError,
@@ -213,6 +223,92 @@ class TestColumnsMatchTheScalarModel:
         assert np.array_equal(
             table.testing_weeks_per_chip,
             table.testing_weeks_per_chip_at(1.0)[:, 0],
+        )
+
+
+@st.composite
+def scatter_layouts(draw):
+    """Profiles over (design, node) cells, 1-3 die types per used cell,
+    in drawn order: ``(profile_design, profile_node, table shape, used
+    cells, used designs)``."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    cells = [(d, n) for d in range(shape[0]) for n in range(shape[1])]
+    used = draw(st.lists(st.sampled_from(cells), min_size=1, unique=True))
+    profiles = [
+        cell for cell in used for _ in range(draw(st.integers(1, 3)))
+    ]
+    profiles = draw(st.permutations(profiles))
+    design, node = (np.array(axis, dtype=np.intp) for axis in zip(*profiles))
+    return design, node, shape, len(used), len({d for d, _ in used})
+
+
+def assert_same_bits(actual, expected):
+    assert actual.shape == expected.shape
+    assert np.array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+class TestInOrderScatter:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        layout=scatter_layouts(),
+        n_samples=st.sampled_from((1, 4096)),
+        broadcast=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_np_add_at_bit_for_bit(
+        self, layout, n_samples, broadcast, seed
+    ):
+        design, node, shape, n_slots, n_designs = layout
+        rng = np.random.default_rng(seed)
+        # A (profiles, 1) contribution broadcasts over the sample axis,
+        # as the cost kernel's packaging term does.
+        width = 1 if broadcast else n_samples
+        contribution = 10.0 ** rng.uniform(-5.0, 5.0, (design.size, width))
+        for target, cells, n_cells in (
+            ((design, node), shape, n_slots),
+            ((design,), shape[:1], n_designs),
+        ):
+            expected = np.zeros(cells + (n_samples,))
+            np.add.at(expected, target, contribution)
+            actual = _scatter_in_order(
+                np.zeros(cells + (n_samples,)),
+                _scatter_ranks(target, cells, n_cells),
+                contribution,
+            )
+            assert_same_bits(actual, expected)
+
+    def test_table_terms_equal_np_add_at(self):
+        # Zen 2 on one node puts three die types in one (design, node)
+        # cell; the other designs keep one die type per cell.
+        table = compile_portfolio(
+            (
+                a11("7nm"),
+                zen2("7nm", "7nm", interposer=True, interposer_process="7nm"),
+                zen2(),
+            ),
+            DB,
+        )
+        scale = np.random.default_rng(3).uniform(0.25, 4.0, 4096)
+        yields = table.profile_yields(scale)
+        wafers = np.zeros((table.n_designs, table.max_nodes, scale.size))
+        np.add.at(
+            wafers,
+            (table.profile_design, table.profile_node),
+            table.profile_count[:, None]
+            / (table.profile_gross[:, None] * yields),
+        )
+        assert_same_bits(table.wafers_per_chip_at(scale, yields), wafers)
+        testing = np.zeros((table.n_designs, scale.size))
+        np.add.at(
+            testing,
+            table.profile_design,
+            table.profile_count[:, None]
+            / yields
+            * table.profile_ntt[:, None]
+            * table.profile_testing_effort[:, None],
+        )
+        assert_same_bits(
+            table.testing_weeks_per_chip_at(scale, yields), testing
         )
 
 

@@ -34,6 +34,7 @@ from repro.engine.scenario import (
     scenario_ttm,
 )
 from repro.errors import InvalidParameterError
+from repro.montecarlo.disruption import MIN_CAPACITY_FRACTION
 from repro.montecarlo.stress import (
     STRESS_LIBRARY,
     graded_stress_scenarios,
@@ -175,20 +176,24 @@ class TestCubeEquivalence:
 
     @settings(max_examples=20, deadline=None)
     @given(
-        demand=st.floats(0.4, 2.0),
-        cap=st.floats(0.3, 1.2),
+        # Demand and capacity reach the extremes: capacity down to the
+        # disruption model's 1e-3 floor, demand over six decades on a
+        # base of up to 1e12 chips.
+        chips=st.floats(1.0, 1e12),
+        demand=st.floats(1e-3, 1e3),
+        cap=st.floats(MIN_CAPACITY_FRACTION, 1.2),
         queue=st.floats(1.0, 2.5),
         add=st.floats(0.0, 8.0),
         d0=st.floats(0.7, 1.8),
         rate=st.floats(0.6, 1.2),
     )
     def test_property_fused_equals_loop(
-        self, model, demand, cap, queue, add, d0, rate
+        self, model, chips, demand, cap, queue, add, d0, rate
     ):
         designs = (a11("7nm"), zen2())
         rng = np.random.default_rng(7)
         draws = {
-            "n_chips": N_CHIPS * (0.8 + 0.4 * rng.random(8)),
+            "n_chips": chips * (0.8 + 0.4 * rng.random(8)),
             "capacity": 0.6 + 0.3 * rng.random(8),
             "queue_weeks": 3.0 * rng.random(8),
             "d0_scale": 0.9 + 0.2 * rng.random(8),

@@ -3,16 +3,20 @@
 The cube is a pure function of (spec, seed, scenarios): serial, thread,
 and process executors — and any chunk size — must produce bit-identical
 summaries. CVaR is pinned against a hand-computed tail mean, and the
-CLI-facing tables must carry every scenario row.
+CLI-facing tables must carry every scenario row. The full 29-scenario
+study does a fixed, host-independent amount of fused work.
 """
 
 import numpy as np
 import pytest
 
+import repro.montecarlo.results as results_module
+import repro.montecarlo.scenario_study as scenario_study_module
 from repro.design.library.a11 import a11
-from repro.design.library.zen2 import zen2
+from repro.design.library.zen2 import zen2, zen2_monolithic
 from repro.errors import InvalidParameterError
 from repro.montecarlo.scenario_study import (
+    DEFAULT_CHUNK_SCENARIOS,
     conditional_value_at_risk,
     run_scenario_study,
 )
@@ -156,6 +160,55 @@ class TestStudyShape:
         with pytest.raises(InvalidParameterError):
             run_scenario_study(model, designs, spec, scenario_set,
                                N_SAMPLES, SEED)
+
+
+class TestStressStudyWorkBudget:
+    def test_fused_calls_cells_and_summary_blocks(
+        self, model, cost_model, monkeypatch
+    ):
+        # The stress benchmark's study: every stress scenario, three
+        # designs, 4,096 samples, serial, default chunks. A fallback to
+        # per-scenario cubes or per-row summaries changes these counts
+        # on any host.
+        counts = {"scenario_evaluate": 0, "cells": 0, "summarize_block": 0}
+        evaluate = scenario_study_module.scenario_evaluate
+        summarize = results_module.summarize_block
+
+        def counted_evaluate(*args, **kwargs):
+            cube = evaluate(*args, **kwargs)
+            counts["scenario_evaluate"] += 1
+            counts["cells"] += cube.ttm.total_weeks.size
+            return cube
+
+        def counted_summarize(*args, **kwargs):
+            counts["summarize_block"] += 1
+            return summarize(*args, **kwargs)
+
+        monkeypatch.setattr(
+            scenario_study_module, "scenario_evaluate", counted_evaluate
+        )
+        monkeypatch.setattr(
+            results_module, "summarize_block", counted_summarize
+        )
+        scenarios = stress_scenarios(("all",))
+        designs = (a11("7nm"), zen2(), zen2_monolithic("7nm"))
+        study = run_scenario_study(
+            model,
+            designs,
+            default_supply_spec(n_chips=1e7),
+            scenarios,
+            n_samples=4096,
+            seed=SEED,
+            cost_model=cost_model,
+            executor="serial",
+        )
+        assert (scenarios.n_scenarios, DEFAULT_CHUNK_SCENARIOS) == (29, 8)
+        assert len(study.cell("baseline", designs[0].name).summaries) == 3
+        assert counts == {
+            "scenario_evaluate": 4,  # ceil(29 / 8) chunks
+            "cells": 29 * 3 * 4096,  # 356,352
+            "summarize_block": 12,  # 3 metrics x 4 chunks
+        }
 
 
 class TestCVaR:

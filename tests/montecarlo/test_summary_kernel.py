@@ -197,6 +197,13 @@ class TestKernelValidation:
             summarize_block("x", np.ones((1, 4)), tail_level=1.0)
         with pytest.raises(InvalidParameterError, match="grid"):
             summarize_block("x", np.ones((1, 4)), curve_points=1)
+        for bad in (np.nan, -1.0, 101.0):
+            with pytest.raises(
+                InvalidParameterError, match=f"percentiles .* got {bad}"
+            ):
+                summarize_block(
+                    "x", np.ones((1, 4)), percentiles=(50.0, bad)
+                )
 
     def test_empty_block_has_no_rows(self):
         assert summarize_block("x", np.ones((0, 4))) == []
