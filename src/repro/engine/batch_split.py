@@ -4,23 +4,25 @@ The scalar Sec. 7 path (:func:`repro.multiprocess.split.evaluate_split`)
 re-derives each ported design's invariants once per (pair, split) plan:
 a 10-node, 100-point study costs thousands of full scalar model
 evaluations. This module evaluates the whole (pair x split-grid) tensor
-through cached compiled design tables instead:
+from one compiled *line table* per stage instead:
 
-* each node's ported design is built **once** (`design_factory(node)`)
-  and its line weeks / line cost over every allocated fraction come from
-  one :func:`~repro.engine.batch.batch_ttm` / ``batch_cost`` call (a
-  1-design portfolio);
+* each node's ported design is built **once** (`design_factory(node)`),
+  and every production line the stage needs — each node's design at
+  each allocated fraction, under the base conditions and under each CAS
+  rate perturbation — is one column of one
+  :func:`~repro.engine.portfolio.portfolio_ttm` call; line costs are
+  one :func:`~repro.engine.portfolio.portfolio_cost` call;
 * the split TTM is the ``max`` over the two production lines (the order
   is filled when the slower line finishes);
 * two-node CAS (Eq. 8) perturbs each node's wafer rate by the same
   relative step the scalar central difference uses — the perturbed line
-  arrays are shared across every pair that touches the node;
+  columns are shared across every pair that touches the node;
 * cost pays NRE on *both* nodes (the methodology's overhead) plus each
   line's recurring manufacturing.
 
 Results match the scalar oracle to <= 1e-9 relative error (pinned by
-``tests/engine/test_batch_split.py``); ``scripts/bench_engine.py``
-tracks the speedup as the ``fig14_split_sweep`` workload.
+``tests/engine/test_batch_split.py``), and every line equals its own
+one-design ``batch_ttm`` / ``batch_cost`` bit for bit.
 
 Degenerate cells (``split >= 1.0`` or a diagonal ``primary ==
 secondary`` pair) reproduce the scalar
@@ -47,7 +49,13 @@ from ..multiprocess.split import DesignFactory, ProductionSplit, SplitEvaluation
 from ..obs.instrument import observed_kernel
 from ..ttm.model import TTMModel
 from .batch import batch_cost, batch_ttm
-from .portfolio import ArrayLike, CapacityLike, _as_positive_array
+from .portfolio import (
+    ArrayLike,
+    CapacityLike,
+    _as_positive_array,
+    portfolio_cost,
+    portfolio_ttm,
+)
 
 #: Default split grid: 1% .. 100% of chips on the primary node. Kept in
 #: sync with ``repro.multiprocess.optimizer.DEFAULT_SPLIT_GRID`` (which
@@ -193,15 +201,27 @@ class SplitGridResult:
 
 
 class _LineEngine:
-    """Shared per-node line evaluations behind the tensor assembly.
+    """Every production line of one study stage, from one line table.
 
-    Every production line is the ported design running some fraction of
-    the order on its own node. Line arrays depend only on (node, the
-    fraction vector, which node's rate is perturbed) — never on the
-    pair — so they are memoized and shared across all pairs of a study.
-    The ported design itself is built once per node, which is what lets
-    its compiled 1-design table
-    (:func:`~repro.engine.portfolio.compile_portfolio`) cache hit.
+    A line is a node's ported design running some fraction of the order
+    on its own node. The caller names every line up front as ``probes``
+    (node -> the fractions it needs), and the engine evaluates them all
+    with one :func:`~repro.engine.portfolio.portfolio_ttm` call (and one
+    :func:`~repro.engine.portfolio.portfolio_cost` call when
+    ``with_cost``):
+
+    * design axis: the ported design of each probed node, built once;
+    * sample axis: blocks x fractions. Block 0 holds the model's
+      conditions; with ``with_cas``, each node the designs use adds a
+      +step and a -step block in which only that node's capacity moves,
+      to :meth:`perturbation`'s fractions. Each design's distinct
+      fractions, times ``n_chips``, are tiled across the blocks as its
+      own ``n_chips`` row.
+
+    A line never reads another node's capacity, so each column equals
+    the one-design ``batch_ttm`` of that line bit for bit: equal operands
+    give equal bits. :meth:`totals` and :meth:`costs` then only index the
+    evaluated table.
     """
 
     def __init__(
@@ -211,21 +231,55 @@ class _LineEngine:
         cost_model: CostModel,
         n_chips: float,
         relative_step: float,
+        probes: Mapping[str, Sequence[np.ndarray]],
+        with_cas: bool = True,
+        with_cost: bool = True,
     ) -> None:
-        self.design_factory = design_factory
         self.model = model
-        self.cost_model = cost_model
-        self.n_chips = n_chips
         self.relative_step = relative_step
-        self._designs: Dict[str, object] = {}
         self._perturbations: Dict[str, Tuple[float, float, float]] = {}
-        self._totals: Dict[tuple, np.ndarray] = {}
-        self._costs: Dict[tuple, np.ndarray] = {}
-
-    def design(self, node: str):
-        if node not in self._designs:
-            self._designs[node] = self.design_factory(node)
-        return self._designs[node]
+        self._fractions = {
+            node: np.unique(np.concatenate(arrays))
+            for node, arrays in probes.items()
+            if any(np.size(array) for array in arrays)
+        }
+        nodes = tuple(self._fractions)
+        self._row = {node: row for row, node in enumerate(nodes)}
+        self._designs = {node: design_factory(node) for node in nodes}
+        designs = tuple(self._designs.values())
+        used = tuple(
+            {process: None for d in designs for process in d.processes}
+        )
+        self._block = {(None, 0): 0}
+        if with_cas:
+            for node in used:
+                for sign in (+1, -1):
+                    self._block[(node, sign)] = len(self._block)
+        width = max(len(known) for known in self._fractions.values())
+        chips = n_chips * np.array([
+            np.pad(known, (0, width - len(known)), mode="edge")
+            for known in self._fractions.values()
+        ])
+        conditions = model.foundry.conditions
+        capacity = {}
+        for node in used:
+            column = np.full(len(self._block), conditions.capacity_for(node))
+            if with_cas:
+                _, plus, minus = self.perturbation(node)
+                column[self._block[(node, +1)]] = plus
+                column[self._block[(node, -1)]] = minus
+            capacity[node] = np.repeat(column, width)
+        self._weeks = portfolio_ttm(
+            model,
+            designs,
+            np.tile(chips, len(self._block)),
+            capacity=capacity,
+        ).total_weeks.reshape(len(designs), len(self._block), width)
+        self._costs = None
+        if with_cost:
+            self._costs = portfolio_cost(
+                cost_model, designs, chips, engineers=model.engineers
+            ).total_usd
 
     def perturbation(self, node: str) -> Tuple[float, float, float]:
         """(absolute step, fraction at +step, fraction at -step).
@@ -255,6 +309,9 @@ class _LineEngine:
             )
         return self._perturbations[node]
 
+    def _columns(self, node: str, fractions: np.ndarray) -> np.ndarray:
+        return np.searchsorted(self._fractions[node], fractions)
+
     def totals(
         self,
         node: str,
@@ -264,46 +321,22 @@ class _LineEngine:
     ) -> np.ndarray:
         """Line completion weeks for ``fractions`` of the order on ``node``.
 
-        ``perturb``/``sign`` evaluate the line with ``perturb``'s wafer
-        rate displaced by one CAS step. Lines whose ported design never
-        fabricates on ``perturb`` are returned unperturbed (and share the
-        base cache entry), which is exactly the scalar behavior: the
-        perturbed market conditions only move lines that use the node.
+        ``perturb``/``sign`` read the line with ``perturb``'s wafer rate
+        displaced by one CAS step. A line whose ported design never
+        fabricates on ``perturb`` reads its base block, which is exactly
+        the scalar behavior: the perturbed market conditions only move
+        lines that use the node.
         """
-        design = self.design(node)
-        if perturb is not None and perturb not in design.processes:
-            return self.totals(node, fractions)
-        key = (node, fractions.tobytes(), perturb, sign)
-        if key not in self._totals:
-            capacity = None
-            if perturb is not None:
-                _, plus, minus = self.perturbation(perturb)
-                capacity = {perturb: plus if sign > 0 else minus}
-            weeks = batch_ttm(
-                self.model,
-                design,
-                self.n_chips * fractions,
-                capacity=capacity,
-            ).total_weeks
-            self._totals[key] = np.asarray(weeks, dtype=float).reshape(
-                fractions.shape
-            )
-        return self._totals[key]
+        block = 0
+        if perturb is not None and perturb in self._designs[node].processes:
+            block = self._block[(perturb, sign)]
+        return self._weeks[
+            self._row[node], block, self._columns(node, fractions)
+        ]
 
     def costs(self, node: str, fractions: np.ndarray) -> np.ndarray:
         """Line chip-creation cost (node NRE + recurring) per fraction."""
-        key = (node, fractions.tobytes())
-        if key not in self._costs:
-            total = batch_cost(
-                self.cost_model,
-                self.design(node),
-                self.n_chips * fractions,
-                engineers=self.model.engineers,
-            ).total_usd
-            self._costs[key] = np.asarray(total, dtype=float).reshape(
-                fractions.shape
-            )
-        return self._costs[key]
+        return self._costs[self._row[node], self._columns(node, fractions)]
 
 
 def _split_matrix(split_grid, n_pairs: int) -> np.ndarray:
@@ -382,8 +415,18 @@ def batch_split(
             splits[i, :] = 1.0
     single = splits >= 1.0
 
+    probes: Dict[str, List[np.ndarray]] = {}
+    for i, (primary, secondary) in enumerate(pair_list):
+        probes.setdefault(primary, []).append(splits[i])
+        probes.setdefault(secondary, []).append(1.0 - splits[i][~single[i]])
     engine = _LineEngine(
-        design_factory, model, cost_model, n_chips, relative_step
+        design_factory,
+        model,
+        cost_model,
+        n_chips,
+        relative_step,
+        probes,
+        with_cas=with_cas,
     )
     n_pairs, n_splits = splits.shape
     ttm = np.empty((n_pairs, n_splits))
@@ -466,6 +509,19 @@ def batch_split(
     )
 
 
+def _bracket(result: SplitGridResult, pair_index: int) -> Tuple[float, float]:
+    """The coarse optimum's two grid neighbours (or a mirrored edge)."""
+    row = result.splits[pair_index]
+    best = float(row[result.best_index(pair_index)])
+    below = row[row < best]
+    above = row[row > best]
+    lower = float(below.max()) if below.size else best / 2.0
+    upper = float(above.min()) if above.size else min(
+        1.0, best + (best - lower)
+    )
+    return lower, upper
+
+
 def refine_split_grid(
     result: SplitGridResult, points: int = DEFAULT_REFINE_POINTS
 ) -> np.ndarray:
@@ -487,15 +543,7 @@ def refine_split_grid(
         if bool(result.single_mask[i].all()):
             fine[i] = 1.0
             continue
-        row = result.splits[i]
-        best = float(row[result.best_index(i)])
-        below = row[row < best]
-        above = row[row > best]
-        lower = float(below.max()) if below.size else best / 2.0
-        upper = float(above.min()) if above.size else min(
-            1.0, best + (best - lower)
-        )
-        fine[i] = np.linspace(lower, upper, points)
+        fine[i] = np.linspace(*_bracket(result, i), points)
     return fine
 
 
@@ -570,24 +618,36 @@ def refine_split_exact(
         raise InvalidParameterError(
             f"refinement needs at least 2 points, got {points}"
         )
-    engine = _LineEngine(
-        design_factory, model, cost_model, result.n_chips, relative_step
-    )
-    rows: List[np.ndarray] = []
+    brackets: List[Optional[Tuple[float, float, np.ndarray]]] = []
+    probes: Dict[str, List[np.ndarray]] = {}
     for i in range(result.n_pairs):
         if bool(result.single_mask[i].all()):
+            brackets.append(None)
+            continue
+        primary, secondary = result.pairs[i]
+        lo, hi = _bracket(result, i)
+        at = np.asarray([lo, (lo + hi) / 2.0, hi])
+        brackets.append((lo, hi, at))
+        probes.setdefault(primary, []).append(at)
+        probes.setdefault(secondary, []).append(1.0 - at)
+    engine = None
+    if probes:
+        engine = _LineEngine(
+            design_factory,
+            model,
+            cost_model,
+            result.n_chips,
+            relative_step,
+            probes,
+            with_cost=False,
+        )
+    rows: List[np.ndarray] = []
+    for i, bracket in enumerate(brackets):
+        if bracket is None:
             rows.append(np.asarray([1.0]))
             continue
         primary, secondary = result.pairs[i]
-        row = result.splits[i]
-        best = float(row[result.best_index(i)])
-        below = row[row < best]
-        above = row[row > best]
-        lo = float(below.max()) if below.size else best / 2.0
-        hi = float(above.min()) if above.size else min(
-            1.0, best + (best - lo)
-        )
-        probes = np.asarray([lo, (lo + hi) / 2.0, hi])
+        lo, hi, at = bracket
         scenarios = (
             (None, 0),
             (primary, +1),
@@ -598,16 +658,16 @@ def refine_split_exact(
         fits = {}
         affine = True
         for perturb, sign in scenarios:
-            weeks_p = engine.totals(primary, probes, perturb, sign)
-            weeks_q = engine.totals(secondary, 1.0 - probes, perturb, sign)
+            weeks_p = engine.totals(primary, at, perturb, sign)
+            weeks_q = engine.totals(secondary, 1.0 - at, perturb, sign)
             if not (
                 _probe_is_affine(weeks_p) and _probe_is_affine(weeks_q)
             ):
                 affine = False
                 break
             fits[(perturb, sign)] = (
-                _affine_fit(probes, weeks_p),
-                _affine_fit(probes, weeks_q),
+                _affine_fit(at, weeks_p),
+                _affine_fit(at, weeks_q),
             )
         if not affine:
             rows.append(np.linspace(lo, hi, points))

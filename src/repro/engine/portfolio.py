@@ -30,9 +30,14 @@ latency) and are masked out of every reduction, so row ``i`` depends on
 design ``i`` alone: reordering or subsetting the design tuple reorders
 the rows bit for bit.
 
+Each design row may read its own technology database: an ensemble of
+calibration worlds compiles as the rows of one table, and every kernel
+call then scores all worlds at once (the kernels read node parameters
+only from the table; market conditions come from the model).
+
 Compiled portfolios are cached in the shared invariant LRU
 (:func:`~repro.engine.invariants.cached_invariants`) under a fingerprint
-key — the identity tuple of the technology database and every design
+key — the identities of the technology database(s) and every design
 plus the scalar model knobs — so repeated evaluations across a sweep or
 served requests skip recompilation entirely.
 """
@@ -41,7 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -66,7 +71,7 @@ _WAFERS_PER_NORMALIZED_UNIT = 1000.0
 
 
 def _readonly(array: np.ndarray) -> np.ndarray:
-    array.flags.writeable = False
+    array.setflags(write=False)
     return array
 
 
@@ -343,15 +348,52 @@ _NODE_FIELDS = (
 )
 
 
+#: ``technology`` argument: one database, or one database per design.
+TechnologyLike = Union[TechnologyDatabase, Sequence[TechnologyDatabase]]
+
+
+def _first_appearance(items: Sequence) -> Tuple[tuple, List[int]]:
+    """The distinct objects (by identity) in first-appearance order, and
+    each item's index into them."""
+    position: Dict[int, int] = {}
+    index = [position.setdefault(id(item), len(position)) for item in items]
+    return tuple(dict(zip(map(id, items), items)).values()), index
+
+
+def _technology_rows(
+    technology: TechnologyLike, n_designs: int
+) -> Tuple[Tuple[TechnologyDatabase, ...], np.ndarray]:
+    """The distinct databases, and each design's index into them.
+
+    One database is the one-entry case: every design reads entry 0.
+    """
+    if isinstance(technology, TechnologyDatabase):
+        return (technology,), np.zeros(n_designs, dtype=np.intp)
+    databases = tuple(technology)
+    if len(databases) != n_designs:
+        raise InvalidParameterError(
+            f"need one technology database per design; got "
+            f"{len(databases)} for {n_designs} designs"
+        )
+    distinct, index = _first_appearance(databases)
+    return distinct, np.array(index, dtype=np.intp)
+
+
 def _compile(
     designs: Tuple[ChipDesign, ...],
-    technology: TechnologyDatabase,
+    technology: TechnologyLike,
     engineers: int,
     alpha: float,
     edge_corrected: bool,
     block_parallel: bool,
 ) -> PortfolioInvariants:
     """Gather one row per (design, die), then derive every column in NumPy.
+
+    Each distinct design object's die rows are gathered once and repeated
+    for every design that holds it. Each (database, node) pair the rows
+    use is checked and read once into one ``(field, database x node)``
+    parameter table; the per-row columns read it at ``row_pair`` and the
+    per-slot columns at ``database_block[:, None] + slot_node``.
 
     Each expression mirrors its scalar model function term for term
     (``Die.area_on``, ``dies_per_wafer[_simple]``, ``Die.yield_on``,
@@ -364,60 +406,98 @@ def _compile(
         raise InvalidParameterError(
             f"team size must be positive, got {engineers}"
         )
+    databases, design_database = _technology_rows(technology, len(designs))
+    distinct, design_distinct = _first_appearance(designs)
     nodes: Dict[str, int] = {}
-    processes = []
+    distinct_processes = []
     rows = []
-    for d, design in enumerate(designs):
+    for u, design in enumerate(distinct):
         slots: Dict[str, int] = {}
         for die in design.dies:
-            if die.process not in nodes:
-                technology.require_production(die.process)
-                nodes[die.process] = len(nodes)
             salvage = die.salvage
+            block_nut = [block.nut for block in die.blocks]
             rows.append((
-                d,
+                u,
                 slots.setdefault(die.process, len(slots)),
-                nodes[die.process],
+                nodes.setdefault(die.process, len(nodes)),
+                0 if salvage is None else salvage.n_units,
+                0 if salvage is None else salvage.required_units,
                 die.count,
                 die.ntt,
-                die.nut,
-                max((block.nut for block in die.blocks), default=0.0)
-                + die.top_level_transistors,
+                sum(block_nut) + die.top_level_transistors,  # Die.nut
+                max(block_nut, default=0.0) + die.top_level_transistors,
                 math.nan if die.area_mm2 is None else die.area_mm2,
                 die.min_area_mm2,
                 math.nan if die.yield_override is None else die.yield_override,
-                0 if salvage is None else salvage.n_units,
-                0 if salvage is None else salvage.required_units,
                 0.0 if salvage is None else salvage.unit_area_fraction,
             ))
-        processes.append(tuple(slots))
+        distinct_processes.append(tuple(slots))
+    # Field-major, so every per-die column below is a contiguous row.
+    columns = np.array(list(zip(*rows)), dtype=float)
+    processes = tuple(distinct_processes)
+    if len(distinct) < len(designs):
+        # Repeat each distinct design's rows for every design holding it.
+        processes = tuple(distinct_processes[u] for u in design_distinct)
+        distinct_of = np.array(design_distinct, dtype=np.intp)
+        dies = np.bincount(columns[0].astype(np.intp), minlength=len(distinct))
+        n_dies = dies[distinct_of]
+        columns = columns[
+            :,
+            np.arange(n_dies.sum())
+            + np.repeat(
+                (np.cumsum(dies) - dies)[distinct_of]
+                - (np.cumsum(n_dies) - n_dies),
+                n_dies,
+            ),
+        ]
+        columns[0] = np.repeat(np.arange(len(designs)), n_dies)
+    row_design, row_slot, row_node, salvage_units, salvage_required = (
+        columns[:5].astype(np.intp)
+    )
     (
-        row_design, row_slot, row_node, count, ntt, nut, parallel_nut,
-        explicit_area, min_area, fixed_yield, salvage_units,
-        salvage_required, unit_fraction,
-    ) = (np.array(column) for column in zip(*rows))
+        count, ntt, nut, parallel_nut, explicit_area, min_area, fixed_yield,
+        unit_fraction,
+    ) = columns[5:]
+
+    # Node parameters of the (database, node) pairs the rows use, each
+    # checked once, in (database, first appearance) order, as a (field,
+    # pair) table. With one database, every node the rows name is used.
+    names = tuple(nodes)
+    n_pairs = len(databases) * len(names)
+    database_block = design_database * len(names)
+    row_pair = database_block[row_design] + row_node
+    used = (
+        range(n_pairs)
+        if len(databases) == 1
+        else np.flatnonzero(np.bincount(row_pair, minlength=n_pairs)).tolist()
+    )
+    values = np.array([
+        [getattr(node, f) for f in _NODE_FIELDS]
+        for node in (
+            databases[pair // len(names)].require_production(
+                names[pair % len(names)]
+            )
+            for pair in used
+        )
+    ]).T.copy()
+    table = values
+    if len(used) < n_pairs:
+        table = np.full((len(_NODE_FIELDS), n_pairs), np.nan)
+        table[:, used] = values
     (
         density, d0, diameter, tapeout_effort, testing_effort,
-        packaging_effort, max_rate, fab_latency, wafer_cost, tapeout_fixed,
-        mask_set,
-    ) = np.array(
-        [[getattr(technology[n], f) for f in _NODE_FIELDS] for n in nodes],
-        dtype=float,
-    ).T
-    count = count.astype(float)
+        packaging_effort, _, _, _, _, _,
+    ) = table.take(row_pair, axis=1)
 
     # Geometry and yield inputs per die row (Eqs. 5-6).
     area = np.maximum(
-        np.where(
-            np.isnan(explicit_area), ntt / density[row_node], explicit_area
-        ),
+        np.where(np.isnan(explicit_area), ntt / density, explicit_area),
         min_area,
     )
-    row_diameter = diameter[row_node]
-    wafer_area = np.pi * (row_diameter / 2.0) ** 2
+    wafer_area = np.pi * (diameter / 2.0) ** 2
     gross = wafer_area / area
     if edge_corrected:
-        estimate = gross - np.pi * row_diameter / np.sqrt(2.0 * area)
+        estimate = gross - np.pi * diameter / np.sqrt(2.0 * area)
         gross = np.where(
             estimate >= 1.0, estimate, np.where(area <= wafer_area, 1.0, 0.0)
         )
@@ -427,11 +507,9 @@ def _compile(
             f"design {designs[row_design[bad]].name!r}: a {area[bad]:.0f} "
             "mm^2 die does not fit on its wafer"
         )
-    row_d0 = d0[row_node]
-    uncore_defects = mm2_to_cm2(area * (1.0 - unit_fraction)) * row_d0
+    uncore_defects = mm2_to_cm2(area * (1.0 - unit_fraction)) * d0
     unit_defects = (
-        mm2_to_cm2(area * unit_fraction / np.maximum(salvage_units, 1))
-        * row_d0
+        mm2_to_cm2(area * unit_fraction / np.maximum(salvage_units, 1)) * d0
     )
 
     # Per-node slots: tapeout (Eq. 2, slowest die per node), NRE inputs.
@@ -440,38 +518,38 @@ def _compile(
     node_mask[row_design, row_slot] = True
     slot_node = np.zeros(shape, dtype=np.intp)
     slot_node[row_design, row_slot] = row_node
+    slot_table = table.take(database_block[:, None] + slot_node, axis=1)
 
-    def per_slot(column: np.ndarray, pad: float = 0.0) -> np.ndarray:
-        return _readonly(np.where(node_mask, column[slot_node], pad))
+    def per_slot(name: str, pad: float = 0.0) -> np.ndarray:
+        column = slot_table[_NODE_FIELDS.index(name)]
+        return _readonly(np.where(node_mask, column, pad))
 
     tapeout_nut = parallel_nut if block_parallel else nut
     tapeout = np.zeros(shape)
     np.maximum.at(
         tapeout,
         (row_design, row_slot),
-        tapeout_nut * tapeout_effort[row_node] / float(engineers),
+        tapeout_nut * tapeout_effort / float(engineers),
     )
     nut_by_slot = np.zeros(shape)
     np.add.at(nut_by_slot, (row_design, row_slot), nut)
-    effort = nut_by_slot * per_slot(tapeout_effort)
+    effort = nut_by_slot * per_slot("tapeout_effort")
     assembly = np.zeros(shape[0])
-    np.add.at(
-        assembly, row_design, count * area * packaging_effort[row_node]
-    )
+    np.add.at(assembly, row_design, count * area * packaging_effort)
 
     return PortfolioInvariants(
         designs=tuple(design.name for design in designs),
-        processes=tuple(processes),
-        nodes=tuple(nodes),
+        processes=processes,
+        nodes=names,
         node_mask=_readonly(node_mask),
         slot_node=_readonly(slot_node),
         tapeout_weeks=_readonly(tapeout),
-        max_rate=per_slot(max_rate, 1.0),
-        fab_latency_weeks=per_slot(fab_latency),
-        wafer_cost_usd=per_slot(wafer_cost),
+        max_rate=per_slot("max_wafer_rate_per_week", 1.0),
+        fab_latency_weeks=per_slot("fab_latency_weeks"),
+        wafer_cost_usd=per_slot("wafer_cost_usd"),
         tapeout_effort_weeks=_readonly(effort),
-        tapeout_fixed_usd=per_slot(tapeout_fixed),
-        mask_set_usd=per_slot(mask_set),
+        tapeout_fixed_usd=per_slot("tapeout_fixed_cost_usd"),
+        mask_set_usd=per_slot("mask_set_cost_usd"),
         sequential_tapeout_weeks=_readonly(
             effort.sum(axis=1) / float(engineers)
         ),
@@ -481,15 +559,15 @@ def _compile(
             np.array([design.design_weeks for design in designs], dtype=float)
         ),
         alpha=alpha,
-        profile_design=_readonly(row_design.astype(np.intp)),
-        profile_node=_readonly(row_slot.astype(np.intp)),
+        profile_design=_readonly(row_design),
+        profile_node=_readonly(row_slot),
         profile_count=_readonly(count),
-        profile_ntt=_readonly(ntt.astype(float)),
+        profile_ntt=_readonly(ntt),
         profile_area_mm2=_readonly(area),
         profile_gross=_readonly(gross),
-        profile_testing_effort=_readonly(testing_effort[row_node]),
-        profile_mean_defects=_readonly(mm2_to_cm2(area) * row_d0),
-        profile_fixed_yield=_readonly(fixed_yield.astype(float)),
+        profile_testing_effort=_readonly(testing_effort),
+        profile_mean_defects=_readonly(mm2_to_cm2(area) * d0),
+        profile_fixed_yield=_readonly(fixed_yield),
         profile_salvage_units=_readonly(salvage_units),
         profile_salvage_required=_readonly(salvage_required),
         profile_uncore_defects=_readonly(uncore_defects),
@@ -499,7 +577,7 @@ def _compile(
 
 def portfolio_fingerprint(
     designs: Sequence[ChipDesign],
-    technology: TechnologyDatabase,
+    technology: TechnologyLike,
     engineers: int = DEFAULT_ENGINEERS,
     alpha: float = DEFAULT_ALPHA,
     edge_corrected: bool = False,
@@ -508,14 +586,19 @@ def portfolio_fingerprint(
     """The shared-LRU cache key for a compiled portfolio.
 
     Identity-keyed (both ``ChipDesign`` and ``TechnologyDatabase`` are
-    immutable by construction), plus the scalar model knobs. Two call
-    sites evaluating the same design tuple under the same database hit
-    one cache entry.
+    immutable by construction): the identity of the database, or of each
+    per-design database, and of every design, plus the scalar model
+    knobs. Two call sites evaluating the same design tuple under the
+    same database(s) hit one cache entry.
     """
+    if isinstance(technology, TechnologyDatabase):
+        databases: object = _IdKey(technology)
+    else:
+        databases = tuple(map(_IdKey, technology))
     return (
         "portfolio",
-        _IdKey(technology),
-        tuple(_IdKey(design) for design in designs),
+        databases,
+        tuple(map(_IdKey, designs)),
         engineers,
         alpha,
         edge_corrected,
@@ -526,7 +609,7 @@ def portfolio_fingerprint(
 @observed_kernel("engine.compile_portfolio", lambda r: r.node_mask.size)
 def compile_portfolio(
     designs: Sequence[ChipDesign],
-    technology: TechnologyDatabase,
+    technology: TechnologyLike,
     engineers: int = DEFAULT_ENGINEERS,
     alpha: float = DEFAULT_ALPHA,
     edge_corrected: bool = False,
@@ -534,8 +617,11 @@ def compile_portfolio(
 ) -> PortfolioInvariants:
     """Compile the designs into one :class:`PortfolioInvariants` table.
 
-    Cached in the shared LRU under its :func:`portfolio_fingerprint`,
-    weighing one unit per design against the cache's design bound.
+    ``technology`` is one database for every design, or a sequence with
+    one database per design (say, an ensemble of calibration worlds as
+    the rows of one table). Cached in the shared LRU under its
+    :func:`portfolio_fingerprint`, weighing one unit per design against
+    the cache's design bound.
     """
     designs = tuple(designs)
     if not designs:

@@ -3,7 +3,7 @@
 Workload: a 16-core Ariane chip at 14 nm manufactured at 100 M units,
 sweeping each L1 from 1 KB to 1 MB. Small caches buy IPC almost for free;
 past ~512 KB combined, diminishing IPC returns meet growing die area and
-TTM climbs.
+TTM climbs. The 121 designs are scored by one portfolio TTM call.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from typing import Optional, Sequence, Tuple
 
 from ..analysis.tables import format_table
 from ..design.library.ariane import CACHE_SWEEP_KB, ariane_manycore
+from ..engine.portfolio import portfolio_ttm
 from ..perf.ipc import IPCModel
 from ..ttm.model import TTMModel
 
@@ -94,20 +95,21 @@ def run(
     ttm_model = (model or TTMModel.nominal()).at_capacity(capacity_share)
     perf = ipc_model or IPCModel()
     sweep = tuple(sizes_kb) if sizes_kb else CACHE_SWEEP_KB
-    points = []
-    for icache_kb in sweep:
-        for dcache_kb in sweep:
-            design = ariane_manycore(
-                process, cores=cores, icache_kb=icache_kb, dcache_kb=dcache_kb
-            )
-            points.append(
-                CachePoint(
-                    icache_kb=icache_kb,
-                    dcache_kb=dcache_kb,
-                    ipc=perf.ipc(icache_kb, dcache_kb),
-                    ttm_weeks=ttm_model.total_weeks(design, n_chips),
-                )
-            )
+    pairs = [(i, d) for i in sweep for d in sweep]
+    designs = [
+        ariane_manycore(process, cores=cores, icache_kb=i, dcache_kb=d)
+        for i, d in pairs
+    ]
+    ttm = portfolio_ttm(ttm_model, designs, n_chips).total_weeks[:, 0]
+    points = [
+        CachePoint(
+            icache_kb=icache_kb,
+            dcache_kb=dcache_kb,
+            ipc=perf.ipc(icache_kb, dcache_kb),
+            ttm_weeks=weeks,
+        )
+        for (icache_kb, dcache_kb), weeks in zip(pairs, ttm.tolist())
+    ]
     return Fig04Result(
         process=process, n_chips=n_chips, cores=cores, points=tuple(points)
     )

@@ -3,7 +3,8 @@
 The paper's point: the two figures of merit peak at *different*
 configurations (IPC/TTM at a smaller, balanced pair; IPC/cost at a
 larger data cache), and optimizing for IPC/TTM costs little IPC/cost
-while the reverse sacrifices substantial IPC/TTM.
+while the reverse sacrifices substantial IPC/TTM. One portfolio TTM call
+and one portfolio cost call score the whole grid.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from ..analysis.sweep import normalized
 from ..analysis.tables import format_table
 from ..cost.model import CostModel
 from ..design.library.ariane import CACHE_SWEEP_KB, ariane_manycore
+from ..engine.portfolio import portfolio_cost, portfolio_ttm
 from ..perf.ipc import IPCModel
 from ..ttm.model import TTMModel
 from .fig04_cache_scatter import (
@@ -119,16 +121,21 @@ def run(
     costs = cost_model or CostModel.nominal()
     perf = ipc_model or IPCModel()
     sweep = tuple(sizes_kb) if sizes_kb else CACHE_SWEEP_KB
-    raw = []
-    for icache_kb in sweep:
-        for dcache_kb in sweep:
-            design = ariane_manycore(
-                process, cores=cores, icache_kb=icache_kb, dcache_kb=dcache_kb
-            )
-            ipc = perf.ipc(icache_kb, dcache_kb)
-            ttm = ttm_model.total_weeks(design, n_chips)
-            cost = costs.total_usd(design, n_chips)
-            raw.append((icache_kb, dcache_kb, ipc, ttm, cost))
+    pairs = [(i, d) for i in sweep for d in sweep]
+    designs = [
+        ariane_manycore(process, cores=cores, icache_kb=i, dcache_kb=d)
+        for i, d in pairs
+    ]
+    ttm = portfolio_ttm(ttm_model, designs, n_chips).total_weeks[:, 0]
+    cost = portfolio_cost(
+        costs, designs, n_chips, engineers=ttm_model.engineers
+    ).total_usd[:, 0]
+    raw = [
+        (icache_kb, dcache_kb, perf.ipc(icache_kb, dcache_kb), weeks, usd)
+        for (icache_kb, dcache_kb), weeks, usd in zip(
+            pairs, ttm.tolist(), cost.tolist()
+        )
+    ]
     per_ttm = normalized([ipc / ttm for _, _, ipc, ttm, _ in raw])
     per_cost = normalized([ipc / cost for _, _, ipc, _, cost in raw])
     points = tuple(

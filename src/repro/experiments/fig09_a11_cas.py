@@ -14,8 +14,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 from ..analysis.sweep import capacity_fractions
 from ..analysis.tables import format_table
 from ..design.library.a11 import A11_TOTAL_TRANSISTORS, A11_UNIQUE_TRANSISTORS, a11
-from ..engine.batch import cas_over_capacity
-from ..engine.parallel import parallel_map
+from ..engine.portfolio import portfolio_cas_over_capacity
 from ..sensitivity.ttm_factors import cas_factor_function, ttm_factors
 from ..sensitivity.uncertainty import UncertaintyResult, uncertainty_bands
 from ..ttm.model import TTMModel
@@ -72,28 +71,23 @@ def run(
     fractions: Optional[Sequence[float]] = None,
     with_bands: bool = False,
     band_samples: int = 128,
-    executor: str = "serial",
-    max_workers: Optional[int] = None,
 ) -> Fig09Result:
     """Regenerate Fig. 9's CAS-vs-capacity curves.
 
-    Each node's curve is one batched CAS call; ``executor`` fans the
-    per-node work out through :func:`repro.engine.parallel.parallel_map`.
-    ``with_bands`` additionally estimates the +-10% / +-25% input-
-    variance CIs of the full-capacity CAS (the figure's shaded regions);
-    it costs ``2 * band_samples`` CAS evaluations per node.
+    One portfolio CAS call covers every node's curve. ``with_bands``
+    additionally estimates the +-10% / +-25% input-variance CIs of the
+    full-capacity CAS (the figure's shaded regions); it costs
+    ``2 * band_samples`` CAS evaluations per node.
     """
     ttm_model = model or TTMModel.nominal()
     technology = ttm_model.foundry.technology
     sweep = tuple(fractions) if fractions else capacity_fractions(0.1, 1.0, 19)
-
-    def node_curve(process: str) -> Tuple[float, ...]:
-        return tuple(cas_over_capacity(ttm_model, a11(process), n_chips, sweep))
-
-    curves = parallel_map(
-        node_curve, processes, executor=executor, max_workers=max_workers
+    curves = portfolio_cas_over_capacity(
+        ttm_model, [a11(process) for process in processes], n_chips, sweep
     )
-    series = dict(zip(processes, curves))
+    series = {
+        process: tuple(curve) for process, curve in zip(processes, curves)
+    }
     bands = {}
     for process in processes:
         if with_bands:

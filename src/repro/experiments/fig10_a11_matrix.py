@@ -15,8 +15,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 from ..analysis.sweep import chip_quantities
 from ..analysis.tables import format_table
 from ..design.library.a11 import a11
-from ..engine.batch import batch_ttm
-from ..engine.parallel import parallel_map
+from ..engine.portfolio import portfolio_ttm
 from ..ttm.model import TTMModel
 from .fig07_a11_ttm_cost import DEFAULT_PROCESSES
 
@@ -59,27 +58,18 @@ def run(
     model: Optional[TTMModel] = None,
     processes: Sequence[str] = DEFAULT_PROCESSES,
     quantities: Optional[Sequence[float]] = None,
-    executor: str = "serial",
-    max_workers: Optional[int] = None,
 ) -> Fig10Result:
     """Regenerate Fig. 10's TTM matrix.
 
-    One batched TTM call covers a node's whole quantity row; ``executor``
-    fans the per-node rows out through
-    :func:`repro.engine.parallel.parallel_map`.
+    One portfolio TTM call covers every node's whole quantity row.
     """
     ttm_model = model or TTMModel.nominal()
     volume_grid = tuple(quantities) if quantities else chip_quantities()
-
-    def node_row(process: str) -> Tuple[float, ...]:
-        totals = batch_ttm(ttm_model, a11(process), volume_grid).total_weeks
-        return tuple(float(weeks) for weeks in totals)
-
-    rows = parallel_map(
-        node_row, processes, executor=executor, max_workers=max_workers
-    )
+    totals = portfolio_ttm(
+        ttm_model, [a11(process) for process in processes], volume_grid
+    ).total_weeks
     ttm = {}
-    for process, row in zip(processes, rows):
+    for process, row in zip(processes, totals.tolist()):
         for n_chips, weeks in zip(volume_grid, row):
             ttm[(process, n_chips)] = weeks
     return Fig10Result(

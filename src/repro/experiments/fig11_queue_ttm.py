@@ -9,13 +9,14 @@ steepen — the longer the quoted queue, the steeper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..analysis.sweep import capacity_fractions
 from ..analysis.tables import format_table
 from ..design.library.a11 import a11
-from ..engine.batch import ttm_over_capacity
-from ..engine.parallel import parallel_map
+from ..engine.batch import batch_ttm
 from ..market.conditions import MarketConditions
 from ..ttm.model import TTMModel
 from .fig07_a11_ttm_cost import DEFAULT_N_CHIPS
@@ -52,12 +53,25 @@ class Fig11Result:
         return format_table(headers, rows)
 
 
-def queue_model(
-    base: TTMModel, process: str, queue_weeks: float
-) -> TTMModel:
-    """The base model with a lead time quoted on one node."""
-    conditions = MarketConditions.nominal().with_queue(process, queue_weeks)
-    return base.with_foundry(base.foundry.with_conditions(conditions))
+def queue_model(base: TTMModel) -> TTMModel:
+    """The base model at nominal market conditions.
+
+    The sweeps quote each lead time through the kernels' ``queue_weeks``
+    samples, which apply to every node of the design: the A11's one.
+    """
+    return base.with_foundry(
+        base.foundry.with_conditions(MarketConditions.nominal())
+    )
+
+
+def queue_grid(
+    queues: Sequence[float], fractions: Sequence[float]
+) -> Dict[str, np.ndarray]:
+    """``capacity`` and ``queue_weeks`` of the (queue x fraction) grid."""
+    return {
+        "capacity": np.asarray(fractions, dtype=float)[None, :],
+        "queue_weeks": np.asarray(queues, dtype=float)[:, None],
+    }
 
 
 def run(
@@ -66,26 +80,17 @@ def run(
     n_chips: float = DEFAULT_N_CHIPS,
     queues: Sequence[float] = DEFAULT_QUEUES,
     fractions: Optional[Sequence[float]] = None,
-    executor: str = "serial",
-    max_workers: Optional[int] = None,
 ) -> Fig11Result:
     """Regenerate Fig. 11's TTM-vs-capacity curves per queue time.
 
-    Each queue's curve is one batched TTM call; ``executor`` fans the
-    per-queue work out through :func:`repro.engine.parallel.parallel_map`.
+    One batched TTM call covers the (queue x capacity) grid.
     """
     base = model or TTMModel.nominal()
     sweep = tuple(fractions) if fractions else capacity_fractions(0.25, 1.0, 16)
-    design = a11(process)
-
-    def queue_curve(queue_weeks: float) -> Tuple[float, ...]:
-        queued = queue_model(base, process, queue_weeks)
-        return tuple(ttm_over_capacity(queued, design, n_chips, sweep))
-
-    curves = parallel_map(
-        queue_curve, queues, executor=executor, max_workers=max_workers
-    )
-    series = dict(zip(queues, curves))
+    weeks = batch_ttm(
+        queue_model(base), a11(process), n_chips, **queue_grid(queues, sweep)
+    ).total_weeks
+    series = {queue: tuple(row) for queue, row in zip(queues, weeks)}
     return Fig11Result(
         process=process, n_chips=n_chips, fractions=sweep, series=series
     )

@@ -14,11 +14,15 @@ from typing import Mapping, Optional, Sequence, Tuple
 from ..analysis.sweep import capacity_fractions
 from ..analysis.tables import format_table
 from ..design.library.a11 import a11
-from ..engine.batch import cas_over_capacity
-from ..engine.parallel import parallel_map
+from ..engine.batch import batch_cas
 from ..ttm.model import TTMModel
 from .fig07_a11_ttm_cost import DEFAULT_N_CHIPS
-from .fig11_queue_ttm import DEFAULT_PROCESS, DEFAULT_QUEUES, queue_model
+from .fig11_queue_ttm import (
+    DEFAULT_PROCESS,
+    DEFAULT_QUEUES,
+    queue_grid,
+    queue_model,
+)
 
 
 @dataclass(frozen=True)
@@ -60,26 +64,17 @@ def run(
     n_chips: float = DEFAULT_N_CHIPS,
     queues: Sequence[float] = DEFAULT_QUEUES,
     fractions: Optional[Sequence[float]] = None,
-    executor: str = "serial",
-    max_workers: Optional[int] = None,
 ) -> Fig12Result:
     """Regenerate Fig. 12's CAS-vs-capacity curves per queue time.
 
-    Each queue's curve is one batched CAS call; ``executor`` fans the
-    per-queue work out through :func:`repro.engine.parallel.parallel_map`.
+    One batched CAS call covers the (queue x capacity) grid.
     """
     base = model or TTMModel.nominal()
     sweep = tuple(fractions) if fractions else capacity_fractions(0.25, 1.0, 16)
-    design = a11(process)
-
-    def queue_curve(queue_weeks: float) -> Tuple[float, ...]:
-        queued = queue_model(base, process, queue_weeks)
-        return tuple(cas_over_capacity(queued, design, n_chips, sweep))
-
-    curves = parallel_map(
-        queue_curve, queues, executor=executor, max_workers=max_workers
-    )
-    series = dict(zip(queues, curves))
+    cas = batch_cas(
+        queue_model(base), a11(process), n_chips, **queue_grid(queues, sweep)
+    ).normalized
+    series = {queue: tuple(row) for queue, row in zip(queues, cas)}
     return Fig12Result(
         process=process, n_chips=n_chips, fractions=sweep, series=series
     )

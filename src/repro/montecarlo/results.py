@@ -318,13 +318,28 @@ def summarize_block(
             )
     upper = tail == "upper"
     var_level = 100.0 * tail_level if upper else 100.0 * (1.0 - tail_level)
-    row_means = values.mean(axis=1)
-    # ``np.std``'s own steps, on the means already taken.
-    deviations = values - row_means[:, None]
-    np.square(deviations, out=deviations)
-    stds = np.sqrt(np.add.reduce(deviations, axis=1) / n_samples).tolist()
-    del deviations  # freed before the sort copies the block
-    ordered = np.sort(values, axis=1)
+    # Finite samples can still overflow a sum, a square or the range;
+    # those rows are refused below instead of summarized as inf/NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_means = values.mean(axis=1)
+        # ``np.std``'s own steps, on the means already taken.
+        deviations = values - row_means[:, None]
+        np.square(deviations, out=deviations)
+        row_stds = np.sqrt(np.add.reduce(deviations, axis=1) / n_samples)
+        del deviations  # freed before the sort copies the block
+        ordered = np.sort(values, axis=1)
+        spans = ordered[:, -1] - ordered[:, 0]
+    overflowed = ~(
+        np.isfinite(row_means) & np.isfinite(row_stds) & np.isfinite(spans)
+    )
+    if overflowed.any():
+        guard_trip("metric_summary")
+        row = int(np.argmax(overflowed))
+        raise InvalidParameterError(
+            f"metric {name!r}: row {row} overflows the float range (mean "
+            f"{row_means[row]}, std {row_stds[row]}, range {spans[row]})"
+        )
+    stds = row_stds.tolist()
     quantiles = _sorted_quantiles(ordered, [var_level] + band)
     var_column = quantiles[:, :1]
     in_tail = values >= var_column if upper else values <= var_column

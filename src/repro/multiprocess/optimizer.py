@@ -9,7 +9,7 @@ Two engines drive the sweep:
 
 * ``engine="batch"`` (default) — one vectorized
   :func:`repro.engine.batch_split.batch_split` call evaluates the whole
-  (pair x split-grid) tensor through cached per-node invariants, with an
+  (pair x split-grid) tensor from one compiled line table, with an
   optional coarse -> fine ``refine`` stage that resolves each pair's
   optimum to ~0.1% split resolution for the price of the 1% grid;
 * ``engine="scalar"`` — the original per-plan

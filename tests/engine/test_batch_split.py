@@ -4,25 +4,35 @@ The batch engine's only job is to reproduce the scalar Sec. 7 oracle
 (:func:`repro.multiprocess.split.evaluate_split`) faster: every (pair,
 split) tensor cell must match the scalar evaluation to 1e-9 relative
 error across the Raven node set, including the degenerate single-process
-cells (split >= 1.0 and the diagonal).
+cells (split >= 1.0 and the diagonal). Each stage reads its production
+lines from one line table, and every line it reads equals that line's
+own one-design ``batch_ttm`` / ``batch_cost`` bit for bit.
 """
+
+import importlib
 
 import numpy as np
 import pytest
 
+from repro.agility.derivative import DEFAULT_RELATIVE_STEP
 from repro.design.library.raven import raven_multicore
+from repro.engine.batch import batch_cost, batch_ttm
 from repro.engine.batch_split import (
     DEFAULT_REFINE_POINTS,
+    _LineEngine,
     batch_split,
     batch_split_samples,
     refine_split_grid,
 )
 from repro.errors import InvalidParameterError
+from repro.market.conditions import MarketConditions
+from repro.multiprocess.optimizer import run_split_study
 from repro.multiprocess.split import (
     evaluate_split,
     make_plan,
     single_process_plan,
 )
+from repro.obs.instrument import KERNEL_INVOCATIONS
 
 RELATIVE_TOLERANCE = 1e-9
 
@@ -442,3 +452,127 @@ class TestExactRefinement:
             refined.best_evaluation(0).cas
             >= dense.best_evaluation(0).cas - 1e-12
         )
+
+
+#: Fig. 14's volume and 2 % split grid, on a slice of its nodes.
+LINE_CHIPS = 1e9
+LINE_GRID = tuple(s / 100.0 for s in range(2, 101, 2))
+LINE_NODES = ("250nm", "40nm", "28nm", "7nm")
+
+
+def _one_design_line(model, cost_model, kind, node, fractions, perturb, sign):
+    """A line as its own one-design ``batch_ttm`` / ``batch_cost`` call."""
+    design = raven_multicore(node)
+    chips = LINE_CHIPS * fractions
+    if kind == "cost":
+        return batch_cost(
+            cost_model, design, chips, engineers=model.engineers
+        ).total_usd
+    capacity = None
+    if perturb is not None and perturb in design.processes:
+        # ``split_cas``'s rate -> fraction round trip.
+        max_rate = model.foundry.technology[perturb].max_wafer_rate_per_week
+        rate = model.foundry.conditions.capacity_for(perturb) * max_rate
+        step = rate * DEFAULT_RELATIVE_STEP
+        capacity = {perturb: (rate + sign * step) / max_rate}
+    return batch_ttm(model, design, chips, capacity=capacity).total_weeks
+
+
+class TestLineTable:
+    """Every line a stage reads from its one line table equals the line's
+    own one-design ``batch_ttm`` / ``batch_cost``, bit for bit — on the
+    coarse grid and after both refine stages, under nominal and under
+    queued, capacity-reduced conditions."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        recorded = []
+        totals, costs = _LineEngine.totals, _LineEngine.costs
+
+        def read_totals(engine, node, fractions, perturb=None, sign=0):
+            weeks = totals(engine, node, fractions, perturb, sign)
+            recorded.append(
+                ("ttm", node, np.array(fractions), perturb, sign, weeks)
+            )
+            return weeks
+
+        def read_costs(engine, node, fractions):
+            usd = costs(engine, node, fractions)
+            recorded.append(("cost", node, np.array(fractions), None, 0, usd))
+            return usd
+
+        monkeypatch.setattr(_LineEngine, "totals", read_totals)
+        monkeypatch.setattr(_LineEngine, "costs", read_costs)
+        return recorded
+
+    @pytest.fixture(params=["nominal", "queued"])
+    def line_model(self, request, model):
+        if request.param == "nominal":
+            return model
+        conditions = (
+            MarketConditions.nominal()
+            .with_capacity("7nm", 0.6)
+            .with_capacity("40nm", 0.8)
+            .with_queue("28nm", 3.0)
+            .with_queue("7nm", 1.0)
+        )
+        return model.with_foundry(model.foundry.with_conditions(conditions))
+
+    @pytest.mark.parametrize("refine", [False, "exact", "grid"])
+    def test_every_read_line_equals_its_one_design_call(
+        self, reads, line_model, cost_model, refine
+    ):
+        run_split_study(
+            raven_multicore,
+            LINE_NODES,
+            line_model,
+            cost_model,
+            LINE_CHIPS,
+            split_grid=LINE_GRID,
+            refine=refine,
+        )
+        kinds = {kind for kind, *_ in reads}
+        assert kinds == {"ttm", "cost"}
+        for kind, node, fractions, perturb, sign, got in reads:
+            expected = _one_design_line(
+                line_model, cost_model, kind, node, fractions, perturb, sign
+            )
+            assert np.array_equal(
+                np.asarray(got).view(np.int64),
+                np.asarray(expected).view(np.int64),
+            ), (kind, node, perturb, sign)
+
+    @pytest.mark.parametrize(
+        "refine, ttm_calls, cost_calls",
+        [(False, 1, 1), ("exact", 3, 2), ("grid", 2, 2)],
+    )
+    def test_one_kernel_call_per_stage_and_metric(
+        self, model, cost_model, monkeypatch, refine, ttm_calls, cost_calls
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a line went through a one-design call")
+
+        split_module = importlib.import_module("repro.engine.batch_split")
+        monkeypatch.setattr(split_module, "batch_ttm", refuse)
+        monkeypatch.setattr(split_module, "batch_cost", refuse)
+        before = {
+            name: KERNEL_INVOCATIONS.value(kernel=f"engine.{name}")
+            for name in ("portfolio_ttm", "portfolio_cost")
+        }
+        run_split_study(
+            raven_multicore,
+            LINE_NODES,
+            model,
+            cost_model,
+            LINE_CHIPS,
+            split_grid=LINE_GRID,
+            refine=refine,
+        )
+        calls = {
+            name: KERNEL_INVOCATIONS.value(kernel=f"engine.{name}") - count
+            for name, count in before.items()
+        }
+        assert calls == {
+            "portfolio_ttm": ttm_calls,
+            "portfolio_cost": cost_calls,
+        }

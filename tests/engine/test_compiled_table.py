@@ -14,6 +14,10 @@ The D0-dependent terms (and the cost kernel's testing and packaging
 terms) accumulate per-die contributions with an in-order scatter that
 must equal ``np.add.at`` bit for bit; the fused cube and its looped
 oracle both call it, so only a direct comparison can pin it.
+
+A table compiled with one technology database per row (an ensemble of
+calibration worlds) must equal, row for row and bit for bit, each row's
+design compiled alone under its own database.
 """
 
 import numpy as np
@@ -37,6 +41,7 @@ from repro.errors import (
     NodeUnavailableError,
     UnknownNodeError,
 )
+from repro.experiments.robustness import _perturbed_database
 from repro.market.foundry import Foundry
 from repro.technology.database import TechnologyDatabase
 from repro.technology.salvage import SalvageSpec
@@ -310,6 +315,148 @@ class TestInOrderScatter:
         assert_same_bits(
             table.testing_weeks_per_chip_at(scale, yields), testing
         )
+
+
+#: Per-slot, per-design and per-die columns of the compiled table.
+SLOT_COLUMNS = (
+    "tapeout_weeks",
+    "max_rate",
+    "fab_latency_weeks",
+    "wafer_cost_usd",
+    "tapeout_effort_weeks",
+    "tapeout_fixed_usd",
+    "mask_set_usd",
+    "wafers_per_chip",
+)
+DESIGN_COLUMNS = (
+    "sequential_tapeout_weeks",
+    "max_tapeout_weeks",
+    "assembly_weeks_per_chip",
+    "design_weeks",
+    "testing_weeks_per_chip",
+)
+PROFILE_COLUMNS = (
+    "profile_node",
+    "profile_count",
+    "profile_ntt",
+    "profile_area_mm2",
+    "profile_gross",
+    "profile_testing_effort",
+    "profile_mean_defects",
+    "profile_fixed_yield",
+    "profile_salvage_units",
+    "profile_salvage_required",
+    "profile_uncore_defects",
+    "profile_unit_defects",
+)
+
+#: Calibration worlds: every node's parameters under +-30 % noise.
+WORLDS = tuple(
+    _perturbed_database(DB, np.random.default_rng(seed), 0.3)
+    for seed in range(3)
+)
+
+
+def same_bits(actual, expected):
+    """Equal shapes and bits (NaN included)."""
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    if actual.dtype.kind == "f":
+        actual, expected = actual.view(np.int64), expected.view(np.int64)
+    return actual.shape == expected.shape and np.array_equal(actual, expected)
+
+
+def assert_row_is_the_solo_compile(table, row, solo, d0_scale):
+    """Row ``row`` of ``table`` against a 1-design table, bit for bit."""
+    slots = len(solo.processes[0])
+    assert table.processes[row] == solo.processes[0]
+    assert table.node_mask[row].sum() == slots
+    for name in SLOT_COLUMNS:
+        column = getattr(table, name)[row, :slots]
+        assert same_bits(column, getattr(solo, name)[0, :slots]), name
+    for name in DESIGN_COLUMNS:
+        assert same_bits(
+            getattr(table, name)[row], getattr(solo, name)[0]
+        ), name
+    mine = table.profile_design == row
+    for name in PROFILE_COLUMNS:
+        assert same_bits(getattr(table, name)[mine], getattr(solo, name)), name
+    assert same_bits(
+        table.wafers_per_chip_at(d0_scale)[row, :slots],
+        solo.wafers_per_chip_at(d0_scale)[0, :slots],
+    )
+    assert same_bits(
+        table.testing_weeks_per_chip_at(d0_scale)[row],
+        solo.testing_weeks_per_chip_at(d0_scale)[0],
+    )
+
+
+class TestOneDatabasePerRow:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        portfolio=portfolios,
+        knobs=knobs,
+        data=st.data(),
+        d0_scale=st.lists(st.floats(0.25, 4.0), min_size=1, max_size=3),
+    )
+    def test_each_row_equals_its_world_alone(
+        self, portfolio, knobs, data, d0_scale
+    ):
+        # Rows repeat design objects and worlds in drawn order, so the
+        # gather-once path for repeated designs is exercised too.
+        rows = data.draw(
+            st.lists(
+                st.tuples(
+                    st.integers(0, len(portfolio) - 1),
+                    st.integers(0, len(WORLDS) - 1),
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+        table = compile_portfolio(
+            [portfolio[d] for d, _ in rows],
+            [WORLDS[w] for _, w in rows],
+            alpha=ALPHA,
+            **knobs,
+        )
+        assert table.n_designs == len(rows)
+        for row, (d, w) in enumerate(rows):
+            solo = compile_portfolio(
+                (portfolio[d],), WORLDS[w], alpha=ALPHA, **knobs
+            )
+            assert_row_is_the_solo_compile(table, row, solo, d0_scale)
+
+    def test_robustness_shaped_table(self):
+        designs = (
+            a11("180nm"), a11("7nm"), zen2(), zen2("7nm", "7nm"),
+        )
+        table = compile_portfolio(
+            designs * len(WORLDS),
+            [world for world in WORLDS for _ in designs],
+        )
+        for row in range(table.n_designs):
+            world, design = divmod(row, len(designs))
+            solo = compile_portfolio((designs[design],), WORLDS[world])
+            assert_row_is_the_solo_compile(table, row, solo, [0.5, 2.0])
+
+    def test_one_database_is_the_one_entry_case(self):
+        designs = (a11("7nm"), zen2(), a11("7nm"))
+        single = compile_portfolio(designs, DB)
+        per_row = compile_portfolio(designs, [DB] * len(designs))
+        for name in SLOT_COLUMNS + DESIGN_COLUMNS + PROFILE_COLUMNS:
+            assert same_bits(getattr(per_row, name), getattr(single, name))
+
+    def test_needs_one_database_per_design(self):
+        with pytest.raises(InvalidParameterError):
+            compile_portfolio((a11("7nm"), a11("5nm")), [DB])
+
+    def test_checks_each_world_for_production(self):
+        retired = DB.override({"7nm": {"wafer_rate_kwpm": 0.0}})
+        with pytest.raises(NodeUnavailableError):
+            compile_portfolio((a11("5nm"), a11("7nm")), [DB, retired])
+        # A world that retires a node no row of it uses compiles.
+        table = compile_portfolio((a11("7nm"), a11("5nm")), [DB, retired])
+        assert table.n_designs == 2
 
 
 class TestErrors:

@@ -1,9 +1,53 @@
-"""Tests for the calibration-robustness extension."""
+"""Tests for the calibration-robustness extension.
 
+``robustness.run`` scores every perturbed world as rows of one compiled
+table; :func:`scalar_survival` is the per-world scalar loop it replaced,
+kept here as the oracle.
+"""
+
+import numpy as np
 import pytest
 
+from repro.agility.cas import chip_agility_score
+from repro.design.library.a11 import a11
+from repro.design.library.zen2 import zen2
 from repro.errors import InvalidParameterError
 from repro.experiments import robustness
+from repro.market.foundry import Foundry
+from repro.ttm.model import TTMModel
+
+
+def scalar_survival(model, samples, noise, seed, n_chips=10e6):
+    """Each world through the scalar model, one design at a time."""
+    base = model.foundry.technology
+    rng = np.random.default_rng(seed)
+    hits = {
+        "A11 optimum stays in the mature pocket": 0,
+        "180nm beats 130nm and 90nm": 0,
+        "mixed Zen 2 beats all-7nm chiplet": 0,
+        "A11 more agile at 7nm than 5nm": 0,
+    }
+    for _ in range(samples):
+        technology = robustness._perturbed_database(base, rng, noise)
+        world = TTMModel(foundry=Foundry.nominal(technology))
+        ttm = {
+            process: world.total_weeks(a11(process), n_chips)
+            for process in robustness._A11_NODES
+        }
+        fastest = min(ttm, key=ttm.get)
+        if fastest in robustness.MATURE_POCKET:
+            hits["A11 optimum stays in the mature pocket"] += 1
+        if ttm["180nm"] < ttm["130nm"] and ttm["180nm"] < ttm["90nm"]:
+            hits["180nm beats 130nm and 90nm"] += 1
+        mixed = world.total_weeks(zen2(), 25e6)
+        single = world.total_weeks(zen2("7nm", "7nm"), 25e6)
+        if mixed < single:
+            hits["mixed Zen 2 beats all-7nm chiplet"] += 1
+        cas_7 = chip_agility_score(world, a11("7nm"), n_chips).cas
+        cas_5 = chip_agility_score(world, a11("5nm"), n_chips).cas
+        if cas_7 > cas_5:
+            hits["A11 more agile at 7nm than 5nm"] += 1
+    return {finding: count / samples for finding, count in hits.items()}
 
 
 @pytest.fixture(scope="module")
@@ -56,3 +100,37 @@ class TestRobustness:
 
     def test_table_renders(self, result):
         assert "survives" in result.table()
+
+
+class TestScalarOracle:
+    def test_default_run_matches_the_documented_fractions(self):
+        # EXPERIMENTS.md: 100 %, 29 of 48 (60 %), 100 %, 100 %.
+        result = robustness.run()
+        assert result.survival == {
+            "A11 optimum stays in the mature pocket": 1.0,
+            "180nm beats 130nm and 90nm": 29 / 48,
+            "mixed Zen 2 beats all-7nm chiplet": 1.0,
+            "A11 more agile at 7nm than 5nm": 1.0,
+        }
+        assert result.survival == scalar_survival(
+            TTMModel.nominal(),
+            robustness.DEFAULT_SAMPLES,
+            robustness.DEFAULT_NOISE,
+            robustness.DEFAULT_SEED,
+        )
+
+    @pytest.mark.parametrize("seed", [1, 7, 2024])
+    @pytest.mark.parametrize(
+        "noise, samples", [(0.05, 3), (0.2, 11), (0.45, 16), (0.7, 5)]
+    )
+    def test_equals_the_per_world_scalar_loop(
+        self, model, seed, noise, samples
+    ):
+        assert robustness.run(
+            model, samples=samples, noise=noise, seed=seed
+        ).survival == scalar_survival(model, samples, noise, seed)
+
+    def test_volume_reaches_the_a11_rows(self, model):
+        assert robustness.run(
+            model, samples=6, seed=3, n_chips=1e5
+        ).survival == scalar_survival(model, 6, 0.2, 3, n_chips=1e5)

@@ -186,6 +186,30 @@ class TestKernelValidation:
             summarize_block("x", block)
         assert GUARD_TRIPS.value(guard="metric_summary") == before + 1
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            [1e308, 1e308, 1e308, 1e308],  # the sum overflows: mean
+            [1e308, -1e308, 1e308, -1e308],  # squares overflow: std
+            [1.7e308, -1.7e308, 0.0, 0.0],  # the range overflows
+        ],
+    )
+    def test_overflowing_row_raises_and_trips_guard(self, row):
+        block = np.ones((3, 4))
+        block[1] = row
+        before = GUARD_TRIPS.value(guard="metric_summary")
+        with pytest.raises(InvalidParameterError, match="'ttm'.*row 1"):
+            summarize_block("ttm", block)
+        assert GUARD_TRIPS.value(guard="metric_summary") == before + 1
+
+    def test_huge_rows_with_finite_moments_still_summarize(self):
+        # Squared deviations near 1e305 and a mean near 1e307 still fit.
+        block = np.array([[1e153, 2e153, 3e153], [1e307, 1e307, 1e307]])
+        (first, _), (second, _) = summarize_block("x", block)
+        assert first.mean == pytest.approx(2e153)
+        assert np.isfinite(first.std) and first.maximum == 3e153
+        assert (second.mean, second.std) == (1e307, 0.0)
+
     def test_rejects_bad_shapes_and_options(self):
         with pytest.raises(InvalidParameterError, match="rows x samples"):
             summarize_block("x", np.ones(4))
