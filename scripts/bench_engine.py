@@ -26,13 +26,17 @@ Workloads (the ISSUEs' acceptance targets):
   error column checks that each design's row does not depend on the
   rest of the portfolio. Target: >= 2x over the per-design loop (not
   the scalar model).
-* ``scenario_sweep`` -- the fused scenario cube: 50 graded stress
-  scenarios x 32 designs x 2048 samples through one
-  ``scenario_evaluate`` pass vs the looped per-scenario
-  ``portfolio_ttm`` + ``portfolio_cas`` + ``portfolio_cost`` oracle
-  over ``apply_scenario``-transformed draws. The cube is pinned
-  bit-for-bit against the loop (``max_abs_error`` must be exactly 0).
-  Target: >= 5x.
+* ``scenario_sweep`` -- the scenario cube's cross-scenario sharing: 50
+  graded stress scenarios x 32 designs x 2048 samples through one
+  ``scenario_evaluate`` pass vs a loop of per-scenario
+  ``portfolio_ttm`` + ``portfolio_cas`` + ``portfolio_cost`` calls over
+  ``apply_scenario``-transformed draws. ``portfolio_ttm`` /
+  ``portfolio_cas`` are the same kernel on one identity scenario, so
+  the loop differs only in what it cannot share across scenarios (D0
+  tensors, (demand, D0) groups, one supply + baseline for TTM and
+  CAS); slabs must match bit for bit (``max_abs_error`` exactly 0).
+  Design target: >= 5x, set when the loop re-ran the whole pass per
+  CAS perturbation; the loop now runs the leave-one-out CAS too.
 * ``serve``     -- 96 concurrent HTTP round-trips through the
   ``repro.serve`` evaluation service (16 client threads, mixed
   designs): coalescing disabled (max batch 1) vs continuous batching.
@@ -448,15 +452,16 @@ def scenario_portfolio_workload(
 
 
 def bench_scenario_sweep(model: TTMModel) -> dict:
-    """Fused (scenarios x designs x samples) cube vs the looped oracle.
+    """One K-scenario cube pass vs K one-scenario passes of the same kernel.
 
-    The baseline is the strongest competitor, not a strawman: one
-    *batched* ``portfolio_ttm`` + ``portfolio_cas`` + ``portfolio_cost``
-    pass per scenario over ``apply_scenario``-transformed draws. The
-    fused ``scenario_evaluate`` wins by sharing work *across* scenarios
-    (one supply resolve + baseline pass per demand group, cached yield
-    powers, prefix/suffix LOO-max scans), and the cube is pinned
-    bit-for-bit against the loop: ``max_abs_error`` must be exactly 0.
+    The baseline is one ``portfolio_ttm`` + ``portfolio_cas`` +
+    ``portfolio_cost`` call per scenario over
+    ``apply_scenario``-transformed draws; the first two are the cube's
+    kernel on one identity scenario. ``scenario_evaluate`` wins only by
+    sharing work *across* scenarios (one supply resolve + baseline pass
+    for TTM and CAS, D0 tensors per multiplier, loads per (demand, D0)
+    group, cost per (demand, D0) pair), and its slabs equal the loop's
+    bit for bit: ``max_abs_error`` must be exactly 0.
     """
     (
         designs,

@@ -6,16 +6,17 @@ search) asks the paper's Eq. 1-8 model the same questions over many
 points. This package answers them in NumPy:
 
 * :mod:`repro.engine.portfolio` -- :func:`compile_portfolio` compiles
-  designs into one cached column table, and ``portfolio_ttm`` /
-  ``portfolio_cas`` / ``portfolio_cost`` evaluate it over
-  ``(designs x samples)`` in one broadcasted pass with common random
-  numbers;
+  designs into one cached column table, ``portfolio_ttm`` /
+  ``portfolio_cas`` evaluate it over ``(designs x samples)`` with common
+  random numbers, and ``portfolio_cost`` prices it;
+* :mod:`repro.engine.scenario` -- the one TTM and CAS kernel, over a
+  (scenarios x designs x samples) cube: ``portfolio_ttm`` /
+  ``portfolio_cas`` are the cube on one identity scenario, and
+  ``scenario_evaluate`` runs it over a stress library;
 * :mod:`repro.engine.batch` -- ``batch_ttm`` / ``batch_cas`` /
   ``batch_cost`` and the ``*_over_capacity`` sweeps: one design's grid
   run as a 1-design portfolio;
 * :mod:`repro.engine.invariants` -- the shared LRU of compiled tables;
-* :mod:`repro.engine.scenario` -- the (scenarios x designs x samples)
-  stress cube;
 * :mod:`repro.engine.batch_split` -- the Sec. 7 multi-process split
   engine;
 * :mod:`repro.engine.requests` -- fused point requests (the serve path);
@@ -25,7 +26,8 @@ points. This package answers them in NumPy:
   process executors and a safe serial fallback.
 
 The scalar model is the oracle: the equivalence suites (``tests/engine``)
-pin every kernel to it at <= 1e-9 relative error.
+pin every kernel to it at <= 1e-9 relative error, over drawn supply
+knobs too.
 """
 
 from .batch import (
@@ -78,10 +80,8 @@ from .scenario import (
     ScenarioTTMResult,
     apply_scenario,
     compile_scenarios,
-    scenario_cas,
     scenario_cost,
     scenario_evaluate,
-    scenario_ttm,
 )
 from .sobol_adapter import rowwise_batch_function, ttm_factor_batch_function
 
@@ -126,9 +126,7 @@ __all__ = [
     "refine_split_exact",
     "refine_split_grid",
     "rowwise_batch_function",
-    "scenario_cas",
     "scenario_cost",
     "scenario_evaluate",
-    "scenario_ttm",
     "ttm_factor_batch_function",
 ]

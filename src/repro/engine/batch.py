@@ -26,7 +26,7 @@ documents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -76,16 +76,11 @@ class BatchCASResult:
     """Vectorized Chip Agility Score (Eq. 8) over a sweep grid.
 
     ``cas`` is in raw wafers/week^2; ``normalized`` divides by the fixed
-    kilo-wafer unit used in the paper's figures. ``sensitivity`` maps
-    process name -> |dTTM/dmu_W| arrays.
+    kilo-wafer unit used in the paper's figures.
     """
 
     design: str
     cas: np.ndarray
-    sensitivity: Mapping[str, np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "sensitivity", dict(self.sensitivity))
 
     @property
     def normalized(self) -> np.ndarray:
@@ -204,12 +199,7 @@ def batch_cas(
         **sampled,
     )
     return BatchCASResult(
-        design=design.name,
-        cas=result.cas[0].reshape(shape),
-        sensitivity={
-            process: result.sensitivity[0, slot].reshape(shape)
-            for slot, process in enumerate(result.processes[0])
-        },
+        design=design.name, cas=result.cas[0].reshape(shape)
     )
 
 

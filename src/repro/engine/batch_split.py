@@ -604,7 +604,9 @@ def refine_split_exact(
        ``secondary`` rate, each displaced both ways);
     2. verify the midpoint probe is on the endpoint chord (relative
        tolerance 1e-9) — rows where any scenario bends fall back to the
-       :func:`refine_split_grid` fine grid for that pair;
+       :func:`refine_split_grid` fine grid for that pair, and so do
+       brackets reaching split 1.0, where the secondary line vanishes
+       (no line is probed at a zero fraction);
     3. fit the affine coefficients and enumerate every interior
        crossing and sensitivity zero as a candidate split.
 
@@ -618,7 +620,7 @@ def refine_split_exact(
         raise InvalidParameterError(
             f"refinement needs at least 2 points, got {points}"
         )
-    brackets: List[Optional[Tuple[float, float, np.ndarray]]] = []
+    brackets: List[Optional[Tuple[float, float, Optional[np.ndarray]]]] = []
     probes: Dict[str, List[np.ndarray]] = {}
     for i in range(result.n_pairs):
         if bool(result.single_mask[i].all()):
@@ -626,6 +628,9 @@ def refine_split_exact(
             continue
         primary, secondary = result.pairs[i]
         lo, hi = _bracket(result, i)
+        if hi >= 1.0:
+            brackets.append((lo, hi, None))
+            continue
         at = np.asarray([lo, (lo + hi) / 2.0, hi])
         brackets.append((lo, hi, at))
         probes.setdefault(primary, []).append(at)
@@ -648,6 +653,9 @@ def refine_split_exact(
             continue
         primary, secondary = result.pairs[i]
         lo, hi, at = bracket
+        if at is None:  # the bracket reaches split 1.0
+            rows.append(np.linspace(lo, hi, points))
+            continue
         scenarios = (
             (None, 0),
             (primary, +1),

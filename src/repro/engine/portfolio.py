@@ -11,10 +11,13 @@ and masked by ``node_mask``.
 
 :func:`portfolio_ttm` / :func:`portfolio_cas` / :func:`portfolio_cost`
 evaluate the full ``(n_designs, n_samples)`` tensor in one broadcasted
-pass. The single-design ``batch_*`` kernels in :mod:`repro.engine.batch`
-are these kernels run on a 1-design portfolio, and the scalar model
-(``TTMModel``, ``chip_agility_score``, ``CostModel``) is the oracle both
-are tested against.
+pass. TTM and CAS have one body, the scenario cube's kernel in
+:mod:`repro.engine.scenario`: these two run it on a set holding one
+identity scenario and return slab 0. The single-design ``batch_*``
+kernels in :mod:`repro.engine.batch` are these kernels run on a
+1-design portfolio, and the scalar model (``TTMModel``,
+``chip_agility_score``, ``CostModel``) is the oracle they are all tested
+against.
 
 Common random numbers
 ---------------------
@@ -685,213 +688,22 @@ def _portfolio_quantities(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Validate ``n_chips`` and split it into node-axis/design-axis views."""
     quantities = _as_positive_array(n_chips, "number of final chips")
-    if quantities.ndim <= 1:
-        return quantities, quantities
-    if quantities.ndim == 2:
-        if quantities.shape[0] != n_designs:
-            raise InvalidParameterError(
-                "per-design n_chips must have shape (n_designs, n_samples); "
-                f"got {quantities.shape} for {n_designs} designs"
-            )
-        return quantities[:, None, :], quantities
-    raise InvalidParameterError(
-        "n_chips must be a scalar, a shared sample vector, or a "
-        f"(n_designs, n_samples) matrix; got shape {quantities.shape}"
-    )
-
-
-@dataclass(frozen=True)
-class _PortfolioSupply:
-    """Supply-side tensors shared by the portfolio TTM and CAS kernels.
-
-    ``rates`` / ``backlog`` / ``wafers_per_chip`` have the node axis
-    ``(n_designs, max_nodes, n_samples-or-1)``;
-    ``testing_weeks_per_chip`` is ``(n_designs, n_samples-or-1)``.
-    Padded node slots carry harmless finite values — every reduction
-    masks them out via ``node_mask``.
-    """
-
-    rates: np.ndarray
-    backlog: np.ndarray
-    wafers_per_chip: np.ndarray
-    testing_weeks_per_chip: np.ndarray
-
-
-@dataclass
-class _SupplyScratch:
-    """Reusable ``(n_designs, max_nodes, n_samples)`` supply buffers.
-
-    Passing these to :func:`_portfolio_supply` redirects the resolved
-    tensors into preallocated storage instead of fresh temporaries.
-    Every output element is still the same ufunc on the same operands
-    (inputs broadcast up to the buffer shape), so the resolved supply
-    stays bit-identical to the allocating path — only the allocator
-    traffic changes. The returned :class:`_PortfolioSupply` aliases the
-    buffers, so callers must consume it before the next resolve that
-    reuses the same scratch.
-    """
-
-    scaled: np.ndarray
-    rates: np.ndarray
-    backlog: np.ndarray
-    fraction: np.ndarray
-
-
-def _portfolio_supply(
-    model: TTMModel,
-    invariants: PortfolioInvariants,
-    capacity: Optional[CapacityLike],
-    queue_weeks: Optional[ArrayLike] = None,
-    d0_scale: Optional[ArrayLike] = None,
-    wafer_rate_scale: Optional[ArrayLike] = None,
-    scratch: Optional[_SupplyScratch] = None,
-) -> _PortfolioSupply:
-    """Resolve the sampled supply parameters into portfolio tensors."""
-    conditions = model.foundry.conditions
-    nodes, mask = invariants.nodes, invariants.node_mask
-
-    rate_scale: ArrayLike = 1.0
-    if wafer_rate_scale is not None:
-        rate_scale = _sample_array(wafer_rate_scale, "wafer rate scale")
-    queue_override = None
-    if queue_weeks is not None:
-        queue_override = _sample_array(
-            queue_weeks, "queue weeks", nonnegative=True
+    if quantities.ndim > 2:
+        raise InvalidParameterError(
+            "n_chips must be a scalar, a shared sample vector, or a "
+            f"(n_designs, n_samples) matrix; got shape {quantities.shape}"
         )
-
-    shared = None
-    mapping: Optional[Mapping[str, np.ndarray]] = None
-    if isinstance(capacity, Mapping):
-        mapping = {
-            name: _sample_array(values, f"capacity fraction for {name!r}")
-            for name, values in capacity.items()
-        }
-    elif capacity is not None:
-        shared = _sample_array(capacity, "capacity fraction")
-
-    def _mul(a: ArrayLike, b: ArrayLike, out: Optional[np.ndarray]):
-        if out is None:
-            return np.asarray(a) * b
-        return np.multiply(a, b, out=out)
-
-    scaled_max_rate = _mul(
-        invariants.max_rate[:, :, None],
-        rate_scale,
-        scratch.scaled if scratch is not None else None,
-    )
-    rates_out = scratch.rates if scratch is not None else None
-
-    def per_slot(per_node: np.ndarray, pad: float) -> np.ndarray:
-        return np.where(mask, per_node[invariants.slot_node], pad)
-
-    if shared is not None:
-        rates = _mul(scaled_max_rate, shared, rates_out)
-    else:
-        base = np.ones(len(nodes))
-        for i, name in enumerate(nodes):
-            if mapping is not None and name in mapping:
-                continue
-            base[i] = conditions.capacity_for(name)
-            if base[i] <= 0.0:
-                raise InvalidParameterError(
-                    f"node {name!r} has zero effective capacity "
-                    f"(fraction {base[i]}); time-to-market would be "
-                    "unbounded"
-                )
-        if mapping is None:
-            rates = _mul(
-                scaled_max_rate, per_slot(base, 1.0)[:, :, None], rates_out
-            )
-        else:
-            if scratch is None:
-                tail = np.broadcast_shapes(
-                    *(value.shape for value in mapping.values())
-                )
-                fraction_tensor = np.empty(mask.shape + (tail or (1,)))
-            else:
-                fraction_tensor = scratch.fraction
-            fraction_tensor[...] = per_slot(base, 1.0)[:, :, None]
-            for i, name in enumerate(nodes):
-                if name in mapping:
-                    fraction_tensor[mask & (invariants.slot_node == i)] = (
-                        mapping[name]
-                    )
-            rates = _mul(scaled_max_rate, fraction_tensor, rates_out)
-
-    backlog_out = scratch.backlog if scratch is not None else None
-    if queue_override is not None:
-        backlog = _mul(queue_override, scaled_max_rate, backlog_out)
-    else:
-        quotes = np.array([conditions.queue_weeks_for(n) for n in nodes])
-        backlog = _mul(
-            per_slot(quotes, 0.0)[:, :, None], scaled_max_rate, backlog_out
+    if quantities.ndim == 2 and quantities.shape[0] != n_designs:
+        raise InvalidParameterError(
+            "per-design n_chips must have shape (n_designs, n_samples); "
+            f"got {quantities.shape} for {n_designs} designs"
         )
-    backlog = np.broadcast_to(
-        backlog, np.broadcast_shapes(backlog.shape, rates.shape)
-    )
-
-    if d0_scale is None:
-        wafers = invariants.wafers_per_chip[:, :, None]
-        testing = invariants.testing_weeks_per_chip[:, None]
-    else:
-        scale = _sample_array(d0_scale, "defect density scale")
-        wafers = invariants.wafers_per_chip_at(scale)
-        testing = invariants.testing_weeks_per_chip_at(scale)
-    return _PortfolioSupply(
-        rates=rates,
-        backlog=backlog,
-        wafers_per_chip=wafers,
-        testing_weeks_per_chip=testing,
-    )
+    return _node_axis(quantities), quantities
 
 
-def _total_weeks_at_rates(
-    invariants: PortfolioInvariants,
-    schedule: str,
-    tap_latency_weeks: float,
-    quantities_node: np.ndarray,
-    quantities_design: np.ndarray,
-    supply: _PortfolioSupply,
-    rates: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(tapeout, fabrication, packaging, total) weeks, each ``(D, S)``.
-
-    Each node's queue drain + production + latency (Eqs. 3-5) and the
-    Eq. 7 packaging term follow ``TTMModel.time_to_market`` term for
-    term; padded node slots are masked to ``-inf`` before the node-axis
-    max-reductions.
-    """
-    mask = invariants.node_mask[:, :, None]
-    queue_drain_weeks = supply.backlog / rates
-    production_weeks = quantities_node * supply.wafers_per_chip / rates
-    node_total = (
-        queue_drain_weeks
-        + production_weeks
-        + invariants.fab_latency_weeks[:, :, None]
-    )
-    if schedule == "pipelined":
-        tapeout_weeks = invariants.max_tapeout_weeks[:, None]
-        ready = invariants.tapeout_weeks[:, :, None] + node_total
-        fabrication_weeks = (
-            np.max(np.where(mask, ready, -np.inf), axis=1) - tapeout_weeks
-        )
-    else:
-        tapeout_weeks = invariants.sequential_tapeout_weeks[:, None]
-        fabrication_weeks = np.max(
-            np.where(mask, node_total, -np.inf), axis=1
-        )
-    packaging_weeks = (
-        tap_latency_weeks
-        + quantities_design * supply.testing_weeks_per_chip
-        + quantities_design * invariants.assembly_weeks_per_chip[:, None]
-    )
-    total_weeks = (
-        invariants.design_weeks[:, None]
-        + tapeout_weeks
-        + fabrication_weeks
-        + packaging_weeks
-    )
-    return tapeout_weeks, fabrication_weeks, packaging_weeks, total_weeks
+def _node_axis(quantities: np.ndarray) -> np.ndarray:
+    """Validated quantities on the node axis: a per-design matrix gains one."""
+    return quantities[:, None, :] if quantities.ndim == 2 else quantities
 
 
 @dataclass(frozen=True)
@@ -939,48 +751,39 @@ def portfolio_ttm(
     be a ``(n_designs, n_samples)`` matrix.
 
     ``invariants`` accepts a pre-compiled portfolio; when given,
-    ``designs`` is unused and may be ``None``.
+    ``designs`` is unused and may be ``None``. The phases are slab 0 of
+    the scenario cube's kernel on its one identity scenario.
     """
+    from .scenario import _IDENTITY, _evaluate_cube  # scenario imports us
+
     invariants = _resolve_invariants(model, designs, invariants)
-    quantities_node, quantities_design = _portfolio_quantities(
-        n_chips, invariants.n_designs
-    )
-    supply = _portfolio_supply(
+    cube = _evaluate_cube(
         model,
         invariants,
+        _IDENTITY,
+        n_chips,
         capacity,
-        queue_weeks=queue_weeks,
-        d0_scale=d0_scale,
-        wafer_rate_scale=wafer_rate_scale,
+        queue_weeks,
+        d0_scale,
+        wafer_rate_scale,
+        with_cas=False,
     )
-    tapeout_weeks, fabrication_weeks, packaging_weeks, total_weeks = (
-        _total_weeks_at_rates(
-            invariants,
-            model.schedule,
-            model.tap_latency_weeks,
-            quantities_node,
-            quantities_design,
-            supply,
-            supply.rates,
-        )
-    )
-    total_wafers = quantities_design * np.sum(
-        supply.wafers_per_chip, axis=1
-    )
-    shape = np.broadcast_shapes(
-        total_weeks.shape, np.shape(total_wafers)
-    )
+    group = cube.groups[1.0, 1.0]
+    wafers = cube.d0.tensors(1.0)[0]
+    shape = cube.total.shape[1:]
+
+    def full(array: np.ndarray) -> np.ndarray:
+        return array if array.shape == shape else np.broadcast_to(array, shape)
+
     return PortfolioTTMResult(
         designs=invariants.designs,
         schedule=model.schedule,
         design_weeks=invariants.design_weeks,
-        tapeout_weeks=np.broadcast_to(tapeout_weeks, shape),
-        fabrication_weeks=np.broadcast_to(fabrication_weeks, shape),
-        packaging_weeks=np.broadcast_to(packaging_weeks, shape),
-        total_weeks=np.broadcast_to(total_weeks, shape),
-        total_wafers=np.broadcast_to(
-            np.asarray(total_wafers, dtype=float), shape
-        ),
+        tapeout_weeks=full(cube.tapeout[0][:, None]),
+        fabrication_weeks=cube.fabrication[0],
+        packaging_weeks=full(group.packaging),
+        total_weeks=cube.total[0],
+        total_wafers=full(group.quantities * np.sum(wafers, axis=1)),
     )
 
 
@@ -988,15 +791,12 @@ def portfolio_ttm(
 class PortfolioCASResult:
     """Chip Agility Score (Eq. 8) over the (designs x samples) tensor.
 
-    ``cas`` is raw wafers/week^2 with shape ``(n_designs, n_samples)``;
-    ``sensitivity`` is per node slot, ``(n_designs, max_nodes,
-    n_samples)``, zero in padded slots.
+    ``cas`` is raw wafers/week^2 with shape ``(n_designs, n_samples)``.
     """
 
     designs: Tuple[str, ...]
     processes: Tuple[Tuple[str, ...], ...]
     cas: np.ndarray
-    sensitivity: np.ndarray
 
     @property
     def normalized(self) -> np.ndarray:
@@ -1019,77 +819,32 @@ def portfolio_cas(
     """Vectorized CAS for every design under one shared sample set.
 
     Each node slot's rate is perturbed by ``relative_step`` in both
-    directions and the central-difference TTM slope accumulated, as
+    directions and the central-difference TTM slopes summed, as
     :func:`~repro.agility.cas.chip_agility_score` does at each sample's
     conditions; the queue quote's wafer backlog stays pinned while a
-    rate moves. Padded slots perturb a neutral rate that is masked out
-    of the TTM reduction, so their slope is exactly zero and the
-    per-design sensitivity sum is unchanged.
+    rate moves. The inputs mean what they mean for
+    :func:`portfolio_ttm`, and the scores are slab 0 of the scenario
+    cube's kernel on its one identity scenario.
     """
-    if not 0.0 < relative_step < 1.0:
-        raise InvalidParameterError(
-            f"relative step must be in (0, 1), got {relative_step}"
-        )
+    from .scenario import _IDENTITY, _evaluate_cube  # scenario imports us
+
     invariants = _resolve_invariants(model, designs, invariants)
-    quantities_node, quantities_design = _portfolio_quantities(
-        n_chips, invariants.n_designs
-    )
-    supply = _portfolio_supply(
+    cube = _evaluate_cube(
         model,
         invariants,
+        _IDENTITY,
+        n_chips,
         capacity,
-        queue_weeks=queue_weeks,
-        d0_scale=d0_scale,
-        wafer_rate_scale=wafer_rate_scale,
+        queue_weeks,
+        d0_scale,
+        wafer_rate_scale,
+        with_cas=True,
+        relative_step=relative_step,
     )
-    base_rates = np.ascontiguousarray(supply.rates)
-    sensitivities = []
-    total = None
-    for p in range(invariants.max_nodes):
-        step = base_rates[:, p, :] * relative_step
-        perturbed_ttm = []
-        for sign in (+1.0, -1.0):
-            rate = base_rates[:, p, :] + sign * step
-            # Mirror the scalar path's rate -> fraction -> rate round trip
-            # (conditions store fractions, the foundry rescales by max rate).
-            effective = invariants.max_rate[:, p, None] * (
-                rate / invariants.max_rate[:, p, None]
-            )
-            rates = base_rates.copy()
-            rates[:, p, :] = effective
-            perturbed_ttm.append(
-                _total_weeks_at_rates(
-                    invariants,
-                    model.schedule,
-                    model.tap_latency_weeks,
-                    quantities_node,
-                    quantities_design,
-                    supply,
-                    rates,
-                )[3]
-            )
-        slope = (perturbed_ttm[0] - perturbed_ttm[1]) / (2.0 * step)
-        sensitivity = np.abs(slope)
-        sensitivities.append(sensitivity)
-        total = sensitivity if total is None else total + sensitivity
-
-    row_positive = np.all(
-        total > 0.0, axis=tuple(range(1, np.ndim(total)))
-    )
-    if not np.all(row_positive):
-        bad = invariants.designs[int(np.argmin(row_positive))]
-        raise InvalidParameterError(
-            f"design {bad!r} has zero TTM sensitivity on all nodes; "
-            "CAS is unbounded (check the production volume is non-trivial)"
-        )
-    shape = np.shape(total)
     return PortfolioCASResult(
         designs=invariants.designs,
         processes=invariants.processes,
-        cas=1.0 / total,
-        sensitivity=np.stack(
-            [np.broadcast_to(s, shape) for s in sensitivities], axis=1
-        ),
+        cas=cube.cas[0],
     )
 
 
@@ -1162,13 +917,14 @@ def portfolio_cost(
         scale: np.ndarray = np.asarray(1.0, dtype=float)
     else:
         scale = _sample_array(d0_scale, "defect density scale")
+    yields = invariants.profile_yields(scale)
     return _portfolio_cost_from_tensors(
         cost_model,
         invariants,
         quantities_node,
         quantities_design,
-        invariants.wafers_per_chip_at(scale),
-        invariants.profile_yields(scale),
+        invariants.wafers_per_chip_at(scale, yields=yields),
+        yields,
     )
 
 
@@ -1184,9 +940,9 @@ def _portfolio_cost_from_tensors(
 ) -> PortfolioCostResult:
     """NumPy cost kernel over precomputed D0-dependent tensors.
 
-    Split out of :func:`portfolio_cost` so the fused scenario cube can
-    compute the ``pow``-heavy ``wafers_per_chip_at`` / ``profile_yields``
-    tensors once per unique D0 multiplier and share them across every
+    Split out of :func:`portfolio_cost` so the scenario cube can compute
+    the ``pow``-heavy ``wafers_per_chip_at`` / ``profile_yields`` tensors
+    once per unique D0 multiplier and share them across every
     (demand, D0) combination — the arithmetic downstream of the tensors
     is unchanged, so results stay bit-identical per call.
     ``production_load``, when given, must equal ``quantities_node *

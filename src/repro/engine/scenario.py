@@ -1,32 +1,36 @@
-"""Scenario-axis vectorization: one fused (scenarios x designs x samples) pass.
+"""The one TTM and CAS kernel: a (scenarios x designs x samples) cube.
 
-:mod:`repro.engine.portfolio` fused the design axis; every multi-scenario
-study still pays a Python loop of per-scenario ``portfolio_*`` calls,
-re-resolving the sampled supply, re-deriving the D0-dependent yield
-tensors and re-running the full CAS perturbation sweep for each scenario.
-This module promotes the scenario axis to a tensor dimension:
-:func:`compile_scenarios` stacks named :class:`Scenario` transforms into
-a structure-of-arrays :class:`ScenarioSet`, and :func:`scenario_ttm` /
-:func:`scenario_cas` / :func:`scenario_cost` /
-:func:`scenario_evaluate` evaluate the full ``(n_scenarios, n_designs,
-n_samples)`` cube in one call, bit-for-bit identical to the looped
-per-scenario oracle (``apply_scenario`` + ``portfolio_*``).
+:func:`_evaluate_cube` evaluates the paper's TTM phases (Eqs. 3-5 and 7)
+and Chip Agility Score (Eq. 8) for every design of a compiled table
+under every scenario of a :class:`ScenarioSet` and every sample, in one
+pass. It is the engine's only TTM and CAS body:
+:func:`~repro.engine.portfolio.portfolio_ttm` and
+:func:`~repro.engine.portfolio.portfolio_cas` run it on a set holding
+one identity scenario (a nominal point is the identity stress), and
+:func:`scenario_evaluate` runs it on a stress library, adding
+:func:`scenario_cost`. :func:`compile_scenarios` stacks named
+:class:`Scenario` transforms into that structure-of-arrays set, and
+:func:`apply_scenario` defines what scenario ``k`` does to the base
+draws. The scalar model (``TTMModel``, ``chip_agility_score``,
+``CostModel``) is the oracle the kernel is tested against.
 
-Where the fused speedup comes from (the looped oracle re-pays all of it
-per scenario):
+What one K-scenario pass shares that K one-scenario passes re-derive
+(slab ``k`` is bit-identical to the kernel run on scenario ``k``
+alone):
 
 * **D0 group sharing** — scenarios sharing a defect-density multiplier
   share bit-identical yield/wafer/testing tensors (the expensive
   ``pow`` pass and the per-die scatter into designs), computed once per
   unique multiplier;
-* **one supply + baseline** — TTM and CAS share one resolved supply and
-  one baseline total-weeks pass per scenario instead of two;
+* **(demand, D0) groups** — the ``quantities x wafers`` load and the
+  Eq. 7 packaging term are computed once per pair of multipliers;
 * **leave-one-out CAS** — perturbing node ``p`` only changes node
   ``p``'s ready time, and the node reduction is a *max* (exact in
-  floating point, so reassociation is bitwise safe): the fused CAS
-  recomputes one node row per perturbation and recombines it with
-  precomputed leave-one-out maxima instead of re-running the full
-  ``(designs, nodes, samples)`` pass ``2 x max_nodes`` times;
+  floating point, so reassociation is bitwise safe): CAS recomputes
+  one node row per perturbation and recombines it with precomputed
+  leave-one-out maxima instead of re-running the full
+  ``(designs, nodes, samples)`` pass ``2 x max_nodes`` times, and the
+  baseline fabrication max rides along with the forward scan;
 * **cost deduplication** — chip-creation cost depends only on the
   demand and D0 transforms, so scenarios sharing that pair share one
   bit-identical cost tensor.
@@ -37,16 +41,16 @@ The base sample arrays are shared across *both* the design and scenario
 axes: sample ``s`` applies the same drawn world to every design under
 every scenario, so scenario deltas (stress minus baseline per sample)
 are low-variance paired comparisons. Base supply arrays must be scalars
-or 1-D sample vectors (the portfolio CRN rule); ``n_chips`` may carry a
+or 1-D sample vectors (the portfolio CRN rule), and ``capacity`` may be
+a ``{node: fractions}`` mapping of such vectors; ``n_chips`` may carry a
 per-design leading axis. Scenario transforms are scalar multipliers (a
-per-node mapping for capacity), applied identically in the fused path
-and the oracle via :func:`apply_scenario`.
+per-node mapping for capacity), applied through :func:`apply_scenario`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -59,14 +63,14 @@ from .portfolio import (
     _WAFERS_PER_NORMALIZED_UNIT,
     DEFAULT_RELATIVE_STEP,
     ArrayLike,
+    CapacityLike,
     PortfolioInvariants,
+    _node_axis,
     _portfolio_cost_from_tensors,
     _portfolio_quantities,
-    _portfolio_supply,
     _readonly,
     _resolve_invariants,
     _sample_array,
-    _SupplyScratch,
     compile_portfolio,
 )
 
@@ -80,8 +84,8 @@ class Scenario:
     scale). ``capacity_scale`` may be a per-node mapping — e.g. a
     fab-region outage that only hits ``7nm`` — in which case unnamed
     nodes keep multiplier 1.0. Identity transforms (scale 1.0, add 0.0)
-    pass the base samples through untouched, so the ``baseline``
-    scenario reproduces a raw ``portfolio_*`` call bit-for-bit.
+    pass the base samples through untouched: the ``baseline`` scenario
+    is the set ``portfolio_ttm`` / ``portfolio_cas`` evaluate.
     """
 
     name: str
@@ -250,6 +254,10 @@ def compile_scenarios(
     )
 
 
+#: The one identity scenario ``portfolio_ttm`` / ``portfolio_cas`` run.
+_IDENTITY = compile_scenarios([Scenario(name="baseline")])
+
+
 def _scenario_has_capacity_transform(
     scenario_set: ScenarioSet, k: int
 ) -> bool:
@@ -267,7 +275,7 @@ def apply_scenario(
     k: int,
     *,
     n_chips: ArrayLike,
-    capacity: Optional[ArrayLike] = None,
+    capacity: Optional[CapacityLike] = None,
     queue_weeks: Optional[ArrayLike] = None,
     d0_scale: Optional[ArrayLike] = None,
     wafer_rate_scale: Optional[ArrayLike] = None,
@@ -276,14 +284,17 @@ def apply_scenario(
 ) -> Dict[str, object]:
     """Scenario ``k``'s transform of the base draws, as portfolio kwargs.
 
-    This is the *definition* of a scenario's semantics: the fused cube
-    is pinned bit-for-bit against ``portfolio_*(**apply_scenario(...))``
-    looped over ``k``. Identity components pass the base values through
-    untouched (including ``None``). ``nodes`` (the union of the
+    This is the *definition* of a scenario's semantics: slab ``k`` of
+    the cube equals ``portfolio_*(**apply_scenario(...))`` bit for bit.
+    Identity components pass the base values through untouched
+    (including ``None`` and a ``{node: fractions}`` capacity mapping).
+    A capacity transform scales each node's resolved base: the global
+    ``capacity`` samples, else the node's entry in a capacity mapping,
+    else ``conditions.capacity_for(node)``. ``nodes`` (the union of the
     portfolio's process names) and ``conditions`` (the foundry market
     conditions) are needed only when a scenario carries per-node
-    capacity multipliers or scales an unspecified (``None``) capacity
-    base.
+    capacity multipliers or scales a base that is not one global
+    sample array.
     """
     out: Dict[str, object] = {}
     dm = float(scenario_set.demand_scale[k])
@@ -294,15 +305,16 @@ def apply_scenario(
     per_node = scenario_set.capacity_nodes and bool(
         np.any(scenario_set.capacity_node_scale[k, :] != scenario_set.capacity_scale[k])
     )
+    per_node_base = capacity is None or isinstance(capacity, Mapping)
     if not _scenario_has_capacity_transform(scenario_set, k):
         out["capacity"] = capacity
-    elif not per_node and capacity is not None:
+    elif not per_node and not per_node_base:
         cm = float(scenario_set.capacity_scale[k])
         out["capacity"] = np.asarray(capacity, dtype=float) * cm
     else:
-        # Per-node multipliers (or a scaled None base) need the full
-        # mapping form: every portfolio node gets base * multiplier so
-        # the supply resolver sees one consistent override set.
+        # Per-node multipliers (or a base that varies by node) need the
+        # full mapping form: every portfolio node gets base * multiplier
+        # so the supply resolver sees one consistent override set.
         if not nodes:
             raise InvalidParameterError(
                 f"scenario {scenario_set.names[k]!r} applies per-node "
@@ -311,8 +323,10 @@ def apply_scenario(
         mapping: Dict[str, object] = {}
         for node in nodes:
             mult = scenario_set.capacity_multiplier(k, node)
-            if capacity is not None:
+            if not per_node_base:
                 mapping[node] = np.asarray(capacity, dtype=float) * mult
+            elif capacity is not None and node in capacity:
+                mapping[node] = np.asarray(capacity[node], dtype=float) * mult
             else:
                 if conditions is None:
                     raise InvalidParameterError(
@@ -431,25 +445,130 @@ class ScenarioCubeResult:
 
 
 def _validate_base(
-    capacity: Optional[ArrayLike],
-    queue_weeks: Optional[ArrayLike],
-    d0_scale: Optional[ArrayLike],
-    wafer_rate_scale: Optional[ArrayLike],
-) -> None:
-    """Reject shapes that would break the cube's CRN contract."""
+    n_chips: ArrayLike,
+    n_designs: int,
+    capacity: Optional[CapacityLike] = None,
+    queue_weeks: Optional[ArrayLike] = None,
+    d0_scale: Optional[ArrayLike] = None,
+    wafer_rate_scale: Optional[ArrayLike] = None,
+) -> Tuple[int, Dict[str, object]]:
+    """The sample extent and the validated base draws, as float arrays.
+
+    ``n_chips`` may carry a per-design leading axis; every supply array
+    (each value of a capacity mapping included) must be a scalar or a
+    1-D sample vector shared across designs and scenarios. Scenario
+    transforms keep valid draws valid (positive multipliers, a
+    non-negative queue add), so the draws are checked here once.
+    """
+    _, quantities = _portfolio_quantities(n_chips, n_designs)
     if isinstance(capacity, Mapping):
+        capacity = {
+            name: _sample_array(values, f"capacity fraction for {name!r}")
+            for name, values in capacity.items()
+        }
+        levels = list(capacity.values())
+    elif capacity is not None:
+        capacity = _sample_array(capacity, "capacity fraction")
+        levels = [capacity]
+    else:
+        levels = []
+    base: Dict[str, object] = {"n_chips": quantities, "capacity": capacity}
+    for key, values, what in (
+        ("queue_weeks", queue_weeks, "queue weeks"),
+        ("d0_scale", d0_scale, "defect density scale"),
+        ("wafer_rate_scale", wafer_rate_scale, "wafer rate scale"),
+    ):
+        if values is not None:
+            values = _sample_array(
+                values, what, nonnegative=key == "queue_weeks"
+            )
+            levels.append(values)
+        base[key] = values
+    lengths = {a.shape[-1] for a in (quantities, *levels) if a.ndim}
+    lengths.discard(1)
+    if len(lengths) > 1:
         raise InvalidParameterError(
-            "scenario kernels take a global capacity base (scalar or 1-D "
-            "samples); per-node structure belongs to the scenarios"
+            "sample arrays must share one length (or have length 1); got "
+            f"lengths {sorted(lengths)}"
         )
-    if capacity is not None:
-        _sample_array(capacity, "capacity fraction")
-    if queue_weeks is not None:
-        _sample_array(queue_weeks, "queue weeks", nonnegative=True)
-    if d0_scale is not None:
-        _sample_array(d0_scale, "defect density scale")
-    if wafer_rate_scale is not None:
-        _sample_array(wafer_rate_scale, "wafer rate scale")
+    return (lengths.pop() if lengths else 1), base
+
+
+@dataclass
+class _SupplyScratch:
+    """Reusable ``(n_designs, max_nodes, n_samples)`` supply buffers.
+
+    :func:`_portfolio_supply` writes each scenario's resolved tensors
+    into these (inputs broadcast up to the buffer shape, so every
+    element is the same ufunc on the same operands as a fresh
+    temporary). The returned tensors alias the buffers, so the cube
+    consumes one scenario's supply before resolving the next.
+    """
+
+    scaled: np.ndarray
+    rates: np.ndarray
+    backlog: np.ndarray
+    fraction: np.ndarray
+
+
+def _portfolio_supply(
+    model: TTMModel,
+    invariants: PortfolioInvariants,
+    capacity: Optional[CapacityLike],
+    queue_weeks: Optional[ArrayLike],
+    wafer_rate_scale: Optional[ArrayLike],
+    scratch: _SupplyScratch,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One scenario's ``(rates, backlog)`` tensors, written into ``scratch``.
+
+    The inputs are validated draws (see :func:`_validate_base`) after
+    :func:`apply_scenario`'s transform. ``capacity=None`` keeps the
+    model's conditions, an array is a global fraction for every node and
+    a mapping overrides the nodes it names. Padded node slots carry
+    finite values every reduction masks out.
+    """
+    conditions = model.foundry.conditions
+    nodes, mask = invariants.nodes, invariants.node_mask
+    scaled_max_rate = np.multiply(
+        invariants.max_rate[:, :, None],
+        1.0 if wafer_rate_scale is None else wafer_rate_scale,
+        out=scratch.scaled,
+    )
+
+    def per_slot(per_node: np.ndarray, pad: float) -> np.ndarray:
+        return np.where(mask, per_node[invariants.slot_node], pad)
+
+    if capacity is not None and not isinstance(capacity, Mapping):
+        fraction = capacity
+    else:
+        mapping = capacity or {}
+        base = np.ones(len(nodes))
+        for i, name in enumerate(nodes):
+            if name in mapping:
+                continue
+            base[i] = conditions.capacity_for(name)
+            if base[i] <= 0.0:
+                raise InvalidParameterError(
+                    f"node {name!r} has zero effective capacity "
+                    f"(fraction {base[i]}); time-to-market would be "
+                    "unbounded"
+                )
+        fraction = per_slot(base, 1.0)[:, :, None]
+        if mapping:
+            scratch.fraction[...] = fraction
+            fraction = scratch.fraction
+            for i, name in enumerate(nodes):
+                if name in mapping:
+                    fraction[mask & (invariants.slot_node == i)] = (
+                        mapping[name]
+                    )
+    rates = np.multiply(scaled_max_rate, fraction, out=scratch.rates)
+
+    if queue_weeks is None:
+        quotes = np.array([conditions.queue_weeks_for(n) for n in nodes])
+        queue_weeks = per_slot(quotes, 0.0)[:, :, None]
+    backlog = np.multiply(queue_weeks, scaled_max_rate, out=scratch.backlog)
+    return rates, backlog
 
 
 class _D0Groups:
@@ -512,39 +631,64 @@ class _D0Groups:
         return trio
 
 
+class _Group(NamedTuple):
+    """One (demand, D0) multiplier pair's scenario-invariant tensors."""
+
+    #: Design-axis quantities: the validated demand times the group's
+    #: demand multiplier.
+    quantities: np.ndarray
+    #: ``quantities x wafers per chip``, the first multiply of Eq. 5.
+    production_load: np.ndarray
+    #: The Eq. 7 packaging weeks, ``(n_designs, n_samples-or-1)``.
+    packaging: np.ndarray
+    #: Per sparse node position, the packaging rows of its designs.
+    packaging_rows: Dict[int, np.ndarray]
+
+
+class _Cube(NamedTuple):
+    """The kernel's tensors, and the groups it built them from."""
+
+    #: ``(n_scenarios, n_designs)``; tapeout is scenario-invariant.
+    tapeout: np.ndarray
+    #: ``(n_scenarios, n_designs, n_samples)``.
+    fabrication: np.ndarray
+    total: np.ndarray
+    #: Raw wafers/week^2, ``(n_scenarios, n_designs, n_samples)``, or
+    #: ``None`` when evaluated without CAS.
+    cas: Optional[np.ndarray]
+    groups: Dict[Tuple[float, float], _Group]
+    d0: _D0Groups
+
+
 def _evaluate_cube(
     model: TTMModel,
     invariants: PortfolioInvariants,
     scenario_set: ScenarioSet,
     n_chips: ArrayLike,
-    capacity: Optional[ArrayLike],
+    capacity: Optional[CapacityLike],
     queue_weeks: Optional[ArrayLike],
     d0_scale: Optional[ArrayLike],
     wafer_rate_scale: Optional[ArrayLike],
-    relative_step: float,
     with_cas: bool,
-    pw_out: Optional[Dict[Tuple[float, float], np.ndarray]] = None,
-    wafers_out: Optional[Dict[float, np.ndarray]] = None,
-    yields_out: Optional[Dict[float, np.ndarray]] = None,
-) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """(tapeout (K, D), fabrication + total (K, D, S), cas or None).
+    relative_step: float = DEFAULT_RELATIVE_STEP,
+) -> _Cube:
+    """TTM phases (and CAS when ``with_cas``) over the whole cube.
 
-    When ``pw_out`` / ``wafers_out`` / ``yields_out`` are given, the
-    kernel fills them with each (demand multiplier, D0 multiplier)
-    group's ``quantities x wafers`` product and each D0 multiplier's
-    wafers-per-chip and profile-yields tensors so
-    :func:`scenario_cost` can reuse them (its wafer and testing terms
-    start from the very same ``pow`` + multiply).
+    Slab ``k`` follows ``TTMModel.time_to_market`` and
+    ``chip_agility_score`` term for term at each sample's conditions
+    under :func:`apply_scenario`'s transform of the base draws. The
+    returned groups hold each (demand multiplier, D0 multiplier) pair's
+    load and packaging tensors, and ``d0`` each D0 multiplier's
+    wafer/testing/yield tensors, for callers that report or cost them.
     """
-    _validate_base(capacity, queue_weeks, d0_scale, wafer_rate_scale)
+    n_designs, max_nodes = invariants.node_mask.shape
+    n_samples, base = _validate_base(
+        n_chips, n_designs, capacity, queue_weeks, d0_scale, wafer_rate_scale
+    )
     if with_cas and not 0.0 < relative_step < 1.0:
         raise InvalidParameterError(
             f"relative step must be in (0, 1), got {relative_step}"
         )
-    n_designs, max_nodes = invariants.node_mask.shape
-    n_samples = _cube_samples(
-        n_chips, capacity, queue_weeks, d0_scale, wafer_rate_scale
-    )
     k_total = scenario_set.n_scenarios
     pipelined = model.schedule == "pipelined"
     nodes = invariants.nodes
@@ -555,9 +699,8 @@ def _evaluate_cube(
     total_out = np.empty((k_total, n_designs, n_samples))
     cas_out = np.empty((k_total, n_designs, n_samples)) if with_cas else None
 
-    # Scenario-invariant terms, hoisted out of the loop. ``tapeout`` and
-    # ``prefix`` are the same additions the per-scenario oracle performs,
-    # just computed once (identical operands -> identical bits).
+    # Scenario-invariant terms, hoisted out of the loop: ``tapeout`` and
+    # ``prefix`` are the same additions for every scenario.
     lat3 = invariants.fab_latency_weeks[:, :, None]
     if pipelined:
         tapeout = invariants.max_tapeout_weeks[:, None]
@@ -570,32 +713,22 @@ def _evaluate_cube(
     # Scratch buffers reused across scenarios. Writing ufunc results
     # into preallocated ``out=`` arrays changes only where the bits
     # land, never what they are: each output element is still the same
-    # operation on the same operands, so the cube stays pinned
-    # bit-for-bit against the looped oracle while the allocator stops
-    # paying a fresh multi-megabyte temporary (and its page-zeroing)
-    # per op per scenario.
+    # operation on the same operands, so a slab does not depend on the
+    # scenarios around it, while the allocator stops paying a fresh
+    # multi-megabyte temporary (and its page-zeroing) per op per
+    # scenario.
     scratch3 = np.empty((n_designs, max_nodes, n_samples))
     masked = np.empty((n_designs, max_nodes, n_samples))
-    total_tmp = np.empty((n_designs, n_samples))
     supply_scratch = _SupplyScratch(
         scaled=np.empty((n_designs, max_nodes, n_samples)),
         rates=np.empty((n_designs, max_nodes, n_samples)),
         backlog=np.empty((n_designs, max_nodes, n_samples)),
         fraction=np.empty((n_designs, max_nodes, n_samples)),
     )
-    # Padded/unused node slots, precomputed once: the oracle masks them
-    # to -inf before every node-axis max; the fused path copies the
-    # full tensor and overwrites just the inactive rows (same cells end
-    # up -inf, the active cells are untouched copies).
+    # Padded/unused node slots, precomputed once: they are set to -inf
+    # before every node-axis max (the active cells are untouched).
     inactive2 = ~invariants.node_mask
     any_inactive = bool(inactive2.any())
-    inactive_rows = [
-        np.flatnonzero(inactive2[:, p]) for p in range(max_nodes)
-    ]
-    active_rows = [
-        np.flatnonzero(invariants.node_mask[:, p])
-        for p in range(max_nodes)
-    ]
     if with_cas:
         loo = np.empty((n_designs, max_nodes, n_samples))
         running = np.empty((n_designs, n_samples))
@@ -612,7 +745,7 @@ def _evaluate_cube(
         # the sparse nodes) once instead of per scenario.
         node_plan = []
         for p in range(max_nodes):
-            idx = active_rows[p]
+            idx = np.flatnonzero(invariants.node_mask[:, p])
             if idx.size == 0:
                 node_plan.append(None)
                 continue
@@ -627,6 +760,7 @@ def _evaluate_cube(
                 )
                 tapeout_p = tapeout[idx]
                 prefix_p = prefix[idx]
+                inactive_p = None
             else:
                 sel = None
                 max_rate_p = invariants.max_rate[:, p, None]
@@ -638,62 +772,51 @@ def _evaluate_cube(
                 )
                 tapeout_p = tapeout
                 prefix_p = prefix
+                inactive_p = np.flatnonzero(inactive2[:, p])
             node_plan.append(
-                (sel, max_rate_p, lat_p, tap_p, tapeout_p, prefix_p)
+                (sel, max_rate_p, lat_p, tap_p, tapeout_p, prefix_p,
+                 inactive_p)
             )
 
-    d0_groups = _D0Groups(invariants, d0_scale)
-    pw_cache: Dict[Tuple[float, float], tuple] = {}
+    d0_groups = _D0Groups(invariants, base["d0_scale"])
+    groups: Dict[Tuple[float, float], _Group] = {}
 
     for k in range(k_total):
         kwargs = apply_scenario(
-            scenario_set,
-            k,
-            n_chips=n_chips,
-            capacity=capacity,
-            queue_weeks=queue_weeks,
-            d0_scale=d0_scale,
-            wafer_rate_scale=wafer_rate_scale,
-            nodes=nodes,
-            conditions=conditions,
+            scenario_set, k, **base, nodes=nodes, conditions=conditions
         )
         g = float(scenario_set.d0_scale[k])
         dm = float(scenario_set.demand_scale[k])
-        pw_key = (dm, g)
-        cached = pw_cache.get(pw_key)
-        if cached is None:
+        group = groups.get((dm, g))
+        if group is None:
             wafers, testing, _ = d0_groups.tensors(g)
-            quantities_node, quantities_design = _portfolio_quantities(
-                kwargs["n_chips"], n_designs
-            )
+            quantities_design = kwargs["n_chips"]
+            quantities_node = _node_axis(quantities_design)
             # The first multiply of ``quantities * wafers / rates`` and
             # the packaging tail; both invariant across this
-            # (demand, D0) scenario group. The trailing dict lazily
-            # collects per-sparse-node packaging row subsets.
-            cached = (
-                quantities_node * wafers,
-                model.tap_latency_weeks
+            # (demand, D0) scenario group.
+            group = _Group(
+                quantities=quantities_design,
+                production_load=quantities_node * wafers,
+                packaging=model.tap_latency_weeks
                 + quantities_design * testing
                 + quantities_design
                 * invariants.assembly_weeks_per_chip[:, None],
-                {},
+                packaging_rows={},
             )
-            pw_cache[pw_key] = cached
-        production_load, packaging, packaging_subs = cached
-        # The resolved supply lands in reusable scratch buffers (same
-        # ufuncs, same operands, preallocated out= targets) and is
+            groups[dm, g] = group
+        production_load, packaging = group.production_load, group.packaging
+        # The resolved supply lands in reusable scratch buffers and is
         # consumed fully within this iteration.
-        supply = _portfolio_supply(
+        rates, backlog = _portfolio_supply(
             model,
             invariants,
             kwargs["capacity"],
-            queue_weeks=kwargs["queue_weeks"],
-            d0_scale=None,
-            wafer_rate_scale=kwargs["wafer_rate_scale"],
-            scratch=supply_scratch,
+            kwargs["queue_weeks"],
+            kwargs["wafer_rate_scale"],
+            supply_scratch,
         )
-        rates = supply.rates
-        np.divide(supply.backlog, rates, out=masked)  # queue drain
+        np.divide(backlog, rates, out=masked)  # queue drain
         np.divide(production_load, rates, out=scratch3)  # production
         np.add(masked, scratch3, out=masked)
         np.add(masked, lat3, out=masked)  # node totals
@@ -724,8 +847,9 @@ def _evaluate_cube(
             np.max(masked, axis=1, out=fabrication)
         if pipelined:
             np.subtract(fabrication, tapeout, out=fabrication)
-        np.add(prefix, fabrication, out=total_tmp)
-        np.add(total_tmp, packaging, out=total_out[k])
+        total = total_out[k]
+        np.add(prefix, fabrication, out=total)
+        np.add(total, packaging, out=total)
         if not with_cas:
             continue
 
@@ -741,25 +865,28 @@ def _evaluate_cube(
             plan = node_plan[p]
             if plan is None:
                 continue
-            sel, max_rate, lat_p, tap_p, tapeout_p, prefix_p = plan
+            (
+                sel, max_rate, lat_p, tap_p, tapeout_p, prefix_p,
+                inactive_p,
+            ) = plan
             if sel is not None:
                 n_act = sel.size
                 row = rates[sel, p, :]
-                backlog_p = supply.backlog[sel, p, :]
+                backlog_p = backlog[sel, p, :]
                 load_p = (
                     production_load[sel, p, :]
                     if production_load.ndim == 3
                     else production_load
                 )
                 loo_p = loo[sel, p, :]
-                packaging_p = packaging_subs.get(p)
+                packaging_p = group.packaging_rows.get(p)
                 if packaging_p is None:
                     packaging_p = (
                         packaging[sel]
                         if packaging.ndim == 2
                         else packaging
                     )
-                    packaging_subs[p] = packaging_p
+                    group.packaging_rows[p] = packaging_p
                 step_p = step[:n_act]
                 slope_p = slope[:n_act]
                 eff_p = eff2[:, :n_act]
@@ -768,7 +895,7 @@ def _evaluate_cube(
             else:
                 n_act = n_designs
                 row = rates[:, p, :]
-                backlog_p = supply.backlog[:, p, :]
+                backlog_p = backlog[:, p, :]
                 load_p = (
                     production_load[:, p, :]
                     if production_load.ndim == 3
@@ -792,14 +919,13 @@ def _evaluate_cube(
             if pipelined:
                 np.add(tap_p, eff_p, out=eff_p)
             # Perturbed fab max. For designs not using node ``p`` the
-            # oracle takes max(loo, -inf) == loo (every active node's
-            # ready time is finite), so overwriting those rows with the
-            # leave-one-out max is the same bits as masking before the
-            # maximum.
+            # full re-reduction takes max(loo, -inf) == loo (every
+            # active node's ready time is finite), so overwriting those
+            # rows with the leave-one-out max is the same bits as
+            # masking before the maximum.
             np.maximum(loo_p, eff_p, out=pert_p)
-            rows = inactive_rows[p]
-            if sel is None and rows.size:
-                pert_p[:, rows] = loo_p[rows]
+            if inactive_p is not None and inactive_p.size:
+                pert_p[:, inactive_p] = loo_p[inactive_p]
             if pipelined:
                 np.subtract(pert_p, tapeout_p, out=pert_p)
             np.add(prefix_p, pert_p, out=pert_p)
@@ -812,11 +938,9 @@ def _evaluate_cube(
                 sens[sel] += slope_p
             else:
                 np.add(sens, slope_p, out=sens)
-        row_positive = np.all(
-            sens > 0.0, axis=tuple(range(1, sens.ndim))
-        )
-        if not np.all(row_positive):
-            bad = invariants.designs[int(np.argmin(row_positive))]
+        positive = sens > 0.0
+        if not positive.all():
+            bad = invariants.designs[int(np.argmin(positive.all(axis=1)))]
             raise InvalidParameterError(
                 f"design {bad!r} has zero TTM sensitivity on all nodes "
                 f"under scenario {scenario_set.names[k]!r}; CAS is "
@@ -824,106 +948,8 @@ def _evaluate_cube(
             )
         np.divide(1.0, sens, out=cas_out[k])
 
-    if pw_out is not None:
-        for key, (load, _packaging, _subs) in pw_cache.items():
-            pw_out[key] = load
-    if wafers_out is not None or yields_out is not None:
-        for g_key, (wafers_g, _testing_g, yields_g) in (
-            d0_groups._cache.items()
-        ):
-            if wafers_out is not None:
-                wafers_out[g_key] = wafers_g
-            if yields_out is not None and yields_g is not None:
-                yields_out[g_key] = yields_g
-    return tapeout_out, fabrication_out, total_out, cas_out
-
-
-def _cube_samples(
-    n_chips: ArrayLike,
-    *arrays: Optional[ArrayLike],
-) -> int:
-    """The cube's trailing sample-axis extent."""
-    extents = [np.shape(np.asarray(n_chips, dtype=float))[-1:] or (1,)]
-    for value in arrays:
-        if value is not None:
-            extents.append(np.shape(np.asarray(value, dtype=float)) or (1,))
-    return int(np.broadcast_shapes(*extents)[0])
-
-
-@observed_kernel("engine.scenario_ttm", lambda r: r.total_weeks.size)
-def scenario_ttm(
-    model: TTMModel,
-    designs: Optional[Sequence[ChipDesign]],
-    n_chips: ArrayLike,
-    scenarios: Union[ScenarioSet, Sequence[Scenario]],
-    capacity: Optional[ArrayLike] = None,
-    queue_weeks: Optional[ArrayLike] = None,
-    d0_scale: Optional[ArrayLike] = None,
-    wafer_rate_scale: Optional[ArrayLike] = None,
-    invariants: Optional[PortfolioInvariants] = None,
-) -> ScenarioTTMResult:
-    """Vectorized TTM over the full scenario cube in one call.
-
-    Slice ``k`` is pinned bit-for-bit against
-    ``portfolio_ttm(**apply_scenario(scenarios, k, ...))``.
-    """
-    invariants = _resolve_invariants(model, designs, invariants)
-    scenario_set = compile_scenarios(scenarios)
-    tapeout, fabrication, total, _ = _evaluate_cube(
-        model,
-        invariants,
-        scenario_set,
-        n_chips,
-        capacity,
-        queue_weeks,
-        d0_scale,
-        wafer_rate_scale,
-        DEFAULT_RELATIVE_STEP,
-        with_cas=False,
-    )
-    return ScenarioTTMResult(
-        scenarios=scenario_set.names,
-        designs=invariants.designs,
-        schedule=model.schedule,
-        tapeout_weeks=tapeout,
-        fabrication_weeks=fabrication,
-        total_weeks=total,
-    )
-
-
-@observed_kernel("engine.scenario_cas", lambda r: r.cas.size)
-def scenario_cas(
-    model: TTMModel,
-    designs: Optional[Sequence[ChipDesign]],
-    n_chips: ArrayLike,
-    scenarios: Union[ScenarioSet, Sequence[Scenario]],
-    capacity: Optional[ArrayLike] = None,
-    relative_step: float = DEFAULT_RELATIVE_STEP,
-    queue_weeks: Optional[ArrayLike] = None,
-    d0_scale: Optional[ArrayLike] = None,
-    wafer_rate_scale: Optional[ArrayLike] = None,
-    invariants: Optional[PortfolioInvariants] = None,
-) -> ScenarioCASResult:
-    """Vectorized CAS over the full scenario cube in one call."""
-    invariants = _resolve_invariants(model, designs, invariants)
-    scenario_set = compile_scenarios(scenarios)
-    _, _, _, cas = _evaluate_cube(
-        model,
-        invariants,
-        scenario_set,
-        n_chips,
-        capacity,
-        queue_weeks,
-        d0_scale,
-        wafer_rate_scale,
-        relative_step,
-        with_cas=True,
-    )
-    return ScenarioCASResult(
-        scenarios=scenario_set.names,
-        designs=invariants.designs,
-        processes=invariants.processes,
-        cas=cas,
+    return _Cube(
+        tapeout_out, fabrication_out, total_out, cas_out, groups, d0_groups
     )
 
 
@@ -936,19 +962,14 @@ def scenario_cost(
     d0_scale: Optional[ArrayLike] = None,
     engineers: int = DEFAULT_ENGINEERS,
     invariants: Optional[PortfolioInvariants] = None,
-    _production_load: Optional[
-        Mapping[Tuple[float, float], np.ndarray]
-    ] = None,
-    _wafers: Optional[Mapping[float, np.ndarray]] = None,
-    _yields: Optional[Mapping[float, np.ndarray]] = None,
+    _cube: Optional[_Cube] = None,
 ) -> ScenarioCostResult:
     """Chip-creation cost over the cube, deduplicated per (demand, D0).
 
     Cost depends only on the demand and defect-density transforms, so
     scenarios sharing that pair share one bit-identical
-    :func:`~repro.engine.portfolio.portfolio_cost` evaluation.
-    ``_production_load`` / ``_wafers`` / ``_yields`` let
-    :func:`scenario_evaluate` lend the TTM cube's per-group
+    :func:`~repro.engine.portfolio.portfolio_cost` evaluation. ``_cube``
+    lets :func:`scenario_evaluate` lend the TTM cube's per-group
     ``quantities x wafers`` products and per-D0 wafer/yield tensors to
     the cost kernel (same ``pow`` and multiplies, computed once).
     """
@@ -961,10 +982,8 @@ def scenario_cost(
             edge_corrected=cost_model.edge_corrected,
         )
     scenario_set = compile_scenarios(scenarios)
-    if d0_scale is not None:
-        _sample_array(d0_scale, "defect density scale")
     n_designs = invariants.n_designs
-    n_samples = _cube_samples(n_chips, d0_scale)
+    n_samples, base = _validate_base(n_chips, n_designs, d0_scale=d0_scale)
     k_total = scenario_set.n_scenarios
     total_out = np.empty((k_total, n_designs, n_samples))
     nre: Optional[np.ndarray] = None
@@ -976,7 +995,9 @@ def scenario_cost(
     # quantities and the per-profile dies numerator depend only on the
     # demand multiplier and are shared the same way along the other
     # axis of the (demand, D0) grid.
-    g_tensors: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
+    d0_groups = _cube.d0 if _cube is not None else _D0Groups(
+        invariants, base["d0_scale"]
+    )
     dm_tensors: Dict[
         float, Tuple[np.ndarray, np.ndarray, np.ndarray]
     ] = {}
@@ -985,36 +1006,16 @@ def scenario_cost(
         g = float(scenario_set.d0_scale[k])
         hit = cache.get((dm, g))
         if hit is None:
-            chips = n_chips if dm == 1.0 else np.asarray(
-                n_chips, dtype=float
-            ) * dm
-            if g == 1.0:
-                scale = d0_scale
-            elif d0_scale is None:
-                scale = g
-            else:
-                scale = np.asarray(d0_scale, dtype=float) * g
-            pair = g_tensors.get(g)
-            if pair is None:
-                if scale is None:
-                    scale_array: np.ndarray = np.asarray(1.0, dtype=float)
-                else:
-                    scale_array = _sample_array(scale, "defect density scale")
-                yields = _yields.get(g) if _yields is not None else None
-                if yields is None:
-                    yields = invariants.profile_yields(scale_array)
-                wafers = _wafers.get(g) if _wafers is not None else None
-                if wafers is None:
-                    wafers = invariants.wafers_per_chip_at(
-                        scale_array, yields=yields
-                    )
-                pair = (wafers, yields)
-                g_tensors[g] = pair
+            wafers, _, yields = d0_groups.tensors(g)
+            if yields is None:
+                # The nominal entry reads the table's D0-scale-1 columns.
+                yields = invariants.profile_yields(1.0)
             trio = dm_tensors.get(dm)
             if trio is None:
-                quantities_node, quantities_design = (
-                    _portfolio_quantities(chips, n_designs)
-                )
+                quantities_design = base["n_chips"]
+                if dm != 1.0:
+                    quantities_design = quantities_design * dm
+                quantities_node = _node_axis(quantities_design)
                 profile_quantities = (
                     quantities_design[invariants.profile_design]
                     if quantities_design.ndim == 2
@@ -1032,11 +1033,11 @@ def scenario_cost(
                 invariants,
                 trio[0],
                 trio[1],
-                pair[0],
-                pair[1],
+                wafers,
+                yields,
                 production_load=(
-                    _production_load.get((dm, g))
-                    if _production_load is not None
+                    _cube.groups[dm, g].production_load
+                    if _cube is not None
                     else None
                 ),
                 dies_numerator=trio[2],
@@ -1062,25 +1063,23 @@ def scenario_evaluate(
     designs: Optional[Sequence[ChipDesign]],
     n_chips: ArrayLike,
     scenarios: Union[ScenarioSet, Sequence[Scenario]],
-    capacity: Optional[ArrayLike] = None,
+    capacity: Optional[CapacityLike] = None,
     queue_weeks: Optional[ArrayLike] = None,
     d0_scale: Optional[ArrayLike] = None,
     wafer_rate_scale: Optional[ArrayLike] = None,
     relative_step: float = DEFAULT_RELATIVE_STEP,
     invariants: Optional[PortfolioInvariants] = None,
 ) -> ScenarioCubeResult:
-    """TTM + CAS (+ cost when ``cost_model`` is given) in one fused pass.
+    """TTM + CAS (+ cost when ``cost_model`` is given) over the cube.
 
+    Slab ``k`` of every tensor equals the ``portfolio_*`` call over
+    :func:`apply_scenario`'s transform of the base draws, bit for bit.
     TTM and CAS share one resolved supply and one baseline pass per
-    scenario — the individual ``scenario_ttm``/``scenario_cas`` entry
-    points stay bit-identical but each re-resolve the supply.
+    scenario, and cost reuses the cube's D0 and load tensors.
     """
     invariants = _resolve_invariants(model, designs, invariants)
     scenario_set = compile_scenarios(scenarios)
-    production_loads: Dict[Tuple[float, float], np.ndarray] = {}
-    wafer_tensors: Dict[float, np.ndarray] = {}
-    yield_tensors: Dict[float, np.ndarray] = {}
-    tapeout, fabrication, total, cas = _evaluate_cube(
+    cube = _evaluate_cube(
         model,
         invariants,
         scenario_set,
@@ -1089,25 +1088,22 @@ def scenario_evaluate(
         queue_weeks,
         d0_scale,
         wafer_rate_scale,
-        relative_step,
         with_cas=True,
-        pw_out=production_loads,
-        wafers_out=wafer_tensors,
-        yields_out=yield_tensors,
+        relative_step=relative_step,
     )
     ttm = ScenarioTTMResult(
         scenarios=scenario_set.names,
         designs=invariants.designs,
         schedule=model.schedule,
-        tapeout_weeks=tapeout,
-        fabrication_weeks=fabrication,
-        total_weeks=total,
+        tapeout_weeks=cube.tapeout,
+        fabrication_weeks=cube.fabrication,
+        total_weeks=cube.total,
     )
     cas_result = ScenarioCASResult(
         scenarios=scenario_set.names,
         designs=invariants.designs,
         processes=invariants.processes,
-        cas=cas,
+        cas=cube.cas,
     )
     cost_result = None
     if cost_model is not None:
@@ -1119,9 +1115,7 @@ def scenario_evaluate(
             d0_scale=d0_scale,
             engineers=model.engineers,
             invariants=invariants,
-            _production_load=production_loads,
-            _wafers=wafer_tensors,
-            _yields=yield_tensors,
+            _cube=cube,
         )
     return ScenarioCubeResult(ttm=ttm, cas=cas_result, cost=cost_result)
 
@@ -1135,8 +1129,6 @@ __all__ = [
     "ScenarioTTMResult",
     "apply_scenario",
     "compile_scenarios",
-    "scenario_cas",
     "scenario_cost",
     "scenario_evaluate",
-    "scenario_ttm",
 ]

@@ -14,7 +14,6 @@ from repro.design.library.a11 import a11
 from repro.design.library.generic import demo_chip_a, demo_chip_b
 from repro.design.library.zen2 import fig13_variants
 from repro.engine.batch import (
-    batch_cas,
     batch_ttm,
     cas_over_capacity,
     ttm_over_capacity,
@@ -149,17 +148,6 @@ class TestCASEquivalence:
             for f in FRACTIONS
         ]
         np.testing.assert_allclose(batched, scalar, rtol=RTOL)
-
-    def test_sensitivity_breakdown_matches_scalar(self, nominal):
-        design = fig13_variants()[0]
-        batched = batch_cas(nominal, design, (1e6,))
-        scalar = chip_agility_score(nominal, design, 1e6)
-        assert set(batched.sensitivity) == set(scalar.sensitivity)
-        for process, values in batched.sensitivity.items():
-            assert values[0] == pytest.approx(
-                scalar.sensitivity[process], rel=RTOL
-            )
-        assert batched.cas[0] == pytest.approx(scalar.cas, rel=RTOL)
 
     def test_queue_quoted_model(self, nominal):
         design = a11("7nm")

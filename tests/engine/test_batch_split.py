@@ -418,6 +418,43 @@ class TestExactRefinement:
                 >= fine_grid.best_evaluation(i).cas - 1e-12
             )
 
+    def test_bracket_reaching_full_split_takes_the_fine_grid(self):
+        # A coarse optimum next to split 1.0 brackets up to it, where
+        # the secondary line vanishes. Such a pair takes the fine grid
+        # (no line is probed at a zero fraction) and so scores exactly
+        # as refine="grid" does.
+        from repro.cost.model import CostModel
+        from repro.engine.batch_split import _bracket
+        from repro.ttm.model import TTMModel
+
+        nodes = ("250nm", "40nm", "28nm", "7nm")
+        model, cost_model = TTMModel.nominal(), CostModel.nominal()
+
+        def study(refine):
+            return run_split_study(
+                raven_multicore, nodes, model, cost_model, N_CHIPS,
+                split_grid=GRID, refine=refine,
+            )
+
+        exact, grid = study("exact"), study("grid")
+        coarse = batch_split(
+            raven_multicore,
+            [(p, s) for i, s in enumerate(nodes) for p in nodes[i:]],
+            model,
+            cost_model,
+            N_CHIPS,
+            split_grid=GRID,
+        )
+        reaching = [
+            coarse.pairs[i]
+            for i in range(coarse.n_pairs)
+            if not coarse.single_mask[i].all()
+            and _bracket(coarse, i)[1] >= 1.0
+        ]
+        assert reaching
+        for key in reaching:
+            assert exact.pairs[key].best == grid.pairs[key].best
+
     def test_exact_matches_a_dense_grid_oracle(self, model, cost_model):
         # A 2001-point dense carpet of one pair's bracket cannot beat
         # the breakpoint candidates: the optimum is exact, not sampled.

@@ -1,13 +1,18 @@
-"""The fused scenario cube vs the looped per-scenario oracle.
+"""A composition law of the one TTM and CAS kernel: K scenarios == K x one.
 
-The contract (DESIGN.md S23): slab ``k`` of every ``scenario_*`` tensor
-equals the corresponding ``portfolio_*`` call over
-``apply_scenario``-transformed base draws — bit for bit, not just to a
-tolerance. These tests pin that equivalence over the
-stress library and hand-built scenarios (per-node capacity mappings,
-additive queue delays, demand/D0 rescales), the identity-scenario ==
-raw-portfolio shortcut, scenario-permutation equivariance, the
-cost-tensor deduplication, and the validation errors.
+``portfolio_ttm`` / ``portfolio_cas`` are the scenario cube's kernel on
+one identity scenario, so comparing the cube with a loop of them
+compares the kernel with itself. What the comparison pins (DESIGN.md
+S23) is that evaluating K scenarios in one pass changes no bit: slab
+``k`` of every ``scenario_evaluate`` tensor equals the ``portfolio_*``
+call over ``apply_scenario``-transformed base draws, bit for bit, so
+the K-scenario pass's D0-group sharing, (demand, D0) cache, sparse
+node plans and per-node capacity mappings are exact. These tests pin
+that law over the stress library and hand-built scenarios (per-node
+capacity mappings, on a global or a per-node capacity base, additive
+queue delays, demand/D0 rescales), scenario-permutation equivariance,
+the cost-tensor deduplication, and the validation errors. Whether the
+kernel is *right* is the scalar model's call, in ``test_portfolio.py``.
 """
 
 import numpy as np
@@ -28,10 +33,8 @@ from repro.engine.scenario import (
     Scenario,
     apply_scenario,
     compile_scenarios,
-    scenario_cas,
     scenario_cost,
     scenario_evaluate,
-    scenario_ttm,
 )
 from repro.errors import InvalidParameterError
 from repro.montecarlo.disruption import MIN_CAPACITY_FRACTION
@@ -156,6 +159,28 @@ class TestCubeEquivalence:
         )
         assert_cube_matches_loop(model, designs, scenario_set, base_draws)
 
+    def test_per_node_capacity_base(self, model, designs, base_draws):
+        # A {node: fractions} base; the per-node and global capacity
+        # scenarios scale each node's resolved base (its entry, or the
+        # model's conditions for 28 nm, which the mapping leaves out).
+        rng = np.random.default_rng(31)
+        draws = {
+            **base_draws,
+            "capacity": {
+                "7nm": 0.3 + 0.6 * rng.random(64),
+                "12nm": 0.5 + 0.5 * rng.random(64),
+            },
+        }
+        scenario_set = compile_scenarios([
+            Scenario(name="baseline"),
+            Scenario(name="fab-outage",
+                     capacity_scale={"7nm": 0.4, "28nm": 0.7}),
+            Scenario(name="squeeze", capacity_scale=0.6, queue_scale=1.5),
+            Scenario(name="combined", demand_scale=1.3, d0_scale=1.2,
+                     capacity_scale={"12nm": 0.5}, queue_add_weeks=2.0),
+        ])
+        assert_cube_matches_loop(model, designs, scenario_set, draws)
+
     def test_nominal_defect_density(self, model, designs, base_draws):
         # No D0 draws: the identity D0 group is the table's nominal
         # columns, which the cost oracle re-derives at scale 1.
@@ -212,13 +237,13 @@ class TestCubeEquivalence:
 class TestScenarioSemantics:
     def test_identity_scenario_is_raw_portfolio(self, model, designs,
                                                 base_draws):
-        ttm = scenario_ttm(
-            model, designs, base_draws["n_chips"],
+        ttm = scenario_evaluate(
+            model, None, designs, base_draws["n_chips"],
             [Scenario(name="baseline")],
             capacity=base_draws["capacity"],
             queue_weeks=base_draws["queue_weeks"],
             wafer_rate_scale=base_draws["wafer_rate_scale"],
-        )
+        ).ttm
         raw = portfolio_ttm(
             model, designs, base_draws["n_chips"],
             capacity=base_draws["capacity"],
@@ -273,10 +298,10 @@ class TestScenarioSemantics:
             Scenario(name="baseline"),
             Scenario(name="outage-28nm", capacity_scale={"28nm": 0.4}),
         ])
-        ttm = scenario_ttm(
-            model, designs, N_CHIPS, scenario_set,
+        ttm = scenario_evaluate(
+            model, None, designs, N_CHIPS, scenario_set,
             capacity=base_draws["capacity"],
-        )
+        ).ttm
         total = np.asarray(ttm.total_weeks)
         # The 28 nm design slows down; the 7 nm-only design is untouched.
         assert np.array_equal(total[1, 0], total[0, 0])
@@ -288,12 +313,12 @@ class TestScenarioCAS:
     def test_cas_matches_oracle_per_scenario(self, model, designs,
                                              base_draws):
         scenario_set = stress_scenarios(["fab-outage", "logistics"])
-        cas = scenario_cas(
-            model, designs, base_draws["n_chips"], scenario_set,
+        cas = scenario_evaluate(
+            model, None, designs, base_draws["n_chips"], scenario_set,
             capacity=base_draws["capacity"],
             queue_weeks=base_draws["queue_weeks"],
             wafer_rate_scale=base_draws["wafer_rate_scale"],
-        )
+        ).cas
         nodes = oracle_nodes(cas)
         for k in range(scenario_set.n_scenarios):
             kw = apply_scenario(
@@ -345,18 +370,10 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             Scenario(name="")
 
-    def test_per_node_capacity_base_rejected(self, model, designs):
-        with pytest.raises(InvalidParameterError):
-            scenario_ttm(
-                model, designs, N_CHIPS,
-                [Scenario(name="baseline")],
-                capacity={"7nm": 0.5},
-            )
-
     def test_bad_relative_step(self, model, designs):
         with pytest.raises(InvalidParameterError):
-            scenario_cas(
-                model, designs, N_CHIPS,
+            scenario_evaluate(
+                model, None, designs, N_CHIPS,
                 [Scenario(name="baseline")],
                 relative_step=1.5,
             )
