@@ -177,7 +177,9 @@ class PortfolioInvariants:
 
     The nominal ``wafers_per_chip`` and ``testing_weeks_per_chip``
     columns are :meth:`wafers_per_chip_at` and
-    :meth:`testing_weeks_per_chip_at` at D0 scale 1, bit for bit.
+    :meth:`testing_weeks_per_chip_at` at D0 scale 1, bit for bit, and
+    ``profile_nominal_yields`` is the ``(n_profiles, 1)``
+    :meth:`profile_yields` pass they were derived from.
     ``slot_ranks`` and ``design_ranks`` split the profiles by their
     (design, node) slot and by their design for :func:`_scatter_in_order`.
     """
@@ -214,6 +216,7 @@ class PortfolioInvariants:
     profile_unit_defects: np.ndarray
     slot_ranks: _Ranks = field(init=False, repr=False)
     design_ranks: _Ranks = field(init=False, repr=False)
+    profile_nominal_yields: np.ndarray = field(init=False)
     wafers_per_chip: np.ndarray = field(init=False)
     testing_weeks_per_chip: np.ndarray = field(init=False)
 
@@ -239,6 +242,7 @@ class PortfolioInvariants:
         yields = self.profile_yields(1.0)
         wafers = self.wafers_per_chip_at(1.0, yields)[:, :, 0]
         testing = self.testing_weeks_per_chip_at(1.0, yields)[:, 0]
+        object.__setattr__(self, "profile_nominal_yields", _readonly(yields))
         object.__setattr__(self, "wafers_per_chip", _readonly(wafers))
         object.__setattr__(self, "testing_weeks_per_chip", _readonly(testing))
 
@@ -914,16 +918,19 @@ def portfolio_cost(
         n_chips, invariants.n_designs
     )
     if d0_scale is None:
-        scale: np.ndarray = np.asarray(1.0, dtype=float)
+        # The nominal entry reads the table's D0-scale-1 columns.
+        yields = invariants.profile_nominal_yields
+        wafers = invariants.wafers_per_chip[:, :, None]
     else:
         scale = _sample_array(d0_scale, "defect density scale")
-    yields = invariants.profile_yields(scale)
+        yields = invariants.profile_yields(scale)
+        wafers = invariants.wafers_per_chip_at(scale, yields=yields)
     return _portfolio_cost_from_tensors(
         cost_model,
         invariants,
         quantities_node,
         quantities_design,
-        invariants.wafers_per_chip_at(scale, yields=yields),
+        wafers,
         yields,
     )
 

@@ -588,26 +588,26 @@ class _D0Groups:
     ):
         self._invariants = invariants
         self._base = d0_base
-        # multiplier -> (wafers, testing, yields-or-None); yields is the
-        # shared profile_yields pass both tensors were derived from
-        # (None on the precompiled identity entry, which never runs it).
+        # multiplier -> (wafers, testing, yields); yields is the shared
+        # profile_yields pass both tensors were derived from (the table's
+        # nominal column on the identity entry, which never runs it).
         self._cache: Dict[
-            float, Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]
+            float, Tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = {}
 
     def tensors(
         self, multiplier: float
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         key = float(multiplier)
         hit = self._cache.get(key)
         if hit is not None:
             return hit
         invariants = self._invariants
         if self._base is None and key == 1.0:
-            trio: Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]] = (
+            trio: Tuple[np.ndarray, np.ndarray, np.ndarray] = (
                 invariants.wafers_per_chip[:, :, None],
                 invariants.testing_weeks_per_chip[:, None],
-                None,
+                invariants.profile_nominal_yields,
             )
         else:
             if self._base is None:
@@ -1007,9 +1007,6 @@ def scenario_cost(
         hit = cache.get((dm, g))
         if hit is None:
             wafers, _, yields = d0_groups.tensors(g)
-            if yields is None:
-                # The nominal entry reads the table's D0-scale-1 columns.
-                yields = invariants.profile_yields(1.0)
             trio = dm_tensors.get(dm)
             if trio is None:
                 quantities_design = base["n_chips"]

@@ -110,13 +110,24 @@ def run(
     sweep = tuple(sizes_kb) if sizes_kb else CACHE_SWEEP_KB
     pairs = [(icache_kb, dcache_kb) for icache_kb in sweep for dcache_kb in sweep]
     ipc = np.array([perf.ipc(*pair) for pair in pairs])
-    cells = {}
-    for process in processes:
-        designs = [
+    # Every node's grid is a block of rows of one table; rows are
+    # independent, so each block equals that node's own call bit for bit.
+    designs_by_process = [
+        [
             ariane_manycore(process, cores=cores, icache_kb=i, dcache_kb=d)
             for i, d in pairs
         ]
-        ttm = portfolio_ttm(ttm_model, designs, volume_grid).total_weeks
+        for process in processes
+    ]
+    ttm_by_process = portfolio_ttm(
+        ttm_model,
+        [design for designs in designs_by_process for design in designs],
+        volume_grid,
+    ).total_weeks.reshape(len(processes), len(pairs), len(volume_grid))
+    cells = {}
+    for process, designs, ttm in zip(
+        processes, designs_by_process, ttm_by_process
+    ):
         # argmax takes the first maximum: ties go to the earlier pair.
         winners = np.argmax(ipc[:, None] / ttm, axis=0)
         for column, (n_chips, best) in enumerate(zip(volume_grid, winners)):

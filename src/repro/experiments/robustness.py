@@ -25,7 +25,7 @@ kernel call score them all.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -95,14 +95,17 @@ class RobustnessResult:
 def _perturbed_database(
     base: TechnologyDatabase, rng: np.random.Generator, noise: float
 ) -> TechnologyDatabase:
-    overrides: Dict[str, Dict[str, float]] = {}
-    for node in base.nodes:
-        fields: Dict[str, float] = {}
-        for name in PERTURBED_FIELDS:
-            factor = 1.0 + rng.uniform(-noise, noise)
-            fields[name] = getattr(node, name) * factor
-        overrides[node.name] = fields
-    return base.override(overrides)
+    # One call per world, node-major: the same stream, in the same order,
+    # as one scalar draw per (node, field).
+    shape = (len(base), len(PERTURBED_FIELDS))
+    factors = (1.0 + rng.uniform(-noise, noise, size=shape)).tolist()
+    return base.override({
+        node.name: {
+            name: getattr(node, name) * factor
+            for name, factor in zip(PERTURBED_FIELDS, row)
+        }
+        for node, row in zip(base.nodes, factors)
+    })
 
 
 def run(

@@ -8,11 +8,12 @@ protocol is unit-testable without a running server.
 Determinism and identity
 ------------------------
 The engine's invariant LRU is identity-keyed: two structurally equal
-``ChipDesign`` objects are different cache entries, and two
-``TechnologyDatabase.default()`` calls never share anything. A service
-that rebuilt objects per request would therefore recompile invariants
-on every call *and* lose the fused-batch design dedup. ``ServeState``
-prevents both: one technology database for the process, one memoized
+``ChipDesign`` objects are different cache entries. Every
+``TechnologyDatabase.default()`` call returns the one process-wide
+database, but each request builds its designs anew from JSON, so a
+service that kept no state would still recompile invariants on every
+call *and* lose the fused-batch design dedup. ``ServeState`` prevents
+both: one technology database for the process, one memoized
 ``TTMModel`` per scenario, one cost model, and an interning cache that
 maps each design spec's canonical JSON to a single ``ChipDesign``
 instance reused across requests.

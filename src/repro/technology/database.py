@@ -256,8 +256,17 @@ class TechnologyDatabase(Mapping[str, ProcessNode]):
 
     @classmethod
     def default(cls) -> "TechnologyDatabase":
-        """The paper's twelve-node roadmap with calibrated parameters."""
-        return cls(build_default_nodes())
+        """The paper's twelve-node roadmap with calibrated parameters.
+
+        One database per process, built at import and returned by every
+        call: the database is immutable, and the engine's compile cache
+        is keyed by database identity, so every ``TTMModel.nominal()``,
+        ``CostModel.nominal()`` and ``Foundry.nominal()`` shares its
+        compiled tables. :meth:`override` still returns a new copy; a
+        distinct default-valued database is
+        ``TechnologyDatabase(build_default_nodes())``.
+        """
+        return _DEFAULT
 
     # -- Mapping protocol ---------------------------------------------------
 
@@ -332,3 +341,7 @@ class TechnologyDatabase(Mapping[str, ProcessNode]):
                 "wafer_rate_kwpm": self[name].wafer_rate_kwpm * fraction
             }
         return self.override(overrides)
+
+
+#: The database :meth:`TechnologyDatabase.default` returns.
+_DEFAULT = TechnologyDatabase(build_default_nodes())

@@ -23,7 +23,10 @@ from repro.engine.invariants import (
     invariant_cache_info,
 )
 from repro.engine.portfolio import compile_portfolio
-from repro.technology.database import TechnologyDatabase
+from repro.technology.database import (
+    TechnologyDatabase,
+    build_default_nodes,
+)
 from repro.ttm.model import DEFAULT_ENGINEERS
 
 
@@ -105,7 +108,7 @@ class TestDerivationRecomputes:
         # Identity keying: a structurally identical rebuild is a *miss*,
         # never a false hit on the old entry.
         db_a = TechnologyDatabase.default()
-        db_b = TechnologyDatabase.default()
+        db_b = TechnologyDatabase(build_default_nodes())
         design = a11("7nm")
         first = compile_one(design, db_a)
         second = compile_one(design, db_b)

@@ -84,6 +84,30 @@ class TestFig06:
                 assert cell.ipc == best[2]
                 assert cell.ttm_weeks == pytest.approx(best[3], rel=1e-12)
 
+    def test_one_table_equals_per_node_calls(self, result, model):
+        """Every node is a block of one table's rows; each block equals
+        that node's own kernel call bit for bit."""
+        from repro.design.library.ariane import ariane_manycore
+        from repro.engine.portfolio import portfolio_ttm
+
+        study_model = model.at_capacity(fig06_cache_matrix.DEFAULT_CAPACITY_SHARE)
+        pairs = [(i, d) for i in SIZES for d in SIZES]
+        for process in PROCESSES:
+            designs = [
+                ariane_manycore(
+                    process,
+                    cores=fig06_cache_matrix.DEFAULT_CORES,
+                    icache_kb=i,
+                    dcache_kb=d,
+                )
+                for i, d in pairs
+            ]
+            ttm = portfolio_ttm(study_model, designs, QUANTITIES).total_weeks
+            for column, n_chips in enumerate(QUANTITIES):
+                cell = result.cell(process, n_chips)
+                row = pairs.index((cell.icache_kb, cell.dcache_kb))
+                assert cell.ttm_weeks == ttm[row, column]
+
     def test_cache_area_fraction_in_unit_interval(self, result):
         for cell in result.cells.values():
             assert 0.0 < cell.cache_area_fraction < 1.0

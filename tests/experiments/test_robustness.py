@@ -2,7 +2,9 @@
 
 ``robustness.run`` scores every perturbed world as rows of one compiled
 table; :func:`scalar_survival` is the per-world scalar loop it replaced,
-kept here as the oracle.
+kept here as the oracle. Each world's noise is one array draw;
+:func:`scalar_draw_database` is the one-draw-per-field loop it replaced,
+kept as the oracle of the worlds.
 """
 
 import numpy as np
@@ -17,6 +19,18 @@ from repro.market.foundry import Foundry
 from repro.ttm.model import TTMModel
 
 
+def scalar_draw_database(base, rng, noise):
+    """One scalar draw per (node, field), node-major."""
+    overrides = {}
+    for node in base.nodes:
+        fields = {}
+        for name in robustness.PERTURBED_FIELDS:
+            factor = 1.0 + rng.uniform(-noise, noise)
+            fields[name] = getattr(node, name) * factor
+        overrides[node.name] = fields
+    return base.override(overrides)
+
+
 def scalar_survival(model, samples, noise, seed, n_chips=10e6):
     """Each world through the scalar model, one design at a time."""
     base = model.foundry.technology
@@ -28,7 +42,7 @@ def scalar_survival(model, samples, noise, seed, n_chips=10e6):
         "A11 more agile at 7nm than 5nm": 0,
     }
     for _ in range(samples):
-        technology = robustness._perturbed_database(base, rng, noise)
+        technology = scalar_draw_database(base, rng, noise)
         world = TTMModel(foundry=Foundry.nominal(technology))
         ttm = {
             process: world.total_weeks(a11(process), n_chips)
@@ -100,6 +114,24 @@ class TestRobustness:
 
     def test_table_renders(self, result):
         assert "survives" in result.table()
+
+
+class TestWorldDraws:
+    @pytest.mark.parametrize("seed", [1, 7, robustness.DEFAULT_SEED])
+    @pytest.mark.parametrize("noise", [1e-6, 0.05, 0.2, 0.7])
+    def test_equal_the_scalar_draw_loop(self, db, seed, noise):
+        # Successive worlds from one generator: each world's draw must
+        # also leave the stream where the scalar loop leaves it.
+        drawn = np.random.default_rng(seed)
+        scalar = np.random.default_rng(seed)
+        for _ in range(4):
+            world = robustness._perturbed_database(db, drawn, noise)
+            oracle = scalar_draw_database(db, scalar, noise)
+            assert world.names == oracle.names
+            for name in oracle.names:
+                assert world[name] == oracle[name]
+                for field in robustness.PERTURBED_FIELDS:
+                    assert type(getattr(world[name], field)) is float
 
 
 class TestScalarOracle:

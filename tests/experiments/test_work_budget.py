@@ -4,8 +4,9 @@ Running every registry experiment once is one ``ttm-cas run all`` pass,
 the ``figures`` benchmark's unit of work. It makes an exact number of
 scalar ``TTMModel.time_to_market`` calls, table compiles and kernel
 calls, whatever the host: a study that falls back to a per-point loop
-changes these counts on any machine. Calls are counted, not cache
-misses, because which compiles miss depends on the tests run before.
+changes these counts on any machine. The compile cache is cleared before
+each experiment, so its misses count the tables that experiment builds,
+whatever the tests run before.
 """
 
 import importlib
@@ -13,6 +14,10 @@ from collections import Counter
 
 import pytest
 
+from repro.engine.invariants import (
+    clear_invariant_cache,
+    invariant_cache_info,
+)
 from repro.experiments import registry
 from repro.obs.instrument import KERNEL_INVOCATIONS
 from repro.ttm.model import TTMModel
@@ -27,7 +32,8 @@ KERNELS = (
 
 @pytest.fixture(scope="module")
 def pass_counts():
-    """Per experiment: scalar TTM calls, kernel calls, ``batch_*`` calls."""
+    """Per experiment: scalar TTM calls, kernel calls, ``batch_*`` calls
+    and compile-cache misses."""
     counts = {key: Counter() for key in registry.experiment_keys()}
     running = [None]
     patch = pytest.MonkeyPatch()
@@ -57,7 +63,9 @@ def pass_counts():
                 name: KERNEL_INVOCATIONS.value(kernel=f"engine.{name}")
                 for name in KERNELS
             }
+            clear_invariant_cache()
             experiment.run().table()
+            counts[key]["compile_misses"] = invariant_cache_info()["misses"]
             for name in KERNELS:
                 calls = KERNEL_INVOCATIONS.value(kernel=f"engine.{name}")
                 counts[key][name] += int(calls - before[name])
@@ -88,7 +96,7 @@ class TestFiguresWorkBudget:
             "fig3": 2,
             "fig4": 1,
             "fig5": 2,
-            "fig6": 10,
+            "fig6": 1,
             "fig9": 1,
             "fig10": 1,
             "fig11": 1,
@@ -99,14 +107,23 @@ class TestFiguresWorkBudget:
             "robustness": 1,
         }
 
+    def test_one_compile_miss_per_compiling_experiment(self, pass_counts):
+        # Every nominal model reads the one default database, so an
+        # experiment's TTM, CAS and cost kernels share one table.
+        misses = per_experiment(pass_counts, "compile_misses")
+        compiling = per_experiment(pass_counts, "compile_portfolio")
+        assert misses == dict.fromkeys(compiling, 1)
+        assert sum(misses.values()) == 13
+
     def test_one_table_per_study(self, pass_counts):
         # Robustness's 48 calibration worlds, Fig. 14's production lines
-        # and Figs. 4/5's cache grids each read one table per metric.
+        # and Figs. 4-6's cache grids each read one table per metric.
         for key, kernels in (
             ("robustness", {"portfolio_ttm": 1, "portfolio_cas": 1}),
             ("fig14", {"portfolio_ttm": 1, "portfolio_cost": 1}),
             ("fig4", {"portfolio_ttm": 1}),
             ("fig5", {"portfolio_ttm": 1, "portfolio_cost": 1}),
+            ("fig6", {"portfolio_ttm": 1}),
             ("fig9", {"portfolio_cas": 1}),
             ("fig10", {"portfolio_ttm": 1}),
         ):

@@ -142,7 +142,9 @@ def test_aggregated_metrics_include_slo_and_quantile_sources(shard_client):
     assert "serve_request_seconds_bucket" in text
 
 
-def test_coalesced_bytes_identical_to_solo_with_tracing_on(shard_client):
+def test_coalesced_bytes_identical_to_solo_with_tracing_on(
+    shard_client, serve_factory, burst
+):
     body = {"design": "a11", "n_chips": 2e7}
     with ServerThread(ServerConfig()) as solo_thread:
         solo = ServeClient(
@@ -150,12 +152,21 @@ def test_coalesced_bytes_identical_to_solo_with_tracing_on(shard_client):
         ).post("/evaluate", body)
     assert solo.status == 200
 
+    # Through the traced shard, whether or not the posts happen to fuse.
     with ThreadPoolExecutor(max_workers=8) as pool:
         responses = list(
             pool.map(
                 lambda _: shard_client.post("/evaluate", body), range(8)
             )
         )
+    assert all(r.status == 200 for r in responses)
+    for response in responses:
+        assert response.body == solo.body
+
+    # A traced server whose first batch is held until all 8 are
+    # admitted, so the burst coalesces by construction.
+    traced = serve_factory.server(trace=True)
+    responses = burst(serve_factory.client(traced), "/evaluate", [body] * 8)
     assert all(r.status == 200 for r in responses)
     assert max(r.batch_size for r in responses) > 1
     for response in responses:

@@ -2,18 +2,22 @@
 
 import pytest
 
+from repro.cost.model import CostModel
 from repro.errors import (
     InvalidParameterError,
     NodeUnavailableError,
     UnknownNodeError,
 )
+from repro.market.foundry import Foundry
 from repro.technology.database import (
     ROADMAP,
     TAP_LATENCY_WEEKS,
     TechnologyDatabase,
     WAFER_RATE_KWPM,
+    build_default_nodes,
 )
 from repro.technology.node import ProcessNode
+from repro.ttm.model import TTMModel
 
 
 class TestRoadmapIntegrity:
@@ -134,6 +138,31 @@ class TestDerivation:
     def test_duplicate_names_rejected(self, db):
         with pytest.raises(InvalidParameterError):
             TechnologyDatabase(list(db.nodes) + [db["7nm"]])
+
+
+class TestSharedDefault:
+    """One default database per process, so nominal models share tables."""
+
+    def test_default_is_one_object(self):
+        assert TechnologyDatabase.default() is TechnologyDatabase.default()
+
+    def test_default_equals_a_fresh_build(self):
+        fresh = TechnologyDatabase(build_default_nodes())
+        assert fresh is not TechnologyDatabase.default()
+        assert dict(fresh) == dict(TechnologyDatabase.default())
+
+    def test_override_returns_a_new_database(self):
+        default = TechnologyDatabase.default()
+        derived = default.override({})
+        assert derived is not default
+        assert dict(derived) == dict(default)
+        assert TechnologyDatabase.default() is default
+
+    def test_nominal_models_hold_the_default(self):
+        default = TechnologyDatabase.default()
+        assert TTMModel.nominal().foundry.technology is default
+        assert CostModel.nominal().technology is default
+        assert Foundry.nominal().technology is default
 
 
 class TestProcessNodeValidation:
