@@ -108,18 +108,34 @@ class Die:
 
     # -- Transistor accounting ------------------------------------------------
 
+    def transistor_totals(self) -> Tuple[float, float, float]:
+        """``(ntt, nut, parallel_nut)`` from one pass over the blocks.
+
+        ``ntt`` and ``nut`` read it, and so does the compiled table: each
+        sum adds the blocks in order, then the top level. ``parallel_nut``
+        is the NUT on the tapeout critical path when the blocks tape out
+        in parallel: the largest block's NUT, then the top level.
+        """
+        ntt = nut = 0
+        largest = 0.0
+        for block in self.blocks:
+            ntt += block.total_transistors
+            block_nut = block.nut
+            nut += block_nut
+            if block_nut > largest:
+                largest = block_nut
+        top = self.top_level_transistors
+        return ntt + top, nut + top, largest + top
+
     @property
     def ntt(self) -> float:
         """Total transistors on one die (N_TT,die in Eq. 7)."""
-        return (
-            sum(block.total_transistors for block in self.blocks)
-            + self.top_level_transistors
-        )
+        return self.transistor_totals()[0]
 
     @property
     def nut(self) -> float:
         """Unique/unverified transistors (N_UT in Eq. 2)."""
-        return sum(block.nut for block in self.blocks) + self.top_level_transistors
+        return self.transistor_totals()[1]
 
     @property
     def is_passive(self) -> bool:

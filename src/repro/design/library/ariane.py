@@ -35,6 +35,9 @@ UNCORE_TRANSISTORS = 2_000_000.0
 #: Top-level integration logic taped out after the blocks synchronize.
 TOP_LEVEL_TRANSISTORS = 500_000.0
 
+#: The uncore block: frozen and the same in every design, so all share it.
+_UNCORE = Block(name="uncore", transistors=UNCORE_TRANSISTORS)
+
 #: Cache capacities swept in Figs. 4-6.
 CACHE_SWEEP_KB: Tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 
@@ -83,11 +86,10 @@ def ariane_manycore(
         transistors=ariane_core_transistors(icache_kb, dcache_kb),
         instances=cores,
     )
-    uncore = Block(name="uncore", transistors=UNCORE_TRANSISTORS)
     die = Die(
         name="ariane-die",
         process=process,
-        blocks=(core, uncore),
+        blocks=(core, _UNCORE),
         top_level_transistors=TOP_LEVEL_TRANSISTORS,
     )
     display = name or (

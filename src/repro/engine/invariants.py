@@ -9,13 +9,20 @@ the same designs reuses it.
 
 Caching contract
 ----------------
-Entries are keyed by the *identity* of the ``TechnologyDatabase`` and
+Entries are keyed by the ``id()`` of the ``TechnologyDatabase`` and
 ``ChipDesign`` objects plus the scalar model knobs (``engineers``,
-``alpha``, ``edge_corrected``, ``block_parallel``). Both classes are
-immutable by construction, so identity keying is sound: to invalidate,
-build a new database (``TechnologyDatabase.override``) or a new design
-(``dataclasses.replace`` / the library constructors) instead of mutating
--- which is the only supported workflow anyway.
+``alpha``, ``edge_corrected``, ``block_parallel``): a key holds only
+ints and scalars, so CPython hashes and compares it in C. Both classes
+are immutable by construction, so identity keying is sound: to
+invalidate, build a new database (``TechnologyDatabase.override``) or a
+new design (``dataclasses.replace`` / the library constructors) instead
+of mutating -- which is the only supported workflow anyway.
+
+An ``id()`` is unique only among live objects, so each entry *pins* the
+objects whose ids its key holds: :func:`cached_invariants` stores them
+beside the value. While the entry exists they stay alive, and no other
+object can take their ids; once it is evicted or cleared, a new object
+that reuses an id misses, because no entry names it any more.
 
 The cache holds strong references, so it is bounded by the designs its
 entries pin (:data:`CACHE_MAX_DESIGNS`), not by its entry count: an entry
@@ -42,28 +49,8 @@ CACHE_MAX_DESIGNS = 256
 
 T = TypeVar("T")
 
-
-class _IdKey:
-    """Hash-by-identity wrapper pinning a strong reference.
-
-    Holding the object itself inside the cache key keeps it alive, which
-    guarantees its ``id()`` is never recycled while the entry exists.
-    """
-
-    __slots__ = ("obj",)
-
-    def __init__(self, obj: object) -> None:
-        self.obj = obj
-
-    def __hash__(self) -> int:
-        return id(self.obj)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _IdKey) and self.obj is other.obj
-
-
-#: key -> (value, designs pinned); oldest first.
-_CACHE: "OrderedDict[tuple, Tuple[object, int]]" = OrderedDict()
+#: key -> (value, designs weighed, objects pinned); oldest first.
+_CACHE: "OrderedDict[tuple, Tuple[object, int, object]]" = OrderedDict()
 _CACHE_LOCK = threading.Lock()
 #: Sum of the pinned-design weights of every entry in ``_CACHE``.
 _PINNED = 0
@@ -105,11 +92,16 @@ def invariant_cache_info() -> Dict[str, int]:
         }
 
 
-def cached_invariants(key: tuple, compute: "Callable[[], T]") -> "T":
+def cached_invariants(
+    key: tuple, pinned: object, compute: "Callable[[], T]"
+) -> "T":
     """Serve ``key`` from the shared LRU, computing (outside the lock) on miss.
 
-    An entry weighs its value's ``n_designs`` (1 for a value without
-    one) against :data:`CACHE_MAX_DESIGNS`. Both halves of the critical
+    ``pinned`` holds every object whose ``id()`` the key holds; a miss
+    stores it beside the value, so those ids stay taken while the entry
+    exists (see the caching contract above). An entry weighs its value's
+    ``n_designs`` (1 for a value without one) against
+    :data:`CACHE_MAX_DESIGNS`. Both halves of the critical
     section are guarded by the module lock, so hit/miss/eviction
     counters and eviction stay correct under the thread executor of
     :func:`~repro.engine.parallel.parallel_map`. Two threads racing on
@@ -130,10 +122,10 @@ def cached_invariants(key: tuple, compute: "Callable[[], T]") -> "T":
         replaced = _CACHE.pop(key, None)
         if replaced is not None:
             _PINNED -= replaced[1]
-        _CACHE[key] = (value, designs)
+        _CACHE[key] = (value, designs, pinned)
         _PINNED += designs
         while _PINNED > CACHE_MAX_DESIGNS and len(_CACHE) > 1:
-            _, (_, weight) = _CACHE.popitem(last=False)
+            _, (_, weight, _) = _CACHE.popitem(last=False)
             _PINNED -= weight
             _EVICTIONS._inc_key(())
         _ENTRIES.set(len(_CACHE))

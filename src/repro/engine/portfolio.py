@@ -40,14 +40,16 @@ only from the table; market conditions come from the model).
 
 Compiled portfolios are cached in the shared invariant LRU
 (:func:`~repro.engine.invariants.cached_invariants`) under a fingerprint
-key — the identities of the technology database(s) and every design
-plus the scalar model knobs — so repeated evaluations across a sweep or
-served requests skip recompilation entirely.
+key — the ``id()`` of the technology database(s) and of every design
+plus the scalar model knobs, with the objects themselves pinned in the
+entry — so repeated evaluations across a sweep or served requests skip
+recompilation entirely.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -62,7 +64,7 @@ from ..technology.database import TechnologyDatabase
 from ..technology.yield_model import DEFAULT_ALPHA
 from ..ttm.model import DEFAULT_ENGINEERS, TTMModel
 from ..units import mm2_to_cm2
-from .invariants import _IdKey, cached_invariants
+from .invariants import cached_invariants
 
 ArrayLike = Union[float, Sequence[float], np.ndarray]
 
@@ -353,6 +355,8 @@ _NODE_FIELDS = (
     "tapeout_fixed_cost_usd",
     "mask_set_cost_usd",
 )
+#: A node's ``_NODE_FIELDS`` values as one tuple.
+_read_node_fields = operator.attrgetter(*_NODE_FIELDS)
 
 
 #: ``technology`` argument: one database, or one database per design.
@@ -362,9 +366,10 @@ TechnologyLike = Union[TechnologyDatabase, Sequence[TechnologyDatabase]]
 def _first_appearance(items: Sequence) -> Tuple[tuple, List[int]]:
     """The distinct objects (by identity) in first-appearance order, and
     each item's index into them."""
-    position: Dict[int, int] = {}
-    index = [position.setdefault(id(item), len(position)) for item in items]
-    return tuple(dict(zip(map(id, items), items)).values()), index
+    ids = list(map(id, items))
+    first = dict(zip(ids, items))
+    position = dict(zip(first, range(len(first))))
+    return tuple(first.values()), list(map(position.__getitem__, ids))
 
 
 def _technology_rows(
@@ -422,7 +427,6 @@ def _compile(
         slots: Dict[str, int] = {}
         for die in design.dies:
             salvage = die.salvage
-            block_nut = [block.nut for block in die.blocks]
             rows.append((
                 u,
                 slots.setdefault(die.process, len(slots)),
@@ -430,9 +434,7 @@ def _compile(
                 0 if salvage is None else salvage.n_units,
                 0 if salvage is None else salvage.required_units,
                 die.count,
-                die.ntt,
-                sum(block_nut) + die.top_level_transistors,  # Die.nut
-                max(block_nut, default=0.0) + die.top_level_transistors,
+                *die.transistor_totals(),  # ntt, nut, parallel_nut
                 math.nan if die.area_mm2 is None else die.area_mm2,
                 die.min_area_mm2,
                 math.nan if die.yield_override is None else die.yield_override,
@@ -479,13 +481,12 @@ def _compile(
         else np.flatnonzero(np.bincount(row_pair, minlength=n_pairs)).tolist()
     )
     values = np.array([
-        [getattr(node, f) for f in _NODE_FIELDS]
-        for node in (
+        _read_node_fields(
             databases[pair // len(names)].require_production(
                 names[pair % len(names)]
             )
-            for pair in used
         )
+        for pair in used
     ]).T.copy()
     table = values
     if len(used) < n_pairs:
@@ -520,7 +521,7 @@ def _compile(
     )
 
     # Per-node slots: tapeout (Eq. 2, slowest die per node), NRE inputs.
-    shape = (len(designs), max(len(names) for names in processes))
+    shape = (len(designs), max(map(len, processes)))
     node_mask = np.zeros(shape, dtype=bool)
     node_mask[row_design, row_slot] = True
     slot_node = np.zeros(shape, dtype=np.intp)
@@ -593,19 +594,22 @@ def portfolio_fingerprint(
     """The shared-LRU cache key for a compiled portfolio.
 
     Identity-keyed (both ``ChipDesign`` and ``TechnologyDatabase`` are
-    immutable by construction): the identity of the database, or of each
+    immutable by construction): the ``id()`` of the database, or of each
     per-design database, and of every design, plus the scalar model
-    knobs. Two call sites evaluating the same design tuple under the
-    same database(s) hit one cache entry.
+    knobs. The key holds only ints and scalars, so it hashes in C; an id
+    is unique only while its object lives, so :func:`compile_portfolio`
+    pins the designs and databases in the cache entry beside the table.
+    Two call sites evaluating the same design tuple under the same
+    database(s) hit one cache entry.
     """
     if isinstance(technology, TechnologyDatabase):
-        databases: object = _IdKey(technology)
+        databases: object = id(technology)
     else:
-        databases = tuple(map(_IdKey, technology))
+        databases = tuple(map(id, technology))
     return (
         "portfolio",
         databases,
-        tuple(map(_IdKey, designs)),
+        tuple(map(id, designs)),
         engineers,
         alpha,
         edge_corrected,
@@ -628,13 +632,17 @@ def compile_portfolio(
     one database per design (say, an ensemble of calibration worlds as
     the rows of one table). Cached in the shared LRU under its
     :func:`portfolio_fingerprint`, weighing one unit per design against
-    the cache's design bound.
+    the cache's design bound; the entry pins the designs and databases
+    whose ids the key holds.
     """
     designs = tuple(designs)
     if not designs:
         raise InvalidParameterError(
             "portfolio must contain at least one design"
         )
+    if not isinstance(technology, TechnologyDatabase):
+        # A tuple, so the pin cannot change under the entry.
+        technology = tuple(technology)
     key = portfolio_fingerprint(
         designs,
         technology,
@@ -645,6 +653,7 @@ def compile_portfolio(
     )
     return cached_invariants(
         key,
+        (designs, technology),
         lambda: _compile(
             designs,
             technology,

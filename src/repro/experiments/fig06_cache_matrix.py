@@ -19,7 +19,6 @@ import numpy as np
 
 from ..analysis.sweep import chip_quantities
 from ..analysis.tables import format_table
-from ..design.chip import ChipDesign
 from ..design.library.ariane import CACHE_SWEEP_KB, ariane_manycore
 from ..engine.portfolio import portfolio_ttm
 from ..perf.ipc import IPCModel
@@ -82,18 +81,6 @@ class Fig06Result:
         return format_table(headers, rows)
 
 
-def _cache_area_fraction(
-    model: TTMModel, process: str, cores: int, with_caches: ChipDesign
-) -> float:
-    """Fraction of die area spent on the swept caches (the color bar)."""
-    node = model.foundry.technology[process]
-    # A hypothetical cache-less design isolates the cache contribution.
-    minimal = ariane_manycore(process, cores=cores, icache_kb=0, dcache_kb=0)
-    total = with_caches.dies[0].area_on(node)
-    base = minimal.dies[0].area_on(node)
-    return (total - base) / total
-
-
 def run(
     model: Optional[TTMModel] = None,
     ipc_model: Optional[IPCModel] = None,
@@ -128,10 +115,18 @@ def run(
     for process, designs, ttm in zip(
         processes, designs_by_process, ttm_by_process
     ):
+        # A hypothetical cache-less design isolates the swept caches'
+        # area (the color bar); it depends only on the node.
+        node = ttm_model.foundry.technology[process]
+        minimal = ariane_manycore(
+            process, cores=cores, icache_kb=0, dcache_kb=0
+        )
+        base = minimal.dies[0].area_on(node)
         # argmax takes the first maximum: ties go to the earlier pair.
         winners = np.argmax(ipc[:, None] / ttm, axis=0)
         for column, (n_chips, best) in enumerate(zip(volume_grid, winners)):
             icache_kb, dcache_kb = pairs[best]
+            total = designs[best].dies[0].area_on(node)
             cells[(process, n_chips)] = CellOptimum(
                 process=process,
                 n_chips=n_chips,
@@ -139,9 +134,7 @@ def run(
                 dcache_kb=dcache_kb,
                 ipc=float(ipc[best]),
                 ttm_weeks=float(ttm[best, column]),
-                cache_area_fraction=_cache_area_fraction(
-                    ttm_model, process, cores, designs[best]
-                ),
+                cache_area_fraction=(total - base) / total,
             )
     return Fig06Result(
         processes=tuple(processes), quantities=volume_grid, cells=cells

@@ -10,14 +10,19 @@ tests make both halves executable:
   value objects are frozen;
 * deriving a new design/technology after a cache hit **recomputes** —
   the result visibly reflects the change instead of serving stale data.
+
+Keys hold ``id()`` ints, so each entry pins the objects whose ids its
+key holds; ``TestEntriesPinTheirKeys`` makes that executable too.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
-from repro.design.library import a11
+from repro.design.library import a11, ariane_manycore
 from repro.engine.invariants import (
     clear_invariant_cache,
     invariant_cache_info,
@@ -126,6 +131,46 @@ class TestDerivationRecomputes:
         assert more_engineers.sequential_tapeout_weeks[0] != pytest.approx(
             default.sequential_tapeout_weeks[0]
         )
+
+
+class TestEntriesPinTheirKeys:
+    """An entry keeps alive every object whose ``id()`` its key holds.
+
+    Without the pin, a design freed while its entry stays cached could
+    hand its id to a new design, and the new design would hit the old
+    design's table.
+    """
+
+    @pytest.mark.parametrize("per_design_databases", [False, True])
+    def test_entry_pins_designs_and_databases(self, per_design_databases):
+        db = TechnologyDatabase(build_default_nodes())
+        designs = (a11("28nm"), a11("7nm"))
+        technology = [db] * len(designs) if per_design_databases else db
+        compile_portfolio(designs, technology)
+        refs = [weakref.ref(obj) for obj in designs + (db,)]
+        if per_design_databases:
+            technology.clear()  # the entry pins a copy, not the list
+        del designs, technology, db
+        gc.collect()
+        assert all(ref() is not None for ref in refs)
+        clear_invariant_cache()
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_design_built_after_the_old_is_freed_misses(self, db):
+        old = ariane_manycore("7nm", icache_kb=16, dcache_kb=32)
+        old_ntt = compile_one(old, db).profile_ntt[0]
+        del old
+        clear_invariant_cache()
+        gc.collect()
+        # Same shape, different transistor counts. The new design may
+        # take the freed design's id; with no entry left to name that
+        # id, it must still miss and compile its own values.
+        new = ariane_manycore("7nm", icache_kb=64, dcache_kb=64)
+        table = compile_one(new, db)
+        assert invariant_cache_info()["misses"] == 1
+        assert table.profile_ntt.tolist() == [new.dies[0].ntt]
+        assert table.profile_ntt[0] > old_ntt
 
 
 class TestThreadSafety:

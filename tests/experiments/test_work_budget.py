@@ -2,18 +2,20 @@
 
 Running every registry experiment once is one ``ttm-cas run all`` pass,
 the ``figures`` benchmark's unit of work. It makes an exact number of
-scalar ``TTMModel.time_to_market`` calls, table compiles and kernel
-calls, whatever the host: a study that falls back to a per-point loop
-changes these counts on any machine. The compile cache is cleared before
-each experiment, so its misses count the tables that experiment builds,
-whatever the tests run before.
+scalar ``TTMModel.time_to_market`` calls, ``ariane_manycore`` design
+builds, table compiles and kernel calls, whatever the host: a study that
+falls back to a per-point loop changes these counts on any machine. The
+compile cache is cleared before each experiment, so its misses count the
+tables that experiment builds, whatever the tests run before.
 """
 
 import importlib
+import sys
 from collections import Counter
 
 import pytest
 
+from repro.design.library import ariane
 from repro.engine.invariants import (
     clear_invariant_cache,
     invariant_cache_info,
@@ -44,6 +46,18 @@ def pass_counts():
         return time_to_market(self, *args, **kwargs)
 
     patch.setattr(TTMModel, "time_to_market", counted_scalar)
+    build = ariane.ariane_manycore
+
+    def counted_build(*args, **kwargs):
+        counts[running[0]]["ariane_manycore"] += 1
+        return build(*args, **kwargs)
+
+    # Every module that imported the constructor holds its own name.
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "repro" and (
+            getattr(module, "ariane_manycore", None) is build
+        ):
+            patch.setattr(module, "ariane_manycore", counted_build)
     # ``repro.engine`` re-exports ``batch`` and ``batch_split`` functions
     # under the module names, so the modules are looked up by path.
     for path in ("repro.engine.batch", "repro.engine.batch_split"):
@@ -88,6 +102,16 @@ class TestFiguresWorkBudget:
             "interposer": 48,
             "profit": 18,
             "ramp": 11,
+        }
+
+    def test_ariane_design_builds(self, pass_counts):
+        # Designs are rebuilt every pass. Fig. 6 builds its 10 x 121
+        # (I$, D$) grid and one cache-less reference design per node.
+        assert per_experiment(pass_counts, "ariane_manycore") == {
+            "codesign": 500,
+            "fig4": 121,
+            "fig5": 121,
+            "fig6": 1220,
         }
 
     def test_compile_portfolio_calls(self, pass_counts):

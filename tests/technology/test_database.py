@@ -1,6 +1,9 @@
 """Tests for the default technology database and its paper anchors."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cost.model import CostModel
 from repro.errors import (
@@ -225,3 +228,76 @@ class TestProcessNodeValidation:
         derived = node.with_overrides(wafer_rate_kwpm=1.0)
         assert node.wafer_rate_kwpm == 100.0
         assert derived.wafer_rate_kwpm == 1.0
+
+
+_FIELD_NAMES = [field.name for field in dataclasses.fields(ProcessNode)]
+
+
+def _outcome(make):
+    """What ``make()`` builds, node by node and field by field (``repr``
+    is exact for floats, NaN included), or the type of what it raised."""
+    try:
+        made = make()
+    except Exception as error:  # the type is the outcome
+        return type(error)
+    nodes = made.nodes if isinstance(made, TechnologyDatabase) else (made,)
+    return [
+        (type(node), [repr(getattr(node, f)) for f in _FIELD_NAMES])
+        for node in nodes
+    ]
+
+
+#: Values for any field: zero, negative, non-finite and wrongly typed
+#: ones included, so every validation branch (and the type errors the
+#: comparisons raise) is drawn.
+_VALUES = st.one_of(
+    st.sampled_from([0, 0.0, -0.0, -1, -1.0, 1, ""]),
+    st.floats(),
+    st.integers(min_value=-3, max_value=15),
+    st.text(max_size=3),
+)
+
+
+class TestWithOverridesMatchesReplace:
+    """``with_overrides`` copies the fields directly; it must equal
+    ``dataclasses.replace`` field for field, or raise the same type."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(ROADMAP),
+        overrides=st.dictionaries(
+            st.sampled_from(_FIELD_NAMES + ["density", "not_a_field"]),
+            _VALUES,
+            max_size=4,
+        ),
+    )
+    def test_same_node_or_same_error(self, db, name, overrides):
+        node = db[name]
+        assert _outcome(lambda: node.with_overrides(**overrides)) == _outcome(
+            lambda: dataclasses.replace(node, **overrides)
+        )
+        # TechnologyDatabase.override reaches the node through it.
+        assert _outcome(lambda: db.override({name: overrides})) == _outcome(
+            lambda: TechnologyDatabase([
+                dataclasses.replace(other, **overrides)
+                if other is node
+                else other
+                for other in db.nodes
+            ])
+        )
+        assert db[name] is node
+
+    def test_unknown_field_raises_type_error(self, db):
+        with pytest.raises(TypeError):
+            db["7nm"].with_overrides(not_a_field=1.0)
+        with pytest.raises(TypeError):
+            db.override({"7nm": {"not_a_field": 1.0}})
+
+    def test_invalid_value_raises_invalid_parameter(self, db):
+        for field, value in (
+            ("density_mtr_per_mm2", 0.0),
+            ("defect_density_per_cm2", -0.1),
+            ("name", ""),
+        ):
+            with pytest.raises(InvalidParameterError):
+                db["7nm"].with_overrides(**{field: value})
