@@ -11,7 +11,11 @@ the service's headline contract, end to end over real HTTP:
    (X-Batch-Size > 1) and every response is byte-identical to a solo
    request's response;
 3. ``/mc`` and ``/splits`` answer and are deterministic across repeats;
-4. malformed input gets a structured 400, not a hang or a 500;
+4. malformed input gets a structured 400, not a hang or a 500; an
+   idle connection is closed without a reply and a partial request
+   head gets a 408 with ``Connection: close``, each within its limit
+   (``IDLE_LIMIT_S``, ``READ_LIMIT_S`` in :mod:`repro.serve.wire`) plus
+   a few seconds of slack;
 5. ``/metrics`` exposes the full ``serve_*`` family (optionally written
    to ``--metrics-out`` for the CI artifact);
 6. with ``--expect-workers N`` (a sharded ``--workers N`` server): the
@@ -39,12 +43,13 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import socket
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.obs.distributed import stitch_trace
-from repro.serve import ServeClient, ServerConfig, ServerThread
+from repro.serve import ServeClient, ServerConfig, ServerThread, wire
 
 BURST = 12
 SERVE_METRICS = (
@@ -57,10 +62,65 @@ SERVE_METRICS = (
     "serve_rejected_total",
 )
 
+#: Seconds past a read limit within which the server must have closed.
+LIMIT_SLACK_S = 3.0
+
 
 def check(label: str, ok: bool, detail: str = "") -> bool:
     print(f"{'ok' if ok else 'FAILED'}: {label}" + (f" ({detail})" if detail else ""))
     return ok
+
+
+def _until_closed(host: str, port: int, data: bytes, limit: float):
+    """Send ``data`` and read until the server closes the connection.
+
+    Returns ``(reply, seconds)``; seconds is ``inf`` when the server
+    kept the connection open past ``limit`` plus the slack.
+    """
+    with socket.create_connection(
+        (host, port), timeout=limit + LIMIT_SLACK_S
+    ) as sock:
+        sock.sendall(data)
+        started = time.monotonic()
+        reply = b""
+        try:
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    return reply, time.monotonic() - started
+                reply += chunk
+        except socket.timeout:
+            return reply, float("inf")
+
+
+def check_read_limits(client: ServeClient) -> bool:
+    """An idle connection and a partial head, held at the same time."""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        idle = pool.submit(
+            _until_closed, client.host, client.port, b"", wire.IDLE_LIMIT_S
+        )
+        partial = pool.submit(
+            _until_closed,
+            client.host,
+            client.port,
+            b"POST /evaluate HTTP/1.1\r\nHost: smoke\r\n",
+            wire.READ_LIMIT_S,
+        )
+        idle_reply, idle_s = idle.result()
+        partial_reply, partial_s = partial.result()
+    ok = check(
+        "idle connection closed without a reply",
+        idle_reply == b"" and idle_s <= wire.IDLE_LIMIT_S + LIMIT_SLACK_S,
+        f"{idle_s:.2f} s, {len(idle_reply)} bytes",
+    )
+    head = partial_reply.split(b"\r\n\r\n", 1)[0].split(b"\r\n")
+    return ok & check(
+        "partial head answered 408 with Connection: close",
+        head[0].startswith(b"HTTP/1.1 408 ")
+        and b"Connection: close" in head[1:]
+        and partial_s <= wire.READ_LIMIT_S + LIMIT_SLACK_S,
+        f"{partial_s:.2f} s, {head[0].decode('latin-1')!r}",
+    )
 
 
 def check_stitched_trace(client: ServeClient) -> bool:
@@ -153,6 +213,7 @@ def run_checks(
         bad.status == 400 and bad.json()["error"]["code"] == "invalid_json",
         f"status {bad.status}",
     )
+    ok &= check_read_limits(client)
 
     metrics = client.get("/metrics")
     text = metrics.body.decode("utf-8")

@@ -9,12 +9,15 @@ that exposes the repro engine to concurrent callers:
 * :mod:`repro.serve.protocol` — request parsing, compatibility keys,
   the shared :class:`ServeState` (interned designs, memoized scenario
   models), and the fused batch executors;
-* :mod:`repro.serve.server` — the HTTP/1.1 front end
-  (``/evaluate``, ``/mc``, ``/splits``, ``/metrics``, ``/healthz``),
-  backpressure, deadlines, graceful drain;
+* :mod:`repro.serve.server` — the eight routes (``POST /evaluate``,
+  ``/mc``, ``/splits``, ``/scenarios``; ``GET /healthz``, ``/metrics``,
+  ``/debug/obs``, ``/debug/trace``), backpressure, deadlines, drain;
 * :mod:`repro.serve.shard` — the prefork worker pool: a parent-side
-  sticky router (rendezvous-hashed coalescing groups), aggregated
-  ``/metrics`` and ``/healthz``, rolling drain and worker respawn;
+  sticky router (rendezvous-hashed coalescing groups) on the same
+  routes, fleet-wide ``/metrics``, ``/healthz`` and ``/debug/*``,
+  rolling drain and worker respawn;
+* :mod:`repro.serve.wire` — the one HTTP/1.1 layer both speak, with
+  bounded reads (an idle close, a 408), and the thread harness;
 * :mod:`repro.serve.client` — a small blocking client used by tests,
   benchmarks, and the smoke script (opt-in 429 retry with jittered
   ``Retry-After`` backoff).

@@ -1,9 +1,9 @@
 """The asyncio HTTP/JSON evaluation server (hand-rolled, stdlib-only).
 
-A deliberately small HTTP/1.1 implementation on
-``asyncio.start_server`` — request line, headers, ``Content-Length``
-bodies, keep-alive — because the service needs exactly six routes and
-zero heavy dependencies:
+The worker role of ``ttm-cas serve``: HTTP/1.1 on
+``asyncio.start_server`` through the one wire layer
+(:mod:`repro.serve.wire`, shared with the shard router), because the
+service needs exactly eight routes and zero heavy dependencies:
 
 ============  ============  ==============================================
 method        path          behavior
@@ -28,11 +28,15 @@ headers and the inbound ``traceparent`` context
 (:mod:`repro.obs.distributed`) never touch a body, so coalesced
 responses stay byte-identical to solo ones with tracing enabled.
 
-Failure paths: malformed JSON → 400, unknown route → 404, wrong method
-→ 405, oversized body → 413, admission-queue overflow → 429 with
+Failure paths: malformed request line, header or ``Content-Length`` →
+400, malformed JSON → 400, unknown route → 404, wrong method → 405,
+request not received in full within the wire layer's read limit → 408,
+oversized body → 413, admission-queue overflow → 429 with
 ``Retry-After``, draining → 503, per-request deadline (the
 ``X-Deadline-Ms`` header, or the server default) → 504. Every error
-carries a structured ``{"error": {"code", "message"}}`` body.
+carries a structured ``{"error": {"code", "message"}}`` body. A
+connection that stays idle past the wire layer's idle limit is closed
+without a reply.
 
 :class:`ServerThread` wraps the server in a background thread with its
 own event loop for tests, benchmarks, and in-process smoke runs.
@@ -43,7 +47,6 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import signal
 import threading
 import time
 from dataclasses import dataclass
@@ -80,18 +83,13 @@ from .protocol import (
     execute_batch,
     parse_request,
 )
-
-_STATUS_TEXT = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
+from .wire import (
+    Listener,
+    Request,
+    ServiceThread,
+    _method_not_allowed,
+    _serve_until_stopped,
+)
 
 
 @dataclass(frozen=True)
@@ -166,8 +164,7 @@ class EvalServer:
         self.host = self.config.host
         self.port = self.config.port
         self.batcher: Optional[CoalescingBatcher] = None
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._connections: Dict[asyncio.Task, None] = {}
+        self._listener = Listener(self, self.config.max_body_bytes)
         self._draining = False
         self.slo = SLOTracker(window_s=self.config.slo_window_s)
         self.logger = RequestLogger(
@@ -199,11 +196,9 @@ class EvalServer:
             workers=self.config.batch_threads,
             endpoint_of=endpoint_of,
         )
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+        self.host, self.port = await self._listener.start(
+            self.config.host, self.config.port
         )
-        address = self._server.sockets[0].getsockname()
-        self.host, self.port = address[0], address[1]
 
     async def stop(self) -> None:
         """Graceful shutdown: drain in-flight batches, then close.
@@ -213,20 +208,10 @@ class EvalServer:
         keep-alive connections are closed once quiet.
         """
         self._draining = True
-        if self._server is not None:
-            self._server.close()
+        self._listener.stop_accepting()
         if self.batcher is not None:
             await self.batcher.drain()
-        if self._connections:
-            done, pending = await asyncio.wait(
-                set(self._connections), timeout=2.0
-            )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.wait(pending, timeout=1.0)
-        if self._server is not None:
-            await self._server.wait_closed()
+        await self._listener.close()
         if self._profiler is not None:
             self._profiler.stop()
             if self.config.profile_out:
@@ -247,113 +232,41 @@ class EvalServer:
     def draining(self) -> bool:
         return self._draining
 
-    # -- connection handling ---------------------------------------------------
+    # -- request handling ------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections[task] = None
+    async def handle(self, request: Request) -> bool:
+        """Answer one request; returns whether to keep the connection."""
+        endpoint = request.path.lstrip("/") or "root"
+        obs = self._admit(endpoint, request.headers)
         try:
-            while True:
-                keep_alive = await self._handle_one(reader, writer)
-                if not keep_alive or self._draining:
-                    break
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            asyncio.CancelledError,
-        ):
-            pass
-        finally:
-            if task is not None:
-                self._connections.pop(task, None)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _handle_one(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> bool:
-        """Serve one request; returns whether to keep the connection."""
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.LimitOverrunError:
-            await self._respond(
-                writer, 400, error_body("invalid_request", "headers too large")
-            )
-            return False
-        started = time.perf_counter()
-        started_ns = time.time_ns()
-        try:
-            method, path, headers = _parse_head(head)
-        except ValueError as error:
-            await self._respond(
-                writer, 400, error_body("invalid_request", str(error))
-            )
-            return False
-        path = path.split("?", 1)[0]
-        endpoint = path.lstrip("/") or "root"
-        try:
-            length = _content_length(headers)
-        except ValueError as error:
-            await self._respond(
-                writer, 400, error_body("invalid_request", str(error))
-            )
-            return False
-        obs = self._admit(endpoint, headers)
-        try:
-            if length > self.config.max_body_bytes:
-                await self._respond(
-                    writer,
-                    413,
-                    error_body(
-                        "payload_too_large",
-                        f"body of {length} bytes exceeds the "
-                        f"{self.config.max_body_bytes}-byte limit",
-                    ),
-                    close=True,
-                )
-                self._finish(endpoint, 413, started, started_ns, 0, obs)
-                return False
-            body = b""
-            if length:
-                body = await reader.readexactly(length)
-
             status, payload, extra = await self._route(
-                method, path, headers, body, obs
+                request.method,
+                request.path,
+                request.headers,
+                request.body,
+                obs,
             )
             extra = dict(extra)
             extra.setdefault("X-Request-Id", obs["request_id"])
             ctx: Optional[TraceContext] = obs["ctx"]
             if ctx is not None:
                 extra.setdefault("X-Trace-Id", ctx.trace_id)
-            keep = (
-                headers.get("connection", "").lower() != "close"
-                and not self._draining
-                and status != 503
-            )
-            if not keep:
-                extra["Connection"] = "close"
-            await self._respond(
-                writer,
-                status,
-                payload,
-                content_type=extra.pop("Content-Type", "application/json"),
-                headers=extra,
-                close=not keep,
+            keep = await request.respond(
+                status, payload, extra, self._draining
             )
             batch_size = int(extra.get("X-Batch-Size", 0) or 0)
             self._finish(
-                endpoint, status, started, started_ns, batch_size, obs
+                endpoint,
+                status,
+                request.started,
+                request.started_ns,
+                batch_size,
+                obs,
             )
             return keep
         finally:
-            # Every exit retires the /debug/obs entry, a client that
-            # hangs up mid-body included.
+            # Every exit retires the /debug/obs entry, a request
+            # cancelled by a drain included.
             self._in_flight.pop(obs["request_id"], None)
 
     def _admit(self, endpoint: str, headers: Dict[str, str]) -> Dict[str, Any]:
@@ -651,34 +564,6 @@ class EvalServer:
             {"X-Batch-Size": str(batch_size)},
         )
 
-    # -- response writing ------------------------------------------------------
-
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        status: int,
-        payload: bytes,
-        content_type: str = "application/json",
-        headers: Optional[Dict[str, str]] = None,
-        close: bool = False,
-    ) -> None:
-        lines = [
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
-            f"Content-Type: {content_type}",
-            f"Content-Length: {len(payload)}",
-        ]
-        for name, value in (headers or {}).items():
-            if name not in ("Content-Type",):
-                lines.append(f"{name}: {value}")
-        if close and "Connection" not in (headers or {}):
-            lines.append("Connection: close")
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-        writer.write(head + payload)
-        try:
-            await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-
     # -- blocking entry point (CLI) --------------------------------------------
 
     def run_forever(
@@ -692,53 +577,6 @@ class EvalServer:
         bound — the CLI uses it to announce the ephemeral port.
         """
         _serve_until_stopped(self, stop_event, ready)
-
-
-def _serve_until_stopped(
-    service: Any,
-    stop_event: Optional[threading.Event],
-    ready: Optional[Any],
-) -> None:
-    """Run ``service`` (``start``/``stop``, ``host``/``port``) on a new
-    event loop until SIGINT/SIGTERM or ``stop_event``, then drain it.
-
-    The signal handlers go in before ``start``, so a signal that lands
-    once ``ready`` has announced the service (or while it boots) still
-    drains it instead of killing the process.
-    """
-
-    async def _main() -> None:
-        loop = asyncio.get_running_loop()
-        stopper: asyncio.Future = loop.create_future()
-
-        def _request_stop() -> None:
-            if not stopper.done():
-                stopper.set_result(None)
-
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, _request_stop)
-            except (NotImplementedError, RuntimeError):
-                pass
-        await service.start()
-        if ready is not None:
-            ready(service.host, service.port)
-        waiter = None
-        if stop_event is not None:
-            waiter = loop.run_in_executor(None, stop_event.wait)
-            waiter.add_done_callback(lambda _: _request_stop())
-        try:
-            await stopper
-        finally:
-            await service.stop()
-            if waiter is not None and stop_event is not None:
-                stop_event.set()
-                await waiter
-
-    try:
-        asyncio.run(_main())
-    except KeyboardInterrupt:
-        pass
 
 
 def _outcome(status: int) -> str:
@@ -788,56 +626,11 @@ def _latency_breakdown(
     }
 
 
-def _content_length(headers: Dict[str, str]) -> int:
-    """The request's body length; ``ValueError`` unless it is all digits.
-
-    ``int`` alone would pass ``-5`` (or ``+5``, ``1_0``) on to
-    ``readexactly``, which raises outside every handler and drops the
-    connection without a reply.
-    """
-    value = headers.get("content-length", "0") or "0"
-    if not (value.isascii() and value.isdigit()):
-        raise ValueError(f"bad Content-Length header {value!r}")
-    return int(value)
-
-
-def _parse_head(head: bytes) -> Tuple[str, str, Dict[str, str]]:
-    """(method, path, lower-cased headers) from one request head."""
-    try:
-        text = head.decode("latin-1")
-    except UnicodeDecodeError as error:  # pragma: no cover - latin-1 total
-        raise ValueError(f"undecodable request head: {error}") from None
-    lines = text.split("\r\n")
-    parts = lines[0].split(" ")
-    if len(parts) != 3 or not parts[2].startswith("HTTP/"):
-        raise ValueError(f"malformed request line {lines[0]!r}")
-    method, path, _version = parts
-    headers: Dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        if ":" not in line:
-            raise ValueError(f"malformed header line {line!r}")
-        name, value = line.split(":", 1)
-        headers[name.strip().lower()] = value.strip()
-    return method.upper(), path, headers
-
-
-def _method_not_allowed(allow: str) -> Tuple[int, bytes, Dict[str, str]]:
-    return (
-        405,
-        error_body("method_not_allowed", f"use {allow}"),
-        {"Allow": allow},
-    )
-
-
-class ServerThread:
+class ServerThread(ServiceThread):
     """An :class:`EvalServer` on a dedicated thread + event loop.
 
     The in-process harness used by tests, benchmarks, and the smoke
-    client: ``start()`` blocks until the ephemeral port is bound,
-    ``stop()`` drains gracefully and joins the thread. Usable as a
-    context manager.
+    client (see :class:`~repro.serve.wire.ServiceThread`).
     """
 
     def __init__(
@@ -846,78 +639,7 @@ class ServerThread:
         state: Optional[ServeState] = None,
     ) -> None:
         self.server = EvalServer(config=config, state=state)
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ready = threading.Event()
-        self._stopped = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    @property
-    def host(self) -> str:
-        return self.server.host
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    @property
-    def address(self) -> str:
-        return f"{self.server.host}:{self.server.port}"
-
-    def start(self) -> "ServerThread":
-        self._thread = threading.Thread(
-            target=self._run, name="serve-loop", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait(timeout=30.0)
-        if self._startup_error is not None:
-            raise RuntimeError(
-                "server failed to start"
-            ) from self._startup_error
-        if not self._ready.is_set():
-            raise RuntimeError("server did not start within 30 s")
-        return self
-
-    def _run(self) -> None:
-        async def _main() -> None:
-            loop = asyncio.get_running_loop()
-            self._loop = loop
-            self._stop_future: asyncio.Future = loop.create_future()
-            try:
-                await self.server.start()
-            except BaseException as error:
-                self._startup_error = error
-                self._ready.set()
-                return
-            self._ready.set()
-            await self._stop_future
-            await self.server.stop()
-
-        asyncio.run(_main())
-        self._stopped.set()
-
-    def stop(self) -> None:
-        """Drain and shut down; safe to call from any thread, once."""
-        loop = self._loop
-        if loop is None or self._stopped.is_set():
-            return
-
-        def _request() -> None:
-            if not self._stop_future.done():
-                self._stop_future.set_result(None)
-
-        try:
-            loop.call_soon_threadsafe(_request)
-        except RuntimeError:  # loop already closed
-            pass
-        if self._thread is not None:
-            self._thread.join(timeout=30.0)
-
-    def __enter__(self) -> "ServerThread":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
+        super().__init__(self.server)
 
 
 __all__ = [

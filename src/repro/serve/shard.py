@@ -82,13 +82,15 @@ from .protocol import (
     error_body,
     normalize_stress_selector,
 )
-from .server import (
-    _TRACE_SPAN_LIMIT,
-    ServerConfig,
-    _content_length,
-    _outcome,
-    _parse_head,
+from .server import _TRACE_SPAN_LIMIT, ServerConfig, _outcome
+from .wire import (
+    Listener,
+    Request,
+    ServiceThread,
+    _method_not_allowed,
     _serve_until_stopped,
+    read_response,
+    write_request,
 )
 
 #: How often the supervisor checks worker liveness (seconds).
@@ -97,17 +99,13 @@ _MONITOR_INTERVAL_S = 0.2
 #: Per-worker fan-out timeout for /metrics and /healthz aggregation.
 _FANOUT_TIMEOUT_S = 5.0
 
-_STATUS_TEXT = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-    504: "Gateway Timeout",
-}
+#: Request headers the router forwards to a worker.
+_FORWARDED_HEADERS = (
+    "content-type",
+    "x-deadline-ms",
+    "traceparent",
+    "x-request-id",
+)
 
 
 # -- sticky routing ----------------------------------------------------------
@@ -374,8 +372,7 @@ class ShardSupervisor:
         self.port = self.config.port
         self._ctx = multiprocessing.get_context("spawn")
         self._workers: List[_Worker] = []
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: Dict[asyncio.Task, None] = {}
+        self._listener = Listener(self, self.config.server.max_body_bytes)
         self._monitor_task: Optional[asyncio.Task] = None
         self._respawn_tasks: Dict[int, asyncio.Task] = {}
         self._draining = False
@@ -417,11 +414,9 @@ class ShardSupervisor:
         instrument.set_workers_alive(
             sum(1 for w in self._workers if w.alive())
         )
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
+        self.host, self.port = await self._listener.start(
+            self.config.host, self.config.port
         )
-        address = self._server.sockets[0].getsockname()
-        self.host, self.port = address[0], address[1]
         self._monitor_task = asyncio.create_task(self._monitor())
 
     def _spawn_process(self, worker: _Worker) -> None:
@@ -531,18 +526,7 @@ class ShardSupervisor:
         for worker in self._workers:
             await self._stop_worker(worker)
         instrument.set_workers_alive(0)
-        if self._server is not None:
-            self._server.close()
-        if self._connections:
-            done, pending = await asyncio.wait(
-                set(self._connections), timeout=2.0
-            )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.wait(pending, timeout=1.0)
-        if self._server is not None:
-            await self._server.wait_closed()
+        await self._listener.close()
         if self._installed_tracer is not None:
             # Only uninstall what we installed — an outer harness (obs
             # session, test fixture) may own the process-global tracer.
@@ -644,17 +628,18 @@ class ShardSupervisor:
     # -- forwarding ----------------------------------------------------------
 
     async def _acquire(
-        self, worker: _Worker
+        self, worker: _Worker, fresh: bool
     ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter, bool]:
-        """A connection to one worker: pooled when possible, else fresh.
+        """A connection to one worker: pooled unless ``fresh``.
 
-        Returns ``(reader, writer, pooled)`` — ``pooled`` tells the
-        forwarder a failure may just be a stale keep-alive connection
-        worth one retry on a fresh socket.
+        Returns ``(reader, writer, pooled)``. Pooled connections the
+        worker has closed (its idle limit) are dropped unused; ``pooled``
+        tells the forwarder that a failure may still be a stale
+        keep-alive connection, worth one retry on a fresh socket.
         """
-        while worker.idle:
+        while worker.idle and not fresh:
             reader, writer = worker.idle.pop()
-            if not writer.is_closing():
+            if not (writer.is_closing() or reader.at_eof()):
                 return reader, writer, True
             writer.close()
         reader, writer = await asyncio.open_connection(
@@ -671,43 +656,26 @@ class ShardSupervisor:
         body: bytes,
     ) -> Tuple[int, Dict[str, str], bytes]:
         """Relay one request to a worker over its keep-alive pool."""
-        for attempt in (0, 1):
+        forwarded = {"Host": f"{worker.host}:{worker.port}"}
+        for name in _FORWARDED_HEADERS:
+            value = headers.get(name)
+            if value is not None:
+                forwarded[name] = value
+        for fresh in (False, True):
             try:
-                reader, writer, pooled = await self._acquire(worker)
-            except (ConnectionError, OSError) as error:
+                reader, writer, pooled = await self._acquire(worker, fresh)
+            except OSError as error:
                 raise WorkerUnavailableError(
                     f"worker {worker.slot} is unreachable: {error}"
                 ) from error
             try:
-                lines = [
-                    f"{method} {path} HTTP/1.1",
-                    f"Host: {worker.host}:{worker.port}",
-                    f"Content-Length: {len(body)}",
-                ]
-                for name in (
-                    "content-type",
-                    "x-deadline-ms",
-                    "traceparent",
-                    "x-request-id",
-                ):
-                    value = headers.get(name)
-                    if value is not None:
-                        lines.append(f"{name}: {value}")
-                writer.write(
-                    ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-                    + body
-                )
-                await writer.drain()
-                status, response_headers, payload = await _read_response(
+                await write_request(writer, method, path, forwarded, body)
+                status, response_headers, payload = await read_response(
                     reader
                 )
-            except (
-                ConnectionError,
-                asyncio.IncompleteReadError,
-                OSError,
-            ) as error:
+            except (OSError, asyncio.IncompleteReadError) as error:
                 writer.close()
-                if pooled and attempt == 0:
+                if pooled:
                     continue  # stale keep-alive: retry on a fresh socket
                 raise WorkerUnavailableError(
                     f"worker {worker.slot} dropped the connection: {error}"
@@ -724,103 +692,14 @@ class ShardSupervisor:
     def _alive_slots(self) -> List[int]:
         return [w.slot for w in self._workers if w.alive()]
 
-    # -- HTTP front end ------------------------------------------------------
+    # -- request handling ----------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections[task] = None
-        try:
-            while True:
-                keep_alive = await self._handle_one(reader, writer)
-                if not keep_alive or self._draining:
-                    break
-        except (
-            asyncio.IncompleteReadError,
-            ConnectionResetError,
-            asyncio.CancelledError,
-        ):
-            pass
-        finally:
-            if task is not None:
-                self._connections.pop(task, None)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _handle_one(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> bool:
-        try:
-            head = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.LimitOverrunError:
-            await _write_response(
-                writer,
-                400,
-                error_body("invalid_request", "headers too large"),
-                close=True,
-            )
-            return False
-        try:
-            method, path, headers = _parse_head(head)
-        except ValueError as error:
-            await _write_response(
-                writer,
-                400,
-                error_body("invalid_request", str(error)),
-                close=True,
-            )
-            return False
-        path = path.split("?", 1)[0]
-
-        body = b""
-        try:
-            length = _content_length(headers)
-        except ValueError as error:
-            await _write_response(
-                writer,
-                400,
-                error_body("invalid_request", str(error)),
-                close=True,
-            )
-            return False
-        max_body = self.config.server.max_body_bytes
-        if length > max_body:
-            await _write_response(
-                writer,
-                413,
-                error_body(
-                    "payload_too_large",
-                    f"body of {length} bytes exceeds the "
-                    f"{max_body}-byte limit",
-                ),
-                close=True,
-            )
-            return False
-        if length:
-            body = await reader.readexactly(length)
-
+    async def handle(self, request: Request) -> bool:
+        """Answer one request; returns whether to keep the connection."""
         status, payload, extra = await self._route(
-            method, path, headers, body
+            request.method, request.path, request.headers, request.body
         )
-        keep = (
-            headers.get("connection", "").lower() != "close"
-            and not self._draining
-            and status != 503
-        )
-        await _write_response(
-            writer,
-            status,
-            payload,
-            content_type=extra.pop("Content-Type", "application/json"),
-            headers=extra,
-            close=not keep,
-        )
-        return keep
+        return await request.respond(status, payload, extra, self._draining)
 
     async def _route(
         self,
@@ -1220,148 +1099,20 @@ def _strip_router_families(text: str) -> str:
     ) + "\n"
 
 
-async def _read_response(
-    reader: asyncio.StreamReader,
-) -> Tuple[int, Dict[str, str], bytes]:
-    """Parse one worker HTTP response: status, headers, exact body."""
-    head = await reader.readuntil(b"\r\n\r\n")
-    lines = head.decode("latin-1").split("\r\n")
-    parts = lines[0].split(" ", 2)
-    if len(parts) < 2 or not parts[0].startswith("HTTP/"):
-        raise ConnectionError(f"malformed status line {lines[0]!r}")
-    status = int(parts[1])
-    headers: Dict[str, str] = {}
-    for line in lines[1:]:
-        if not line or ":" not in line:
-            continue
-        name, value = line.split(":", 1)
-        headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
-    payload = await reader.readexactly(length) if length else b""
-    return status, headers, payload
-
-
-async def _write_response(
-    writer: asyncio.StreamWriter,
-    status: int,
-    payload: bytes,
-    content_type: str = "application/json",
-    headers: Optional[Dict[str, str]] = None,
-    close: bool = False,
-) -> None:
-    lines = [
-        f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}",
-        f"Content-Type: {content_type}",
-        f"Content-Length: {len(payload)}",
-    ]
-    for name, value in (headers or {}).items():
-        if name not in ("Content-Type",):
-            lines.append(f"{name}: {value}")
-    if close:
-        lines.append("Connection: close")
-    writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + payload)
-    try:
-        await writer.drain()
-    except (ConnectionResetError, BrokenPipeError):
-        pass
-
-
-def _method_not_allowed(allow: str) -> Tuple[int, bytes, Dict[str, str]]:
-    return (
-        405,
-        error_body("method_not_allowed", f"use {allow}"),
-        {"Allow": allow},
-    )
-
-
 # -- test/bench harness ------------------------------------------------------
 
 
-class ShardThread:
+class ShardThread(ServiceThread):
     """A :class:`ShardSupervisor` on a dedicated thread + event loop.
 
-    The in-process harness mirroring :class:`~repro.serve.server.ServerThread`:
-    ``start()`` blocks until the public port is bound *and* every worker
-    has reported ready; ``stop()`` runs the rolling drain and joins the
-    thread. Usable as a context manager.
+    The in-process harness of the sharded service: ``start()`` returns
+    once the public port is bound *and* every worker has reported
+    ready (see :class:`~repro.serve.wire.ServiceThread`).
     """
 
     def __init__(self, config: Optional[ShardConfig] = None) -> None:
         self.supervisor = ShardSupervisor(config=config)
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ready = threading.Event()
-        self._stopped = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    @property
-    def host(self) -> str:
-        return self.supervisor.host
-
-    @property
-    def port(self) -> int:
-        return self.supervisor.port
-
-    def start(self, timeout: float = 180.0) -> "ShardThread":
-        self._thread = threading.Thread(
-            target=self._run, name="shard-loop", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait(timeout=timeout)
-        if self._startup_error is not None:
-            raise RuntimeError(
-                "shard supervisor failed to start"
-            ) from self._startup_error
-        if not self._ready.is_set():
-            raise RuntimeError(
-                f"shard supervisor did not start within {timeout:g} s"
-            )
-        return self
-
-    def _run(self) -> None:
-        async def _main() -> None:
-            loop = asyncio.get_running_loop()
-            self._loop = loop
-            self._stop_future: asyncio.Future = loop.create_future()
-            try:
-                await self.supervisor.start()
-            except BaseException as error:
-                self._startup_error = error
-                self._ready.set()
-                try:
-                    await self.supervisor.stop()
-                except Exception:
-                    pass
-                return
-            self._ready.set()
-            await self._stop_future
-            await self.supervisor.stop()
-
-        asyncio.run(_main())
-        self._stopped.set()
-
-    def stop(self) -> None:
-        """Drain and shut down; safe to call from any thread, once."""
-        loop = self._loop
-        if loop is None or self._stopped.is_set():
-            return
-
-        def _request() -> None:
-            if not self._stop_future.done():
-                self._stop_future.set_result(None)
-
-        try:
-            loop.call_soon_threadsafe(_request)
-        except RuntimeError:  # loop already closed
-            pass
-        if self._thread is not None:
-            self._thread.join(timeout=120.0)
-
-    def __enter__(self) -> "ShardThread":
-        return self.start()
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
+        super().__init__(self.supervisor)
 
 
 __all__ = [

@@ -1,0 +1,237 @@
+"""Wire faults: the worker and the router answer each one the same way.
+
+Both roles read requests through one HTTP/1.1 layer
+(:mod:`repro.serve.wire`). The ``role`` fixture boots each in turn — an
+in-process :class:`ServerThread` and a 2-worker :class:`ShardThread`,
+whose router runs in this process — with the idle and read limits
+patched small here. Every case checks the status, ``Connection: close``
+on the reply, and that the server closes the socket within the case's
+limit plus a fixed bound; a shard also leaves no worker process behind
+once stopped.
+
+Below the fault table: the router's keep-alive pool retries on a fresh
+socket once the worker's idle limit has closed its pooled connections,
+and a harness whose service fails to start stops what it set up.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import os
+import socket
+import threading
+import time
+
+import pytest
+
+from repro.obs.trace import current_tracer
+from repro.serve import (
+    ServeClient,
+    ServerConfig,
+    ServerThread,
+    ShardConfig,
+    ShardSupervisor,
+    ShardThread,
+    wire,
+)
+from repro.serve.shard import _Worker
+
+#: The idle and read limits while these tests run.
+LIMIT_S = 0.5
+
+#: How long after its limit a connection may take to close.
+BOUND_S = 2.0
+
+EVALUATE = b'{"design": "a11"}'
+
+
+@pytest.fixture(params=["server", "shard"])
+def role(request, monkeypatch):
+    monkeypatch.setattr(wire, "IDLE_LIMIT_S", LIMIT_S)
+    monkeypatch.setattr(wire, "READ_LIMIT_S", LIMIT_S)
+    if request.param == "server":
+        thread = ServerThread(ServerConfig()).start()
+        pids = []
+    else:
+        thread = ShardThread(ShardConfig(workers=2)).start()
+        pids = [worker.pid for worker in thread.supervisor.workers]
+    try:
+        yield thread
+    finally:
+        thread.stop()
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def _exchange(thread, data, shut_write=False):
+    """Send ``data``, read until the server closes: (reply, seconds)."""
+    with socket.create_connection(
+        (thread.host, thread.port), timeout=LIMIT_S + BOUND_S
+    ) as sock:
+        sock.sendall(data)
+        if shut_write:
+            sock.shutdown(socket.SHUT_WR)
+        started = time.monotonic()
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    return b"".join(chunks), time.monotonic() - started
+
+
+def _answered(thread, data, status, code="", limit=0.0, shut_write=False):
+    """One exchange: answered ``status`` (error ``code``) and closed in
+    ``limit`` plus the bound."""
+    reply, elapsed = _exchange(thread, data, shut_write)
+    head, _, body = reply.partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    assert lines[0].split(" ")[1] == str(status), reply
+    assert "Connection: close" in lines[1:], reply
+    assert code.encode() in body, reply
+    assert limit / 2 <= elapsed <= limit + BOUND_S
+
+
+def _in_flight(thread):
+    """/evaluate entries in flight at the role and at its workers."""
+    snapshot = ServeClient(thread.host, thread.port).get("/debug/obs").json()
+    entries = list(snapshot["in_flight"])
+    for worker in snapshot.get("workers", []):
+        entries.extend(worker["in_flight"])
+    return [entry for entry in entries if entry["endpoint"] == "evaluate"]
+
+
+def test_partial_head_is_408(role):
+    _answered(
+        role,
+        b"POST /evaluate HTTP/1.1\r\nHost: x\r\n",
+        408,
+        "request_timeout",
+        LIMIT_S,
+    )
+
+
+def test_partial_body_is_408_and_leaves_no_in_flight_entry(role):
+    _answered(
+        role,
+        b"POST /evaluate HTTP/1.1\r\nContent-Length: 100\r\n\r\n"
+        b'{"design":',
+        408,
+        "request_timeout",
+        LIMIT_S,
+    )
+    assert _in_flight(role) == []
+
+
+def test_idle_connection_closes_without_reply(role):
+    reply, elapsed = _exchange(role, b"")
+    assert reply == b""
+    assert LIMIT_S / 2 <= elapsed <= LIMIT_S + BOUND_S
+
+
+def test_half_closed_client_is_answered(role):
+    _answered(
+        role,
+        b"POST /evaluate HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+        % len(EVALUATE)
+        + EVALUATE,
+        200,
+        shut_write=True,
+    )
+
+
+def test_oversized_body_is_413(role):
+    _answered(
+        role,
+        b"POST /evaluate HTTP/1.1\r\nContent-Length: 5000000\r\n\r\n",
+        413,
+        "payload_too_large",
+    )
+
+
+def test_bad_content_length_is_400(role):
+    # Anything but plain digits is refused before the body is read: a
+    # negative length reaching readexactly() would drop the connection
+    # with no reply.
+    for value in (b"ten", b"-5", b"+5", b"1_0"):
+        _answered(
+            role,
+            b"POST /evaluate HTTP/1.1\r\nContent-Length: "
+            + value
+            + b"\r\n\r\n",
+            400,
+            "invalid_request",
+        )
+
+
+def test_head_over_64_kib_is_400(role):
+    _answered(
+        role,
+        b"GET /healthz HTTP/1.1\r\nX-Padding: "
+        + b"x" * 70_000
+        + b"\r\n\r\n",
+        400,
+        "headers too large",
+    )
+
+
+def test_garbage_request_line_is_400(role):
+    _answered(role, b"NONSENSE\r\n\r\n", 400, "invalid_request")
+
+
+# -- the router's keep-alive pool against the worker's idle limit ------------
+
+
+def test_router_retries_expired_pooled_connections_on_a_fresh_socket(
+    monkeypatch,
+):
+    monkeypatch.setattr(wire, "IDLE_LIMIT_S", 0.2)
+    router = ShardSupervisor()
+    with ServerThread(ServerConfig()) as thread:
+        worker = _Worker(
+            slot=0, host=thread.host, port=thread.port, ready=True
+        )
+
+        async def forward():
+            return await router._forward(
+                worker, "POST", "/evaluate", {}, EVALUATE
+            )
+
+        async def scenario():
+            # Two concurrent forwards open two connections; both are
+            # pooled afterwards, then outlive the worker's idle limit.
+            first = await asyncio.gather(forward(), forward())
+            pooled = len(worker.idle)
+            await asyncio.sleep(0.2 + 0.5)
+            last = await forward()
+            for _reader, writer in worker.idle:
+                writer.close()
+            return first, pooled, last
+
+        first, pooled, last = asyncio.run(scenario())
+    assert [status for status, _, _ in first] == [200, 200]
+    assert pooled == 2
+    status, _headers, payload = last
+    assert status == 200, payload
+    assert payload == first[0][2]
+
+
+# -- the harness -------------------------------------------------------------
+
+
+def test_failed_start_stops_the_tracer_and_profiler():
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        thread = ServerThread(
+            ServerConfig(port=port, trace=True, profile_hz=50)
+        )
+        with pytest.raises(RuntimeError, match="failed to start"):
+            thread.start()
+    assert current_tracer() is None
+    assert not [
+        t for t in threading.enumerate() if t.name == "repro-obs-profiler"
+    ]
