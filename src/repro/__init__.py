@@ -14,22 +14,33 @@ Quickstart::
     result = model.time_to_market(design, n_chips=10e6)
     print(result.total_weeks)
     print(chip_agility_score(model, design, 10e6).normalized)
+
+Each name below is imported from its submodule when it is first read
+(:mod:`repro._lazy`), so ``import repro`` alone, or a NumPy-free
+submodule such as the CLI or the shard router, loads nothing else.
 """
 
-from .agility import CASResult, cas_curve, chip_agility_score, ttm_curve
-from .cost import CostModel, CostResult
-from .design import Block, ChipDesign, Die, ip_block
-from .errors import (
-    CalibrationError,
-    InvalidDesignError,
-    InvalidParameterError,
-    NodeUnavailableError,
-    ReproError,
-    UnknownNodeError,
+from ._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".agility": ("CASResult", "cas_curve", "chip_agility_score", "ttm_curve"),
+        ".cost": ("CostModel", "CostResult"),
+        ".design": ("Block", "ChipDesign", "Die", "ip_block"),
+        ".errors": (
+            "CalibrationError",
+            "InvalidDesignError",
+            "InvalidParameterError",
+            "NodeUnavailableError",
+            "ReproError",
+            "UnknownNodeError",
+        ),
+        ".market": ("Foundry", "MarketConditions"),
+        ".technology": ("ProcessNode", "TechnologyDatabase"),
+        ".ttm": ("TTMModel", "TTMResult"),
+    },
 )
-from .market import Foundry, MarketConditions
-from .technology import ProcessNode, TechnologyDatabase
-from .ttm import TTMModel, TTMResult
 
 __version__ = "1.0.0"
 

@@ -16,6 +16,11 @@ DIR`` (one provenance manifest per run); ``obs`` summarizes any of the
 three artifacts.
 
 (Equivalently: ``python -m repro.cli ...``.)
+
+Each command imports what it runs, inside its handler: building the
+parser loads no NumPy, and ``serve --workers N``'s router process (whose
+spawned workers re-import this module) never loads the engine or the
+experiments.
 """
 
 from __future__ import annotations
@@ -24,17 +29,18 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from .analysis.export import to_json
-from .analysis.tables import format_table
 from .errors import ReproError
-from .experiments import registry
-from .obs.session import ObsSession
-from .technology.database import TechnologyDatabase
+
+if TYPE_CHECKING:
+    from .obs.session import ObsSession
 
 
 def _cmd_list(_: argparse.Namespace) -> int:
+    from .analysis.tables import format_table
+    from .experiments import registry
+
     rows = [[exp.key, exp.title] for exp in registry.EXPERIMENTS.values()]
     print(format_table(["experiment", "description"], rows))
     return 0
@@ -56,6 +62,10 @@ def _run_one_experiment(session: ObsSession, experiment) -> object:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .analysis.export import to_json
+    from .experiments import registry
+    from .obs.session import ObsSession
+
     keys = (
         list(registry.experiment_keys()) if args.experiment == "all"
         else [args.experiment]
@@ -78,6 +88,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(_: argparse.Namespace) -> int:
+    from .technology.database import TechnologyDatabase
     from .technology.validate import ERROR, lint_database
 
     findings = lint_database(TechnologyDatabase.default())
@@ -91,6 +102,9 @@ def _cmd_lint(_: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .experiments import registry
+    from .obs.session import ObsSession
+
     lines = [
         "# ttm-cas evaluation report",
         "",
@@ -121,7 +135,7 @@ MC_DESIGNS = ("a11", "zen2", "zen2-monolithic")
 
 
 def _cmd_mc(args: argparse.Namespace) -> int:
-    from .analysis.export import to_jsonable
+    from .analysis.export import to_json, to_jsonable
     from .cost.model import CostModel
     from .design.library import a11, zen2, zen2_monolithic
     from .market import scenarios
@@ -132,6 +146,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         run_study,
         stress_scenarios,
     )
+    from .obs.session import ObsSession
     from .ttm.model import TTMModel
 
     try:
@@ -227,6 +242,7 @@ def _cmd_mc(args: argparse.Namespace) -> int:
 
 
 def _summarize_manifest(data: Dict[str, Any]) -> None:
+    from .analysis.tables import format_table
     from .obs.manifest import RunManifest
 
     manifest = RunManifest.from_jsonable(data)
@@ -260,6 +276,8 @@ def _format_number(value: float) -> str:
 
 def _summarize_spans(rows: List[Dict[str, Any]]) -> None:
     """Aggregate span dicts (name/wall ns/CPU ns) into a per-name table."""
+    from .analysis.tables import format_table
+
     totals: Dict[str, Dict[str, float]] = {}
     for row in rows:
         entry = totals.setdefault(
@@ -323,6 +341,7 @@ def _cmd_obs_tail(path: str, args: argparse.Namespace) -> int:
 
 def _cmd_obs_slo(path: str, args: argparse.Namespace) -> int:
     """``ttm-cas obs slo FILE``: burn rates recomputed from a request log."""
+    from .analysis.tables import format_table
     from .obs.log import read_request_log
     from .obs.slo import report_from_records
 
@@ -371,6 +390,7 @@ def _cmd_obs_slo(path: str, args: argparse.Namespace) -> int:
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
+    from .analysis.tables import format_table
     from .obs.manifest import MANIFEST_SCHEMA
     from .obs.metrics import iter_prometheus_samples
     from .obs.trace import TRACE_SCHEMA
@@ -478,6 +498,9 @@ def _cmd_obs(args: argparse.Namespace) -> int:
 
 
 def _cmd_nodes(_: argparse.Namespace) -> int:
+    from .analysis.tables import format_table
+    from .technology.database import TechnologyDatabase
+
     db = TechnologyDatabase.default()
     rows = []
     for node in db.nodes:
@@ -512,7 +535,7 @@ def _cmd_nodes(_: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .serve.server import EvalServer, ServerConfig
+    from .serve.common import ServerConfig
 
     workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
     try:
@@ -544,6 +567,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # without signals; the CLI proper relies on SIGINT/SIGTERM.
     stop_event = getattr(args, "stop_event", None)
     if workers <= 1:
+        from .serve.server import EvalServer
+
         server = EvalServer(config=config)
         server.run_forever(stop_event=stop_event, ready=_announce)
     else:

@@ -20,6 +20,8 @@ points. This package answers them in NumPy:
 * :mod:`repro.engine.batch_split` -- the Sec. 7 multi-process split
   engine;
 * :mod:`repro.engine.requests` -- fused point requests (the serve path);
+* :mod:`repro.engine.knobs` -- ``knob_signature``, the supply-knob shape
+  key ``point_signature`` and the shard router share;
 * :mod:`repro.engine.sobol_adapter` -- one-shot Saltelli-matrix
   objectives for ``sobol_indices(..., vectorized=True)``;
 * :mod:`repro.engine.parallel` -- ``parallel_map`` with serial / thread /
@@ -28,62 +30,76 @@ points. This package answers them in NumPy:
 The scalar model is the oracle: the equivalence suites (``tests/engine``)
 pin every kernel to it at <= 1e-9 relative error, over drawn supply
 knobs too.
+
+The package imports a submodule the first time one of its names is
+read (:mod:`repro._lazy`), so ``knobs`` and ``parallel``, which import
+no NumPy, can be used without loading the kernels.
 """
 
-from .batch import (
-    BatchCASResult,
-    BatchTTMResult,
-    batch_cas,
-    batch_ttm,
-    cas_over_capacity,
-    ttm_over_capacity,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".batch": (
+            "BatchCASResult",
+            "BatchTTMResult",
+            "batch_cas",
+            "batch_ttm",
+            "cas_over_capacity",
+            "ttm_over_capacity",
+        ),
+        ".batch_split": (
+            "SplitGridResult",
+            "SplitSampleResult",
+            "batch_split",
+            "batch_split_samples",
+            "refine_split_exact",
+            "refine_split_grid",
+        ),
+        ".invariants": (
+            "cached_invariants",
+            "clear_invariant_cache",
+            "invariant_cache_info",
+        ),
+        ".parallel": ("EXECUTORS", "parallel_map"),
+        ".portfolio": (
+            "PortfolioCASResult",
+            "PortfolioCostResult",
+            "PortfolioInvariants",
+            "PortfolioTTMResult",
+            "compile_portfolio",
+            "portfolio_cas",
+            "portfolio_cas_over_capacity",
+            "portfolio_cost",
+            "portfolio_fingerprint",
+            "portfolio_ttm",
+            "portfolio_ttm_over_capacity",
+        ),
+        ".requests": (
+            "POINT_METRICS",
+            "PointRequest",
+            "fused_point_eval",
+            "point_signature",
+        ),
+        ".scenario": (
+            "Scenario",
+            "ScenarioCASResult",
+            "ScenarioCostResult",
+            "ScenarioCubeResult",
+            "ScenarioSet",
+            "ScenarioTTMResult",
+            "apply_scenario",
+            "compile_scenarios",
+            "scenario_cost",
+            "scenario_evaluate",
+        ),
+        ".sobol_adapter": (
+            "rowwise_batch_function",
+            "ttm_factor_batch_function",
+        ),
+    },
 )
-from .batch_split import (
-    SplitGridResult,
-    SplitSampleResult,
-    batch_split,
-    batch_split_samples,
-    refine_split_exact,
-    refine_split_grid,
-)
-from .invariants import (
-    cached_invariants,
-    clear_invariant_cache,
-    invariant_cache_info,
-)
-from .parallel import EXECUTORS, parallel_map
-from .portfolio import (
-    PortfolioCASResult,
-    PortfolioCostResult,
-    PortfolioInvariants,
-    PortfolioTTMResult,
-    compile_portfolio,
-    portfolio_cas,
-    portfolio_cas_over_capacity,
-    portfolio_cost,
-    portfolio_fingerprint,
-    portfolio_ttm,
-    portfolio_ttm_over_capacity,
-)
-from .requests import (
-    POINT_METRICS,
-    PointRequest,
-    fused_point_eval,
-    point_signature,
-)
-from .scenario import (
-    Scenario,
-    ScenarioCASResult,
-    ScenarioCostResult,
-    ScenarioCubeResult,
-    ScenarioSet,
-    ScenarioTTMResult,
-    apply_scenario,
-    compile_scenarios,
-    scenario_cost,
-    scenario_evaluate,
-)
-from .sobol_adapter import rowwise_batch_function, ttm_factor_batch_function
 
 __all__ = [
     "BatchCASResult",

@@ -28,7 +28,9 @@ Requests can only share a fused call when their supply knobs have the
 same *shape*: a request overriding ``capacity`` globally cannot ride in
 the same sample vector as one deferring to the market conditions.
 :func:`point_signature` captures that compatibility key; callers group
-requests by it (the serve batcher does) and fuse within a group.
+requests by it (the serve batcher does) and fuse within a group. Its
+body, :func:`~repro.engine.knobs.knob_signature`, lives in a module of
+its own that imports no NumPy, since the shard router computes it too.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from ..design.chip import ChipDesign
 from ..errors import InvalidParameterError
 from ..obs.trace import span
 from ..ttm.model import TTMModel
+from .knobs import CapacityValue, knob_signature
 from .portfolio import (
     _WAFERS_PER_NORMALIZED_UNIT,
     _resolve_invariants,
@@ -53,8 +56,6 @@ from .portfolio import (
 
 #: Metric families a point request may ask for.
 POINT_METRICS: Tuple[str, ...] = ("ttm", "cas", "cost")
-
-CapacityValue = Union[float, Mapping[str, float]]
 
 
 @dataclass(frozen=True)
@@ -86,37 +87,6 @@ class PointRequest:
             raise InvalidParameterError(
                 "a point request must ask for at least one metric"
             )
-
-
-def knob_signature(
-    capacity: Optional[CapacityValue],
-    queue_weeks: Optional[object],
-    d0_scale: Optional[object],
-    wafer_rate_scale: Optional[object],
-) -> Tuple[object, ...]:
-    """The supply-knob shape key shared by :func:`point_signature` and
-    the shard router.
-
-    Computable from raw values (the router derives it straight from the
-    JSON body, without resolving designs or validating scenarios), and
-    guaranteed consistent with :func:`point_signature`: two requests the
-    batcher would group together always produce equal knob signatures,
-    so a sticky router hashing this key keeps every coalescing group on
-    one worker. The capacity node set is carried as a frozenset, so node
-    order in the request body never splits a group.
-    """
-    if capacity is None:
-        capacity_kind: object = "conditions"
-    elif isinstance(capacity, Mapping):
-        capacity_kind = frozenset(str(name) for name in capacity)
-    else:
-        capacity_kind = "global"
-    return (
-        capacity_kind,
-        queue_weeks is not None,
-        d0_scale is not None,
-        wafer_rate_scale is not None,
-    )
 
 
 def point_signature(request: PointRequest) -> Tuple[object, ...]:

@@ -22,13 +22,15 @@ Responses are rendered with :func:`canonical_json` (sorted keys, no
 whitespace), and every response body is a pure function of its own
 request plus server state — batch metadata travels in HTTP headers —
 which is what makes "coalesced == solo, byte for byte" testable.
+
+The names the shard router reads as well (the endpoints, the request
+defaults, the error type and body, the wire encoding) are defined in
+:mod:`repro.serve.common`, which imports no NumPy, and re-exported here.
 """
 
 from __future__ import annotations
 
-import json
 from functools import partial
-from types import MappingProxyType
 from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from ..analysis.export import to_jsonable
@@ -51,34 +53,14 @@ from ..montecarlo.stress import stress_scenarios
 from ..montecarlo.study import compare_designs
 from ..technology.database import TechnologyDatabase
 from ..ttm.model import TTMModel
-
-#: Endpoints served through the coalescing batcher.
-BATCHED_ENDPOINTS: Tuple[str, ...] = ("evaluate", "mc", "splits", "scenarios")
-
-#: Defaults of every omittable request field (``design`` is required
-#: except on /splits). The parsers and the shard router's
-#: ``routing_key`` all read this one mapping, so a batcher group and its
-#: route never disagree about an omitted field.
-REQUEST_DEFAULTS: Mapping[str, Any] = MappingProxyType(
-    {
-        "scenario": "nominal",
-        "n_chips": 1e7,
-        "design": "a11",
-        "refine": False,
-        "with_cas": True,
-        "samples": 1024,
-        "seed": 0,
-        "with_cost": True,
-        "correlated": False,
-        "variation": 0.1,
-        "queue_weeks": 2.0,
-        "capacity": 0.9,
-    }
-)
-
-#: The supply-spec knobs of a study, in group-key order.
-SPEC_KNOBS: Tuple[str, ...] = (
-    "n_chips", "variation", "queue_weeks", "capacity",
+from .common import (
+    BATCHED_ENDPOINTS,
+    REQUEST_DEFAULTS,
+    SPEC_KNOBS,
+    BadRequestError,
+    canonical_json,
+    error_body,
+    normalize_stress_selector,
 )
 
 #: Cap on distinct interned designs held per server.
@@ -107,26 +89,6 @@ _SPLIT_FACTORIES: Dict[str, Callable[..., ChipDesign]] = {
     "zen2-monolithic": zen2_monolithic,
     "raven": raven_multicore,
 }
-
-
-class BadRequestError(Exception):
-    """A request the protocol rejects; maps to HTTP 400."""
-
-    def __init__(self, message: str, code: str = "invalid_request") -> None:
-        super().__init__(message)
-        self.code = code
-
-
-def canonical_json(value: Any) -> bytes:
-    """The canonical wire encoding: sorted keys, no whitespace, UTF-8."""
-    return json.dumps(
-        value, sort_keys=True, separators=(",", ":")
-    ).encode("utf-8")
-
-
-def error_body(code: str, message: str) -> bytes:
-    """The structured error payload every non-2xx response carries."""
-    return canonical_json({"error": {"code": code, "message": message}})
 
 
 def _require_mapping(body: Any) -> Mapping[str, Any]:
@@ -478,27 +440,6 @@ def parse_splits(
         "design_label": label,
     }
     return key, payload
-
-
-def normalize_stress_selector(value: Any) -> Tuple[str, ...]:
-    """Normalize a /scenarios ``scenarios`` field to a selector tuple.
-
-    Shared with the shard router's :func:`~repro.serve.shard.routing_key`
-    (which must not resolve or validate), so the batcher group key and
-    the routing key agree on the selector's canonical spelling.
-    """
-    if value is None:
-        return ("all",)
-    if isinstance(value, str):
-        return (value,)
-    if isinstance(value, (list, tuple)) and value and all(
-        isinstance(item, str) for item in value
-    ):
-        return tuple(value)
-    raise BadRequestError(
-        "field 'scenarios' must be a selector string or a non-empty "
-        f"list of selector strings, got {value!r}"
-    )
 
 
 def parse_scenarios(

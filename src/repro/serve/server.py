@@ -49,7 +49,6 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import ReproError
@@ -73,16 +72,16 @@ from ..obs.trace import (
     uninstall_tracer,
 )
 from .batcher import CoalescingBatcher, QueueFullError, ServerClosingError
-from .protocol import (
+from .common import (
+    _TRACE_SPAN_LIMIT,
     BATCHED_ENDPOINTS,
     BadRequestError,
-    ServeState,
+    ServerConfig,
+    _outcome,
     canonical_json,
-    endpoint_of,
     error_body,
-    execute_batch,
-    parse_request,
 )
+from .protocol import ServeState, endpoint_of, execute_batch, parse_request
 from .wire import (
     Listener,
     Request,
@@ -91,60 +90,6 @@ from .wire import (
     _serve_until_stopped,
 )
 
-
-@dataclass(frozen=True)
-class ServerConfig:
-    """Tunables for one :class:`EvalServer` (CLI flags map 1:1).
-
-    ``batch_threads`` sizes the thread pool that executes fused batches
-    (the CLI's ``--batch-threads``; process-level parallelism is the
-    shard supervisor's ``--workers``). ``worker_id`` is set only when
-    this server runs as one shard worker — it adds worker identity to
-    ``/healthz`` and ``/debug/*`` and changes nothing else.
-
-    Observability (all opt-in): ``trace`` installs a bounded process
-    tracer at startup (``trace_out`` writes the Chrome trace at stop —
-    left empty for shard workers, whose spans the supervisor collects
-    over ``/debug/trace`` instead); ``log_json`` appends one JSON line
-    per request; ``profile_hz`` starts the sampling profiler
-    (``profile_out`` writes collapsed stacks at stop).
-    """
-
-    host: str = "127.0.0.1"
-    port: int = 0
-    max_batch: int = 32
-    max_queue: int = 256
-    batch_threads: int = 1
-    deadline_ms: float = 30_000.0
-    max_body_bytes: int = 1_048_576
-    worker_id: Optional[int] = None
-    trace: bool = False
-    trace_out: str = ""
-    log_json: str = ""
-    slo_window_s: float = 300.0
-    profile_hz: float = 0.0
-    profile_out: str = ""
-
-    def __post_init__(self) -> None:
-        if self.deadline_ms < 0:
-            raise ValueError(
-                f"deadline must be >= 0 ms (0 disables), got "
-                f"{self.deadline_ms}"
-            )
-        if self.slo_window_s <= 0:
-            raise ValueError(
-                f"SLO window must be > 0 s, got {self.slo_window_s}"
-            )
-        if self.profile_hz < 0:
-            raise ValueError(
-                f"profile rate must be >= 0 Hz (0 disables), got "
-                f"{self.profile_hz}"
-            )
-
-
-#: Rolling span window a serve-installed tracer keeps (a long-lived
-#: worker must not grow without bound).
-_TRACE_SPAN_LIMIT = 20_000
 
 #: ``Retry-After`` seconds on a 429: admission frees a slot as soon as
 #: any running batch is delivered, so the shortest whole-second hint.
@@ -577,21 +522,6 @@ class EvalServer:
         bound — the CLI uses it to announce the ephemeral port.
         """
         _serve_until_stopped(self, stop_event, ready)
-
-
-def _outcome(status: int) -> str:
-    """Log-record outcome classification for one response status."""
-    if status < 400:
-        return "ok"
-    if status == 429:
-        return "rejected"
-    if status == 503:
-        return "draining"
-    if status == 504:
-        return "deadline"
-    if status < 500:
-        return "client_error"
-    return "server_error"
 
 
 def _latency_breakdown(

@@ -34,6 +34,11 @@ while keeping every guarantee PR 7's coalescing service makes:
   SIGTERM/SIGINT triggers a rolling drain: new requests are refused
   with 503 while every accepted request (in any worker) completes, then
   workers are terminated one at a time.
+* **A lean router** — the router evaluates nothing, so this module
+  imports nothing NumPy-backed (:mod:`repro.serve.common`,
+  :mod:`repro.engine.knobs`, the wire layer, ``repro.obs``); each
+  worker imports the server and the engine inside :func:`_worker_main`.
+  ``tests/test_import_boundary.py`` holds the line.
 
 ``--workers 1`` never enters this module — the CLI runs today's
 single-process server unchanged.
@@ -52,7 +57,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..engine.requests import knob_signature
+from ..engine.knobs import knob_signature
 from ..obs import instrument
 from ..obs.distributed import (
     TraceContext,
@@ -72,17 +77,18 @@ from ..obs.trace import (
     install_tracer,
     uninstall_tracer,
 )
-from .protocol import (
+from .common import (
+    _TRACE_SPAN_LIMIT,
     BATCHED_ENDPOINTS,
     REQUEST_DEFAULTS,
     SPEC_KNOBS,
     BadRequestError,
-    ServeState,
+    ServerConfig,
+    _outcome,
     canonical_json,
     error_body,
     normalize_stress_selector,
 )
-from .server import _TRACE_SPAN_LIMIT, ServerConfig, _outcome
 from .wire import (
     Listener,
     Request,
@@ -274,6 +280,8 @@ def _worker_main(worker_id: int, config: ServerConfig, conn) -> None:
     end open for the worker's lifetime, so a killed parent can never
     leave orphaned workers behind.
     """
+    # The router imports no NumPy; the worker loads the engine here.
+    from .protocol import ServeState
     from .server import EvalServer
 
     stop_event = threading.Event()

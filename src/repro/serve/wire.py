@@ -36,7 +36,7 @@ import threading
 import time
 from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
 
-from .protocol import error_body
+from .common import error_body
 
 #: Seconds a connection may wait for the first byte of its next request
 #: before it is closed without a reply. No reply is owed, since no

@@ -80,32 +80,20 @@ class ProcessNode:
     def __post_init__(self) -> None:
         if not self.name:
             raise InvalidParameterError("process node name must be non-empty")
-        positive = {
-            "nanometers": self.nanometers,
-            "density_mtr_per_mm2": self.density_mtr_per_mm2,
-            "fab_latency_weeks": self.fab_latency_weeks,
-            "tapeout_effort": self.tapeout_effort,
-            "testing_effort": self.testing_effort,
-            "packaging_effort": self.packaging_effort,
-            "wafer_cost_usd": self.wafer_cost_usd,
-            "mask_set_cost_usd": self.mask_set_cost_usd,
-            "wafer_diameter_mm": self.wafer_diameter_mm,
-        }
-        for field_name, value in positive.items():
-            if value <= 0.0:
+        # Module-level name tuples, not per-call dicts: robustness copies
+        # nodes hundreds of times a pass. A NaN passes both checks.
+        values = self.__dict__
+        for field_name in _POSITIVE:
+            if values[field_name] <= 0.0:
                 raise InvalidParameterError(
-                    f"{field_name} must be positive, got {value!r} for node {self.name!r}"
+                    f"{field_name} must be positive, got "
+                    f"{values[field_name]!r} for node {self.name!r}"
                 )
-        non_negative = {
-            "index": self.index,
-            "defect_density_per_cm2": self.defect_density_per_cm2,
-            "wafer_rate_kwpm": self.wafer_rate_kwpm,
-            "tapeout_fixed_cost_usd": self.tapeout_fixed_cost_usd,
-        }
-        for field_name, value in non_negative.items():
-            if value < 0:
+        for field_name in _NON_NEGATIVE:
+            if values[field_name] < 0:
                 raise InvalidParameterError(
-                    f"{field_name} must be >= 0, got {value!r} for node {self.name!r}"
+                    f"{field_name} must be >= 0, got "
+                    f"{values[field_name]!r} for node {self.name!r}"
                 )
 
     @property
@@ -149,3 +137,23 @@ class ProcessNode:
 
 #: The names :meth:`ProcessNode.with_overrides` accepts.
 _FIELDS = frozenset(field.name for field in fields(ProcessNode))
+
+#: The fields :meth:`ProcessNode.__post_init__` checks, in order: each
+#: of the first must be positive, each of the second non-negative.
+_POSITIVE = (
+    "nanometers",
+    "density_mtr_per_mm2",
+    "fab_latency_weeks",
+    "tapeout_effort",
+    "testing_effort",
+    "packaging_effort",
+    "wafer_cost_usd",
+    "mask_set_cost_usd",
+    "wafer_diameter_mm",
+)
+_NON_NEGATIVE = (
+    "index",
+    "defect_density_per_cm2",
+    "wafer_rate_kwpm",
+    "tapeout_fixed_cost_usd",
+)

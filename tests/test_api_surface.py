@@ -6,6 +6,8 @@ forgotten export) that otherwise only surfaces for downstream users.
 """
 
 import importlib
+import inspect
+import json
 import pkgutil
 
 import pytest
@@ -51,3 +53,88 @@ def test_every_module_has_a_docstring(module_name):
 def test_package_count_sanity():
     """The tree should stay many-small-modules shaped."""
     assert len(MODULES) > 50
+
+
+#: The packages that re-export their submodules' names lazily.
+LAZY_PACKAGES = ("repro", "repro.engine", "repro.serve")
+
+#: Where the exports with no ``__module__`` (neither classes nor
+#: functions) are defined.
+_CONSTANT_HOMES = {
+    "repro.__version__": "repro",
+    "repro.engine.EXECUTORS": "repro.engine.parallel",
+    "repro.engine.POINT_METRICS": "repro.engine.requests",
+    "repro.serve.BATCHED_ENDPOINTS": "repro.serve.common",
+    "repro.serve.BatchFunction": "repro.serve.batcher",
+}
+
+
+def _lazy_export_problems(package_name, constant_homes):
+    """What is wrong with one package's lazy re-exports (empty if nothing).
+
+    Every ``__all__`` name must be listed by ``dir()`` before it is
+    read, must be the very object its defining module holds (a class's
+    or function's ``__module__``, else ``constant_homes``), and must be
+    bound by ``from package import *``. Self-contained, so a fresh
+    interpreter can run its source.
+    """
+    import importlib
+    import types
+
+    package = importlib.import_module(package_name)
+    listed = set(dir(package))
+    problems = [
+        f"{name}: not in dir()" for name in package.__all__ if name not in listed
+    ]
+    for name in package.__all__:
+        value = getattr(package, name)
+        if isinstance(value, (type, types.FunctionType)):
+            home = value.__module__
+        else:
+            home = constant_homes.get(f"{package_name}.{name}")
+        if home is None:
+            problems.append(f"{name}: a {type(value).__name__} of no home")
+        elif getattr(importlib.import_module(home), name) is not value:
+            problems.append(f"{name}: not the object {home} holds")
+    namespace = {}
+    exec(f"from {package_name} import *", namespace)
+    problems.extend(
+        f"{name}: not bound by import *"
+        for name in package.__all__
+        if namespace.get(name) is not getattr(package, name)
+    )
+    return problems
+
+
+@pytest.mark.parametrize("package_name", LAZY_PACKAGES)
+def test_lazy_exports_are_the_defining_objects(package_name):
+    """In this interpreter, once submodules have been imported by their
+    dotted paths: ``repro.engine.batch_split`` is a module and, as an
+    export of ``repro.engine``, a function."""
+    importlib.import_module("repro.engine.batch_split")
+    assert _lazy_export_problems(package_name, _CONSTANT_HOMES) == []
+
+
+@pytest.mark.parametrize("package_name", LAZY_PACKAGES)
+def test_lazy_exports_in_a_fresh_interpreter(package_name, fresh_python):
+    """Where nothing but the package has been imported when its names
+    are first read."""
+    code = (
+        inspect.getsource(_lazy_export_problems)
+        + "\nimport json\n"
+        + f"print(json.dumps(_lazy_export_problems({package_name!r}, "
+        + f"{_CONSTANT_HOMES!r})))"
+    )
+    assert json.loads(fresh_python(code)) == []
+
+
+def test_subpackages_are_attributes_after_a_bare_import(fresh_python):
+    """After a bare ``import repro``, subpackages are reachable as
+    attributes, and a name that is neither export nor submodule is not."""
+    fresh_python(
+        "import repro\n"
+        "assert repro.engine.portfolio_ttm is "
+        "repro.engine.portfolio.portfolio_ttm\n"
+        "assert repro.serve.shard.routing_key is repro.serve.routing_key\n"
+        "assert not hasattr(repro, 'no_such_module')\n"
+    )

@@ -1,0 +1,52 @@
+"""Import boundaries: the CLI parser and the shard router load no NumPy.
+
+The router process of ``ttm-cas serve --workers N`` reads each request's
+JSON and forwards its bytes; it evaluates nothing. Whatever it imports
+it pays for at every boot and holds for the life of the process, and
+each spawned worker re-imports the CLI module too. So the router side
+(``repro.cli`` up to its parser, ``repro.serve.shard`` up to a
+``routing_key`` of every endpoint and a ``ShardConfig``) and a bare
+``import repro`` must load neither NumPy nor the engine kernels nor the
+experiments. Each check runs in a fresh interpreter, since this one has
+imported everything.
+"""
+
+import json
+
+import pytest
+
+#: Modules none of the checks may load.
+HEAVY = ("numpy", "repro.engine.portfolio", "repro.experiments")
+
+#: One body per batched endpoint, each setting the fields its routing
+#: key reads.
+ROUTED_BODIES = (
+    ("evaluate", {"design": "a11", "capacity": {"7nm": 0.5}, "queue_weeks": 3}),
+    ("mc", {"design": "zen2", "samples": 256, "seed": 3, "with_cost": False}),
+    ("scenarios", {"design": "a11", "scenarios": ["fab-outage"]}),
+    (
+        "splits",
+        {"design": {"library": "raven", "cores": 4}, "pairs": [["7nm", "28nm"]]},
+    ),
+)
+
+CHECKS = {
+    "cli_parser": "import repro.cli\nrepro.cli.build_parser()",
+    "routing_key": (
+        "import json\n"
+        "from repro.serve.shard import routing_key\n"
+        f"for endpoint, body in {ROUTED_BODIES!r}:\n"
+        "    routing_key(endpoint, json.dumps(body).encode())"
+    ),
+    "shard_config": "from repro.serve.shard import ShardConfig\nShardConfig()",
+    "bare_import": "import repro",
+}
+
+
+@pytest.mark.parametrize("check", sorted(CHECKS))
+def test_router_side_loads_no_numpy(check, fresh_python):
+    report = (
+        "\nimport json, sys\n"
+        f"print(json.dumps([m for m in {HEAVY!r} if m in sys.modules]))"
+    )
+    assert json.loads(fresh_python(CHECKS[check] + report)) == []
