@@ -22,9 +22,8 @@ from repro.design.library.a11 import (
 )
 from repro.design.library.ariane import ariane_manycore
 from repro.design.library.raven import raven_multicore
-from repro.engine.batch import batch_ttm, cas_over_capacity
 from repro.engine.batch_split import batch_split
-from repro.engine.portfolio import portfolio_ttm
+from repro.engine.scenario import evaluate
 from repro.engine.sobol_adapter import ttm_factor_batch_function
 from repro.market.conditions import MarketConditions
 from repro.multiprocess.optimizer import run_split_study
@@ -44,14 +43,33 @@ def _best_of(repeats, call):
     return best
 
 
+def cas_grid(model, design, quantities, fractions):
+    """Normalized CAS over the (quantity x capacity) grid, as one
+    ``evaluate`` call on the flattened grid."""
+    chips, capacity = np.meshgrid(quantities, fractions, indexing="ij")
+    return evaluate(
+        model, (design,), chips.ravel(), ("cas",), capacity=capacity.ravel()
+    ).cas.normalized[0, 0].reshape(chips.shape)
+
+
+def ttm_tensor(model, designs, n_chips, capacity, queue_weeks):
+    """Scenario 0 of a TTM ``evaluate`` call, ``(designs, samples)``."""
+    return evaluate(
+        model,
+        designs,
+        n_chips,
+        ("ttm",),
+        capacity=capacity,
+        queue_weeks=queue_weeks,
+    ).ttm.total_weeks[0]
+
+
 def test_bench_batch_cas_sweep(benchmark, model):
     design = a11("7nm")
     fractions = capacity_fractions(0.05, 1.0, 20)
-    quantities = np.asarray(chip_quantities()).reshape(-1, 1)
+    quantities = chip_quantities()
 
-    batched = benchmark(
-        cas_over_capacity, model, design, quantities, fractions
-    )
+    batched = benchmark(cas_grid, model, design, quantities, fractions)
     assert batched.shape == (len(chip_quantities()), len(fractions))
     for i, n in enumerate(chip_quantities()):
         for j, fraction in enumerate(fractions):
@@ -84,7 +102,7 @@ def test_engine_speedup_smoke(model):
     """Batched sweeps must beat scalar loops by a comfortable margin."""
     design = a11("7nm")
     fractions = capacity_fractions(0.05, 1.0, 20)
-    quantities = np.asarray(chip_quantities()).reshape(-1, 1)
+    quantities = chip_quantities()
 
     def scalar_sweep():
         return [
@@ -96,7 +114,7 @@ def test_engine_speedup_smoke(model):
         ]
 
     def batched_sweep():
-        return cas_over_capacity(model, design, quantities, fractions)
+        return cas_grid(model, design, quantities, fractions)
 
     batched_sweep()  # warm the invariant cache before timing
     scalar_time = _best_of(3, scalar_sweep)
@@ -106,7 +124,9 @@ def test_engine_speedup_smoke(model):
 
 def test_batch_ttm_quantity_row_matches_scalar(model):
     design = a11("28nm")
-    totals = batch_ttm(model, design, chip_quantities()).total_weeks
+    totals = evaluate(
+        model, (design,), chip_quantities(), ("ttm",)
+    ).ttm.total_weeks[0, 0]
     for n, weeks in zip(chip_quantities(), totals):
         assert weeks == pytest.approx(
             model.total_weeks(design, n), rel=1e-9
@@ -170,15 +190,15 @@ def _portfolio_workload(n_designs=16, n_samples=512, seed=20230613):
 def test_bench_portfolio_ttm_tensor(benchmark, model):
     designs, capacity, queue_weeks, demand = _portfolio_workload()
 
-    result = benchmark(
-        portfolio_ttm,
+    total_weeks = benchmark(
+        ttm_tensor,
         model,
         designs,
         demand,
         capacity,
         queue_weeks,
     )
-    assert result.total_weeks.shape == (len(designs), len(demand))
+    assert total_weeks.shape == (len(designs), len(demand))
     stressed = [
         model.with_foundry(
             model.foundry.with_conditions(
@@ -194,7 +214,7 @@ def test_bench_portfolio_ttm_tensor(benchmark, model):
             sample_model.total_weeks(design, float(demand[j]))
             for j, sample_model in enumerate(stressed)
         ]
-        assert float(np.max(np.abs(result.total_weeks[i] - oracle))) <= 1e-9
+        assert float(np.max(np.abs(total_weeks[i] - oracle))) <= 1e-9
 
 
 def test_portfolio_speedup_smoke(model):
@@ -223,9 +243,7 @@ def test_portfolio_speedup_smoke(model):
         ]
 
     def fused():
-        return portfolio_ttm(
-            model, designs, demand, capacity=capacity, queue_weeks=queue_weeks
-        )
+        return ttm_tensor(model, designs, demand, capacity, queue_weeks)
 
     fused()  # warm the invariant cache before timing
     scalar_time = _best_of(3, scalar_loop)

@@ -7,34 +7,35 @@ Workloads (the ISSUEs' acceptance targets):
   (N=128, k=6): scalar per-row objective vs the vectorized
   ``ttm_factor_batch_function`` fast path. Target: >= 10x.
 * ``sweep``     -- a 20-point capacity sweep x 6 final-chip quantities of
-  A11 @ 7 nm CAS: scalar ``chip_agility_score`` loop vs one
-  ``cas_over_capacity`` call. Target: >= 5x.
+  A11 @ 7 nm CAS: scalar ``chip_agility_score`` loop vs one CAS
+  ``evaluate`` call over the flattened (quantity x capacity) grid.
+  Target: >= 5x.
 * ``fig14``     -- the full Sec. 7 multi-process study (every production
   node pair x the 1% split grid): the scalar ``run_split_study`` loop
   vs one vectorized ``batch_split`` tensor. Target: >= 20x.
 * ``portfolio`` -- a 64-design x 4096-sample Monte-Carlo portfolio
   (shared capacity/queue/demand draws): the per-design per-sample
-  scalar loop vs one ``portfolio_ttm`` pass. Target: >= 50x. The fused
+  scalar loop vs one TTM ``evaluate`` pass. Target: >= 50x. The fused
   tensor is checked cell-for-cell against that scalar loop's result.
-  The loop of per-design ``batch_ttm`` calls (each a 1-design
-  portfolio) is also timed (``per_design_batch_seconds``) for context.
+  The loop of per-design TTM calls (each a 1-design portfolio) is also
+  timed (``per_design_batch_seconds``) for context.
 * ``sustained`` -- a steady request stream (32 requests x 16 designs x
-  512 samples, fresh supply draws per request): 16 ``batch_ttm`` calls
-  (1-design portfolios) per request vs one fused ``portfolio_ttm`` call
-  reusing one compiled 16-design portfolio. Measures the per-call
+  512 samples, fresh supply draws per request): 16 one-design TTM
+  ``evaluate`` calls per request vs one 16-design call reusing one
+  compiled portfolio. Measures the per-call
   overhead the fused path amortizes at serving-style batch sizes; its
   error column checks that each design's row does not depend on the
   rest of the portfolio. Target: >= 2x over the per-design loop (not
   the scalar model).
 * ``scenario_sweep`` -- the scenario cube's cross-scenario sharing: 50
   graded stress scenarios x 32 designs x 2048 samples through one
-  ``scenario_evaluate`` pass vs a loop of per-scenario
-  ``portfolio_ttm`` + ``portfolio_cas`` + ``portfolio_cost`` calls over
-  ``apply_scenario``-transformed draws. ``portfolio_ttm`` /
-  ``portfolio_cas`` are the same kernel on one identity scenario, so
-  the loop differs only in what it cannot share across scenarios (D0
-  tensors, (demand, D0) groups, one supply + baseline for TTM and
-  CAS); slabs must match bit for bit (``max_abs_error`` exactly 0).
+  all-metrics ``evaluate`` pass vs a loop of three single-metric
+  (TTM, CAS, cost) identity-scenario ``evaluate`` calls per scenario
+  over ``apply_scenario``-transformed draws. Both run the same kernel,
+  so the loop differs only in what it cannot share across scenarios
+  and metrics (D0 tensors, (demand, D0) groups, one supply + baseline
+  for TTM and CAS); slabs must match bit for bit (``max_abs_error``
+  exactly 0).
   Design target: >= 5x, set when the loop re-ran the whole pass per
   CAS perturbation; the loop now runs the leave-one-out CAS too.
 * ``serve``     -- 96 concurrent HTTP round-trips through the
@@ -90,11 +91,9 @@ from repro.design.library.a11 import (
 from repro.cost.model import CostModel
 from repro.design.library.ariane import ariane_manycore
 from repro.design.library.raven import raven_multicore
-from repro.engine.batch import batch_ttm, cas_over_capacity
 from repro.engine.batch_split import batch_split
 from repro.engine.invariants import clear_invariant_cache
-from repro.engine.portfolio import portfolio_cas, portfolio_cost, portfolio_ttm
-from repro.engine.scenario import apply_scenario, scenario_evaluate
+from repro.engine.scenario import POINT_METRICS, apply_scenario, evaluate
 from repro.engine.sobol_adapter import ttm_factor_batch_function
 from repro.design.block import Block
 from repro.design.chip import ChipDesign
@@ -219,7 +218,6 @@ def bench_sweep(model: TTMModel) -> dict:
     design = a11(PROCESS)
     fractions = capacity_fractions(0.05, 1.0, 20)
     quantities = chip_quantities()
-    grid = np.asarray(quantities).reshape(-1, 1)
 
     def scalar_sweep():
         return [
@@ -233,7 +231,12 @@ def bench_sweep(model: TTMModel) -> dict:
         ]
 
     def batched_sweep():
-        return cas_over_capacity(model, design, grid, fractions)
+        # The (quantity x capacity) grid on one flat sample axis.
+        chips, capacity = np.meshgrid(quantities, fractions, indexing="ij")
+        return evaluate(
+            model, (design,), chips.ravel(), ("cas",),
+            capacity=capacity.ravel(),
+        ).cas.normalized[0, 0].reshape(chips.shape)
 
     scalar = np.asarray(scalar_sweep())
     batched = np.asarray(batched_sweep())
@@ -244,7 +247,7 @@ def bench_sweep(model: TTMModel) -> dict:
     scalar_time = best_of(REPEATS, scalar_sweep)
     batch_time = best_of(REPEATS, batched_sweep)
     return {
-        "points": int(grid.size * len(fractions)),
+        "points": len(quantities) * len(fractions),
         "scalar_seconds": scalar_time,
         "batched_seconds": batch_time,
         "batched_cold_seconds": cold_time,
@@ -346,19 +349,25 @@ def bench_portfolio_mc(model: TTMModel) -> dict:
     n_samples = len(demand)
 
     def fused():
-        return portfolio_ttm(
-            model, designs, demand, capacity=capacity, queue_weeks=queue_weeks
-        )
+        return evaluate(
+            model,
+            designs,
+            demand,
+            ("ttm",),
+            capacity=capacity,
+            queue_weeks=queue_weeks,
+        ).ttm.total_weeks[0]
 
     def per_design_batch_loop():
         return [
-            batch_ttm(
+            evaluate(
                 model,
-                design,
+                (design,),
                 demand,
+                ("ttm",),
                 capacity=capacity,
                 queue_weeks=queue_weeks,
-            ).total_weeks
+            ).ttm.total_weeks[0, 0]
             for design in designs
         ]
 
@@ -386,7 +395,7 @@ def bench_portfolio_mc(model: TTMModel) -> dict:
             for design in designs
         ]
 
-    fused_matrix = fused().total_weeks
+    fused_matrix = fused()
     clear_invariant_cache()
     cold_time = best_of(1, fused)  # includes the 64-design compile
     start = time.perf_counter()
@@ -454,11 +463,10 @@ def scenario_portfolio_workload(
 def bench_scenario_sweep(model: TTMModel) -> dict:
     """One K-scenario cube pass vs K one-scenario passes of the same kernel.
 
-    The baseline is one ``portfolio_ttm`` + ``portfolio_cas`` +
-    ``portfolio_cost`` call per scenario over
-    ``apply_scenario``-transformed draws; the first two are the cube's
-    kernel on one identity scenario. ``scenario_evaluate`` wins only by
-    sharing work *across* scenarios (one supply resolve + baseline pass
+    The baseline is one TTM, one CAS and one cost ``evaluate`` call per
+    scenario over ``apply_scenario``-transformed draws, each on the
+    identity scenario. The fused call wins only by sharing work
+    *across* scenarios and metrics (one supply resolve + baseline pass
     for TTM and CAS, D0 tensors per multiplier, loads per (demand, D0)
     group, cost per (demand, D0) pair), and its slabs equal the loop's
     bit for bit: ``max_abs_error`` must be exactly 0.
@@ -507,36 +515,38 @@ def bench_scenario_sweep(model: TTMModel) -> dict:
                 )
             }
             ttm[k] = np.broadcast_to(
-                portfolio_ttm(
-                    model, designs, kw["n_chips"], **supply
-                ).total_weeks,
+                evaluate(
+                    model, designs, kw["n_chips"], ("ttm",), **supply
+                ).ttm.total_weeks[0],
                 shape[1:],
             )
             cas[k] = np.broadcast_to(
-                portfolio_cas(
-                    model, designs, kw["n_chips"], **supply
-                ).cas,
+                evaluate(
+                    model, designs, kw["n_chips"], ("cas",), **supply
+                ).cas.cas[0],
                 shape[1:],
             )
             cost[k] = np.broadcast_to(
-                portfolio_cost(
-                    cost_model,
+                evaluate(
+                    model,
                     designs,
                     kw["n_chips"],
+                    ("cost",),
                     d0_scale=kw["d0_scale"],
-                    engineers=model.engineers,
-                ).total_usd,
+                    cost_model=cost_model,
+                ).cost.total_usd[0],
                 shape[1:],
             )
         return ttm, cas, cost
 
     def fused():
-        return scenario_evaluate(
+        return evaluate(
             model,
-            cost_model,
             designs,
             demand,
-            scenario_set,
+            POINT_METRICS,
+            scenarios=scenario_set,
+            cost_model=cost_model,
             capacity=capacity,
             queue_weeks=queue_weeks,
             d0_scale=d0_scale,
@@ -575,9 +585,9 @@ def bench_sustained_throughput(model: TTMModel) -> dict:
     overhead-bound: 32 independent requests of 16 designs x 512 samples
     each. The fused path pays one compiled-portfolio lookup and one
     broadcasted kernel per request; the per-design loop pays 16
-    ``batch_ttm`` calls — each a 1-design portfolio with its own grid
-    flattening, table lookup, validation and result assembly — per
-    request. The speedup is therefore the engine's
+    one-design ``evaluate`` calls — each with its own table lookup,
+    validation and result assembly — per request. The speedup is
+    therefore the engine's
     *sustained* per-call efficiency, not its asymptotic FLOP rate, and
     the target is deliberately modest.
     """
@@ -594,26 +604,28 @@ def bench_sustained_throughput(model: TTMModel) -> dict:
 
     def fused_stream():
         return [
-            portfolio_ttm(
+            evaluate(
                 model,
                 designs,
                 demand,
+                ("ttm",),
                 capacity=capacity,
                 queue_weeks=queue_weeks,
-            ).total_weeks
+            ).ttm.total_weeks[0]
             for capacity, queue_weeks, demand in requests
         ]
 
     def per_design_stream():
         return [
             [
-                batch_ttm(
+                evaluate(
                     model,
-                    design,
+                    (design,),
                     demand,
+                    ("ttm",),
                     capacity=capacity,
                     queue_weeks=queue_weeks,
-                ).total_weeks
+                ).ttm.total_weeks[0, 0]
                 for design in designs
             ]
             for capacity, queue_weeks, demand in requests
@@ -959,8 +971,13 @@ def bench_obs_overhead(model: TTMModel) -> dict:
     ]
     split_grid = tuple(s / 100.0 for s in range(1, 101))
     hot_paths = {
-        "portfolio_mc": lambda: portfolio_ttm(
-            model, designs, demand, capacity=capacity, queue_weeks=queue_weeks
+        "portfolio_mc": lambda: evaluate(
+            model,
+            designs,
+            demand,
+            ("ttm",),
+            capacity=capacity,
+            queue_weeks=queue_weeks,
         ),
         "fig14_split_sweep": lambda: batch_split(
             raven_multicore,

@@ -15,10 +15,9 @@ from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
-from ..agility.cas import chip_agility_score
 from ..analysis.tables import format_table
 from ..design.chip import ChipDesign
-from ..engine.portfolio import portfolio_cas, portfolio_ttm
+from ..engine.scenario import evaluate
 from ..errors import InvalidParameterError
 from ..market.conditions import MarketConditions
 from ..ttm.model import TTMModel
@@ -101,70 +100,44 @@ def assess_portfolio(
     model: TTMModel,
     portfolio: Mapping[str, PortfolioEntry],
     scenarios: Mapping[str, MarketConditions],
-    engine: str = "portfolio",
 ) -> PortfolioAssessment:
     """Evaluate every product under every scenario.
 
     CAS is evaluated at the model's base conditions; deltas are against
-    each product's TTM under those same base conditions.
-    ``engine="portfolio"`` (default) evaluates all products through one
-    fused kernel call per scenario (plus one TTM and one CAS call at
-    base conditions); ``engine="scalar"`` keeps the per-(product,
-    scenario) scalar loop as the equivalence oracle.
+    each product's TTM under those same base conditions. All products
+    share one :func:`~repro.engine.scenario.evaluate` call at the base
+    conditions (TTM and CAS) and one TTM call per scenario.
     """
     if not portfolio:
         raise InvalidParameterError("portfolio must contain products")
     if not scenarios:
         raise InvalidParameterError("need at least one scenario")
-    if engine == "portfolio":
-        products = tuple(portfolio)
-        designs = tuple(entry.design for entry in portfolio.values())
-        volumes = np.asarray(
-            [entry.n_chips for entry in portfolio.values()]
-        ).reshape(-1, 1)
-        base_ttm = portfolio_ttm(model, designs, volumes).total_weeks[:, 0]
-        base_cas = portfolio_cas(model, designs, volumes).normalized[:, 0]
-        nominal = {
-            product: float(base_ttm[i]) for i, product in enumerate(products)
-        }
-        agility = {
-            product: float(base_cas[i]) for i, product in enumerate(products)
-        }
-        deltas: Dict[Tuple[str, str], float] = {}
-        for scenario_name, conditions in scenarios.items():
-            stressed = model.with_foundry(
-                model.foundry.with_conditions(conditions)
-            )
-            stressed_ttm = portfolio_ttm(
-                stressed, designs, volumes
-            ).total_weeks[:, 0]
-            for i, product in enumerate(products):
-                deltas[(product, scenario_name)] = float(
-                    stressed_ttm[i] - base_ttm[i]
-                )
-        return PortfolioAssessment(
-            nominal_ttm=nominal, cas=agility, delta_weeks=deltas
-        )
-    if engine != "scalar":
-        raise InvalidParameterError(
-            f"unknown engine {engine!r}; use 'portfolio' or 'scalar'"
-        )
-    nominal: Dict[str, float] = {}
-    agility: Dict[str, float] = {}
+    products = tuple(portfolio)
+    designs = tuple(entry.design for entry in portfolio.values())
+    volumes = np.asarray(
+        [entry.n_chips for entry in portfolio.values()]
+    ).reshape(-1, 1)
+    base = evaluate(model, designs, volumes, ("ttm", "cas"))
+    base_ttm = base.ttm.total_weeks[0, :, 0]
+    base_cas = base.cas.normalized[0, :, 0]
     deltas: Dict[Tuple[str, str], float] = {}
-    for product, entry in portfolio.items():
-        nominal[product] = model.total_weeks(entry.design, entry.n_chips)
-        agility[product] = chip_agility_score(
-            model, entry.design, entry.n_chips
-        ).normalized
-        for scenario_name, conditions in scenarios.items():
-            stressed = model.with_foundry(
-                model.foundry.with_conditions(conditions)
-            )
-            deltas[(product, scenario_name)] = (
-                stressed.total_weeks(entry.design, entry.n_chips)
-                - nominal[product]
+    for scenario_name, conditions in scenarios.items():
+        stressed = model.with_foundry(
+            model.foundry.with_conditions(conditions)
+        )
+        stressed_ttm = evaluate(
+            stressed, designs, volumes, ("ttm",)
+        ).ttm.total_weeks[0, :, 0]
+        for i, product in enumerate(products):
+            deltas[(product, scenario_name)] = float(
+                stressed_ttm[i] - base_ttm[i]
             )
     return PortfolioAssessment(
-        nominal_ttm=nominal, cas=agility, delta_weeks=deltas
+        nominal_ttm={
+            product: float(base_ttm[i]) for i, product in enumerate(products)
+        },
+        cas={
+            product: float(base_cas[i]) for i, product in enumerate(products)
+        },
+        delta_weeks=deltas,
     )

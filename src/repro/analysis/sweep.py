@@ -51,20 +51,16 @@ def capacity_curves(
     """TTM and normalized-CAS matrices over a shared capacity sweep.
 
     Both matrices have shape ``(n_designs, n_fractions)`` and come from
-    one compiled portfolio (one fused kernel dispatch per metric, no
-    per-design Python loop); row ``i`` matches the per-design
-    ``ttm_over_capacity`` / ``cas_over_capacity`` curves to round-off.
+    one :func:`~repro.engine.scenario.evaluate` call (TTM rides on the
+    CAS pass, with no per-design Python loop); row ``i`` matches the
+    scalar ``ttm_curve`` / ``cas_curve`` to round-off.
     """
-    from ..engine.portfolio import (
-        portfolio_cas_over_capacity,
-        portfolio_ttm_over_capacity,
-    )
+    from ..engine.scenario import evaluate
 
-    designs = tuple(designs)
-    return (
-        portfolio_ttm_over_capacity(model, designs, n_chips, fractions),
-        portfolio_cas_over_capacity(model, designs, n_chips, fractions),
+    evaluation = evaluate(
+        model, tuple(designs), n_chips, ("ttm", "cas"), capacity=fractions
     )
+    return evaluation.ttm.total_weeks[0], evaluation.cas.normalized[0]
 
 
 def chip_quantities() -> Tuple[float, ...]:

@@ -9,9 +9,9 @@ from one compiled *line table* per stage instead:
 * each node's ported design is built **once** (`design_factory(node)`),
   and every production line the stage needs — each node's design at
   each allocated fraction, under the base conditions and under each CAS
-  rate perturbation — is one column of one
-  :func:`~repro.engine.portfolio.portfolio_ttm` call; line costs are
-  one :func:`~repro.engine.portfolio.portfolio_cost` call;
+  rate perturbation — is one column of one TTM
+  :func:`~repro.engine.scenario.evaluate` call; line costs are one cost
+  call;
 * the split TTM is the ``max`` over the two production lines (the order
   is filled when the slower line finishes);
 * two-node CAS (Eq. 8) perturbs each node's wafer rate by the same
@@ -22,7 +22,7 @@ from one compiled *line table* per stage instead:
 
 Results match the scalar oracle to <= 1e-9 relative error (pinned by
 ``tests/engine/test_batch_split.py``), and every line equals its own
-one-design ``batch_ttm`` / ``batch_cost`` bit for bit.
+one-design ``evaluate`` bit for bit.
 
 Degenerate cells (``split >= 1.0`` or a diagonal ``primary ==
 secondary`` pair) reproduce the scalar
@@ -48,14 +48,8 @@ from ..errors import InvalidParameterError
 from ..multiprocess.split import DesignFactory, ProductionSplit, SplitEvaluation
 from ..obs.instrument import observed_kernel
 from ..ttm.model import TTMModel
-from .batch import batch_cost, batch_ttm
-from .portfolio import (
-    ArrayLike,
-    CapacityLike,
-    _as_positive_array,
-    portfolio_cost,
-    portfolio_ttm,
-)
+from .portfolio import ArrayLike, CapacityLike, _as_positive_array
+from .scenario import evaluate
 
 #: Default split grid: 1% .. 100% of chips on the primary node. Kept in
 #: sync with ``repro.multiprocess.optimizer.DEFAULT_SPLIT_GRID`` (which
@@ -206,9 +200,9 @@ class _LineEngine:
     A line is a node's ported design running some fraction of the order
     on its own node. The caller names every line up front as ``probes``
     (node -> the fractions it needs), and the engine evaluates them all
-    with one :func:`~repro.engine.portfolio.portfolio_ttm` call (and one
-    :func:`~repro.engine.portfolio.portfolio_cost` call when
-    ``with_cost``):
+    with one TTM :func:`~repro.engine.scenario.evaluate` call (and one
+    cost call when ``with_cost``; the TTM call runs on the block-tiled
+    chips, so pricing cost in it would price every block):
 
     * design axis: the ported design of each probed node, built once;
     * sample axis: blocks x fractions. Block 0 holds the model's
@@ -219,7 +213,7 @@ class _LineEngine:
       own ``n_chips`` row.
 
     A line never reads another node's capacity, so each column equals
-    the one-design ``batch_ttm`` of that line bit for bit: equal operands
+    the one-design ``evaluate`` of that line bit for bit: equal operands
     give equal bits. :meth:`totals` and :meth:`costs` then only index the
     evaluated table.
     """
@@ -269,17 +263,18 @@ class _LineEngine:
                 column[self._block[(node, +1)]] = plus
                 column[self._block[(node, -1)]] = minus
             capacity[node] = np.repeat(column, width)
-        self._weeks = portfolio_ttm(
+        self._weeks = evaluate(
             model,
             designs,
             np.tile(chips, len(self._block)),
+            ("ttm",),
             capacity=capacity,
-        ).total_weeks.reshape(len(designs), len(self._block), width)
+        ).ttm.total_weeks[0].reshape(len(designs), len(self._block), width)
         self._costs = None
         if with_cost:
-            self._costs = portfolio_cost(
-                cost_model, designs, chips, engineers=model.engineers
-            ).total_usd
+            self._costs = evaluate(
+                model, designs, chips, ("cost",), cost_model=cost_model
+            ).cost.total_usd[0]
 
     def perturbation(self, node: str) -> Tuple[float, float, float]:
         """(absolute step, fraction at +step, fraction at -step).
@@ -792,10 +787,10 @@ def batch_split_samples(
     """Push one production split through sampled supply factors.
 
     The Monte Carlo face of the split engine: ``n_chips`` and the
-    sampled keywords broadcast exactly as in
-    :func:`~repro.engine.batch.batch_ttm`, and each production line is
-    one batched kernel call — a 10k-sample robustness study of a
-    two-node plan costs six array evaluations, not 10k scalar ones.
+    sampled keywords are scalars or 1-D sample vectors, as for
+    :func:`~repro.engine.scenario.evaluate`, and each production line
+    is one batched call — a 10k-sample robustness study of a two-node
+    plan costs six array evaluations, not 10k scalar ones.
 
     CAS is evaluated per sample: each allocation node's *effective*
     rate (sampled capacity x scaled max rate) is displaced by
@@ -825,16 +820,14 @@ def batch_split_samples(
 
     def line_totals(capacity_map: Mapping[str, ArrayLike]) -> Dict[str, np.ndarray]:
         return {
-            node: np.asarray(
-                batch_ttm(
-                    model,
-                    designs[node],
-                    quantities * fraction,
-                    capacity=dict(capacity_map),
-                    **sampled,
-                ).total_weeks,
-                dtype=float,
-            )
+            node: evaluate(
+                model,
+                (designs[node],),
+                quantities * fraction,
+                ("ttm",),
+                capacity=dict(capacity_map),
+                **sampled,
+            ).ttm.total_weeks[0, 0]
             for node, fraction in allocations.items()
         }
 
@@ -847,13 +840,14 @@ def batch_split_samples(
     if cost_model is not None:
         cost_total: ArrayLike = 0.0
         for node, fraction in allocations.items():
-            cost_total = cost_total + batch_cost(
-                cost_model,
-                designs[node],
+            cost_total = cost_total + evaluate(
+                model,
+                (designs[node],),
                 quantities * fraction,
+                ("cost",),
                 d0_scale=d0_scale,
-                engineers=model.engineers,
-            ).total_usd
+                cost_model=cost_model,
+            ).cost.total_usd[0, 0]
         cost_usd = np.broadcast_to(
             np.asarray(cost_total, dtype=float), np.shape(ttm)
         )

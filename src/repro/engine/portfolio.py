@@ -1,4 +1,4 @@
-"""The compiled design table and the one kernel family that reads it.
+"""The compiled design table the engine's one evaluation call reads.
 
 :func:`compile_portfolio` turns a tuple of designs into one
 :class:`PortfolioInvariants` table. A single Python pass gathers one row
@@ -9,14 +9,10 @@ Eq. 7 testing and assembly terms, per-node tapeout (Eq. 2) and the NRE
 columns. Per-node columns are padded to the widest design's node count
 and masked by ``node_mask``.
 
-:func:`portfolio_ttm` / :func:`portfolio_cas` / :func:`portfolio_cost`
-evaluate the full ``(n_designs, n_samples)`` tensor in one broadcasted
-pass. TTM and CAS have one body, the scenario cube's kernel in
-:mod:`repro.engine.scenario`: these two run it on a set holding one
-identity scenario and return slab 0. The single-design ``batch_*``
-kernels in :mod:`repro.engine.batch` are these kernels run on a
-1-design portfolio, and the scalar model (``TTMModel``,
-``chip_agility_score``, ``CostModel``) is the oracle they are all tested
+:func:`~repro.engine.scenario.evaluate` scores the table: TTM, CAS and
+cost over the full ``(scenarios, n_designs, n_samples)`` tensor in one
+broadcasted pass. The scalar model (``TTMModel``,
+``chip_agility_score``, ``CostModel``) is the oracle it is tested
 against.
 
 Common random numbers
@@ -55,8 +51,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..agility.derivative import DEFAULT_RELATIVE_STEP
-from ..cost.model import CostModel
 from ..design.chip import ChipDesign
 from ..errors import InvalidParameterError
 from ..obs.instrument import observed_kernel
@@ -719,359 +713,49 @@ def _node_axis(quantities: np.ndarray) -> np.ndarray:
     return quantities[:, None, :] if quantities.ndim == 2 else quantities
 
 
-@dataclass(frozen=True)
-class PortfolioTTMResult:
-    """TTM phase breakdown over the full (designs x samples) tensor.
+def _evaluate(*args, **kwargs):
+    """:func:`~repro.engine.scenario.evaluate` (which imports this module)."""
+    from .scenario import evaluate
 
-    Row ``i`` is ``TTMModel.time_to_market`` of design ``i`` under each
-    sample's supply (common random numbers). All arrays share the
-    broadcast shape ``(n_designs, n_samples)``.
-    """
-
-    designs: Tuple[str, ...]
-    schedule: str
-    design_weeks: np.ndarray
-    tapeout_weeks: np.ndarray
-    fabrication_weeks: np.ndarray
-    packaging_weeks: np.ndarray
-    total_weeks: np.ndarray
-    total_wafers: np.ndarray
+    return evaluate(*args, **kwargs)
 
 
-@observed_kernel("engine.portfolio_ttm", lambda r: r.total_weeks.size)
-def portfolio_ttm(
-    model: TTMModel,
-    designs: Sequence[ChipDesign],
-    n_chips: ArrayLike,
-    capacity: Optional[CapacityLike] = None,
-    queue_weeks: Optional[ArrayLike] = None,
-    d0_scale: Optional[ArrayLike] = None,
-    wafer_rate_scale: Optional[ArrayLike] = None,
-    invariants: Optional[PortfolioInvariants] = None,
-) -> PortfolioTTMResult:
-    """Vectorized TTM for every design under one shared sample set.
+# The five names below are kept only because the benchmark's traced run
+# (``perfbench/inprocess.py``) wraps each of them by name; nothing in
+# ``repro`` calls them. Each forwards to ``evaluate``. They go once the
+# benchmark wraps ``evaluate`` instead.
 
-    ``capacity=None`` keeps the model's current conditions, a
-    scalar/vector is a global fraction applied to every node (as in
-    :meth:`TTMModel.at_capacity`), and a ``{node: fractions}`` mapping
-    overrides only the listed nodes. ``queue_weeks`` replaces every
-    node's quoted lead time; ``d0_scale`` multiplies every node's defect
-    density (die yields, wafer demand and tested-die counts re-derive
-    per sample); ``wafer_rate_scale`` multiplies every node's maximum
-    rate, and the queue quote's wafer backlog scales with it. The sampled
-    supply arrays are shared across designs — the common-random-numbers
-    guarantee — and must be scalars or 1-D; ``n_chips`` may additionally
-    be a ``(n_designs, n_samples)`` matrix.
 
-    ``invariants`` accepts a pre-compiled portfolio; when given,
-    ``designs`` is unused and may be ``None``. The phases are slab 0 of
-    the scenario cube's kernel on its one identity scenario.
-    """
-    from .scenario import _IDENTITY, _evaluate_cube  # scenario imports us
+def portfolio_ttm(model, designs, n_chips, **knobs):
+    """Kept for the benchmark's traced run: ``evaluate`` of TTM."""
+    return _evaluate(model, designs, n_chips, ("ttm",), **knobs)
 
-    invariants = _resolve_invariants(model, designs, invariants)
-    cube = _evaluate_cube(
-        model,
-        invariants,
-        _IDENTITY,
-        n_chips,
-        capacity,
-        queue_weeks,
-        d0_scale,
-        wafer_rate_scale,
-        with_cas=False,
-    )
-    group = cube.groups[1.0, 1.0]
-    wafers = cube.d0.tensors(1.0)[0]
-    shape = cube.total.shape[1:]
 
-    def full(array: np.ndarray) -> np.ndarray:
-        return array if array.shape == shape else np.broadcast_to(array, shape)
+def portfolio_cas(model, designs, n_chips, **knobs):
+    """Kept for the benchmark's traced run: ``evaluate`` of CAS."""
+    return _evaluate(model, designs, n_chips, ("cas",), **knobs)
 
-    return PortfolioTTMResult(
-        designs=invariants.designs,
-        schedule=model.schedule,
-        design_weeks=invariants.design_weeks,
-        tapeout_weeks=full(cube.tapeout[0][:, None]),
-        fabrication_weeks=cube.fabrication[0],
-        packaging_weeks=full(group.packaging),
-        total_weeks=cube.total[0],
-        total_wafers=full(group.quantities * np.sum(wafers, axis=1)),
+
+def portfolio_cost(cost_model, designs, n_chips, **knobs):
+    """Kept for the benchmark's traced run: ``evaluate`` of cost."""
+    return _evaluate(
+        TTMModel.nominal(), designs, n_chips, ("cost",),
+        cost_model=cost_model, **knobs,
     )
 
 
-@dataclass(frozen=True)
-class PortfolioCASResult:
-    """Chip Agility Score (Eq. 8) over the (designs x samples) tensor.
-
-    ``cas`` is raw wafers/week^2 with shape ``(n_designs, n_samples)``.
-    """
-
-    designs: Tuple[str, ...]
-    processes: Tuple[Tuple[str, ...], ...]
-    cas: np.ndarray
-
-    @property
-    def normalized(self) -> np.ndarray:
-        """CAS in the figures' normalized (kilo-wafer) units."""
-        return self.cas / _WAFERS_PER_NORMALIZED_UNIT
+def portfolio_ttm_over_capacity(model, designs, n_chips, fractions):
+    """Kept for the benchmark's traced run: TTM over a capacity sweep."""
+    return _evaluate(model, designs, n_chips, ("ttm",), capacity=fractions)
 
 
-@observed_kernel("engine.portfolio_cas", lambda r: r.cas.size)
-def portfolio_cas(
-    model: TTMModel,
-    designs: Sequence[ChipDesign],
-    n_chips: ArrayLike,
-    capacity: Optional[CapacityLike] = None,
-    relative_step: float = DEFAULT_RELATIVE_STEP,
-    queue_weeks: Optional[ArrayLike] = None,
-    d0_scale: Optional[ArrayLike] = None,
-    wafer_rate_scale: Optional[ArrayLike] = None,
-    invariants: Optional[PortfolioInvariants] = None,
-) -> PortfolioCASResult:
-    """Vectorized CAS for every design under one shared sample set.
-
-    Each node slot's rate is perturbed by ``relative_step`` in both
-    directions and the central-difference TTM slopes summed, as
-    :func:`~repro.agility.cas.chip_agility_score` does at each sample's
-    conditions; the queue quote's wafer backlog stays pinned while a
-    rate moves. The inputs mean what they mean for
-    :func:`portfolio_ttm`, and the scores are slab 0 of the scenario
-    cube's kernel on its one identity scenario.
-    """
-    from .scenario import _IDENTITY, _evaluate_cube  # scenario imports us
-
-    invariants = _resolve_invariants(model, designs, invariants)
-    cube = _evaluate_cube(
-        model,
-        invariants,
-        _IDENTITY,
-        n_chips,
-        capacity,
-        queue_weeks,
-        d0_scale,
-        wafer_rate_scale,
-        with_cas=True,
-        relative_step=relative_step,
-    )
-    return PortfolioCASResult(
-        designs=invariants.designs,
-        processes=invariants.processes,
-        cas=cube.cas[0],
-    )
-
-
-@dataclass(frozen=True)
-class PortfolioCostResult:
-    """Chip-creation cost breakdown over the (designs x samples) tensor.
-
-    NRE terms are per-design ``(n_designs,)`` vectors; recurring terms
-    share the broadcast shape ``(n_designs, n_samples)``. Row ``i`` is
-    ``CostModel.chip_creation_cost`` of design ``i`` per sample.
-    """
-
-    designs: Tuple[str, ...]
-    engineering_usd: np.ndarray
-    fixed_usd: np.ndarray
-    mask_usd: np.ndarray
-    wafer_usd: np.ndarray
-    testing_usd: np.ndarray
-    packaging_usd: np.ndarray
-    n_chips: np.ndarray
-
-    @property
-    def nre_usd(self) -> np.ndarray:
-        """One-time costs per design: engineering + fixed + masks."""
-        return self.engineering_usd + self.fixed_usd + self.mask_usd
-
-    @property
-    def manufacturing_usd(self) -> np.ndarray:
-        """Recurring costs: wafers + testing + packaging."""
-        return self.wafer_usd + self.testing_usd + self.packaging_usd
-
-    @property
-    def total_usd(self) -> np.ndarray:
-        """Total chip-creation cost per (design, sample) cell."""
-        return self.nre_usd[:, None] + self.manufacturing_usd
-
-    @property
-    def usd_per_chip(self) -> np.ndarray:
-        """Total cost amortized over each cell's production run."""
-        return self.total_usd / self.n_chips
-
-
-@observed_kernel("engine.portfolio_cost", lambda r: r.n_chips.size)
-def portfolio_cost(
-    cost_model: CostModel,
-    designs: Sequence[ChipDesign],
-    n_chips: ArrayLike,
-    d0_scale: Optional[ArrayLike] = None,
-    engineers: int = DEFAULT_ENGINEERS,
-    invariants: Optional[PortfolioInvariants] = None,
-) -> PortfolioCostResult:
-    """Vectorized chip-creation cost for every design in one pass.
-
-    ``engineers`` only selects which cached invariants are reused (cost
-    is team-size independent); pass the companion TTM model's team size
-    so a joint TTM+cost study shares one compiled portfolio.
-    """
-    if invariants is None:
-        invariants = compile_portfolio(
-            designs,
-            cost_model.technology,
-            engineers=engineers,
-            alpha=cost_model.alpha,
-            edge_corrected=cost_model.edge_corrected,
-        )
-    quantities_node, quantities_design = _portfolio_quantities(
-        n_chips, invariants.n_designs
-    )
-    if d0_scale is None:
-        # The nominal entry reads the table's D0-scale-1 columns.
-        yields = invariants.profile_nominal_yields
-        wafers = invariants.wafers_per_chip[:, :, None]
-    else:
-        scale = _sample_array(d0_scale, "defect density scale")
-        yields = invariants.profile_yields(scale)
-        wafers = invariants.wafers_per_chip_at(scale, yields=yields)
-    return _portfolio_cost_from_tensors(
-        cost_model,
-        invariants,
-        quantities_node,
-        quantities_design,
-        wafers,
-        yields,
-    )
-
-
-def _portfolio_cost_from_tensors(
-    cost_model: CostModel,
-    invariants: PortfolioInvariants,
-    quantities_node: np.ndarray,
-    quantities_design: np.ndarray,
-    wafers_per_chip: np.ndarray,
-    yields: np.ndarray,
-    production_load: Optional[np.ndarray] = None,
-    dies_numerator: Optional[np.ndarray] = None,
-) -> PortfolioCostResult:
-    """NumPy cost kernel over precomputed D0-dependent tensors.
-
-    Split out of :func:`portfolio_cost` so the scenario cube can compute
-    the ``pow``-heavy ``wafers_per_chip_at`` / ``profile_yields`` tensors
-    once per unique D0 multiplier and share them across every
-    (demand, D0) combination — the arithmetic downstream of the tensors
-    is unchanged, so results stay bit-identical per call.
-    ``production_load``, when given, must equal ``quantities_node *
-    wafers_per_chip`` (the TTM cube computes exactly that product per
-    group and lends it out here); ``dies_numerator`` must equal the
-    per-profile quantities times ``profile_count`` (demand-only, so the
-    scenario cube shares it across D0 groups).
-    """
-    engineering = np.sum(
-        invariants.tapeout_effort_weeks * cost_model.engineer_week_cost_usd,
-        axis=1,
-    )
-    fixed = np.sum(invariants.tapeout_fixed_usd, axis=1)
-    masks = np.sum(invariants.mask_set_usd, axis=1)
-
-    if production_load is None:
-        production_load = quantities_node * wafers_per_chip
-    wafer_usd = np.sum(
-        production_load * invariants.wafer_cost_usd[:, :, None],
-        axis=1,
-    )
-
-    if quantities_design.ndim == 2:
-        profile_quantities: np.ndarray = quantities_design[
-            invariants.profile_design
-        ]
-    else:
-        profile_quantities = quantities_design
-    if dies_numerator is None:
-        dies_numerator = (
-            profile_quantities * invariants.profile_count[:, None]
-        )
-    dies_tested = dies_numerator / yields
-    testing_contribution = (
-        dies_tested
-        * invariants.profile_ntt[:, None]
-        * cost_model.test_usd_per_transistor
-    )
-    packaging_contribution = dies_numerator * (
-        cost_model.die_handling_usd
-        + invariants.profile_area_mm2[:, None]
-        * cost_model.package_area_usd_per_mm2
-    )
-
-    tail = np.broadcast_shapes(
-        yields.shape[1:],
-        np.shape(quantities_design)[-1:] if quantities_design.ndim else (),
-    )
-    testing_usd = _scatter_in_order(
-        np.zeros((invariants.n_designs,) + tail),
-        invariants.design_ranks,
-        testing_contribution,
-    )
-    packaging_usd = np.zeros((invariants.n_designs,) + tail)
-    packaging_usd += quantities_design * cost_model.package_base_usd
-    _scatter_in_order(
-        packaging_usd, invariants.design_ranks, packaging_contribution
-    )
-
-    shape = np.broadcast_shapes(
-        (invariants.n_designs,) + tail, np.shape(wafer_usd)
-    )
-    return PortfolioCostResult(
-        designs=invariants.designs,
-        engineering_usd=engineering,
-        fixed_usd=fixed,
-        mask_usd=masks,
-        wafer_usd=np.broadcast_to(np.asarray(wafer_usd, float), shape),
-        testing_usd=np.broadcast_to(testing_usd, shape),
-        packaging_usd=np.broadcast_to(packaging_usd, shape),
-        n_chips=np.broadcast_to(quantities_design, shape),
-    )
-
-
-def portfolio_ttm_over_capacity(
-    model: TTMModel,
-    designs: Sequence[ChipDesign],
-    n_chips: float,
-    fractions: Sequence[float],
-) -> np.ndarray:
-    """Total TTM over a global capacity sweep, ``(n_designs, n_points)``."""
-    return portfolio_ttm(
-        model, designs, n_chips, capacity=fractions
-    ).total_weeks
-
-
-def portfolio_cas_over_capacity(
-    model: TTMModel,
-    designs: Sequence[ChipDesign],
-    n_chips: float,
-    fractions: Sequence[float],
-    relative_step: float = DEFAULT_RELATIVE_STEP,
-) -> np.ndarray:
-    """Normalized CAS over a global capacity sweep, ``(n_designs, n_points)``."""
-    return portfolio_cas(
-        model,
-        designs,
-        n_chips,
-        capacity=fractions,
-        relative_step=relative_step,
-    ).normalized
+def portfolio_cas_over_capacity(model, designs, n_chips, fractions):
+    """Kept for the benchmark's traced run: CAS over a capacity sweep."""
+    return _evaluate(model, designs, n_chips, ("cas",), capacity=fractions)
 
 
 __all__ = [
-    "PortfolioCASResult",
-    "PortfolioCostResult",
     "PortfolioInvariants",
-    "PortfolioTTMResult",
     "compile_portfolio",
-    "portfolio_cas",
-    "portfolio_cas_over_capacity",
-    "portfolio_cost",
     "portfolio_fingerprint",
-    "portfolio_ttm",
-    "portfolio_ttm_over_capacity",
 ]

@@ -4,19 +4,19 @@ engine entry point).
 A *point request* asks for the TTM / CAS / cost of one design at one
 fully specified supply point — the workload a multi-tenant evaluation
 service sees from concurrent clients. Evaluating each request alone
-costs a portfolio compile plus three ``(1, 1)`` kernel dispatches;
-:func:`fused_point_eval` instead stacks a whole batch into one
-``(n_designs, n_requests)`` portfolio pass:
+costs a portfolio compile plus one ``(1, 1)``
+:func:`~repro.engine.scenario.evaluate` call; :func:`fused_point_eval`
+instead stacks a whole batch into one ``(n_designs, n_requests)`` call:
 
 * the *design axis* holds the batch's unique designs (deduplicated by
   identity, so interned designs collapse to one row);
 * the *sample axis* holds one column per request, carrying that
   request's supply knobs (``n_chips``, ``capacity``, ``queue_weeks``,
   ``d0_scale``, ``wafer_rate_scale``) as the shared 1-D sample vectors
-  the portfolio kernels require;
+  the evaluation call requires;
 * request ``j`` reads cell ``(design_row[j], j)`` of the result.
 
-Because every portfolio kernel is elementwise along the sample axis
+Because the evaluation is elementwise along the sample axis
 (reductions run over the node axis only) and padded node slots are
 masked with exact neutrals, cell ``(d, j)`` is bit-for-bit the value a
 solo ``fused_point_eval([request_j])`` call produces — the determinism
@@ -46,16 +46,34 @@ from ..errors import InvalidParameterError
 from ..obs.trace import span
 from ..ttm.model import TTMModel
 from .knobs import CapacityValue, knob_signature
-from .portfolio import (
-    _WAFERS_PER_NORMALIZED_UNIT,
-    _resolve_invariants,
-    portfolio_cas,
-    portfolio_cost,
-    portfolio_ttm,
-)
+from .scenario import POINT_METRICS, evaluate
 
-#: Metric families a point request may ask for.
-POINT_METRICS: Tuple[str, ...] = ("ttm", "cas", "cost")
+#: Per metric family, the fields a point result reports, in order.
+_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "ttm": (
+        "design_weeks",
+        "tapeout_weeks",
+        "fabrication_weeks",
+        "packaging_weeks",
+        "total_weeks",
+        "total_wafers",
+    ),
+    "cas": ("cas", "cas_normalized"),
+    "cost": (
+        "engineering_usd",
+        "fixed_usd",
+        "mask_usd",
+        "wafer_usd",
+        "testing_usd",
+        "packaging_usd",
+        "nre_usd",
+        "manufacturing_usd",
+        "total_usd",
+        "usd_per_chip",
+    ),
+}
+#: Fields whose result attribute has another name.
+_ATTRIBUTES = {"cas_normalized": "normalized"}
 
 
 @dataclass(frozen=True)
@@ -194,7 +212,7 @@ def fused_point_eval(
     for. All requests must share one :func:`point_signature` (callers
     group by it); designs are deduplicated by identity, so a batch of
     ``N`` requests over ``D`` unique designs costs one portfolio compile
-    (LRU-cached) plus one ``(D, N)`` pass per requested metric family.
+    (LRU-cached) plus one ``(D, N)`` evaluation of the families asked.
 
     A single-request call is the degenerate ``(1, 1)`` case of the same
     code path, which is what makes it the byte-identity oracle for the
@@ -220,67 +238,37 @@ def _fused_point_eval_body(
 ) -> List[Dict[str, Dict[str, float]]]:
     """The fused pass itself, hoisted to keep the span wrapper flat."""
     plan = _plan(requests)
-    invariants = _resolve_invariants(model, plan.designs)
-    supply_kwargs = dict(
+    evaluation = evaluate(
+        model,
+        plan.designs,
+        plan.n_chips,
+        plan.metrics,
         capacity=plan.capacity,
         queue_weeks=plan.queue_weeks,
         d0_scale=plan.d0_scale,
         wafer_rate_scale=plan.wafer_rate_scale,
+        cost_model=cost_model,
     )
+    shape = (len(plan.designs), len(requests))
 
-    families: Dict[str, Dict[str, np.ndarray]] = {}
-    if "ttm" in plan.metrics:
-        ttm = portfolio_ttm(
-            model, plan.designs, plan.n_chips,
-            invariants=invariants, **supply_kwargs,
+    def plane(values: np.ndarray) -> np.ndarray:
+        # Per-design fields are (designs,); the rest are scenario 0 of
+        # the (scenarios, designs, requests) cube.
+        return np.broadcast_to(
+            values[:, None] if values.ndim == 1 else values[0], shape
         )
-        families["ttm"] = {
-            "design_weeks": np.broadcast_to(
-                ttm.design_weeks[:, None], ttm.total_weeks.shape
-            ),
-            "tapeout_weeks": ttm.tapeout_weeks,
-            "fabrication_weeks": ttm.fabrication_weeks,
-            "packaging_weeks": ttm.packaging_weeks,
-            "total_weeks": ttm.total_weeks,
-            "total_wafers": ttm.total_wafers,
-        }
-    if "cas" in plan.metrics:
-        cas = portfolio_cas(
-            model, plan.designs, plan.n_chips,
-            invariants=invariants, **supply_kwargs,
-        )
-        families["cas"] = {
-            "cas": cas.cas,
-            "cas_normalized": cas.cas / _WAFERS_PER_NORMALIZED_UNIT,
-        }
-    if "cost" in plan.metrics:
-        if cost_model is None:
-            raise InvalidParameterError(
-                "a cost model is required for 'cost' point metrics"
+
+    families = {
+        family: {
+            name: plane(
+                getattr(
+                    getattr(evaluation, family), _ATTRIBUTES.get(name, name)
+                )
             )
-        cost = portfolio_cost(
-            cost_model,
-            plan.designs,
-            plan.n_chips,
-            d0_scale=plan.d0_scale,
-            engineers=model.engineers,
-            invariants=invariants,
-        )
-        shape = cost.n_chips.shape
-        families["cost"] = {
-            "engineering_usd": np.broadcast_to(
-                cost.engineering_usd[:, None], shape
-            ),
-            "fixed_usd": np.broadcast_to(cost.fixed_usd[:, None], shape),
-            "mask_usd": np.broadcast_to(cost.mask_usd[:, None], shape),
-            "wafer_usd": cost.wafer_usd,
-            "testing_usd": cost.testing_usd,
-            "packaging_usd": cost.packaging_usd,
-            "nre_usd": np.broadcast_to(cost.nre_usd[:, None], shape),
-            "manufacturing_usd": cost.manufacturing_usd,
-            "total_usd": cost.total_usd,
-            "usd_per_chip": cost.usd_per_chip,
+            for name in _FIELDS[family]
         }
+        for family in plan.metrics
+    }
 
     results: List[Dict[str, Dict[str, float]]] = []
     for j, request in enumerate(requests):

@@ -23,8 +23,7 @@ from ..analysis.search import Configuration, SearchSpace, grid_search
 from ..analysis.tables import format_table
 from ..cost.model import CostModel
 from ..design.library.ariane import ariane_manycore
-from ..engine.portfolio import portfolio_cost, portfolio_ttm
-from ..errors import InvalidParameterError
+from ..engine.scenario import evaluate
 from ..multiprocess.optimizer import PairResult, run_split_study
 from ..perf.ipc import IPCModel
 from ..ttm.model import TTMModel
@@ -124,15 +123,13 @@ def run(
     split_processes: Optional[Sequence[str]] = None,
     split_grid: Optional[Sequence[float]] = None,
     refine_split: bool = False,
-    engine: str = "portfolio",
 ) -> CodesignResult:
     """Search the joint space for the best throughput-per-week design.
 
-    ``engine="portfolio"`` (default) scores every candidate's TTM and
-    cost up front in one fused (candidates x 1) portfolio pass — the
-    grid search then selects over precomputed points with no scalar
-    model call per configuration. ``engine="scalar"`` keeps the lazy
-    per-configuration scalar evaluation as the equivalence oracle.
+    Every candidate's TTM and cost is scored up front in one (candidates
+    x 1) :func:`~repro.engine.scenario.evaluate` call; the grid search
+    then selects over precomputed points with no scalar model call per
+    configuration.
 
     ``split_processes`` (optional) adds the production stage: the
     winning architecture is re-ported across those nodes and the batched
@@ -140,15 +137,9 @@ def run(
     ``result.production`` (``refine_split=True`` sharpens its split to
     ~0.1% resolution).
     """
-    if engine not in ("portfolio", "scalar"):
-        raise InvalidParameterError(
-            f"unknown engine {engine!r}; use 'portfolio' or 'scalar'"
-        )
     ttm_model = (model or TTMModel.nominal()).at_capacity(capacity_share)
     costs = cost_model or CostModel.nominal()
     perf = ipc_model or IPCModel()
-
-    cache: Dict[Tuple[str, int, int, int], CodesignPoint] = {}
 
     space = SearchSpace(
         {
@@ -159,73 +150,50 @@ def run(
         }
     )
 
-    if engine == "portfolio":
-        candidate_keys = [
-            (
-                str(point["process"]),
-                int(point["cores"]),  # type: ignore[arg-type]
-                int(point["icache_kb"]),  # type: ignore[arg-type]
-                int(point["dcache_kb"]),  # type: ignore[arg-type]
-            )
-            for point in space.points()
-        ]
-        unique_keys = list(dict.fromkeys(candidate_keys))
-        candidates = [
-            ariane_manycore(
-                process, cores=n_cores, icache_kb=icache_kb, dcache_kb=dcache_kb
-            )
-            for process, n_cores, icache_kb, dcache_kb in unique_keys
-        ]
-        ttm_weeks = portfolio_ttm(
-            ttm_model, candidates, n_chips
-        ).total_weeks[:, 0]
-        cost_usd = portfolio_cost(
-            costs, candidates, n_chips, engineers=ttm_model.engineers
-        ).total_usd[:, 0]
-        for row, key in enumerate(unique_keys):
-            process, n_cores, icache_kb, dcache_kb = key
-            ipc = perf.ipc(icache_kb, dcache_kb)
-            cache[key] = CodesignPoint(
-                process=process,
-                cores=n_cores,
-                icache_kb=icache_kb,
-                dcache_kb=dcache_kb,
-                ipc=ipc,
-                throughput=n_cores * ipc,
-                ttm_weeks=float(ttm_weeks[row]),
-                cost_usd=float(cost_usd[row]),
-            )
-
-    def evaluate(configuration: Configuration) -> CodesignPoint:
-        key = (
+    def key_of(configuration: Configuration) -> Tuple[str, int, int, int]:
+        return (
             str(configuration["process"]),
             int(configuration["cores"]),  # type: ignore[arg-type]
             int(configuration["icache_kb"]),  # type: ignore[arg-type]
             int(configuration["dcache_kb"]),  # type: ignore[arg-type]
         )
-        if key not in cache:
-            process, n_cores, icache_kb, dcache_kb = key
-            design = ariane_manycore(
-                process, cores=n_cores, icache_kb=icache_kb, dcache_kb=dcache_kb
-            )
-            ipc = perf.ipc(icache_kb, dcache_kb)
-            cache[key] = CodesignPoint(
-                process=process,
-                cores=n_cores,
-                icache_kb=icache_kb,
-                dcache_kb=dcache_kb,
-                ipc=ipc,
-                throughput=n_cores * ipc,
-                ttm_weeks=ttm_model.total_weeks(design, n_chips),
-                cost_usd=costs.total_usd(design, n_chips),
-            )
-        return cache[key]
+
+    unique_keys = list(dict.fromkeys(map(key_of, space.points())))
+    candidates = [
+        ariane_manycore(
+            process, cores=n_cores, icache_kb=icache_kb, dcache_kb=dcache_kb
+        )
+        for process, n_cores, icache_kb, dcache_kb in unique_keys
+    ]
+    scores = evaluate(
+        ttm_model, candidates, n_chips, ("ttm", "cost"), cost_model=costs
+    )
+    ttm_weeks = scores.ttm.total_weeks[0, :, 0]
+    cost_usd = scores.cost.total_usd[0, :, 0]
+    points: Dict[Tuple[str, int, int, int], CodesignPoint] = {}
+    for row, key in enumerate(unique_keys):
+        process, n_cores, icache_kb, dcache_kb = key
+        ipc = perf.ipc(icache_kb, dcache_kb)
+        points[key] = CodesignPoint(
+            process=process,
+            cores=n_cores,
+            icache_kb=icache_kb,
+            dcache_kb=dcache_kb,
+            ipc=ipc,
+            throughput=n_cores * ipc,
+            ttm_weeks=float(ttm_weeks[row]),
+            cost_usd=float(cost_usd[row]),
+        )
+
+    def point(configuration: Configuration) -> CodesignPoint:
+        return points[key_of(configuration)]
+
     outcome = grid_search(
         space,
-        objective=lambda cfg: evaluate(cfg).throughput_per_week,
-        constraints=[lambda cfg: evaluate(cfg).cost_usd <= budget_usd],
+        objective=lambda cfg: point(cfg).throughput_per_week,
+        constraints=[lambda cfg: point(cfg).cost_usd <= budget_usd],
     )
-    best = evaluate(outcome.best)
+    best = point(outcome.best)
     production: Optional[PairResult] = None
     if split_processes is not None:
         winner_cores = best.cores

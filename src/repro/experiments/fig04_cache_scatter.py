@@ -13,7 +13,7 @@ from typing import Optional, Sequence, Tuple
 
 from ..analysis.tables import format_table
 from ..design.library.ariane import CACHE_SWEEP_KB, ariane_manycore
-from ..engine.portfolio import portfolio_ttm
+from ..engine.scenario import evaluate
 from ..perf.ipc import IPCModel
 from ..ttm.model import TTMModel
 
@@ -100,7 +100,9 @@ def run(
         ariane_manycore(process, cores=cores, icache_kb=i, dcache_kb=d)
         for i, d in pairs
     ]
-    ttm = portfolio_ttm(ttm_model, designs, n_chips).total_weeks[:, 0]
+    ttm = evaluate(
+        ttm_model, designs, n_chips, ("ttm",)
+    ).ttm.total_weeks[0, :, 0]
     points = [
         CachePoint(
             icache_kb=icache_kb,

@@ -16,7 +16,7 @@ from ..analysis.sweep import normalized
 from ..analysis.tables import format_table
 from ..cost.model import CostModel
 from ..design.library.ariane import CACHE_SWEEP_KB, ariane_manycore
-from ..engine.portfolio import portfolio_cost, portfolio_ttm
+from ..engine.scenario import evaluate
 from ..perf.ipc import IPCModel
 from ..ttm.model import TTMModel
 from .fig04_cache_scatter import (
@@ -126,10 +126,11 @@ def run(
         ariane_manycore(process, cores=cores, icache_kb=i, dcache_kb=d)
         for i, d in pairs
     ]
-    ttm = portfolio_ttm(ttm_model, designs, n_chips).total_weeks[:, 0]
-    cost = portfolio_cost(
-        costs, designs, n_chips, engineers=ttm_model.engineers
-    ).total_usd[:, 0]
+    evaluation = evaluate(
+        ttm_model, designs, n_chips, ("ttm", "cost"), cost_model=costs
+    )
+    ttm = evaluation.ttm.total_weeks[0, :, 0]
+    cost = evaluation.cost.total_usd[0, :, 0]
     raw = [
         (icache_kb, dcache_kb, perf.ipc(icache_kb, dcache_kb), weeks, usd)
         for (icache_kb, dcache_kb), weeks, usd in zip(

@@ -20,7 +20,7 @@ import numpy as np
 from ..analysis.sweep import chip_quantities
 from ..analysis.tables import format_table
 from ..design.library.ariane import CACHE_SWEEP_KB, ariane_manycore
-from ..engine.portfolio import portfolio_ttm
+from ..engine.scenario import evaluate
 from ..perf.ipc import IPCModel
 from ..ttm.model import TTMModel
 from .fig04_cache_scatter import DEFAULT_CAPACITY_SHARE
@@ -106,11 +106,12 @@ def run(
         ]
         for process in processes
     ]
-    ttm_by_process = portfolio_ttm(
+    ttm_by_process = evaluate(
         ttm_model,
         [design for designs in designs_by_process for design in designs],
         volume_grid,
-    ).total_weeks.reshape(len(processes), len(pairs), len(volume_grid))
+        ("ttm",),
+    ).ttm.total_weeks[0].reshape(len(processes), len(pairs), len(volume_grid))
     cells = {}
     for process, designs, ttm in zip(
         processes, designs_by_process, ttm_by_process

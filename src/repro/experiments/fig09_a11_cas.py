@@ -14,7 +14,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 from ..analysis.sweep import capacity_fractions
 from ..analysis.tables import format_table
 from ..design.library.a11 import A11_TOTAL_TRANSISTORS, A11_UNIQUE_TRANSISTORS, a11
-from ..engine.portfolio import portfolio_cas_over_capacity
+from ..engine.scenario import evaluate
 from ..sensitivity.ttm_factors import cas_factor_function, ttm_factors
 from ..sensitivity.uncertainty import UncertaintyResult, uncertainty_bands
 from ..ttm.model import TTMModel
@@ -74,7 +74,7 @@ def run(
 ) -> Fig09Result:
     """Regenerate Fig. 9's CAS-vs-capacity curves.
 
-    One portfolio CAS call covers every node's curve. ``with_bands``
+    One CAS evaluation covers every node's curve. ``with_bands``
     additionally estimates the +-10% / +-25% input-variance CIs of the
     full-capacity CAS (the figure's shaded regions); it costs
     ``2 * band_samples`` CAS evaluations per node.
@@ -82,9 +82,13 @@ def run(
     ttm_model = model or TTMModel.nominal()
     technology = ttm_model.foundry.technology
     sweep = tuple(fractions) if fractions else capacity_fractions(0.1, 1.0, 19)
-    curves = portfolio_cas_over_capacity(
-        ttm_model, [a11(process) for process in processes], n_chips, sweep
-    )
+    curves = evaluate(
+        ttm_model,
+        [a11(process) for process in processes],
+        n_chips,
+        ("cas",),
+        capacity=sweep,
+    ).cas.normalized[0]
     series = {
         process: tuple(curve) for process, curve in zip(processes, curves)
     }

@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 from ..analysis.sweep import chip_quantities
 from ..analysis.tables import format_table
 from ..design.library.a11 import a11
-from ..engine.portfolio import portfolio_ttm
+from ..engine.scenario import evaluate
 from ..ttm.model import TTMModel
 from .fig07_a11_ttm_cost import DEFAULT_PROCESSES
 
@@ -61,13 +61,16 @@ def run(
 ) -> Fig10Result:
     """Regenerate Fig. 10's TTM matrix.
 
-    One portfolio TTM call covers every node's whole quantity row.
+    One TTM evaluation covers every node's whole quantity row.
     """
     ttm_model = model or TTMModel.nominal()
     volume_grid = tuple(quantities) if quantities else chip_quantities()
-    totals = portfolio_ttm(
-        ttm_model, [a11(process) for process in processes], volume_grid
-    ).total_weeks
+    totals = evaluate(
+        ttm_model,
+        [a11(process) for process in processes],
+        volume_grid,
+        ("ttm",),
+    ).ttm.total_weeks[0]
     ttm = {}
     for process, row in zip(processes, totals.tolist()):
         for n_chips, weeks in zip(volume_grid, row):

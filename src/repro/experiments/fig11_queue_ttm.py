@@ -16,7 +16,7 @@ import numpy as np
 from ..analysis.sweep import capacity_fractions
 from ..analysis.tables import format_table
 from ..design.library.a11 import a11
-from ..engine.batch import batch_ttm
+from ..engine.scenario import evaluate
 from ..market.conditions import MarketConditions
 from ..ttm.model import TTMModel
 from .fig07_a11_ttm_cost import DEFAULT_N_CHIPS
@@ -66,11 +66,15 @@ def queue_model(base: TTMModel) -> TTMModel:
 
 def queue_grid(
     queues: Sequence[float], fractions: Sequence[float]
-) -> Dict[str, np.ndarray]:
-    """``capacity`` and ``queue_weeks`` of the (queue x fraction) grid."""
-    return {
-        "capacity": np.asarray(fractions, dtype=float)[None, :],
-        "queue_weeks": np.asarray(queues, dtype=float)[:, None],
+) -> Tuple[Tuple[int, int], Dict[str, np.ndarray]]:
+    """The (queue x fraction) grid's shape, and its ``capacity`` and
+    ``queue_weeks`` as flat sample vectors (queue-major)."""
+    capacity, queue_weeks = np.meshgrid(
+        np.asarray(fractions, dtype=float), np.asarray(queues, dtype=float)
+    )
+    return capacity.shape, {
+        "capacity": capacity.ravel(),
+        "queue_weeks": queue_weeks.ravel(),
     }
 
 
@@ -83,13 +87,14 @@ def run(
 ) -> Fig11Result:
     """Regenerate Fig. 11's TTM-vs-capacity curves per queue time.
 
-    One batched TTM call covers the (queue x capacity) grid.
+    One TTM evaluation covers the (queue x capacity) grid.
     """
     base = model or TTMModel.nominal()
     sweep = tuple(fractions) if fractions else capacity_fractions(0.25, 1.0, 16)
-    weeks = batch_ttm(
-        queue_model(base), a11(process), n_chips, **queue_grid(queues, sweep)
-    ).total_weeks
+    shape, grid = queue_grid(queues, sweep)
+    weeks = evaluate(
+        queue_model(base), (a11(process),), n_chips, ("ttm",), **grid
+    ).ttm.total_weeks[0, 0].reshape(shape)
     series = {queue: tuple(row) for queue, row in zip(queues, weeks)}
     return Fig11Result(
         process=process, n_chips=n_chips, fractions=sweep, series=series

@@ -14,7 +14,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 from ..analysis.sweep import capacity_fractions
 from ..analysis.tables import format_table
 from ..design.library.a11 import a11
-from ..engine.batch import batch_cas
+from ..engine.scenario import evaluate
 from ..ttm.model import TTMModel
 from .fig07_a11_ttm_cost import DEFAULT_N_CHIPS
 from .fig11_queue_ttm import (
@@ -67,13 +67,14 @@ def run(
 ) -> Fig12Result:
     """Regenerate Fig. 12's CAS-vs-capacity curves per queue time.
 
-    One batched CAS call covers the (queue x capacity) grid.
+    One CAS evaluation covers the (queue x capacity) grid.
     """
     base = model or TTMModel.nominal()
     sweep = tuple(fractions) if fractions else capacity_fractions(0.25, 1.0, 16)
-    cas = batch_cas(
-        queue_model(base), a11(process), n_chips, **queue_grid(queues, sweep)
-    ).normalized
+    shape, grid = queue_grid(queues, sweep)
+    cas = evaluate(
+        queue_model(base), (a11(process),), n_chips, ("cas",), **grid
+    ).cas.normalized[0, 0].reshape(shape)
     series = {queue: tuple(row) for queue, row in zip(queues, cas)}
     return Fig12Result(
         process=process, n_chips=n_chips, fractions=sweep, series=series

@@ -27,11 +27,7 @@ from ..analysis.tables import format_table
 from ..cost.model import CostModel
 from ..design.chip import ChipDesign
 from ..design.library.zen2 import fig13_variants
-from ..engine.portfolio import (
-    portfolio_cas_over_capacity,
-    portfolio_cost,
-    portfolio_ttm,
-)
+from ..engine.scenario import evaluate
 from ..market.conditions import MarketConditions
 from ..ttm.model import TTMModel
 
@@ -97,8 +93,9 @@ def run(
 ) -> Fig13Result:
     """Regenerate Fig. 13's three panels.
 
-    All eight variants are evaluated per panel in one fused (designs x
-    grid) pass over a shared compiled portfolio.
+    All eight variants share one compiled portfolio: one evaluation
+    gives the TTM and cost panels over the quantity grid, and one the
+    CAS panel over the capacity sweep.
     """
     ttm_model = model or TTMModel.nominal()
     costs = cost_model or CostModel.nominal()
@@ -106,13 +103,14 @@ def run(
     variants = tuple(designs) if designs else fig13_variants()
     volume_grid = tuple(quantities)
 
-    ttm_matrix = portfolio_ttm(ttm_model, variants, volume_grid).total_weeks
-    cost_matrix = portfolio_cost(
-        costs, variants, volume_grid, engineers=ttm_model.engineers
-    ).total_usd
-    cas_matrix = portfolio_cas_over_capacity(
-        ttm_model, variants, cas_n_chips, sweep
+    panels = evaluate(
+        ttm_model, variants, volume_grid, ("ttm", "cost"), cost_model=costs
     )
+    ttm_matrix = panels.ttm.total_weeks[0]
+    cost_matrix = panels.cost.total_usd[0]
+    cas_matrix = evaluate(
+        ttm_model, variants, cas_n_chips, ("cas",), capacity=sweep
+    ).cas.normalized[0]
     return Fig13Result(
         quantities=volume_grid,
         fractions=sweep,

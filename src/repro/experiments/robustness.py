@@ -32,7 +32,8 @@ import numpy as np
 from ..analysis.tables import format_table
 from ..design.library.a11 import a11
 from ..design.library.zen2 import zen2
-from ..engine.portfolio import compile_portfolio, portfolio_cas, portfolio_ttm
+from ..engine.portfolio import compile_portfolio
+from ..engine.scenario import evaluate
 from ..errors import InvalidParameterError
 from ..market.foundry import Foundry
 from ..technology.database import TechnologyDatabase
@@ -142,12 +143,11 @@ def run(
     )
     volumes = [n_chips] * len(_A11_NODES) + [ZEN2_N_CHIPS] * 2
     chips = np.tile(volumes, samples)[:, None]
-    ttm = portfolio_ttm(
-        kernel_model, None, chips, invariants=table
-    ).total_weeks.reshape(samples, len(designs))
-    cas = portfolio_cas(
-        kernel_model, None, chips, invariants=table
-    ).cas.reshape(samples, len(designs))
+    scores = evaluate(
+        kernel_model, None, chips, ("ttm", "cas"), invariants=table
+    )
+    ttm = scores.ttm.total_weeks[0].reshape(samples, len(designs))
+    cas = scores.cas.cas[0].reshape(samples, len(designs))
 
     node = {process: i for i, process in enumerate(_A11_NODES)}
     # argmin takes the first minimum, as ``min(ttm, key=ttm.get)`` does.

@@ -252,7 +252,7 @@ class DisruptionDraw:
 
     ``capacity`` maps node name to a per-sample capacity-fraction array
     (base fraction x sampled multipliers at the order week) — exactly
-    the mapping form ``portfolio_ttm``/``portfolio_cas`` accept;
+    the mapping form ``evaluate``'s ``capacity`` accepts;
     ``demand_scale`` multiplies the per-sample order quantity.
     """
 

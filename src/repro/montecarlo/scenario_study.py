@@ -2,8 +2,8 @@
 
 A scenario study draws ONE joint base sample from a
 :class:`~repro.montecarlo.spec.SamplingSpec` and pushes it through the
-fused :func:`~repro.engine.scenario.scenario_evaluate` cube for every
-stress scenario and every design. Common random numbers are enforced by
+one :func:`~repro.engine.scenario.evaluate` cube for every stress
+scenario and every design. Common random numbers are enforced by
 construction: the base draw happens once, up front, and every
 ``(scenario, design)`` cell sees the same supply-chain realizations, so
 differences between cells are due to the scenario transforms and the
@@ -34,7 +34,7 @@ from ..engine.scenario import (
     Scenario,
     ScenarioSet,
     compile_scenarios,
-    scenario_evaluate,
+    evaluate,
 )
 from ..errors import InvalidParameterError
 from ..obs.trace import span
@@ -70,6 +70,35 @@ class _ScenarioChunkTask:
     curve_points: int
 
 
+def _scenario_metrics(task: _ScenarioChunkTask) -> Dict[str, np.ndarray]:
+    """One scenario subset's metric cubes, ``(scenarios, designs, samples)``.
+
+    The evaluation (and its per-group tensors) is released on return,
+    before the chunk summarizes.
+    """
+    evaluation = evaluate(
+        task.model,
+        task.designs,
+        task.n_chips,
+        ("ttm", "cas") if task.cost_model is None else ("ttm", "cas", "cost"),
+        scenarios=task.scenario_set,
+        capacity=task.capacity,
+        queue_weeks=task.queue_weeks,
+        d0_scale=task.d0_scale,
+        wafer_rate_scale=task.wafer_rate_scale,
+        cost_model=task.cost_model,
+    )
+    metrics = {
+        "ttm_weeks": evaluation.ttm.total_weeks,
+        "cas": evaluation.cas.cas,
+    }
+    if evaluation.cost is not None:
+        # Per-chip cost under scenario k divides by that scenario's
+        # transformed demand.
+        metrics["cost_per_chip_usd"] = evaluation.cost.usd_per_chip
+    return metrics
+
+
 def _evaluate_scenario_chunk(task: _ScenarioChunkTask) -> List[CellSummaries]:
     """Evaluate and summarize one scenario subset (module-level for
     pickling).
@@ -79,32 +108,7 @@ def _evaluate_scenario_chunk(task: _ScenarioChunkTask) -> List[CellSummaries]:
     cell is summarized on its own, the chunk's cells equal the same
     cells of an unchunked study bit-for-bit.
     """
-    cube = scenario_evaluate(
-        task.model,
-        task.cost_model,
-        task.designs,
-        task.n_chips,
-        task.scenario_set,
-        capacity=task.capacity,
-        queue_weeks=task.queue_weeks,
-        d0_scale=task.d0_scale,
-        wafer_rate_scale=task.wafer_rate_scale,
-    )
-    metrics = {
-        "ttm_weeks": np.asarray(cube.ttm.total_weeks, dtype=float),
-        "cas": np.asarray(cube.cas.cas, dtype=float),
-    }
-    if cube.cost is not None:
-        # Per-chip cost under scenario k divides by the transformed
-        # demand, with the same ops apply_scenario/scenario_cost use, so
-        # it matches the per-scenario oracle's ``usd_per_chip`` bits.
-        base = np.asarray(task.n_chips, dtype=float)
-        per_chip = np.empty_like(metrics["ttm_weeks"])
-        for k in range(task.scenario_set.n_scenarios):
-            dm = float(task.scenario_set.demand_scale[k])
-            chips = base if dm == 1.0 else base * dm
-            per_chip[k] = cube.cost.total_usd[k] / chips
-        metrics["cost_per_chip_usd"] = per_chip
+    metrics = _scenario_metrics(task)
     # One row per (scenario, design) cell, scenario-major.
     n_cells = task.scenario_set.n_scenarios * metrics["ttm_weeks"].shape[1]
     return summarize_cells(

@@ -13,7 +13,7 @@ include as the paired-control column.
 :func:`stress_scenarios` resolves selector strings (``"all"``, a family
 name, or an exact ``family:severity`` name) into a compiled
 :class:`~repro.engine.scenario.ScenarioSet` for
-:func:`~repro.engine.scenario.scenario_evaluate` /
+:func:`~repro.engine.scenario.evaluate` /
 :func:`~repro.montecarlo.scenario_study.run_scenario_study`.
 """
 

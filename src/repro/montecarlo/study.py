@@ -3,8 +3,8 @@
 A study draws ``n_samples`` joint supply-chain realizations from a
 :class:`~repro.montecarlo.spec.SamplingSpec` (optionally composed with a
 :class:`~repro.montecarlo.disruption.DisruptionModel`), pushes the whole
-sample through the fused :func:`~repro.engine.portfolio.portfolio_ttm` /
-``portfolio_cas`` / ``portfolio_cost`` kernels — every design of a
+sample through one :func:`~repro.engine.scenario.evaluate` call per
+chunk (TTM, CAS and, with a cost model, cost) — every design of a
 comparison on the same draws — and reduces the outcome arrays to
 :class:`~repro.montecarlo.results.StudyResult` summaries. A single-design
 study is a 1-design comparison. No scalar ``TTMModel`` call happens
@@ -28,7 +28,7 @@ from ..cost.model import CostModel
 from ..design.chip import ChipDesign
 from ..economics.market_window import MarketWindow, triangle_loss_fractions
 from ..engine.parallel import parallel_map
-from ..engine.portfolio import portfolio_cas, portfolio_cost, portfolio_ttm
+from ..engine.scenario import evaluate
 from ..errors import InvalidParameterError
 from ..obs.trace import span
 from ..ttm.model import TTMModel
@@ -198,23 +198,20 @@ def _evaluate_portfolio_chunk(
             kwargs["capacity"] = dict(disruption.capacity)
         if disruption.demand_scale is not None:
             quantities = quantities * disruption.demand_scale
-    ttm = portfolio_ttm(task.model, task.designs, quantities, **kwargs)
-    cas = portfolio_cas(task.model, task.designs, quantities, **kwargs)
+    evaluation = evaluate(
+        task.model,
+        task.designs,
+        quantities,
+        ("ttm", "cas") if task.cost_model is None else ("ttm", "cas", "cost"),
+        cost_model=task.cost_model,
+        **kwargs,
+    )
     metrics = {
-        "ttm_weeks": np.asarray(ttm.total_weeks, dtype=float),
-        "cas": np.asarray(cas.cas, dtype=float),
+        "ttm_weeks": evaluation.ttm.total_weeks[0],
+        "cas": evaluation.cas.cas[0],
     }
-    if task.cost_model is not None:
-        cost = portfolio_cost(
-            task.cost_model,
-            task.designs,
-            quantities,
-            d0_scale=kwargs.get("d0_scale"),
-            engineers=task.model.engineers,
-        )
-        metrics["cost_per_chip_usd"] = np.asarray(
-            cost.usd_per_chip, dtype=float
-        )
+    if evaluation.cost is not None:
+        metrics["cost_per_chip_usd"] = evaluation.cost.usd_per_chip[0]
     return metrics
 
 
@@ -239,8 +236,8 @@ def compare_designs(
     Every design sees the *same* supply-chain draws (common random
     numbers), so differences between result distributions are due to
     the designs, not sampling noise. Each chunk is drawn once and the
-    whole design tuple evaluated through the fused
-    :func:`~repro.engine.portfolio.portfolio_ttm` kernels; row ``i``
+    whole design tuple evaluated through one
+    :func:`~repro.engine.scenario.evaluate` call; row ``i``
     depends on design ``i`` alone, so a design's result is bit for bit
     its :func:`run_study`.
     """

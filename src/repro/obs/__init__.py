@@ -34,6 +34,11 @@ down:
 * :mod:`repro.obs.profile` — :class:`SamplingProfiler`, the stdlib
   thread-sampling wall-time profiler behind ``serve --profile-hz``.
 
+Each name is imported from its submodule when it is first read
+(:mod:`repro._lazy`), so a process that needs ``trace`` or
+``instrument`` loads neither ``manifest`` nor ``session`` nor
+``profile``.
+
 Quickstart::
 
     from repro.obs import install_tracer, uninstall_tracer, get_registry
@@ -45,46 +50,53 @@ Quickstart::
     print(get_registry().to_prometheus_text())
 """
 
-from .distributed import (
-    TraceContext,
-    mint_request_id,
-    mint_trace_context,
-    parse_traceparent,
-    stitch_trace,
-)
-from .instrument import disabled, observed_kernel
-from .log import LOG_SCHEMA, RequestLogger, read_request_log
-from .manifest import (
-    MANIFEST_SCHEMA,
-    RunManifest,
-    TIMING_FIELDS,
-    environment_fingerprint,
-    git_revision,
-    result_digest,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    METRICS_SCHEMA,
-    MetricsRegistry,
-    estimate_quantile,
-    get_registry,
-    histogram_quantiles_from_text,
-    metrics_delta,
-)
-from .profile import SamplingProfiler
-from .session import ManifestSink, ObsSession
-from .slo import DEFAULT_OBJECTIVES, SLObjective, SLOTracker
-from .trace import (
-    SpanRecord,
-    TRACE_SCHEMA,
-    Tracer,
-    chrome_trace_from_spans,
-    current_tracer,
-    install_tracer,
-    span,
-    uninstall_tracer,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".distributed": (
+            "TraceContext",
+            "mint_request_id",
+            "mint_trace_context",
+            "parse_traceparent",
+            "stitch_trace",
+        ),
+        ".instrument": ("disabled", "observed_kernel"),
+        ".log": ("LOG_SCHEMA", "RequestLogger", "read_request_log"),
+        ".manifest": (
+            "MANIFEST_SCHEMA",
+            "RunManifest",
+            "TIMING_FIELDS",
+            "environment_fingerprint",
+            "git_revision",
+            "result_digest",
+        ),
+        ".metrics": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "METRICS_SCHEMA",
+            "MetricsRegistry",
+            "estimate_quantile",
+            "get_registry",
+            "histogram_quantiles_from_text",
+            "metrics_delta",
+        ),
+        ".profile": ("SamplingProfiler",),
+        ".session": ("ManifestSink", "ObsSession"),
+        ".slo": ("DEFAULT_OBJECTIVES", "SLObjective", "SLOTracker"),
+        ".trace": (
+            "SpanRecord",
+            "TRACE_SCHEMA",
+            "Tracer",
+            "chrome_trace_from_spans",
+            "current_tracer",
+            "install_tracer",
+            "span",
+            "uninstall_tracer",
+        ),
+    },
 )
 
 __all__ = [

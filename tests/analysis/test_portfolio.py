@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.agility.cas import chip_agility_score
 from repro.analysis.portfolio import (
     PortfolioAssessment,
     PortfolioEntry,
@@ -87,6 +88,28 @@ class TestValidation:
             PortfolioEntry(design=a11("28nm"), n_chips=0.0)
 
 
+def scalar_assessment(model, portfolio, stress):
+    """The per-(product, scenario) scalar loop ``assess_portfolio``
+    replaces: the oracle its one evaluation per scenario must equal."""
+    nominal, agility, deltas = {}, {}, {}
+    for product, entry in portfolio.items():
+        nominal[product] = model.total_weeks(entry.design, entry.n_chips)
+        agility[product] = chip_agility_score(
+            model, entry.design, entry.n_chips
+        ).normalized
+        for scenario_name, conditions in stress.items():
+            stressed = model.with_foundry(
+                model.foundry.with_conditions(conditions)
+            )
+            deltas[(product, scenario_name)] = (
+                stressed.total_weeks(entry.design, entry.n_chips)
+                - nominal[product]
+            )
+    return PortfolioAssessment(
+        nominal_ttm=nominal, cas=agility, delta_weeks=deltas
+    )
+
+
 class TestEngines:
     def test_portfolio_matches_scalar(self, model):
         portfolio = {
@@ -97,8 +120,8 @@ class TestEngines:
             "shortage": scenarios.shortage_2021(),
             "fab_fire_28nm": scenarios.fab_fire("28nm", 0.3),
         }
-        fused = assess_portfolio(model, portfolio, stress, engine="portfolio")
-        oracle = assess_portfolio(model, portfolio, stress, engine="scalar")
+        fused = assess_portfolio(model, portfolio, stress)
+        oracle = scalar_assessment(model, portfolio, stress)
         assert fused.products == oracle.products
         assert fused.scenarios == oracle.scenarios
         for product in oracle.products:
@@ -112,13 +135,3 @@ class TestEngines:
                 assert fused.delta(product, scenario) == pytest.approx(
                     oracle.delta(product, scenario), rel=1e-9, abs=1e-9
                 )
-
-    def test_unknown_engine_rejected(self, model):
-        entry = PortfolioEntry(design=a11("28nm"), n_chips=1e6)
-        with pytest.raises(InvalidParameterError, match="engine"):
-            assess_portfolio(
-                model,
-                {"soc": entry},
-                {"s": scenarios.nominal()},
-                engine="warp",
-            )

@@ -1,9 +1,10 @@
-"""Batched kernels must reproduce the scalar model to round-off.
+"""One-design evaluations must reproduce the scalar model to round-off.
 
-The engine's contract is numerical: every batched TTM/CAS value matches
-the scalar ``TTMModel`` / ``chip_agility_score`` evaluation of the same
-point to <= 1e-9 relative error, across the design library, schedules,
-quantities, capacities, and queue-quoted market conditions.
+The engine's contract is numerical: every ``evaluate`` TTM/CAS value of
+a one-design portfolio matches the scalar ``TTMModel`` /
+``chip_agility_score`` evaluation of the same point to <= 1e-9 relative
+error, across the design library, schedules, quantities, capacities,
+and queue-quoted market conditions.
 """
 
 import numpy as np
@@ -13,11 +14,7 @@ from repro.agility.cas import chip_agility_score
 from repro.design.library.a11 import a11
 from repro.design.library.generic import demo_chip_a, demo_chip_b
 from repro.design.library.zen2 import fig13_variants
-from repro.engine.batch import (
-    batch_ttm,
-    cas_over_capacity,
-    ttm_over_capacity,
-)
+from repro.engine.scenario import evaluate
 from repro.errors import InvalidParameterError
 from repro.market.conditions import MarketConditions
 from repro.ttm.model import TTMModel
@@ -44,6 +41,24 @@ def design_ids():
     return [design.name for design in library_designs()]
 
 
+def one_design(model, design, n_chips, metric, **knobs):
+    """The design's row of scenario 0: TTM phases or CAS."""
+    evaluation = evaluate(model, (design,), n_chips, (metric,), **knobs)
+    return getattr(evaluation, metric)
+
+
+def ttm_over_capacity(model, design, n_chips, fractions):
+    return one_design(
+        model, design, n_chips, "ttm", capacity=fractions
+    ).total_weeks[0, 0]
+
+
+def cas_over_capacity(model, design, n_chips, fractions):
+    return one_design(
+        model, design, n_chips, "cas", capacity=fractions
+    ).normalized[0, 0]
+
+
 @pytest.fixture(scope="module")
 def nominal():
     return TTMModel.nominal()
@@ -66,29 +81,26 @@ class TestTTMEquivalence:
         "design", library_designs(), ids=design_ids()
     )
     def test_matches_scalar_over_quantities(self, nominal, design):
-        batched = batch_ttm(nominal, design, QUANTITIES).total_weeks
+        batched = one_design(
+            nominal, design, QUANTITIES, "ttm"
+        ).total_weeks[0, 0]
         scalar = [nominal.total_weeks(design, n) for n in QUANTITIES]
         np.testing.assert_allclose(batched, scalar, rtol=RTOL)
 
     def test_phase_breakdown_matches_scalar(self, nominal):
         design = a11("7nm")
-        result = batch_ttm(nominal, design, (1e6,))
+        result = one_design(nominal, design, (1e6,), "ttm")
         scalar = nominal.time_to_market(design, 1e6)
-        assert result.design_weeks == pytest.approx(
+        assert result.design_weeks[0] == pytest.approx(
             scalar.design_weeks, rel=RTOL
         )
         assert result.tapeout_weeks[0] == pytest.approx(
             scalar.tapeout_weeks, rel=RTOL
         )
-        assert result.fabrication_weeks[0] == pytest.approx(
-            scalar.fabrication_weeks, rel=RTOL
-        )
-        assert result.packaging_weeks[0] == pytest.approx(
-            scalar.packaging_weeks, rel=RTOL
-        )
-        assert result.total_weeks[0] == pytest.approx(
-            scalar.total_weeks, rel=RTOL
-        )
+        for phase in ("fabrication_weeks", "packaging_weeks", "total_weeks"):
+            assert getattr(result, phase)[0, 0, 0] == pytest.approx(
+                getattr(scalar, phase), rel=RTOL
+            )
 
     def test_sequential_schedule(self, nominal):
         model = TTMModel.nominal(schedule="sequential")
@@ -110,28 +122,34 @@ class TestTTMEquivalence:
         model = nominal.with_foundry(
             nominal.foundry.with_conditions(conditions)
         )
-        batched = batch_ttm(model, design, QUANTITIES).total_weeks
+        batched = one_design(model, design, QUANTITIES, "ttm").total_weeks
         scalar = [model.total_weeks(design, n) for n in QUANTITIES]
-        np.testing.assert_allclose(batched, scalar, rtol=RTOL)
+        np.testing.assert_allclose(batched[0, 0], scalar, rtol=RTOL)
 
     def test_quantity_capacity_broadcast(self, nominal):
+        # A (quantity x capacity) grid, flattened onto the sample axis.
         design = a11("7nm")
-        quantities = np.array([[1e4], [1e6]])
-        capacity = np.array(FRACTIONS)
-        result = batch_ttm(nominal, design, quantities, capacity)
-        assert result.total_weeks.shape == (2, len(FRACTIONS))
+        quantities, capacity = np.meshgrid(
+            (1e4, 1e6), FRACTIONS, indexing="ij"
+        )
+        result = one_design(
+            nominal, design, quantities.ravel(), "ttm",
+            capacity=capacity.ravel(),
+        )
+        grid = result.total_weeks[0, 0].reshape(quantities.shape)
+        assert grid.shape == (2, len(FRACTIONS))
         for i, n in enumerate((1e4, 1e6)):
             for j, f in enumerate(FRACTIONS):
-                assert result.total_weeks[i, j] == pytest.approx(
+                assert grid[i, j] == pytest.approx(
                     nominal.at_capacity(f).total_weeks(design, n), rel=RTOL
                 )
 
     def test_rejects_nonpositive_inputs(self, nominal):
         design = a11("7nm")
         with pytest.raises(InvalidParameterError):
-            batch_ttm(nominal, design, (1e6, -1.0))
+            one_design(nominal, design, (1e6, -1.0), "ttm")
         with pytest.raises(InvalidParameterError):
-            batch_ttm(nominal, design, 1e6, capacity=(0.5, 0.0))
+            one_design(nominal, design, 1e6, "ttm", capacity=(0.5, 0.0))
 
 
 class TestCASEquivalence:

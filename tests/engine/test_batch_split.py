@@ -6,17 +6,17 @@ split) tensor cell must match the scalar evaluation to 1e-9 relative
 error across the Raven node set, including the degenerate single-process
 cells (split >= 1.0 and the diagonal). Each stage reads its production
 lines from one line table, and every line it reads equals that line's
-own one-design ``batch_ttm`` / ``batch_cost`` bit for bit.
+own one-design ``evaluate`` bit for bit.
 """
 
 import importlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.agility.derivative import DEFAULT_RELATIVE_STEP
 from repro.design.library.raven import raven_multicore
-from repro.engine.batch import batch_cost, batch_ttm
 from repro.engine.batch_split import (
     DEFAULT_REFINE_POINTS,
     _LineEngine,
@@ -32,7 +32,7 @@ from repro.multiprocess.split import (
     make_plan,
     single_process_plan,
 )
-from repro.obs.instrument import KERNEL_INVOCATIONS
+from repro.engine.scenario import evaluate
 
 RELATIVE_TOLERANCE = 1e-9
 
@@ -498,13 +498,13 @@ LINE_NODES = ("250nm", "40nm", "28nm", "7nm")
 
 
 def _one_design_line(model, cost_model, kind, node, fractions, perturb, sign):
-    """A line as its own one-design ``batch_ttm`` / ``batch_cost`` call."""
+    """A line as its own one-design ``evaluate`` call."""
     design = raven_multicore(node)
     chips = LINE_CHIPS * fractions
     if kind == "cost":
-        return batch_cost(
-            cost_model, design, chips, engineers=model.engineers
-        ).total_usd
+        return evaluate(
+            model, (design,), chips, ("cost",), cost_model=cost_model
+        ).cost.total_usd[0, 0].reshape(np.shape(chips))
     capacity = None
     if perturb is not None and perturb in design.processes:
         # ``split_cas``'s rate -> fraction round trip.
@@ -512,12 +512,14 @@ def _one_design_line(model, cost_model, kind, node, fractions, perturb, sign):
         rate = model.foundry.conditions.capacity_for(perturb) * max_rate
         step = rate * DEFAULT_RELATIVE_STEP
         capacity = {perturb: (rate + sign * step) / max_rate}
-    return batch_ttm(model, design, chips, capacity=capacity).total_weeks
+    return evaluate(
+        model, (design,), chips, ("ttm",), capacity=capacity
+    ).ttm.total_weeks[0, 0].reshape(np.shape(chips))
 
 
 class TestLineTable:
     """Every line a stage reads from its one line table equals the line's
-    own one-design ``batch_ttm`` / ``batch_cost``, bit for bit — on the
+    own one-design ``evaluate``, bit for bit — on the
     coarse grid and after both refine stages, under nominal and under
     queued, capacity-reduced conditions."""
 
@@ -586,16 +588,17 @@ class TestLineTable:
     def test_one_kernel_call_per_stage_and_metric(
         self, model, cost_model, monkeypatch, refine, ttm_calls, cost_calls
     ):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a line went through a one-design call")
+        # A line evaluated on its own would add a call per line.
+        calls = Counter()
 
+        def counted(*args, **kwargs):
+            calls[args[3]] += 1
+            return evaluate(*args, **kwargs)
+
+        # ``repro.engine.batch_split`` names the function, so the module
+        # is looked up by path.
         split_module = importlib.import_module("repro.engine.batch_split")
-        monkeypatch.setattr(split_module, "batch_ttm", refuse)
-        monkeypatch.setattr(split_module, "batch_cost", refuse)
-        before = {
-            name: KERNEL_INVOCATIONS.value(kernel=f"engine.{name}")
-            for name in ("portfolio_ttm", "portfolio_cost")
-        }
+        monkeypatch.setattr(split_module, "evaluate", counted)
         run_split_study(
             raven_multicore,
             LINE_NODES,
@@ -605,11 +608,4 @@ class TestLineTable:
             split_grid=LINE_GRID,
             refine=refine,
         )
-        calls = {
-            name: KERNEL_INVOCATIONS.value(kernel=f"engine.{name}") - count
-            for name, count in before.items()
-        }
-        assert calls == {
-            "portfolio_ttm": ttm_calls,
-            "portfolio_cost": cost_calls,
-        }
+        assert calls == {("ttm",): ttm_calls, ("cost",): cost_calls}

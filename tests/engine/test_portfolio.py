@@ -1,19 +1,18 @@
-"""Portfolio kernels vs the scalar model, cell for cell.
+"""The evaluation call vs the scalar model, cell for cell.
 
-The contract (DESIGN.md S18): cell ``(i, s)`` of every ``portfolio_*``
+The contract (DESIGN.md S18): cell ``(k, i, s)`` of every ``evaluate``
 tensor equals the scalar ``TTMModel`` / ``chip_agility_score`` /
 ``CostModel`` evaluation of design ``i`` under sample ``s``'s supply
 (D0 and wafer-rate draws applied through ``TechnologyDatabase.override``)
-to <= 1e-9. ``portfolio_ttm`` / ``portfolio_cas`` are the scenario
-cube's kernel on one identity scenario, so the scalar model is the only
-independent check of the engine's one TTM and CAS body. These tests
-sweep the supply knobs (capacity as None / global scalar / shared
-vector / per-node mapping, queue overrides, defect-density and
-wafer-rate scales, per-design demand matrices), draw them over their
-whole ranges with Hypothesis (one ``scenario_evaluate`` slab included),
-mix single- and multi-node designs so the padded node slots are
-exercised, and pin the validation errors, the Eq. 6 yield passes per
-call and the compile cache behaviour.
+transformed by scenario ``k``, to <= 1e-9. ``evaluate`` runs the
+engine's one TTM and CAS body, the scenario cube, so the scalar model is
+its only independent check. These tests sweep the supply knobs
+(capacity as None / global scalar / shared vector / per-node mapping,
+queue overrides, defect-density and wafer-rate scales, per-design
+demand matrices), draw them over their whole ranges with Hypothesis
+(stress scenarios included), mix single- and multi-node designs so the
+padded node slots are exercised, and pin the validation errors, the
+Eq. 6 yield passes per call and the compile cache behaviour.
 """
 
 import dataclasses
@@ -39,14 +38,9 @@ from repro.engine.invariants import (
 from repro.engine.portfolio import (
     PortfolioInvariants,
     compile_portfolio,
-    portfolio_cas,
-    portfolio_cas_over_capacity,
-    portfolio_cost,
     portfolio_fingerprint,
-    portfolio_ttm,
-    portfolio_ttm_over_capacity,
 )
-from repro.engine.scenario import Scenario, scenario_evaluate
+from repro.engine.scenario import Scenario, evaluate
 from repro.errors import InvalidParameterError
 from repro.market.conditions import MarketConditions
 from repro.market.foundry import Foundry
@@ -126,6 +120,31 @@ def assert_relative(matrix, oracle):
     )
 
 
+def slab(values, k=0):
+    """Scenario ``k`` of a cube field as a ``(designs, samples)`` matrix
+    (per-design fields are ``(designs,)``)."""
+    return values[:, None] if values.ndim == 1 else values[k]
+
+
+def ttm(model, designs, n_chips, **knobs):
+    return evaluate(model, designs, n_chips, ("ttm",), **knobs).ttm
+
+
+def cas(model, designs, n_chips, **knobs):
+    return evaluate(model, designs, n_chips, ("cas",), **knobs).cas
+
+
+def cost(cost_model, designs, n_chips, **knobs):
+    return evaluate(
+        TTMModel(foundry=Foundry.nominal(cost_model.technology)),
+        designs,
+        n_chips,
+        ("cost",),
+        cost_model=cost_model,
+        **knobs,
+    ).cost
+
+
 def capacity_samples(capacity):
     """One scalar capacity (or per-node mapping) per sample."""
     if isinstance(capacity, Mapping):
@@ -142,10 +161,10 @@ def capacity_samples(capacity):
 
 class TestTTMEquivalence:
     def test_current_conditions(self, model, mixed_designs):
-        result = portfolio_ttm(model, mixed_designs, N_CHIPS)
-        assert result.total_weeks.shape == (len(mixed_designs), 1)
+        result = ttm(model, mixed_designs, N_CHIPS)
+        assert result.total_weeks.shape == (1, len(mixed_designs), 1)
         assert_cells(
-            result.total_weeks,
+            slab(result.total_weeks),
             [[model.total_weeks(design, N_CHIPS)] for design in mixed_designs],
         )
 
@@ -160,9 +179,7 @@ class TestTTMEquivalence:
         ids=["scalar", "vector", "one-node", "per-node-vectors"],
     )
     def test_capacity_forms(self, model, mixed_designs, capacity):
-        result = portfolio_ttm(
-            model, mixed_designs, N_CHIPS, capacity=capacity
-        )
+        result = ttm(model, mixed_designs, N_CHIPS, capacity=capacity)
         oracle = [
             [
                 sample_model(model, capacity=sample).time_to_market(
@@ -179,11 +196,11 @@ class TestTTMEquivalence:
             "total_weeks",
         ):
             assert_cells(
-                getattr(result, field),
+                slab(getattr(result, field)),
                 [[getattr(r, field) for r in row] for row in oracle],
             )
         assert_relative(
-            result.total_wafers,
+            slab(result.total_wafers),
             [[r.total_wafers for r in row] for row in oracle],
         )
 
@@ -194,7 +211,7 @@ class TestTTMEquivalence:
         queue_weeks = rng.uniform(0.0, 25.0, samples)
         d0_scale = rng.uniform(0.5, 2.0, samples)
         rate_scale = rng.uniform(0.6, 1.4, samples)
-        result = portfolio_ttm(
+        result = ttm(
             model,
             mixed_designs,
             N_CHIPS,
@@ -214,7 +231,7 @@ class TestTTMEquivalence:
             for j in range(samples)
         ]
         assert_cells(
-            result.total_weeks,
+            slab(result.total_weeks),
             [
                 [m.total_weeks(design, N_CHIPS) for m in models]
                 for design in mixed_designs
@@ -224,9 +241,9 @@ class TestTTMEquivalence:
     def test_per_design_demand_matrix(self, model, mixed_designs):
         rng = np.random.default_rng(12)
         demand = rng.uniform(1e6, 1e8, (len(mixed_designs), 16))
-        result = portfolio_ttm(model, mixed_designs, demand)
+        result = ttm(model, mixed_designs, demand)
         assert_cells(
-            result.total_weeks,
+            slab(result.total_weeks),
             [
                 [model.total_weeks(design, n) for n in demand[i]]
                 for i, design in enumerate(mixed_designs)
@@ -237,11 +254,9 @@ class TestTTMEquivalence:
         sequential = type(model)(
             foundry=model.foundry, schedule="sequential"
         )
-        result = portfolio_ttm(
-            sequential, mixed_designs, N_CHIPS, capacity=(0.5, 1.0)
-        )
+        result = ttm(sequential, mixed_designs, N_CHIPS, capacity=(0.5, 1.0))
         assert_cells(
-            result.total_weeks,
+            slab(result.total_weeks),
             [
                 [
                     sequential.at_capacity(f).total_weeks(design, N_CHIPS)
@@ -253,8 +268,8 @@ class TestTTMEquivalence:
 
     def test_over_capacity_convenience(self, model, mixed_designs):
         fractions = (0.25, 0.5, 1.0)
-        matrix = portfolio_ttm_over_capacity(
-            model, mixed_designs, N_CHIPS, fractions
+        matrix = slab(
+            ttm(model, mixed_designs, N_CHIPS, capacity=fractions).total_weeks
         )
         assert matrix.shape == (len(mixed_designs), len(fractions))
         assert_cells(
@@ -272,8 +287,8 @@ class TestTTMEquivalence:
 class TestCASEquivalence:
     def test_matches_scalar_cas(self, model, mixed_designs):
         fractions = (0.3, 0.65, 1.0)
-        result = portfolio_cas(
-            model, mixed_designs, N_CHIPS, capacity=fractions
+        result = slab(
+            cas(model, mixed_designs, N_CHIPS, capacity=fractions).cas
         )
         for i, design in enumerate(mixed_designs):
             oracle = [
@@ -282,12 +297,12 @@ class TestCASEquivalence:
             ]
             # Central differences amplify round-off, so CAS is pinned
             # relative, as in the batch equivalence suite.
-            assert_relative(result.cas[i], [r.cas for r in oracle])
+            assert_relative(result[i], [r.cas for r in oracle])
 
     def test_over_capacity_matches_fig13_oracle(self, model, mixed_designs):
         fractions = (0.4, 0.8)
-        matrix = portfolio_cas_over_capacity(
-            model, mixed_designs, N_CHIPS, fractions
+        matrix = slab(
+            cas(model, mixed_designs, N_CHIPS, capacity=fractions).normalized
         )
         assert_relative(
             matrix,
@@ -308,9 +323,7 @@ class TestCostEquivalence:
         rng = np.random.default_rng(13)
         demand = rng.uniform(1e6, 1e8, 16)
         d0_scale = rng.uniform(0.5, 2.0, 16)
-        result = portfolio_cost(
-            cost_model, mixed_designs, demand, d0_scale=d0_scale
-        )
+        result = cost(cost_model, mixed_designs, demand, d0_scale=d0_scale)
         models = [
             dataclasses.replace(
                 cost_model,
@@ -335,16 +348,16 @@ class TestCostEquivalence:
                 "total_usd",
             ):
                 assert_relative(
-                    getattr(result, field)[i],
+                    slab(getattr(result, field))[i],
                     [getattr(r, field) for r in oracle],
                 )
 
     def test_per_design_demand_matrix(self, cost_model, mixed_designs):
         rng = np.random.default_rng(14)
         demand = rng.uniform(1e6, 1e8, (len(mixed_designs), 8))
-        result = portfolio_cost(cost_model, mixed_designs, demand)
+        result = cost(cost_model, mixed_designs, demand)
         assert_relative(
-            result.total_usd,
+            slab(result.total_usd),
             [
                 [cost_model.total_usd(design, n) for n in demand[i]]
                 for i, design in enumerate(mixed_designs)
@@ -354,9 +367,9 @@ class TestCostEquivalence:
     def test_fig13_variants_cost_panel(self, cost_model):
         variants = fig13_variants()
         quantities = (10e6, 50e6, 100e6)
-        result = portfolio_cost(cost_model, variants, quantities)
+        result = cost(cost_model, variants, quantities)
         assert_relative(
-            result.total_usd,
+            slab(result.total_usd),
             [
                 [cost_model.total_usd(design, n) for n in quantities]
                 for design in variants
@@ -536,13 +549,17 @@ class TestDrawnSupplyOracle:
     @given(case=drawn_supply())
     def test_kernels_match_scalar_model(self, case):
         model, designs, demand, supply = case
-        ttm = portfolio_ttm(model, designs, demand, **supply)
-        cas = portfolio_cas(model, designs, demand, **supply)
-        cost = portfolio_cost(
-            ORACLE_COST, designs, demand, d0_scale=supply["d0_scale"]
+        evaluation = evaluate(
+            model,
+            designs,
+            demand,
+            ("ttm", "cas", "cost"),
+            cost_model=ORACLE_COST,
+            **supply,
         )
+        ttm, cas, cost = evaluation.ttm, evaluation.cas, evaluation.cost
         cells = scalar_cells(
-            model, designs, demand, supply, ttm.total_weeks.shape[1]
+            model, designs, demand, supply, ttm.total_weeks.shape[2]
         )
         for phase in (
             "tapeout_weeks",
@@ -551,17 +568,17 @@ class TestDrawnSupplyOracle:
             "total_weeks",
         ):
             assert_weeks(
-                getattr(ttm, phase),
+                slab(getattr(ttm, phase)),
                 [[getattr(c[0], phase) for c in row] for row in cells],
             )
         assert_relative(
-            ttm.total_wafers,
+            slab(ttm.total_wafers),
             [[c[0].total_wafers for c in row] for row in cells],
         )
-        assert_relative(cas.cas, [[c[1] for c in row] for row in cells])
+        assert_relative(slab(cas.cas), [[c[1] for c in row] for row in cells])
         for part in ("wafer_usd", "testing_usd", "packaging_usd", "total_usd"):
             assert_relative(
-                getattr(cost, part),
+                slab(getattr(cost, part)),
                 [[getattr(c[2], part) for c in row] for row in cells],
             )
 
@@ -601,8 +618,14 @@ class TestDrawnSupplyOracle:
         )
         outage = Scenario(name="outage", capacity_scale=global_scale)
         scenarios = (Scenario(name="baseline"), stress, outage)
-        cube = scenario_evaluate(
-            model, ORACLE_COST, designs, demand, scenarios, **supply
+        cube = evaluate(
+            model,
+            designs,
+            demand,
+            ("ttm", "cas", "cost"),
+            scenarios=scenarios,
+            cost_model=ORACLE_COST,
+            **supply,
         )
         nodes = tuple(
             dict.fromkeys(p for design in designs for p in design.processes)
@@ -631,11 +654,16 @@ class TestDrawnSupplyOracle:
     def test_nonpositive_demand_raises(self, model, cost_model, demand):
         designs = (a11("7nm"), zen2())
         for kernel in (
-            lambda: portfolio_ttm(model, designs, demand),
-            lambda: portfolio_cas(model, designs, demand),
-            lambda: portfolio_cost(cost_model, designs, demand),
-            lambda: scenario_evaluate(
-                model, cost_model, designs, demand, [Scenario(name="base")]
+            lambda: ttm(model, designs, demand),
+            lambda: cas(model, designs, demand),
+            lambda: cost(cost_model, designs, demand),
+            lambda: evaluate(
+                model,
+                designs,
+                demand,
+                ("ttm", "cas", "cost"),
+                scenarios=[Scenario(name="base")],
+                cost_model=cost_model,
             ),
         ):
             with pytest.raises(InvalidParameterError, match="positive"):
@@ -643,7 +671,8 @@ class TestDrawnSupplyOracle:
 
 
 class TestYieldPasses:
-    """One Eq. 6 ``profile_yields`` pass per kernel call on a cached table."""
+    """One Eq. 6 ``profile_yields`` pass per call on a cached table,
+    whichever metrics it asks for."""
 
     @pytest.fixture
     def passes(self, monkeypatch):
@@ -663,15 +692,17 @@ class TestYieldPasses:
     ):
         d0_scale = np.linspace(0.5, 2.0, 8) if sampled else None
         kernels = {
-            "ttm": lambda: portfolio_ttm(
-                model, mixed_designs, N_CHIPS, d0_scale=d0_scale
-            ),
-            "cas": lambda: portfolio_cas(
-                model, mixed_designs, N_CHIPS, d0_scale=d0_scale
-            ),
-            "cost": lambda: portfolio_cost(
-                cost_model, mixed_designs, N_CHIPS, d0_scale=d0_scale
-            ),
+            metrics: lambda metrics=metrics: evaluate(
+                model,
+                mixed_designs,
+                N_CHIPS,
+                metrics,
+                d0_scale=d0_scale,
+                cost_model=cost_model,
+            )
+            for metrics in (
+                ("ttm",), ("cas",), ("cost",), ("ttm", "cas", "cost")
+            )
         }
         counts = {}
         for name, kernel in kernels.items():
@@ -679,9 +710,9 @@ class TestYieldPasses:
             passes.clear()
             kernel()
             counts[name] = len(passes)
-        # Without D0 draws, every kernel reads the table's nominal columns.
+        # Without D0 draws, every call reads the table's nominal columns.
         expected = 1 if sampled else 0
-        assert counts == {"ttm": expected, "cas": expected, "cost": expected}
+        assert counts == dict.fromkeys(kernels, expected)
 
 
 class TestValidation:
@@ -693,7 +724,7 @@ class TestValidation:
         with pytest.raises(
             InvalidParameterError, match="common random numbers"
         ):
-            portfolio_ttm(
+            ttm(
                 model,
                 mixed_designs,
                 N_CHIPS,
@@ -704,7 +735,7 @@ class TestValidation:
         with pytest.raises(
             InvalidParameterError, match="common random numbers"
         ):
-            portfolio_ttm(
+            ttm(
                 model,
                 mixed_designs,
                 N_CHIPS,
@@ -717,7 +748,7 @@ class TestValidation:
         with pytest.raises(
             InvalidParameterError, match=r"\(n_designs, n_samples\)"
         ):
-            portfolio_ttm(
+            ttm(
                 model,
                 mixed_designs,
                 np.full((len(mixed_designs) + 1, 4), 1e6),
@@ -731,7 +762,7 @@ class TestValidation:
         with pytest.raises(
             InvalidParameterError, match="'7nm' has zero effective capacity"
         ):
-            portfolio_ttm(stalled, mixed_designs, N_CHIPS)
+            ttm(stalled, mixed_designs, N_CHIPS)
 
     def test_zero_sensitivity_names_the_design(self, model):
         # A tiny volume makes every node slope vanish for that design.
@@ -739,7 +770,7 @@ class TestValidation:
         with pytest.raises(
             InvalidParameterError, match="zero TTM sensitivity"
         ):
-            portfolio_cas(model, designs, 1e-6)
+            cas(model, designs, 1e-6)
 
 
 class TestCompileCache:
@@ -773,8 +804,8 @@ class TestCompileCache:
         )
 
     def test_kernels_reuse_one_compiled_portfolio(self, model, mixed_designs):
-        portfolio_ttm(model, mixed_designs, N_CHIPS)
+        ttm(model, mixed_designs, N_CHIPS)
         misses_after_first = invariant_cache_info()["misses"]
-        portfolio_cas(model, mixed_designs, N_CHIPS)
-        portfolio_ttm(model, mixed_designs, N_CHIPS, capacity=0.5)
+        cas(model, mixed_designs, N_CHIPS)
+        ttm(model, mixed_designs, N_CHIPS, capacity=0.5)
         assert invariant_cache_info()["misses"] == misses_after_first

@@ -1,19 +1,23 @@
-"""A composition law of the one TTM and CAS kernel: K scenarios == K x one.
+"""Composition laws of the one evaluation call: K scenarios == K x one,
+and any metric subset == the same field of an all-metrics call.
 
-``portfolio_ttm`` / ``portfolio_cas`` are the scenario cube's kernel on
-one identity scenario, so comparing the cube with a loop of them
+``evaluate`` runs the engine's one TTM and CAS kernel, the scenario
+cube, so comparing a K-scenario call with a loop of one-scenario calls
 compares the kernel with itself. What the comparison pins (DESIGN.md
 S23) is that evaluating K scenarios in one pass changes no bit: slab
-``k`` of every ``scenario_evaluate`` tensor equals the ``portfolio_*``
-call over ``apply_scenario``-transformed base draws, bit for bit, so
-the K-scenario pass's D0-group sharing, (demand, D0) cache, sparse
-node plans and per-node capacity mappings are exact. These tests pin
-that law over the stress library and hand-built scenarios (per-node
-capacity mappings, on a global or a per-node capacity base, additive
-queue delays, demand/D0 rescales), scenario-permutation equivariance,
-the cost-tensor deduplication, and the validation errors. Whether the
-kernel is *right* is the scalar model's call, in ``test_portfolio.py``.
+``k`` of every tensor equals the identity-scenario call over
+``apply_scenario``-transformed base draws, bit for bit, so the
+K-scenario pass's D0-group sharing, (demand, D0) cache, sparse node
+plans and per-node capacity mappings are exact. These tests pin that
+law over the stress library and hand-built scenarios (per-node capacity
+mappings, on a global or a per-node capacity base, additive queue
+delays, demand/D0 rescales), scenario-permutation equivariance, the
+cost deduplication, the metric-subset law, one cube pass per call, and
+the validation errors. Whether the kernel is *right* is the scalar
+model's call, in ``test_portfolio.py``.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -24,16 +28,13 @@ from repro.design.library.a11 import a11
 from repro.design.library.ariane import ariane_manycore
 from repro.design.library.zen2 import zen2, zen2_monolithic
 from repro.cost.model import CostModel
-from repro.engine.portfolio import (
-    portfolio_cas,
-    portfolio_cost,
-    portfolio_ttm,
-)
+from repro.engine import scenario as scenario_module
 from repro.engine.scenario import (
+    POINT_METRICS,
     Scenario,
     apply_scenario,
     compile_scenarios,
-    scenario_cost,
+    evaluate,
     scenario_evaluate,
 )
 from repro.errors import InvalidParameterError
@@ -42,6 +43,10 @@ from repro.montecarlo.stress import (
     STRESS_LIBRARY,
     graded_stress_scenarios,
     stress_scenarios,
+)
+from repro.technology.database import (
+    TechnologyDatabase,
+    build_default_nodes,
 )
 
 N_CHIPS = 2.5e7
@@ -99,8 +104,10 @@ def oracle_nodes(cube_or_set):
 def assert_cube_matches_loop(model, designs, scenario_set, draws,
                              with_cost=True):
     cost_model = CostModel.nominal() if with_cost else None
-    cube = scenario_evaluate(
-        model, cost_model, designs, draws["n_chips"], scenario_set,
+    cube = evaluate(
+        model, designs, draws["n_chips"],
+        POINT_METRICS if with_cost else ("ttm", "cas"),
+        scenarios=scenario_set, cost_model=cost_model,
         capacity=draws["capacity"], queue_weeks=draws["queue_weeks"],
         d0_scale=draws["d0_scale"],
         wafer_rate_scale=draws["wafer_rate_scale"],
@@ -116,28 +123,26 @@ def assert_cube_matches_loop(model, designs, scenario_set, draws,
         )
         supply = {key: kw[key] for key in
                   ("capacity", "queue_weeks", "wafer_rate_scale")}
-        ttm = portfolio_ttm(model, designs, kw["n_chips"],
-                            d0_scale=kw["d0_scale"], **supply)
-        cas = portfolio_cas(model, designs, kw["n_chips"],
-                            d0_scale=kw["d0_scale"], **supply)
+        ttm = evaluate(model, designs, kw["n_chips"], ("ttm",),
+                       d0_scale=kw["d0_scale"], **supply).ttm
+        cas = evaluate(model, designs, kw["n_chips"], ("cas",),
+                       d0_scale=kw["d0_scale"], **supply).cas
         slabs = [
-            (cube.ttm.total_weeks[k], ttm.total_weeks),
-            (cube.ttm.fabrication_weeks[k], ttm.fabrication_weeks),
-            (cube.ttm.tapeout_weeks[k], ttm.tapeout_weeks),
-            (cube.cas.cas[k], cas.cas),
+            (cube.ttm.total_weeks[k], ttm.total_weeks[0]),
+            (cube.ttm.fabrication_weeks[k], ttm.fabrication_weeks[0]),
+            (cube.ttm.packaging_weeks[k], ttm.packaging_weeks[0]),
+            (cube.ttm.total_wafers[k], ttm.total_wafers[0]),
+            (cube.cas.cas[k], cas.cas[0]),
         ]
         if with_cost:
-            cost = portfolio_cost(CostModel.nominal(), designs,
-                                  kw["n_chips"], d0_scale=kw["d0_scale"],
-                                  engineers=model.engineers)
-            slabs.append((cube.cost.total_usd[k], cost.total_usd))
+            cost = evaluate(model, designs, kw["n_chips"], ("cost",),
+                            d0_scale=kw["d0_scale"],
+                            cost_model=CostModel.nominal()).cost
+            for field in ("total_usd", "wafer_usd", "testing_usd",
+                          "packaging_usd", "usd_per_chip"):
+                slabs.append((getattr(cube.cost, field)[k],
+                              getattr(cost, field)[0]))
         for fused, oracle in slabs:
-            fused = np.asarray(fused)
-            oracle = np.asarray(oracle)
-            # Sample-independent slabs (tapeout) drop the trailing
-            # sample axis in the cube; restore it for the comparison.
-            while fused.ndim < oracle.ndim:
-                fused = fused[..., None]
             fused, oracle = np.broadcast_arrays(fused, oracle)
             assert np.array_equal(fused, oracle), scenario_set.names[k]
 
@@ -192,9 +197,9 @@ class TestCubeEquivalence:
         )
 
     def test_without_cost_model(self, model, designs, base_draws):
-        cube = scenario_evaluate(
-            model, None, designs, base_draws["n_chips"],
-            [Scenario(name="baseline")],
+        cube = evaluate(
+            model, designs, base_draws["n_chips"], ("ttm", "cas"),
+            scenarios=[Scenario(name="baseline")],
             capacity=base_draws["capacity"],
         )
         assert cube.cost is None
@@ -237,22 +242,19 @@ class TestCubeEquivalence:
 class TestScenarioSemantics:
     def test_identity_scenario_is_raw_portfolio(self, model, designs,
                                                 base_draws):
-        ttm = scenario_evaluate(
-            model, None, designs, base_draws["n_chips"],
-            [Scenario(name="baseline")],
+        knobs = dict(
             capacity=base_draws["capacity"],
             queue_weeks=base_draws["queue_weeks"],
             wafer_rate_scale=base_draws["wafer_rate_scale"],
+        )
+        ttm = evaluate(
+            model, designs, base_draws["n_chips"], ("ttm",),
+            scenarios=[Scenario(name="baseline")], **knobs,
         ).ttm
-        raw = portfolio_ttm(
-            model, designs, base_draws["n_chips"],
-            capacity=base_draws["capacity"],
-            queue_weeks=base_draws["queue_weeks"],
-            wafer_rate_scale=base_draws["wafer_rate_scale"],
-        )
-        assert np.array_equal(
-            np.asarray(ttm.total_weeks[0]), np.asarray(raw.total_weeks)
-        )
+        raw = evaluate(
+            model, designs, base_draws["n_chips"], ("ttm",), **knobs
+        ).ttm
+        assert np.array_equal(ttm.total_weeks, raw.total_weeks)
 
     def test_permutation_equivariance(self, model, designs, base_draws):
         scenario_set = compile_scenarios(SCENARIOS)
@@ -265,14 +267,14 @@ class TestScenarioSemantics:
             wafer_rate_scale=base_draws["wafer_rate_scale"],
         )
         cost_model = CostModel.nominal()
-        cube = scenario_evaluate(model, cost_model, designs,
-                                 base_draws["n_chips"], scenario_set,
-                                 **kwargs)
-        shuffled = scenario_evaluate(model, cost_model, designs,
-                                     base_draws["n_chips"], permuted,
-                                     **kwargs)
+        cube = evaluate(model, designs, base_draws["n_chips"],
+                        POINT_METRICS, scenarios=scenario_set,
+                        cost_model=cost_model, **kwargs)
+        shuffled = evaluate(model, designs, base_draws["n_chips"],
+                            POINT_METRICS, scenarios=permuted,
+                            cost_model=cost_model, **kwargs)
         for k, original in enumerate(permutation):
-            assert shuffled.ttm.scenarios[k] == scenario_set.names[original]
+            assert shuffled.scenarios[k] == scenario_set.names[original]
             assert np.array_equal(shuffled.ttm.total_weeks[k],
                                   cube.ttm.total_weeks[original])
             assert np.array_equal(shuffled.cas.cas[k],
@@ -281,15 +283,16 @@ class TestScenarioSemantics:
                                   cube.cost.total_usd[original])
 
     def test_cost_dedup_shares_tensors(self, model, designs, base_draws):
-        # Same (demand, D0) pair -> literally the same backing rows.
-        result = scenario_cost(
-            CostModel.nominal(), designs, base_draws["n_chips"],
-            [Scenario(name="a", capacity_scale=0.5),
-             Scenario(name="b", queue_add_weeks=4.0)],
+        # Same (demand, D0) pair -> one evaluation, the same bits.
+        result = evaluate(
+            model, designs, base_draws["n_chips"], ("cost",),
+            scenarios=[Scenario(name="a", capacity_scale=0.5),
+                       Scenario(name="b", queue_add_weeks=4.0)],
             d0_scale=base_draws["d0_scale"],
-            engineers=model.engineers,
-        )
+            cost_model=CostModel.nominal(),
+        ).cost
         assert np.array_equal(result.total_usd[0], result.total_usd[1])
+        assert len(result._terms) == 1
 
     def test_per_node_capacity_only_hits_named_nodes(self, model,
                                                      base_draws):
@@ -298,8 +301,8 @@ class TestScenarioSemantics:
             Scenario(name="baseline"),
             Scenario(name="outage-28nm", capacity_scale={"28nm": 0.4}),
         ])
-        ttm = scenario_evaluate(
-            model, None, designs, N_CHIPS, scenario_set,
+        ttm = evaluate(
+            model, designs, N_CHIPS, ("ttm",), scenarios=scenario_set,
             capacity=base_draws["capacity"],
         ).ttm
         total = np.asarray(ttm.total_weeks)
@@ -313,8 +316,9 @@ class TestScenarioCAS:
     def test_cas_matches_oracle_per_scenario(self, model, designs,
                                              base_draws):
         scenario_set = stress_scenarios(["fab-outage", "logistics"])
-        cas = scenario_evaluate(
-            model, None, designs, base_draws["n_chips"], scenario_set,
+        cas = evaluate(
+            model, designs, base_draws["n_chips"], ("cas",),
+            scenarios=scenario_set,
             capacity=base_draws["capacity"],
             queue_weeks=base_draws["queue_weeks"],
             wafer_rate_scale=base_draws["wafer_rate_scale"],
@@ -329,13 +333,12 @@ class TestScenarioCAS:
                 queue_weeks=base_draws["queue_weeks"],
                 wafer_rate_scale=base_draws["wafer_rate_scale"],
             )
-            oracle = portfolio_cas(
-                model, designs, kw["n_chips"], capacity=kw["capacity"],
-                queue_weeks=kw["queue_weeks"],
+            oracle = evaluate(
+                model, designs, kw["n_chips"], ("cas",),
+                capacity=kw["capacity"], queue_weeks=kw["queue_weeks"],
                 wafer_rate_scale=kw["wafer_rate_scale"],
-            )
-            assert np.array_equal(np.asarray(cas.cas[k]),
-                                  np.asarray(oracle.cas))
+            ).cas
+            assert np.array_equal(cas.cas[k], oracle.cas[0])
 
 
 class TestValidation:
@@ -372,8 +375,144 @@ class TestValidation:
 
     def test_bad_relative_step(self, model, designs):
         with pytest.raises(InvalidParameterError):
-            scenario_evaluate(
-                model, None, designs, N_CHIPS,
-                [Scenario(name="baseline")],
+            evaluate(
+                model, designs, N_CHIPS, ("cas",),
+                scenarios=[Scenario(name="baseline")],
                 relative_step=1.5,
             )
+
+    @pytest.mark.parametrize(
+        "metrics", [(), ("ttm", "speed"), ("agility",)]
+    )
+    def test_unknown_or_no_metrics(self, model, designs, metrics):
+        with pytest.raises(InvalidParameterError, match="metrics"):
+            evaluate(model, designs, N_CHIPS, metrics)
+
+    def test_cost_needs_a_cost_model(self, model, designs):
+        with pytest.raises(InvalidParameterError, match="cost model"):
+            evaluate(model, designs, N_CHIPS, ("ttm", "cost"))
+
+
+#: Per metric, the result fields the subset law compares.
+FIELDS = {
+    "ttm": ("design_weeks", "tapeout_weeks", "fabrication_weeks",
+            "packaging_weeks", "total_weeks", "total_wafers"),
+    "cas": ("cas", "normalized"),
+    "cost": ("engineering_usd", "fixed_usd", "mask_usd", "nre_usd",
+             "wafer_usd", "testing_usd", "packaging_usd", "n_chips",
+             "manufacturing_usd", "total_usd", "usd_per_chip"),
+}
+
+#: Every non-empty subset of the metric vocabulary.
+SUBSETS = [
+    tuple(m for i, m in enumerate(POINT_METRICS) if mask >> i & 1)
+    for mask in range(1, 2 ** len(POINT_METRICS))
+]
+
+#: A set whose scenarios split into several (demand, D0) groups.
+GROUPED = [
+    Scenario(name="baseline"),
+    Scenario(name="excursion", d0_scale=1.5),
+    Scenario(name="whiplash", demand_scale=1.4, queue_scale=1.2),
+    Scenario(name="combined", demand_scale=0.7, d0_scale=1.2,
+             capacity_scale={"28nm": 0.5}),
+    Scenario(name="squeeze", capacity_scale=0.6),
+]
+
+
+class TestMetricSubsets:
+    """Asking for fewer metrics changes no bit of the ones asked for."""
+
+    @pytest.mark.parametrize("scenarios", [None, GROUPED],
+                             ids=["identity", "grouped"])
+    @pytest.mark.parametrize("d0", [False, True], ids=["nominal", "d0"])
+    def test_each_subset_equals_the_full_call(
+        self, model, cost_model, designs, base_draws, scenarios, d0
+    ):
+        knobs = dict(
+            scenarios=scenarios,
+            capacity=base_draws["capacity"],
+            queue_weeks=base_draws["queue_weeks"],
+            d0_scale=base_draws["d0_scale"] if d0 else None,
+            wafer_rate_scale=base_draws["wafer_rate_scale"],
+            cost_model=cost_model,
+        )
+        full = evaluate(model, designs, base_draws["n_chips"],
+                        POINT_METRICS, **knobs)
+        for metrics in SUBSETS:
+            part = evaluate(model, designs, base_draws["n_chips"],
+                            metrics, **knobs)
+            assert part.scenarios == full.scenarios
+            for metric in POINT_METRICS:
+                if metric not in metrics:
+                    assert getattr(part, metric) is None
+                    continue
+                for field in FIELDS[metric]:
+                    got = getattr(getattr(part, metric), field)
+                    want = getattr(getattr(full, metric), field)
+                    assert got.shape == want.shape, (metrics, field)
+                    assert np.array_equal(got, want), (metrics, field)
+
+
+class TestOneCubePass:
+    @pytest.mark.parametrize("metrics", SUBSETS, ids="+".join)
+    def test_at_most_one_cube_per_call(
+        self, model, cost_model, designs, base_draws, metrics, monkeypatch
+    ):
+        calls = []
+        cube = scenario_module._evaluate_cube
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["with_cas"])
+            return cube(*args, **kwargs)
+
+        monkeypatch.setattr(scenario_module, "_evaluate_cube", counted)
+        evaluate(model, designs, base_draws["n_chips"], metrics,
+                 scenarios=GROUPED, queue_weeks=base_draws["queue_weeks"],
+                 d0_scale=base_draws["d0_scale"], cost_model=cost_model)
+        timed = "ttm" in metrics or "cas" in metrics
+        assert calls == ([("cas" in metrics)] if timed else [])
+
+
+class TestCostModelMatch:
+    """Cost priced beside TTM reads the TTM model's table, so a cost
+    model that would compile another table is refused."""
+
+    def doubled_wafer_cost(self, db):
+        node = db["7nm"]
+        return CostModel(technology=db.override(
+            {"7nm": {"wafer_cost_usd": 2.0 * node.wafer_cost_usd}}
+        ))
+
+    def test_other_database_raises(self, model):
+        doubled = self.doubled_wafer_cost(model.foundry.technology)
+        with pytest.raises(InvalidParameterError,
+                           match="technology database"):
+            scenario_evaluate(model, doubled, (a11("7nm"),), 1e7,
+                              [Scenario(name="baseline")])
+
+    @pytest.mark.parametrize("field, value",
+                             [("alpha", 2.5), ("edge_corrected", True)])
+    def test_other_yield_knobs_raise(self, model, cost_model, field, value):
+        other = dataclasses.replace(cost_model, **{field: value})
+        with pytest.raises(InvalidParameterError, match=field):
+            evaluate(model, (a11("7nm"),), 1e7, ("cas", "cost"),
+                     cost_model=other)
+
+    def test_cost_alone_prices_its_own_database(self, model):
+        doubled = self.doubled_wafer_cost(model.foundry.technology)
+        design = a11("7nm")
+        total = evaluate(model, (design,), 1e7, ("cost",),
+                         cost_model=doubled).cost.total_usd
+        assert total[0, 0, 0] == pytest.approx(
+            doubled.total_usd(design, 1e7), rel=1e-9
+        )
+
+    def test_equal_database_is_accepted(self, model):
+        twin = CostModel(technology=TechnologyDatabase(build_default_nodes()))
+        design = a11("7nm")
+        evaluation = evaluate(model, (design,), 1e7, ("ttm", "cost"),
+                              cost_model=twin)
+        assert evaluation.cost.total_usd[0, 0, 0] == pytest.approx(
+            twin.total_usd(design, 1e7), rel=1e-9
+        )

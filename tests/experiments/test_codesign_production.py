@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro.analysis.search import SearchSpace, grid_search
+from repro.design.library.ariane import ariane_manycore
 from repro.experiments import codesign_search
+from repro.perf.ipc import IPCModel
 
 #: A tiny joint space keeps the grid search fast; the production stage
 #: is the thing under test.
@@ -65,29 +68,66 @@ class TestProductionStage:
         assert 0.0 < plan.best.split <= 1.0
 
 
+#: A configuration's coordinates, in ``CodesignPoint`` order.
+KEYS = ("process", "cores", "icache_kb", "dcache_kb")
+
+
+def scalar_search(model, cost_model, processes, cores, caches_kb):
+    """The per-configuration scalar search ``run`` replaces: each point's
+    TTM and cost from the scalar models, scored lazily by the same grid
+    search. The oracle its one evaluation call must equal."""
+    ttm_model = model.at_capacity(codesign_search.DEFAULT_CAPACITY_SHARE)
+    perf = IPCModel()
+    n_chips = codesign_search.DEFAULT_N_CHIPS
+    cache = {}
+
+    def point(cfg):
+        key = tuple(cfg[name] for name in KEYS)
+        if key not in cache:
+            process, n_cores, icache_kb, dcache_kb = key
+            design = ariane_manycore(
+                process, cores=n_cores, icache_kb=icache_kb,
+                dcache_kb=dcache_kb,
+            )
+            ipc = perf.ipc(icache_kb, dcache_kb)
+            cache[key] = codesign_search.CodesignPoint(
+                process=process,
+                cores=n_cores,
+                icache_kb=icache_kb,
+                dcache_kb=dcache_kb,
+                ipc=ipc,
+                throughput=n_cores * ipc,
+                ttm_weeks=ttm_model.total_weeks(design, n_chips),
+                cost_usd=cost_model.total_usd(design, n_chips),
+            )
+        return cache[key]
+
+    space = SearchSpace({
+        "process": tuple(processes),
+        "cores": tuple(cores),
+        "icache_kb": tuple(caches_kb),
+        "dcache_kb": tuple(caches_kb),
+    })
+    outcome = grid_search(
+        space,
+        objective=lambda cfg: point(cfg).throughput_per_week,
+        constraints=[
+            lambda cfg: point(cfg).cost_usd
+            <= codesign_search.DEFAULT_BUDGET_USD
+        ],
+    )
+    return point(outcome.best), outcome
+
+
 class TestEngines:
     def test_portfolio_matches_scalar(self, model, cost_model):
-        fused = codesign_search.run(
-            model, cost_model, **SMALL, engine="portfolio"
-        )
-        oracle = codesign_search.run(
-            model, cost_model, **SMALL, engine="scalar"
-        )
-        assert fused.best.process == oracle.best.process
-        assert fused.best.cores == oracle.best.cores
-        assert fused.best.icache_kb == oracle.best.icache_kb
-        assert fused.best.dcache_kb == oracle.best.dcache_kb
-        assert fused.best.ttm_weeks == pytest.approx(
-            oracle.best.ttm_weeks, rel=1e-9
-        )
-        assert fused.best.cost_usd == pytest.approx(
-            oracle.best.cost_usd, rel=1e-9
-        )
-        assert fused.feasible == oracle.feasible
-        assert fused.evaluated == oracle.evaluated
-
-    def test_unknown_engine_rejected(self, model, cost_model):
-        from repro.errors import InvalidParameterError
-
-        with pytest.raises(InvalidParameterError, match="engine"):
-            codesign_search.run(model, cost_model, **SMALL, engine="warp")
+        fused = codesign_search.run(model, cost_model, **SMALL)
+        best, outcome = scalar_search(model, cost_model, **SMALL)
+        assert fused.best.process == best.process
+        assert fused.best.cores == best.cores
+        assert fused.best.icache_kb == best.icache_kb
+        assert fused.best.dcache_kb == best.dcache_kb
+        assert fused.best.ttm_weeks == pytest.approx(best.ttm_weeks, rel=1e-9)
+        assert fused.best.cost_usd == pytest.approx(best.cost_usd, rel=1e-9)
+        assert fused.feasible == outcome.feasible
+        assert fused.evaluated == outcome.evaluated

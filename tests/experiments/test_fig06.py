@@ -86,9 +86,9 @@ class TestFig06:
 
     def test_one_table_equals_per_node_calls(self, result, model):
         """Every node is a block of one table's rows; each block equals
-        that node's own kernel call bit for bit."""
+        that node's own evaluation call bit for bit."""
         from repro.design.library.ariane import ariane_manycore
-        from repro.engine.portfolio import portfolio_ttm
+        from repro.engine.scenario import evaluate
 
         study_model = model.at_capacity(fig06_cache_matrix.DEFAULT_CAPACITY_SHARE)
         pairs = [(i, d) for i in SIZES for d in SIZES]
@@ -102,7 +102,9 @@ class TestFig06:
                 )
                 for i, d in pairs
             ]
-            ttm = portfolio_ttm(study_model, designs, QUANTITIES).total_weeks
+            ttm = evaluate(
+                study_model, designs, QUANTITIES, ("ttm",)
+            ).ttm.total_weeks[0]
             for column, n_chips in enumerate(QUANTITIES):
                 cell = result.cell(process, n_chips)
                 row = pairs.index((cell.icache_kb, cell.dcache_kb))

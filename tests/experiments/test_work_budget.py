@@ -9,7 +9,6 @@ compile cache is cleared before each experiment, so its misses count the
 tables that experiment builds, whatever the tests run before.
 """
 
-import importlib
 import sys
 from collections import Counter
 
@@ -24,18 +23,13 @@ from repro.experiments import registry
 from repro.obs.instrument import KERNEL_INVOCATIONS
 from repro.ttm.model import TTMModel
 
-KERNELS = (
-    "compile_portfolio",
-    "portfolio_ttm",
-    "portfolio_cas",
-    "portfolio_cost",
-)
+KERNELS = ("compile_portfolio", "evaluate")
 
 
 @pytest.fixture(scope="module")
 def pass_counts():
-    """Per experiment: scalar TTM calls, kernel calls, ``batch_*`` calls
-    and compile-cache misses."""
+    """Per experiment: scalar TTM calls, design builds, kernel calls and
+    compile-cache misses."""
     counts = {key: Counter() for key in registry.experiment_keys()}
     running = [None]
     patch = pytest.MonkeyPatch()
@@ -58,18 +52,6 @@ def pass_counts():
             getattr(module, "ariane_manycore", None) is build
         ):
             patch.setattr(module, "ariane_manycore", counted_build)
-    # ``repro.engine`` re-exports ``batch`` and ``batch_split`` functions
-    # under the module names, so the modules are looked up by path.
-    for path in ("repro.engine.batch", "repro.engine.batch_split"):
-        module = importlib.import_module(path)
-        for name in ("batch_ttm", "batch_cost"):
-            kernel = getattr(module, name)
-
-            def counted(*args, _kernel=kernel, _name=name, **kwargs):
-                counts[running[0]][_name] += 1
-                return _kernel(*args, **kwargs)
-
-            patch.setattr(module, name, counted)
     try:
         for key, experiment in registry.EXPERIMENTS.items():
             running[0] = key
@@ -115,19 +97,29 @@ class TestFiguresWorkBudget:
         }
 
     def test_compile_portfolio_calls(self, pass_counts):
-        assert per_experiment(pass_counts, "compile_portfolio") == {
-            "codesign": 2,
-            "fig3": 2,
+        # One compile per evaluation call: each asks for every metric
+        # its study reads of one table.
+        calls = per_experiment(pass_counts, "compile_portfolio")
+        assert calls == per_experiment(pass_counts, "evaluate")
+        assert sum(calls.values()) == 16
+
+    def test_evaluate_calls(self, pass_counts):
+        # Fig. 13 makes one TTM + cost and one CAS call, Fig. 14 one TTM
+        # call over its line table and one cost call, and the
+        # mc-disruption study one call per 2,048-sample chunk.
+        assert per_experiment(pass_counts, "evaluate") == {
+            "codesign": 1,
+            "fig3": 1,
             "fig4": 1,
-            "fig5": 2,
+            "fig5": 1,
             "fig6": 1,
             "fig9": 1,
             "fig10": 1,
             "fig11": 1,
             "fig12": 1,
-            "fig13": 3,
+            "fig13": 2,
             "fig14": 2,
-            "mc-disruption": 6,
+            "mc-disruption": 2,
             "robustness": 1,
         }
 
@@ -140,24 +132,17 @@ class TestFiguresWorkBudget:
         assert sum(misses.values()) == 13
 
     def test_one_table_per_study(self, pass_counts):
-        # Robustness's 48 calibration worlds, Fig. 14's production lines
-        # and Figs. 4-6's cache grids each read one table per metric.
-        for key, kernels in (
-            ("robustness", {"portfolio_ttm": 1, "portfolio_cas": 1}),
-            ("fig14", {"portfolio_ttm": 1, "portfolio_cost": 1}),
-            ("fig4", {"portfolio_ttm": 1}),
-            ("fig5", {"portfolio_ttm": 1, "portfolio_cost": 1}),
-            ("fig6", {"portfolio_ttm": 1}),
-            ("fig9", {"portfolio_cas": 1}),
-            ("fig10", {"portfolio_ttm": 1}),
-        ):
-            counts = pass_counts[key]
-            assert {name: counts[name] for name in kernels} == kernels, key
+        # Robustness's 48 calibration worlds (TTM and CAS) and Figs.
+        # 4-6's cache grids (Fig. 5 with cost) each read one table in one
+        # evaluation call.
+        for key in ("robustness", "fig4", "fig5", "fig6", "fig9", "fig10"):
+            assert pass_counts[key]["evaluate"] == 1, key
 
     def test_fig14_makes_no_one_design_calls(self, pass_counts):
-        assert pass_counts["fig14"]["batch_ttm"] == 0
-        assert pass_counts["fig14"]["batch_cost"] == 0
+        # One TTM call over every production line and one cost call:
+        # a per-line loop would make one call per line.
+        assert pass_counts["fig14"]["evaluate"] == 2
 
     def test_figs_11_and_12_are_one_grid_each(self, pass_counts):
-        assert pass_counts["fig11"]["portfolio_ttm"] == 1
-        assert pass_counts["fig12"]["portfolio_cas"] == 1
+        assert pass_counts["fig11"]["evaluate"] == 1
+        assert pass_counts["fig12"]["evaluate"] == 1

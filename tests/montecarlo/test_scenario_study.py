@@ -170,22 +170,22 @@ class TestStressStudyWorkBudget:
         # designs, 4,096 samples, serial, default chunks. A fallback to
         # per-scenario cubes or per-row summaries changes these counts
         # on any host.
-        counts = {"scenario_evaluate": 0, "cells": 0, "summarize_block": 0}
-        evaluate = scenario_study_module.scenario_evaluate
+        counts = {"evaluate": 0, "cells": 0, "summarize_block": 0}
+        evaluate = scenario_study_module.evaluate
         summarize = results_module.summarize_block
 
         def counted_evaluate(*args, **kwargs):
-            cube = evaluate(*args, **kwargs)
-            counts["scenario_evaluate"] += 1
-            counts["cells"] += cube.ttm.total_weeks.size
-            return cube
+            evaluation = evaluate(*args, **kwargs)
+            counts["evaluate"] += 1
+            counts["cells"] += evaluation.cells
+            return evaluation
 
         def counted_summarize(*args, **kwargs):
             counts["summarize_block"] += 1
             return summarize(*args, **kwargs)
 
         monkeypatch.setattr(
-            scenario_study_module, "scenario_evaluate", counted_evaluate
+            scenario_study_module, "evaluate", counted_evaluate
         )
         monkeypatch.setattr(
             results_module, "summarize_block", counted_summarize
@@ -205,7 +205,7 @@ class TestStressStudyWorkBudget:
         assert (scenarios.n_scenarios, DEFAULT_CHUNK_SCENARIOS) == (29, 8)
         assert len(study.cell("baseline", designs[0].name).summaries) == 3
         assert counts == {
-            "scenario_evaluate": 4,  # ceil(29 / 8) chunks
+            "evaluate": 4,  # ceil(29 / 8) chunks, TTM + CAS + cost each
             "cells": 29 * 3 * 4096,  # 356,352
             "summarize_block": 12,  # 3 metrics x 4 chunks
         }

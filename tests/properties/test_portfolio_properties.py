@@ -1,4 +1,4 @@
-"""Hypothesis properties of the fused portfolio kernels.
+"""Hypothesis properties of the evaluation call over a portfolio.
 
 Two structural laws the SoA compiler must preserve on *every* input,
 beyond the example-based equivalence suite:
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.design.library.a11 import a11
 from repro.design.library.zen2 import zen2, zen2_monolithic
-from repro.engine.portfolio import portfolio_cas, portfolio_ttm
+from repro.engine.scenario import evaluate
 from repro.ttm.model import TTMModel
 
 MODEL = TTMModel.nominal()
@@ -39,6 +39,19 @@ seeds = st.integers(min_value=0, max_value=2**32 - 1)
 sample_counts = st.integers(min_value=2, max_value=24)
 
 
+def ttm(model, designs, n_chips, **knobs):
+    """Scenario 0 of an ``evaluate`` TTM call, and the design names."""
+    evaluation = evaluate(model, designs, n_chips, ("ttm",), **knobs)
+    return evaluation.designs, evaluation.ttm.total_weeks[0], (
+        evaluation.ttm.fabrication_weeks[0]
+    )
+
+
+def cas(model, designs, n_chips, **knobs):
+    """Scenario 0 of an ``evaluate`` CAS call, raw wafers/week^2."""
+    return evaluate(model, designs, n_chips, ("cas",), **knobs).cas.cas[0]
+
+
 def draw_supply(seed, n_samples):
     rng = np.random.default_rng(seed)
     return (
@@ -53,56 +66,50 @@ class TestPermutationEquivariance:
     @given(order=permutations, seed=seeds, n_samples=sample_counts)
     def test_ttm_rows_follow_design_order(self, order, seed, n_samples):
         capacity, queue, demand = draw_supply(seed, n_samples)
-        base = portfolio_ttm(
+        names, total, fabrication = ttm(
             MODEL,
             DESIGN_POOL,
             demand,
             capacity=capacity,
             queue_weeks=queue,
         )
-        permuted = portfolio_ttm(
+        permuted = ttm(
             MODEL,
             [DESIGN_POOL[i] for i in order],
             demand,
             capacity=capacity,
             queue_weeks=queue,
         )
-        assert np.array_equal(
-            permuted.total_weeks, base.total_weeks[list(order)]
-        )
-        assert np.array_equal(
-            permuted.fabrication_weeks, base.fabrication_weeks[list(order)]
-        )
-        assert permuted.designs == tuple(
-            base.designs[i] for i in order
-        )
+        assert np.array_equal(permuted[1], total[list(order)])
+        assert np.array_equal(permuted[2], fabrication[list(order)])
+        assert permuted[0] == tuple(names[i] for i in order)
 
     @settings(max_examples=10, deadline=None)
     @given(order=permutations, seed=seeds)
     def test_cas_rows_follow_design_order(self, order, seed):
         capacity, _, _ = draw_supply(seed, 6)
-        base = portfolio_cas(MODEL, DESIGN_POOL, N_CHIPS, capacity=capacity)
-        permuted = portfolio_cas(
+        base = cas(MODEL, DESIGN_POOL, N_CHIPS, capacity=capacity)
+        permuted = cas(
             MODEL,
             [DESIGN_POOL[i] for i in order],
             N_CHIPS,
             capacity=capacity,
         )
-        assert np.array_equal(permuted.cas, base.cas[list(order)])
+        assert np.array_equal(permuted, base[list(order)])
 
     @settings(max_examples=10, deadline=None)
     @given(seed=seeds, n_samples=sample_counts)
     def test_subset_rows_match_full_portfolio(self, seed, n_samples):
         capacity, queue, demand = draw_supply(seed, n_samples)
-        full = portfolio_ttm(
+        _, full, _ = ttm(
             MODEL, DESIGN_POOL, demand, capacity=capacity, queue_weeks=queue
         )
         pair = (DESIGN_POOL[1], DESIGN_POOL[3])
-        subset = portfolio_ttm(
+        _, subset, _ = ttm(
             MODEL, pair, demand, capacity=capacity, queue_weeks=queue
         )
-        assert np.array_equal(subset.total_weeks[0], full.total_weeks[1])
-        assert np.array_equal(subset.total_weeks[1], full.total_weeks[3])
+        assert np.array_equal(subset[0], full[1])
+        assert np.array_equal(subset[1], full[3])
 
 
 class TestBatchSplittingInvariance:
@@ -119,36 +126,30 @@ class TestBatchSplittingInvariance:
             st.integers(min_value=1, max_value=n_samples - 1), label="split"
         )
         capacity, queue, demand = draw_supply(seed, n_samples)
-        whole = portfolio_ttm(
+        _, whole, _ = ttm(
             MODEL, DESIGN_POOL, demand, capacity=capacity, queue_weeks=queue
-        ).total_weeks
-        head = portfolio_ttm(
+        )
+        _, head, _ = ttm(
             MODEL,
             DESIGN_POOL,
             demand[:split],
             capacity=capacity[:split],
             queue_weeks=queue[:split],
-        ).total_weeks
-        tail = portfolio_ttm(
+        )
+        _, tail, _ = ttm(
             MODEL,
             DESIGN_POOL,
             demand[split:],
             capacity=capacity[split:],
             queue_weeks=queue[split:],
-        ).total_weeks
+        )
         assert np.array_equal(np.concatenate([head, tail], axis=1), whole)
 
     @settings(max_examples=10, deadline=None)
     @given(seed=seeds)
     def test_chunked_cas_concatenates_to_single_pass(self, seed):
         capacity, _, _ = draw_supply(seed, 8)
-        whole = portfolio_cas(
-            MODEL, DESIGN_POOL, N_CHIPS, capacity=capacity
-        ).cas
-        head = portfolio_cas(
-            MODEL, DESIGN_POOL, N_CHIPS, capacity=capacity[:3]
-        ).cas
-        tail = portfolio_cas(
-            MODEL, DESIGN_POOL, N_CHIPS, capacity=capacity[3:]
-        ).cas
+        whole = cas(MODEL, DESIGN_POOL, N_CHIPS, capacity=capacity)
+        head = cas(MODEL, DESIGN_POOL, N_CHIPS, capacity=capacity[:3])
+        tail = cas(MODEL, DESIGN_POOL, N_CHIPS, capacity=capacity[3:])
         assert np.array_equal(np.concatenate([head, tail], axis=1), whole)

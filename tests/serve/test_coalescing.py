@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 
 from repro.design.library import a11
-from repro.engine import batch_ttm
+from repro.engine import evaluate
 from repro.ttm.model import TTMModel
 
 
@@ -111,7 +111,8 @@ def test_evaluate_matches_direct_engine_call(client, model, cost_model):
     assert response.status == 200
     served = response.json()["metrics"]["ttm"]["total_weeks"]
     # The server's nominal-scenario model == conftest's nominal model.
-    direct = batch_ttm(model, design, n_chips=[1e7]).total_weeks[0]
+    direct = evaluate(model, (design,), [1e7], ("ttm",))
+    direct = direct.ttm.total_weeks[0, 0, 0]
     assert served == direct
 
 

@@ -5,10 +5,13 @@ consistent with its attributes — the kind of drift (renamed function,
 forgotten export) that otherwise only surfaces for downstream users.
 """
 
+import ast
 import importlib
 import inspect
 import json
 import pkgutil
+import types
+from pathlib import Path
 
 import pytest
 
@@ -56,14 +59,27 @@ def test_package_count_sanity():
 
 
 #: The packages that re-export their submodules' names lazily.
-LAZY_PACKAGES = ("repro", "repro.engine", "repro.serve")
+LAZY_PACKAGES = (
+    "repro",
+    "repro.analysis",
+    "repro.engine",
+    "repro.obs",
+    "repro.serve",
+)
 
 #: Where the exports with no ``__module__`` (neither classes nor
 #: functions) are defined.
 _CONSTANT_HOMES = {
     "repro.__version__": "repro",
+    "repro.analysis.Configuration": "repro.analysis.search",
     "repro.engine.EXECUTORS": "repro.engine.parallel",
-    "repro.engine.POINT_METRICS": "repro.engine.requests",
+    "repro.engine.POINT_METRICS": "repro.engine.scenario",
+    "repro.obs.DEFAULT_OBJECTIVES": "repro.obs.slo",
+    "repro.obs.LOG_SCHEMA": "repro.obs.log",
+    "repro.obs.MANIFEST_SCHEMA": "repro.obs.manifest",
+    "repro.obs.METRICS_SCHEMA": "repro.obs.metrics",
+    "repro.obs.TIMING_FIELDS": "repro.obs.manifest",
+    "repro.obs.TRACE_SCHEMA": "repro.obs.trace",
     "repro.serve.BATCHED_ENDPOINTS": "repro.serve.common",
     "repro.serve.BatchFunction": "repro.serve.batcher",
 }
@@ -133,8 +149,69 @@ def test_subpackages_are_attributes_after_a_bare_import(fresh_python):
     attributes, and a name that is neither export nor submodule is not."""
     fresh_python(
         "import repro\n"
-        "assert repro.engine.portfolio_ttm is "
-        "repro.engine.portfolio.portfolio_ttm\n"
+        "assert repro.engine.evaluate is repro.engine.scenario.evaluate\n"
         "assert repro.serve.shard.routing_key is repro.serve.routing_key\n"
         "assert not hasattr(repro, 'no_such_module')\n"
     )
+
+
+#: Names kept only because the benchmark's traced run wraps each of them
+#: by name, by defining module. Each forwards to ``evaluate``.
+FORWARDING_NAMES = {
+    "repro.engine.batch": (
+        "batch_cas",
+        "batch_cost",
+        "batch_ttm",
+        "cas_over_capacity",
+        "ttm_over_capacity",
+    ),
+    "repro.engine.portfolio": (
+        "portfolio_cas",
+        "portfolio_cas_over_capacity",
+        "portfolio_cost",
+        "portfolio_ttm",
+        "portfolio_ttm_over_capacity",
+    ),
+    "repro.engine.scenario": ("scenario_evaluate",),
+}
+
+
+def test_no_module_references_the_forwarding_names():
+    """Outside their definitions, no ``repro`` code names them: not a
+    call, an attribute, an import nor an export."""
+    names = {name for group in FORWARDING_NAMES.values() for name in group}
+    root = Path(repro.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            elif isinstance(node, ast.Constant):
+                name = node.value  # an ``__all__`` or lazy-export entry
+            else:
+                continue
+            if name in names:
+                found.append(f"{path.relative_to(root)}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_forwarding_names_are_eleven_distinct_functions():
+    """The traced run rebinds each by identity, so no two may be one
+    object."""
+    functions = [
+        getattr(importlib.import_module(module), name)
+        for module, names in FORWARDING_NAMES.items()
+        for name in names
+    ]
+    assert len(functions) == 11
+    assert all(isinstance(f, types.FunctionType) for f in functions)
+    assert len({id(f) for f in functions}) == 11
+    for (module, name), function in zip(
+        [(m, n) for m, names in FORWARDING_NAMES.items() for n in names],
+        functions,
+    ):
+        assert (function.__module__, function.__name__) == (module, name)

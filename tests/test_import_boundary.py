@@ -1,4 +1,5 @@
-"""Import boundaries: the CLI parser and the shard router load no NumPy.
+"""Import boundaries: the CLI parser, the shard router and the table
+formatter load no NumPy.
 
 The router process of ``ttm-cas serve --workers N`` reads each request's
 JSON and forwards its bytes; it evaluates nothing. Whatever it imports
@@ -7,7 +8,9 @@ each spawned worker re-imports the CLI module too. So the router side
 (``repro.cli`` up to its parser, ``repro.serve.shard`` up to a
 ``routing_key`` of every endpoint and a ``ShardConfig``) and a bare
 ``import repro`` must load neither NumPy nor the engine kernels nor the
-experiments. Each check runs in a fresh interpreter, since this one has
+experiments, nor the ``repro.obs`` modules the router never uses. The
+``obs`` command's output helper, ``format_table``, loads no NumPy
+either. Each check runs in a fresh interpreter, since this one has
 imported everything.
 """
 
@@ -16,7 +19,14 @@ import json
 import pytest
 
 #: Modules none of the checks may load.
-HEAVY = ("numpy", "repro.engine.portfolio", "repro.experiments")
+HEAVY = (
+    "numpy",
+    "repro.engine.portfolio",
+    "repro.experiments",
+    "repro.obs.manifest",
+    "repro.obs.profile",
+    "repro.obs.session",
+)
 
 #: One body per batched endpoint, each setting the fields its routing
 #: key reads.
@@ -40,6 +50,10 @@ CHECKS = {
     ),
     "shard_config": "from repro.serve.shard import ShardConfig\nShardConfig()",
     "bare_import": "import repro",
+    "format_table": (
+        "from repro.analysis.tables import format_table\n"
+        "format_table(['a'], [[1.5]])"
+    ),
 }
 
 
