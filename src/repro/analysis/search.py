@@ -21,9 +21,8 @@ points were feasible so silent over-constraining is visible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import product
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Sequence, Tuple
 
 from ..errors import InvalidParameterError
 
@@ -82,57 +81,28 @@ class SearchResult:
         return self.feasible / self.evaluated if self.evaluated else 0.0
 
 
-def _score(
-    objective: Callable[[Configuration], float],
-    constraints: Tuple[Callable[[Configuration], bool], ...],
-    configuration: Configuration,
-) -> Optional[float]:
-    """A point's objective, or ``None`` if a constraint rejects it.
-
-    Module-level, so the process executor can pickle it together with
-    picklable (module-level) objectives and constraints.
-    """
-    if not all(constraint(configuration) for constraint in constraints):
-        return None
-    return objective(configuration)
-
-
 def grid_search(
     space: SearchSpace,
     objective: Callable[[Configuration], float],
     constraints: Sequence[Callable[[Configuration], bool]] = (),
     maximize: bool = True,
-    executor: str = "serial",
-    max_workers: Optional[int] = None,
 ) -> SearchResult:
     """Exhaustively search the space for the best feasible point.
 
     Raises if no point satisfies every constraint, naming the feasible
     count so the caller can tell an over-tight cap from an empty space.
-
-    ``executor``/``max_workers`` fan the per-point evaluations out through
-    :func:`repro.engine.parallel.parallel_map`; the reduction stays serial
-    and keeps grid order, so ties resolve to the same (first) point under
-    every executor.
+    Points are scored in grid order, so ties resolve to the first point.
     """
-    from ..engine.parallel import parallel_map
-
-    points = space.points()
-    scores = parallel_map(
-        partial(_score, objective, tuple(constraints)),
-        points,
-        executor=executor,
-        max_workers=max_workers,
-    )
-
     best: Configuration = {}
     best_score = float("-inf") if maximize else float("inf")
+    points = space.points()
     evaluated = len(points)
     feasible = 0
-    for configuration, score in zip(points, scores):
-        if score is None:
+    for configuration in points:
+        if not all(constraint(configuration) for constraint in constraints):
             continue
         feasible += 1
+        score = objective(configuration)
         better = score > best_score if maximize else score < best_score
         if better:
             best, best_score = configuration, score

@@ -99,32 +99,18 @@ def argmin(items: Iterable[T], key: Callable[[T], float]) -> T:
 
 
 def sweep_pairs(
-    values: Sequence[T],
-    evaluate: Callable[[T], float],
-    executor: str = "serial",
-    max_workers: int | None = None,
+    values: Sequence[T], evaluate: Callable[[T], float]
 ) -> Tuple[Tuple[T, float], ...]:
     """Evaluate a function over a grid as ordered ``(value, result)`` pairs.
 
     Unlike the dict-shaped :func:`sweep`, duplicated grid values each keep
     their own result, and the pairs preserve evaluation order exactly.
-    ``executor``/``max_workers`` select a
-    :func:`repro.engine.parallel.parallel_map` backend (serial, thread, or
-    process with serial fallback).
     """
-    from ..engine.parallel import parallel_map
-
-    results = parallel_map(
-        evaluate, values, executor=executor, max_workers=max_workers
-    )
-    return tuple(zip(values, results))
+    return tuple((value, evaluate(value)) for value in values)
 
 
 def sweep(
-    values: Sequence[T],
-    evaluate: Callable[[T], float],
-    executor: str = "serial",
-    max_workers: int | None = None,
+    values: Sequence[T], evaluate: Callable[[T], float]
 ) -> Dict[T, float]:
     """Dict-compat wrapper over :func:`sweep_pairs`.
 
@@ -132,6 +118,4 @@ def sweep(
     collapse (the last evaluation wins) — use :func:`sweep_pairs` when the
     grid may repeat values.
     """
-    return dict(
-        sweep_pairs(values, evaluate, executor=executor, max_workers=max_workers)
-    )
+    return dict(sweep_pairs(values, evaluate))

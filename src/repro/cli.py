@@ -31,7 +31,7 @@ import os
 import sys
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
-from .errors import ReproError
+from .errors import InvalidParameterError, ReproError
 
 if TYPE_CHECKING:
     from .obs.session import ObsSession
@@ -150,6 +150,16 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     from .ttm.model import TTMModel
 
     try:
+        selector = tuple(
+            entry.strip()
+            for entry in args.scenarios.split(",")
+            if entry.strip()
+        )
+        if args.executor != "serial" and not selector:
+            raise InvalidParameterError(
+                f"--executor {args.executor} applies to --scenarios "
+                "studies only; the single-world study runs serial"
+            )
         if args.design == "a11":
             design = a11(args.node)
         elif args.design == "zen2":
@@ -165,11 +175,6 @@ def _cmd_mc(args: argparse.Namespace) -> int:
             spec = default_correlated_spec(n_chips=args.chips)
         else:
             spec = default_supply_spec(n_chips=args.chips)
-        selector = tuple(
-            entry.strip()
-            for entry in args.scenarios.split(",")
-            if entry.strip()
-        )
         with ObsSession.from_args(args) as session:
             with session.run_manifest(
                 "mc-study",
@@ -206,7 +211,6 @@ def _cmd_mc(args: argparse.Namespace) -> int:
                         n_samples=args.samples,
                         seed=args.seed,
                         cost_model=CostModel.nominal(),
-                        executor=args.executor,
                     )
                 sink.set_result(result)
     except (KeyError, ReproError) as error:
@@ -703,7 +707,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--executor",
         choices=EXECUTORS,
         default="serial",
-        help="parallel executor for the sample chunks",
+        help=(
+            "executor for the --scenarios study's scenario chunks "
+            "('thread' maps them over at most one thread per CPU); the "
+            "single-world study runs serial"
+        ),
     )
     mc_parser.add_argument(
         "--json",

@@ -20,8 +20,9 @@ points. This package answers them in NumPy:
   key ``point_signature`` and the shard router share;
 * :mod:`repro.engine.sobol_adapter` -- one-shot Saltelli-matrix
   objectives for ``sobol_indices(..., vectorized=True)``;
-* :mod:`repro.engine.parallel` -- ``parallel_map`` with serial / thread /
-  process executors and a safe serial fallback;
+* :mod:`repro.engine.parallel` -- ``parallel_map``, serial or over a
+  thread pool sized from the host (the scenario study's one parallel
+  path), with seeded per-item streams;
 * :mod:`repro.engine.batch` -- five names the benchmark's traced run
   wraps (like ``scenario_evaluate`` and five in ``portfolio``), each
   forwarding to ``evaluate``; nothing in the package calls them.

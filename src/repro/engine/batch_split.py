@@ -788,9 +788,10 @@ def batch_split_samples(
 
     The Monte Carlo face of the split engine: ``n_chips`` and the
     sampled keywords are scalars or 1-D sample vectors, as for
-    :func:`~repro.engine.scenario.evaluate`, and each production line
-    is one batched call — a 10k-sample robustness study of a two-node
-    plan costs six array evaluations, not 10k scalar ones.
+    :func:`~repro.engine.scenario.evaluate`, and each capacity map is
+    one batched call over every production line — a 10k-sample
+    robustness study of a two-node plan costs six array evaluations
+    (five capacity maps and one cost call), not 10k scalar ones.
 
     CAS is evaluated per sample: each allocation node's *effective*
     rate (sampled capacity x scaled max rate) is displaced by
@@ -818,39 +819,41 @@ def batch_split_samples(
         "wafer_rate_scale": wafer_rate_scale,
     }
 
-    def line_totals(capacity_map: Mapping[str, ArrayLike]) -> Dict[str, np.ndarray]:
-        return {
-            node: evaluate(
-                model,
-                (designs[node],),
-                quantities * fraction,
-                ("ttm",),
-                capacity=dict(capacity_map),
-                **sampled,
-            ).ttm.total_weeks[0, 0]
-            for node, fraction in allocations.items()
-        }
+    # One row per production line: a (lines, samples) or (lines, 1)
+    # per-design demand, so a scalar demand is not read as a sample axis.
+    line_designs = tuple(designs.values())
+    line_chips = np.stack(
+        [
+            np.atleast_1d(quantities * fraction)
+            for fraction in allocations.values()
+        ]
+    )
 
-    lines = line_totals(fractions)
-    ttm = None
-    for weeks in lines.values():
-        ttm = weeks if ttm is None else np.maximum(ttm, weeks)
+    def line_totals(capacity_map: Mapping[str, ArrayLike]) -> np.ndarray:
+        """Every line's completion weeks under one capacity map."""
+        return evaluate(
+            model,
+            line_designs,
+            line_chips,
+            ("ttm",),
+            capacity=dict(capacity_map),
+            **sampled,
+        ).ttm.total_weeks[0]
+
+    line_weeks = line_totals(fractions)
+    ttm = line_weeks.max(axis=0)
 
     cost_usd = None
     if cost_model is not None:
-        cost_total: ArrayLike = 0.0
-        for node, fraction in allocations.items():
-            cost_total = cost_total + evaluate(
-                model,
-                (designs[node],),
-                quantities * fraction,
-                ("cost",),
-                d0_scale=d0_scale,
-                cost_model=cost_model,
-            ).cost.total_usd[0, 0]
-        cost_usd = np.broadcast_to(
-            np.asarray(cost_total, dtype=float), np.shape(ttm)
-        )
+        cost_total = evaluate(
+            model,
+            line_designs,
+            line_chips,
+            ("cost",),
+            d0_scale=d0_scale,
+            cost_model=cost_model,
+        ).cost.total_usd[0].sum(axis=0)
+        cost_usd = np.broadcast_to(cost_total, np.shape(ttm))
 
     cas = np.zeros(np.shape(ttm))
     if with_cas:
@@ -878,12 +881,7 @@ def batch_split_samples(
             for sign in (+1, -1):
                 displaced = dict(fractions)
                 displaced[node] = (rate + sign * step) / scaled_max
-                upper = None
-                for weeks in line_totals(displaced).values():
-                    upper = (
-                        weeks if upper is None else np.maximum(upper, weeks)
-                    )
-                perturbed[sign] = upper
+                perturbed[sign] = line_totals(displaced).max(axis=0)
             sensitivity = np.abs(
                 (perturbed[+1] - perturbed[-1]) / (2.0 * step)
             )
@@ -913,7 +911,7 @@ def batch_split_samples(
         ),
         line_weeks={
             node: np.broadcast_to(weeks, shape)
-            for node, weeks in lines.items()
+            for node, weeks in zip(allocations, line_weeks)
         },
     )
 

@@ -140,8 +140,6 @@ def run(
     n_chips: float = DEFAULT_N_CHIPS,
     n_samples: int = DEFAULT_N_SAMPLES,
     seed: int = DEFAULT_SEED,
-    executor: str = "serial",
-    max_workers: Optional[int] = None,
 ) -> MCDisruptionResult:
     """Compare A11@7nm, Zen-2 chiplet, and Zen-2 monolithic robustness.
 
@@ -168,8 +166,6 @@ def run(
         seed,
         cost_model=cost_model or CostModel.nominal(),
         disruptions=disruptions,
-        executor=executor,
-        max_workers=max_workers,
     )
     return MCDisruptionResult(
         n_samples=n_samples,

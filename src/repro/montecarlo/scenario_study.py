@@ -9,14 +9,16 @@ construction: the base draw happens once, up front, and every
 differences between cells are due to the scenario transforms and the
 designs — never sampling noise.
 
-Parallelism chunks over the *scenario* axis (the outermost, largest
-grain of the cube): each work item evaluates a contiguous
+Work is chunked over the *scenario* axis (the outermost, largest grain
+of the cube): each chunk evaluates a contiguous
 :meth:`~repro.engine.scenario.ScenarioSet.subset` against the shared
-base draw and summarizes its own (scenario x design) cells, so no
-work item returns samples and the full cube is never held at once.
-Chunks are pure functions of their inputs, and a cell's summary depends
-on that cell alone, so results are bit-for-bit identical across the
-serial, thread, and process executors and across chunk sizes.
+base draw and summarizes its own (scenario x design) cells, so no chunk
+returns samples and the full cube is never held at once. This is the
+one study that can fan its chunks out over threads
+(``executor="thread"``): a chunk spends its time in NumPy, which
+releases the GIL. Chunks are pure functions of their inputs, and a
+cell's summary depends on that cell alone, so results are bit-for-bit
+identical across both executors and across chunk sizes.
 """
 
 from __future__ import annotations
@@ -47,76 +49,15 @@ from .results import (
     summarize_cells,
 )
 from .spec import SamplingSpec
-from .study import METRIC_TAILS, chunk_sizes
+from .study import (
+    METRIC_TAILS,
+    _evaluated_metrics,
+    _metric_cubes,
+    chunk_sizes,
+)
 
-#: Scenarios evaluated per parallel work item (outermost-axis grain).
+#: Scenarios evaluated per chunk (outermost-axis grain).
 DEFAULT_CHUNK_SCENARIOS = 8
-
-
-@dataclass(frozen=True)
-class _ScenarioChunkTask:
-    """Picklable work item: one scenario subset against the shared draw."""
-
-    model: TTMModel
-    cost_model: Optional[CostModel]
-    designs: Tuple[ChipDesign, ...]
-    scenario_set: ScenarioSet
-    n_chips: np.ndarray
-    capacity: Optional[np.ndarray]
-    queue_weeks: Optional[np.ndarray]
-    d0_scale: Optional[np.ndarray]
-    wafer_rate_scale: Optional[np.ndarray]
-    tail_level: float
-    curve_points: int
-
-
-def _scenario_metrics(task: _ScenarioChunkTask) -> Dict[str, np.ndarray]:
-    """One scenario subset's metric cubes, ``(scenarios, designs, samples)``.
-
-    The evaluation (and its per-group tensors) is released on return,
-    before the chunk summarizes.
-    """
-    evaluation = evaluate(
-        task.model,
-        task.designs,
-        task.n_chips,
-        ("ttm", "cas") if task.cost_model is None else ("ttm", "cas", "cost"),
-        scenarios=task.scenario_set,
-        capacity=task.capacity,
-        queue_weeks=task.queue_weeks,
-        d0_scale=task.d0_scale,
-        wafer_rate_scale=task.wafer_rate_scale,
-        cost_model=task.cost_model,
-    )
-    metrics = {
-        "ttm_weeks": evaluation.ttm.total_weeks,
-        "cas": evaluation.cas.cas,
-    }
-    if evaluation.cost is not None:
-        # Per-chip cost under scenario k divides by that scenario's
-        # transformed demand.
-        metrics["cost_per_chip_usd"] = evaluation.cost.usd_per_chip
-    return metrics
-
-
-def _evaluate_scenario_chunk(task: _ScenarioChunkTask) -> List[CellSummaries]:
-    """Evaluate and summarize one scenario subset (module-level for
-    pickling).
-
-    Returns one entry per (scenario, design) cell, scenario-major.
-    Because the fused kernel processes scenarios independently and each
-    cell is summarized on its own, the chunk's cells equal the same
-    cells of an unchunked study bit-for-bit.
-    """
-    metrics = _scenario_metrics(task)
-    # One row per (scenario, design) cell, scenario-major.
-    n_cells = task.scenario_set.n_scenarios * metrics["ttm_weeks"].shape[1]
-    return summarize_cells(
-        {name: cube.reshape(n_cells, -1) for name, cube in metrics.items()},
-        METRIC_TAILS,
-        tail_level=task.tail_level,
-        curve_points=task.curve_points,
-    )
 
 
 @dataclass(frozen=True)
@@ -250,7 +191,6 @@ def run_scenario_study(
     seed: int,
     cost_model: Optional[CostModel] = None,
     executor: str = "serial",
-    max_workers: Optional[int] = None,
     chunk_scenarios: int = DEFAULT_CHUNK_SCENARIOS,
     tail_level: float = DEFAULT_TAIL_LEVEL,
     curve_points: int = 33,
@@ -267,7 +207,11 @@ def run_scenario_study(
         A compiled :class:`~repro.engine.scenario.ScenarioSet` (e.g.
         from :func:`~repro.montecarlo.stress.stress_scenarios`) or a
         sequence of :class:`~repro.engine.scenario.Scenario`.
-    seed / executor / max_workers / chunk_scenarios:
+    executor:
+        ``"serial"`` (default) evaluates the chunks in order;
+        ``"thread"`` maps them over a thread pool of at most one thread
+        per CPU (:func:`~repro.engine.parallel.parallel_map`).
+    seed / chunk_scenarios:
         Work is chunked over the scenario axis; chunks are pure, so the
         cube is bit-for-bit identical across executors and chunk sizes
         for a fixed seed.
@@ -280,8 +224,36 @@ def run_scenario_study(
             "capacity sampling cannot compose with per-node scenario "
             "capacity transforms in a single kernel argument"
         )
-    rng = np.random.default_rng(seed)
-    draws = spec.sample(n_samples, rng)
+    draws = spec.sample(n_samples, np.random.default_rng(seed))
+    n_chips, supply = draws.n_chips, draws.kernel_kwargs()
+    metrics = _evaluated_metrics(cost_model)
+    n_designs = len(design_tuple)
+
+    def summarize_chunk(subset: ScenarioSet) -> List[CellSummaries]:
+        # The evaluation (and its per-group tensors) is released when
+        # _metric_cubes returns, before the chunk summarizes. Each
+        # scenario is evaluated and each cell summarized on its own, so
+        # the chunk's cells equal the same cells of an unchunked study.
+        cubes = _metric_cubes(
+            evaluate(
+                model,
+                design_tuple,
+                n_chips,
+                metrics,
+                scenarios=subset,
+                cost_model=cost_model,
+                **supply,
+            )
+        )
+        # One row per (scenario, design) cell, scenario-major.
+        n_cells = subset.n_scenarios * n_designs
+        return summarize_cells(
+            {name: cube.reshape(n_cells, -1) for name, cube in cubes.items()},
+            METRIC_TAILS,
+            tail_level=tail_level,
+            curve_points=curve_points,
+        )
+
     with span(
         "mc.run_scenario_study",
         scenarios=list(scenario_set.names),
@@ -290,34 +262,13 @@ def run_scenario_study(
         seed=seed,
         executor=executor,
     ):
-        sizes = chunk_sizes(scenario_set.n_scenarios, chunk_scenarios)
-        capacity = draws.capacity
-        tasks = []
+        subsets = []
         start = 0
-        for size in sizes:
-            tasks.append(
-                _ScenarioChunkTask(
-                    model=model,
-                    cost_model=cost_model,
-                    designs=design_tuple,
-                    scenario_set=scenario_set.subset(
-                        range(start, start + size)
-                    ),
-                    n_chips=draws.n_chips,
-                    capacity=capacity,
-                    queue_weeks=draws.queue_weeks,
-                    d0_scale=draws.d0_scale,
-                    wafer_rate_scale=draws.wafer_rate_scale,
-                    tail_level=tail_level,
-                    curve_points=curve_points,
-                )
-            )
+        for size in chunk_sizes(scenario_set.n_scenarios, chunk_scenarios):
+            subsets.append(scenario_set.subset(range(start, start + size)))
             start += size
         chunks: List[List[CellSummaries]] = parallel_map(
-            _evaluate_scenario_chunk,
-            tasks,
-            executor=executor,
-            max_workers=max_workers,
+            summarize_chunk, subsets, executor=executor
         )
         cells = (cell for chunk in chunks for cell in chunk)
         results: Dict[str, Dict[str, StudyResult]] = {}

@@ -5,21 +5,20 @@ two-process split hedges a single line's exposure to capacity loss,
 queue growth, and yield drift. This module pushes a fixed
 :class:`~repro.multiprocess.split.ProductionSplit` through the
 vectorized :func:`~repro.engine.batch_split.batch_split_samples` kernel
-under joint supply draws — one batched evaluation per production line
-per chunk, no scalar ``evaluate_split`` call anywhere on the sampling
-path — and reduces the outcome to the same
-:class:`~repro.montecarlo.results.StudyResult` summaries the
-single-design studies produce.
+under joint supply draws — one batched evaluation per capacity map per
+chunk, over every production line at once, and no scalar
+``evaluate_split`` call anywhere on the sampling path — and reduces the
+outcome to the same :class:`~repro.montecarlo.results.StudyResult`
+summaries the single-design studies produce.
 
-Chunking and seeding mirror :mod:`repro.montecarlo.study`: chunk layout
+Chunking and seeding are :mod:`repro.montecarlo.study`'s: chunk layout
 is a pure function of ``n_samples`` and each chunk's generator is
-spawned from the study seed by index, so results are bit-for-bit
-identical across the serial, thread, and process executors.
+spawned from the study seed by index, so a fixed seed reproduces the
+result bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -33,50 +32,13 @@ from ..ttm.model import TTMModel
 from .disruption import DisruptionModel
 from .results import DEFAULT_TAIL_LEVEL, StudyResult, summarize_cells
 from .spec import SamplingSpec
-from .study import DEFAULT_CHUNK_SAMPLES, METRIC_TAILS, chunk_sizes
-
-
-@dataclass(frozen=True)
-class _PlanChunkTask:
-    """Picklable per-chunk work item (shipped to process workers)."""
-
-    model: TTMModel
-    cost_model: Optional[CostModel]
-    plan: ProductionSplit
-    spec: SamplingSpec
-    disruptions: Optional[DisruptionModel]
-    n_samples: int
-
-
-def _evaluate_plan_chunk(
-    task: _PlanChunkTask, rng: np.random.Generator
-) -> Dict[str, np.ndarray]:
-    """Draw and batch-evaluate one chunk (module-level for pickling)."""
-    draws = task.spec.sample(task.n_samples, rng)
-    quantities = draws.n_chips
-    kwargs = draws.kernel_kwargs()
-    if task.disruptions is not None:
-        disruption = task.disruptions.sample(task.n_samples, rng)
-        if disruption.capacity:
-            kwargs["capacity"] = dict(disruption.capacity)
-        if disruption.demand_scale is not None:
-            quantities = quantities * disruption.demand_scale
-    outcome = batch_split_samples(
-        task.plan,
-        task.model,
-        quantities,
-        cost_model=task.cost_model,
-        **kwargs,  # type: ignore[arg-type]
-    )
-    metrics = {
-        "ttm_weeks": np.asarray(outcome.ttm_weeks, dtype=float).ravel(),
-        "cas": np.asarray(outcome.cas, dtype=float).ravel(),
-    }
-    if outcome.cost_usd is not None:
-        metrics["cost_per_chip_usd"] = np.asarray(
-            outcome.usd_per_chip, dtype=float
-        ).ravel()
-    return metrics
+from .study import (
+    DEFAULT_CHUNK_SAMPLES,
+    METRIC_TAILS,
+    _check_capacity_source,
+    _chunk_draws,
+    chunk_sizes,
+)
 
 
 def _plan_processes(plan: ProductionSplit) -> tuple:
@@ -97,8 +59,6 @@ def run_plan_study(
     seed: int,
     cost_model: Optional[CostModel] = None,
     disruptions: Optional[DisruptionModel] = None,
-    executor: str = "serial",
-    max_workers: Optional[int] = None,
     chunk_samples: int = DEFAULT_CHUNK_SAMPLES,
     tail_level: float = DEFAULT_TAIL_LEVEL,
     curve_points: int = 33,
@@ -109,36 +69,35 @@ def run_plan_study(
     varies: demand, per-node capacity, queue quotes, defect density and
     wafer rates are drawn jointly from ``spec`` (optionally composed
     with a :class:`DisruptionModel`), and every draw's TTM / CAS /
-    cost-per-chip comes from one batched kernel call per production
-    line. The result's ``design`` names the plan as
-    ``"<design> [primary|secondary@split]"`` so plan comparisons stay
-    distinguishable.
+    cost-per-chip comes from :func:`batch_split_samples`. The result's
+    ``design`` names the plan as ``"<design> [primary|secondary@split]"``
+    so plan comparisons stay distinguishable.
     """
-    if disruptions is not None and any(
-        p.target == "capacity" for p in spec.parameters
-    ):
-        raise InvalidParameterError(
-            "capacity is sampled by both the spec and the disruption model; "
-            "pick one"
-        )
-    sizes = chunk_sizes(n_samples, chunk_samples)
-    tasks = [
-        _PlanChunkTask(
-            model=model,
+    _check_capacity_source(spec, disruptions)
+
+    def evaluate_chunk(
+        size: int, rng: np.random.Generator
+    ) -> Dict[str, np.ndarray]:
+        quantities, kwargs = _chunk_draws(spec, disruptions, size, rng)
+        outcome = batch_split_samples(
+            plan,
+            model,
+            quantities,
             cost_model=cost_model,
-            plan=plan,
-            spec=spec,
-            disruptions=disruptions,
-            n_samples=size,
+            **kwargs,  # type: ignore[arg-type]
         )
-        for size in sizes
-    ]
+        metrics = {
+            "ttm_weeks": np.asarray(outcome.ttm_weeks, dtype=float).ravel(),
+            "cas": np.asarray(outcome.cas, dtype=float).ravel(),
+        }
+        if outcome.cost_usd is not None:
+            metrics["cost_per_chip_usd"] = np.asarray(
+                outcome.usd_per_chip, dtype=float
+            ).ravel()
+        return metrics
+
     chunks: List[Dict[str, np.ndarray]] = parallel_map(
-        _evaluate_plan_chunk,
-        tasks,
-        executor=executor,
-        max_workers=max_workers,
-        seed=seed,
+        evaluate_chunk, chunk_sizes(n_samples, chunk_samples), seed=seed
     )
     blocks: Dict[str, np.ndarray] = {
         name: np.concatenate([chunk[name] for chunk in chunks])[None, :]

@@ -11,15 +11,14 @@ study is a 1-design comparison. No scalar ``TTMModel`` call happens
 anywhere on the sampling path.
 
 Determinism: the sample is split into fixed-size chunks (a pure function
-of ``n_samples``), and each chunk's ``numpy.random.Generator`` is spawned
-from the study seed by chunk index via the seeded
-:func:`~repro.engine.parallel.parallel_map`. Results are therefore
-bit-for-bit identical across the serial, thread, and process executors.
+of ``n_samples``), evaluated in order, and each chunk's
+``numpy.random.Generator`` is spawned from the study seed by chunk index
+via the seeded :func:`~repro.engine.parallel.parallel_map`. A chunk's
+draws therefore depend only on the seed and its index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,7 +27,7 @@ from ..cost.model import CostModel
 from ..design.chip import ChipDesign
 from ..economics.market_window import MarketWindow, triangle_loss_fractions
 from ..engine.parallel import parallel_map
-from ..engine.scenario import evaluate
+from ..engine.scenario import Evaluation, evaluate
 from ..errors import InvalidParameterError
 from ..obs.trace import span
 from ..ttm.model import TTMModel
@@ -36,7 +35,7 @@ from .disruption import DisruptionModel
 from .results import DEFAULT_TAIL_LEVEL, StudyResult, summarize_cells
 from .spec import SamplingSpec
 
-#: Samples evaluated per parallel work item.
+#: Samples drawn and evaluated per chunk.
 DEFAULT_CHUNK_SAMPLES = 2048
 
 #: Tail direction per metric: risk is slow/expensive, or *in*agile.
@@ -72,6 +71,50 @@ def _check_capacity_source(
             "capacity is sampled by both the spec and the disruption model; "
             "pick one"
         )
+
+
+def _chunk_draws(
+    spec: SamplingSpec,
+    disruptions: Optional[DisruptionModel],
+    n_samples: int,
+    rng: np.random.Generator,
+) -> Tuple[np.ndarray, Dict[str, object]]:
+    """One chunk's demand and ``evaluate`` supply keywords.
+
+    The disruption model draws after the spec, from the same stream: its
+    capacity replaces the spec's and its demand scale multiplies the
+    spec's demand.
+    """
+    draws = spec.sample(n_samples, rng)
+    quantities = draws.n_chips
+    kwargs = draws.kernel_kwargs()
+    if disruptions is not None:
+        disruption = disruptions.sample(n_samples, rng)
+        if disruption.capacity:
+            kwargs["capacity"] = dict(disruption.capacity)
+        if disruption.demand_scale is not None:
+            quantities = quantities * disruption.demand_scale
+    return quantities, kwargs
+
+
+def _evaluated_metrics(cost_model: Optional[CostModel]) -> Tuple[str, ...]:
+    """The ``evaluate`` metrics a study asks for."""
+    return ("ttm", "cas") if cost_model is None else ("ttm", "cas", "cost")
+
+
+def _metric_cubes(evaluation: Evaluation) -> Dict[str, np.ndarray]:
+    """A study's metrics from one evaluation, ``(scenarios, designs, samples)``.
+
+    Per-chip cost under scenario ``k`` divides by that scenario's
+    transformed demand.
+    """
+    metrics = {
+        "ttm_weeks": evaluation.ttm.total_weeks,
+        "cas": evaluation.cas.cas,
+    }
+    if evaluation.cost is not None:
+        metrics["cost_per_chip_usd"] = evaluation.cost.usd_per_chip
+    return metrics
 
 
 def _summarize_designs(
@@ -125,8 +168,6 @@ def run_study(
     disruptions: Optional[DisruptionModel] = None,
     window: Optional[MarketWindow] = None,
     reference_weeks: Optional[float] = None,
-    executor: str = "serial",
-    max_workers: Optional[int] = None,
     chunk_samples: int = DEFAULT_CHUNK_SAMPLES,
     tail_level: float = DEFAULT_TAIL_LEVEL,
     curve_points: int = 33,
@@ -151,9 +192,9 @@ def run_study(
         reported as a revenue-loss-fraction distribution for delays
         beyond ``reference_weeks`` (default: the sample median, i.e.
         "late relative to the typical outcome").
-    seed / executor / max_workers / chunk_samples:
-        Sampling is chunked and seeded per chunk index; results are
-        identical across executors for a fixed seed.
+    seed / chunk_samples:
+        Sampling is chunked and seeded per chunk index, so a fixed seed
+        reproduces the result bit for bit.
     """
     return compare_designs(
         model,
@@ -165,54 +206,10 @@ def run_study(
         disruptions=disruptions,
         window=window,
         reference_weeks=reference_weeks,
-        executor=executor,
-        max_workers=max_workers,
         chunk_samples=chunk_samples,
         tail_level=tail_level,
         curve_points=curve_points,
     )[design.name]
-
-
-@dataclass(frozen=True)
-class _PortfolioChunkTask:
-    """Picklable per-chunk work item covering the whole design tuple."""
-
-    model: TTMModel
-    cost_model: Optional[CostModel]
-    designs: Tuple[ChipDesign, ...]
-    spec: SamplingSpec
-    disruptions: Optional[DisruptionModel]
-    n_samples: int
-
-
-def _evaluate_portfolio_chunk(
-    task: _PortfolioChunkTask, rng: np.random.Generator
-) -> Dict[str, np.ndarray]:
-    """Draw once and evaluate every design on the shared chunk."""
-    draws = task.spec.sample(task.n_samples, rng)
-    quantities = draws.n_chips
-    kwargs = draws.kernel_kwargs()
-    if task.disruptions is not None:
-        disruption = task.disruptions.sample(task.n_samples, rng)
-        if disruption.capacity:
-            kwargs["capacity"] = dict(disruption.capacity)
-        if disruption.demand_scale is not None:
-            quantities = quantities * disruption.demand_scale
-    evaluation = evaluate(
-        task.model,
-        task.designs,
-        quantities,
-        ("ttm", "cas") if task.cost_model is None else ("ttm", "cas", "cost"),
-        cost_model=task.cost_model,
-        **kwargs,
-    )
-    metrics = {
-        "ttm_weeks": evaluation.ttm.total_weeks[0],
-        "cas": evaluation.cas.cas[0],
-    }
-    if evaluation.cost is not None:
-        metrics["cost_per_chip_usd"] = evaluation.cost.usd_per_chip[0]
-    return metrics
 
 
 def compare_designs(
@@ -225,8 +222,6 @@ def compare_designs(
     disruptions: Optional[DisruptionModel] = None,
     window: Optional[MarketWindow] = None,
     reference_weeks: Optional[float] = None,
-    executor: str = "serial",
-    max_workers: Optional[int] = None,
     chunk_samples: int = DEFAULT_CHUNK_SAMPLES,
     tail_level: float = DEFAULT_TAIL_LEVEL,
     curve_points: int = 33,
@@ -250,31 +245,31 @@ def compare_designs(
             )
         seen[design.name] = None
     _check_capacity_source(spec, disruptions)
+
+    def evaluate_chunk(
+        size: int, rng: np.random.Generator
+    ) -> Dict[str, np.ndarray]:
+        quantities, kwargs = _chunk_draws(spec, disruptions, size, rng)
+        evaluation = evaluate(
+            model,
+            design_tuple,
+            quantities,
+            _evaluated_metrics(cost_model),
+            cost_model=cost_model,
+            **kwargs,
+        )
+        return {
+            name: cube[0] for name, cube in _metric_cubes(evaluation).items()
+        }
+
     with span(
         "mc.compare_designs",
         designs=[design.name for design in design_tuple],
         n_samples=n_samples,
         seed=seed,
-        executor=executor,
     ):
-        sizes = chunk_sizes(n_samples, chunk_samples)
-        tasks = [
-            _PortfolioChunkTask(
-                model=model,
-                cost_model=cost_model,
-                designs=design_tuple,
-                spec=spec,
-                disruptions=disruptions,
-                n_samples=size,
-            )
-            for size in sizes
-        ]
         chunks: List[Dict[str, np.ndarray]] = parallel_map(
-            _evaluate_portfolio_chunk,
-            tasks,
-            executor=executor,
-            max_workers=max_workers,
-            seed=seed,
+            evaluate_chunk, chunk_sizes(n_samples, chunk_samples), seed=seed
         )
         blocks: Dict[str, np.ndarray] = {
             name: np.concatenate([chunk[name] for chunk in chunks], axis=1)

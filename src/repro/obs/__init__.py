@@ -6,14 +6,14 @@ figure and study; this package makes it inspectable without slowing it
 down:
 
 * :mod:`repro.obs.trace` — a :class:`Tracer` of nested spans (wall/CPU
-  time, attributes, correct parents across ``parallel_map`` thread and
-  process workers), exportable as JSON and as a Chrome-trace file that
+  time, attributes, correct parents across ``parallel_map`` worker
+  threads), exportable as JSON and as a Chrome-trace file that
   ``chrome://tracing`` / Perfetto load directly. No-op until
   :func:`install_tracer` is called.
 * :mod:`repro.obs.metrics` — a process-wide :class:`MetricsRegistry` of
   counters/gauges/histograms (invariant-cache hits/misses/evictions,
-  kernel invocations and element throughput, executor fallbacks,
-  non-finite guard trips) with Prometheus-text and JSON exporters.
+  kernel invocations and element throughput, non-finite guard trips)
+  with Prometheus-text and JSON exporters.
 * :mod:`repro.obs.manifest` — :class:`RunManifest`: per-run provenance
   (git SHA, config, seeds, factor specs, duration, metrics delta,
   result digest) written alongside outputs; identically-seeded runs

@@ -7,7 +7,6 @@ dump always shows the full set, fired or not) and exposes:
 * :func:`observed_kernel` — a decorator counting kernel invocations and
   element throughput (labelled by kernel), and spanning the call when a
   tracer is installed;
-* :func:`record_fallback` — the ``parallel_map`` degradation counter;
 * :func:`guard_trip` — non-finite guard trips (Sobol, metric summaries);
 * :func:`cache_counters` — the invariant-LRU hit/miss/eviction counters
   (the public home of what used to be private module ints);
@@ -78,11 +77,6 @@ KERNEL_INVOCATIONS = _registry.counter(
 KERNEL_ELEMENTS = _registry.counter(
     "engine_kernel_elements_total",
     "Result elements produced by vectorized kernels, labelled by kernel",
-)
-
-EXECUTOR_FALLBACKS = _registry.counter(
-    "executor_fallback_total",
-    "parallel_map degradations, labelled by requested/chosen executor",
 )
 
 GUARD_TRIPS = _registry.counter(
@@ -177,13 +171,6 @@ def record_kernel(kernel: str, elements: int) -> None:
         return
     KERNEL_INVOCATIONS.inc(kernel=kernel)
     KERNEL_ELEMENTS.inc(float(elements), kernel=kernel)
-
-
-def record_fallback(requested: str, chosen: str) -> None:
-    """Count one executor degradation (requested -> chosen)."""
-    if not _ENABLED:
-        return
-    EXECUTOR_FALLBACKS.inc(requested=requested, chosen=chosen)
 
 
 def record_request(endpoint: str, status: int, seconds: float) -> None:
@@ -321,7 +308,6 @@ __all__ = [
     "CACHE_EVICTIONS",
     "CACHE_HITS",
     "CACHE_MISSES",
-    "EXECUTOR_FALLBACKS",
     "GUARD_TRIPS",
     "KERNEL_ELEMENTS",
     "KERNEL_INVOCATIONS",
@@ -344,7 +330,6 @@ __all__ = [
     "guard_trip",
     "observed_kernel",
     "record_batch",
-    "record_fallback",
     "record_kernel",
     "record_rejection",
     "record_request",

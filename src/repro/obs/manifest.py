@@ -4,7 +4,7 @@ A :class:`RunManifest` records everything needed to trust — and to
 re-run — one experiment or Monte Carlo study: the configuration and
 seeds, the sampling/factor specs, the git revision (when the working
 tree is a checkout), library versions, a metrics delta attributing
-engine activity (cache hits, kernel calls, fallbacks) to the run, the
+engine activity (cache hits, kernel calls, guard trips) to the run, the
 wall duration, and a SHA-256 digest of the structured result. Re-running
 with the recorded seeds must reproduce the digest bit-for-bit; the
 determinism suite (``tests/obs/test_manifest_determinism.py``) pins

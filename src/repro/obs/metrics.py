@@ -3,9 +3,9 @@
 The engine's hot paths (batch kernels, the invariant LRU, ``parallel_map``)
 report what they did through a process-wide :class:`MetricsRegistry` —
 invariant-cache hits/misses/evictions, kernel invocation counts and
-element throughput, executor fallbacks, non-finite guard trips. The
-registry is zero-dependency and thread-safe: every mutation happens under
-one re-entrant lock, so counts stay exact under the thread executor (the
+element throughput, non-finite guard trips. The registry is
+zero-dependency and thread-safe: every mutation happens under one
+re-entrant lock, so counts stay exact under the thread executor (the
 same guarantee the invariant cache's private counters used to make).
 
 Exporters

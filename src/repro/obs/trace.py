@@ -6,11 +6,10 @@ thread/process that ran them and the parent span they nest under. Spans
 are opened with the :meth:`Tracer.span` context manager; nesting is
 tracked per thread (a ``threading.local`` stack), and records from
 worker threads land in the same tracer under one lock, so
-``parallel_map`` thread fan-outs trace correctly. Process workers cannot
-share the object, so they record into a fresh local tracer and ship
-their spans back with the result; :meth:`Tracer.adopt` merges them
-(wall timestamps are epoch-based, hence comparable across processes on
-one machine).
+``parallel_map`` thread fan-outs trace correctly. Spans recorded
+elsewhere -- another tracer, or the serve stack's hand-built request
+spans -- merge in through :meth:`Tracer.adopt` (wall timestamps are
+epoch-based, hence comparable across processes on one machine).
 
 Nothing traces by default: the module-level :func:`span` helper returns
 a shared no-op context manager until :func:`install_tracer` installs a
@@ -186,9 +185,11 @@ class Tracer:
         self.limit = limit
 
     def _next_id(self) -> str:
-        # The counter is process-global, not per-tracer: process workers
-        # build a fresh local tracer per item, and per-instance counters
-        # would restart at 1 and collide within one worker pid.
+        # The counter is process-global, not per-tracer: spans of several
+        # tracers in one process (one installed after another, or the
+        # serve stack's adopted records) must never share an id once
+        # merged, and per-instance counters would restart at 1 and
+        # collide within one pid.
         return f"{os.getpid():x}-{next(_ID_COUNTER)}"
 
     def _stack(self) -> List[str]:
@@ -224,7 +225,7 @@ class Tracer:
         return stack[-1] if stack else None
 
     def adopt(self, records: Iterable[SpanRecord]) -> None:
-        """Merge spans recorded elsewhere (e.g. in a process worker)."""
+        """Merge spans recorded elsewhere (e.g. by another tracer)."""
         records = list(records)
         with self._lock:
             self._spans.extend(records)

@@ -6,11 +6,6 @@ from repro.analysis.search import SearchSpace, grid_search
 from repro.errors import InvalidParameterError
 
 
-def peak_at_x0_y2(cfg):
-    """Module-level (so picklable) objective with its maximum at (0, 2)."""
-    return -(cfg["x"] ** 2) - (cfg["y"] - 2) ** 2
-
-
 class TestSearchSpace:
     def test_size_and_points(self):
         space = SearchSpace({"a": (1, 2, 3), "b": ("x", "y")})
@@ -68,26 +63,10 @@ class TestGridSearch:
                 constraints=[lambda cfg: False],
             )
 
-    @pytest.mark.parametrize("executor", ("thread", "process"))
-    def test_parallel_executors_match_serial(self, executor):
-        serial = grid_search(self.SPACE, objective=peak_at_x0_y2)
-        parallel = grid_search(
-            self.SPACE,
-            objective=peak_at_x0_y2,
-            executor=executor,
-            max_workers=2,
-        )
-        assert parallel.best == serial.best
-        assert parallel.best_score == serial.best_score
-        assert parallel.feasible == serial.feasible
-
-    def test_tie_resolution_is_grid_order_under_every_executor(self):
+    def test_tie_resolution_is_grid_order(self):
         space = SearchSpace({"x": (1, 2, 3)})
-        for executor in ("serial", "thread"):
-            result = grid_search(
-                space, objective=lambda cfg: 0.0, executor=executor
-            )
-            assert result.best == {"x": 1}
+        result = grid_search(space, objective=lambda cfg: 0.0)
+        assert result.best == {"x": 1}
 
 
 class TestCodesignExperiment:

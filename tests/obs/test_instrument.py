@@ -3,7 +3,6 @@
 import numpy as np
 
 from repro.obs.instrument import (
-    EXECUTOR_FALLBACKS,
     GUARD_TRIPS,
     KERNEL_ELEMENTS,
     KERNEL_INVOCATIONS,
@@ -12,7 +11,6 @@ from repro.obs.instrument import (
     enabled,
     guard_trip,
     observed_kernel,
-    record_fallback,
     record_kernel,
 )
 from repro.obs.trace import Tracer, install_tracer, uninstall_tracer
@@ -55,13 +53,6 @@ class TestPlainHooks:
         assert KERNEL_INVOCATIONS.value(kernel="manual") == 1.0
         assert KERNEL_ELEMENTS.value(kernel="manual") == 100.0
 
-    def test_record_fallback(self):
-        record_fallback("process", "serial")
-        assert (
-            EXECUTOR_FALLBACKS.value(requested="process", chosen="serial")
-            == 1.0
-        )
-
     def test_guard_trip(self):
         guard_trip("sobol")
         assert GUARD_TRIPS.value(guard="sobol") == 1.0
@@ -69,10 +60,8 @@ class TestPlainHooks:
     def test_disabled_silences_plain_hooks(self):
         with disabled():
             record_kernel("manual", 1)
-            record_fallback("process", "serial")
             guard_trip("sobol")
         assert KERNEL_INVOCATIONS.value(kernel="manual") == 0.0
-        assert EXECUTOR_FALLBACKS.series() == {}
         assert GUARD_TRIPS.series() == {}
 
 

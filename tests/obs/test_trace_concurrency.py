@@ -1,9 +1,9 @@
-"""Trace correctness under parallel_map concurrency (every executor).
+"""Trace correctness under parallel_map concurrency (both executors).
 
-The satellite contract: spans recorded by worker threads and process
-workers must attach to the right parent (the enclosing ``parallel_map``
-span), the Chrome-trace export must stay valid JSON, and timestamps must
-be sane (non-negative durations, items inside the map's wall window).
+The contract: spans recorded by worker threads must attach to the right
+parent (the enclosing ``parallel_map`` span), the Chrome-trace export
+must stay valid JSON, and timestamps must be sane (non-negative
+durations, items inside the map's wall window).
 """
 
 import json
@@ -15,20 +15,17 @@ from repro.engine.parallel import EXECUTORS, parallel_map
 from repro.obs.instrument import observed_kernel
 from repro.obs.trace import Tracer, install_tracer, uninstall_tracer
 
-#: Wall-clock slack for cross-process timestamp comparisons (ns). The
-#: item spans of a process worker are timed by that worker's own clock;
-#: epoch clocks across processes on one machine agree to well under this.
+#: Wall-clock slack for timestamp comparisons (ns): wall starts come
+#: from time.time_ns, durations from perf_counter_ns.
 CLOCK_TOLERANCE_NS = 50_000_000
 
 
 def observed_square(value: float) -> float:
-    """Module-level (picklable) evaluation for the process executor."""
     return value * value
 
 
 @observed_kernel("obs.test_length", lambda result: result.size)
 def observed_length(n: int) -> np.ndarray:
-    """Module-level decorated kernel (picklable for process workers)."""
     return np.arange(n)
 
 
@@ -36,10 +33,7 @@ def traced_run(executor: str, n_items: int = 6):
     tracer = install_tracer(Tracer())
     try:
         results = parallel_map(
-            observed_square,
-            list(range(n_items)),
-            executor=executor,
-            max_workers=3,
+            observed_square, list(range(n_items)), executor=executor
         )
     finally:
         uninstall_tracer()
@@ -63,15 +57,7 @@ class TestSpanParentage:
         tracer, _ = traced_run("thread")
         assert len({s.process_id for s in tracer.spans()}) == 1
 
-    def test_process_workers_record_in_their_own_process(self):
-        tracer, _ = traced_run("process")
-        (root,) = [s for s in tracer.spans() if s.name == "parallel_map"]
-        items = [
-            s for s in tracer.spans() if s.name == "parallel_map.item"
-        ]
-        assert any(s.process_id != root.process_id for s in items)
-
-    def test_seeded_traced_process_map_stays_deterministic(self):
+    def test_seeded_traced_thread_map_stays_deterministic(self):
         def draw(item, rng):
             return float(item + rng.normal())
 
@@ -153,15 +139,13 @@ class TestChromeExportUnderConcurrency:
         assert len(events) == len(tracer.spans())
         assert all(event["dur"] > 0 for event in events)
 
-    @pytest.mark.parametrize("executor", ("thread", "process"))
+    @pytest.mark.parametrize("executor", EXECUTORS)
     def test_kernel_spans_nest_under_worker_items(self, executor):
-        # A decorated kernel running inside a worker (thread or process)
-        # must hang off that worker's item span in the merged trace.
+        # A decorated kernel running inside a worker thread must hang
+        # off that worker's item span.
         tracer = install_tracer(Tracer())
         try:
-            parallel_map(
-                observed_length, [2, 3], executor=executor, max_workers=2
-            )
+            parallel_map(observed_length, [2, 3], executor=executor)
         finally:
             uninstall_tracer()
         spans = tracer.spans()
@@ -173,15 +157,20 @@ class TestChromeExportUnderConcurrency:
         assert all(k.parent_id in items for k in kernels)
 
     def test_span_ids_unique_across_worker_reuse(self):
-        # One worker process handling several items must never reuse a
-        # span id (the id counter is process-global, not per-tracer).
-        tracer = install_tracer(Tracer())
-        try:
-            parallel_map(
-                observed_square, list(range(8)), executor="process",
-                max_workers=2,
-            )
-        finally:
-            uninstall_tracer()
-        ids = [s.span_id for s in tracer.spans()]
+        # Several tracers in one process, one installed after another (as
+        # a serve worker may), must never reuse a span id once their
+        # spans are merged: the id counter is process-global, not
+        # per-tracer.
+        merged = Tracer()
+        for _ in range(3):
+            tracer = install_tracer(Tracer())
+            try:
+                parallel_map(
+                    observed_square, list(range(4)), executor="thread"
+                )
+            finally:
+                uninstall_tracer()
+            merged.adopt(tracer.spans())
+        ids = [s.span_id for s in merged.spans()]
+        assert len(ids) == 3 * (1 + 4)
         assert len(ids) == len(set(ids))
