@@ -399,6 +399,9 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     from .obs.metrics import iter_prometheus_samples
     from .obs.trace import TRACE_SCHEMA
 
+    if args.lines < 0:
+        print(f"-n must be 0 or more, got {args.lines}", file=sys.stderr)
+        return 2
     tokens = list(args.file)
     if tokens and tokens[0] in ("tail", "slo"):
         if len(tokens) != 2:

@@ -98,16 +98,16 @@ def run(
     n_chips: float = DEFAULT_N_CHIPS,
     processes: Optional[Sequence[str]] = None,
     split_grid: Sequence[float] = DEFAULT_SPLIT_GRID,
-    engine: str = "batch",
     refine: bool = False,
 ) -> Fig14Result:
     """Regenerate Fig. 14's matrices and the Sec. 7 headline numbers.
 
-    The default batch engine evaluates the whole study as one vectorized
-    (pair x split) tensor; ``engine="scalar"`` runs the per-plan oracle.
-    ``refine=True`` sharpens each pair's optimal split to ~0.1%
-    resolution with a second vectorized grid (off by default so the
-    figure reproduces the paper's 2% panel values exactly).
+    The whole study is one vectorized (pair x split) tensor.
+    ``refine=True`` is the ``"exact"`` mode of
+    :func:`~repro.multiprocess.optimizer.run_split_study`: it solves
+    each pair's coarse bracket for the breakpoints of its
+    piecewise-affine objective (off by default so the figure reproduces
+    the paper's 2% panel values exactly).
     """
     ttm_model = model or TTMModel.nominal()
     costs = cost_model or CostModel.nominal()
@@ -123,7 +123,6 @@ def run(
         costs,
         n_chips,
         split_grid=split_grid,
-        engine=engine,
         refine=refine,
     )
     return Fig14Result(

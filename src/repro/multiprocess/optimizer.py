@@ -5,42 +5,31 @@ keep the split with the highest CAS; report that split's TTM and cost.
 The paper's Fig. 14 runs this for a Raven-inspired multicore at one
 billion final chips and highlights the overall fastest combination.
 
-Two engines drive the sweep:
-
-* ``engine="batch"`` (default) — one vectorized
-  :func:`repro.engine.batch_split.batch_split` call evaluates the whole
-  (pair x split-grid) tensor from one compiled line table, with an
-  optional coarse -> fine ``refine`` stage that resolves each pair's
-  optimum to ~0.1% split resolution for the price of the 1% grid;
-* ``engine="scalar"`` — the original per-plan
-  :func:`~repro.multiprocess.split.evaluate_split` loop, kept as the
-  equivalence oracle (the engines match to <= 1e-9 relative error,
-  pinned by ``tests/engine/test_batch_split.py``).
+One vectorized :func:`repro.engine.batch_split.batch_split` call
+evaluates the whole (pair x split-grid) tensor from one compiled line
+table, with an optional ``refine`` stage that resolves each pair's
+optimum inside its coarse bracket. The scalar oracle is
+:func:`~repro.multiprocess.split.evaluate_split`, one plan at a time;
+every cell and every per-pair optimum matches it to <= 1e-9 relative
+error (pinned by ``tests/engine/test_batch_split.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from ..cost.model import CostModel
 from ..errors import InvalidParameterError
 from ..ttm.model import TTMModel
-from .split import (
-    DesignFactory,
-    ProductionSplit,
-    SplitEvaluation,
-    evaluate_split,
-    single_process_plan,
-)
+from .split import DesignFactory, SplitEvaluation
 
 #: Default split grid: 1% .. 100% of chips on the primary node.
 DEFAULT_SPLIT_GRID: Tuple[float, ...] = tuple(s / 100.0 for s in range(1, 101))
 
-#: Points in each pair's second-stage grid when ``refine=True``.
+#: Points in each pair's second-stage grid (``refine="grid"``, and the
+#: pairs the exact mode hands to the grid).
 DEFAULT_REFINE_POINTS = 21
-
-_ENGINES = ("batch", "scalar")
 
 #: Refinement modes: ``True`` is an alias for ``"exact"``.
 _REFINE_MODES = (False, True, "exact", "grid")
@@ -108,13 +97,6 @@ class SplitStudy:
             for (primary, secondary), result in self.pairs.items()
             if primary == secondary
         }
-
-
-def _require_engine(engine: str) -> None:
-    if engine not in _ENGINES:
-        raise InvalidParameterError(
-            f"unknown split engine {engine!r}; choose from {_ENGINES}"
-        )
 
 
 def _ranking_key(evaluation: SplitEvaluation) -> Tuple[float, float]:
@@ -188,7 +170,6 @@ def best_split_for_pair(
     cost_model: CostModel,
     n_chips: float,
     split_grid: Sequence[float] = DEFAULT_SPLIT_GRID,
-    engine: str = "batch",
     refine: Union[bool, str] = False,
     refine_points: int = DEFAULT_REFINE_POINTS,
 ) -> PairResult:
@@ -196,50 +177,22 @@ def best_split_for_pair(
 
     Ties on CAS break toward lower TTM. The diagonal (primary ==
     secondary) evaluates only the single-process plan. ``refine`` adds a
-    second vectorized stage around the coarse optimum (batch engine
-    only): ``"exact"`` (alias ``True``) solves the bracket's
-    piecewise-affine breakpoints, ``"grid"`` carpets it with
-    ``refine_points`` evenly spaced splits.
+    second vectorized stage around the coarse optimum: ``"exact"``
+    (alias ``True``) solves the bracket's piecewise-affine breakpoints,
+    ``"grid"`` carpets it with ``refine_points`` evenly spaced splits.
     """
-    _require_engine(engine)
     if len(split_grid) == 0:
         raise InvalidParameterError("split grid must be non-empty")
-    if engine == "batch":
-        best = _batched_best(
-            design_factory,
-            [(primary, secondary)],
-            model,
-            cost_model,
-            n_chips,
-            split_grid,
-            refine,
-            refine_points,
-        )[0]
-        return PairResult(primary=primary, secondary=secondary, best=best)
-    if refine:
-        raise InvalidParameterError(
-            "split refinement requires the batch engine"
-        )
-    plans: List[ProductionSplit] = []
-    if primary == secondary:
-        plans.append(single_process_plan(design_factory, primary))
-    else:
-        for split in split_grid:
-            if split >= 1.0:
-                plans.append(single_process_plan(design_factory, primary))
-            else:
-                plans.append(
-                    ProductionSplit(
-                        design_factory=design_factory,
-                        primary=primary,
-                        secondary=secondary,
-                        split=split,
-                    )
-                )
-    evaluations = [
-        evaluate_split(plan, model, cost_model, n_chips) for plan in plans
-    ]
-    best = max(evaluations, key=_ranking_key)
+    best = _batched_best(
+        design_factory,
+        [(primary, secondary)],
+        model,
+        cost_model,
+        n_chips,
+        split_grid,
+        refine,
+        refine_points,
+    )[0]
     return PairResult(primary=primary, secondary=secondary, best=best)
 
 
@@ -251,7 +204,6 @@ def run_split_study(
     n_chips: float,
     split_grid: Sequence[float] = DEFAULT_SPLIT_GRID,
     include_singles: bool = True,
-    engine: str = "batch",
     refine: Union[bool, str] = False,
     refine_points: int = DEFAULT_REFINE_POINTS,
 ) -> SplitStudy:
@@ -259,15 +211,13 @@ def run_split_study(
 
     ``processes`` should contain only nodes currently in production; the
     primary is always the more advanced (later-roadmap) node of the pair,
-    matching the paper's axes. The default batch engine evaluates the
-    whole study as one (pair x split) tensor; ``engine="scalar"`` falls
-    back to the per-plan loop (the equivalence oracle). ``refine="exact"``
-    (alias ``True``) adds a second vectorized stage that solves each
-    pair's bracket for its piecewise-affine breakpoints — the bracket's
-    true optimum, not a grid approximation; ``refine="grid"`` keeps the
-    original ``refine_points``-point fine grid.
+    matching the paper's axes. The whole study is one (pair x split)
+    tensor. ``refine="exact"`` (alias ``True``) adds a second vectorized
+    stage that solves each pair's bracket for its piecewise-affine
+    breakpoints — the bracket's true optimum, not a grid approximation;
+    ``refine="grid"`` keeps the original ``refine_points``-point fine
+    grid.
     """
-    _require_engine(engine)
     if len(processes) < 1:
         raise InvalidParameterError("need at least one process node")
     if len(set(processes)) != len(processes):
@@ -281,35 +231,21 @@ def run_split_study(
         for primary in ordered[start:]:
             keys.append((primary, secondary))
     pairs: Dict[Tuple[str, str], PairResult] = {}
-    if engine == "batch":
-        if keys:
-            best = _batched_best(
-                design_factory,
-                keys,
-                model,
-                cost_model,
-                n_chips,
-                split_grid,
-                refine,
-                refine_points,
-            )
-            for (primary, secondary), evaluation in zip(keys, best):
-                pairs[(primary, secondary)] = PairResult(
-                    primary=primary, secondary=secondary, best=evaluation
-                )
-        return SplitStudy(n_chips=n_chips, pairs=pairs)
-    for primary, secondary in keys:
-        pairs[(primary, secondary)] = best_split_for_pair(
+    if keys:
+        best = _batched_best(
             design_factory,
-            primary,
-            secondary,
+            keys,
             model,
             cost_model,
             n_chips,
             split_grid,
-            engine=engine,
-            refine=refine,
+            refine,
+            refine_points,
         )
+        for (primary, secondary), evaluation in zip(keys, best):
+            pairs[(primary, secondary)] = PairResult(
+                primary=primary, secondary=secondary, best=evaluation
+            )
     return SplitStudy(n_chips=n_chips, pairs=pairs)
 
 

@@ -19,8 +19,8 @@ down:
   result digest) written alongside outputs; identically-seeded runs
   reproduce the digest bit-for-bit.
 * :mod:`repro.obs.instrument` — the hooks the engine layers call;
-  compiled down to a module-global check when uninstrumented (the
-  ``bench_engine.py --check`` guard pins the overhead at <= 2%).
+  with no tracer installed a kernel hook is two counter adds
+  (``tests/obs/test_overhead.py`` holds the overhead to <= 2%).
 * :mod:`repro.obs.session` — :class:`ObsSession`, the CLI glue behind
   ``--trace`` / ``--metrics`` / ``--manifest-dir`` and ``ttm-cas obs``.
 * :mod:`repro.obs.distributed` — the ``traceparent``-style
@@ -62,7 +62,7 @@ __getattr__, __dir__ = lazy_exports(
             "parse_traceparent",
             "stitch_trace",
         ),
-        ".instrument": ("disabled", "observed_kernel"),
+        ".instrument": ("observed_kernel",),
         ".log": ("LOG_SCHEMA", "RequestLogger", "read_request_log"),
         ".manifest": (
             "MANIFEST_SCHEMA",
@@ -122,7 +122,6 @@ __all__ = [
     "Tracer",
     "chrome_trace_from_spans",
     "current_tracer",
-    "disabled",
     "environment_fingerprint",
     "estimate_quantile",
     "get_registry",

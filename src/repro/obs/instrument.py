@@ -9,49 +9,24 @@ dump always shows the full set, fired or not) and exposes:
   tracer is installed;
 * :func:`guard_trip` — non-finite guard trips (Sobol, metric summaries);
 * :func:`cache_counters` — the invariant-LRU hit/miss/eviction counters
-  (the public home of what used to be private module ints);
-* :func:`disabled` — a context manager switching every hook to a pure
-  pass-through, used by ``scripts/bench_engine.py --check`` to measure
-  that the default (no-tracer) instrumentation overhead stays within
-  its 2% budget.
+  (the public home of what used to be private module ints).
 
 Overhead contract: with no tracer installed the per-call cost is one
-module-global check, one counter lookup and two locked float adds —
-nanoseconds against kernels that do milliseconds of array math. With
-:func:`disabled` active it is one check and the undecorated call.
+tracer check and two dict updates under one lock — nanoseconds against
+kernels that do milliseconds of array math.
+``tests/obs/test_overhead.py`` holds it to <= 2% of a figures pass and
+of a stress-study pass (exact hook count x per-hook cost / pass CPU).
 """
 
 from __future__ import annotations
 
 import functools
-from contextlib import contextmanager
 from typing import Any, Callable, Optional, Tuple, TypeVar
 
 from . import trace
 from .metrics import Counter, Gauge, get_registry
 
 F = TypeVar("F", bound=Callable[..., Any])
-
-#: Master switch; flipping it off makes every hook a pass-through.
-_ENABLED = True
-
-
-def enabled() -> bool:
-    """Whether instrumentation hooks are live (see :func:`disabled`)."""
-    return _ENABLED
-
-
-@contextmanager
-def disabled():
-    """Temporarily bypass every hook (for overhead measurement)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
-
 
 _registry = get_registry()
 
@@ -165,18 +140,8 @@ def cache_counters() -> Tuple[Counter, Counter, Counter, Gauge]:
     return CACHE_HITS, CACHE_MISSES, CACHE_EVICTIONS, CACHE_ENTRIES
 
 
-def record_kernel(kernel: str, elements: int) -> None:
-    """Count one kernel invocation producing ``elements`` result cells."""
-    if not _ENABLED:
-        return
-    KERNEL_INVOCATIONS.inc(kernel=kernel)
-    KERNEL_ELEMENTS.inc(float(elements), kernel=kernel)
-
-
 def record_request(endpoint: str, status: int, seconds: float) -> None:
     """Count one finished HTTP request and observe its latency."""
-    if not _ENABLED:
-        return
     SERVE_REQUESTS.inc(endpoint=endpoint, status=str(status))
     SERVE_REQUEST_SECONDS.observe(float(seconds), endpoint=endpoint)
 
@@ -192,8 +157,6 @@ def record_batch(
     to pay), ratios pinned at 1.0 say ``max_batch`` is the binding
     constraint.
     """
-    if not _ENABLED:
-        return
     SERVE_BATCHES.inc(endpoint=endpoint)
     SERVE_BATCHED_REQUESTS.inc(float(size), endpoint=endpoint)
     SERVE_BATCH_SIZE.observe(float(size), endpoint=endpoint)
@@ -205,29 +168,21 @@ def record_batch(
 
 def record_rejection(reason: str) -> None:
     """Count one admission-control rejection (``reason`` names why)."""
-    if not _ENABLED:
-        return
     SERVE_REJECTED.inc(reason=reason)
 
 
 def record_route(worker: int) -> None:
     """Count one request the shard router forwarded to ``worker``."""
-    if not _ENABLED:
-        return
     SERVE_ROUTED.inc(worker=str(worker))
 
 
 def record_respawn(worker: int) -> None:
     """Count one dead worker the supervisor replaced."""
-    if not _ENABLED:
-        return
     SERVE_WORKER_RESPAWNS.inc(worker=str(worker))
 
 
 def set_workers_alive(count: int) -> None:
     """Publish the supervisor's live-worker gauge."""
-    if not _ENABLED:
-        return
     SERVE_WORKERS_ALIVE.set(float(count))
 
 
@@ -236,8 +191,6 @@ def record_slo(
 ) -> None:
     """Publish one endpoint's SLO burn rates (refreshed at scrape time
     by :meth:`repro.obs.slo.SLOTracker.publish`, never per-request)."""
-    if not _ENABLED:
-        return
     SERVE_SLO_ERROR_BURN.set(float(error_burn), endpoint=endpoint)
     SERVE_SLO_LATENCY_BURN.set(float(latency_burn), endpoint=endpoint)
     SERVE_SLO_OK.set(1.0 if ok else 0.0, endpoint=endpoint)
@@ -245,15 +198,11 @@ def record_slo(
 
 def set_queue_depth(depth: int) -> None:
     """Publish the batcher's admitted-but-uncompleted request count."""
-    if not _ENABLED:
-        return
     SERVE_QUEUE_DEPTH.set(float(depth))
 
 
 def guard_trip(guard: str) -> None:
     """Count one non-finite guard rejection at ``guard``."""
-    if not _ENABLED:
-        return
     GUARD_TRIPS.inc(guard=guard)
 
 
@@ -264,12 +213,12 @@ def observed_kernel(kernel: str, elements: Callable[[Any], int]):
     ``lambda r: r.total_weeks.size``). With a tracer installed the call
     also runs under a span named after the kernel, with the element
     count and result shape attached; with no tracer the only cost is
-    the two counter adds (and with :func:`disabled`, nothing at all).
+    the two counter adds.
     """
 
     def decorate(function: F) -> F:
         # The label key is precomputed (in Counter._label_key's form),
-        # so the no-tracer fast path stays a global check and two dict
+        # so the no-tracer fast path stays a tracer check and two dict
         # updates under one shared lock (the registry's).
         key = (("kernel", str(kernel)),)
         lock = KERNEL_INVOCATIONS._lock
@@ -278,8 +227,6 @@ def observed_kernel(kernel: str, elements: Callable[[Any], int]):
 
         @functools.wraps(function)
         def wrapper(*args: Any, **kwargs: Any) -> Any:
-            if not _ENABLED:
-                return function(*args, **kwargs)
             tracer = trace._INSTALLED
             if tracer is None:
                 result = function(*args, **kwargs)
@@ -325,12 +272,9 @@ __all__ = [
     "SERVE_WORKERS_ALIVE",
     "SERVE_WORKER_RESPAWNS",
     "cache_counters",
-    "disabled",
-    "enabled",
     "guard_trip",
     "observed_kernel",
     "record_batch",
-    "record_kernel",
     "record_rejection",
     "record_request",
     "record_respawn",

@@ -142,8 +142,11 @@ def tail_records(
     records: Iterable[Dict[str, Any]], limit: int = 20
 ) -> List[Dict[str, Any]]:
     """Last ``limit`` records ordered by timestamp (stable for ties),
-    so interleaved router+worker lines come out chronologically."""
+    so interleaved router+worker lines come out chronologically; none
+    when ``limit`` is 0 or less."""
+    if limit <= 0:
+        return []
     ordered = sorted(
         records, key=lambda r: r.get("ts_unix_ns", 0)
     )
-    return ordered[-max(0, limit):]
+    return ordered[-limit:]

@@ -159,7 +159,8 @@ class Counter(_Instrument):
 
         ``repro.obs.instrument`` builds the key once per instrumented
         site, keeping per-call cost to one lock and two dict operations
-        (the bench guard holds this to <= 2% of kernel wall time).
+        (``tests/obs/test_overhead.py`` holds hooks to <= 2% of a pass's
+        CPU).
         """
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount

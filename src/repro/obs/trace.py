@@ -14,8 +14,7 @@ epoch-based, hence comparable across processes on one machine).
 Nothing traces by default: the module-level :func:`span` helper returns
 a shared no-op context manager until :func:`install_tracer` installs a
 real one, so the engine's instrumentation costs one ``None`` check when
-tracing is off (the bench guard in ``scripts/bench_engine.py --check``
-pins the overhead).
+tracing is off (``tests/obs/test_overhead.py`` bounds the overhead).
 
 Exports: :meth:`Tracer.to_chrome_trace` renders the Trace Event Format
 that ``chrome://tracing`` / Perfetto load directly; :meth:`Tracer.to_jsonable`

@@ -21,8 +21,8 @@ framework) that exposes the repro engine to concurrent callers:
 * :mod:`repro.serve.common` — what both roles read: the endpoints,
   request defaults, error type and body, canonical JSON and
   :class:`ServerConfig`;
-* :mod:`repro.serve.client` — a small blocking client used by tests,
-  benchmarks, and the smoke script (opt-in 429 retry with jittered
+* :mod:`repro.serve.client` — a small blocking client used by the tests
+  and the smoke script (opt-in 429 retry with jittered
   ``Retry-After`` backoff).
 
 The contract callers rely on: a coalesced response is byte-identical to

@@ -1,7 +1,7 @@
 """A small blocking HTTP client for the evaluation service.
 
-Built on :mod:`http.client` so tests, benchmarks, and the smoke script
-can exercise the real wire protocol (status codes, headers, raw body
+Built on :mod:`http.client` so the tests and the smoke script can
+exercise the real wire protocol (status codes, headers, raw body
 bytes — the byte-identity guarantee is checked on exactly what arrived)
 without any dependency beyond the stdlib.
 

@@ -39,7 +39,7 @@ connection that stays idle past the wire layer's idle limit is closed
 without a reply.
 
 :class:`ServerThread` wraps the server in a background thread with its
-own event loop for tests, benchmarks, and in-process smoke runs.
+own event loop for tests and in-process smoke runs.
 """
 
 from __future__ import annotations
@@ -559,8 +559,8 @@ def _latency_breakdown(
 class ServerThread(ServiceThread):
     """An :class:`EvalServer` on a dedicated thread + event loop.
 
-    The in-process harness used by tests, benchmarks, and the smoke
-    client (see :class:`~repro.serve.wire.ServiceThread`).
+    The in-process harness used by the tests and the smoke client
+    (see :class:`~repro.serve.wire.ServiceThread`).
     """
 
     def __init__(

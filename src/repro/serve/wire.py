@@ -453,7 +453,7 @@ class ServiceThread:
     """A service (``start``/``stop``, ``host``/``port``) on its own
     thread and event loop.
 
-    The in-process harness of tests, benchmarks and the smoke script:
+    The in-process harness of the tests and the smoke script:
     ``start()`` blocks until the service is bound (a shard's workers
     all ready) and raises if it failed to start; ``stop()`` drains it
     and joins the thread. Usable as a context manager.

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.agility.cas import chip_agility_score
+from repro.analysis.sweep import capacity_fractions, chip_quantities
 from repro.design.library.a11 import a11
 from repro.design.library.generic import demo_chip_a, demo_chip_b
 from repro.design.library.zen2 import fig13_variants
@@ -179,5 +180,22 @@ class TestCASEquivalence:
                 model.at_capacity(f), design, 1e7
             ).normalized
             for f in FRACTIONS
+        ]
+        np.testing.assert_allclose(batched, scalar, rtol=RTOL)
+
+    def test_quantity_capacity_grid(self, nominal):
+        # Every paper quantity x the default 20-point capacity sweep,
+        # flattened onto the sample axis of one call.
+        design = a11("7nm")
+        quantities, capacity = np.meshgrid(
+            chip_quantities(), capacity_fractions(), indexing="ij"
+        )
+        batched = one_design(
+            nominal, design, quantities.ravel(), "cas",
+            capacity=capacity.ravel(),
+        ).normalized[0, 0]
+        scalar = [
+            chip_agility_score(nominal.at_capacity(f), design, n).normalized
+            for n, f in zip(quantities.ravel(), capacity.ravel())
         ]
         np.testing.assert_allclose(batched, scalar, rtol=RTOL)

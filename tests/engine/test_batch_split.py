@@ -33,6 +33,7 @@ from repro.multiprocess.split import (
     single_process_plan,
 )
 from repro.engine.scenario import evaluate
+from tests.split_oracle import scalar_best, scalar_evaluation
 
 RELATIVE_TOLERANCE = 1e-9
 
@@ -55,14 +56,6 @@ GRID = (0.02, 0.25, 0.5, 0.6, 0.75, 0.99, 1.0)
 N_CHIPS = 1e7
 
 
-def _scalar_evaluation(primary, secondary, split, model, cost_model):
-    if primary == secondary or split >= 1.0:
-        plan = single_process_plan(raven_multicore, primary)
-    else:
-        plan = make_plan(raven_multicore, primary, secondary, split)
-    return evaluate_split(plan, model, cost_model, N_CHIPS)
-
-
 def _relative(actual, expected):
     return abs(actual - expected) / max(abs(expected), 1e-30)
 
@@ -81,8 +74,9 @@ class TestScalarEquivalence:
     ):
         primary, secondary = pair
         for split_index, split in enumerate(GRID):
-            scalar = _scalar_evaluation(
-                primary, secondary, split, model, cost_model
+            scalar = scalar_evaluation(
+                raven_multicore, primary, secondary, split, model,
+                cost_model, N_CHIPS,
             )
             batched = grid_result.evaluation(pair_index, split_index)
             assert batched.primary == scalar.primary
@@ -112,18 +106,13 @@ class TestScalarEquivalence:
             raven_multicore, pairs, model, cost_model, N_CHIPS, split_grid=grid
         )
         for index, (primary, secondary) in enumerate(pairs):
-            evaluations = [
-                _scalar_evaluation(primary, secondary, s, model, cost_model)
-                for s in (grid if primary != secondary else (1.0,))
-            ]
-            scalar_best = max(
-                evaluations, key=lambda ev: (ev.cas, -ev.ttm_weeks)
+            oracle = scalar_best(
+                raven_multicore, primary, secondary, grid, model,
+                cost_model, N_CHIPS,
             )
             batched_best = result.best_evaluation(index)
-            assert batched_best.split == scalar_best.split
-            assert _relative(
-                batched_best.cas, scalar_best.cas
-            ) <= RELATIVE_TOLERANCE
+            assert batched_best.split == oracle.split
+            assert _relative(batched_best.cas, oracle.cas) <= RELATIVE_TOLERANCE
 
     def test_with_cas_false_skips_cas(self, model, cost_model):
         result = batch_split(

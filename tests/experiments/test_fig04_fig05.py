@@ -33,6 +33,12 @@ class TestFig04:
         """Growing die area pushes TTM up (the scatter's x-y tension)."""
         assert fig4.point(1024, 1024).ttm_weeks > fig4.point(1, 1).ttm_weeks
 
+    def test_max_ipc_config_is_not_the_fastest(self, fig4):
+        """The scatter's tension: the best-IPC point is not min-TTM."""
+        best_ipc = max(fig4.points, key=lambda p: p.ipc)
+        fastest = min(fig4.points, key=lambda p: p.ttm_weeks)
+        assert best_ipc.ttm_weeks > fastest.ttm_weeks
+
     def test_doubling_small_caches_near_free(self, fig4):
         """1->2x at the small end costs little TTM but buys real IPC."""
         small = fig4.point(1, 1)

@@ -27,6 +27,7 @@ class TestFig07:
         gain_7nm, gain_5nm = headline_band(fig7)
         assert 0.4 < gain_7nm < 1.0
         assert 0.8 < gain_5nm < 1.5
+        assert gain_5nm > gain_7nm
 
     def test_tapeout_grows_toward_advanced_nodes(self, fig7):
         tapeouts = [node.tapeout_weeks for node in fig7.nodes]
@@ -75,6 +76,9 @@ class TestFig08:
         """The exponential tapeout effort makes NUT matter at 5 nm."""
         assert fig8.total_effect("NUT", "5nm") > 0.2
         assert fig8.total_effect("NUT", "250nm") < 0.05
+        assert fig8.total_effect("NUT", "5nm") > fig8.total_effect(
+            "NUT", "28nm"
+        )
 
     def test_mu_w_matters_only_at_legacy(self, fig8):
         assert fig8.total_effect("muW", "250nm") > fig8.total_effect("muW", "7nm")

@@ -78,6 +78,11 @@ class TestFig10:
         assert row["180nm"] < row["130nm"]
         assert row["180nm"] < row["90nm"]
 
+    def test_180nm_beats_130nm_at_every_volume(self, fig10):
+        """The faster wafer line wins at every row of the matrix."""
+        for n in fig10.quantities:
+            assert fig10.ttm[("180nm", n)] < fig10.ttm[("130nm", n)]
+
     def test_volume_insensitive_nodes_at_small_runs(self, fig10):
         """At tiny volumes TTM is all latency: rows 1K and 10K match."""
         for process in fig10.processes:

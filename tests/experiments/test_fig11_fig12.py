@@ -30,6 +30,7 @@ class TestFig11:
         """At max rate a q-week quote adds exactly q weeks."""
         at_full = fig11.at_full_capacity()
         assert at_full[1.0] - at_full[0.0] == pytest.approx(1.0, abs=0.01)
+        assert at_full[2.0] - at_full[0.0] == pytest.approx(2.0, abs=0.01)
         assert at_full[4.0] - at_full[0.0] == pytest.approx(4.0, abs=0.01)
 
     def test_queue_amplified_at_low_capacity(self, fig11):

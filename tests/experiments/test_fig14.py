@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.design.library.raven import raven_multicore
 from repro.experiments import fig14_multiprocess
+from tests.split_oracle import scalar_best
 
 # A reduced grid keeps the study fast while covering the node spectrum.
 PROCESSES = ("180nm", "65nm", "40nm", "28nm", "14nm", "7nm")
@@ -66,8 +68,8 @@ class TestFig14:
 
 
 class TestEngineOptions:
-    # Scoped down to three nodes: these compare whole studies, so a
-    # small grid keeps the scalar oracle affordable.
+    # Scoped down to three nodes: the scalar oracle evaluates every
+    # plan of the grid one at a time.
     PROCESSES = ("65nm", "40nm", "28nm")
     GRID = tuple(s / 10 for s in range(1, 11))
 
@@ -75,15 +77,12 @@ class TestEngineOptions:
         batched = fig14_multiprocess.run(
             model, cost_model, processes=self.PROCESSES, split_grid=self.GRID
         )
-        scalar = fig14_multiprocess.run(
-            model,
-            cost_model,
-            processes=self.PROCESSES,
-            split_grid=self.GRID,
-            engine="scalar",
-        )
-        for key, result in batched.study.pairs.items():
-            oracle = scalar.study.pairs[key].best
+        assert len(batched.study.pairs) == 6
+        for (primary, secondary), result in batched.study.pairs.items():
+            oracle = scalar_best(
+                raven_multicore, primary, secondary, self.GRID, model,
+                cost_model, batched.n_chips,
+            )
             assert result.best.split == oracle.split
             assert result.best.ttm_weeks == pytest.approx(
                 oracle.ttm_weeks, rel=1e-9

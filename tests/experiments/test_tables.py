@@ -58,10 +58,14 @@ class TestTable3:
             )
 
     def test_streaming_costs_more_than_iterative(self, table3):
-        assert (
-            table3.row("sorting-stream").tapeout_cost_usd
-            > table3.row("sorting-iterative").tapeout_cost_usd
-        )
+        """Streaming variants out-run their iterative siblings and cost
+        more tapeout money and time."""
+        for kind in ("sorting", "dft"):
+            stream = table3.row(f"{kind}-stream")
+            iterative = table3.row(f"{kind}-iterative")
+            assert stream.speedup > iterative.speedup
+            assert stream.tapeout_cost_usd > iterative.tapeout_cost_usd
+            assert stream.tapeout_weeks > iterative.tapeout_weeks
 
     def test_unknown_row(self, table3):
         with pytest.raises(KeyError):

@@ -97,6 +97,16 @@ class TestEq4Agreement:
         # After the surge the backlog drains and quotes recover.
         assert trace[-1] < max(trace)
 
+    def test_surge_and_outage_each_spike_the_quote(self):
+        script = (
+            DemandScript.steady(156, 55_000.0)
+            .with_demand_surge(20, 40, 1.3)
+            .with_capacity_outage(90, 10, 0.5)
+        )
+        trace = lead_time_trace(58_000.0, 18, script)
+        assert max(trace[20:60]) > trace[0] + 1.0
+        assert max(trace[90:100]) > trace[89] + 1.0
+
     def test_probe_order_completion(self):
         queue = _queue(latency=12)
         script = DemandScript.steady(40, 1200.0)

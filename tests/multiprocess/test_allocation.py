@@ -108,6 +108,20 @@ class TestEvaluateAllocation:
         )
         assert result.ttm_weeks < single
 
+    def test_five_way_beats_single_on_ttm(self, model, cost_model):
+        shares = balance_allocation(
+            raven_multicore,
+            ["180nm", "65nm", "40nm", "28nm", "14nm"],
+            model,
+            N_CHIPS,
+        )
+        result = evaluate_allocation(
+            raven_multicore, shares, model, cost_model, N_CHIPS
+        )
+        assert result.ttm_weeks < model.total_weeks(
+            raven_multicore("28nm"), N_CHIPS
+        )
+
     def test_validation(self, model, cost_model):
         with pytest.raises(InvalidParameterError):
             evaluate_allocation(

@@ -10,6 +10,7 @@ from repro.multiprocess.optimizer import (
     headline_comparison,
     run_split_study,
 )
+from tests.split_oracle import scalar_best
 
 NODES = ("65nm", "40nm", "28nm")
 GRID = tuple(s / 10 for s in range(1, 11))
@@ -86,25 +87,22 @@ class TestPaperFindings:
 
 
 class TestEngines:
-    """The batch engine (default) must replicate the scalar oracle."""
+    """The vectorized study must replicate the scalar oracle."""
 
     def test_batch_and_scalar_studies_agree(self, model, cost_model):
-        kwargs = dict(split_grid=GRID)
         batch = run_split_study(
-            raven_multicore, NODES, model, cost_model, 1e7, **kwargs
+            raven_multicore, NODES, model, cost_model, 1e7, split_grid=GRID
         )
-        scalar = run_split_study(
-            raven_multicore,
-            NODES,
-            model,
-            cost_model,
-            1e7,
-            engine="scalar",
-            **kwargs,
-        )
-        assert set(batch.pairs) == set(scalar.pairs)
-        for key, batched in batch.pairs.items():
-            oracle = scalar.pairs[key].best
+        assert set(batch.pairs) == {
+            (primary, secondary)
+            for i, secondary in enumerate(NODES)
+            for primary in NODES[i:]
+        }
+        for (primary, secondary), batched in batch.pairs.items():
+            oracle = scalar_best(
+                raven_multicore, primary, secondary, GRID, model,
+                cost_model, 1e7,
+            )
             assert batched.best.split == oracle.split
             assert batched.best.secondary == oracle.secondary
             assert batched.best.ttm_weeks == pytest.approx(
@@ -149,32 +147,6 @@ class TestEngines:
         for (primary, secondary), result in study.pairs.items():
             if primary == secondary:
                 assert result.best.split == 1.0
-
-    def test_unknown_engine_rejected(self, model, cost_model):
-        with pytest.raises(InvalidParameterError, match="engine"):
-            run_split_study(
-                raven_multicore,
-                NODES,
-                model,
-                cost_model,
-                1e7,
-                split_grid=GRID,
-                engine="quantum",
-            )
-
-    def test_scalar_refine_rejected(self, model, cost_model):
-        with pytest.raises(InvalidParameterError, match="batch engine"):
-            best_split_for_pair(
-                raven_multicore,
-                "28nm",
-                "40nm",
-                model,
-                cost_model,
-                1e7,
-                GRID,
-                engine="scalar",
-                refine=True,
-            )
 
 
 class TestValidation:

@@ -123,6 +123,24 @@ class TestObsTail:
         assert "rid=rid-3" in lines[0]
         assert "rid=rid-4" in lines[1]
 
+    def test_tail_zero_lines_prints_nothing(self, tmp_path, capsys):
+        path = tmp_path / "requests.jsonl"
+        write_request_log(path, [200] * 3)
+        assert main(["obs", "tail", str(path), "-n", "0"]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(["obs", str(path), "-n", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "== request log: 3 records =="
+        ]
+
+    def test_negative_lines_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "requests.jsonl"
+        write_request_log(path, [200] * 3)
+        assert main(["obs", "tail", str(path), "-n", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["-n must be 0 or more, got -1"]
+
     def test_tail_missing_file_is_an_error(self, tmp_path, capsys):
         assert main(["obs", "tail", str(tmp_path / "absent.jsonl")]) == 2
         assert capsys.readouterr().err

@@ -83,6 +83,7 @@ class TestReaders:
             2,
             3,
         ]
+        assert tail_records(records, limit=0) == []
 
     def test_format_record_is_one_scannable_line(self):
         line = format_record(

@@ -16,13 +16,11 @@ The tentpole contracts pinned here:
 * a SIGKILLed worker is reaped and a replacement spawned — one killed
   mid-request costs that request a prompt 503/worker_unavailable; a
   rolling drain completes every accepted request, refuses new ones
-  with 503/draining, and leaves behind no worker process and no
-  shared-memory segment.
+  with 503/draining, and leaves behind no worker process.
 """
 
 from __future__ import annotations
 
-import glob
 import json
 import os
 import signal
@@ -70,10 +68,6 @@ SPLITS_DEFAULTS = {
     "refine": False,
     "with_cas": True,
 }
-
-
-def _segments():
-    return set(glob.glob("/dev/shm/repro_shm_*"))
 
 
 def _burst(client, path, bodies):
@@ -238,7 +232,6 @@ def shard():
     The respawn test runs against it too (last in file); the rolling
     drain test boots its own.
     """
-    before = _segments()
     thread = ShardThread(
         ShardConfig(
             workers=2,
@@ -250,11 +243,10 @@ def shard():
     yield thread
     pids = [w.pid for w in thread.supervisor.workers]
     thread.stop()
-    # Full drain: no worker survives, no shm segment leaks.
+    # Full drain: no worker survives.
     for pid in pids:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
-    assert _segments() <= before
 
 
 @pytest.fixture()
@@ -406,7 +398,6 @@ def test_worker_killed_mid_request_is_503_and_respawned():
 
 
 def test_rolling_drain_completes_in_flight_and_rejects_new():
-    before = _segments()
     thread = ShardThread(ShardConfig(workers=2)).start()
     supervisor = thread.supervisor
     client = ServeClient(thread.host, thread.port, timeout=120.0)
@@ -457,8 +448,7 @@ def test_rolling_drain_completes_in_flight_and_rejects_new():
     finally:
         thread.stop()
 
-    # Nothing survives the drain: no worker processes, no segments.
+    # Nothing survives the drain: no worker processes.
     for worker in thread.supervisor.workers:
         with pytest.raises(ProcessLookupError):
             os.kill(worker.pid, 0)
-    assert _segments() <= before

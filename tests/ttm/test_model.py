@@ -7,6 +7,7 @@ from repro.design.library.a11 import a11
 from repro.design.library.generic import monolithic_design
 from repro.design.library.zen2 import zen2
 from repro.errors import InvalidParameterError
+from repro.technology.yield_model import negative_binomial_yield, poisson_yield
 from repro.ttm.model import TTMModel
 
 
@@ -144,4 +145,34 @@ class TestBehaviour:
         design = a11("28nm")
         assert corrected.total_weeks(design, 1e7) > plain.total_weeks(
             design, 1e7
+        )
+
+
+class TestModelingChoices:
+    """Each toggles one modeling choice (DESIGN.md E10) and pins the
+    direction of its effect."""
+
+    def test_clustered_yield_worth_wafers_on_a_big_die(self, model):
+        node = model.foundry.technology["250nm"]
+        area = a11("250nm").dies[0].area_on(node)
+        clustered = negative_binomial_yield(
+            area, node.defect_density_per_cm2
+        )
+        poisson = poisson_yield(area, node.defect_density_per_cm2)
+        assert (clustered - poisson) / poisson > 0.05
+
+    def test_pipelined_beats_sequential_for_chiplets(self, foundry):
+        pipelined = TTMModel(foundry=foundry, schedule="pipelined")
+        sequential = TTMModel(foundry=foundry, schedule="sequential")
+        assert pipelined.total_weeks(zen2(), 1e7) < sequential.total_weeks(
+            zen2(), 1e7
+        )
+
+    def test_more_clustering_needs_fewer_wafers(self, foundry):
+        # alpha = 1 clusters defects most, so fewer dies are lost.
+        clustered = TTMModel(foundry=foundry, alpha=1.0)
+        spread = TTMModel(foundry=foundry, alpha=10.0)
+        design = a11("28nm")
+        assert sum(clustered.wafer_demand(design, 1e7).values()) < sum(
+            spread.wafer_demand(design, 1e7).values()
         )
