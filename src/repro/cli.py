@@ -278,30 +278,20 @@ def _format_number(value: float) -> str:
     return str(int(value)) if value == int(value) else f"{value:.6g}"
 
 
-def _summarize_spans(rows: List[Dict[str, Any]]) -> None:
-    """Aggregate span dicts (name/wall ns/CPU ns) into a per-name table."""
+def _print_span_summary(spans: List[Dict[str, Any]]) -> None:
+    """Print :func:`~repro.obs.trace.summarize_spans` as a table."""
     from .analysis.tables import format_table
+    from .obs.trace import summarize_spans
 
-    totals: Dict[str, Dict[str, float]] = {}
-    for row in rows:
-        entry = totals.setdefault(
-            row["name"], {"count": 0, "wall": 0.0, "max": 0.0, "cpu": 0.0}
-        )
-        entry["count"] += 1
-        entry["wall"] += row["duration_ns"]
-        entry["max"] = max(entry["max"], row["duration_ns"])
-        entry["cpu"] += row.get("cpu_ns", 0)
     table = [
         [
-            name,
+            entry["name"],
             int(entry["count"]),
-            f"{entry['wall'] / 1e6:.3f}",
-            f"{entry['max'] / 1e6:.3f}",
-            f"{entry['cpu'] / 1e6:.3f}",
+            f"{entry['wall_ns'] / 1e6:.3f}",
+            f"{entry['max_wall_ns'] / 1e6:.3f}",
+            f"{entry['cpu_ns'] / 1e6:.3f}",
         ]
-        for name, entry in sorted(
-            totals.items(), key=lambda item: -item[1]["wall"]
-        )
+        for entry in summarize_spans(spans)
     ]
     print(
         format_table(
@@ -431,7 +421,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         return 0
     if isinstance(data, dict) and data.get("schema") == TRACE_SCHEMA:
         print(f"== trace: {len(data['spans'])} spans ==")
-        _summarize_spans(data["spans"])
+        _print_span_summary(data["spans"])
         return 0
     if isinstance(data, dict) and "traceEvents" in data:
         spans = [
@@ -444,7 +434,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             if event.get("ph") == "X"
         ]
         print(f"== chrome trace: {len(spans)} complete events ==")
-        _summarize_spans(spans)
+        _print_span_summary(spans)
         return 0
     if data is None and "# TYPE" in text:
         from .obs.metrics import histogram_quantiles_from_text

@@ -45,28 +45,17 @@ import numpy as np
 from ..agility.derivative import DEFAULT_RELATIVE_STEP
 from ..cost.model import CostModel
 from ..errors import InvalidParameterError
-from ..multiprocess.split import DesignFactory, ProductionSplit, SplitEvaluation
+from ..multiprocess.split import (
+    DEFAULT_REFINE_POINTS,
+    DEFAULT_SPLIT_GRID,
+    DesignFactory,
+    ProductionSplit,
+    SplitEvaluation,
+)
 from ..obs.instrument import observed_kernel
 from ..ttm.model import TTMModel
 from .portfolio import ArrayLike, CapacityLike, _as_positive_array
 from .scenario import evaluate
-
-#: Default split grid: 1% .. 100% of chips on the primary node. Kept in
-#: sync with ``repro.multiprocess.optimizer.DEFAULT_SPLIT_GRID`` (which
-#: cannot be imported here: the optimizer imports this module lazily to
-#: break the package cycle).
-DEFAULT_SPLIT_GRID: Tuple[float, ...] = tuple(s / 100.0 for s in range(1, 101))
-
-#: Points in the second-stage grid around each pair's coarse optimum.
-#: 21 points across one coarse-grid spacing turn a 1% grid into ~0.1%
-#: split resolution.
-DEFAULT_REFINE_POINTS = 21
-
-
-def _ranking_key(evaluation: SplitEvaluation) -> Tuple[float, float]:
-    """The optimizer's ordering: max CAS, ties broken toward lower TTM."""
-    return (evaluation.cas, -evaluation.ttm_weeks)
-
 
 @dataclass(frozen=True)
 class SplitGridResult:

@@ -7,7 +7,6 @@ from .allocation import (
     greedy_node_selection,
 )
 from .optimizer import (
-    DEFAULT_SPLIT_GRID,
     PairResult,
     SplitStudy,
     best_split_for_pair,
@@ -15,6 +14,7 @@ from .optimizer import (
     run_split_study,
 )
 from .split import (
+    DEFAULT_SPLIT_GRID,
     DesignFactory,
     ProductionSplit,
     SplitEvaluation,

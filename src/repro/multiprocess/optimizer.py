@@ -22,14 +22,12 @@ from typing import Dict, List, Mapping, Sequence, Tuple, Union
 from ..cost.model import CostModel
 from ..errors import InvalidParameterError
 from ..ttm.model import TTMModel
-from .split import DesignFactory, SplitEvaluation
-
-#: Default split grid: 1% .. 100% of chips on the primary node.
-DEFAULT_SPLIT_GRID: Tuple[float, ...] = tuple(s / 100.0 for s in range(1, 101))
-
-#: Points in each pair's second-stage grid (``refine="grid"``, and the
-#: pairs the exact mode hands to the grid).
-DEFAULT_REFINE_POINTS = 21
+from .split import (
+    DEFAULT_REFINE_POINTS,
+    DEFAULT_SPLIT_GRID,
+    DesignFactory,
+    SplitEvaluation,
+)
 
 #: Refinement modes: ``True`` is an alias for ``"exact"``.
 _REFINE_MODES = (False, True, "exact", "grid")

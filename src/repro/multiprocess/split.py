@@ -18,7 +18,7 @@ nodes — the methodology's overhead — plus per-line manufacturing.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Mapping
+from typing import Callable, Dict, Mapping, Tuple
 
 from ..agility.derivative import DEFAULT_RELATIVE_STEP, ttm_rate_sensitivity
 from ..cost.model import CostModel
@@ -28,6 +28,15 @@ from ..ttm.model import TTMModel
 
 #: A factory mapping a process-node name to the ported design.
 DesignFactory = Callable[[str], ChipDesign]
+
+#: Default split grid of the search: 1% .. 100% of chips on the primary
+#: node.
+DEFAULT_SPLIT_GRID: Tuple[float, ...] = tuple(s / 100.0 for s in range(1, 101))
+
+#: Points in each pair's second-stage grid around its coarse optimum:
+#: 21 points across one coarse-grid spacing turn a 1% grid into ~0.1%
+#: split resolution.
+DEFAULT_REFINE_POINTS = 21
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,14 @@ down:
   :class:`TraceContext` propagated over the serve stack's
   router→worker hop, plus :func:`stitch_trace`, which reassembles one
   request's spans across router, worker, batch, and engine kernels.
-* :mod:`repro.obs.log` — :class:`RequestLogger`, the JSON-lines
-  structured request log (``ttm-cas obs tail``).
+* :mod:`repro.obs.log` — :class:`~repro.obs.log.RequestLedger`, the one
+  per-request record of both serve roles (request id, trace context,
+  in-flight entry, log line, SLO observation, root span), and
+  :class:`RequestLogger`, the JSON-lines structured request log
+  (``ttm-cas obs tail``).
 * :mod:`repro.obs.slo` — declarative latency/error objectives with
-  sliding-window burn rates (``/debug/obs``, ``ttm-cas obs slo``).
+  sliding-window burn rates, one tally for the live window and for
+  offline logs (``/debug/obs``, ``ttm-cas obs slo``).
 * :mod:`repro.obs.profile` — :class:`SamplingProfiler`, the stdlib
   thread-sampling wall-time profiler behind ``serve --profile-hz``.
 

@@ -80,8 +80,9 @@ class TraceContext:
         return f"00-{self.trace_id}-{self.span_id}-{flags}"
 
     def child(self) -> "TraceContext":
-        """Same trace, fresh span id: the context a receiver would
-        forward if it called further downstream."""
+        """Same trace, fresh span id: a receiver's own context under
+        the sender's span, the one it forwards downstream (see
+        :meth:`repro.obs.log.RequestLedger.admit`)."""
         return TraceContext(self.trace_id, _hex_token(8), self.sampled)
 
 

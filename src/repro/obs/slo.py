@@ -5,21 +5,26 @@ a latency threshold that some fraction of requests must beat, and a
 tolerated server-error fraction.  The :class:`SLOTracker` keeps a
 sliding window of observations (endpoint, status, latency) and turns
 them into *burn rates* — the observed bad fraction divided by the
-error budget, the standard Google-SRE framing:
+error budget, the standard Google-SRE framing (one tally scores the
+live window and, in :func:`report_from_records`, offline logs):
 
 * burn < 1  — inside budget; sustaining this forever is fine;
 * burn = 1  — spending the budget exactly as fast as it accrues;
 * burn > 1  — out of budget if sustained; alertable.
 
-The tracker is embedded in :class:`~repro.serve.server.EvalServer`
-(per-worker view) and in the shard router (end-to-end view); gauges are
-refreshed into the metrics registry at ``/metrics`` scrape time and the
-live snapshot feeds ``GET /debug/obs`` and ``ttm-cas obs slo``.
+Each serve role's :class:`~repro.obs.log.RequestLedger` holds one
+tracker and observes every request the role answers: a worker's view
+of its own requests, and the shard router's end-to-end view (the
+forward hop and the 503s it answers itself included). Gauges are
+refreshed into the metrics registry at ``/metrics`` scrape time, the
+live status feeds ``GET /debug/obs``, and ``ttm-cas obs slo`` scores a
+request log offline.
 
 Error definition: HTTP 5xx only.  4xx are the caller's fault (bad
-JSON, over-limit bodies) and must not burn the operator's budget —
-except 429/503, which *are* the server refusing work, but those are
-capacity signals tracked separately by ``serve_rejected_total``.
+JSON, over-limit bodies) and must not burn the operator's budget; a 429
+(admission queue full) is a capacity signal, counted by
+``serve_rejected_total`` instead.  A 503 (draining, or no live worker
+at the router) is a 5xx and burns it.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from . import instrument
 
@@ -83,6 +88,29 @@ def _burn(bad: int, total: int, budget: float) -> float:
     return (bad / total) / budget
 
 
+def _tally(
+    observations: Iterable[Tuple[str, int, float]],
+    objectives: Dict[str, SLObjective],
+    window_s: float,
+) -> Dict[str, Dict[str, Any]]:
+    """Per-endpoint burn rates of ``(endpoint, status, latency_ms)``
+    observations: a 5xx is an error, a latency over the endpoint's
+    objective is slow."""
+    totals: Dict[str, List[int]] = {}
+    for endpoint, status, latency_ms in observations:
+        objective = objectives.get(endpoint, _FALLBACK)
+        entry = totals.setdefault(endpoint, [0, 0, 0])
+        entry[0] += 1
+        entry[1] += int(status >= 500)
+        entry[2] += int(latency_ms > objective.latency_ms)
+    return {
+        endpoint: _status_entry(
+            objectives.get(endpoint, _FALLBACK), total, errors, slow, window_s
+        )
+        for endpoint, (total, errors, slow) in sorted(totals.items())
+    }
+
+
 def _status_entry(
     objective: SLObjective,
     total: int,
@@ -121,19 +149,13 @@ class SLOTracker:
         self.window_s = float(window_s)
         self._clock = clock
         self._lock = threading.Lock()
-        # (t, endpoint, is_error, is_slow)
-        self._events: Deque[Tuple[float, str, bool, bool]] = deque()
-
-    def objective_for(self, endpoint: str) -> SLObjective:
-        return self.objectives.get(endpoint, _FALLBACK)
+        # (t, endpoint, status, latency_ms)
+        self._events: Deque[Tuple[float, str, int, float]] = deque()
 
     def observe(self, endpoint: str, status: int, seconds: float) -> None:
-        objective = self.objective_for(endpoint)
-        is_error = status >= 500
-        is_slow = (seconds * 1000.0) > objective.latency_ms
         now = self._clock()
         with self._lock:
-            self._events.append((now, endpoint, is_error, is_slow))
+            self._events.append((now, endpoint, status, seconds * 1000.0))
             self._prune(now)
 
     def _prune(self, now: float) -> None:
@@ -146,19 +168,8 @@ class SLOTracker:
         """Per-endpoint burn rates over the live window."""
         with self._lock:
             self._prune(self._clock())
-            events = list(self._events)
-        totals: Dict[str, list] = {}
-        for _, endpoint, is_error, is_slow in events:
-            entry = totals.setdefault(endpoint, [0, 0, 0])
-            entry[0] += 1
-            entry[1] += int(is_error)
-            entry[2] += int(is_slow)
-        return {
-            endpoint: _status_entry(
-                self.objective_for(endpoint), total, errors, slow, self.window_s
-            )
-            for endpoint, (total, errors, slow) in sorted(totals.items())
-        }
+            observations = [event[1:] for event in self._events]
+        return _tally(observations, self.objectives, self.window_s)
 
     def publish(self) -> None:
         """Refresh the ``serve_slo_*`` gauges (called at scrape time so
@@ -182,29 +193,18 @@ def report_from_records(
     ``window_s`` restricts to the trailing window ending at the newest
     record's timestamp; ``None`` scores the whole file.
     """
-    objective_map = _objective_map(objectives)
     records = [r for r in records if "endpoint" in r and "status" in r]
     if window_s is not None and records:
         newest = max(r.get("ts_unix_ns", 0) for r in records)
         horizon = newest - window_s * 1e9
         records = [r for r in records if r.get("ts_unix_ns", 0) >= horizon]
-    totals: Dict[str, list] = {}
+    observations = []
     for record in records:
-        endpoint = str(record["endpoint"])
-        objective = objective_map.get(endpoint, _FALLBACK)
         try:
             status = int(record["status"])
         except (TypeError, ValueError):
             continue
         latency_ms = float(record.get("latency_ms") or 0.0)
-        entry = totals.setdefault(endpoint, [0, 0, 0])
-        entry[0] += 1
-        entry[1] += int(status >= 500)
-        entry[2] += int(latency_ms > objective.latency_ms)
+        observations.append((str(record["endpoint"]), status, latency_ms))
     span = window_s if window_s is not None else 0.0
-    return {
-        endpoint: _status_entry(
-            objective_map.get(endpoint, _FALLBACK), total, errors, slow, span
-        )
-        for endpoint, (total, errors, slow) in sorted(totals.items())
-    }
+    return _tally(observations, _objective_map(objectives), span)

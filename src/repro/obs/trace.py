@@ -18,7 +18,8 @@ tracing is off (``tests/obs/test_overhead.py`` bounds the overhead).
 
 Exports: :meth:`Tracer.to_chrome_trace` renders the Trace Event Format
 that ``chrome://tracing`` / Perfetto load directly; :meth:`Tracer.to_jsonable`
-is a schema-tagged span list for programmatic use.
+is a schema-tagged span list for programmatic use, and
+:func:`summarize_spans` aggregates such a list per span name.
 """
 
 from __future__ import annotations
@@ -280,26 +281,28 @@ class Tracer:
             json.dump(self.to_jsonable(), handle, indent=2, default=str)
             handle.write("\n")
 
-    def summary(self) -> List[Dict[str, Any]]:
-        """Per-name aggregates: count, total/max wall seconds, CPU seconds."""
-        totals: Dict[str, Dict[str, float]] = {}
-        for record in self.spans():
-            entry = totals.setdefault(
-                record.name,
-                {"count": 0, "wall_s": 0.0, "max_wall_s": 0.0, "cpu_s": 0.0},
-            )
-            entry["count"] += 1
-            entry["wall_s"] += record.duration_ns / 1e9
-            entry["max_wall_s"] = max(
-                entry["max_wall_s"], record.duration_ns / 1e9
-            )
-            entry["cpu_s"] += record.cpu_ns / 1e9
-        return [
-            {"name": name, **values}
-            for name, values in sorted(
-                totals.items(), key=lambda item: -item[1]["wall_s"]
-            )
-        ]
+
+def summarize_spans(spans: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Per-name aggregates of jsonable spans, most wall time first:
+    ``count``, total and max wall ns (``wall_ns``, ``max_wall_ns``) and
+    CPU ns (``cpu_ns``; 0 where a span has none). ``ttm-cas obs`` prints
+    them for a span list or a Chrome trace."""
+    totals: Dict[str, Dict[str, float]] = {}
+    for span in spans:
+        entry = totals.setdefault(
+            span["name"],
+            {"count": 0, "wall_ns": 0.0, "max_wall_ns": 0.0, "cpu_ns": 0.0},
+        )
+        entry["count"] += 1
+        entry["wall_ns"] += span["duration_ns"]
+        entry["max_wall_ns"] = max(entry["max_wall_ns"], span["duration_ns"])
+        entry["cpu_ns"] += span.get("cpu_ns", 0)
+    return [
+        {"name": name, **values}
+        for name, values in sorted(
+            totals.items(), key=lambda item: -item[1]["wall_ns"]
+        )
+    ]
 
 
 def chrome_trace_from_spans(
@@ -421,5 +424,6 @@ __all__ = [
     "current_tracer",
     "install_tracer",
     "span",
+    "summarize_spans",
     "uninstall_tracer",
 ]

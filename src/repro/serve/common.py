@@ -46,11 +46,6 @@ SPEC_KNOBS: Tuple[str, ...] = (
     "n_chips", "variation", "queue_weeks", "capacity",
 )
 
-#: Rolling span window a serve-installed tracer keeps (a long-lived
-#: worker must not grow without bound).
-_TRACE_SPAN_LIMIT = 20_000
-
-
 class BadRequestError(Exception):
     """A request the protocol rejects; maps to HTTP 400."""
 
@@ -141,21 +136,6 @@ class ServerConfig:
                 f"profile rate must be >= 0 Hz (0 disables), got "
                 f"{self.profile_hz}"
             )
-
-
-def _outcome(status: int) -> str:
-    """Log-record outcome classification for one response status."""
-    if status < 400:
-        return "ok"
-    if status == 429:
-        return "rejected"
-    if status == 503:
-        return "draining"
-    if status == 504:
-        return "deadline"
-    if status < 500:
-        return "client_error"
-    return "server_error"
 
 
 __all__ = [

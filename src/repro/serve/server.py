@@ -26,7 +26,12 @@ the service's determinism guarantee. The same rule covers the
 observability identifiers: ``X-Request-Id`` / ``X-Trace-Id`` response
 headers and the inbound ``traceparent`` context
 (:mod:`repro.obs.distributed`) never touch a body, so coalesced
-responses stay byte-identical to solo ones with tracing enabled.
+responses stay byte-identical to solo ones with tracing enabled. Each
+request is admitted, finished and released through the role's one
+:class:`~repro.obs.log.RequestLedger` (shared with the router): its id,
+trace context, ``/debug/obs`` in-flight entry, log line, SLO observation
+and ``serve.request`` span come from one record, which the batcher
+stamps as the request's ``meta``.
 
 Failure paths: malformed request line, header or ``Content-Length`` →
 400, malformed JSON → 400, unknown route → 404, wrong method → 405,
@@ -48,36 +53,19 @@ import asyncio
 import json
 import os
 import threading
-import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..errors import ReproError
 from ..obs import instrument
-from ..obs.distributed import (
-    TraceContext,
-    mint_request_id,
-    mint_trace_context,
-    parse_traceparent,
-)
-from ..obs.log import RequestLogger
+from ..obs.log import RequestLedger, RequestRecord
 from ..obs.metrics import get_registry
 from ..obs.profile import SamplingProfiler
-from ..obs.slo import SLOTracker
-from ..obs.trace import (
-    SpanRecord,
-    TRACE_SCHEMA,
-    Tracer,
-    current_tracer,
-    install_tracer,
-    uninstall_tracer,
-)
+from ..obs.trace import TRACE_SCHEMA, current_tracer
 from .batcher import CoalescingBatcher, QueueFullError, ServerClosingError
 from .common import (
-    _TRACE_SPAN_LIMIT,
     BATCHED_ENDPOINTS,
     BadRequestError,
     ServerConfig,
-    _outcome,
     canonical_json,
     error_body,
 )
@@ -111,25 +99,20 @@ class EvalServer:
         self.batcher: Optional[CoalescingBatcher] = None
         self._listener = Listener(self, self.config.max_body_bytes)
         self._draining = False
-        self.slo = SLOTracker(window_s=self.config.slo_window_s)
-        self.logger = RequestLogger(
-            path=self.config.log_json or None,
-            role=(
-                "worker" if self.config.worker_id is not None else "server"
-            ),
+        self.ledger = RequestLedger(
+            "worker" if self.config.worker_id is not None else "server",
+            log_path=self.config.log_json,
+            slo_window_s=self.config.slo_window_s,
+            trace=self.config.trace,
+            worker=self.config.worker_id,
         )
-        self._in_flight: Dict[str, Dict[str, Any]] = {}
         self._profiler: Optional[SamplingProfiler] = None
-        self._installed_tracer: Optional[Tracer] = None
 
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
         """Bind the listening socket and start accepting connections."""
-        if self.config.trace and current_tracer() is None:
-            self._installed_tracer = install_tracer(
-                Tracer(limit=_TRACE_SPAN_LIMIT)
-            )
+        self.ledger.start()
         if self.config.profile_hz > 0:
             self._profiler = SamplingProfiler(
                 hz=self.config.profile_hz
@@ -162,16 +145,9 @@ class EvalServer:
             if self.config.profile_out:
                 self._profiler.write_collapsed(self.config.profile_out)
             self._profiler = None
-        if self._installed_tracer is not None:
-            # Only a tracer this server installed is torn down here; a
-            # caller-managed tracer (tests, ObsSession) stays put.
-            uninstall_tracer()
-            if self.config.trace_out:
-                self._installed_tracer.write_chrome_trace(
-                    self.config.trace_out
-                )
-            self._installed_tracer = None
-        self.logger.close()
+        tracer = self.ledger.stop()
+        if tracer is not None and self.config.trace_out:
+            tracer.write_chrome_trace(self.config.trace_out)
 
     @property
     def draining(self) -> bool:
@@ -181,166 +157,25 @@ class EvalServer:
 
     async def handle(self, request: Request) -> bool:
         """Answer one request; returns whether to keep the connection."""
-        endpoint = request.path.lstrip("/") or "root"
-        obs = self._admit(endpoint, request.headers)
+        record = self.ledger.admit(request)
         try:
-            status, payload, extra = await self._route(
-                request.method,
-                request.path,
-                request.headers,
-                request.body,
-                obs,
-            )
-            extra = dict(extra)
-            extra.setdefault("X-Request-Id", obs["request_id"])
-            ctx: Optional[TraceContext] = obs["ctx"]
-            if ctx is not None:
-                extra.setdefault("X-Trace-Id", ctx.trace_id)
+            status, payload, extra = await self._route(request, record)
+            headers = record.headers(extra)
             keep = await request.respond(
-                status, payload, extra, self._draining
+                status, payload, headers, self._draining
             )
-            batch_size = int(extra.get("X-Batch-Size", 0) or 0)
-            self._finish(
-                endpoint,
-                status,
-                request.started,
-                request.started_ns,
-                batch_size,
-                obs,
-            )
+            elapsed = self.ledger.finish(record, status, headers)
+            instrument.record_request(record.endpoint, status, elapsed)
             return keep
         finally:
-            # Every exit retires the /debug/obs entry, a request
-            # cancelled by a drain included.
-            self._in_flight.pop(obs["request_id"], None)
-
-    def _admit(self, endpoint: str, headers: Dict[str, str]) -> Dict[str, Any]:
-        """Mint/parse per-request observability identity.
-
-        The trace context comes from the inbound ``traceparent`` header
-        (the shard router minted it at admission) or is minted fresh
-        when this process is the admission point and tracing or request
-        logging is on. ``meta`` is the dict the batcher stamps timing
-        and batch membership into.
-        """
-        request_id = headers.get("x-request-id") or mint_request_id()
-        ctx = parse_traceparent(headers.get("traceparent"))
-        inbound = ctx is not None
-        tracing = current_tracer() is not None
-        if ctx is None and (tracing or self.logger.active):
-            ctx = mint_trace_context(sampled=tracing)
-        obs: Dict[str, Any] = {
-            "request_id": request_id,
-            "ctx": ctx,
-            "ctx_inbound": inbound,
-            "endpoint": endpoint,
-            "meta": {
-                "request_id": request_id,
-                "trace_id": ctx.trace_id if ctx is not None else "",
-            },
-        }
-        self._in_flight[request_id] = {
-            "request_id": request_id,
-            "trace_id": ctx.trace_id if ctx is not None else "",
-            "endpoint": endpoint,
-            "started_unix_ns": time.time_ns(),
-        }
-        return obs
-
-    def _finish(
-        self,
-        endpoint: str,
-        status: int,
-        started: float,
-        started_ns: int,
-        batch_size: int,
-        obs: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """Per-request accounting: metrics + SLO always, a structured
-        log record always (ring; file when configured), a span when
-        tracing."""
-        elapsed = time.perf_counter() - started
-        instrument.record_request(endpoint, status, elapsed)
-        self.slo.observe(endpoint, status, elapsed)
-
-        request_id = trace_id = ""
-        ctx: Optional[TraceContext] = None
-        meta: Dict[str, Any] = {}
-        if obs is not None:
-            request_id = obs["request_id"]
-            ctx = obs["ctx"]
-            trace_id = ctx.trace_id if ctx is not None else ""
-            meta = obs["meta"]
-        breakdown = _latency_breakdown(meta, elapsed)
-
-        record: Dict[str, Any] = {
-            "ts_unix_ns": time.time_ns(),
-            "request_id": request_id,
-            "trace_id": trace_id,
-            "endpoint": endpoint,
-            "status": status,
-            "latency_ms": round(elapsed * 1000.0, 3),
-            "batch_size": batch_size,
-            "outcome": _outcome(status),
-        }
-        if self.config.worker_id is not None:
-            record["worker"] = self.config.worker_id
-        if breakdown:
-            record["breakdown"] = breakdown
-        self.logger.log(record)
-
-        tracer = current_tracer()
-        if tracer is None or (ctx is not None and not ctx.sampled):
-            return
-        # Concurrent requests interleave awaits on one thread, so the
-        # tracer's thread-local nesting stack cannot scope them; record
-        # a parentless span directly and merge it via adopt().
-        attributes: Dict[str, Any] = {
-            "endpoint": endpoint,
-            "status": status,
-        }
-        if request_id:
-            attributes["request_id"] = request_id
-        if ctx is not None:
-            attributes["trace_id"] = ctx.trace_id
-            # Inbound context: the router's span hex is our parent.
-            # Self-minted: our own span hex, for downstream stitching.
-            key = "parent_ctx" if obs and obs["ctx_inbound"] else "ctx_span"
-            attributes[key] = ctx.span_id
-        if batch_size:
-            attributes["batch_size"] = batch_size
-        if meta.get("batch_span_id"):
-            attributes["batch_span_id"] = meta["batch_span_id"]
-        if self.config.worker_id is not None:
-            attributes["worker"] = self.config.worker_id
-        attributes.update(breakdown)
-        tracer.adopt(
-            [
-                SpanRecord(
-                    name="serve.request",
-                    span_id=tracer._next_id(),
-                    parent_id=None,
-                    start_unix_ns=started_ns,
-                    duration_ns=int(elapsed * 1e9),
-                    cpu_ns=0,
-                    thread_id=threading.get_ident(),
-                    process_id=os.getpid(),
-                    attributes=attributes,
-                    status="ok" if status < 500 else f"error: {status}",
-                )
-            ]
-        )
+            self.ledger.release(record)
 
     # -- routing ---------------------------------------------------------------
 
     async def _route(
-        self,
-        method: str,
-        path: str,
-        headers: Dict[str, str],
-        body: bytes,
-        obs: Optional[Dict[str, Any]] = None,
+        self, request: Request, record: RequestRecord
     ) -> Tuple[int, bytes, Dict[str, str]]:
+        method, path = request.method, request.path
         if path == "/healthz":
             if method != "GET":
                 return _method_not_allowed("GET")
@@ -356,7 +191,7 @@ class EvalServer:
                 return _method_not_allowed("GET")
             # Burn-rate gauges refresh at scrape time: idle servers pay
             # nothing between scrapes.
-            self.slo.publish()
+            self.ledger.slo.publish()
             text = get_registry().to_prometheus_text()
             return (
                 200,
@@ -379,11 +214,10 @@ class EvalServer:
             data["pid"] = os.getpid()
             data["worker"] = self.config.worker_id
             return 200, canonical_json(data), {}
-        endpoint = path.lstrip("/")
-        if endpoint in BATCHED_ENDPOINTS:
+        if record.endpoint in BATCHED_ENDPOINTS:
             if method != "POST":
                 return _method_not_allowed("POST")
-            return await self._handle_batched(endpoint, headers, body, obs)
+            return await self._handle_batched(request, record)
         return (
             404,
             error_body("not_found", f"no route for {path!r}"),
@@ -392,24 +226,9 @@ class EvalServer:
 
     def obs_snapshot(self) -> Dict[str, Any]:
         """The live ops view behind ``GET /debug/obs``."""
-        now_ns = time.time_ns()
         tracer = current_tracer()
-        in_flight = sorted(
-            (
-                {
-                    **entry,
-                    "age_ms": round(
-                        (now_ns - entry["started_unix_ns"]) / 1e6, 3
-                    ),
-                }
-                for entry in list(self._in_flight.values())
-            ),
-            key=lambda e: -e["age_ms"],
-        )
         return {
-            "role": (
-                "worker" if self.config.worker_id is not None else "server"
-            ),
+            "role": self.ledger.role,
             "worker": self.config.worker_id,
             "pid": os.getpid(),
             "draining": self._draining,
@@ -418,20 +237,14 @@ class EvalServer:
                 len(tracer.spans()) if tracer is not None else 0
             ),
             "profiling": self._profiler is not None,
-            "in_flight": in_flight,
-            "recent": self.logger.recent(),
-            "slo": self.slo.status(),
+            **self.ledger.snapshot(),
         }
 
     async def _handle_batched(
-        self,
-        endpoint: str,
-        headers: Dict[str, str],
-        body: bytes,
-        obs: Optional[Dict[str, Any]] = None,
+        self, request: Request, record: RequestRecord
     ) -> Tuple[int, bytes, Dict[str, str]]:
         try:
-            parsed = json.loads(body)
+            parsed = json.loads(request.body)
         except ValueError as error:
             return (
                 400,
@@ -439,12 +252,12 @@ class EvalServer:
                 {},
             )
         try:
-            key, payload = parse_request(self.state, endpoint, parsed)
+            key, payload = parse_request(self.state, record.endpoint, parsed)
         except BadRequestError as error:
             return 400, error_body(error.code, str(error)), {}
 
         deadline_ms = self.config.deadline_ms
-        header_deadline = headers.get("x-deadline-ms")
+        header_deadline = request.headers.get("x-deadline-ms")
         if header_deadline is not None:
             try:
                 deadline_ms = float(header_deadline)
@@ -461,9 +274,7 @@ class EvalServer:
 
         assert self.batcher is not None
         try:
-            future = self.batcher.enqueue(
-                key, payload, meta=obs["meta"] if obs is not None else None
-            )
+            future = self.batcher.enqueue(key, payload, meta=record)
         except QueueFullError as error:
             return (
                 429,
@@ -522,38 +333,6 @@ class EvalServer:
         bound — the CLI uses it to announce the ephemeral port.
         """
         _serve_until_stopped(self, stop_event, ready)
-
-
-def _latency_breakdown(
-    meta: Dict[str, Any], elapsed_s: float
-) -> Dict[str, float]:
-    """Queue / batch-wait / compute / serialize split from the batcher's
-    ``perf_counter_ns`` stamps (empty for requests that never enqueued).
-
-    ``serialize_ms`` is the remainder — parse, response write, and
-    event-loop scheduling — clamped at zero against clock skew between
-    the loop thread and the executor thread.
-    """
-    stamps = [
-        meta.get(key)
-        for key in ("t_enqueue", "t_flush", "t_exec_start", "t_exec_end")
-    ]
-    if any(stamp is None for stamp in stamps):
-        return {}
-    t_enqueue, t_flush, t_exec_start, t_exec_end = stamps
-    queue_ms = max(0.0, (t_flush - t_enqueue) / 1e6)
-    batch_wait_ms = max(0.0, (t_exec_start - t_flush) / 1e6)
-    compute_ms = max(0.0, (t_exec_end - t_exec_start) / 1e6)
-    total_ms = elapsed_s * 1000.0
-    serialize_ms = max(
-        0.0, total_ms - queue_ms - batch_wait_ms - compute_ms
-    )
-    return {
-        "queue_ms": round(queue_ms, 3),
-        "batch_wait_ms": round(batch_wait_ms, 3),
-        "compute_ms": round(compute_ms, 3),
-        "serialize_ms": round(serialize_ms, 3),
-    }
 
 
 class ServerThread(ServiceThread):

@@ -25,11 +25,17 @@ while keeping every guarantee PR 7's coalescing service makes:
   trace — router admission, worker handling, batch membership, engine
   kernels — stitches into a single tree
   (:func:`repro.obs.distributed.stitch_trace`).
-* **Trace propagation** — with tracing on, the router mints a
-  ``traceparent`` context per request at admission and forwards it
+* **Trace propagation** — with tracing or request logging on, the
+  router gives each request a ``traceparent`` context at admission (a
+  child of the caller's, when the caller sent one) and forwards it
   (plus ``X-Request-Id``) on the worker hop; at drain it collects
   every worker's spans over ``/debug/trace`` and writes one Chrome
   trace with a distinct process lane per worker.
+* **One request ledger** — the router accounts for every request it
+  answers through the same :class:`~repro.obs.log.RequestLedger` as
+  the worker, its own 503s and its GETs included: one in-flight entry,
+  log line (``role: router``), SLO observation and ``serve.router``
+  span each, timed from head arrival to the written response.
 * **Lifecycle** — dead workers are respawned with exponential backoff;
   SIGTERM/SIGINT triggers a rolling drain: new requests are refused
   with 503 while every accepted request (in any worker) completes, then
@@ -59,32 +65,15 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..engine.knobs import knob_signature
 from ..obs import instrument
-from ..obs.distributed import (
-    TraceContext,
-    mint_request_id,
-    mint_trace_context,
-    parse_traceparent,
-)
-from ..obs.log import RequestLogger
+from ..obs.log import RequestLedger, RequestRecord
 from ..obs.metrics import get_registry, merge_prometheus_texts
-from ..obs.slo import SLOTracker
-from ..obs.trace import (
-    SpanRecord,
-    TRACE_SCHEMA,
-    Tracer,
-    chrome_trace_from_spans,
-    current_tracer,
-    install_tracer,
-    uninstall_tracer,
-)
+from ..obs.trace import TRACE_SCHEMA, chrome_trace_from_spans, current_tracer
 from .common import (
-    _TRACE_SPAN_LIMIT,
     BATCHED_ENDPOINTS,
     REQUEST_DEFAULTS,
     SPEC_KNOBS,
     BadRequestError,
     ServerConfig,
-    _outcome,
     canonical_json,
     error_body,
     normalize_stress_selector,
@@ -384,18 +373,14 @@ class ShardSupervisor:
         self._monitor_task: Optional[asyncio.Task] = None
         self._respawn_tasks: Dict[int, asyncio.Task] = {}
         self._draining = False
-        self._in_flight = 0
-        # Router-side observability: its own SLO window and request log
-        # (role="router" — the end-to-end view including the forward
-        # hop), in-flight request records for /debug/obs, and a tracer
-        # installed only when the template asks for tracing and none is
-        # already active in this process.
-        self.slo = SLOTracker(window_s=self.config.server.slo_window_s)
-        self.logger = RequestLogger(
-            path=self.config.server.log_json or None, role="router"
+        # The router's own view: every request it answers, end to end
+        # (the forward hop included), in its log, SLO window and spans.
+        self.ledger = RequestLedger(
+            "router",
+            log_path=self.config.server.log_json,
+            slo_window_s=self.config.server.slo_window_s,
+            trace=self.config.server.trace,
         )
-        self._in_flight_requests: Dict[str, Dict[str, Any]] = {}
-        self._installed_tracer: Optional[Tracer] = None
 
     @property
     def draining(self) -> bool:
@@ -409,9 +394,7 @@ class ShardSupervisor:
 
     async def start(self) -> None:
         """Boot every worker, then bind the public port."""
-        if self.config.server.trace and current_tracer() is None:
-            self._installed_tracer = Tracer(limit=_TRACE_SPAN_LIMIT)
-            install_tracer(self._installed_tracer)
+        self.ledger.start()
         count = self.config.resolved_workers()
         self._workers = [_Worker(slot=slot) for slot in range(count)]
         for worker in self._workers:
@@ -490,8 +473,8 @@ class ShardSupervisor:
         """Rolling drain: finish accepted work, then stop workers in turn.
 
         New requests are refused (503) the moment draining starts.
-        Every request already forwarded completes — the router waits for
-        its own in-flight count, and each worker's SIGTERM drain waits
+        Every request already admitted completes — the router waits for
+        its ledger's open records, and each worker's SIGTERM drain waits
         for its admitted batches — then workers are terminated one at a
         time, each reaped before the next.
         """
@@ -499,7 +482,7 @@ class ShardSupervisor:
         # mid-drain get an explicit 503/draining, not a refused socket.
         self._draining = True
         deadline = time.monotonic() + self.config.drain_grace_s
-        while self._in_flight > 0 and time.monotonic() < deadline:
+        while self.ledger.in_flight() and time.monotonic() < deadline:
             await asyncio.sleep(0.02)
         if self._monitor_task is not None:
             self._monitor_task.cancel()
@@ -535,13 +518,7 @@ class ShardSupervisor:
             await self._stop_worker(worker)
         instrument.set_workers_alive(0)
         await self._listener.close()
-        if self._installed_tracer is not None:
-            # Only uninstall what we installed — an outer harness (obs
-            # session, test fixture) may own the process-global tracer.
-            if current_tracer() is self._installed_tracer:
-                uninstall_tracer()
-            self._installed_tracer = None
-        self.logger.close()
+        self.ledger.stop()
 
     async def _stop_worker(self, worker: _Worker) -> None:
         """SIGTERM one worker, wait out its drain, escalate, reap."""
@@ -704,18 +681,24 @@ class ShardSupervisor:
 
     async def handle(self, request: Request) -> bool:
         """Answer one request; returns whether to keep the connection."""
-        status, payload, extra = await self._route(
-            request.method, request.path, request.headers, request.body
-        )
-        return await request.respond(status, payload, extra, self._draining)
+        record = self.ledger.admit(request)
+        try:
+            status, payload, extra = await self._route(request, record)
+            headers = record.headers(extra)
+            keep = await request.respond(
+                status, payload, headers, self._draining
+            )
+            # No instrument.record_request here: the worker counts the
+            # request, and /metrics merges both sides.
+            self.ledger.finish(record, status, headers)
+            return keep
+        finally:
+            self.ledger.release(record)
 
     async def _route(
-        self,
-        method: str,
-        path: str,
-        headers: Dict[str, str],
-        body: bytes,
+        self, request: Request, record: RequestRecord
     ) -> Tuple[int, bytes, Dict[str, str]]:
+        method, path = request.method, request.path
         if path == "/healthz":
             if method != "GET":
                 return _method_not_allowed("GET")
@@ -737,8 +720,7 @@ class ShardSupervisor:
             if method != "GET":
                 return _method_not_allowed("GET")
             return 200, canonical_json(await self._aggregate_trace()), {}
-        endpoint = path.lstrip("/")
-        if endpoint not in BATCHED_ENDPOINTS:
+        if record.endpoint not in BATCHED_ENDPOINTS:
             return 404, error_body("not_found", f"no route for {path!r}"), {}
         if method != "POST":
             return _method_not_allowed("POST")
@@ -758,46 +740,30 @@ class ShardSupervisor:
                 ),
                 {},
             )
-        slot = rendezvous_worker(routing_key(endpoint, body), slots)
-        worker = self._workers[slot]
+        slot = rendezvous_worker(
+            routing_key(record.endpoint, request.body), slots
+        )
+        record.worker = slot
         instrument.record_route(slot)
-        # Admission: every routed request gets a request id here (the
-        # worker echoes an inbound one rather than minting its own) and,
-        # when tracing or logging is on, a trace context whose span id
-        # becomes the worker-side span's parent — that is the stitch
-        # point of the distributed trace. Inbound client contexts are
-        # honored so an upstream caller's trace continues through us.
-        started = time.perf_counter()
-        started_ns = time.time_ns()
-        tracer = current_tracer()
-        request_id = headers.get("x-request-id") or mint_request_id()
-        ctx = parse_traceparent(headers.get("traceparent"))
-        if ctx is None and (tracer is not None or self.logger.active):
-            ctx = mint_trace_context(sampled=tracer is not None)
-        forward_headers: Dict[str, str] = dict(headers)
-        forward_headers["x-request-id"] = request_id
-        if ctx is not None:
-            forward_headers["traceparent"] = ctx.to_traceparent()
-        self._in_flight += 1
-        self._in_flight_requests[request_id] = {
-            "request_id": request_id,
-            "trace_id": ctx.trace_id if ctx is not None else "",
-            "endpoint": endpoint,
-            "worker": slot,
-            "started_unix_ns": started_ns,
-        }
+        # The worker echoes this request id rather than minting its own,
+        # and records this hop's span id as its parent: the stitch point
+        # of the distributed trace.
+        forward_headers: Dict[str, str] = dict(request.headers)
+        forward_headers["x-request-id"] = record.request_id
+        if record.ctx is not None:
+            forward_headers["traceparent"] = record.ctx.to_traceparent()
         response_headers: Dict[str, str] = {}
         try:
-            try:
-                status, response_headers, payload = await self._forward(
-                    worker, method, path, forward_headers, body
-                )
-            except WorkerUnavailableError as error:
-                status = 503
-                payload = error_body("worker_unavailable", str(error))
-        finally:
-            self._in_flight -= 1
-            self._in_flight_requests.pop(request_id, None)
+            status, response_headers, payload = await self._forward(
+                self._workers[slot],
+                method,
+                path,
+                forward_headers,
+                request.body,
+            )
+        except WorkerUnavailableError as error:
+            status = 503
+            payload = error_body("worker_unavailable", str(error))
         extra: Dict[str, str] = {}
         for name in (
             "x-batch-size",
@@ -810,121 +776,46 @@ class ShardSupervisor:
                 extra["-".join(p.capitalize() for p in name.split("-"))] = (
                     value
                 )
-        extra.setdefault("X-Request-Id", request_id)
-        if ctx is not None:
-            extra.setdefault("X-Trace-Id", ctx.trace_id)
         content_type = response_headers.get("content-type")
         if content_type:
             extra["Content-Type"] = content_type
-        batch_size = int(response_headers.get("x-batch-size", "0") or "0")
-        self._finish_route(
-            endpoint, slot, status, batch_size, started, started_ns,
-            request_id, ctx,
-        )
         return status, payload, extra
-
-    def _finish_route(
-        self,
-        endpoint: str,
-        slot: int,
-        status: int,
-        batch_size: int,
-        started: float,
-        started_ns: int,
-        request_id: str,
-        ctx: Optional[TraceContext],
-    ) -> None:
-        """Router-side bookkeeping for one routed request.
-
-        The router deliberately does *not* call
-        :func:`instrument.record_request` — the worker already did, and
-        ``/metrics`` aggregates both sides, so counting here would
-        double every request. It keeps its own SLO window (the
-        end-to-end client view, including the forward hop) and its own
-        log/span records.
-        """
-        elapsed = time.perf_counter() - started
-        self.slo.observe(endpoint, status, elapsed)
-        # Ring always collects (the /debug/obs "recent" view); the
-        # logger only touches disk when a log path was configured.
-        self.logger.log(
-            {
-                "ts_unix_ns": time.time_ns(),
-                "request_id": request_id,
-                "trace_id": ctx.trace_id if ctx is not None else "",
-                "endpoint": endpoint,
-                "status": status,
-                "latency_ms": round(elapsed * 1000.0, 3),
-                "batch_size": batch_size,
-                "outcome": _outcome(status),
-                "worker": slot,
-            }
-        )
-        tracer = current_tracer()
-        if tracer is None or ctx is None or not ctx.sampled:
-            return
-        # Same interleaved-await reasoning as the worker's serve.request
-        # span: record parentless and merge via adopt(). ``ctx_span`` is
-        # the hex the worker recorded as ``parent_ctx`` — the stitch.
-        tracer.adopt(
-            [
-                SpanRecord(
-                    name="serve.router",
-                    span_id=tracer._next_id(),
-                    parent_id=None,
-                    start_unix_ns=started_ns,
-                    duration_ns=int(elapsed * 1e9),
-                    cpu_ns=0,
-                    thread_id=threading.get_ident(),
-                    process_id=os.getpid(),
-                    attributes={
-                        "endpoint": endpoint,
-                        "status": status,
-                        "request_id": request_id,
-                        "trace_id": ctx.trace_id,
-                        "ctx_span": ctx.span_id,
-                        "worker": "router",
-                        "routed_to": slot,
-                        **({"batch_size": batch_size} if batch_size else {}),
-                    },
-                    status="ok" if status < 500 else f"error: {status}",
-                )
-            ]
-        )
 
     # -- aggregation ---------------------------------------------------------
 
-    async def _fetch_worker(
-        self, worker: _Worker, path: str
-    ) -> Optional[Tuple[int, Dict[str, str], bytes]]:
-        try:
-            return await asyncio.wait_for(
-                self._forward(worker, "GET", path, {}, b""),
-                timeout=_FANOUT_TIMEOUT_S,
-            )
-        except (WorkerUnavailableError, asyncio.TimeoutError):
-            return None
+    async def _fan_out(self, path: str) -> List[Optional[bytes]]:
+        """Each worker's ``GET path`` body, in slot order; ``None`` for a
+        dead or unreachable worker or a reply other than 200."""
+
+        async def fetch(worker: _Worker) -> Optional[bytes]:
+            if not worker.alive():
+                return None
+            try:
+                status, _headers, body = await asyncio.wait_for(
+                    self._forward(worker, "GET", path, {}, b""),
+                    timeout=_FANOUT_TIMEOUT_S,
+                )
+            except (WorkerUnavailableError, asyncio.TimeoutError):
+                return None
+            return body if status == 200 else None
+
+        return await asyncio.gather(*(fetch(w) for w in self._workers))
 
     async def _aggregate_metrics(self) -> str:
         """Merge every worker's /metrics (worker-labelled) with ours."""
-        alive = [w for w in self._workers if w.alive()]
-        responses = await asyncio.gather(
-            *(self._fetch_worker(worker, "/metrics") for worker in alive)
-        )
-        parts: List[Tuple[Dict[str, str], str]] = []
-        for worker, response in zip(alive, responses):
-            if response is not None and response[0] == 200:
-                parts.append(
-                    (
-                        {"worker": str(worker.slot)},
-                        _strip_router_families(
-                            response[2].decode("utf-8")
-                        ),
-                    )
-                )
+        parts: List[Tuple[Dict[str, str], str]] = [
+            (
+                {"worker": str(worker.slot)},
+                _strip_router_families(body.decode("utf-8")),
+            )
+            for worker, body in zip(
+                self._workers, await self._fan_out("/metrics")
+            )
+            if body is not None
+        ]
         # Refresh the router's SLO gauges at scrape time, mirroring the
         # worker-side publish in EvalServer._route.
-        self.slo.publish()
+        self.ledger.slo.publish()
         parts.append(
             ({"worker": "router"}, get_registry().to_prometheus_text())
         )
@@ -933,24 +824,17 @@ class ShardSupervisor:
     async def _aggregate_healthz(self) -> Dict[str, Any]:
         """Per-worker liveness and identity."""
         entries: List[Dict[str, Any]] = []
-        fetches = await asyncio.gather(
-            *(
-                self._fetch_worker(worker, "/healthz")
-                if worker.alive()
-                else _none()
-                for worker in self._workers
-            )
-        )
-        for worker, response in zip(self._workers, fetches):
+        bodies = await self._fan_out("/healthz")
+        for worker, body in zip(self._workers, bodies):
             entry: Dict[str, Any] = {
                 "worker": worker.slot,
                 "pid": worker.pid,
                 "alive": worker.alive(),
                 "restarts": worker.restarts,
             }
-            if response is not None and response[0] == 200:
+            if body is not None:
                 try:
-                    reported = json.loads(response[2])
+                    reported = json.loads(body)
                 except ValueError:
                     reported = {}
                 entry["status"] = reported.get("status", "unknown")
@@ -967,49 +851,31 @@ class ShardSupervisor:
     async def _aggregate_obs(self) -> Dict[str, Any]:
         """The fleet-wide live ops snapshot behind ``GET /debug/obs``.
 
-        The router's own view (in-flight forwards, recent log records,
-        SLO status) plus each live worker's ``/debug/obs`` verbatim —
-        dead or unreachable workers appear with ``reachable: false`` so
-        the surface never hides a sick shard.
+        The router's own view (the requests it has open, its recent log
+        lines, its SLO status) plus each live worker's ``/debug/obs``
+        verbatim — dead or unreachable workers appear with
+        ``reachable: false`` so the surface never hides a sick shard.
         """
-        now = time.time_ns()
-        in_flight = sorted(
-            (dict(entry) for entry in self._in_flight_requests.values()),
-            key=lambda entry: entry["started_unix_ns"],
-        )
-        for entry in in_flight:
-            entry["age_ms"] = round(
-                (now - entry["started_unix_ns"]) / 1e6, 3
-            )
         snapshot: Dict[str, Any] = {
             "role": "router",
             "pid": os.getpid(),
             "draining": self._draining,
             "tracing": current_tracer() is not None,
             "workers_alive": len(self._alive_slots()),
-            "in_flight": in_flight,
-            "recent": self.logger.recent(),
-            "slo": self.slo.status(),
+            **self.ledger.snapshot(),
         }
-        fetches = await asyncio.gather(
-            *(
-                self._fetch_worker(worker, "/debug/obs")
-                if worker.alive()
-                else _none()
-                for worker in self._workers
-            )
-        )
         workers: List[Dict[str, Any]] = []
-        for worker, response in zip(self._workers, fetches):
+        bodies = await self._fan_out("/debug/obs")
+        for worker, body in zip(self._workers, bodies):
             entry: Dict[str, Any] = {
                 "worker": worker.slot,
                 "pid": worker.pid,
                 "alive": worker.alive(),
                 "reachable": False,
             }
-            if response is not None and response[0] == 200:
+            if body is not None:
                 try:
-                    entry.update(json.loads(response[2]))
+                    entry.update(json.loads(body))
                     entry["reachable"] = True
                 except ValueError:
                     pass
@@ -1031,18 +897,12 @@ class ShardSupervisor:
             spans.extend(
                 record.to_jsonable() for record in tracer.spans()
             )
-        alive = [w for w in self._workers if w.alive()]
-        fetches = await asyncio.gather(
-            *(
-                self._fetch_worker(worker, "/debug/trace")
-                for worker in alive
-            )
-        )
-        for worker, response in zip(alive, fetches):
-            if response is None or response[0] != 200:
+        bodies = await self._fan_out("/debug/trace")
+        for worker, body in zip(self._workers, bodies):
+            if body is None:
                 continue
             try:
-                reported = json.loads(response[2])
+                reported = json.loads(body)
             except ValueError:
                 continue
             process_names[int(reported.get("pid", worker.pid))] = (
@@ -1072,10 +932,6 @@ class ShardSupervisor:
     ) -> None:
         """Serve until SIGINT/SIGTERM (or ``stop_event``), then drain."""
         _serve_until_stopped(self, stop_event, ready)
-
-
-async def _none() -> None:
-    return None
 
 
 #: Families only the router increments. Workers still render them (the

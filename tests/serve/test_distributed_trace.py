@@ -18,7 +18,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.obs.distributed import stitch_trace
+from repro.obs.distributed import mint_trace_context, stitch_trace
+from repro.obs.log import read_request_log
 from repro.serve import (
     ServeClient,
     ServerConfig,
@@ -110,6 +111,36 @@ def test_one_request_one_stitched_cross_process_trace(shard_client):
     assert len({span["process_id"] for span in stitched}) >= 2
 
 
+def test_callers_traceparent_continues_through_the_router(shard_client):
+    """The caller's span parents the router's, whose own span id parents
+    the worker's, all in the caller's trace."""
+    caller = mint_trace_context()
+    response = shard_client.request(
+        "POST",
+        "/evaluate",
+        body=json.dumps({"design": "a11"}).encode(),
+        headers={
+            "Content-Type": "application/json",
+            "traceparent": caller.to_traceparent(),
+        },
+    )
+    assert response.status == 200
+    assert response.trace_id == caller.trace_id
+
+    stitched = _stitched(
+        shard_client, caller.trace_id, {"serve.router", "serve.request"}
+    )
+    router = next(s for s in stitched if s["name"] == "serve.router")
+    request = next(s for s in stitched if s["name"] == "serve.request")
+    assert router["attributes"]["parent_ctx"] == caller.span_id
+    assert router["attributes"]["ctx_span"] != caller.span_id
+    assert request["attributes"]["parent_ctx"] == (
+        router["attributes"]["ctx_span"]
+    )
+    assert router["attributes"]["trace_id"] == caller.trace_id
+    assert request["attributes"]["trace_id"] == caller.trace_id
+
+
 def test_debug_obs_aggregates_router_and_workers(shard_client):
     shard_client.post("/evaluate", {"design": "a11"})
     snapshot = shard_client.get("/debug/obs").json()
@@ -171,6 +202,29 @@ def test_coalesced_bytes_identical_to_solo_with_tracing_on(
     assert max(r.batch_size for r in responses) > 1
     for response in responses:
         assert response.body == solo.body
+
+
+def test_router_and_worker_log_lines_join_by_request_id(tmp_path):
+    """The log contract perfbench's breakdown reads: one router line and
+    one worker line per request, joined by request id, the worker's
+    carrying the queue / batch-wait / compute / serialize split."""
+    path = tmp_path / "serve-log.jsonl"
+    config = ShardConfig(workers=2, server=ServerConfig(log_json=str(path)))
+    with ShardThread(config) as thread:
+        response = ServeClient(thread.host, thread.port, timeout=120.0).post(
+            "/evaluate", {"design": "a11"}
+        )
+    assert response.status == 200
+    lines = [
+        record
+        for record in read_request_log(str(path))
+        if record["request_id"] == response.request_id
+    ]
+    assert sorted(record["role"] for record in lines) == ["router", "worker"]
+    (worker,) = [record for record in lines if record["role"] == "worker"]
+    assert set(worker["breakdown"]) >= {
+        "queue_ms", "batch_wait_ms", "compute_ms", "serialize_ms",
+    }
 
 
 def test_drain_writes_one_merged_chrome_trace(tmp_path):

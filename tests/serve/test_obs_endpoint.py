@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -52,6 +53,43 @@ class TestRequestIds:
             },
         )
         assert response.request_id == "caller-chosen-7"
+
+
+class TestInFlight:
+    def test_requests_sharing_an_id_are_each_in_flight(
+        self, serve_factory, gate
+    ):
+        """A client-chosen X-Request-Id names no in-flight entry: two
+        held requests that share one are two entries."""
+        thread = serve_factory.server(max_batch=32)
+        client = serve_factory.client(thread)
+        headers = {
+            "Content-Type": "application/json",
+            "X-Request-Id": "shared-7",
+        }
+        body = json.dumps({"design": "a11"}).encode()
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            futures = [
+                pool.submit(client.request, "POST", "/evaluate", body, headers)
+                for _ in range(2)
+            ]
+            # Both are admitted once the batcher holds both: the first
+            # batch waits in the gate, the second request behind it.
+            deadline = time.monotonic() + 30.0
+            while (
+                thread.server.batcher.depth < 2
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.002)
+            in_flight = client.get("/debug/obs").json()["in_flight"]
+            gate.opened.set()
+            responses = [future.result(timeout=60.0) for future in futures]
+        assert [r.status for r in responses] == [200, 200]
+        assert {r.request_id for r in responses} == {"shared-7"}
+        shared = [e for e in in_flight if e["request_id"] == "shared-7"]
+        assert len(shared) == 2
+        after = client.get("/debug/obs").json()["in_flight"]
+        assert [e for e in after if e["endpoint"] == "evaluate"] == []
 
 
 class TestTracedServer:

@@ -75,19 +75,20 @@ def _burst(client, path, bodies):
         return list(pool.map(lambda body: client.post(path, body), bodies))
 
 
-def _slow_studies_by_slot(count):
+def _slow_studies_by_slot(count, samples=4096):
     """``count`` slow /scenarios bodies per worker slot of a 2-worker shard.
 
     Every stress scenario at 4096 samples is ~0.1 s of real engine work
-    per request on a 2-CPU host; distinct seeds give distinct routing
-    keys, so a slot's bodies never coalesce and queue one behind another.
+    per request on a 2-CPU host (16384 samples ~0.3 s); distinct seeds
+    give distinct routing keys, so a slot's bodies never coalesce and
+    queue one behind another.
     """
     by_slot = {}
     for seed in range(256):
         body = {
             "design": "a11",
             "scenarios": "all",
-            "samples": 4096,
+            "samples": samples,
             "seed": seed,
         }
         key = routing_key("scenarios", json.dumps(body).encode())
@@ -328,6 +329,42 @@ def test_worker_labels_differ_from_single_process_healthz(shard_client):
     assert set(health) == {"status", "workers"}
 
 
+def test_requests_sharing_an_id_are_each_in_flight_at_the_router(
+    shard_client,
+):
+    """A client-chosen X-Request-Id names no in-flight entry at the
+    router either: two slow requests that share one are two entries."""
+    bodies = _slow_studies_by_slot(2, samples=16384)[0]
+    headers = {
+        "Content-Type": "application/json",
+        "X-Request-Id": "shared-9",
+    }
+    most = 0
+    with ThreadPoolExecutor(max_workers=len(bodies)) as pool:
+        futures = [
+            pool.submit(
+                shard_client.request,
+                "POST",
+                "/scenarios",
+                json.dumps(body).encode(),
+                headers,
+            )
+            for body in bodies
+        ]
+        while most < len(bodies) and not all(f.done() for f in futures):
+            snapshot = shard_client.get("/debug/obs").json()
+            most = max(
+                most,
+                sum(
+                    entry["request_id"] == "shared-9"
+                    for entry in snapshot["in_flight"]
+                ),
+            )
+        responses = [future.result(timeout=120.0) for future in futures]
+    assert [r.status for r in responses] == [200, 200]
+    assert most == len(bodies)
+
+
 # Keep this test last among the shared-shard tests: it restarts a worker
 # and bumps its restart counter, which the fleet assertions above pin at
 # zero.
@@ -372,9 +409,11 @@ def test_worker_killed_mid_request_is_503_and_respawned():
         with ThreadPoolExecutor(max_workers=1) as pool:
             started = time.monotonic()
             future = pool.submit(client.post, "/scenarios", body)
-            assert _wait_until(lambda: supervisor._in_flight == 1, 10.0)
+            assert _wait_until(
+                lambda: len(supervisor.ledger.in_flight()) == 1, 10.0
+            )
             time.sleep(0.02)  # the forward hop to the worker is sub-ms
-            assert supervisor._in_flight == 1
+            assert len(supervisor.ledger.in_flight()) == 1
             os.kill(old_pid, signal.SIGKILL)
             response = future.result(timeout=60.0)
             elapsed = time.monotonic() - started
@@ -397,6 +436,31 @@ def test_worker_killed_mid_request_is_503_and_respawned():
             os.kill(pid, 0)
 
 
+def test_router_records_the_503s_it_answers_itself():
+    """With no live worker the router answers 503 itself, and that reply
+    is in its log ring and its SLO window like any other."""
+    thread = ShardThread(ShardConfig(workers=1, respawn_backoff_s=5.0)).start()
+    client = ServeClient(thread.host, thread.port, timeout=60.0)
+    (worker,) = thread.supervisor.workers
+    pid = worker.pid
+    try:
+        os.kill(pid, signal.SIGKILL)
+        assert _wait_until(lambda: not worker.alive(), 10.0)
+        response = client.post("/evaluate", {"design": "a11"})
+        snapshot = client.get("/debug/obs").json()
+    finally:
+        thread.stop()
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, 0)
+    assert response.status == 503
+    assert response.error_code == "worker_unavailable"
+    lines = [r for r in snapshot["recent"] if r["endpoint"] == "evaluate"]
+    assert len(lines) == 1, snapshot["recent"]
+    assert (lines[0]["role"], lines[0]["status"]) == ("router", 503)
+    assert lines[0]["request_id"] == response.request_id
+    assert snapshot["slo"]["evaluate"]["errors"] == 1
+
+
 def test_rolling_drain_completes_in_flight_and_rejects_new():
     thread = ShardThread(ShardConfig(workers=2)).start()
     supervisor = thread.supervisor
@@ -412,7 +476,7 @@ def test_rolling_drain_completes_in_flight_and_rejects_new():
             pool.submit(client.post, "/scenarios", body) for body in bodies
         ]
         _wait_until(
-            lambda: supervisor._in_flight == len(bodies)
+            lambda: len(supervisor.ledger.in_flight()) == len(bodies)
             or any(future.done() for future in futures),
             30.0,
         )
@@ -420,10 +484,10 @@ def test_rolling_drain_completes_in_flight_and_rejects_new():
         stopper = threading.Thread(target=thread.stop)
         stopper.start()
         assert _wait_until(lambda: supervisor.draining, 10.0)
-        # Draining refuses new requests before they are counted, so the
-        # count only falls from here: nonzero now means requests were in
+        # No request is sent between the drain's start and this check, so
+        # the count only falls here: nonzero now means requests were in
         # flight when the drain began.
-        assert supervisor._in_flight > 0
+        assert len(supervisor.ledger.in_flight()) > 0
 
         # While the drain runs, fresh requests get an explicit
         # 503/draining, not a refused connection.
