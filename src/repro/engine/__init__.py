@@ -16,8 +16,9 @@ points. This package answers them in NumPy:
 * :mod:`repro.engine.batch_split` -- the Sec. 7 multi-process split
   engine;
 * :mod:`repro.engine.requests` -- fused point requests (the serve path);
-* :mod:`repro.engine.knobs` -- ``knob_signature``, the supply-knob shape
-  key ``point_signature`` and the shard router share;
+* :mod:`repro.engine.knobs` -- ``POINT_METRICS`` and ``knob_signature``,
+  the supply-knob shape key of ``point_signature`` and of the serve
+  request reader's group key (the shard router's route);
 * :mod:`repro.engine.sobol_adapter` -- one-shot Saltelli-matrix
   objectives for ``sobol_indices(..., vectorized=True)``;
 * :mod:`repro.engine.parallel` -- ``parallel_map``, serial or over a
@@ -54,6 +55,7 @@ __getattr__, __dir__ = lazy_exports(
             "clear_invariant_cache",
             "invariant_cache_info",
         ),
+        ".knobs": ("POINT_METRICS",),
         ".parallel": ("EXECUTORS", "parallel_map"),
         ".portfolio": (
             "PortfolioInvariants",
@@ -65,7 +67,6 @@ __getattr__, __dir__ = lazy_exports(
             "CASCube",
             "CostCube",
             "Evaluation",
-            "POINT_METRICS",
             "Scenario",
             "ScenarioSet",
             "TTMCube",

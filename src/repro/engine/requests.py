@@ -27,10 +27,12 @@ guarantee the coalescing service advertises, pinned by
 Requests can only share a fused call when their supply knobs have the
 same *shape*: a request overriding ``capacity`` globally cannot ride in
 the same sample vector as one deferring to the market conditions.
-:func:`point_signature` captures that compatibility key; callers group
-requests by it (the serve batcher does) and fuse within a group. Its
-body, :func:`~repro.engine.knobs.knob_signature`, lives in a module of
-its own that imports no NumPy, since the shard router computes it too.
+:func:`point_signature` captures that compatibility key, and callers
+fuse only requests that share it. Its body,
+:func:`~repro.engine.knobs.knob_signature`, lives in a module of its own
+that imports no NumPy, since the serve request reader puts it in each
+body's group key, on which the batcher groups and the shard router
+routes.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from ..design.chip import ChipDesign
 from ..errors import InvalidParameterError
 from ..obs.trace import span
 from ..ttm.model import TTMModel
-from .knobs import CapacityValue, knob_signature
-from .scenario import POINT_METRICS, evaluate
+from .knobs import POINT_METRICS, CapacityValue, knob_signature
+from .scenario import evaluate
 
 #: Per metric family, the fields a point result reports, in order.
 _FIELDS: Dict[str, Tuple[str, ...]] = {

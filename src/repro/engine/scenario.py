@@ -68,6 +68,7 @@ from ..design.chip import ChipDesign
 from ..errors import InvalidParameterError
 from ..obs.instrument import observed_kernel
 from ..ttm.model import TTMModel
+from .knobs import POINT_METRICS
 from .portfolio import (
     _WAFERS_PER_NORMALIZED_UNIT,
     ArrayLike,
@@ -81,9 +82,6 @@ from .portfolio import (
     _scatter_in_order,
     compile_portfolio,
 )
-
-#: Metric families an evaluation may ask for.
-POINT_METRICS: Tuple[str, ...] = ("ttm", "cas", "cost")
 
 
 @dataclass(frozen=True)

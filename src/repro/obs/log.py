@@ -4,10 +4,11 @@ Both roles of ``ttm-cas serve``, the worker
 (:class:`~repro.serve.server.EvalServer`) and the shard router
 (:class:`~repro.serve.shard.ShardSupervisor`), account for every request
 they answer through a :class:`RequestLedger`, one :class:`RequestRecord`
-per request. **Admit** takes the request id (the inbound
-``X-Request-Id``, or a minted one) and the trace context (a child of an
-inbound ``traceparent``, or a fresh one when tracing or a log file is
-on) and opens the ``/debug/obs`` in-flight entry. The worker lends the
+per request, the wire layer's refusals (400, 408, 413) included.
+**Admit** takes the request id (the inbound ``X-Request-Id``, or a
+minted one) and the trace context (a child of an inbound
+``traceparent``, or a fresh one when tracing or a log file is on) and
+opens the ``/debug/obs`` in-flight entry. The worker lends the
 record to the coalescing batcher as its ``meta``, which stamps it.
 **Finish**, once the response is written, emits the log line, the SLO
 observation and, when tracing, the role's root span (``serve.router``
@@ -124,8 +125,12 @@ class RequestRecord:
 
     ``ctx`` is this role's own trace context: its ``span_id`` is the one
     a downstream hop records as its parent. ``parent_span`` is the span
-    id of the inbound ``traceparent``, if any. ``worker`` is the worker
-    that answers: this worker's id, or the slot the router forwarded to.
+    id of the inbound ``traceparent``, if any. ``endpoint`` is the path
+    without its slash (``root`` for ``/``, ``-`` for a request the wire
+    layer refused before its request line parsed). ``worker`` is the
+    worker that answers: this worker's id, or the slot the router
+    forwarded to. ``outcome`` overrides the log line's classification
+    of the status (the router's ``worker_unavailable`` 503).
 
     The batcher writes its ``perf_counter_ns`` stamps (``t_enqueue``,
     ``t_flush``, ``t_exec_start``, ``t_exec_end``) and ``batch_span_id``
@@ -140,6 +145,7 @@ class RequestRecord:
     started: float
     started_ns: int
     worker: Optional[int] = None
+    outcome: Optional[str] = None
     t_enqueue: Optional[int] = None
     t_flush: Optional[int] = None
     t_exec_start: Optional[int] = None
@@ -239,8 +245,9 @@ class RequestLedger:
         return tracer
 
     def admit(self, request: Any) -> RequestRecord:
-        """Open the record of one request read in full (a
-        :class:`repro.serve.wire.Request`: path, headers, arrival)."""
+        """Open the record of one request (a
+        :class:`repro.serve.wire.Request`: path, headers, arrival), read
+        in full or refused by the wire layer."""
         headers = request.headers
         tracing = current_tracer() is not None
         inbound = parse_traceparent(headers.get("traceparent"))
@@ -258,7 +265,7 @@ class RequestLedger:
             headers.get("x-request-id") or mint_request_id(),
             ctx,
             parent_span,
-            request.path.lstrip("/") or "root",
+            request.path.lstrip("/") or ("root" if request.path else "-"),
             request.started,
             request.started_ns,
             self.worker,
@@ -283,7 +290,7 @@ class RequestLedger:
             "status": status,
             "latency_ms": round(elapsed * 1000.0, 3),
             "batch_size": batch_size,
-            "outcome": _outcome(status),
+            "outcome": record.outcome or _outcome(status),
         }
         if record.worker is not None:
             line["worker"] = record.worker
@@ -369,7 +376,9 @@ class RequestLedger:
 
 
 def _outcome(status: int) -> str:
-    """Log-line outcome classification for one response status."""
+    """Log-line outcome classification for one response status (a 503
+    is a drain unless the role says otherwise, see
+    :class:`RequestRecord`)."""
     if status < 400:
         return "ok"
     if status == 429:

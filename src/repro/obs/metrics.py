@@ -496,18 +496,6 @@ def relabel_prometheus_line(line: str, labels: Mapping[str, str]) -> str:
     return f"{name}{_label_suffix(tuple(merged))} {value}"
 
 
-def relabel_prometheus_text(text: str, **labels: object) -> str:
-    """Inject ``labels`` into every sample line of exposition ``text``."""
-    wanted = {str(k): str(v) for k, v in labels.items()}
-    return (
-        "\n".join(
-            relabel_prometheus_line(line, wanted)
-            for line in text.splitlines()
-        )
-        + "\n"
-    )
-
-
 def merge_prometheus_texts(
     parts: Iterable[Tuple[Mapping[str, str], str]],
 ) -> str:
@@ -683,5 +671,4 @@ __all__ = [
     "merge_prometheus_texts",
     "metrics_delta",
     "relabel_prometheus_line",
-    "relabel_prometheus_text",
 ]

@@ -21,10 +21,12 @@ live status feeds ``GET /debug/obs``, and ``ttm-cas obs slo`` scores a
 request log offline.
 
 Error definition: HTTP 5xx only.  4xx are the caller's fault (bad
-JSON, over-limit bodies) and must not burn the operator's budget; a 429
-(admission queue full) is a capacity signal, counted by
-``serve_rejected_total`` instead.  A 503 (draining, or no live worker
-at the router) is a 5xx and burns it.
+JSON, over-limit bodies, a client that stalls mid-request and gets its
+408 after the read limit) and burn neither budget: not the error
+budget, and not the latency budget either; a 429 (admission queue
+full) is a capacity signal, counted by ``serve_rejected_total``
+instead.  A 503 (draining, or no live worker at the router) is a 5xx
+and burns the error budget.
 """
 
 from __future__ import annotations
@@ -95,14 +97,16 @@ def _tally(
 ) -> Dict[str, Dict[str, Any]]:
     """Per-endpoint burn rates of ``(endpoint, status, latency_ms)``
     observations: a 5xx is an error, a latency over the endpoint's
-    objective is slow."""
+    objective is slow, and a 4xx, the caller's fault, is neither."""
     totals: Dict[str, List[int]] = {}
     for endpoint, status, latency_ms in observations:
         objective = objectives.get(endpoint, _FALLBACK)
         entry = totals.setdefault(endpoint, [0, 0, 0])
         entry[0] += 1
         entry[1] += int(status >= 500)
-        entry[2] += int(latency_ms > objective.latency_ms)
+        entry[2] += int(
+            not 400 <= status < 500 and latency_ms > objective.latency_ms
+        )
     return {
         endpoint: _status_entry(
             objectives.get(endpoint, _FALLBACK), total, errors, slow, window_s

@@ -9,12 +9,14 @@ while keeping every guarantee PR 7's coalescing service makes:
   metrics registry) bound to an ephemeral loopback port.
 * **Sticky routing** — the parent accepts the public socket and
   forwards each request to the worker chosen by rendezvous hashing of
-  :func:`routing_key`, a cheap shadow of the batcher's group key
-  computed straight from the JSON body. Requests the batcher *could*
-  coalesce always share a routing key, so they land on the same worker
-  and fuse there — which is exactly what preserves the byte-identity
+  :func:`routing_key`: the batcher's group key itself, not a shadow of
+  it, read from the JSON body by the one request reader both roles
+  use (:func:`~repro.serve.common.read_request`). Requests the batcher
+  *could* coalesce share a key, so they land on the same worker and
+  fuse there — which is exactly what preserves the byte-identity
   contract under sharding (a group split across workers would still be
-  correct, but would coalesce less).
+  correct, but would coalesce less) — and the router keeps no copy of
+  any endpoint's fields or defaults.
 * **Aggregated observability** — ``GET /metrics`` fans out to every
   worker and merges the per-worker Prometheus dumps (each tagged
   ``worker="N"``, the router's own registry tagged
@@ -33,16 +35,17 @@ while keeping every guarantee PR 7's coalescing service makes:
   trace with a distinct process lane per worker.
 * **One request ledger** — the router accounts for every request it
   answers through the same :class:`~repro.obs.log.RequestLedger` as
-  the worker, its own 503s and its GETs included: one in-flight entry,
-  log line (``role: router``), SLO observation and ``serve.router``
-  span each, timed from head arrival to the written response.
+  the worker, its own 503s, its GETs and the wire layer's refusals
+  included: one in-flight entry, log line (``role: router``), SLO
+  observation and ``serve.router`` span each, timed from head arrival
+  to the written response.
 * **Lifecycle** — dead workers are respawned with exponential backoff;
   SIGTERM/SIGINT triggers a rolling drain: new requests are refused
   with 503 while every accepted request (in any worker) completes, then
   workers are terminated one at a time.
 * **A lean router** — the router evaluates nothing, so this module
-  imports nothing NumPy-backed (:mod:`repro.serve.common`,
-  :mod:`repro.engine.knobs`, the wire layer, ``repro.obs``); each
+  imports nothing NumPy-backed (:mod:`repro.serve.common` with its
+  request reader, the wire layer, ``repro.obs``); each
   worker imports the server and the engine inside :func:`_worker_main`.
   ``tests/test_import_boundary.py`` holds the line.
 
@@ -63,20 +66,17 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..engine.knobs import knob_signature
 from ..obs import instrument
 from ..obs.log import RequestLedger, RequestRecord
 from ..obs.metrics import get_registry, merge_prometheus_texts
 from ..obs.trace import TRACE_SCHEMA, chrome_trace_from_spans, current_tracer
 from .common import (
     BATCHED_ENDPOINTS,
-    REQUEST_DEFAULTS,
-    SPEC_KNOBS,
     BadRequestError,
     ServerConfig,
     canonical_json,
     error_body,
-    normalize_stress_selector,
+    read_request,
 )
 from .wire import (
     Listener,
@@ -106,134 +106,20 @@ _FORWARDED_HEADERS = (
 # -- sticky routing ----------------------------------------------------------
 
 
-def _route_number(value: Any, default: float) -> Any:
-    """Mirror the protocol's ``_number`` defaulting without validation.
-
-    Valid numeric fields coerce to float exactly like the parser does
-    (so ``1e7`` and ``10000000`` route identically); invalid values pass
-    through untouched — the worker will reject them with a 400, so their
-    route only needs to be deterministic, not meaningful.
-    """
-    if value is None:
-        return default
-    if isinstance(value, bool):
-        return ["bool", value]
-    if isinstance(value, (int, float)):
-        return float(value)
-    return value
-
-
-def _route_study(
-    parsed: Mapping[str, Any], flags: Sequence[str]
-) -> List[Any]:
-    """A study body's sample count, seed, ``flags`` and spec knobs.
-
-    Omitted fields default from :data:`REQUEST_DEFAULTS`, exactly as in
-    the /mc and /scenarios parsers.
-    """
-    return [
-        parsed.get("samples", REQUEST_DEFAULTS["samples"]),
-        parsed.get("seed", REQUEST_DEFAULTS["seed"]),
-        *(bool(parsed.get(flag, REQUEST_DEFAULTS[flag])) for flag in flags),
-        *(
-            _route_number(parsed.get(name), REQUEST_DEFAULTS[name])
-            for name in SPEC_KNOBS
-        ),
-    ]
-
-
-def _signature_jsonable(signature: Tuple[object, ...]) -> List[Any]:
-    """Encode a :func:`knob_signature` canonically (frozenset -> sorted)."""
-    kind = signature[0]
-    encoded: Any = (
-        ["nodes", sorted(kind)] if isinstance(kind, frozenset) else kind
-    )
-    return [encoded, *signature[1:]]
-
-
 def routing_key(endpoint: str, body: bytes) -> bytes:
-    """The sticky-routing key of one request (a batcher-group shadow).
+    """The sticky-routing key of one request: its batcher group key.
 
-    Consistency contract, pinned by ``tests/serve/test_shard.py``: two
-    requests the worker-side batcher would put in one group always
-    produce equal routing keys, so the group is never split across
-    workers. The key is deliberately *coarser* than the batcher key for
-    ``/evaluate`` (it ignores nothing) and exactly as fine for ``/mc``,
-    ``/scenarios``, and ``/splits``. Computed from the raw JSON alone — no design
-    resolution, no scenario validation — so the router stays cheap, and
-    malformed bodies just route *somewhere* deterministic and collect
-    their 400 from the worker.
+    The key bytes :func:`~repro.serve.common.read_request` gives the
+    worker's batcher, so every coalescing group lands on one worker, by
+    construction, and the router keeps no copy of any endpoint's fields
+    or defaults. A body that is not JSON, or that the reader refuses,
+    routes on its own first bytes instead, deterministically, and
+    collects its 400 from the worker.
     """
     try:
-        parsed = json.loads(body)
-    except ValueError:
-        parsed = None
-    if not isinstance(parsed, Mapping):
+        return read_request(endpoint, json.loads(body))[0][1]
+    except (ValueError, BadRequestError):
         return b"opaque:" + endpoint.encode() + b":" + body[:128]
-    scenario = str(parsed.get("scenario", REQUEST_DEFAULTS["scenario"]))
-    if endpoint == "evaluate":
-        signature = knob_signature(
-            parsed.get("capacity"),
-            parsed.get("queue_weeks"),
-            parsed.get("d0_scale"),
-            parsed.get("wafer_rate_scale"),
-        )
-        return canonical_json(
-            ["evaluate", scenario, _signature_jsonable(signature)]
-        )
-    if endpoint == "mc":
-        return canonical_json(
-            ["mc", scenario, *_route_study(parsed, ("with_cost",))]
-        )
-    if endpoint == "scenarios":
-        try:
-            selector: Any = list(
-                normalize_stress_selector(parsed.get("scenarios"))
-            )
-        except BadRequestError:
-            # Malformed selectors still route *somewhere* deterministic
-            # and collect their 400 from the worker.
-            selector = ["opaque", repr(parsed.get("scenarios"))]
-        flags = ("with_cost", "correlated")
-        return canonical_json(
-            ["scenarios", scenario, selector, *_route_study(parsed, flags)]
-        )
-    if endpoint == "splits":
-        spec = parsed.get("design", REQUEST_DEFAULTS["design"])
-        if isinstance(spec, str):
-            label: Any = spec
-        elif isinstance(spec, Mapping):
-            label = str(spec.get("library"))
-            if "cores" in spec:
-                label = f"{label}:{spec['cores']}"
-        else:
-            label = ["opaque", str(type(spec).__name__)]
-        pairs = parsed.get("pairs")
-        if isinstance(pairs, (list, tuple)):
-            pairs = [
-                [str(item[0]), str(item[1])]
-                if isinstance(item, (list, tuple)) and len(item) == 2
-                else ["opaque"]
-                for item in pairs
-            ]
-        else:
-            pairs = ["opaque"]
-        return canonical_json(
-            [
-                "splits",
-                scenario,
-                label,
-                pairs,
-                _route_number(
-                    parsed.get("n_chips"), REQUEST_DEFAULTS["n_chips"]
-                ),
-                *(
-                    bool(parsed.get(flag, REQUEST_DEFAULTS[flag]))
-                    for flag in ("refine", "with_cas")
-                ),
-            ]
-        )
-    return canonical_json(["other", endpoint, scenario])
 
 
 def rendezvous_worker(key: bytes, slots: Sequence[int]) -> int:
@@ -731,29 +617,22 @@ class ShardSupervisor:
                 error_body("draining", "server is draining"),
                 {},
             )
-        slots = self._alive_slots()
-        if not slots:
-            return (
-                503,
-                error_body(
-                    "worker_unavailable", "no live workers to serve this"
-                ),
-                {},
-            )
-        slot = rendezvous_worker(
-            routing_key(record.endpoint, request.body), slots
-        )
-        record.worker = slot
-        instrument.record_route(slot)
-        # The worker echoes this request id rather than minting its own,
-        # and records this hop's span id as its parent: the stitch point
-        # of the distributed trace.
-        forward_headers: Dict[str, str] = dict(request.headers)
-        forward_headers["x-request-id"] = record.request_id
-        if record.ctx is not None:
-            forward_headers["traceparent"] = record.ctx.to_traceparent()
-        response_headers: Dict[str, str] = {}
         try:
+            slots = self._alive_slots()
+            if not slots:
+                raise WorkerUnavailableError("no live workers to serve this")
+            slot = rendezvous_worker(
+                routing_key(record.endpoint, request.body), slots
+            )
+            record.worker = slot
+            instrument.record_route(slot)
+            # The worker echoes this request id rather than minting its
+            # own, and records this hop's span id as its parent: the
+            # stitch point of the distributed trace.
+            forward_headers: Dict[str, str] = dict(request.headers)
+            forward_headers["x-request-id"] = record.request_id
+            if record.ctx is not None:
+                forward_headers["traceparent"] = record.ctx.to_traceparent()
             status, response_headers, payload = await self._forward(
                 self._workers[slot],
                 method,
@@ -762,8 +641,8 @@ class ShardSupervisor:
                 request.body,
             )
         except WorkerUnavailableError as error:
-            status = 503
-            payload = error_body("worker_unavailable", str(error))
+            record.outcome = "worker_unavailable"
+            return 503, error_body("worker_unavailable", str(error)), {}
         extra: Dict[str, str] = {}
         for name in (
             "x-batch-size",

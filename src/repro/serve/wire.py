@@ -22,10 +22,13 @@ no byte of a next request in the idle limit    close, no reply
 
 Each of these replies closes the connection, and the one response
 writer holds the one rule for closing: a response after which the
-connection closes carries ``Connection: close``. The router's hop to a
-worker (:func:`write_request`, :func:`read_response`) shares the header
-parse and the ``Content-Length`` check; its response is not timed
-here, since it waits on processing, which ``X-Deadline-Ms`` bounds.
+connection closes carries ``Connection: close``. The role's request
+ledger records each refusal like any reply it sends, under the endpoint
+of the request line when the head parsed (``-`` when it did not). The
+router's hop to a worker (:func:`write_request`, :func:`read_response`)
+shares the header parse and the ``Content-Length`` check; its response
+is not timed here, since it waits on processing, which
+``X-Deadline-Ms`` bounds.
 """
 
 from __future__ import annotations
@@ -72,12 +75,18 @@ _JOIN_BOUND_S = 120.0
 
 
 class _RequestError(Exception):
-    """A request the wire layer refuses: answered with ``status`` and closed."""
+    """A request the wire layer refuses: answered with ``status`` and closed.
+
+    ``request`` is what was read of it by then: its method, path and
+    headers once its head parsed (empty before), timed from the head's
+    arrival, or from its first byte when the head never came.
+    """
 
     def __init__(self, status: int, code: str, message: str) -> None:
         super().__init__(message)
         self.status = status
         self.code = code
+        self.request: Optional[Request] = None
 
 
 class Request(NamedTuple):
@@ -188,11 +197,15 @@ async def _read_request(
     """
     loop = asyncio.get_running_loop()
     timer = _ReadTimer(reader, loop)
+    method = path = ""
+    headers: Dict[str, str] = {}
     try:
         first = await reader.read(1)
         if not first:
             return None
         timer.first_byte = loop.time()
+        started = time.perf_counter()
+        started_ns = time.time_ns()
         try:
             head = first + await reader.readuntil(b"\r\n\r\n")
         except asyncio.LimitOverrunError:
@@ -202,10 +215,12 @@ async def _read_request(
         started = time.perf_counter()
         started_ns = time.time_ns()
         try:
-            request_line, headers = _parse_head(head)
+            request_line, parsed = _parse_head(head)
             parts = request_line.split(" ")
             if len(parts) != 3 or not parts[2].startswith("HTTP/"):
                 raise ValueError(f"malformed request line {request_line!r}")
+            method, path = parts[0].upper(), parts[1].split("?", 1)[0]
+            headers = parsed
             length = _content_length(headers)
         except ValueError as error:
             raise _RequestError(400, "invalid_request", str(error)) from None
@@ -217,22 +232,20 @@ async def _read_request(
                 f"{max_body_bytes}-byte limit",
             )
         body = await reader.readexactly(length) if length else b""
+        # The timer can fire between the last byte's arrival and this
+        # task resuming: the read then completed, but at its deadline.
+        late = reader.exception()
+        if late is not None:
+            raise late
+    except _RequestError as error:
+        error.request = Request(
+            method, path, headers, b"", started, started_ns, reader, writer
+        )
+        raise
     finally:
         timer.cancel()
-    # The timer can fire between the last byte's arrival and this task
-    # resuming: the read then completed, but at its deadline.
-    late = reader.exception()
-    if late is not None:
-        raise late
     return Request(
-        parts[0].upper(),
-        parts[1].split("?", 1)[0],
-        headers,
-        body,
-        started,
-        started_ns,
-        reader,
-        writer,
+        method, path, headers, body, started, started_ns, reader, writer
     )
 
 
@@ -311,7 +324,10 @@ class Listener:
 
     ``service`` answers the requests: ``await service.handle(request)``
     returns whether the connection stays open, and a true
-    ``service.draining`` closes it after the current response.
+    ``service.draining`` closes it after the current response. The
+    requests this layer refuses itself go through ``service.ledger``
+    (a :class:`~repro.obs.log.RequestLedger`), so the role logs,
+    SLO-observes and spans them like the ones it answers.
     """
 
     def __init__(self, service: Any, max_body_bytes: int) -> None:
@@ -346,6 +362,29 @@ class Listener:
         if self._server is not None:
             await self._server.wait_closed()
 
+    def _refuse(self, error: _RequestError) -> None:
+        """Answer a refused request through the role's ledger, like any
+        other reply (admit, finish, release); the connection then closes.
+
+        No drain: it would re-raise the reader's 408. Closing the
+        connection flushes the reply.
+        """
+        ledger = self._service.ledger
+        record = ledger.admit(error.request)
+        try:
+            headers = record.headers({})
+            error.request.writer.write(  # type: ignore[union-attr]
+                _encode_response(
+                    error.status,
+                    error_body(error.code, str(error)),
+                    headers,
+                    False,
+                )
+            )
+            ledger.finish(record, error.status, headers)
+        finally:
+            ledger.release(record)
+
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
@@ -358,16 +397,7 @@ class Listener:
                         reader, writer, self._max_body_bytes
                     )
                 except _RequestError as error:
-                    # No drain: it would re-raise the reader's 408. The
-                    # close below flushes the reply.
-                    writer.write(
-                        _encode_response(
-                            error.status,
-                            error_body(error.code, str(error)),
-                            None,
-                            False,
-                        )
-                    )
+                    self._refuse(error)
                     break
                 if request is None:
                     break

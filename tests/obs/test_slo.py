@@ -9,6 +9,7 @@ from repro.obs.slo import (
     DEFAULT_OBJECTIVES,
     SLObjective,
     SLOTracker,
+    _tally,
     report_from_records,
 )
 
@@ -90,6 +91,15 @@ class TestSLOTracker:
         entry = tracker.status()["evaluate"]
         assert entry["errors"] == 0
         assert entry["ok"]
+
+    def test_a_slow_408_is_neither_an_error_nor_slow(self):
+        # A client that stalls mid-request is answered 408 at the read
+        # limit, 10 s in: the caller's fault, so it burns no budget.
+        objectives = {o.endpoint: o for o in DEFAULT_OBJECTIVES}
+        entry = _tally([("evaluate", 408, 10_000.0)], objectives, 60.0)
+        assert entry["evaluate"]["errors"] == 0
+        assert entry["evaluate"]["slow"] == 0
+        assert entry["evaluate"]["ok"]
 
     def test_window_slides_old_events_out(self):
         tracker, clock = make_tracker(window_s=60.0)

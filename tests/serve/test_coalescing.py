@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.design.library import a11
+from repro.design.serialize import design_to_dict
 from repro.engine import evaluate
 from repro.ttm.model import TTMModel
 
@@ -71,6 +74,31 @@ def test_mc_coalesces_across_designs_bit_identically(client, burst):
     assert all(r.status == 200 for r in solos)
 
     responses = burst(client, "/mc", bodies * 2)
+    assert all(r.status == 200 for r in responses)
+    assert max(r.batch_size for r in responses) > 1
+    for body, response in zip(bodies * 2, responses):
+        assert response.body == solos[bodies.index(body)].body
+
+
+@pytest.mark.parametrize("path", ["/mc", "/scenarios"])
+def test_designs_sharing_a_name_run_alone_and_match_solo(client, burst, path):
+    """Two different inline designs with one display name cannot share
+    a fused study, whose rows are keyed by name: the batch runs each
+    design alone (repeats still deduplicated), and every reply equals
+    its solo reply."""
+    bodies = [
+        {
+            "design": {**design_to_dict(a11(node)), "name": "twin"},
+            "samples": 64,
+            "seed": 5,
+        }
+        for node in ("7nm", "28nm")
+    ]
+    solos = [client.post(path, body) for body in bodies]
+    assert all(r.status == 200 for r in solos)
+    assert solos[0].body != solos[1].body
+
+    responses = burst(client, path, bodies * 2)
     assert all(r.status == 200 for r in responses)
     assert max(r.batch_size for r in responses) > 1
     for body, response in zip(bodies * 2, responses):

@@ -2,9 +2,11 @@
 
 The tentpole contracts pinned here:
 
-* the router's :func:`routing_key` is a faithful shadow of the worker
-  batcher's group key — requests the batcher would coalesce never split
-  across workers — and it never raises, whatever the body;
+* the router's :func:`routing_key` is the worker batcher's group key
+  itself — both come from one reader,
+  :func:`~repro.serve.common.read_request` — so requests the batcher
+  would coalesce never split across workers; a body that is not JSON,
+  or that the reader refuses, routes on its own bytes without raising;
 * a response served through the shard router is byte-identical to the
   same request's response from a single-process server (the PR 7
   contract survives sharding);
@@ -68,6 +70,36 @@ SPLITS_DEFAULTS = {
     "refine": False,
     "with_cas": True,
 }
+
+#: Each endpoint's omittable fields at their defaults.
+DEFAULTS = [
+    ("mc", MC_DEFAULTS),
+    ("scenarios", SCENARIOS_DEFAULTS),
+    ("evaluate", EVALUATE_DEFAULTS),
+    ("splits", SPLITS_DEFAULTS),
+]
+
+
+def _bare(endpoint):
+    """An endpoint's smallest valid body: every default omitted."""
+    if endpoint == "splits":
+        return {"pairs": [["7nm", "28nm"]]}
+    return {"design": "a11"}
+
+
+#: One body per endpoint, each setting fields its group key reads.
+ROUTED = [
+    ("evaluate", {"design": "zen2", "capacity": {"7nm": 0.5}, "d0_scale": 1}),
+    ("mc", {"design": "raven", "samples": 256, "seed": 3, "with_cost": 0}),
+    (
+        "scenarios",
+        {"design": "a11", "scenarios": ["fab-outage"], "correlated": True},
+    ),
+    (
+        "splits",
+        {"design": {"library": "raven", "cores": 4}, "pairs": [["7nm", "28nm"]]},
+    ),
+]
 
 
 def _burst(client, path, bodies):
@@ -146,24 +178,12 @@ class TestRoutingKey:
             == routing_key("mc", defaulted)
         )
 
-    @pytest.mark.parametrize(
-        "endpoint, defaults",
-        [
-            ("mc", MC_DEFAULTS),
-            ("scenarios", SCENARIOS_DEFAULTS),
-            ("evaluate", EVALUATE_DEFAULTS),
-            ("splits", SPLITS_DEFAULTS),
-        ],
-    )
+    @pytest.mark.parametrize("endpoint, defaults", DEFAULTS)
     def test_spelled_out_defaults_equal_omitted_ones(
         self, endpoint, defaults
     ):
         """Router and parser agree on every default of a request body."""
-        bare = (
-            {"pairs": [["7nm", "28nm"]]}
-            if endpoint == "splits"
-            else {"design": "a11"}
-        )
+        bare = _bare(endpoint)
         spelled = {**bare, **defaults}
         assert routing_key(endpoint, json.dumps(spelled).encode()) == (
             routing_key(endpoint, json.dumps(bare).encode())
@@ -172,6 +192,19 @@ class TestRoutingKey:
         spelled_key, _ = parse_request(state, endpoint, spelled)
         bare_key, _ = parse_request(state, endpoint, bare)
         assert spelled_key == bare_key
+
+    @pytest.mark.parametrize(
+        "endpoint, body",
+        ROUTED
+        + [(e, {**_bare(e), **defaults}) for e, defaults in DEFAULTS]
+        + [(e, _bare(e)) for e, _ in DEFAULTS],
+    )
+    def test_the_route_is_the_group_key(self, endpoint, body):
+        """The router routes on the very bytes the worker's batcher
+        groups by: one reader, not a copy kept in step by this suite."""
+        raw = json.dumps(body).encode()
+        key, _payload = parse_request(ServeState(), endpoint, json.loads(raw))
+        assert routing_key(endpoint, raw) == key[1]
 
     def test_mc_seed_changes_the_key(self):
         a = json.dumps({"design": "a11", "seed": 1}).encode()
@@ -457,6 +490,8 @@ def test_router_records_the_503s_it_answers_itself():
     lines = [r for r in snapshot["recent"] if r["endpoint"] == "evaluate"]
     assert len(lines) == 1, snapshot["recent"]
     assert (lines[0]["role"], lines[0]["status"]) == ("router", 503)
+    # A dead worker is not a drain.
+    assert lines[0]["outcome"] == "worker_unavailable"
     assert lines[0]["request_id"] == response.request_id
     assert snapshot["slo"]["evaluate"]["errors"] == 1
 
@@ -504,6 +539,13 @@ def test_rolling_drain_completes_in_flight_and_rejects_new():
         stopper.join(timeout=120.0)
         assert not stopper.is_alive()
         assert saw_draining
+        drained = [
+            line
+            for line in supervisor.ledger.logger.recent(256)
+            if line["status"] == 503
+        ]
+        assert drained, "the router logged no 503"
+        assert {line["outcome"] for line in drained} == {"draining"}
 
         # Every request accepted before the drain completed normally.
         responses = [future.result(timeout=120.0) for future in futures]

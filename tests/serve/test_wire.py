@@ -5,22 +5,28 @@ Both roles read requests through one HTTP/1.1 layer
 in-process :class:`ServerThread` and a 2-worker :class:`ShardThread`,
 whose router runs in this process — with the idle and read limits
 patched small here. Every case checks the status, ``Connection: close``
-on the reply, and that the server closes the socket within the case's
-limit plus a fixed bound; a shard also leaves no worker process behind
-once stopped.
+on the reply, that the server closes the socket within the case's
+limit plus a fixed bound, and that the role's request ledger (the
+router's, for a shard) logged the reply like any other; a shard also
+leaves no worker process behind once stopped.
 
-Below the fault table: the router's keep-alive pool retries on a fresh
-socket once the worker's idle limit has closed its pooled connections,
-and a harness whose service fails to start stops what it set up.
+Below the fault table: requests queued behind slow work on one worker
+get a 504 exactly when their ``X-Deadline-Ms`` passes; the router's
+keep-alive pool retries on a fresh socket once the worker's idle limit
+has closed its pooled connections; and a harness whose service fails
+to start stops what it set up.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import os
+import random
 import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -32,6 +38,8 @@ from repro.serve import (
     ShardConfig,
     ShardSupervisor,
     ShardThread,
+    rendezvous_worker,
+    routing_key,
     wire,
 )
 from repro.serve.shard import _Worker
@@ -82,9 +90,18 @@ def _exchange(thread, data, shut_write=False):
     return b"".join(chunks), time.monotonic() - started
 
 
-def _answered(thread, data, status, code="", limit=0.0, shut_write=False):
+def _answered(
+    thread,
+    data,
+    status,
+    code="",
+    limit=0.0,
+    shut_write=False,
+    endpoint="evaluate",
+):
     """One exchange: answered ``status`` (error ``code``) and closed in
-    ``limit`` plus the bound."""
+    ``limit`` plus the bound, and the role's newest log line is that
+    reply, under ``endpoint`` (``-`` when no request line parsed)."""
     reply, elapsed = _exchange(thread, data, shut_write)
     head, _, body = reply.partition(b"\r\n\r\n")
     lines = head.decode("latin-1").split("\r\n")
@@ -92,15 +109,26 @@ def _answered(thread, data, status, code="", limit=0.0, shut_write=False):
     assert "Connection: close" in lines[1:], reply
     assert code.encode() in body, reply
     assert limit / 2 <= elapsed <= limit + BOUND_S
+    # The role's own ring: the router's for a shard, whose workers never
+    # saw the request.
+    newest = _obs(thread)["recent"][-1]
+    assert (newest["status"], newest["endpoint"]) == (status, endpoint)
 
 
-def _in_flight(thread):
-    """/evaluate entries in flight at the role and at its workers."""
-    snapshot = ServeClient(thread.host, thread.port).get("/debug/obs").json()
-    entries = list(snapshot["in_flight"])
-    for worker in snapshot.get("workers", []):
+def _obs(thread):
+    return ServeClient(thread.host, thread.port).get("/debug/obs").json()
+
+
+def _in_flight(thread, endpoint="evaluate", at_workers=False):
+    """``endpoint`` entries in flight at the role and at its workers;
+    with ``at_workers``, at the workers only (a single server is its own
+    worker)."""
+    snapshot = _obs(thread)
+    workers = snapshot.get("workers", [])
+    entries = [] if at_workers and workers else list(snapshot["in_flight"])
+    for worker in workers:
         entries.extend(worker["in_flight"])
-    return [entry for entry in entries if entry["endpoint"] == "evaluate"]
+    return [entry for entry in entries if entry["endpoint"] == endpoint]
 
 
 def test_partial_head_is_408(role):
@@ -110,6 +138,7 @@ def test_partial_head_is_408(role):
         408,
         "request_timeout",
         LIMIT_S,
+        endpoint="-",
     )
 
 
@@ -174,11 +203,87 @@ def test_head_over_64_kib_is_400(role):
         + b"\r\n\r\n",
         400,
         "headers too large",
+        endpoint="-",
     )
 
 
 def test_garbage_request_line_is_400(role):
-    _answered(role, b"NONSENSE\r\n\r\n", 400, "invalid_request")
+    _answered(
+        role, b"NONSENSE\r\n\r\n", 400, "invalid_request", endpoint="-"
+    )
+
+
+def test_refusals_burn_no_slo_budget(role):
+    _answered(
+        role,
+        b"POST /evaluate HTTP/1.1\r\nContent-Length: 100\r\n\r\n{",
+        408,
+        "request_timeout",
+        LIMIT_S,
+    )
+    slo = _obs(role)["slo"]["evaluate"]
+    assert (slo["requests"], slo["errors"], slo["slow"]) == (1, 0, 0)
+
+
+# -- deadlines under load ----------------------------------------------------
+
+
+def _studies_on_worker_0(rng, count, samples):
+    """``count`` /scenarios bodies a 2-worker router sends to slot 0, each
+    with its own seed (drawn from ``rng``), so none coalesce."""
+    bodies = []
+    while len(bodies) < count:
+        body = {
+            "design": "a11",
+            "scenarios": "all",
+            "samples": samples,
+            "seed": rng.randrange(2**31),
+        }
+        key = routing_key("scenarios", json.dumps(body).encode())
+        if rendezvous_worker(key, [0, 1]) == 0:
+            bodies.append(body)
+    return bodies
+
+
+def test_deadlines_under_load(role):
+    """Requests queued on one worker behind three slow /scenarios
+    studies (65,536 samples, ~0.2 s each on a 2-CPU host) get a 504
+    exactly when their ``X-Deadline-Ms`` passes while they wait, each
+    within its deadline plus the bound; the rest get a 200, and the
+    fixture checks that no worker outlives the shard."""
+    rng = random.Random(2909)
+    slow = _studies_on_worker_0(rng, 3, 65_536)
+    queued = _studies_on_worker_0(rng, 6, 64)
+    deadlines_ms = [50.0] * 3 + [60_000.0] * 3
+    rng.shuffle(deadlines_ms)
+    client = ServeClient(role.host, role.port, timeout=120.0)
+
+    def timed(body, deadline_ms):
+        started = time.monotonic()
+        response = client.post("/scenarios", body, deadline_ms=deadline_ms)
+        return response, time.monotonic() - started
+
+    with ThreadPoolExecutor(max_workers=len(slow) + len(queued)) as pool:
+        studies = [pool.submit(client.post, "/scenarios", b) for b in slow]
+        deadline = time.monotonic() + 30.0
+        while (
+            len(_in_flight(role, "scenarios", at_workers=True)) < len(slow)
+            and time.monotonic() < deadline
+        ):
+            time.sleep(0.002)
+        waiting = [
+            pool.submit(timed, body, deadline_ms)
+            for body, deadline_ms in zip(queued, deadlines_ms)
+        ]
+        results = [future.result(timeout=120.0) for future in waiting]
+        assert [f.result(timeout=120.0).status for f in studies] == [200] * 3
+    for (response, elapsed), deadline_ms in zip(results, deadlines_ms):
+        if deadline_ms < 1_000:
+            assert response.status == 504, response.body
+            assert response.error_code == "deadline_exceeded"
+            assert deadline_ms / 1e3 <= elapsed <= deadline_ms / 1e3 + BOUND_S
+        else:
+            assert response.status == 200, response.body
 
 
 # -- the router's keep-alive pool against the worker's idle limit ------------

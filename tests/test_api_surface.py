@@ -73,7 +73,7 @@ _CONSTANT_HOMES = {
     "repro.__version__": "repro",
     "repro.analysis.Configuration": "repro.analysis.search",
     "repro.engine.EXECUTORS": "repro.engine.parallel",
-    "repro.engine.POINT_METRICS": "repro.engine.scenario",
+    "repro.engine.POINT_METRICS": "repro.engine.knobs",
     "repro.obs.DEFAULT_OBJECTIVES": "repro.obs.slo",
     "repro.obs.LOG_SCHEMA": "repro.obs.log",
     "repro.obs.MANIFEST_SCHEMA": "repro.obs.manifest",

@@ -2,11 +2,15 @@
 formatter load no NumPy.
 
 The router process of ``ttm-cas serve --workers N`` reads each request's
-JSON and forwards its bytes; it evaluates nothing. Whatever it imports
-it pays for at every boot and holds for the life of the process, and
-each spawned worker re-imports the CLI module too. So the router side
-(``repro.cli`` up to its parser, ``repro.serve.shard`` up to a
-``routing_key`` of every endpoint and a ``ShardConfig``) and a bare
+JSON and forwards its bytes; it evaluates nothing. It routes on the
+batcher's own group key, read by the one request reader both roles
+share (``repro.serve.common.read_request``), so that reader must stay
+NumPy-free too. Whatever the router imports it pays for at every boot
+and holds for the life of the process, and each spawned worker
+re-imports the CLI module too. So the router side (``repro.cli`` up to
+its parser, ``repro.serve.shard`` up to a ``routing_key`` of every
+endpoint, which runs the reader over each endpoint's fields, and a
+``ShardConfig``) and a bare
 ``import repro`` must load neither NumPy nor the engine kernels nor the
 experiments, nor the ``repro.obs`` modules the router never uses. The
 ``obs`` command's output helper, ``format_table``, loads no NumPy
@@ -28,10 +32,18 @@ HEAVY = (
     "repro.obs.session",
 )
 
-#: One body per batched endpoint, each setting the fields its routing
-#: key reads.
+#: One body per batched endpoint, each setting the fields its group key
+#: reads.
 ROUTED_BODIES = (
-    ("evaluate", {"design": "a11", "capacity": {"7nm": 0.5}, "queue_weeks": 3}),
+    (
+        "evaluate",
+        {
+            "design": "a11",
+            "capacity": {"7nm": 0.5},
+            "queue_weeks": 3,
+            "metrics": ["cas"],
+        },
+    ),
     ("mc", {"design": "zen2", "samples": 256, "seed": 3, "with_cost": False}),
     ("scenarios", {"design": "a11", "scenarios": ["fab-outage"]}),
     (
@@ -46,7 +58,8 @@ CHECKS = {
         "import json\n"
         "from repro.serve.shard import routing_key\n"
         f"for endpoint, body in {ROUTED_BODIES!r}:\n"
-        "    routing_key(endpoint, json.dumps(body).encode())"
+        "    key = routing_key(endpoint, json.dumps(body).encode())\n"
+        "    assert not key.startswith(b'opaque:'), key"
     ),
     "shard_config": "from repro.serve.shard import ShardConfig\nShardConfig()",
     "bare_import": "import repro",
