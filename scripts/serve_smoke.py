@@ -10,8 +10,12 @@ the service's headline contract, end to end over real HTTP:
 2. a concurrent burst of identical ``/evaluate`` requests coalesces
    (X-Batch-Size > 1) and every response is byte-identical to a solo
    request's response;
-3. ``/mc`` and ``/splits`` answer and are deterministic across repeats;
-4. malformed input gets a structured 400, not a hang or a 500; an
+3. ``/mc`` and ``/splits`` answer and are deterministic across repeats,
+   and a ``refine: true`` ``/splits`` reply is refined and scores a CAS
+   no lower than the unrefined reply's for the same pair;
+4. malformed input (a truncated body, and one nested past the JSON
+   parser's recursion limit) gets a structured 400, not a hang or a
+   dropped connection; an
    idle connection is closed without a reply and a partial request
    head gets a 408 with ``Connection: close``, each within its limit
    (``IDLE_LIMIT_S``, ``READ_LIMIT_S`` in :mod:`repro.serve.wire`) plus
@@ -202,17 +206,38 @@ def run_checks(
         f"status {mc_a.status}",
     )
 
-    splits = client.post(
-        "/splits", {"design": "a11", "pairs": [["7nm", "14nm"]]}
-    )
+    split_body = {
+        "design": "a11",
+        "pairs": [["7nm", "14nm"], ["28nm", "40nm"]],
+    }
+    splits = client.post("/splits", split_body)
     ok &= check("/splits answers", splits.status == 200)
-
-    bad = client.request("POST", "/evaluate", body=b"{nope")
+    refined = client.post("/splits", {**split_body, "refine": True})
     ok &= check(
-        "malformed JSON is a structured 400",
-        bad.status == 400 and bad.json()["error"]["code"] == "invalid_json",
-        f"status {bad.status}",
+        "refined /splits scores no lower than the coarse grid",
+        refined.status == 200
+        and splits.status == 200
+        and refined.json()["refined"] is True
+        and all(
+            fine["pair"] == coarse["pair"] and fine["cas"] >= coarse["cas"]
+            for fine, coarse in zip(
+                refined.json()["best"], splits.json()["best"]
+            )
+        ),
+        f"status {refined.status}",
     )
+
+    for label, data in (
+        ("malformed JSON", b"{nope"),
+        ("deeply nested JSON", b"[" * 100_000 + b"]" * 100_000),
+    ):
+        bad = client.request("POST", "/evaluate", body=data)
+        ok &= check(
+            f"{label} is a structured 400",
+            bad.status == 400
+            and bad.json()["error"]["code"] == "invalid_json",
+            f"status {bad.status}",
+        )
     ok &= check_read_limits(client)
 
     metrics = client.get("/metrics")

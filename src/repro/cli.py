@@ -383,10 +383,47 @@ def _cmd_obs_slo(path: str, args: argparse.Namespace) -> int:
     return 1 if worst else 0
 
 
-def _cmd_obs(args: argparse.Namespace) -> int:
+def _print_metrics(samples, quantiles) -> None:
+    """A metrics dump's two tables: its non-zero series, then each
+    histogram series' p50/p95/p99 (the same for a ``.prom`` dump and
+    the JSON export of one registry)."""
     from .analysis.tables import format_table
+
+    rows = [
+        [series, _format_number(value)]
+        for series, value in samples
+        if value != 0.0
+    ]
+    print(f"== metrics: {len(rows)} non-zero series ==")
+    if rows:
+        print(format_table(["series", "value"], rows))
+    quantiles = [
+        (series, entry) for series, entry in quantiles if any(entry.values())
+    ]
+    if quantiles:
+        print()
+        print("-- histogram quantiles (estimated from buckets) --")
+        print(
+            format_table(
+                ["series", "p50", "p95", "p99"],
+                [
+                    [series]
+                    + [_format_number(entry[q]) for q in ("p50", "p95", "p99")]
+                    for series, entry in quantiles
+                ],
+            )
+        )
+
+
+def _cmd_obs(args: argparse.Namespace) -> int:
     from .obs.manifest import MANIFEST_SCHEMA
-    from .obs.metrics import iter_prometheus_samples
+    from .obs.metrics import (
+        METRICS_SCHEMA,
+        histogram_quantiles_from_json,
+        histogram_quantiles_from_text,
+        iter_json_samples,
+        iter_prometheus_samples,
+    )
     from .obs.trace import TRACE_SCHEMA
 
     if args.lines < 0:
@@ -436,39 +473,15 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         print(f"== chrome trace: {len(spans)} complete events ==")
         _print_span_summary(spans)
         return 0
+    if isinstance(data, dict) and data.get("schema") == METRICS_SCHEMA:
+        _print_metrics(
+            iter_json_samples(data), histogram_quantiles_from_json(data)
+        )
+        return 0
     if data is None and "# TYPE" in text:
-        from .obs.metrics import histogram_quantiles_from_text
-
-        samples = [
-            [series, _format_number(value)]
-            for series, value in iter_prometheus_samples(text)
-            if value != 0.0
-        ]
-        print(f"== metrics: {len(samples)} non-zero series ==")
-        if samples:
-            print(format_table(["series", "value"], samples))
-        quantiles = [
-            (series, entry)
-            for series, entry in histogram_quantiles_from_text(text)
-            if any(entry.values())
-        ]
-        if quantiles:
-            print()
-            print("-- histogram quantiles (estimated from buckets) --")
-            print(
-                format_table(
-                    ["series", "p50", "p95", "p99"],
-                    [
-                        [
-                            series,
-                            _format_number(entry["p50"]),
-                            _format_number(entry["p95"]),
-                            _format_number(entry["p99"]),
-                        ]
-                        for series, entry in quantiles
-                    ],
-                )
-            )
+        _print_metrics(
+            iter_prometheus_samples(text), histogram_quantiles_from_text(text)
+        )
         return 0
     # A request log: JSON lines (multi-line text defeats json.loads
     # above) or a single schema-tagged record.
@@ -488,7 +501,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     print(
         f"{path}: not a recognized obs artifact (expected a run "
         "manifest, a trace JSON, a Chrome trace, a request log, or "
-        "Prometheus text)",
+        "metrics as Prometheus text or JSON)",
         file=sys.stderr,
     )
     return 2

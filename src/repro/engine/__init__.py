@@ -48,7 +48,6 @@ __getattr__, __dir__ = lazy_exports(
             "batch_split",
             "batch_split_samples",
             "refine_split_exact",
-            "refine_split_grid",
         ),
         ".invariants": (
             "cached_invariants",
@@ -108,7 +107,6 @@ __all__ = [
     "point_signature",
     "portfolio_fingerprint",
     "refine_split_exact",
-    "refine_split_grid",
     "rowwise_batch_function",
     "ttm_factor_batch_function",
 ]

@@ -3,42 +3,42 @@
 The scalar Sec. 7 path (:func:`repro.multiprocess.split.evaluate_split`)
 re-derives each ported design's invariants once per (pair, split) plan:
 a 10-node, 100-point study costs thousands of full scalar model
-evaluations. This module evaluates the whole (pair x split-grid) tensor
-from one compiled *line table* per stage instead:
+evaluations. This module evaluates every two-node study from one
+compiled *line table* per stage instead:
 
 * each node's ported design is built **once** (`design_factory(node)`),
   and every production line the stage needs — each node's design at
-  each allocated fraction, under the base conditions and under each CAS
-  rate perturbation — is one column of one TTM
+  each allocated fraction, under the base supply and under each CAS
+  rate perturbation, for every supply sample — is one column of one TTM
   :func:`~repro.engine.scenario.evaluate` call; line costs are one cost
   call;
-* the split TTM is the ``max`` over the two production lines (the order
-  is filled when the slower line finishes);
-* two-node CAS (Eq. 8) perturbs each node's wafer rate by the same
-  relative step the scalar central difference uses — the perturbed line
-  columns are shared across every pair that touches the node;
+* the split TTM is the ``max`` over the production lines (the order is
+  filled when the slower line finishes);
+* two-node CAS (Eq. 8) perturbs each allocation node's wafer rate by the
+  same relative step the scalar central difference uses — the perturbed
+  line columns are shared across every plan that touches the node;
 * cost pays NRE on *both* nodes (the methodology's overhead) plus each
   line's recurring manufacturing.
 
-Results match the scalar oracle to <= 1e-9 relative error (pinned by
-``tests/engine/test_batch_split.py``), and every line equals its own
-one-design ``evaluate`` bit for bit.
+One rule, :func:`_score`, turns line weeks into a split's TTM and CAS
+for the Fig. 14 grid (:func:`batch_split`) and for the Monte Carlo plan
+study (:func:`batch_split_samples`, a fixed
+:class:`~repro.multiprocess.split.ProductionSplit` under sampled supply
+factors). Results match the scalar oracle to <= 1e-9 relative error
+(pinned by ``tests/engine/test_batch_split.py``), and every line equals
+its own one-design ``evaluate`` bit for bit.
 
 Degenerate cells (``split >= 1.0`` or a diagonal ``primary ==
 secondary`` pair) reproduce the scalar
 :func:`~repro.multiprocess.split.single_process_plan` semantics: one
 line, one NRE, CAS over the primary node only.
-
-:func:`batch_split_samples` is the Monte Carlo face of the same kernel:
-a fixed :class:`~repro.multiprocess.split.ProductionSplit` evaluated
-across sampled supply factors (demand, capacity, queue quotes, defect
-density, wafer rates), one batched call per production line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from functools import reduce
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,11 +55,11 @@ from ..multiprocess.split import (
 from ..obs.instrument import observed_kernel
 from ..ttm.model import TTMModel
 from .portfolio import ArrayLike, CapacityLike, _as_positive_array
-from .scenario import evaluate
+from .scenario import _validate_base, evaluate
 
 @dataclass(frozen=True)
 class SplitGridResult:
-    """The full (pair x split) evaluation tensor with argmax helpers.
+    """The full (pair x split) evaluation tensor.
 
     All arrays share the shape ``(n_pairs, n_splits)``. Cells flagged in
     ``single_mask`` carry single-process semantics: their effective
@@ -160,28 +160,6 @@ class SplitGridResult:
         """Each pair's CAS-optimal cell, in ``pairs`` order."""
         return tuple(self.best_evaluation(i) for i in range(self.n_pairs))
 
-    # -- Argmax helpers over the per-pair optima --------------------------------
-
-    def argmax_cas(self) -> Tuple[Tuple[str, str], SplitEvaluation]:
-        """(pair, evaluation) with the highest CAS among per-pair optima."""
-        return self._pick(lambda ev: ev.cas)
-
-    def argmin_ttm(self) -> Tuple[Tuple[str, str], SplitEvaluation]:
-        """(pair, evaluation) with the lowest TTM among per-pair optima."""
-        return self._pick(lambda ev: -ev.ttm_weeks)
-
-    def argmin_cost(self) -> Tuple[Tuple[str, str], SplitEvaluation]:
-        """(pair, evaluation) with the lowest cost among per-pair optima."""
-        return self._pick(lambda ev: -ev.cost_usd)
-
-    def _pick(self, score) -> Tuple[Tuple[str, str], SplitEvaluation]:
-        ranked = [
-            (score(evaluation), -i, self.pairs[i], evaluation)
-            for i, evaluation in enumerate(self.best_evaluations())
-        ]
-        _, _, pair, evaluation = max(ranked)
-        return pair, evaluation
-
 
 class _LineEngine:
     """Every production line of one study stage, from one line table.
@@ -190,37 +168,52 @@ class _LineEngine:
     on its own node. The caller names every line up front as ``probes``
     (node -> the fractions it needs), and the engine evaluates them all
     with one TTM :func:`~repro.engine.scenario.evaluate` call (and one
-    cost call when ``with_cost``; the TTM call runs on the block-tiled
-    chips, so pricing cost in it would price every block):
+    cost call when given a ``cost_model``; the TTM call runs on the
+    block-tiled chips, so pricing cost in it would price every block):
 
     * design axis: the ported design of each probed node, built once;
-    * sample axis: blocks x fractions. Block 0 holds the model's
-      conditions; with ``with_cas``, each node the designs use adds a
-      +step and a -step block in which only that node's capacity moves,
-      to :meth:`perturbation`'s fractions. Each design's distinct
-      fractions, times ``n_chips``, are tiled across the blocks as its
-      own ``n_chips`` row.
+    * sample axis: blocks x fractions x supply samples. Block 0 holds
+      the base supply; with ``with_cas``, each node the designs use
+      moves to :meth:`perturbation`'s fractions in a +step and a -step
+      block, which it shares with the nodes no design fabricates on
+      together with it. The supply samples are ``n_chips`` and the
+      sampled keywords (scalars or 1-D sample vectors, as for
+      ``evaluate``; a capacity mapping overrides the nodes it names,
+      the model's conditions give the rest), the same in every block.
+      Each design's distinct fractions, times ``n_chips``, are tiled
+      across the blocks as its own ``n_chips`` row.
 
     A line never reads another node's capacity, so each column equals
     the one-design ``evaluate`` of that line bit for bit: equal operands
     give equal bits. :meth:`totals` and :meth:`costs` then only index the
-    evaluated table.
+    evaluated table at a line's :meth:`columns`, one row per fraction and
+    one column per supply sample.
     """
 
     def __init__(
         self,
         design_factory: DesignFactory,
         model: TTMModel,
-        cost_model: CostModel,
-        n_chips: float,
-        relative_step: float,
         probes: Mapping[str, Sequence[np.ndarray]],
+        n_chips: ArrayLike,
+        relative_step: float,
+        *,
+        cost_model: Optional[CostModel] = None,
         with_cas: bool = True,
-        with_cost: bool = True,
+        capacity: Optional[CapacityLike] = None,
+        queue_weeks: Optional[ArrayLike] = None,
+        d0_scale: Optional[ArrayLike] = None,
+        wafer_rate_scale: Optional[ArrayLike] = None,
     ) -> None:
         self.model = model
         self.relative_step = relative_step
-        self._perturbations: Dict[str, Tuple[float, float, float]] = {}
+        n_samples, supply = _validate_base(
+            n_chips, 1, capacity, queue_weeks, d0_scale, wafer_rate_scale
+        )
+        self._capacity = supply["capacity"]
+        rate_scale = supply["wafer_rate_scale"]
+        self._rate_scale = 1.0 if rate_scale is None else rate_scale
+        self._perturbations: Dict[str, Tuple[ArrayLike, ...]] = {}
         self._fractions = {
             node: np.unique(np.concatenate(arrays))
             for node, arrays in probes.items()
@@ -228,99 +221,213 @@ class _LineEngine:
         }
         nodes = tuple(self._fractions)
         self._row = {node: row for row, node in enumerate(nodes)}
-        self._designs = {node: design_factory(node) for node in nodes}
-        designs = tuple(self._designs.values())
+        designs = tuple(design_factory(node) for node in nodes)
+        self._processes = {
+            node: frozenset(design.processes)
+            for node, design in zip(nodes, designs)
+        }
         used = tuple(
             {process: None for d in designs for process in d.processes}
         )
-        self._block = {(None, 0): 0}
+        # Nodes no design fabricates on together step in one pair of
+        # blocks: a design then sees at most one of its nodes moved in
+        # any block, so a study of one-node designs needs three blocks.
+        self._block: Dict[Tuple[str, int], int] = {}
         if with_cas:
             for node in used:
-                for sign in (+1, -1):
-                    self._block[(node, sign)] = len(self._block)
+                taken = {
+                    self._block.get((other, +1))
+                    for processes in self._processes.values()
+                    if node in processes
+                    for other in processes
+                }
+                plus = 1
+                while plus in taken:
+                    plus += 2
+                self._block[(node, +1)] = plus
+                self._block[(node, -1)] = plus + 1
+        n_blocks = 1 + max(self._block.values(), default=0)
         width = max(len(known) for known in self._fractions.values())
-        chips = n_chips * np.array([
+        fractions = np.array([
             np.pad(known, (0, width - len(known)), mode="edge")
             for known in self._fractions.values()
         ])
-        conditions = model.foundry.conditions
-        capacity = {}
+        chips = supply["n_chips"] * fractions[:, :, None]
+        table = (n_blocks, width, n_samples)
+
+        def laid_out(values, shape=table):
+            """``values`` broadcast to ``shape`` and flattened: one value
+            per block x fraction x supply sample."""
+            if values is None:
+                return None
+            out = np.empty(shape)
+            out[...] = values
+            return out.reshape(-1)
+
+        capacity_map = {}
         for node in used:
-            column = np.full(len(self._block), conditions.capacity_for(node))
+            column = np.empty((n_blocks, 1, n_samples))
+            column[...] = self.base_capacity(node)
             if with_cas:
                 _, plus, minus = self.perturbation(node)
                 column[self._block[(node, +1)]] = plus
                 column[self._block[(node, -1)]] = minus
-            capacity[node] = np.repeat(column, width)
+            capacity_map[node] = laid_out(column)
         self._weeks = evaluate(
             model,
             designs,
-            np.tile(chips, len(self._block)),
+            laid_out(chips[:, None], (len(designs), *table)).reshape(
+                len(designs), -1
+            ),
             ("ttm",),
-            capacity=capacity,
-        ).ttm.total_weeks[0].reshape(len(designs), len(self._block), width)
+            capacity=capacity_map,
+            queue_weeks=laid_out(supply["queue_weeks"]),
+            d0_scale=laid_out(supply["d0_scale"]),
+            wafer_rate_scale=laid_out(rate_scale),
+        ).ttm.total_weeks[0].reshape(len(designs), *table)
         self._costs = None
-        if with_cost:
+        if cost_model is not None:
             self._costs = evaluate(
-                model, designs, chips, ("cost",), cost_model=cost_model
-            ).cost.total_usd[0]
+                model,
+                designs,
+                laid_out(chips, (len(designs), *table[1:])).reshape(
+                    len(designs), -1
+                ),
+                ("cost",),
+                d0_scale=laid_out(supply["d0_scale"], table[1:]),
+                cost_model=cost_model,
+            ).cost.total_usd[0].reshape(len(designs), *table[1:])
 
-    def perturbation(self, node: str) -> Tuple[float, float, float]:
+    def base_capacity(self, node: str) -> ArrayLike:
+        """``node``'s capacity fraction(s) before any CAS step."""
+        if isinstance(self._capacity, Mapping):
+            if node in self._capacity:
+                return self._capacity[node]
+        elif self._capacity is not None:
+            return self._capacity
+        return self.model.foundry.conditions.capacity_for(node)
+
+    def perturbation(self, node: str) -> Tuple[ArrayLike, ...]:
         """(absolute step, fraction at +step, fraction at -step).
 
-        Mirrors the scalar :func:`~repro.multiprocess.split.split_cas`:
-        the node's rate is ``capacity_for(node) * max_rate``, the step is
-        ``rate * relative_step``, and the perturbed rate goes back into
-        the model as a capacity *fraction* (the same rate -> fraction ->
-        rate round trip, so kinks land on identical abscissae).
+        Mirrors the scalar :func:`~repro.multiprocess.split.split_cas`
+        under each supply sample: the node's rate is its capacity
+        fraction times its (scaled) max rate, the step is ``rate *
+        relative_step``, and the perturbed rate goes back into the model
+        as a capacity *fraction* (the same rate -> fraction -> rate
+        round trip, so kinks land on identical abscissae).
         """
         if node not in self._perturbations:
-            conditions = self.model.foundry.conditions
-            fraction = conditions.capacity_for(node)
-            if fraction <= 0.0:
+            fraction = self.base_capacity(node)
+            if not np.all(np.asarray(fraction) > 0.0):
                 raise InvalidParameterError(
                     f"cannot evaluate CAS with zero capacity on {node!r}"
                 )
-            max_rate = self.model.foundry.technology.require_production(
-                node
-            ).max_wafer_rate_per_week
-            rate = fraction * max_rate
+            scaled_max = (
+                self.model.foundry.technology.require_production(
+                    node
+                ).max_wafer_rate_per_week
+                * self._rate_scale
+            )
+            rate = fraction * scaled_max
             step = rate * self.relative_step
             self._perturbations[node] = (
                 step,
-                (rate + step) / max_rate,
-                (rate - step) / max_rate,
+                (rate + step) / scaled_max,
+                (rate - step) / scaled_max,
             )
         return self._perturbations[node]
 
-    def _columns(self, node: str, fractions: np.ndarray) -> np.ndarray:
+    def columns(self, node: str, fractions: np.ndarray) -> np.ndarray:
+        """Where the lines making ``fractions`` of the order on ``node``
+        sit in its row of the table."""
         return np.searchsorted(self._fractions[node], fractions)
 
     def totals(
         self,
         node: str,
-        fractions: np.ndarray,
+        columns: np.ndarray,
         perturb: Optional[str] = None,
         sign: int = 0,
     ) -> np.ndarray:
-        """Line completion weeks for ``fractions`` of the order on ``node``.
+        """Completion weeks of ``node``'s lines at ``columns``,
+        ``(lines, supply samples)``.
 
-        ``perturb``/``sign`` read the line with ``perturb``'s wafer rate
+        ``perturb``/``sign`` read the lines with ``perturb``'s wafer rate
         displaced by one CAS step. A line whose ported design never
         fabricates on ``perturb`` reads its base block, which is exactly
         the scalar behavior: the perturbed market conditions only move
         lines that use the node.
         """
         block = 0
-        if perturb is not None and perturb in self._designs[node].processes:
+        if perturb in self._processes[node]:
             block = self._block[(perturb, sign)]
-        return self._weeks[
-            self._row[node], block, self._columns(node, fractions)
-        ]
+        return self._weeks[self._row[node], block, columns]
 
-    def costs(self, node: str, fractions: np.ndarray) -> np.ndarray:
-        """Line chip-creation cost (node NRE + recurring) per fraction."""
-        return self._costs[self._row[node], self._columns(node, fractions)]
+    def costs(self, node: str, columns: np.ndarray) -> np.ndarray:
+        """Chip-creation cost (node NRE + recurring) of ``node``'s lines
+        at ``columns``, ``(lines, supply samples)``."""
+        return self._costs[self._row[node], columns]
+
+
+class _Scores(NamedTuple):
+    """Plans scored from their lines: each ``(plans, supply samples)``."""
+
+    line_weeks: Dict[str, np.ndarray]
+    ttm: np.ndarray
+    cas: np.ndarray
+    cost: Optional[np.ndarray]
+
+
+def _score(
+    engine: _LineEngine, lines: Mapping[str, np.ndarray], with_cas: bool
+) -> _Scores:
+    """TTM, CAS and cost of plans that share their allocation nodes.
+
+    ``lines`` maps each allocation node to the fraction of the order its
+    line makes, one entry per plan. The order is filled when the slower
+    line finishes, so TTM is the max over the lines; Eq. 8's CAS is
+    ``1 / sum over the allocation nodes of |max+ - max-| / (2 step)``,
+    each node's rate displaced by its step in both directions; cost sums
+    the lines' costs when the engine priced them.
+    """
+
+    columns = {
+        node: engine.columns(node, fractions)
+        for node, fractions in lines.items()
+    }
+
+    def finish(perturb: Optional[str] = None, sign: int = 0) -> np.ndarray:
+        return reduce(
+            np.maximum,
+            (
+                engine.totals(node, at, perturb, sign)
+                for node, at in columns.items()
+            ),
+        )
+
+    line_weeks = {
+        node: engine.totals(node, at) for node, at in columns.items()
+    }
+    ttm = reduce(np.maximum, line_weeks.values())
+    cas = np.zeros(np.shape(ttm))
+    if with_cas:
+        sensitivity = sum(
+            np.abs(
+                (finish(node, +1) - finish(node, -1))
+                / (2.0 * engine.perturbation(node)[0])
+            )
+            for node in lines
+        )
+        if not np.all(sensitivity > 0.0):
+            raise InvalidParameterError(
+                "split has zero TTM sensitivity; CAS is unbounded"
+            )
+        cas = 1.0 / sensitivity
+    cost = None
+    if engine._costs is not None:
+        cost = sum(engine.costs(node, at) for node, at in columns.items())
+    return _Scores(line_weeks, ttm, cas, cost)
 
 
 def _split_matrix(split_grid, n_pairs: int) -> np.ndarray:
@@ -346,6 +453,13 @@ def _split_matrix(split_grid, n_pairs: int) -> np.ndarray:
         bad = float(array[~valid].reshape(-1)[0])
         raise InvalidParameterError(f"split must be in (0, 1], got {bad}")
     return np.array(array, dtype=float)  # owned, writable copy
+
+
+def _check_step(relative_step: float) -> None:
+    if not 0.0 < relative_step < 1.0:
+        raise InvalidParameterError(
+            f"relative step must be in (0, 1), got {relative_step}"
+        )
 
 
 @observed_kernel("engine.batch_split", lambda r: r.ttm_weeks.size)
@@ -389,10 +503,7 @@ def batch_split(
         raise InvalidParameterError(
             f"number of final chips must be positive, got {n_chips}"
         )
-    if not 0.0 < relative_step < 1.0:
-        raise InvalidParameterError(
-            f"relative step must be in (0, 1), got {relative_step}"
-        )
+    _check_step(relative_step)
     splits = _split_matrix(split_grid, len(pair_list))
     for i, (primary, secondary) in enumerate(pair_list):
         if primary == secondary:
@@ -406,10 +517,10 @@ def batch_split(
     engine = _LineEngine(
         design_factory,
         model,
-        cost_model,
+        probes,
         n_chips,
         relative_step,
-        probes,
+        cost_model=cost_model,
         with_cas=with_cas,
     )
     n_pairs, n_splits = splits.shape
@@ -419,66 +530,33 @@ def batch_split(
     line_primary = np.empty((n_pairs, n_splits))
     line_secondary = np.full((n_pairs, n_splits), np.nan)
 
+    # A single cell is its primary node's one-line plan, whatever the
+    # pair, so each node's is scored once.
+    alone: Dict[str, _Scores] = {}
     for i, (primary, secondary) in enumerate(pair_list):
-        prim_frac = np.ascontiguousarray(splits[i])
-        two = ~single[i]
-        has_two = bool(two.any())
-        sec_frac = np.ascontiguousarray(1.0 - prim_frac[two])
-
-        lp = engine.totals(primary, prim_frac)
-        line_primary[i] = lp
-        row_ttm = lp.copy()
-        row_cost = engine.costs(primary, prim_frac).copy()
-        if has_two:
-            lq = engine.totals(secondary, sec_frac)
-            line_secondary[i, two] = lq
-            row_ttm[two] = np.maximum(lp[two], lq)
-            row_cost[two] = row_cost[two] + engine.costs(secondary, sec_frac)
-        ttm[i] = row_ttm
-        cost[i] = row_cost
-
-        if not with_cas:
-            continue
-        # Eq. 8: each node's rate perturbation only moves its own
-        # line(s); the max over lines couples them exactly as the
-        # scalar ``split_cas`` central difference does.
-        step_p, _, _ = engine.perturbation(primary)
-        upper = engine.totals(primary, prim_frac, perturb=primary, sign=+1)
-        lower = engine.totals(primary, prim_frac, perturb=primary, sign=-1)
-        if has_two:
-            upper = upper.copy()
-            lower = lower.copy()
-            upper[two] = np.maximum(
-                upper[two],
-                engine.totals(secondary, sec_frac, perturb=primary, sign=+1),
+        cells = single[i]
+        if cells.any():
+            if primary not in alone:
+                alone[primary] = _score(
+                    engine, {primary: np.ones(1)}, with_cas
+                )
+            scores = alone[primary]
+            line_primary[i, cells] = scores.line_weeks[primary][0, 0]
+            ttm[i, cells] = scores.ttm[0, 0]
+            cost[i, cells] = scores.cost[0, 0]
+            cas[i, cells] = scores.cas[0, 0]
+        cells = ~single[i]
+        if cells.any():
+            scores = _score(
+                engine,
+                {primary: splits[i, cells], secondary: 1.0 - splits[i, cells]},
+                with_cas,
             )
-            lower[two] = np.maximum(
-                lower[two],
-                engine.totals(secondary, sec_frac, perturb=primary, sign=-1),
-            )
-        total_sensitivity = np.abs((upper - lower) / (2.0 * step_p))
-        if has_two:
-            step_q, _, _ = engine.perturbation(secondary)
-            upper_q = np.maximum(
-                engine.totals(primary, prim_frac, perturb=secondary, sign=+1)[
-                    two
-                ],
-                engine.totals(secondary, sec_frac, perturb=secondary, sign=+1),
-            )
-            lower_q = np.maximum(
-                engine.totals(primary, prim_frac, perturb=secondary, sign=-1)[
-                    two
-                ],
-                engine.totals(secondary, sec_frac, perturb=secondary, sign=-1),
-            )
-            total_sensitivity[two] = total_sensitivity[two] + np.abs(
-                (upper_q - lower_q) / (2.0 * step_q)
-            )
-        if not np.all(total_sensitivity > 0.0):
-            raise InvalidParameterError(
-                "split has zero TTM sensitivity; CAS is unbounded"
-            )
-        cas[i] = 1.0 / total_sensitivity
+            line_primary[i, cells] = scores.line_weeks[primary][:, 0]
+            line_secondary[i, cells] = scores.line_weeks[secondary][:, 0]
+            ttm[i, cells] = scores.ttm[:, 0]
+            cost[i, cells] = scores.cost[:, 0]
+            cas[i, cells] = scores.cas[:, 0]
 
     return SplitGridResult(
         n_chips=float(n_chips),
@@ -504,31 +582,6 @@ def _bracket(result: SplitGridResult, pair_index: int) -> Tuple[float, float]:
         1.0, best + (best - lower)
     )
     return lower, upper
-
-
-def refine_split_grid(
-    result: SplitGridResult, points: int = DEFAULT_REFINE_POINTS
-) -> np.ndarray:
-    """Per-pair fine grids bracketing each coarse optimum.
-
-    For every pair, spans the interval between the CAS-optimal split's
-    two grid neighbors with ``points`` evenly spaced values — a second
-    :func:`batch_split` call over the returned ``(n_pairs, points)``
-    matrix resolves the optimum to roughly ``spacing / (points - 1)``
-    split resolution. Rows that only ever see the single-process plan
-    (diagonal pairs) stay pinned at 1.0.
-    """
-    if points < 2:
-        raise InvalidParameterError(
-            f"refinement needs at least 2 points, got {points}"
-        )
-    fine = np.empty((result.n_pairs, points))
-    for i in range(result.n_pairs):
-        if bool(result.single_mask[i].all()):
-            fine[i] = 1.0
-            continue
-        fine[i] = np.linspace(*_bracket(result, i), points)
-    return fine
 
 
 def _affine_fit(
@@ -587,8 +640,8 @@ def refine_split_exact(
        the base scenario and the four CAS perturbations (``primary``/
        ``secondary`` rate, each displaced both ways);
     2. verify the midpoint probe is on the endpoint chord (relative
-       tolerance 1e-9) — rows where any scenario bends fall back to the
-       :func:`refine_split_grid` fine grid for that pair, and so do
+       tolerance 1e-9) — rows where any scenario bends fall back to a
+       ``points``-point even grid across the bracket, and so do
        brackets reaching split 1.0, where the secondary line vanishes
        (no line is probed at a zero fraction);
     3. fit the affine coefficients and enumerate every interior
@@ -596,9 +649,8 @@ def refine_split_exact(
 
     The returned ``(n_pairs, n_candidates)`` matrix (rows padded with
     their last candidate, diagonal pairs pinned at 1.0) feeds a second
-    :func:`batch_split` call exactly like the fine grid does — but the
-    best cell is now the bracket's true optimum, not a 0.1%-grid
-    approximation of it.
+    :func:`batch_split` call, whose best cell is the bracket's true
+    optimum, not a grid approximation of it.
     """
     if points < 2:
         raise InvalidParameterError(
@@ -622,13 +674,7 @@ def refine_split_exact(
     engine = None
     if probes:
         engine = _LineEngine(
-            design_factory,
-            model,
-            cost_model,
-            result.n_chips,
-            relative_step,
-            probes,
-            with_cost=False,
+            design_factory, model, probes, result.n_chips, relative_step
         )
     rows: List[np.ndarray] = []
     for i, bracket in enumerate(brackets):
@@ -649,9 +695,11 @@ def refine_split_exact(
         )
         fits = {}
         affine = True
+        columns_p = engine.columns(primary, at)
+        columns_q = engine.columns(secondary, 1.0 - at)
         for perturb, sign in scenarios:
-            weeks_p = engine.totals(primary, at, perturb, sign)
-            weeks_q = engine.totals(secondary, 1.0 - at, perturb, sign)
+            weeks_p = engine.totals(primary, columns_p, perturb, sign)[:, 0]
+            weeks_q = engine.totals(secondary, columns_q, perturb, sign)[:, 0]
             if not (
                 _probe_is_affine(weeks_p) and _probe_is_affine(weeks_q)
             ):
@@ -737,29 +785,6 @@ class SplitSampleResult:
         return self.cost_usd / self.n_chips
 
 
-def _resolved_fractions(
-    nodes: Sequence[str],
-    capacity: Optional[CapacityLike],
-    model: TTMModel,
-) -> Dict[str, ArrayLike]:
-    """Per-node capacity fractions under the sampled ``capacity`` input."""
-    conditions = model.foundry.conditions
-    resolved: Dict[str, ArrayLike] = {}
-    for node in nodes:
-        if isinstance(capacity, Mapping):
-            fraction: ArrayLike = (
-                capacity[node]
-                if node in capacity
-                else conditions.capacity_for(node)
-            )
-        elif capacity is not None:
-            fraction = capacity
-        else:
-            fraction = conditions.capacity_for(node)
-        resolved[node] = fraction
-    return resolved
-
-
 @observed_kernel("engine.batch_split_samples", lambda r: r.ttm_weeks.size)
 def batch_split_samples(
     plan: ProductionSplit,
@@ -777,10 +802,10 @@ def batch_split_samples(
 
     The Monte Carlo face of the split engine: ``n_chips`` and the
     sampled keywords are scalars or 1-D sample vectors, as for
-    :func:`~repro.engine.scenario.evaluate`, and each capacity map is
-    one batched call over every production line — a 10k-sample
-    robustness study of a two-node plan costs six array evaluations
-    (five capacity maps and one cost call), not 10k scalar ones.
+    :func:`~repro.engine.scenario.evaluate`, laid on the sample axis of
+    the plan's line table beside its base and CAS-step blocks — a
+    10k-sample robustness study of a two-node plan costs one TTM and
+    one cost array evaluation, not 10k scalar ones.
 
     CAS is evaluated per sample: each allocation node's *effective*
     rate (sampled capacity x scaled max rate) is displaced by
@@ -789,118 +814,42 @@ def batch_split_samples(
     :func:`~repro.multiprocess.split.split_cas` under each draw's
     market conditions.
     """
-    if not 0.0 < relative_step < 1.0:
-        raise InvalidParameterError(
-            f"relative step must be in (0, 1), got {relative_step}"
-        )
+    _check_step(relative_step)
     quantities = _as_positive_array(n_chips, "number of final chips")
-    allocations = plan.allocations
-    designs = {node: plan.design_factory(node) for node in allocations}
-    involved: List[str] = []
-    for design in designs.values():
-        for process in design.processes:
-            if process not in involved:
-                involved.append(process)
-    fractions = _resolved_fractions(involved, capacity, model)
-    sampled = {
-        "queue_weeks": queue_weeks,
-        "d0_scale": d0_scale,
-        "wafer_rate_scale": wafer_rate_scale,
+    lines = {
+        node: np.array([fraction])
+        for node, fraction in plan.allocations.items()
     }
-
-    # One row per production line: a (lines, samples) or (lines, 1)
-    # per-design demand, so a scalar demand is not read as a sample axis.
-    line_designs = tuple(designs.values())
-    line_chips = np.stack(
-        [
-            np.atleast_1d(quantities * fraction)
-            for fraction in allocations.values()
-        ]
+    engine = _LineEngine(
+        plan.design_factory,
+        model,
+        {node: [fraction] for node, fraction in lines.items()},
+        quantities,
+        relative_step,
+        cost_model=cost_model,
+        with_cas=with_cas,
+        capacity=capacity,
+        queue_weeks=queue_weeks,
+        d0_scale=d0_scale,
+        wafer_rate_scale=wafer_rate_scale,
     )
-
-    def line_totals(capacity_map: Mapping[str, ArrayLike]) -> np.ndarray:
-        """Every line's completion weeks under one capacity map."""
-        return evaluate(
-            model,
-            line_designs,
-            line_chips,
-            ("ttm",),
-            capacity=dict(capacity_map),
-            **sampled,
-        ).ttm.total_weeks[0]
-
-    line_weeks = line_totals(fractions)
-    ttm = line_weeks.max(axis=0)
-
-    cost_usd = None
-    if cost_model is not None:
-        cost_total = evaluate(
-            model,
-            line_designs,
-            line_chips,
-            ("cost",),
-            d0_scale=d0_scale,
-            cost_model=cost_model,
-        ).cost.total_usd[0].sum(axis=0)
-        cost_usd = np.broadcast_to(cost_total, np.shape(ttm))
-
-    cas = np.zeros(np.shape(ttm))
-    if with_cas:
-        rate_scale: ArrayLike = 1.0
-        if wafer_rate_scale is not None:
-            rate_scale = _as_positive_array(
-                wafer_rate_scale, "wafer rate scale"
-            )
-        total_sensitivity: Optional[np.ndarray] = None
-        for node in allocations:
-            fraction = np.asarray(fractions[node], dtype=float)
-            if not np.all(fraction > 0.0):
-                raise InvalidParameterError(
-                    f"cannot evaluate CAS with zero capacity on {node!r}"
-                )
-            scaled_max = (
-                model.foundry.technology.require_production(
-                    node
-                ).max_wafer_rate_per_week
-                * rate_scale
-            )
-            rate = fraction * scaled_max
-            step = rate * relative_step
-            perturbed: Dict[int, np.ndarray] = {}
-            for sign in (+1, -1):
-                displaced = dict(fractions)
-                displaced[node] = (rate + sign * step) / scaled_max
-                perturbed[sign] = line_totals(displaced).max(axis=0)
-            sensitivity = np.abs(
-                (perturbed[+1] - perturbed[-1]) / (2.0 * step)
-            )
-            total_sensitivity = (
-                sensitivity
-                if total_sensitivity is None
-                else total_sensitivity + sensitivity
-            )
-        if not np.all(total_sensitivity > 0.0):
-            raise InvalidParameterError(
-                "split has zero TTM sensitivity; CAS is unbounded"
-            )
-        cas = 1.0 / total_sensitivity
-
-    shape = np.broadcast_shapes(np.shape(ttm), quantities.shape)
+    scores = _score(engine, lines, with_cas)
+    shape = np.broadcast_shapes(scores.ttm.shape[1:], quantities.shape)
     return SplitSampleResult(
         primary=plan.primary,
         secondary=plan.secondary,
         split=plan.split,
         n_chips=np.broadcast_to(quantities, shape),
-        ttm_weeks=np.broadcast_to(np.asarray(ttm, dtype=float), shape),
-        cas=np.broadcast_to(np.asarray(cas, dtype=float), shape),
+        ttm_weeks=np.broadcast_to(scores.ttm[0], shape),
+        cas=np.broadcast_to(scores.cas[0], shape),
         cost_usd=(
             None
-            if cost_usd is None
-            else np.broadcast_to(cost_usd, shape)
+            if scores.cost is None
+            else np.broadcast_to(scores.cost[0], shape)
         ),
         line_weeks={
-            node: np.broadcast_to(weeks, shape)
-            for node, weeks in zip(allocations, line_weeks)
+            node: np.broadcast_to(weeks[0], shape)
+            for node, weeks in scores.line_weeks.items()
         },
     )
 
@@ -913,5 +862,4 @@ __all__ = [
     "batch_split",
     "batch_split_samples",
     "refine_split_exact",
-    "refine_split_grid",
 ]

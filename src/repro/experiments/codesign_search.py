@@ -134,8 +134,8 @@ def run(
     ``split_processes`` (optional) adds the production stage: the
     winning architecture is re-ported across those nodes and the batched
     split engine returns the CAS-optimal manufacturing plan as
-    ``result.production`` (``refine_split=True`` sharpens its split to
-    ~0.1% resolution).
+    ``result.production`` (``refine_split=True`` solves its coarse
+    bracket for the exact optimal split).
     """
     ttm_model = (model or TTMModel.nominal()).at_capacity(capacity_share)
     costs = cost_model or CostModel.nominal()

@@ -103,9 +103,9 @@ def run(
     """Regenerate Fig. 14's matrices and the Sec. 7 headline numbers.
 
     The whole study is one vectorized (pair x split) tensor.
-    ``refine=True`` is the ``"exact"`` mode of
-    :func:`~repro.multiprocess.optimizer.run_split_study`: it solves
-    each pair's coarse bracket for the breakpoints of its
+    ``refine=True`` is
+    :func:`~repro.multiprocess.optimizer.run_split_study`'s refinement:
+    it solves each pair's coarse bracket for the breakpoints of its
     piecewise-affine objective (off by default so the figure reproduces
     the paper's 2% panel values exactly).
     """

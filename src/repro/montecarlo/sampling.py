@@ -19,8 +19,10 @@ dependency:
   monotone-response estimators pair negatively correlated samples.
 
 Everything here produces *uniform unit-interval matrices*; factor
-scaling stays in :class:`~repro.sensitivity.distributions.Factor`, so
-studies built on the default path are untouched bit-for-bit.
+scaling stays in :class:`~repro.sensitivity.distributions.Factor`. With
+every option at its default, :func:`sample_factor_matrix` draws what
+``sample_matrix`` draws, bit for bit, so it is the one sampling path of
+every :class:`~repro.montecarlo.spec.SamplingSpec`.
 """
 
 from __future__ import annotations
@@ -294,9 +296,9 @@ def sample_factor_matrix(
 ) -> np.ndarray:
     """Factor draws under correlation/stratification/antithetic options.
 
-    With every option at its default this is *not* used — callers keep
-    the legacy :func:`~repro.sensitivity.distributions.sample_matrix`
-    path, whose RNG consumption (and bits) are unchanged.
+    With every option at its default this is one ``rng.random((n, k))``
+    draw with each column scaled by its factor: the RNG consumption and
+    the bits of :func:`~repro.sensitivity.distributions.sample_matrix`.
     """
     uniforms = sample_uniforms(
         n_samples, len(factors), rng, strategy=strategy,

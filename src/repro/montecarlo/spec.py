@@ -30,7 +30,7 @@ from typing import Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import InvalidParameterError
-from ..sensitivity.distributions import DEFAULT_VARIATION, Factor, sample_matrix
+from ..sensitivity.distributions import DEFAULT_VARIATION, Factor
 from .sampling import STRATEGIES, RankCorrelation, sample_factor_matrix
 
 #: Recognized sampling targets.
@@ -100,8 +100,9 @@ class SamplingSpec:
         keeps the factors independent.
     strategy:
         ``"iid"`` (default) or ``"lhs"`` (Latin hypercube). With every
-        sampling field at its default, :meth:`sample` takes the legacy
-        path and its draws are bit-for-bit unchanged.
+        sampling field at its default, :meth:`sample` draws independent
+        uniforms, bit for bit what
+        :func:`~repro.sensitivity.distributions.sample_matrix` draws.
     antithetic:
         Mirror the second half of each draw (``1.0 - u``), pairing
         negatively correlated samples; requires even sample counts.
@@ -152,35 +153,19 @@ class SamplingSpec:
         """Factor names in parameter order."""
         return tuple(p.factor.name for p in self.parameters)
 
-    @property
-    def uses_default_sampling(self) -> bool:
-        """True when every sampling option is at its legacy default."""
-        return (
-            self.correlation is None
-            and self.strategy == "iid"
-            and not self.antithetic
-        )
-
     def sample(
         self, n_samples: int, rng: np.random.Generator
     ) -> "ParameterSamples":
-        """Draw ``n_samples`` joint rows.
-
-        With default sampling options this is the legacy independent
-        draw — same RNG consumption, bit-for-bit identical matrices.
-        """
-        factors = [p.factor for p in self.parameters]
-        if self.uses_default_sampling:
-            matrix = sample_matrix(factors, n_samples, rng)
-        else:
-            matrix = sample_factor_matrix(
-                factors,
-                n_samples,
-                rng,
-                correlation=self.correlation,
-                strategy=self.strategy,
-                antithetic=self.antithetic,
-            )
+        """Draw ``n_samples`` joint rows through
+        :func:`~repro.montecarlo.sampling.sample_factor_matrix`."""
+        matrix = sample_factor_matrix(
+            [p.factor for p in self.parameters],
+            n_samples,
+            rng,
+            correlation=self.correlation,
+            strategy=self.strategy,
+            antithetic=self.antithetic,
+        )
         return ParameterSamples(spec=self, matrix=matrix)
 
 

@@ -7,39 +7,23 @@ billion final chips and highlights the overall fastest combination.
 
 One vectorized :func:`repro.engine.batch_split.batch_split` call
 evaluates the whole (pair x split-grid) tensor from one compiled line
-table, with an optional ``refine`` stage that resolves each pair's
-optimum inside its coarse bracket. The scalar oracle is
-:func:`~repro.multiprocess.split.evaluate_split`, one plan at a time;
-every cell and every per-pair optimum matches it to <= 1e-9 relative
-error (pinned by ``tests/engine/test_batch_split.py``).
+table; ``refine=True`` adds a second stage that solves each pair's
+coarse bracket for its exact optimum
+(:func:`~repro.engine.batch_split.refine_split_exact`). The scalar
+oracle is :func:`~repro.multiprocess.split.evaluate_split`, one plan at
+a time; every cell and every per-pair optimum matches it to <= 1e-9
+relative error (pinned by ``tests/engine/test_batch_split.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..cost.model import CostModel
 from ..errors import InvalidParameterError
 from ..ttm.model import TTMModel
-from .split import (
-    DEFAULT_REFINE_POINTS,
-    DEFAULT_SPLIT_GRID,
-    DesignFactory,
-    SplitEvaluation,
-)
-
-#: Refinement modes: ``True`` is an alias for ``"exact"``.
-_REFINE_MODES = (False, True, "exact", "grid")
-
-
-def _require_refine(refine: Union[bool, str]) -> Union[bool, str]:
-    if refine not in _REFINE_MODES:
-        raise InvalidParameterError(
-            f"unknown refinement mode {refine!r}; choose from "
-            f"{_REFINE_MODES}"
-        )
-    return "exact" if refine is True else refine
+from .split import DEFAULT_SPLIT_GRID, DesignFactory, SplitEvaluation
 
 
 @dataclass(frozen=True)
@@ -109,20 +93,25 @@ def _batched_best(
     cost_model: CostModel,
     n_chips: float,
     split_grid: Sequence[float],
-    refine: Union[bool, str],
-    refine_points: int,
+    refine: bool,
+    with_cas: bool = True,
 ) -> List[SplitEvaluation]:
-    """Per-pair optima from the vectorized tensor (+ optional refinement)."""
+    """Per-pair optima from the vectorized tensor (+ optional refinement).
+
+    The one split-search pipeline: :func:`best_split_for_pair`,
+    :func:`run_split_study` and the server's /splits endpoint all answer
+    through it. Without CAS every cell scores 0, the optimum is the
+    fastest split, and there is no bracket to refine.
+    """
     # Imported lazily: ``repro.engine.batch_split`` itself imports from
     # ``repro.multiprocess``, so a module-level import here would close
     # an import cycle during package initialization.
-    from ..engine.batch_split import (
-        batch_split,
-        refine_split_exact,
-        refine_split_grid,
-    )
+    from ..engine.batch_split import batch_split, refine_split_exact
 
-    refine = _require_refine(refine)
+    if not isinstance(refine, bool):
+        raise InvalidParameterError(
+            f"refine must be True or False, got {refine!r}"
+        )
     coarse = batch_split(
         design_factory,
         pairs,
@@ -130,27 +119,20 @@ def _batched_best(
         cost_model,
         n_chips,
         split_grid=split_grid,
+        with_cas=with_cas,
     )
     best = list(coarse.best_evaluations())
-    if not refine:
+    if not (refine and with_cas):
         return best
-    if refine == "exact":
-        fine_grid = refine_split_exact(
-            coarse,
-            design_factory,
-            model,
-            cost_model,
-            points=refine_points,
-        )
-    else:
-        fine_grid = refine_split_grid(coarse, points=refine_points)
     fine = batch_split(
         design_factory,
         pairs,
         model,
         cost_model,
         n_chips,
-        split_grid=fine_grid,
+        split_grid=refine_split_exact(
+            coarse, design_factory, model, cost_model
+        ),
     )
     # The fine grid brackets the coarse optimum but need not contain it,
     # so refinement keeps whichever stage actually scored higher.
@@ -168,16 +150,14 @@ def best_split_for_pair(
     cost_model: CostModel,
     n_chips: float,
     split_grid: Sequence[float] = DEFAULT_SPLIT_GRID,
-    refine: Union[bool, str] = False,
-    refine_points: int = DEFAULT_REFINE_POINTS,
+    refine: bool = False,
 ) -> PairResult:
     """Sweep the split grid for one pair, keeping the max-CAS split.
 
     Ties on CAS break toward lower TTM. The diagonal (primary ==
-    secondary) evaluates only the single-process plan. ``refine`` adds a
-    second vectorized stage around the coarse optimum: ``"exact"``
-    (alias ``True``) solves the bracket's piecewise-affine breakpoints,
-    ``"grid"`` carpets it with ``refine_points`` evenly spaced splits.
+    secondary) evaluates only the single-process plan. ``refine=True``
+    adds a second vectorized stage that solves the coarse optimum's
+    bracket for its piecewise-affine breakpoints.
     """
     if len(split_grid) == 0:
         raise InvalidParameterError("split grid must be non-empty")
@@ -189,7 +169,6 @@ def best_split_for_pair(
         n_chips,
         split_grid,
         refine,
-        refine_points,
     )[0]
     return PairResult(primary=primary, secondary=secondary, best=best)
 
@@ -202,19 +181,16 @@ def run_split_study(
     n_chips: float,
     split_grid: Sequence[float] = DEFAULT_SPLIT_GRID,
     include_singles: bool = True,
-    refine: Union[bool, str] = False,
-    refine_points: int = DEFAULT_REFINE_POINTS,
+    refine: bool = False,
 ) -> SplitStudy:
     """Evaluate every unordered node pair (plus singles on the diagonal).
 
     ``processes`` should contain only nodes currently in production; the
     primary is always the more advanced (later-roadmap) node of the pair,
     matching the paper's axes. The whole study is one (pair x split)
-    tensor. ``refine="exact"`` (alias ``True``) adds a second vectorized
-    stage that solves each pair's bracket for its piecewise-affine
-    breakpoints — the bracket's true optimum, not a grid approximation;
-    ``refine="grid"`` keeps the original ``refine_points``-point fine
-    grid.
+    tensor. ``refine=True`` adds a second vectorized stage that solves
+    each pair's bracket for its piecewise-affine breakpoints — the
+    bracket's true optimum, not a grid approximation.
     """
     if len(processes) < 1:
         raise InvalidParameterError("need at least one process node")
@@ -238,7 +214,6 @@ def run_split_study(
             n_chips,
             split_grid,
             refine,
-            refine_points,
         )
         for (primary, secondary), evaluation in zip(keys, best):
             pairs[(primary, secondary)] = PairResult(

@@ -33,9 +33,9 @@ DesignFactory = Callable[[str], ChipDesign]
 #: node.
 DEFAULT_SPLIT_GRID: Tuple[float, ...] = tuple(s / 100.0 for s in range(1, 101))
 
-#: Points in each pair's second-stage grid around its coarse optimum:
-#: 21 points across one coarse-grid spacing turn a 1% grid into ~0.1%
-#: split resolution.
+#: Points of the even grid the exact split refiner falls back to inside
+#: a coarse bracket it cannot solve (a bending line, or a bracket that
+#: reaches split 1.0): 21 points across one 1% spacing, ~0.1% resolution.
 DEFAULT_REFINE_POINTS = 21
 
 

@@ -32,7 +32,9 @@ import json
 import re
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 #: One ``name="value"`` label pair inside a series' brace block.
 _LABEL_PAIR = re.compile(r'([A-Za-z_][A-Za-z0-9_]*)="((?:[^"\\]|\\.)*)"')
@@ -388,15 +390,16 @@ class MetricsRegistry:
         }
         for instrument in self.instruments():
             if isinstance(instrument, Histogram):
-                # Histogram series carry the sum and estimated
-                # p50/p95/p99 alongside the count, so JSON consumers
-                # never redo bucket math by hand.
+                # Histogram series carry the sum, the cumulative bucket
+                # counts and estimated p50/p95/p99 alongside the count,
+                # so JSON consumers never redo bucket math by hand.
                 with instrument._lock:
                     series = [
                         {
                             "labels": dict(key),
                             "value": float(total),
                             "sum": instrument._sums.get(key, 0.0),
+                            "counts": list(instrument._counts.get(key, ())),
                             "quantiles": _quantile_entry(
                                 instrument.buckets,
                                 instrument._counts.get(key, ()),
@@ -606,6 +609,42 @@ def iter_prometheus_samples(text: str) -> Iterable[Tuple[str, float]]:
         yield series, float(value)
 
 
+def iter_json_samples(data: Mapping[str, Any]) -> Iterable[Tuple[str, float]]:
+    """``(series, value)`` pairs of a :meth:`MetricsRegistry.to_jsonable`
+    export, spelled and ordered as its Prometheus text spells them."""
+    for entry in data["metrics"]:
+        name = entry["name"]
+        for series in entry["series"]:
+            key = tuple(series["labels"].items())
+            if entry["kind"] != "histogram":
+                yield f"{name}{_label_suffix(key)}", float(series["value"])
+                continue
+            bounds = [repr(float(bound)) for bound in entry["buckets"]]
+            counts = [*series["counts"], series["value"]]
+            for bound, count in zip([*bounds, "+Inf"], counts):
+                le_key = key + (("le", bound),)
+                yield f"{name}_bucket{_label_suffix(le_key)}", float(count)
+            yield f"{name}_sum{_label_suffix(key)}", float(series["sum"])
+            yield f"{name}_count{_label_suffix(key)}", float(series["value"])
+
+
+def histogram_quantiles_from_json(
+    data: Mapping[str, Any],
+) -> List[Tuple[str, Dict[str, float]]]:
+    """The ``quantiles`` a JSON export carries per histogram series, in
+    :func:`histogram_quantiles_from_text`'s order."""
+    rows = [
+        ((entry["name"], tuple(series["labels"].items())), series["quantiles"])
+        for entry in data["metrics"]
+        if entry["kind"] == "histogram"
+        for series in entry["series"]
+    ]
+    return [
+        (f"{name}{_label_suffix(key)}", quantiles)
+        for (name, key), quantiles in sorted(rows)
+    ]
+
+
 def histogram_quantiles_from_text(
     text: str, qs: Sequence[float] = EXPORT_QUANTILES
 ) -> List[Tuple[str, Dict[str, float]]]:
@@ -666,7 +705,9 @@ __all__ = [
     "MetricsRegistry",
     "estimate_quantile",
     "get_registry",
+    "histogram_quantiles_from_json",
     "histogram_quantiles_from_text",
+    "iter_json_samples",
     "iter_prometheus_samples",
     "merge_prometheus_texts",
     "metrics_delta",

@@ -42,7 +42,6 @@ from ..cost.model import CostModel
 from ..design.chip import ChipDesign
 from ..design.library import a11, raven_multicore, zen2, zen2_monolithic
 from ..design.serialize import design_from_dict
-from ..engine.batch_split import DEFAULT_SPLIT_GRID, batch_split, refine_split_grid
 from ..engine.requests import PointRequest, fused_point_eval
 from ..errors import ReproError
 from ..market import scenarios
@@ -50,6 +49,8 @@ from ..montecarlo.scenario_study import run_scenario_study
 from ..montecarlo.spec import default_correlated_spec, default_supply_spec
 from ..montecarlo.stress import stress_scenarios
 from ..montecarlo.study import compare_designs
+from ..multiprocess.optimizer import _batched_best
+from ..multiprocess.split import DEFAULT_SPLIT_GRID
 from ..technology.database import TechnologyDatabase
 from ..ttm.model import TTMModel
 from .common import (
@@ -82,6 +83,14 @@ _LIBRARY_FACTORIES: Dict[str, Callable[..., ChipDesign]] = {
     "zen2-monolithic": zen2_monolithic,
     "raven": raven_multicore,
 }
+
+
+def _library_factory(library: Any) -> Optional[Callable[..., ChipDesign]]:
+    """The factory a ``library`` field names; None for an unknown name
+    or a value that is no string (a list is not even hashable)."""
+    if not isinstance(library, str):
+        return None
+    return _LIBRARY_FACTORIES.get(library)
 
 
 class ServeState:
@@ -141,7 +150,7 @@ class ServeState:
         spec = _require_mapping(spec)
         if "library" in spec:
             library = spec["library"]
-            factory = _LIBRARY_FACTORIES.get(library)
+            factory = _library_factory(library)
             if factory is None:
                 raise BadRequestError(
                     f"unknown design library {library!r}; "
@@ -184,7 +193,7 @@ class ServeState:
     ) -> Callable[[str], ChipDesign]:
         """The node -> design factory of one /splits design, from the
         library and core count :func:`read_request` read."""
-        factory = _LIBRARY_FACTORIES.get(library)
+        factory = _library_factory(library)
         if factory is None:
             raise BadRequestError(
                 f"split designs must name a single-process library "
@@ -329,32 +338,27 @@ def execute_mc(
 def execute_splits(
     state: ServeState, key: Hashable, payloads: Sequence[Dict[str, Any]]
 ) -> List[Dict[str, Any]]:
-    """Run one deduplicated split-sweep group (all payloads identical)."""
+    """Run one deduplicated split-sweep group (all payloads identical)
+    through the Fig. 14 study's own pipeline, so ``refine`` means the
+    exact breakpoint solve here as it does in ``run_split_study``."""
     first = payloads[0]
-    model = state.model_for(first["scenario"])
-    result = batch_split(
+    refined = first["refine"] and first["with_cas"]
+    best = _batched_best(
         first["factory"],
         first["pairs"],
-        model,
+        state.model_for(first["scenario"]),
         state.cost_model,
         first["n_chips"],
-        split_grid=DEFAULT_SPLIT_GRID,
+        DEFAULT_SPLIT_GRID,
+        refined,
         with_cas=first["with_cas"],
     )
-    if first["refine"] and first["with_cas"]:
-        result = batch_split(
-            first["factory"],
-            first["pairs"],
-            model,
-            state.cost_model,
-            first["n_chips"],
-            split_grid=refine_split_grid(result),
-            with_cas=True,
-        )
-    best = []
-    for i, pair in enumerate(result.pairs):
-        evaluation = result.best_evaluation(i)
-        best.append(
+    response = {
+        "design": first["design_label"],
+        "scenario": first["scenario"],
+        "n_chips": first["n_chips"],
+        "refined": refined,
+        "best": [
             {
                 "pair": list(pair),
                 "split": evaluation.split,
@@ -362,13 +366,8 @@ def execute_splits(
                 "cost_usd": evaluation.cost_usd,
                 "cas": evaluation.cas,
             }
-        )
-    response = {
-        "design": first["design_label"],
-        "scenario": first["scenario"],
-        "n_chips": first["n_chips"],
-        "refined": bool(first["refine"] and first["with_cas"]),
-        "best": best,
+            for pair, evaluation in zip(first["pairs"], best)
+        ],
     }
     return [response for _ in payloads]
 

@@ -245,7 +245,9 @@ class EvalServer:
     ) -> Tuple[int, bytes, Dict[str, str]]:
         try:
             parsed = json.loads(request.body)
-        except ValueError as error:
+        except (ValueError, RecursionError) as error:
+            # A body nested past the parser's recursion limit is no more
+            # JSON this server reads than a truncated one.
             return (
                 400,
                 error_body("invalid_json", f"body is not valid JSON: {error}"),
@@ -255,6 +257,8 @@ class EvalServer:
             key, payload = parse_request(self.state, record.endpoint, parsed)
         except BadRequestError as error:
             return 400, error_body(error.code, str(error)), {}
+        except Exception as error:  # noqa: BLE001 - the 500 boundary
+            return _internal(error)
 
         deadline_ms = self.config.deadline_ms
         header_deadline = request.headers.get("x-deadline-ms")
@@ -309,11 +313,7 @@ class EvalServer:
         except ReproError as error:
             return 400, error_body("invalid_request", str(error)), {}
         except Exception as error:  # noqa: BLE001 - the 500 boundary
-            return (
-                500,
-                error_body("internal", f"{type(error).__name__}: {error}"),
-                {},
-            )
+            return _internal(error)
         return (
             200,
             canonical_json(result),
@@ -333,6 +333,15 @@ class EvalServer:
         bound — the CLI uses it to announce the ephemeral port.
         """
         _serve_until_stopped(self, stop_event, ready)
+
+
+def _internal(error: Exception) -> Tuple[int, bytes, Dict[str, str]]:
+    """The 500 reply to an error nothing more specific caught."""
+    return (
+        500,
+        error_body("internal", f"{type(error).__name__}: {error}"),
+        {},
+    )
 
 
 class ServerThread(ServiceThread):

@@ -112,13 +112,14 @@ def routing_key(endpoint: str, body: bytes) -> bytes:
     The key bytes :func:`~repro.serve.common.read_request` gives the
     worker's batcher, so every coalescing group lands on one worker, by
     construction, and the router keeps no copy of any endpoint's fields
-    or defaults. A body that is not JSON, or that the reader refuses,
-    routes on its own first bytes instead, deterministically, and
-    collects its 400 from the worker.
+    or defaults. A body that is not JSON (nested past the parser's
+    recursion limit included), or that the reader refuses, routes on its
+    own first bytes instead, deterministically, and collects its 400
+    from the worker.
     """
     try:
         return read_request(endpoint, json.loads(body))[0][1]
-    except (ValueError, BadRequestError):
+    except (ValueError, RecursionError, BadRequestError):
         return b"opaque:" + endpoint.encode() + b":" + body[:128]
 
 

@@ -136,6 +136,38 @@ class TestFormat:
         with pytest.raises(InvalidDesignError, match="dies"):
             design_from_dict({"version": 1, "name": "x"})
 
+    @pytest.mark.parametrize(
+        "where, key",
+        [
+            ("design", "name"),
+            ("die", "name"),
+            ("die", "process"),
+            ("block", "name"),
+            ("block", "transistors"),
+            ("salvage", "n_units"),
+            ("salvage", "required_units"),
+            ("salvage", "unit_area_fraction"),
+        ],
+    )
+    def test_missing_required_key_rejected(self, where, key):
+        # A missing key is an InvalidDesignError naming it, never a
+        # KeyError out of the loader.
+        data = design_to_dict(_full_design())
+        die = data["dies"][0]
+        entry = {
+            "design": data,
+            "die": die,
+            "block": die["blocks"][0],
+            "salvage": die["salvage"],
+        }[where]
+        del entry[key]
+        with pytest.raises(InvalidDesignError, match=key):
+            design_from_dict(data)
+
+    def test_non_mapping_entry_rejected(self):
+        with pytest.raises(InvalidDesignError, match="die must be a mapping"):
+            design_from_dict({"name": "x", "dies": [1]})
+
     def test_structural_validation_still_applies(self):
         """Loading re-runs the dataclass invariants."""
         data = design_to_dict(_full_design())

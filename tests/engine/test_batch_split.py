@@ -17,12 +17,12 @@ import pytest
 
 from repro.agility.derivative import DEFAULT_RELATIVE_STEP
 from repro.design.library.raven import raven_multicore
+from repro.design.library.zen2 import zen2
 from repro.engine.batch_split import (
     DEFAULT_REFINE_POINTS,
     _LineEngine,
     batch_split,
     batch_split_samples,
-    refine_split_grid,
 )
 from repro.errors import InvalidParameterError
 from repro.market.conditions import MarketConditions
@@ -33,7 +33,12 @@ from repro.multiprocess.split import (
     single_process_plan,
 )
 from repro.engine.scenario import evaluate
-from tests.split_oracle import scalar_best, scalar_evaluation
+from tests.split_oracle import (
+    grid_refined_best,
+    refine_split_grid,
+    scalar_best,
+    scalar_evaluation,
+)
 
 RELATIVE_TOLERANCE = 1e-9
 
@@ -160,15 +165,6 @@ class TestGridResultStructure:
         with pytest.raises(InvalidParameterError, match="not in this grid"):
             grid_result.pair_index("5nm", "3nm")
 
-    def test_argmax_helpers_agree_with_per_pair_bests(self, grid_result):
-        bests = grid_result.best_evaluations()
-        _, most_agile = grid_result.argmax_cas()
-        assert most_agile.cas == max(ev.cas for ev in bests)
-        _, fastest = grid_result.argmin_ttm()
-        assert fastest.ttm_weeks == min(ev.ttm_weeks for ev in bests)
-        _, cheapest = grid_result.argmin_cost()
-        assert cheapest.cost_usd == min(ev.cost_usd for ev in bests)
-
     def test_ttm_is_max_of_line_weeks(self, grid_result):
         two = ~grid_result.single_mask
         assert np.allclose(
@@ -257,6 +253,9 @@ class TestValidation:
 
 
 class TestRefinement:
+    """The grid refiner the exact refinement is checked against
+    (``tests/split_oracle.py``)."""
+
     def test_fine_grid_brackets_each_coarse_optimum(
         self, grid_result, model, cost_model
     ):
@@ -341,18 +340,13 @@ class TestSampledSplits:
         assert outcome.cost_usd is None
         assert outcome.usd_per_chip is None
 
-    @pytest.mark.parametrize(
-        "plan_nodes, ttm_calls, cost_calls",
-        [(("28nm", "40nm"), 5, 1), (("28nm",), 3, 1)],
-    )
-    def test_one_call_per_capacity_map(
-        self, model, cost_model, monkeypatch, plan_nodes, ttm_calls,
-        cost_calls,
+    @pytest.mark.parametrize("plan_nodes", [("28nm", "40nm"), ("28nm",)])
+    def test_one_ttm_and_one_cost_call(
+        self, model, cost_model, monkeypatch, plan_nodes
     ):
-        # Every production line rides in one call per capacity map (the
-        # base map plus two displaced maps per allocation node) and one
-        # cost call: 6 calls for a two-node plan with cost and CAS, not
-        # one per line per map.
+        # Every production line, under the base supply and both CAS
+        # steps of each node, rides in one line table: one TTM call and
+        # one cost call, not one per line or per capacity map.
         calls = Counter()
 
         def counted(*args, **kwargs):
@@ -368,7 +362,7 @@ class TestSampledSplits:
         batch_split_samples(
             plan, model, np.full(8, N_CHIPS), cost_model=cost_model
         )
-        assert calls == {("ttm",): ttm_calls, ("cost",): cost_calls}
+        assert calls == {("ttm",): 1, ("cost",): 1}
 
     @pytest.mark.parametrize("n_chips", [N_CHIPS, np.linspace(1e6, 1e8, 5)])
     def test_lines_equal_their_one_design_calls(
@@ -469,27 +463,23 @@ class TestExactRefinement:
         # A coarse optimum next to split 1.0 brackets up to it, where
         # the secondary line vanishes. Such a pair takes the fine grid
         # (no line is probed at a zero fraction) and so scores exactly
-        # as refine="grid" does.
+        # as the grid-refined oracle does.
         from repro.cost.model import CostModel
         from repro.engine.batch_split import _bracket
         from repro.ttm.model import TTMModel
 
         nodes = ("250nm", "40nm", "28nm", "7nm")
         model, cost_model = TTMModel.nominal(), CostModel.nominal()
-
-        def study(refine):
-            return run_split_study(
-                raven_multicore, nodes, model, cost_model, N_CHIPS,
-                split_grid=GRID, refine=refine,
-            )
-
-        exact, grid = study("exact"), study("grid")
+        keys = [(p, s) for i, s in enumerate(nodes) for p in nodes[i:]]
+        exact = run_split_study(
+            raven_multicore, nodes, model, cost_model, N_CHIPS,
+            split_grid=GRID, refine=True,
+        )
+        grid = dict(zip(keys, grid_refined_best(
+            raven_multicore, keys, model, cost_model, N_CHIPS, GRID
+        )))
         coarse = batch_split(
-            raven_multicore,
-            [(p, s) for i, s in enumerate(nodes) for p in nodes[i:]],
-            model,
-            cost_model,
-            N_CHIPS,
+            raven_multicore, keys, model, cost_model, N_CHIPS,
             split_grid=GRID,
         )
         reaching = [
@@ -500,7 +490,7 @@ class TestExactRefinement:
         ]
         assert reaching
         for key in reaching:
-            assert exact.pairs[key].best == grid.pairs[key].best
+            assert exact.pairs[key].best == grid[key]
 
     def test_exact_matches_a_dense_grid_oracle(self, model, cost_model):
         # A 2001-point dense carpet of one pair's bracket cannot beat
@@ -544,14 +534,18 @@ LINE_GRID = tuple(s / 100.0 for s in range(2, 101, 2))
 LINE_NODES = ("250nm", "40nm", "28nm", "7nm")
 
 
-def _one_design_line(model, cost_model, kind, node, fractions, perturb, sign):
-    """A line as its own one-design ``evaluate`` call."""
-    design = raven_multicore(node)
-    chips = LINE_CHIPS * fractions
+def _one_design_line(
+    model, cost_model, kind, node, fractions, perturb, sign,
+    factory=raven_multicore, n_chips=LINE_CHIPS,
+):
+    """Lines as their own one-design ``evaluate`` call: one row per
+    fraction, one column for the one supply sample."""
+    design = factory(node)
+    chips = n_chips * fractions
     if kind == "cost":
         return evaluate(
             model, (design,), chips, ("cost",), cost_model=cost_model
-        ).cost.total_usd[0, 0].reshape(np.shape(chips))
+        ).cost.total_usd[0, 0].reshape(np.shape(chips) + (1,))
     capacity = None
     if perturb is not None and perturb in design.processes:
         # ``split_cas``'s rate -> fraction round trip.
@@ -561,30 +555,31 @@ def _one_design_line(model, cost_model, kind, node, fractions, perturb, sign):
         capacity = {perturb: (rate + sign * step) / max_rate}
     return evaluate(
         model, (design,), chips, ("ttm",), capacity=capacity
-    ).ttm.total_weeks[0, 0].reshape(np.shape(chips))
+    ).ttm.total_weeks[0, 0].reshape(np.shape(chips) + (1,))
 
 
 class TestLineTable:
     """Every line a stage reads from its one line table equals the line's
-    own one-design ``evaluate``, bit for bit — on the
-    coarse grid and after both refine stages, under nominal and under
-    queued, capacity-reduced conditions."""
+    own one-design ``evaluate``, bit for bit — on the coarse grid and
+    after the exact refinement, under nominal and under queued,
+    capacity-reduced conditions, and in the Monte Carlo plan study under
+    sampled supply."""
 
     @pytest.fixture
     def reads(self, monkeypatch):
         recorded = []
         totals, costs = _LineEngine.totals, _LineEngine.costs
 
-        def read_totals(engine, node, fractions, perturb=None, sign=0):
-            weeks = totals(engine, node, fractions, perturb, sign)
-            recorded.append(
-                ("ttm", node, np.array(fractions), perturb, sign, weeks)
-            )
+        def read_totals(engine, node, columns, perturb=None, sign=0):
+            weeks = totals(engine, node, columns, perturb, sign)
+            fractions = engine._fractions[node][columns]
+            recorded.append(("ttm", node, fractions, perturb, sign, weeks))
             return weeks
 
-        def read_costs(engine, node, fractions):
-            usd = costs(engine, node, fractions)
-            recorded.append(("cost", node, np.array(fractions), None, 0, usd))
+        def read_costs(engine, node, columns):
+            usd = costs(engine, node, columns)
+            fractions = engine._fractions[node][columns]
+            recorded.append(("cost", node, fractions, None, 0, usd))
             return usd
 
         monkeypatch.setattr(_LineEngine, "totals", read_totals)
@@ -604,7 +599,7 @@ class TestLineTable:
         )
         return model.with_foundry(model.foundry.with_conditions(conditions))
 
-    @pytest.mark.parametrize("refine", [False, "exact", "grid"])
+    @pytest.mark.parametrize("refine", [False, True])
     def test_every_read_line_equals_its_one_design_call(
         self, reads, line_model, cost_model, refine
     ):
@@ -628,9 +623,93 @@ class TestLineTable:
                 np.asarray(expected).view(np.int64),
             ), (kind, node, perturb, sign)
 
+    def test_two_die_design_lines_equal_their_one_design_calls(
+        self, reads, model, cost_model
+    ):
+        # Ported Zen 2 keeps its I/O die on 14 nm, so the designs share
+        # that node and not every node's CAS step can share one block
+        # pair: each line must still see only the stepped node move.
+        def zen2_on(node):
+            return zen2(io_process="14nm", compute_process=node)
+
+        batch_split(
+            zen2_on,
+            [("7nm", "28nm"), ("5nm", "7nm"), ("7nm", "14nm")],
+            model,
+            cost_model,
+            N_CHIPS,
+            split_grid=GRID,
+        )
+        assert {kind for kind, *_ in reads} == {"ttm", "cost"}
+        for kind, node, fractions, perturb, sign, got in reads:
+            expected = _one_design_line(
+                model, cost_model, kind, node, fractions, perturb, sign,
+                factory=zen2_on, n_chips=N_CHIPS,
+            )
+            assert np.array_equal(
+                np.asarray(got).view(np.int64),
+                np.asarray(expected).view(np.int64),
+            ), (kind, node, perturb, sign)
+
+    @pytest.mark.parametrize("plan_nodes", [("28nm", "40nm"), ("28nm",)])
+    def test_sampled_plan_lines_equal_their_one_design_calls(
+        self, reads, model, cost_model, plan_nodes
+    ):
+        # The plan study lays its sampled supply on the line table's
+        # sample axis beside the base and CAS-step blocks; each line it
+        # reads is still its own one-design call under that supply.
+        rng = np.random.default_rng(3)
+        size = 16
+        supply = {
+            "capacity": {
+                node: rng.uniform(0.5, 1.0, size) for node in ("28nm", "40nm")
+            },
+            "queue_weeks": rng.uniform(0.0, 4.0, size),
+            "d0_scale": rng.uniform(0.9, 1.1, size),
+            "wafer_rate_scale": rng.uniform(0.9, 1.1, size),
+        }
+        n_chips = rng.uniform(5e6, 2e7, size)
+        if len(plan_nodes) == 2:
+            plan = make_plan(raven_multicore, *plan_nodes, 0.6)
+        else:
+            plan = single_process_plan(raven_multicore, *plan_nodes)
+        batch_split_samples(
+            plan, model, n_chips, cost_model=cost_model, **supply
+        )
+        assert {kind for kind, *_ in reads} == {"ttm", "cost"}
+        for kind, node, fractions, perturb, sign, got in reads:
+            design = (raven_multicore(node),)
+            chips = n_chips * fractions[0]
+            if kind == "cost":
+                expected = evaluate(
+                    model, design, chips, ("cost",),
+                    d0_scale=supply["d0_scale"], cost_model=cost_model,
+                ).cost.total_usd[0]
+            else:
+                capacity = dict(supply["capacity"])
+                if perturb is not None and perturb in design[0].processes:
+                    # ``split_cas``'s rate -> fraction round trip, at
+                    # each sample's capacity and wafer-rate scale.
+                    scaled = (
+                        model.foundry.technology[perturb]
+                        .max_wafer_rate_per_week
+                        * supply["wafer_rate_scale"]
+                    )
+                    rate = capacity[perturb] * scaled
+                    step = rate * DEFAULT_RELATIVE_STEP
+                    capacity[perturb] = (rate + sign * step) / scaled
+                expected = evaluate(
+                    model, design, chips, ("ttm",),
+                    **{**supply, "capacity": capacity},
+                ).ttm.total_weeks[0]
+            assert np.array_equal(
+                np.asarray(got).view(np.int64),
+                np.asarray(expected).view(np.int64),
+            ), (kind, node, perturb, sign)
+
     @pytest.mark.parametrize(
         "refine, ttm_calls, cost_calls",
-        [(False, 1, 1), ("exact", 3, 2), ("grid", 2, 2)],
+        [(False, 1, 1), (True, 3, 2)],
     )
     def test_one_kernel_call_per_stage_and_metric(
         self, model, cost_model, monkeypatch, refine, ttm_calls, cost_calls

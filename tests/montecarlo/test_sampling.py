@@ -157,16 +157,18 @@ class TestLatinHypercube:
 
 class TestSpecIntegration:
     def test_default_spec_draws_bit_unchanged(self):
-        """The legacy path must not notice this module exists."""
+        """With every sampling option at its default, the one sampling
+        path draws exactly what independent uniforms scaled per column
+        (``sample_matrix``) draw: same RNG use, same bits."""
         spec = default_supply_spec(1e7)
-        assert spec.uses_default_sampling
-        draws = spec.sample(64, np.random.default_rng(42)).matrix
-        legacy = sample_matrix(
-            [p.factor for p in spec.parameters],
-            64,
-            np.random.default_rng(42),
-        )
-        assert np.array_equal(draws, legacy)
+        for n_samples in (1, 7, 64, 2048):
+            draws = spec.sample(n_samples, np.random.default_rng(42)).matrix
+            independent = sample_matrix(
+                [p.factor for p in spec.parameters],
+                n_samples,
+                np.random.default_rng(42),
+            )
+            assert np.array_equal(draws, independent)
 
     def test_correlated_spec_moves_joint_ranks(self):
         spec = default_correlated_spec(1e7)

@@ -10,7 +10,7 @@ from repro.multiprocess.optimizer import (
     headline_comparison,
     run_split_study,
 )
-from tests.split_oracle import scalar_best
+from tests.split_oracle import grid_refined_best, scalar_best
 
 NODES = ("65nm", "40nm", "28nm")
 GRID = tuple(s / 10 for s in range(1, 11))
@@ -177,38 +177,59 @@ class TestValidation:
 
 
 class TestRefineModes:
-    """refine= accepts False / True / "exact" / "grid" (True == exact)."""
+    """``refine`` is a bool: True is the exact breakpoint solve."""
 
     def test_true_is_an_alias_for_exact(self, model, cost_model):
-        kwargs = dict(split_grid=GRID)
-        aliased = best_split_for_pair(
+        # refine=True is the coarse grid, refine_split_exact's candidates
+        # and the better of the two stages, nothing else.
+        from repro.engine.batch_split import batch_split, refine_split_exact
+
+        refined = best_split_for_pair(
             raven_multicore, "28nm", "40nm", model, cost_model, 1e7,
-            refine=True, **kwargs,
+            split_grid=GRID, refine=True,
         )
-        exact = best_split_for_pair(
-            raven_multicore, "28nm", "40nm", model, cost_model, 1e7,
-            refine="exact", **kwargs,
+        pairs = [("28nm", "40nm")]
+        coarse = batch_split(
+            raven_multicore, pairs, model, cost_model, 1e7, split_grid=GRID
         )
-        assert aliased.best == exact.best
+        fine = batch_split(
+            raven_multicore, pairs, model, cost_model, 1e7,
+            split_grid=refine_split_exact(
+                coarse, raven_multicore, model, cost_model
+            ),
+        )
+        assert refined.best == max(
+            coarse.best_evaluation(0),
+            fine.best_evaluation(0),
+            key=lambda ev: (ev.cas, -ev.ttm_weeks),
+        )
 
     def test_exact_never_scores_below_grid(self, model, cost_model):
-        grid_refined = run_split_study(
-            raven_multicore, NODES, model, cost_model, 1e9,
-            split_grid=GRID, refine="grid",
+        keys = [
+            (primary, secondary)
+            for i, secondary in enumerate(NODES)
+            for primary in NODES[i:]
+        ]
+        grid_refined = grid_refined_best(
+            raven_multicore, keys, model, cost_model, 1e9, GRID
         )
         exact_refined = run_split_study(
             raven_multicore, NODES, model, cost_model, 1e9,
-            split_grid=GRID, refine="exact",
+            split_grid=GRID, refine=True,
         )
-        for key, grid_pair in grid_refined.pairs.items():
+        for key, grid_best in zip(keys, grid_refined):
             assert (
-                exact_refined.pairs[key].best.cas
-                >= grid_pair.best.cas - 1e-12
+                exact_refined.pairs[key].best.cas >= grid_best.cas - 1e-12
             )
 
     def test_unknown_refine_mode_rejected(self, model, cost_model):
-        with pytest.raises(InvalidParameterError, match="refinement mode"):
-            run_split_study(
-                raven_multicore, NODES, model, cost_model, 1e7,
-                split_grid=GRID, refine="newton",
-            )
+        # Only a bool selects the refinement: no mode names, no truthy
+        # stand-ins.
+        for refine in ("exact", "grid", "newton", 1, None):
+            with pytest.raises(
+                InvalidParameterError, match="refine must be True or False"
+            ):
+                run_split_study(
+                    raven_multicore, NODES, model, cost_model, 1e7,
+                    split_grid=GRID, refine=refine,
+                )

@@ -5,7 +5,7 @@ import json
 from repro.cli import main
 from repro.obs.log import RequestLogger
 from repro.obs.manifest import RunManifest
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.trace import Tracer
 
 
@@ -93,6 +93,34 @@ class TestObsCommand:
         assert "histogram quantiles (estimated from buckets)" in out
         assert 'latency_seconds{endpoint="evaluate"}' in out
         assert "p95" in out
+
+    def test_json_export_summarizes_as_its_prometheus_text(
+        self, tmp_path, capsys
+    ):
+        # Counters, a gauge and a labelled histogram, exported both ways:
+        # the same series, values and quantile rows.
+        registry = MetricsRegistry()
+        registry.counter("calls_total").inc(kernel="ttm")
+        registry.counter("silent_total")
+        registry.gauge("entries").set(3.5)
+        histogram = registry.histogram("latency_seconds", buckets=(1.0, 2.0))
+        for value in (0.5, 0.5, 1.5, 3.0):
+            histogram.observe(value, endpoint="evaluate")
+        histogram.observe(0.25, endpoint="mc")
+        outputs = []
+        for name, text in (
+            ("metrics.prom", registry.to_prometheus_text()),
+            ("metrics.json", registry.to_json()),
+        ):
+            path = tmp_path / name
+            path.write_text(text)
+            assert main(["obs", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert 'latency_seconds_bucket{endpoint="evaluate",le="2.0"}' in (
+            outputs[1]
+        )
+        assert "histogram quantiles (estimated from buckets)" in outputs[1]
 
     def test_summarizes_request_log(self, tmp_path, capsys):
         path = tmp_path / "requests.jsonl"
@@ -187,6 +215,23 @@ class TestObsSlo:
 
 
 class TestObsFlags:
+    def test_obs_reads_both_metrics_exports_of_one_run(
+        self, tmp_path, capsys
+    ):
+        # ``--metrics m.json`` writes the registry's JSON export, which
+        # ``obs`` summarizes exactly as the run's Prometheus text.
+        prom = tmp_path / "metrics.prom"
+        assert main(["run", "fig3", "--metrics", str(prom)]) == 0
+        exported = tmp_path / "metrics.json"
+        exported.write_text(get_registry().to_json() + "\n")
+        capsys.readouterr()
+        outputs = []
+        for path in (prom, exported):
+            assert main(["obs", str(path)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert "engine_kernel_invocations_total" in outputs[1]
+
     def test_run_writes_trace_metrics_and_manifest(self, tmp_path, capsys):
         trace_path = tmp_path / "trace.json"
         metrics_path = tmp_path / "metrics.prom"

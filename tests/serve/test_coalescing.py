@@ -130,6 +130,21 @@ def test_splits_single_flight_dedup(client, burst):
         assert r.body == solo.body
 
 
+def test_refined_splits_single_flight_dedup(client, burst):
+    body = {
+        "design": "a11",
+        "pairs": [["28nm", "40nm"], ["7nm", "28nm"]],
+        "refine": True,
+    }
+    solo = client.post("/splits", body)
+    assert solo.status == 200 and solo.json()["refined"] is True
+    responses = burst(client, "/splits", [body] * 4)
+    assert all(r.status == 200 for r in responses)
+    assert max(r.batch_size for r in responses) > 1
+    for r in responses:
+        assert r.body == solo.body
+
+
 def test_evaluate_matches_direct_engine_call(client, model, cost_model):
     """The served numbers are the engine's numbers, not a reimplementation."""
     design = a11("7nm")

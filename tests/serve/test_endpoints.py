@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from repro.design.library import zen2_monolithic
+from repro.design.library import a11, zen2_monolithic
 from repro.engine.batch_split import batch_split
+from repro.multiprocess.optimizer import best_split_for_pair
 from repro.serve.protocol import canonical_json
 
 
@@ -122,6 +123,42 @@ def test_splits_agrees_with_direct_batch_split(client, model, cost_model):
     assert served["best"][0]["split"] == best.split
     assert served["best"][0]["ttm_weeks"] == best.ttm_weeks
     assert served["best"][0]["cas"] == best.cas
+
+
+def test_refined_splits_are_the_optimizers_refined_optima(
+    client, model, cost_model
+):
+    # refine: true is best_split_for_pair's exact refinement, pair by
+    # pair, not a grid of the endpoint's own.
+    # 28/40 nm refines off the 1 % grid; 7/14 nm stays at the bracket's
+    # edge; the diagonal is the one-node plan.
+    pairs = [("28nm", "40nm"), ("7nm", "14nm"), ("7nm", "7nm")]
+    served = client.post(
+        "/splits",
+        {"design": "a11", "pairs": [list(p) for p in pairs], "refine": True},
+    ).json()
+    assert served["refined"] is True
+    for entry, (primary, secondary) in zip(served["best"], pairs):
+        expected = best_split_for_pair(
+            a11, primary, secondary, model, cost_model, 1e7, refine=True
+        ).best
+        assert entry == {
+            "pair": [primary, secondary],
+            "split": expected.split,
+            "ttm_weeks": expected.ttm_weeks,
+            "cost_usd": expected.cost_usd,
+            "cas": expected.cas,
+        }
+
+
+def test_refine_without_cas_is_not_refined(client):
+    body = {"design": "a11", "pairs": [["7nm", "14nm"]], "with_cas": False}
+    plain = client.post("/splits", body)
+    refined = client.post("/splits", {**body, "refine": True})
+    assert plain.status == refined.status == 200
+    assert refined.json()["refined"] is False
+    assert refined.json()["best"] == plain.json()["best"]
+    assert refined.json()["best"][0]["cas"] == 0.0
 
 
 def test_responses_are_canonical_json(client):

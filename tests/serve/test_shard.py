@@ -150,6 +150,13 @@ class TestRoutingKey:
             "evaluate", other
         )
 
+    def test_body_nested_past_the_recursion_limit_routes_opaque(self):
+        # json.loads raises RecursionError, not ValueError, on it.
+        body = b"[" * 100_000 + b"]" * 100_000
+        assert routing_key("evaluate", body) == (
+            b"opaque:evaluate:" + body[:128]
+        )
+
     def test_knob_shape_changes_the_key(self):
         plain = json.dumps({"design": "a11"}).encode()
         with_knob = json.dumps({"design": "a11", "d0_scale": 1.2}).encode()

@@ -10,7 +10,9 @@ limit plus a fixed bound, and that the role's request ledger (the
 router's, for a shard) logged the reply like any other; a shard also
 leaves no worker process behind once stopped.
 
-Below the fault table: requests queued behind slow work on one worker
+Below the fault table: bodies that are malformed past what the reader
+checks still get their 400 (or, for a worker fault, a 500) and a log
+line; requests queued behind slow work on one worker
 get a 504 exactly when their ``X-Deadline-Ms`` passes; the router's
 keep-alive pool retries on a fresh socket once the worker's idle limit
 has closed its pooled connections; and a harness whose service fails
@@ -223,6 +225,74 @@ def test_refusals_burn_no_slo_budget(role):
     )
     slo = _obs(role)["slo"]["evaluate"]
     assert (slo["requests"], slo["errors"], slo["slow"]) == (1, 0, 0)
+
+
+# -- malformed bodies --------------------------------------------------------
+
+#: Bodies that pass the reader but whose design, or whose JSON, the
+#: worker cannot read (an inline design without a name, a ``library``
+#: that is no string, nesting past the JSON parser's recursion limit).
+MALFORMED = {
+    "design-without-name": (
+        "evaluate", b'{"design": {"dies": []}}', 400, "invalid_request"
+    ),
+    "library-not-a-string": (
+        "evaluate", b'{"design": {"library": ["x"]}}', 400, "invalid_request"
+    ),
+    "split-library-not-a-string": (
+        "splits",
+        b'{"design": {"library": ["x"]}, "pairs": [["7nm", "14nm"]]}',
+        400,
+        "invalid_request",
+    ),
+    "nested-past-the-recursion-limit": (
+        "evaluate", b"[" * 100_000 + b"]" * 100_000, 400, "invalid_json"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_body_is_answered_and_logged(role, case):
+    endpoint, body, status, code = MALFORMED[case]
+    reply = ServeClient(role.host, role.port).request(
+        "POST", f"/{endpoint}", body=body
+    )
+    assert reply.status == status
+    assert reply.json()["error"]["code"] == code
+    snapshot = _obs(role)
+    newest = snapshot["recent"][-1]
+    assert (newest["status"], newest["endpoint"]) == (status, endpoint)
+    # Behind a router, the worker that read the body logged it too.
+    workers = snapshot.get("workers", [])
+    if workers:
+        assert [
+            line["status"]
+            for worker in workers
+            for line in worker["recent"]
+            if line["endpoint"] == endpoint
+        ] == [status]
+
+
+def test_parse_failure_is_a_500(monkeypatch):
+    # Anything parse_request raises but a BadRequestError is the
+    # worker's fault: the 500 body the batch path answers with.
+    def broken(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("repro.serve.server.parse_request", broken)
+    thread = ServerThread(ServerConfig()).start()
+    try:
+        reply = ServeClient(thread.host, thread.port).request(
+            "POST", "/evaluate", body=EVALUATE
+        )
+        newest = _obs(thread)["recent"][-1]
+    finally:
+        thread.stop()
+    assert reply.status == 500
+    assert reply.json()["error"] == {
+        "code": "internal", "message": "RuntimeError: boom"
+    }
+    assert (newest["status"], newest["endpoint"]) == (500, "evaluate")
 
 
 # -- deadlines under load ----------------------------------------------------
