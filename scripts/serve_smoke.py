@@ -15,7 +15,9 @@ the service's headline contract, end to end over real HTTP:
    no lower than the unrefined reply's for the same pair;
 4. malformed input (a truncated body, and one nested past the JSON
    parser's recursion limit) gets a structured 400, not a hang or a
-   dropped connection; an
+   dropped connection; a ``/splits`` flag spelled as a string, and a
+   ``/splits`` pair on an unknown node, each get a 400 whose message
+   names the field or the node; an
    idle connection is closed without a reply and a partial request
    head gets a 408 with ``Connection: close``, each within its limit
    (``IDLE_LIMIT_S``, ``READ_LIMIT_S`` in :mod:`repro.serve.wire`) plus
@@ -237,6 +239,25 @@ def run_checks(
             bad.status == 400
             and bad.json()["error"]["code"] == "invalid_json",
             f"status {bad.status}",
+        )
+    for label, refusal, expected in (
+        (
+            "a string /splits flag",
+            {**split_body, "with_cas": "false"},
+            lambda message: "'with_cas'" in message,
+        ),
+        (
+            "an unknown /splits node",
+            {"design": "a11", "pairs": [["3nm", "7nm"]]},
+            lambda message: message.startswith("unknown process node '3nm'"),
+        ),
+    ):
+        bad = client.post("/splits", refusal)
+        message = bad.json()["error"]["message"] if bad.status == 400 else ""
+        ok &= check(
+            f"{label} is a 400 that names it",
+            bad.status == 400 and expected(message),
+            f"status {bad.status}: {message}",
         )
     ok &= check_read_limits(client)
 

@@ -23,7 +23,6 @@ from .ariane import (
     ariane_manycore_salvage,
     ariane_with_accelerator,
     cache_transistors,
-    soft_ip_filler,
 )
 from .raven import RAVEN_MIN_AREA_MM2, RAVEN_ORIGINAL_PROCESS, raven_multicore
 from .zen2 import (
@@ -69,7 +68,6 @@ __all__ = [
     "interposer_die",
     "io_die",
     "raven_multicore",
-    "soft_ip_filler",
     "zen2",
     "zen2_monolithic",
 ]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from ...errors import InvalidDesignError
-from ..block import Block, ip_block
+from ..block import Block
 from ..chip import ChipDesign
 from ..die import Die
 
@@ -155,8 +155,3 @@ def ariane_with_accelerator(
     )
     display = name or f"Ariane + {accelerator.name} @ {process}"
     return ChipDesign(name=display, dies=(extended,))
-
-
-def soft_ip_filler(name: str, transistors: float) -> Block:
-    """Pre-verified filler IP (contributes area and NTT, zero NUT)."""
-    return ip_block(name, transistors)

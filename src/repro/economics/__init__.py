@@ -3,7 +3,6 @@
 from .market_window import (
     MarketWindow,
     mckinsey_loss_fraction,
-    mckinsey_loss_fractions,
     triangle_loss_fraction,
     triangle_loss_fractions,
 )
@@ -14,7 +13,6 @@ __all__ = [
     "ProfitPoint",
     "ProfitStudy",
     "mckinsey_loss_fraction",
-    "mckinsey_loss_fractions",
     "profit_study",
     "triangle_loss_fraction",
     "triangle_loss_fractions",

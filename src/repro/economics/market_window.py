@@ -58,19 +58,6 @@ def triangle_loss_fractions(
     return d * (2.0 * w - d) / (w * w)
 
 
-def mckinsey_loss_fractions(
-    delay_weeks: np.ndarray, window_weeks: float
-) -> np.ndarray:
-    """Vectorized :func:`mckinsey_loss_fraction` (same clamping rules)."""
-    if window_weeks <= 0.0:
-        raise InvalidParameterError(
-            f"market window must be positive, got {window_weeks}"
-        )
-    d = np.clip(np.asarray(delay_weeks, dtype=float), 0.0, window_weeks)
-    w = window_weeks
-    return d * (3.0 * w - d) / (2.0 * w * w)
-
-
 def mckinsey_loss_fraction(delay_weeks: float, window_weeks: float) -> float:
     """The McKinsey d(3W - d)/(2W^2) variant of the loss rule."""
     _validate(delay_weeks, window_weeks)

@@ -1,10 +1,11 @@
 """Vectorized multi-process split engine (the Fig. 14 pair x split sweep).
 
-The scalar Sec. 7 path (:func:`repro.multiprocess.split.evaluate_split`)
-re-derives each ported design's invariants once per (pair, split) plan:
-a 10-node, 100-point study costs thousands of full scalar model
-evaluations. This module evaluates every two-node study from one
-compiled *line table* per stage instead:
+The scalar Sec. 7 path
+(:func:`repro.multiprocess.allocation.evaluate_allocation` over a plan's
+``allocations``) re-derives each ported design's invariants once per
+(pair, split) plan: a 10-node, 100-point study costs thousands of full
+scalar model evaluations. This module evaluates every two-node study
+from one compiled *line table* per stage instead:
 
 * each node's ported design is built **once** (`design_factory(node)`),
   and every production line the stage needs — each node's design at
@@ -310,9 +311,10 @@ class _LineEngine:
     def perturbation(self, node: str) -> Tuple[ArrayLike, ...]:
         """(absolute step, fraction at +step, fraction at -step).
 
-        Mirrors the scalar :func:`~repro.multiprocess.split.split_cas`
-        under each supply sample: the node's rate is its capacity
-        fraction times its (scaled) max rate, the step is ``rate *
+        Mirrors the scalar CAS of
+        :func:`~repro.multiprocess.allocation.evaluate_allocation` under
+        each supply sample: the node's rate is its capacity fraction
+        times its (scaled) max rate, the step is ``rate *
         relative_step``, and the perturbed rate goes back into the model
         as a capacity *fraction* (the same rate -> fraction -> rate
         round trip, so kinks land on identical abscissae).
@@ -494,7 +496,8 @@ def batch_split(
         CAS central-difference step, relative to each node's rate.
     with_cas:
         Skip the CAS differences (leaving zeros) when only TTM/cost
-        panels are needed; matches ``evaluate_split(..., with_cas=False)``.
+        panels are needed; matches
+        ``evaluate_allocation(..., with_cas=False)``.
     """
     pair_list: List[Tuple[str, str]] = [(str(p), str(q)) for p, q in pairs]
     if not pair_list:
@@ -810,9 +813,9 @@ def batch_split_samples(
     CAS is evaluated per sample: each allocation node's *effective*
     rate (sampled capacity x scaled max rate) is displaced by
     ``relative_step`` in both directions and the max-coupled line
-    totals are centrally differenced, mirroring
-    :func:`~repro.multiprocess.split.split_cas` under each draw's
-    market conditions.
+    totals are centrally differenced, mirroring the scalar CAS of
+    :func:`~repro.multiprocess.allocation.evaluate_allocation` under
+    each draw's market conditions.
     """
     _check_step(relative_step)
     quantities = _as_positive_array(n_chips, "number of final chips")

@@ -24,6 +24,10 @@ class UnknownNodeError(ReproError, KeyError):
             message += f" (known nodes: {', '.join(self.known)})"
         super().__init__(message)
 
+    def __str__(self) -> str:
+        # ``KeyError.__str__`` would quote the message as its repr.
+        return self.args[0]
+
 
 class NodeUnavailableError(ReproError):
     """A node exists but has no production capacity (e.g. 20 nm / 10 nm).

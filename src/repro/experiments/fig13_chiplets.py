@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-from ..agility.cas import chip_agility_score
 from ..analysis.sweep import capacity_fractions
 from ..analysis.tables import format_table
 from ..cost.model import CostModel
@@ -165,13 +164,3 @@ def agility_gains(result: Fig13Result) -> Dict[str, float]:
         for name, value in full.items()
         if name != "Zen 2"
     }
-
-
-def full_capacity_cas(
-    design: ChipDesign,
-    model: Optional[TTMModel] = None,
-    n_chips: float = DEFAULT_CAS_N_CHIPS,
-) -> float:
-    """CAS of one variant at nominal conditions (helper for tests)."""
-    base = model or TTMModel.nominal()
-    return chip_agility_score(base, design, n_chips).normalized

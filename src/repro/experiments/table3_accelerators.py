@@ -17,11 +17,7 @@ from typing import Optional, Tuple
 
 from ..analysis.tables import format_table
 from ..cost.nre import ENGINEER_WEEK_COST_USD, block_tapeout_cost_usd
-from ..design.library.accelerators import (
-    ACCELERATOR_BLOCK_SIZE,
-    ACCELERATORS,
-    AcceleratorSpec,
-)
+from ..design.library.accelerators import ACCELERATOR_BLOCK_SIZE, ACCELERATORS
 from ..design.library.ariane import ariane_core_transistors
 from ..perf.accel.scalar import ScalarCoreModel
 from ..perf.accel.speedup import evaluate_speedup
@@ -121,11 +117,3 @@ def run(
     return Table3Result(
         process=process, block_size=block_size, rows=tuple(rows)
     )
-
-
-def spec_for(key: str) -> AcceleratorSpec:
-    """Convenience re-export for tests and examples."""
-    for spec in ACCELERATORS:
-        if spec.key == key:
-            return spec
-    raise KeyError(key)

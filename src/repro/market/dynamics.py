@@ -23,7 +23,7 @@ Two uses:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import InvalidParameterError
 
@@ -259,14 +259,3 @@ def summarize(states: Sequence[WeekState]) -> Dict[str, float]:
         "utilization": sum(s.started_wafers for s in states)
         / sum(s.capacity_wafers for s in states),
     }
-
-
-def equivalent_conditions(
-    node_name: str, lead_time_weeks: float
-) -> Mapping[str, float]:
-    """The static ``queue_weeks`` mapping equivalent to a simulated quote."""
-    if lead_time_weeks < 0.0:
-        raise InvalidParameterError(
-            f"lead time must be >= 0, got {lead_time_weeks}"
-        )
-    return {node_name: lead_time_weeks}

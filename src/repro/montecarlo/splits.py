@@ -5,11 +5,11 @@ two-process split hedges a single line's exposure to capacity loss,
 queue growth, and yield drift. This module pushes a fixed
 :class:`~repro.multiprocess.split.ProductionSplit` through the
 vectorized :func:`~repro.engine.batch_split.batch_split_samples` kernel
-under joint supply draws — one batched evaluation per capacity map per
-chunk, over every production line at once, and no scalar
-``evaluate_split`` call anywhere on the sampling path — and reduces the
-outcome to the same :class:`~repro.montecarlo.results.StudyResult`
-summaries the single-design studies produce.
+under joint supply draws — one line table per chunk, over every
+production line at once, and no scalar ``evaluate_allocation`` call
+anywhere on the sampling path — and reduces the outcome to the same
+:class:`~repro.montecarlo.results.StudyResult` summaries the
+single-design studies produce.
 
 Chunking and seeding are :mod:`repro.montecarlo.study`'s: chunk layout
 is a pure function of ``n_samples`` and each chunk's generator is

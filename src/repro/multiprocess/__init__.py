@@ -18,12 +18,7 @@ from .split import (
     DesignFactory,
     ProductionSplit,
     SplitEvaluation,
-    evaluate_split,
-    make_plan,
     single_process_plan,
-    split_cas,
-    split_cost_usd,
-    split_ttm_weeks,
 )
 
 __all__ = [
@@ -37,13 +32,8 @@ __all__ = [
     "balance_allocation",
     "best_split_for_pair",
     "evaluate_allocation",
-    "evaluate_split",
     "greedy_node_selection",
     "headline_comparison",
-    "make_plan",
     "run_split_study",
     "single_process_plan",
-    "split_cas",
-    "split_cost_usd",
-    "split_ttm_weeks",
 ]

@@ -11,8 +11,9 @@ production run across any set of nodes:
   closed form, dropping nodes whose fixed time (tapeout + latencies)
   already exceeds the balanced finish.
 * :func:`evaluate_allocation` — TTM / cost / CAS of an arbitrary share
-  vector, the k-way analogue of
-  :func:`repro.multiprocess.split.evaluate_split`.
+  vector: the one scalar plan evaluator, which also scores a two-node
+  :class:`~repro.multiprocess.split.ProductionSplit` through its
+  ``allocations``.
 * :func:`greedy_node_selection` — picks the best subset of at most
   ``max_nodes`` nodes by marginal TTM improvement, answering "is a third
   source worth it?".

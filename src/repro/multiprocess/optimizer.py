@@ -10,9 +10,9 @@ evaluates the whole (pair x split-grid) tensor from one compiled line
 table; ``refine=True`` adds a second stage that solves each pair's
 coarse bracket for its exact optimum
 (:func:`~repro.engine.batch_split.refine_split_exact`). The scalar
-oracle is :func:`~repro.multiprocess.split.evaluate_split`, one plan at
-a time; every cell and every per-pair optimum matches it to <= 1e-9
-relative error (pinned by ``tests/engine/test_batch_split.py``).
+oracle is :func:`~repro.multiprocess.allocation.evaluate_allocation`,
+one plan at a time; every cell and every per-pair optimum matches it to
+<= 1e-9 relative error (pinned by ``tests/engine/test_batch_split.py``).
 """
 
 from __future__ import annotations

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import sys
 import threading
-import time
 from typing import Dict, List, Optional, Tuple
 
 __all__ = ["SamplingProfiler"]
@@ -136,13 +135,3 @@ class SamplingProfiler:
                     break
         ranked = sorted(leaves.items(), key=lambda kv: (-kv[1], kv[0]))
         return ranked[: max(0, limit)]
-
-
-def _profile_smoke(duration_s: float = 0.2) -> str:  # pragma: no cover
-    """Tiny self-check harness (manual): profile a spin loop."""
-    profiler = SamplingProfiler(hz=200.0).start()
-    deadline = time.monotonic() + duration_s
-    while time.monotonic() < deadline:
-        sum(i * i for i in range(1000))
-    profiler.stop()
-    return profiler.collapsed()

@@ -140,7 +140,12 @@ def _n_chips(body: Mapping[str, Any]) -> float:
 
 
 def _flag(body: Mapping[str, Any], key: str) -> bool:
-    return bool(body.get(key, REQUEST_DEFAULTS[key]))
+    value = body.get(key, REQUEST_DEFAULTS[key])
+    if not isinstance(value, bool):
+        raise BadRequestError(
+            f"field {key!r} must be true or false, got {value!r}"
+        )
+    return value
 
 
 def _design(body: Mapping[str, Any]) -> Any:
@@ -150,7 +155,12 @@ def _design(body: Mapping[str, Any]) -> Any:
 
 
 def _scenario(body: Mapping[str, Any]) -> str:
-    return str(body.get("scenario", REQUEST_DEFAULTS["scenario"]))
+    value = body.get("scenario", REQUEST_DEFAULTS["scenario"])
+    if not isinstance(value, str):
+        raise BadRequestError(
+            f"field 'scenario' must be a string, got {value!r}"
+        )
+    return value
 
 
 def _metrics(body: Mapping[str, Any]) -> Tuple[str, ...]:
@@ -254,9 +264,14 @@ def _read_splits(body: Mapping[str, Any]) -> Tuple[List[Any], Dict[str, Any]]:
             "node pairs"
         )
     for item in pairs:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
+        if (
+            not isinstance(item, (list, tuple))
+            or len(item) != 2
+            or not all(isinstance(node, str) for node in item)
+        ):
             raise BadRequestError(
-                f"each pair must be a [primary, secondary] list, got {item!r}"
+                "each entry of field 'pairs' must be a [primary, secondary] "
+                f"list of node names, got {item!r}"
             )
     # The design names a single-process library; the worker resolves it.
     spec = body.get("design", REQUEST_DEFAULTS["design"])
@@ -272,7 +287,7 @@ def _read_splits(body: Mapping[str, Any]) -> Tuple[List[Any], Dict[str, Any]]:
         if "cores" in spec:
             cores = _integer(spec, "cores", 0)
     fields = {
-        "pairs": [(str(a), str(b)) for a, b in pairs],
+        "pairs": [(a, b) for a, b in pairs],
         "library": library,
         "cores": cores,
         "design_label": (

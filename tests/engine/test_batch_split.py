@@ -1,10 +1,11 @@
 """Equivalence and contract tests for the vectorized split engine.
 
 The batch engine's only job is to reproduce the scalar Sec. 7 oracle
-(:func:`repro.multiprocess.split.evaluate_split`) faster: every (pair,
-split) tensor cell must match the scalar evaluation to 1e-9 relative
-error across the Raven node set, including the degenerate single-process
-cells (split >= 1.0 and the diagonal). Each stage reads its production
+(:func:`repro.multiprocess.allocation.evaluate_allocation`, through
+``tests/split_oracle.py``) faster: every (pair, split) tensor cell must
+match the scalar evaluation to 1e-9 relative error across the Raven
+node set, including the degenerate single-process cells (split >= 1.0
+and the diagonal). Each stage reads its production
 lines from one line table, and every line it reads equals that line's
 own one-design ``evaluate`` bit for bit.
 """
@@ -27,11 +28,7 @@ from repro.engine.batch_split import (
 from repro.errors import InvalidParameterError
 from repro.market.conditions import MarketConditions
 from repro.multiprocess.optimizer import run_split_study
-from repro.multiprocess.split import (
-    evaluate_split,
-    make_plan,
-    single_process_plan,
-)
+from repro.multiprocess.split import ProductionSplit, single_process_plan
 from repro.engine.scenario import evaluate
 from tests.split_oracle import (
     grid_refined_best,
@@ -130,12 +127,9 @@ class TestScalarEquivalence:
             with_cas=False,
         )
         assert result.cas[0, 0] == 0.0
-        scalar = evaluate_split(
-            make_plan(raven_multicore, "28nm", "40nm", 0.5),
-            model,
-            cost_model,
-            N_CHIPS,
-            with_cas=False,
+        scalar = scalar_evaluation(
+            raven_multicore, "28nm", "40nm", 0.5, model, cost_model,
+            N_CHIPS, with_cas=False,
         )
         assert _relative(
             result.ttm_weeks[0, 0], scalar.ttm_weeks
@@ -245,7 +239,7 @@ class TestValidation:
             )
 
     def test_sample_kernel_rejects_bad_relative_step(self, model):
-        plan = make_plan(raven_multicore, "28nm", "40nm", 0.5)
+        plan = ProductionSplit(raven_multicore, "28nm", "40nm", 0.5)
         with pytest.raises(InvalidParameterError, match="relative step"):
             batch_split_samples(
                 plan, model, np.array([N_CHIPS]), relative_step=1.5
@@ -296,14 +290,16 @@ class TestRefinement:
 
 class TestSampledSplits:
     def test_constant_samples_match_scalar(self, model, cost_model):
-        plan = make_plan(raven_multicore, "28nm", "40nm", 0.6)
+        plan = ProductionSplit(raven_multicore, "28nm", "40nm", 0.6)
         outcome = batch_split_samples(
             plan,
             model,
             np.full(4, N_CHIPS),
             cost_model=cost_model,
         )
-        scalar = evaluate_split(plan, model, cost_model, N_CHIPS)
+        scalar = scalar_evaluation(
+            raven_multicore, "28nm", "40nm", 0.6, model, cost_model, N_CHIPS
+        )
         assert np.all(
             np.abs(outcome.ttm_weeks - scalar.ttm_weeks)
             <= RELATIVE_TOLERANCE * scalar.ttm_weeks
@@ -323,7 +319,7 @@ class TestSampledSplits:
             )
 
     def test_sampled_factors_move_the_outcome(self, model, cost_model):
-        plan = make_plan(raven_multicore, "28nm", "40nm", 0.6)
+        plan = ProductionSplit(raven_multicore, "28nm", "40nm", 0.6)
         base = batch_split_samples(plan, model, np.array([N_CHIPS]))
         squeezed = batch_split_samples(
             plan,
@@ -335,7 +331,7 @@ class TestSampledSplits:
         assert squeezed.ttm_weeks[0] > base.ttm_weeks[0]
 
     def test_no_cost_model_leaves_cost_none(self, model):
-        plan = make_plan(raven_multicore, "28nm", "40nm", 0.5)
+        plan = ProductionSplit(raven_multicore, "28nm", "40nm", 0.5)
         outcome = batch_split_samples(plan, model, np.array([N_CHIPS]))
         assert outcome.cost_usd is None
         assert outcome.usd_per_chip is None
@@ -356,7 +352,7 @@ class TestSampledSplits:
         split_module = importlib.import_module("repro.engine.batch_split")
         monkeypatch.setattr(split_module, "evaluate", counted)
         if len(plan_nodes) == 2:
-            plan = make_plan(raven_multicore, *plan_nodes, 0.6)
+            plan = ProductionSplit(raven_multicore, *plan_nodes, 0.6)
         else:
             plan = single_process_plan(raven_multicore, *plan_nodes)
         batch_split_samples(
@@ -369,7 +365,7 @@ class TestSampledSplits:
         self, model, cost_model, n_chips
     ):
         # A scalar demand stays a (lines, 1) block, never a sample axis.
-        plan = make_plan(raven_multicore, "28nm", "40nm", 0.6)
+        plan = ProductionSplit(raven_multicore, "28nm", "40nm", 0.6)
         outcome = batch_split_samples(
             plan, model, n_chips, cost_model=cost_model
         )
@@ -394,7 +390,7 @@ class TestSampledSplits:
         )
 
     def test_zero_capacity_raises(self, model):
-        plan = make_plan(raven_multicore, "28nm", "40nm", 0.5)
+        plan = ProductionSplit(raven_multicore, "28nm", "40nm", 0.5)
         with pytest.raises(InvalidParameterError, match="capacity"):
             batch_split_samples(
                 plan,
@@ -548,7 +544,7 @@ def _one_design_line(
         ).cost.total_usd[0, 0].reshape(np.shape(chips) + (1,))
     capacity = None
     if perturb is not None and perturb in design.processes:
-        # ``split_cas``'s rate -> fraction round trip.
+        # The scalar CAS's rate -> fraction round trip.
         max_rate = model.foundry.technology[perturb].max_wafer_rate_per_week
         rate = model.foundry.conditions.capacity_for(perturb) * max_rate
         step = rate * DEFAULT_RELATIVE_STEP
@@ -670,7 +666,7 @@ class TestLineTable:
         }
         n_chips = rng.uniform(5e6, 2e7, size)
         if len(plan_nodes) == 2:
-            plan = make_plan(raven_multicore, *plan_nodes, 0.6)
+            plan = ProductionSplit(raven_multicore, *plan_nodes, 0.6)
         else:
             plan = single_process_plan(raven_multicore, *plan_nodes)
         batch_split_samples(
@@ -688,7 +684,7 @@ class TestLineTable:
             else:
                 capacity = dict(supply["capacity"])
                 if perturb is not None and perturb in design[0].processes:
-                    # ``split_cas``'s rate -> fraction round trip, at
+                    # The scalar CAS's rate -> fraction round trip, at
                     # each sample's capacity and wafer-rate scale.
                     scaled = (
                         model.foundry.technology[perturb]

@@ -13,17 +13,14 @@ from repro.montecarlo import (
     plan_label,
     run_plan_study,
 )
-from repro.multiprocess.split import (
-    evaluate_split,
-    make_plan,
-    single_process_plan,
-)
+from repro.multiprocess.allocation import evaluate_allocation
+from repro.multiprocess.split import ProductionSplit, single_process_plan
 
 N_CHIPS = 1e7
 
 
 def _plan(split=0.6):
-    return make_plan(raven_multicore, "28nm", "40nm", split)
+    return ProductionSplit(raven_multicore, "28nm", "40nm", split)
 
 
 def _spec(variation=0.1):
@@ -60,7 +57,7 @@ class TestRunPlanStudy:
         # Zero variation collapses every draw to the spec's nominal
         # point; pinning that point at the model's own nominal market
         # (full capacity, empty queues) makes the sampled distribution a
-        # point mass at the scalar evaluate_split values — the Monte
+        # point mass at the scalar evaluate_allocation values — the Monte
         # Carlo path goes through batch_split_samples, never through a
         # separate approximation.
         plan = _plan()
@@ -78,7 +75,9 @@ class TestRunPlanStudy:
             cost_model=cost_model,
             chunk_samples=32,
         )
-        scalar = evaluate_split(plan, model, cost_model, N_CHIPS)
+        scalar = evaluate_allocation(
+            plan.design_factory, plan.allocations, model, cost_model, N_CHIPS
+        )
         assert result["ttm_weeks"].mean == pytest.approx(
             scalar.ttm_weeks, rel=1e-9
         )

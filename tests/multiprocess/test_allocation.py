@@ -1,7 +1,10 @@
 """Tests for the k-way production-allocation extension."""
 
+from itertools import combinations
+
 import pytest
 
+from repro.design.library.a11 import a11
 from repro.design.library.raven import raven_multicore
 from repro.errors import InvalidParameterError
 from repro.multiprocess.allocation import (
@@ -9,7 +12,7 @@ from repro.multiprocess.allocation import (
     evaluate_allocation,
     greedy_node_selection,
 )
-from repro.multiprocess.split import single_process_plan, split_ttm_weeks
+from repro.multiprocess.split import ProductionSplit
 
 N_CHIPS = 1e9
 
@@ -47,14 +50,16 @@ class TestBalanceAllocation:
             model.total_weeks(raven_multicore(p), N_CHIPS * s)
             for p, s in shares.items()
         )
-        from repro.multiprocess.split import make_plan
-
         grid_ttm = min(
-            split_ttm_weeks(
-                make_plan(raven_multicore, "28nm", "40nm", s / 50),
+            evaluate_allocation(
+                raven_multicore,
+                ProductionSplit(raven_multicore, "28nm", "40nm", s / 50)
+                .allocations,
                 model,
+                cost_model,
                 N_CHIPS,
-            )
+                with_cas=False,
+            ).ttm_weeks
             for s in range(1, 50)
         )
         assert balanced_ttm == pytest.approx(grid_ttm, rel=0.01)
@@ -69,6 +74,15 @@ class TestBalanceAllocation:
         assert "5nm" not in shares
         assert set(shares) == {"28nm", "40nm"}
 
+    def test_two_node_balance_is_59_41(self, model):
+        """EXPERIMENTS.md: the minimax balance over {28 nm, 40 nm}
+        lands at 59/41, beside Fig. 14's 60/40 grid optimum."""
+        shares = balance_allocation(
+            raven_multicore, ["28nm", "40nm"], model, N_CHIPS
+        )
+        assert round(shares["28nm"], 2) == 0.59
+        assert round(shares["40nm"], 2) == 0.41
+
     def test_validation(self, model):
         with pytest.raises(InvalidParameterError):
             balance_allocation(raven_multicore, [], model, N_CHIPS)
@@ -79,23 +93,6 @@ class TestBalanceAllocation:
 
 
 class TestEvaluateAllocation:
-    def test_matches_two_way_split(self, model, cost_model):
-        from repro.multiprocess.split import evaluate_split, make_plan
-
-        shares = {"28nm": 0.6, "40nm": 0.4}
-        k_way = evaluate_allocation(
-            raven_multicore, shares, model, cost_model, N_CHIPS
-        )
-        two_way = evaluate_split(
-            make_plan(raven_multicore, "28nm", "40nm", 0.6),
-            model,
-            cost_model,
-            N_CHIPS,
-        )
-        assert k_way.ttm_weeks == pytest.approx(two_way.ttm_weeks)
-        assert k_way.cost_usd == pytest.approx(two_way.cost_usd)
-        assert k_way.cas == pytest.approx(two_way.cas, rel=1e-6)
-
     def test_three_way_beats_single_on_ttm(self, model, cost_model):
         shares = balance_allocation(
             raven_multicore, ["28nm", "40nm", "65nm"], model, N_CHIPS
@@ -103,10 +100,9 @@ class TestEvaluateAllocation:
         result = evaluate_allocation(
             raven_multicore, shares, model, cost_model, N_CHIPS
         )
-        single = split_ttm_weeks(
-            single_process_plan(raven_multicore, "28nm"), model, N_CHIPS
+        assert result.ttm_weeks < model.total_weeks(
+            raven_multicore("28nm"), N_CHIPS
         )
-        assert result.ttm_weeks < single
 
     def test_five_way_beats_single_on_ttm(self, model, cost_model):
         shares = balance_allocation(
@@ -170,6 +166,35 @@ class TestGreedySelection:
         ttms = [step.ttm_weeks for step in steps]
         assert ttms == sorted(ttms, reverse=True)
         assert len(ttms) >= 2
+
+    @pytest.mark.parametrize("max_nodes", [2, 3])
+    @pytest.mark.parametrize("n_chips", [1e6, 1e9])
+    @pytest.mark.parametrize("factory", [raven_multicore, a11])
+    def test_last_step_is_the_exhaustive_optimum(
+        self, model, cost_model, factory, n_chips, max_nodes
+    ):
+        """The greedy search reaches the lowest balanced TTM over every
+        subset of at most ``max_nodes`` of the production nodes."""
+        technology = model.foundry.technology
+        nodes = [node.name for node in technology.production_nodes()]
+
+        def balanced_ttm(subset):
+            shares = balance_allocation(factory, subset, model, n_chips)
+            return max(
+                model.total_weeks(factory(node), n_chips * share)
+                for node, share in shares.items()
+            )
+
+        best = min(
+            balanced_ttm(subset)
+            for size in range(1, max_nodes + 1)
+            for subset in combinations(nodes, size)
+        )
+        steps = greedy_node_selection(
+            factory, nodes, model, cost_model, n_chips, max_nodes=max_nodes
+        )
+        assert len(nodes) == 10
+        assert steps[-1].ttm_weeks == pytest.approx(best, rel=1e-12, abs=0.0)
 
     def test_min_gain_threshold_stops_growth(self, model, cost_model):
         steps = greedy_node_selection(

@@ -10,7 +10,11 @@ from repro.multiprocess.optimizer import (
     headline_comparison,
     run_split_study,
 )
-from tests.split_oracle import grid_refined_best, scalar_best
+from tests.split_oracle import (
+    grid_refined_best,
+    scalar_best,
+    scalar_evaluation,
+)
 
 NODES = ("65nm", "40nm", "28nm")
 GRID = tuple(s / 10 for s in range(1, 11))
@@ -38,16 +42,12 @@ class TestStudyStructure:
             assert result.is_single_process
 
     def test_best_split_maximizes_cas_on_grid(self, model, cost_model):
-        from repro.multiprocess.split import evaluate_split, make_plan
-
         result = best_split_for_pair(
             raven_multicore, "28nm", "40nm", model, cost_model, 1e9, GRID
         )
         for split in GRID[:-1]:
-            manual = evaluate_split(
-                make_plan(raven_multicore, "28nm", "40nm", split),
-                model,
-                cost_model,
+            manual = scalar_evaluation(
+                raven_multicore, "28nm", "40nm", split, model, cost_model,
                 1e9,
             )
             assert result.best.cas >= manual.cas - 1e-12

@@ -90,7 +90,7 @@ def _bare(endpoint):
 #: One body per endpoint, each setting fields its group key reads.
 ROUTED = [
     ("evaluate", {"design": "zen2", "capacity": {"7nm": 0.5}, "d0_scale": 1}),
-    ("mc", {"design": "raven", "samples": 256, "seed": 3, "with_cost": 0}),
+    ("mc", {"design": "raven", "samples": 256, "seed": 3, "with_cost": False}),
     (
         "scenarios",
         {"design": "a11", "scenarios": ["fab-outage"], "correlated": True},

@@ -32,6 +32,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.errors import UnknownNodeError
 from repro.obs.trace import current_tracer
 from repro.serve import (
     ServeClient,
@@ -45,6 +46,7 @@ from repro.serve import (
     wire,
 )
 from repro.serve.shard import _Worker
+from repro.technology.database import TechnologyDatabase
 
 #: The idle and read limits while these tests run.
 LIMIT_S = 0.5
@@ -271,6 +273,76 @@ def test_malformed_body_is_answered_and_logged(role, case):
             for line in worker["recent"]
             if line["endpoint"] == endpoint
         ] == [status]
+
+
+#: Bodies with a field of the wrong JSON type: flags take only
+#: ``true``/``false`` and names only strings, and each 400 names the field.
+MISTYPED = (
+    ("splits", {"pairs": [["7nm", "14nm"]], "with_cas": "false"}, "with_cas"),
+    ("splits", {"pairs": [["7nm", "14nm"]], "refine": 1}, "refine"),
+    ("splits", {"pairs": [["7nm", 14]]}, "pairs"),
+    ("mc", {"design": "a11", "samples": 8, "with_cost": "no"}, "with_cost"),
+    ("mc", {"design": "a11", "samples": 8, "with_cost": None}, "with_cost"),
+    (
+        "scenarios",
+        {"design": "a11", "correlated": "false", "samples": 3},
+        "correlated",
+    ),
+    ("evaluate", {"design": "a11", "scenario": 5}, "scenario"),
+)
+
+
+def _refused(role, endpoint, body):
+    """POST ``body``: the reply's error message, once the role's newest
+    log line is that 400 (behind a router, the worker's too)."""
+    reply = ServeClient(role.host, role.port).post(f"/{endpoint}", body)
+    assert reply.status == 400, (endpoint, body, reply.body)
+    error = reply.json()["error"]
+    assert error["code"] == "invalid_request"
+    snapshot = _obs(role)
+    newest = snapshot["recent"][-1]
+    assert (newest["status"], newest["endpoint"]) == (400, endpoint)
+    for worker in snapshot.get("workers", []):
+        assert all(
+            line["status"] == 400
+            for line in worker["recent"]
+            if line["endpoint"] == endpoint
+        )
+    return error["message"]
+
+
+def test_mistyped_fields_are_400s_naming_the_field(role):
+    for endpoint, body, field in MISTYPED:
+        message = _refused(role, endpoint, body)
+        assert f"'{field}'" in message, (body, message)
+    # Behind a router, each refused body reached one worker and was
+    # refused there: the router answers none of them itself.
+    workers = _obs(role).get("workers", [])
+    if workers:
+        assert sum(
+            line["status"] == 400
+            for worker in workers
+            for line in worker["recent"]
+        ) == len(MISTYPED)
+
+
+def test_unknown_node_400_carries_the_message(role):
+    expected = str(
+        UnknownNodeError("3nm", TechnologyDatabase.default().names)
+    )
+    assert expected.startswith("unknown process node '3nm' (known nodes: ")
+    inline = {
+        "name": "tiny-3nm",
+        "dies": [
+            {
+                "name": "die0",
+                "process": "3nm",
+                "blocks": [{"name": "core", "transistors": 5e6}],
+            }
+        ],
+    }
+    assert _refused(role, "splits", {"pairs": [["3nm", "7nm"]]}) == expected
+    assert _refused(role, "evaluate", {"design": inline}) == expected
 
 
 def test_parse_failure_is_a_500(monkeypatch):

@@ -2,9 +2,9 @@
 
 The vectorized split engine (``repro.engine.batch_split``) and the
 Fig. 14 study built on it (``repro.multiprocess.optimizer``) are checked
-against the scalar model, one ``evaluate_split`` per production plan
-(``scalar_evaluation``, ``scalar_best``); the exact split refinement is
-checked against an even fine grid over each coarse bracket
+against the scalar model, one ``evaluate_allocation`` per production
+plan (``scalar_evaluation``, ``scalar_best``); the exact split
+refinement is checked against an even fine grid over each coarse bracket
 (``refine_split_grid``, ``grid_refined_best``).
 """
 
@@ -12,24 +12,39 @@ import numpy as np
 
 from repro.engine.batch_split import _bracket, batch_split
 from repro.errors import InvalidParameterError
+from repro.multiprocess.allocation import evaluate_allocation
 from repro.multiprocess.split import (
     DEFAULT_REFINE_POINTS,
-    evaluate_split,
-    make_plan,
+    ProductionSplit,
+    SplitEvaluation,
     single_process_plan,
 )
 
 
 def scalar_evaluation(
-    design_factory, primary, secondary, split, model, cost_model, n_chips
+    design_factory, primary, secondary, split, model, cost_model, n_chips,
+    with_cas=True,
 ):
     """One plan through the scalar model. The diagonal and any split
     >= 1.0 are the primary node's single-process plan."""
     if primary == secondary or split >= 1.0:
         plan = single_process_plan(design_factory, primary)
     else:
-        plan = make_plan(design_factory, primary, secondary, split)
-    return evaluate_split(plan, model, cost_model, n_chips)
+        plan = ProductionSplit(design_factory, primary, secondary, split)
+    result = evaluate_allocation(
+        design_factory, plan.allocations, model, cost_model, n_chips,
+        with_cas=with_cas,
+    )
+    return SplitEvaluation(
+        primary=plan.primary,
+        secondary=plan.secondary,
+        split=plan.split,
+        n_chips=n_chips,
+        ttm_weeks=result.ttm_weeks,
+        cost_usd=result.cost_usd,
+        cas=result.cas,
+        line_weeks=result.line_weeks,
+    )
 
 
 def scalar_best(

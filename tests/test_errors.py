@@ -17,6 +17,14 @@ class TestUnknownNodeError:
         error = errors.UnknownNodeError("3nm")
         assert "3nm" in str(error)
 
+    def test_str_is_the_message_not_its_repr(self):
+        # A ``KeyError`` prints the repr of its argument; this one
+        # prints the message itself, as the CLI's ``args[0]`` does.
+        error = errors.UnknownNodeError("3nm", ("7nm", "5nm"))
+        assert str(error) == "unknown process node '3nm' (known nodes: 7nm, 5nm)"
+        assert str(error) == error.args[0]
+        assert str(errors.UnknownNodeError("3nm")) == "unknown process node '3nm'"
+
     def test_is_key_error(self):
         with pytest.raises(KeyError):
             raise errors.UnknownNodeError("3nm")
