@@ -247,6 +247,16 @@ def run_checks(
             lambda message: "'with_cas'" in message,
         ),
         (
+            "a negative /splits n_chips",
+            {**split_body, "n_chips": -5},
+            lambda message: "'n_chips'" in message,
+        ),
+        (
+            "a /splits design that is neither a name nor an object",
+            {**split_body, "design": 5},
+            lambda message: "'design'" in message,
+        ),
+        (
             "an unknown /splits node",
             {"design": "a11", "pairs": [["3nm", "7nm"]]},
             lambda message: message.startswith("unknown process node '3nm'"),

@@ -58,7 +58,11 @@ from ..technology.database import TechnologyDatabase
 from ..technology.yield_model import DEFAULT_ALPHA
 from ..ttm.model import DEFAULT_ENGINEERS, TTMModel
 from ..units import mm2_to_cm2
+from . import _heap
 from .invariants import cached_invariants
+
+# Keep freed chunk temporaries mapped for the next chunk (see _heap).
+_heap.pin_thresholds()
 
 ArrayLike = Union[float, Sequence[float], np.ndarray]
 

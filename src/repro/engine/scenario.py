@@ -438,46 +438,28 @@ def _validate_base(
     return (lengths.pop() if lengths else 1), base
 
 
-@dataclass
-class _SupplyScratch:
-    """Reusable ``(n_designs, max_nodes, n_samples)`` supply buffers.
-
-    :func:`_portfolio_supply` writes each scenario's resolved tensors
-    into these (inputs broadcast up to the buffer shape, so every
-    element is the same ufunc on the same operands as a fresh
-    temporary). The returned tensors alias the buffers, so the cube
-    consumes one scenario's supply before resolving the next.
-    """
-
-    scaled: np.ndarray
-    rates: np.ndarray
-    backlog: np.ndarray
-    fraction: np.ndarray
-
-
 def _portfolio_supply(
     model: TTMModel,
     invariants: PortfolioInvariants,
     capacity: Optional[CapacityLike],
     queue_weeks: Optional[ArrayLike],
     wafer_rate_scale: Optional[ArrayLike],
-    scratch: _SupplyScratch,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """One scenario's ``(rates, backlog)`` tensors, written into ``scratch``.
+    """One scenario's ``(rates, backlog)`` tensors.
 
     The inputs are validated draws (see :func:`_validate_base`) after
     :func:`apply_scenario`'s transform. ``capacity=None`` keeps the
     model's conditions, an array is a global fraction for every node and
-    a mapping overrides the nodes it names. Padded node slots carry
-    finite values every reduction masks out.
+    a mapping overrides the nodes it names. Both tensors broadcast to
+    ``(n_designs, max_nodes, n_samples)``; a sample axis of length 1
+    means no input drew along it. Padded node slots carry finite values
+    every reduction masks out.
     """
     conditions = model.foundry.conditions
     nodes, mask = invariants.nodes, invariants.node_mask
-    scaled_max_rate = np.multiply(
-        invariants.max_rate[:, :, None],
-        1.0 if wafer_rate_scale is None else wafer_rate_scale,
-        out=scratch.scaled,
-    )
+    scaled_max_rate = invariants.max_rate[:, :, None]
+    if wafer_rate_scale is not None:
+        scaled_max_rate = scaled_max_rate * wafer_rate_scale
 
     def per_slot(per_node: np.ndarray, pad: float) -> np.ndarray:
         return np.where(mask, per_node[invariants.slot_node], pad)
@@ -498,20 +480,16 @@ def _portfolio_supply(
                     "unbounded"
                 )
         fraction = per_slot(base, 1.0)[:, :, None]
-        if mapping:
-            scratch.fraction[...] = fraction
-            fraction = scratch.fraction
-            for i, name in enumerate(nodes):
-                if name in mapping:
-                    fraction[mask & (invariants.slot_node == i)] = (
-                        mapping[name]
-                    )
-    rates = np.multiply(scaled_max_rate, fraction, out=scratch.rates)
+        for i, name in enumerate(nodes):
+            if name in mapping:
+                slots = mask & (invariants.slot_node == i)
+                fraction = np.where(slots[:, :, None], mapping[name], fraction)
+    rates = scaled_max_rate * fraction
 
     if queue_weeks is None:
         quotes = np.array([conditions.queue_weeks_for(n) for n in nodes])
         queue_weeks = per_slot(quotes, 0.0)[:, :, None]
-    backlog = np.multiply(queue_weeks, scaled_max_rate, out=scratch.backlog)
+    backlog = queue_weeks * scaled_max_rate
     return rates, backlog
 
 
@@ -678,17 +656,10 @@ def _evaluate_cube(
     # into preallocated ``out=`` arrays changes only where the bits
     # land, never what they are: each output element is still the same
     # operation on the same operands, so a slab does not depend on the
-    # scenarios around it, while the allocator stops paying a fresh
-    # multi-megabyte temporary (and its page-zeroing) per op per
-    # scenario.
+    # scenarios around it, and the chains below allocate no temporary
+    # per op per scenario.
     scratch3 = np.empty((n_designs, max_nodes, n_samples))
     masked = np.empty((n_designs, max_nodes, n_samples))
-    supply_scratch = _SupplyScratch(
-        scaled=np.empty((n_designs, max_nodes, n_samples)),
-        rates=np.empty((n_designs, max_nodes, n_samples)),
-        backlog=np.empty((n_designs, max_nodes, n_samples)),
-        fraction=np.empty((n_designs, max_nodes, n_samples)),
-    )
     # Padded/unused node slots, precomputed once: they are set to -inf
     # before every node-axis max (the active cells are untouched).
     inactive2 = ~invariants.node_mask
@@ -769,15 +740,12 @@ def _evaluate_cube(
             )
             groups[dm, g] = group
         production_load, packaging = loads[dm, g], group.packaging
-        # The resolved supply lands in reusable scratch buffers and is
-        # consumed fully within this iteration.
         rates, backlog = _portfolio_supply(
             model,
             invariants,
             kwargs["capacity"],
             kwargs["queue_weeks"],
             kwargs["wafer_rate_scale"],
-            supply_scratch,
         )
         np.divide(backlog, rates, out=masked)  # queue drain
         np.divide(production_load, rates, out=scratch3)  # production

@@ -106,6 +106,15 @@ def _integer(
     return value
 
 
+def _positive_integer(
+    body: Mapping[str, Any], key: str, default: int
+) -> int:
+    value = _integer(body, key, default)
+    if value <= 0:
+        raise BadRequestError(f"{key!r} must be positive, got {value}")
+    return value
+
+
 def _capacity(body: Mapping[str, Any]) -> Optional[Any]:
     if "capacity" not in body:
         return None
@@ -235,9 +244,7 @@ def _read_study(
     if stress:
         fields["selector"] = _selector(body)
         key.append(fields["selector"])
-    samples = _integer(body, "samples", REQUEST_DEFAULTS["samples"])
-    if samples <= 0:
-        raise BadRequestError(f"'samples' must be positive, got {samples}")
+    samples = _positive_integer(body, "samples", REQUEST_DEFAULTS["samples"])
     flags = {"with_cost": _flag(body, "with_cost")}
     if stress:
         flags["correlated"] = _flag(body, "correlated")
@@ -277,7 +284,11 @@ def _read_splits(body: Mapping[str, Any]) -> Tuple[List[Any], Dict[str, Any]]:
     spec = body.get("design", REQUEST_DEFAULTS["design"])
     library, cores = spec, None
     if not isinstance(spec, str):
-        spec = _require_mapping(spec)
+        if not isinstance(spec, Mapping):
+            raise BadRequestError(
+                "field 'design' must be a library name or a "
+                f"{{'library': ..., 'cores': ...}} object, got {spec!r}"
+            )
         unknown = set(spec) - {"library", "cores"}
         if unknown:
             raise BadRequestError(
@@ -285,7 +296,7 @@ def _read_splits(body: Mapping[str, Any]) -> Tuple[List[Any], Dict[str, Any]]:
             )
         library = spec.get("library")
         if "cores" in spec:
-            cores = _integer(spec, "cores", 0)
+            cores = _positive_integer(spec, "cores", 0)
     fields = {
         "pairs": [(a, b) for a, b in pairs],
         "library": library,
@@ -294,7 +305,7 @@ def _read_splits(body: Mapping[str, Any]) -> Tuple[List[Any], Dict[str, Any]]:
             str(library) if cores is None else f"{library}:{cores}"
         ),
         "scenario": _scenario(body),
-        "n_chips": _number(body, "n_chips", REQUEST_DEFAULTS["n_chips"]),
+        "n_chips": _n_chips(body),
         "refine": _flag(body, "refine"),
         "with_cas": _flag(body, "with_cas"),
     }

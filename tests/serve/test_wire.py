@@ -281,6 +281,7 @@ MISTYPED = (
     ("splits", {"pairs": [["7nm", "14nm"]], "with_cas": "false"}, "with_cas"),
     ("splits", {"pairs": [["7nm", "14nm"]], "refine": 1}, "refine"),
     ("splits", {"pairs": [["7nm", 14]]}, "pairs"),
+    ("splits", {"design": 5, "pairs": [["7nm", "14nm"]]}, "design"),
     ("mc", {"design": "a11", "samples": 8, "with_cost": "no"}, "with_cost"),
     ("mc", {"design": "a11", "samples": 8, "with_cost": None}, "with_cost"),
     (
@@ -324,6 +325,25 @@ def test_mistyped_fields_are_400s_naming_the_field(role):
             for worker in workers
             for line in worker["recent"]
         ) == len(MISTYPED)
+
+
+#: Bodies of the right JSON types whose value the reader refuses: a
+#: /splits volume or core count must be positive, as on the other
+#: endpoints.
+OUT_OF_RANGE = (
+    ("splits", {"pairs": [["7nm", "14nm"]], "n_chips": -5}, "n_chips"),
+    (
+        "splits",
+        {"design": {"library": "raven", "cores": -3}, "pairs": [["7nm", "14nm"]]},
+        "cores",
+    ),
+)
+
+
+def test_out_of_range_fields_are_400s_naming_the_field(role):
+    for endpoint, body, field in OUT_OF_RANGE:
+        message = _refused(role, endpoint, body)
+        assert message.startswith(f"'{field}' must be positive"), message
 
 
 def test_unknown_node_400_carries_the_message(role):

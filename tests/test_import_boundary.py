@@ -12,7 +12,9 @@ its parser, ``repro.serve.shard`` up to a ``routing_key`` of every
 endpoint, which runs the reader over each endpoint's fields, and a
 ``ShardConfig``) and a bare
 ``import repro`` must load neither NumPy nor the engine kernels nor the
-experiments, nor the ``repro.obs`` modules the router never uses. The
+experiments, nor the engine's heap policy (``repro.engine._heap``,
+whose thresholds the router must not run under), nor the ``repro.obs``
+modules the router never uses. The
 ``obs`` command's output helper, ``format_table``, loads no NumPy
 either. Each check runs in a fresh interpreter, since this one has
 imported everything.
@@ -25,6 +27,7 @@ import pytest
 #: Modules none of the checks may load.
 HEAVY = (
     "numpy",
+    "repro.engine._heap",
     "repro.engine.portfolio",
     "repro.experiments",
     "repro.obs.manifest",
